@@ -17,7 +17,7 @@ from .core import (
     MultiplierVector,
     Problem,
 )
-from .expr import evaluate, grad, grad_fd, parse, pretty
+from .expr import evaluate, evaluate_many, grad, grad_fd, parse, pretty
 from .sets import Ball, Box, ConvexSetDescriptor, Halfspace, LinearEquality
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "MultiplierVector",
     "Problem",
     "evaluate",
+    "evaluate_many",
     "grad",
     "grad_fd",
     "parse",

@@ -33,8 +33,8 @@ class UsageError(Exception):
     pass
 
 
-def _base_config(args) -> Config:
-    cfg = DEFAULT_CONFIG
+def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
+    """cfg (a problem file's config), then QCX_CONFIG, then the flags."""
     path = os.environ.get("QCX_CONFIG")
     if path:
         with open(path) as fh:
@@ -56,7 +56,7 @@ def _load(args, require_constrained: Optional[bool] = None):
     elif getattr(args, "problem", None):
         with open(args.problem) as fh:
             problem, known, file_cfg = loads(fh.read())
-        cfg = _base_config(args)
+        cfg = _base_config(args, file_cfg)
     else:
         raise UsageError("either --problem PATH or --example NAME is required")
     if require_constrained is True and not isinstance(problem, ConstrainedProblem):

@@ -4,7 +4,9 @@ The grammar (documented in docs/grammar.md) covers infix arithmetic with
 integer powers, ``sqrt``, ``abs`` and piecewise expressions whose guards
 are conjunctions of linear inequalities.  Gradients are exact, computed by
 forward-mode dual numbers, one pass per coordinate; ``grad_fd`` provides
-the independent central-difference cross-check.
+the independent central-difference cross-check.  ``evaluate_many`` gives
+the values of ``evaluate`` on a whole batch of points in one numpy pass
+per AST node.
 """
 
 from __future__ import annotations
@@ -125,10 +127,13 @@ class Dual:
         return Dual(v, (self.dot - v * o.dot) / o.val)
 
     def ipow(self, k: int) -> "Dual":
-        v = self.val ** k
-        if k == 0:
-            return Dual(1.0, 0.0)
-        return Dual(v, k * self.val ** (k - 1) * self.dot)
+        try:
+            v = self.val ** k
+            if k == 0:
+                return Dual(1.0, 0.0)
+            return Dual(v, k * self.val ** (k - 1) * self.dot)
+        except OverflowError:
+            raise EvalError("power overflows") from None
 
     def sqrt(self) -> "Dual":
         if self.val < 0.0:
@@ -184,7 +189,11 @@ def _eval_float(e: Expr, x, eps: float) -> float:
             raise EvalError("division by zero")
         return _eval_float(e.left, x, eps) / den
     if isinstance(e, Pow):
-        return _eval_float(e.base, x, eps) ** e.exponent
+        base = _eval_float(e.base, x, eps)
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise EvalError("power overflows") from None
     if isinstance(e, Neg):
         return -_eval_float(e.operand, x, eps)
     if isinstance(e, Sqrt):
@@ -258,8 +267,121 @@ def _eval_dual(e: Expr, x, seed: int, eps_val: float, eps_dir: float) -> Dual:
 
 
 def evaluate(f: Expr, x: Sequence[float], eps: float = 1e-9) -> float:
-    """Value of f at x.  Raises EvalError on domain violations."""
-    return _eval_float(f, np.asarray(x, dtype=float), eps)
+    """Value of f at x.
+
+    Raises EvalError on domain violations, on an overflowing power and on
+    a non-finite value (an overflowing product, or a non-finite x).
+    """
+    xv = np.asarray(x, dtype=float)
+    value = _eval_float(f, xv, eps)
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite value {value} at {tuple(xv)}")
+    return value
+
+
+# Two summation orders of an n-term dot product (numpy's row sum, and the
+# BLAS dot that _guard_holds uses, which may fuse multiply-adds) each lie
+# within n * 2**-53 * sum(|terms|) of the exact sum; this slack is over
+# four times their largest possible difference.
+_DOT_SLACK = 1e-15
+
+
+def _guard_rows(guard, X: np.ndarray) -> np.ndarray:
+    """_guard_holds for every row of X.  Rows whose vectorized dot product
+    lies too close to the bound for the summation order not to matter are
+    decided by _guard_holds' own formula."""
+    holds = np.ones(len(X), dtype=bool)
+    for ineq in guard:
+        terms = X * np.asarray(ineq.coeffs, dtype=float)
+        dots = terms.sum(axis=1)
+        limit = ineq.bound + GUARD_TOL
+        ok = dots <= limit
+        slack = _DOT_SLACK * X.shape[1] * np.abs(terms).sum(axis=1) + 1e-300
+        for r in np.flatnonzero(~(np.abs(dots - limit) > slack)):
+            ok[r] = float(np.dot(ineq.coeffs, X[r])) <= limit
+        holds &= ok
+    return holds
+
+
+def _eval_rows(e: Expr, X: np.ndarray, eps: float) -> np.ndarray:
+    """_eval_float on every row of X, one numpy pass per node.
+
+    Raises EvalError iff _eval_float raises at some row; every other
+    value equals _eval_float's bit for bit.
+    """
+    if isinstance(e, Const):
+        return np.full(len(X), float(e.value))
+    if isinstance(e, Var):
+        return X[:, e.index - 1].copy()
+    if isinstance(e, Add):
+        return _eval_rows(e.left, X, eps) + _eval_rows(e.right, X, eps)
+    if isinstance(e, Sub):
+        return _eval_rows(e.left, X, eps) - _eval_rows(e.right, X, eps)
+    if isinstance(e, Mul):
+        return _eval_rows(e.left, X, eps) * _eval_rows(e.right, X, eps)
+    if isinstance(e, Div):
+        den = _eval_rows(e.right, X, eps)
+        if np.any(den == 0.0):
+            raise EvalError("division by zero")
+        return _eval_rows(e.left, X, eps) / den
+    if isinstance(e, Pow):
+        # Python's float ** int (libm pow); np.power differs from it in the
+        # last bit on some inputs.
+        base = _eval_rows(e.base, X, eps).tolist()
+        try:
+            return np.array([b ** e.exponent for b in base], dtype=float)
+        except OverflowError:
+            raise EvalError("power overflows") from None
+    if isinstance(e, Neg):
+        return -_eval_rows(e.operand, X, eps)
+    if isinstance(e, Sqrt):
+        v = _eval_rows(e.operand, X, eps)
+        if np.any(v < 0.0):
+            raise EvalError("sqrt of negative value")
+        return np.sqrt(v)
+    if isinstance(e, Abs):
+        return np.abs(_eval_rows(e.operand, X, eps))
+    if isinstance(e, Piecewise):
+        hits = [_guard_rows(guard, X) for guard, _ in e.branches]
+        if not np.all(np.any(hits, axis=0)):
+            raise EvalError("point outside every piecewise guard")
+        # Each branch runs on the rows it covers; a row takes the value of
+        # its first covering branch, and every later one must agree.
+        out = np.empty(len(X))
+        seen = np.zeros(len(X), dtype=bool)
+        for hit, (_, br) in zip(hits, e.branches):
+            rows = np.flatnonzero(hit)
+            if rows.size == 0:
+                continue
+            values = _eval_rows(br, X[rows], eps)
+            first = ~seen[rows]
+            if np.any(np.abs(values[~first] - out[rows[~first]]) > eps):
+                raise BoundaryMismatchError("branch values differ")
+            out[rows[first]] = values[first]
+            seen[rows] = True
+        return out
+    raise TypeError(f"unknown node {e!r}")
+
+
+def evaluate_many(f: Expr, X, eps: float = 1e-9) -> np.ndarray:
+    """Values of f at the rows of an (N, n) array X.
+
+    Entry i equals evaluate(f, X[i], eps) bit for bit.  When evaluate
+    raises at some row, this raises what it raises at the first such row.
+    """
+    Xv = np.ascontiguousarray(X, dtype=float)
+    if Xv.ndim != 2:
+        raise DimensionError("a batch of points must be an (N, n) array")
+    try:
+        with np.errstate(all="ignore"):
+            values = _eval_rows(f, Xv, eps)
+        if np.all(np.isfinite(values)):
+            return values
+    except EvalError:
+        pass
+    for x in Xv:
+        evaluate(f, x, eps)
+    raise EvalError("batch evaluation failed at a point that evaluates")
 
 
 def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,

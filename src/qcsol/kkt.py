@@ -5,13 +5,13 @@ characterizations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .alternatives import solve_lp, strict_feasibility
-from .charac import membership as plain_membership
-from .charac import _cosine_distance, check_anchor_hypothesis
+from .charac import _cosine_distance, _verdict, check_anchor_hypothesis
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     CharacVariant,
@@ -189,13 +189,17 @@ def member_X1(
     lam: MultiplierVector,
     x,
     cfg: Config = DEFAULT_CONFIG,
+    _anchor: Optional["_Anchor"] = None,
 ) -> bool:
     """x in X1(lambda): strict-multiplier constraints hold with equality,
-    the rest with inequality, and x is in the ground set."""
+    the rest with inequality, and x is in the ground set.  An _Anchor for
+    (xbar, lam) can be passed to share its strict index set."""
     xv = as_point(x, cp.dimension)
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
-    tilde = set(strict_index_set(cp, xbar, lam, cfg))
+    tilde = set(
+        strict_index_set(cp, xbar, lam, cfg) if _anchor is None else _anchor.tilde
+    )
     vals = constraint_values(cp, xv)
     for i, v in enumerate(vals):
         if i in tilde:
@@ -217,6 +221,57 @@ def _as_plain_problem(cp: ConstrainedProblem) -> Problem:
     )
 
 
+class _Anchor:
+    """The anchor-only quantities of the multiplier variants.
+
+    Each is computed, and its hypothesis checked, on first use, where the
+    per-point definition computes it; one instance then serves every
+    point of an enumeration.
+    """
+
+    def __init__(
+        self,
+        cp: ConstrainedProblem,
+        xb: np.ndarray,
+        lam: MultiplierVector,
+        variant: CharacVariant,
+        cfg: Config,
+    ):
+        self.cp, self.xb, self.lam, self.variant, self.cfg = cp, xb, lam, variant, cfg
+
+    @cached_property
+    def g0(self) -> np.ndarray:
+        g0 = grad(self.cp.objective, self.xb, self.cp.dimension)
+        if float(np.linalg.norm(g0)) <= self.cfg.eps_grad:
+            raise HypothesisViolatedError(
+                f"variant {self.variant.value} requires a nonzero gradient at the anchor"
+            )
+        return g0
+
+    @cached_property
+    def tilde(self) -> tuple:
+        return strict_index_set(self.cp, self.xb, self.lam, self.cfg)
+
+    @cached_property
+    def tilde_grads(self) -> list:
+        """(i, grad g_i(xbar)) for each strict-multiplier index i."""
+        return [
+            (i, grad(self.cp.constraints[i], self.xb, self.cp.dimension))
+            for i in self.tilde
+        ]
+
+    @cached_property
+    def plain(self) -> Problem:
+        return _as_plain_problem(self.cp)
+
+    @cached_property
+    def plain_g0(self) -> np.ndarray:
+        """The anchor gradient, checked for the unconstrained base variant."""
+        return check_anchor_hypothesis(
+            self.plain, self.xb, self.variant.unconstrained_base, self.cfg
+        )
+
+
 def membership_constrained(
     cp: ConstrainedProblem,
     xbar,
@@ -228,14 +283,21 @@ def membership_constrained(
     """Membership for the primed and double-primed variants."""
     xb = as_point(xbar, cp.dimension)
     xv = as_point(x, cp.dimension)
-    g0 = grad(cp.objective, xb, cp.dimension)
-    if float(np.linalg.norm(g0)) <= cfg.eps_grad:
-        raise HypothesisViolatedError(
-            f"variant {variant.value} requires a nonzero gradient at the anchor"
-        )
+    return _verdict_constrained(cp, _Anchor(cp, xb, lam, variant, cfg), xv, variant, cfg)
+
+
+def _verdict_constrained(
+    cp: ConstrainedProblem,
+    anchor: _Anchor,
+    xv: np.ndarray,
+    variant: CharacVariant,
+    cfg: Config,
+) -> MembershipVerdict:
+    """The multiplier variant's conditions at xv, given the anchor."""
+    xb, g0 = anchor.xb, anchor.g0
 
     residuals: Dict[str, float] = {}
-    in_x1 = member_X1(cp, xbar, lam, xv, cfg)
+    in_x1 = member_X1(cp, xb, anchor.lam, xv, cfg, _anchor=anchor)
     residuals["in_X1"] = 0.0 if in_x1 else 1.0
 
     if variant in (CharacVariant.SHATPP1, CharacVariant.SHATPP2):
@@ -244,9 +306,8 @@ def membership_constrained(
                 "double-primed variants need an open (unconstrained) ground set"
             )
         ok = in_x1
-        tilde = strict_index_set(cp, xbar, lam, cfg)
-        for i in tilde:
-            dot = float(grad(cp.constraints[i], xb, cp.dimension) @ (xv - xb))
+        for i, gi in anchor.tilde_grads:
+            dot = float(gi @ (xv - xb))
             residuals[f"active_gradient_dot_{i}"] = dot
             if variant is CharacVariant.SHATPP1:
                 ok = ok and abs(dot) <= cfg.eps_feas
@@ -263,7 +324,8 @@ def membership_constrained(
         return MembershipVerdict(tuple(float(c) for c in xv), variant, ok, residuals)
 
     base = variant.unconstrained_base
-    plain = plain_membership(_as_plain_problem(cp), xb, xv, base, cfg)
+    in_S = contains(cp.ground_set, xv, cfg.eps_feas)
+    plain = _verdict(anchor.plain, xb, anchor.plain_g0, xv, base, in_S, cfg)
     feas = bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
     residuals.update(plain.residuals)
     residuals["constraints_feasible"] = 0.0 if feas else 1.0
@@ -281,11 +343,10 @@ def enumerate_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
-    out = []
-    for x in feasible_grid(cp, resolution, cfg):
-        if membership_constrained(cp, xbar, lam, x, variant, cfg).member:
-            out.append(tuple(float(c) for c in x))
-    return out
+    pts = feasible_grid(cp, resolution, cfg)
+    anchor = _Anchor(cp, as_point(xbar, cp.dimension), lam, variant, cfg)
+    verdicts = (_verdict_constrained(cp, anchor, x, variant, cfg) for x in pts)
+    return [v.point for v in verdicts if v.member]
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

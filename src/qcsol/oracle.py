@@ -16,7 +16,7 @@ from .charac import enumerate_solution_set
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem, as_point
 from .errors import EmptyGridError
-from .expr import evaluate
+from .expr import evaluate, evaluate_many
 from .kkt import feasible_grid
 from .sets import sample_grid
 
@@ -44,7 +44,7 @@ def brute_force_solutions(
     pts = _grid_of(p, resolution, cfg)
     if not pts:
         raise EmptyGridError("no feasible grid point in the window")
-    values = [evaluate(p.objective, x) for x in pts]
+    values = evaluate_many(p.objective, np.array(pts)).tolist()
     vmin = min(values)
     sols = tuple(
         tuple(float(c) for c in x)

@@ -10,6 +10,7 @@ round-trip decimals), so load/dump round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Optional, Tuple, Union
 
 from .config import DEFAULT_CONFIG, Config
@@ -50,10 +51,12 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _reals(value, name: str, dim: Optional[int] = None) -> Tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not all(_is_real(v) for v in value):
         raise ProblemFormatError(f"{name} must be a list of reals")
     if dim is not None and len(value) != dim:
         raise ProblemFormatError(f"{name} must have length {dim}")
@@ -105,11 +108,21 @@ def _window_from_json(obj, dim: int) -> Box:
 
 
 def config_from_json(obj: dict, base: Config = DEFAULT_CONFIG) -> Config:
+    """base with the fields of a JSON config object replaced: seed must be
+    an integer, every tolerance a finite real."""
     if not isinstance(obj, dict):
         raise ProblemFormatError("config must be an object")
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ProblemFormatError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        if key == "seed":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = _is_real(value) and (isinstance(value, int) or math.isfinite(value))
+        if not ok:
+            kind = "an integer" if key == "seed" else "a finite real"
+            raise ProblemFormatError(f"config {key} must be {kind}, got {value!r}")
     return base.with_overrides(**obj)
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
-from .errors import DimensionError
-from .expr import ExprAst, evaluate, grad
+from .errors import DimensionError, EvalError
+from .expr import ExprAst, evaluate, evaluate_many, grad
 from .sets import Box, grid_nodes
 
 
@@ -30,7 +30,7 @@ class MLPair:
 
 def _grid_values(f: ExprAst, window: Box, resolution: int):
     pts = grid_nodes(window, resolution)
-    return pts, np.array([evaluate(f, x) for x in pts])
+    return pts, evaluate_many(f, np.array(pts))
 
 
 def gp_member(
@@ -115,8 +115,52 @@ def gp_solution_check(
     return False
 
 
+@dataclass(frozen=True)
+class _WindowValues:
+    """f on the 1-D window grid, and at the edge-trend points and the
+    tested points, evaluated once for every pair."""
+
+    ys: np.ndarray
+    values: np.ndarray  # f at ys
+    at: dict            # point -> f(point)
+
+
+def _trend_points(window: Box, resolution: int) -> dict:
+    """edge -> (outer, inner): the window edge and its grid neighbour."""
+    lo, hi = window.lo[0], window.hi[0]
+    step = (hi - lo) / (resolution - 1)
+    return {"lo": (lo, lo + step), "hi": (hi, hi - step)}
+
+
+def _window_values(
+    f: ExprAst, window: Box, resolution: int, points: Sequence[float]
+) -> Optional[_WindowValues]:
+    """Every value the ML route can read for these points, in one batch.
+
+    None when any of them fails to evaluate: the per-pair path then
+    evaluates, and raises at, exactly the points it always did.
+    """
+    ys = np.linspace(window.lo[0], window.hi[0], resolution)
+    trend = _trend_points(window, resolution)
+    scalars = [y for edge in trend.values() for y in edge] + list(points)
+    try:
+        vals = evaluate_many(f, np.concatenate([ys, scalars])[:, None])
+    except EvalError:
+        return None
+    return _WindowValues(ys, vals[: len(ys)], dict(zip(scalars, vals[len(ys):])))
+
+
+def _value(f: ExprAst, y: float, grid: Optional[_WindowValues]) -> float:
+    return evaluate(f, [y]) if grid is None else grid.at[y]
+
+
 def _halfline_inf(
-    f: ExprAst, pair: MLPair, window: Box, resolution: int, cfg: Config
+    f: ExprAst,
+    pair: MLPair,
+    window: Box,
+    resolution: int,
+    cfg: Config,
+    _grid: Optional[_WindowValues] = None,
 ) -> float:
     """Infimum of f over {y : v y >= t} clipped to the window grid.
 
@@ -126,7 +170,7 @@ def _halfline_inf(
     documented heuristic, not a proof.
     """
     lo, hi = window.lo[0], window.hi[0]
-    ys = np.linspace(lo, hi, resolution)
+    ys = np.linspace(lo, hi, resolution) if _grid is None else _grid.ys
     v, t = pair.v, pair.t
     if v > 0.0:
         cut = t / v
@@ -141,23 +185,21 @@ def _halfline_inf(
             return float("inf")  # empty constraint region
         mask = np.ones_like(ys, dtype=bool)
         tail_edges = ["lo", "hi"]
-    if not np.any(mask):
+    if not mask.any():
         # region lies entirely outside the window; fall back to the
         # nearest edge trend
         tail_edges = ["lo" if (v > 0 and t / v < lo) else "hi"]
         mask = np.zeros_like(ys, dtype=bool)
 
-    step = (hi - lo) / (resolution - 1)
     for edge in tail_edges:
-        if edge == "lo":
-            outer, inner = lo, lo + step
-        else:
-            outer, inner = hi, hi - step
-        if evaluate(f, [outer]) < evaluate(f, [inner]) - cfg.eps_feas:
+        outer, inner = _trend_points(window, resolution)[edge]
+        if _value(f, outer, _grid) < _value(f, inner, _grid) - cfg.eps_feas:
             return float("-inf")
 
-    if not np.any(mask):
+    if not mask.any():
         return float("inf")
+    if _grid is not None:
+        return float(_grid.values[mask].min())
     return float(min(evaluate(f, [y]) for y in ys[mask]))
 
 
@@ -168,14 +210,19 @@ def ml_member_1d(
     window: Box,
     resolution: int = 201,
     cfg: Config = DEFAULT_CONFIG,
+    _grid: Optional[_WindowValues] = None,
 ) -> bool:
-    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x."""
+    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x.
+
+    A precomputed _WindowValues holding f(x) can be passed to amortize the
+    evaluations over many pairs.
+    """
     if len(window.lo) != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if pair.v * x < pair.t - cfg.eps_feas:
         return False
-    fx = evaluate(f, [x])
-    inf_val = _halfline_inf(f, pair, window, resolution, cfg)
+    fx = _value(f, x, _grid)
+    inf_val = _halfline_inf(f, pair, window, resolution, cfg, _grid)
     return inf_val >= fx - cfg.eps_feas
 
 
@@ -212,17 +259,21 @@ def ml_solution_check_1d(
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
     window = window or p.domain_window
     if candidate_pairs is None:
         candidate_pairs = default_ml_pairs(window)
+    f = p.objective
+    grid = _window_values(f, window, resolution, [x, xbar] if form == "M1" else [x])
     for pair in candidate_pairs:
-        if not ml_member_1d(p.objective, x, pair, window, resolution, cfg):
+        if not ml_member_1d(f, x, pair, window, resolution, cfg, _grid=grid):
             continue
         if form == "M2":
             if pair.v * xbar >= pair.t - cfg.eps_feas:
                 return True
         elif form == "M1":
-            if ml_member_1d(p.objective, xbar, pair, window, resolution, cfg):
+            if ml_member_1d(f, xbar, pair, window, resolution, cfg, _grid=grid):
                 return True
         else:
             raise ValueError("form must be 'M1' or 'M2'")

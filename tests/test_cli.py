@@ -118,3 +118,48 @@ def test_config_file_env(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps({"seed": 11}))
     monkeypatch.setenv("QCX_CONFIG", str(cfg_path))
     assert run(["classify", "--example", "ex2_1", "--resolution", "9"]) == 0
+
+
+def _write_problem(tmp_path, window, config=None, name="problem.json"):
+    doc = {
+        "dimension": 1,
+        "objective": "x1^2",
+        "feasible_set": [],
+        "domain_window": {"lo": [-window], "hi": [window]},
+        "known_solution": [0.0],
+    }
+    if config is not None:
+        doc["config"] = config
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_problem_file_config_precedence(tmp_path, capsys, monkeypatch):
+    def stilde(*extra):
+        code = run(["enumerate", "--problem", path, "--variant", "STILDE",
+                    "--resolution", "5", *extra])
+        return code, _json_out(capsys)["points"]
+
+    path = _write_problem(tmp_path, 1.0)
+    assert stilde() == (0, [[0.0]])
+    path = _write_problem(tmp_path, 1.0, {"eps_grad": 100})
+    assert stilde() == (0, [[-1.0], [-0.5], [0.0], [0.5], [1.0]])
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"eps_grad": 1e-8}))
+    monkeypatch.setenv("QCX_CONFIG", str(env))
+    assert stilde() == (0, [[0.0]])                      # environment over file
+    assert stilde("--eps-grad", "100")[1] == [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
+
+
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys):
+    path = _write_problem(tmp_path, 1.0, {"eps_grad": "big"})
+    assert run(["enumerate", "--problem", path, "--variant", "STILDE"]) == 2
+    assert "eps_grad" in capsys.readouterr().err
+
+
+def test_overflow_is_a_numeric_error(tmp_path, capsys):
+    path = _write_problem(tmp_path, 1e200)
+    assert run(["oracle", "--problem", path, "--resolution", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "EvalError" in err and "Traceback" not in err

@@ -5,10 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsol.errors import BoundaryMismatchError, EvalError, ParseError
+from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 from qcsol.expr import (
+    Abs,
+    Add,
+    Const,
+    Div,
     Dual,
+    LinearIneq,
+    Mul,
+    Neg,
+    Piecewise,
+    Pow,
+    Sqrt,
+    Sub,
+    Var,
     evaluate,
+    evaluate_many,
     free_variables,
     grad,
     grad_fd,
@@ -147,3 +160,144 @@ ROUND_TRIP_SOURCES = [
 def test_pretty_round_trip(source, dim):
     ast = parse(source, dim)
     assert parse(pretty(ast), dim) == ast
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEvaluationErrors:
+    def test_division_by_exact_zero_only(self):
+        f = parse("1/x1", 1)
+        assert evaluate(f, [1e-300]) == 1.0 / 1e-300
+        assert evaluate_many(f, np.array([[1e-300]])).tolist() == [1.0 / 1e-300]
+        with pytest.raises(EvalError, match="division by zero"):
+            evaluate(f, [0.0])
+        with pytest.raises(EvalError, match="division by zero"):
+            evaluate_many(f, np.array([[1e-300], [0.0]]))
+
+    def test_power_overflow(self):
+        f = parse("x1^2", 1)
+        with pytest.raises(EvalError, match="power overflows"):
+            evaluate(f, [1e200])
+        with pytest.raises(EvalError, match="power overflows"):
+            evaluate_many(f, np.array([[1.0], [1e200]]))
+        with pytest.raises(EvalError):
+            grad(f, [1e200])
+
+    def test_non_finite_value(self):
+        f = parse("x1 * x1", 1)
+        with pytest.raises(EvalError, match="non-finite"):
+            evaluate(f, [1e200])
+        with pytest.raises(EvalError, match="non-finite"):
+            evaluate_many(f, np.array([[1e200]]))
+        with pytest.raises(EvalError, match="non-finite"):
+            evaluate(parse("x1 + 1", 1), [float("nan")])
+
+
+class TestEvaluateMany:
+    def test_integer_power_is_libm_pow(self):
+        # np.power differs from float ** int in the last bit on some of
+        # these nodes; the batch must reproduce the scalar walker
+        f = parse("x1^3", 1)
+        X = np.linspace(0.0, 2.0, 201)[:, None]
+        assert _bits(evaluate_many(f, X)) == _bits(evaluate(f, x) for x in X)
+
+    def test_piecewise_rows(self):
+        f = parse(QUADRANT, 2)
+        X = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -2.0], [1.0, -2.0], [0.0, 1.5]])
+        assert _bits(evaluate_many(f, X)) == _bits(evaluate(f, x) for x in X)
+
+    def test_guard_boundary_rows_decide_like_evaluate(self):
+        # Rows within rounding of an inexact guard boundary: numpy's row
+        # sums and the BLAS dot of _guard_holds can round c . x apart
+        c = (0.1, 0.7)
+        f = Piecewise((((LinearIneq(c, 0.3 - 1e-12),), Const(1.0)),))
+        t = np.linspace(-2.0, 2.0, 400)
+        X = np.column_stack([t, (0.3 - 0.1 * t) / 0.7])
+        expected = []
+        for x in X:
+            try:
+                expected.append(evaluate(f, x))
+            except EvalError:
+                expected.append(None)
+        assert None in expected and 1.0 in expected
+        ok = np.array([v is not None for v in expected])
+        assert _bits(evaluate_many(f, X[ok])) == _bits([1.0] * ok.sum())
+        for x in X[~ok]:
+            with pytest.raises(EvalError):
+                evaluate_many(f, x[None, :])
+
+    def test_first_failing_row_decides_the_error(self):
+        f = parse("pw[x1 <= 0: 0; x1 >= 0: 1]", 1)
+        g = parse("pw[x1 <= 0: 1/x1; x1 >= 0: 1]", 1)
+        with pytest.raises(BoundaryMismatchError):
+            evaluate_many(f, np.array([[-1.0], [0.0]]))
+        # row 1 mismatches, but row 0 fails first with a plain EvalError
+        with pytest.raises(EvalError) as info:
+            evaluate_many(g, np.array([[2.0], [0.0], [5.0]]))
+        assert type(info.value) is EvalError
+
+    def test_shapes(self):
+        f = parse("x1 + x2", 2)
+        assert evaluate_many(f, np.empty((0, 2))).shape == (0,)
+        with pytest.raises(DimensionError):
+            evaluate_many(f, np.array([1.0, 2.0]))
+
+
+# Random ASTs over two variables with every node kind; guards use small
+# integer coefficients so that grid-like points land on their boundaries.
+_LEAVES = st.one_of(
+    st.builds(Var, st.integers(1, 2)),
+    st.builds(Const, st.sampled_from([0.0, 1.0, -2.0, 0.5, 3.0, 1e-3, 1e150])),
+)
+_INEQS = st.builds(
+    LinearIneq,
+    st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 0.5]), st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
+    st.sampled_from([0.0, 0.5, -0.25, 1.0]),
+)
+
+
+def _extend(children):
+    branch = st.tuples(st.lists(_INEQS, min_size=1, max_size=2).map(tuple), children)
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.sampled_from([0, 1, 2, 3, 4])),
+        st.builds(Neg, children),
+        st.builds(Sqrt, children),
+        st.builds(Abs, children),
+        st.builds(Piecewise, st.lists(branch, min_size=1, max_size=3).map(tuple)),
+    )
+
+
+_ASTS = st.recursive(_LEAVES, _extend, max_leaves=8)
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0, 1e-300, 1e200, -1e100,
+                     float("inf"), float("nan")]),
+    st.floats(-3, 3, allow_nan=False),
+)
+_BATCHES = st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(_ASTS, _BATCHES)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_many_equals_rowwise_evaluate(f, rows):
+    X = np.array(rows, dtype=float)
+    expected = []
+    for x in X:
+        try:
+            expected.append(evaluate(f, x))
+        except EvalError as exc:
+            expected.append(exc)
+    first_error = next((r for r in expected if isinstance(r, EvalError)), None)
+    if first_error is None:
+        assert _bits(evaluate_many(f, X)) == _bits(expected)
+    else:
+        with pytest.raises(EvalError) as info:
+            evaluate_many(f, X)
+        assert type(info.value) is type(first_error)
+        assert str(info.value) == str(first_error)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector
+from qcsol import kkt
 from qcsol.errors import (
+    HypothesisViolatedError,
     InfeasibleError,
     NoMultiplierError,
     NotOpenGroundSetError,
+    QcsolError,
 )
 from qcsol.expr import parse
 from qcsol.kkt import (
@@ -15,6 +18,7 @@ from qcsol.kkt import (
     check_gmfcq,
     constraint_values,
     enumerate_constrained,
+    feasible_grid,
     is_feasible,
     lagrangian,
     lagrangian_constancy,
@@ -129,6 +133,80 @@ class TestX1AndPrimedVariants:
         lam = solve_multipliers(surd.problem, surd.anchor)
         pts = enumerate_constrained(surd.problem, surd.anchor, lam, V.SP1, surd.resolution)
         assert pts == [(1.0, 1.0)]
+
+
+MULTIPLIER_VARIANTS = [v for v in V if v.requires_multiplier] + [V.SHATPP1, V.SHATPP2]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except QcsolError as exc:
+        return type(exc)
+
+
+class TestEnumerationSharesTheAnchor:
+    @pytest.fixture()
+    def cases(self, surd):
+        cp = surd.problem
+        closed = ConstrainedProblem(
+            cp.objective, cp.constraints,
+            ConvexSetDescriptor(2, (Halfspace((1.0, 0.0), 1.2),)), 2, cp.domain_window,
+        )
+        flat = ConstrainedProblem(
+            parse("x1^2 + x2^2", 2), (parse("x1 + x2 - 1", 2),),
+            ConvexSetDescriptor(2, ()), 2, cp.domain_window,
+        )
+        return [
+            (cp, surd.anchor),
+            (cp, (0.0, 0.0)),
+            (cp, (2.0, 2.0)),      # infeasible anchor
+            (closed, surd.anchor),  # ground set with an atom
+            (closed, (1.3, 0.0)),   # anchor outside the ground set
+            (flat, (0.0, 0.0)),     # zero anchor gradient
+        ]
+
+    @pytest.mark.parametrize("variant", MULTIPLIER_VARIANTS, ids=lambda v: v.value)
+    def test_enumeration_is_pointwise_membership(self, surd, cases, variant):
+        lam = solve_multipliers(surd.problem, surd.anchor)
+        for cp, anchor in cases:
+            want = _outcome(lambda: [
+                tuple(float(c) for c in x)
+                for x in feasible_grid(cp, 13)
+                if membership_constrained(cp, anchor, lam, x, variant).member
+            ])
+            assert _outcome(lambda: enumerate_constrained(cp, anchor, lam, variant, 13)) == want
+
+    def test_anchor_checked_once(self, surd, monkeypatch):
+        calls = {"anchor": 0, "tilde": 0}
+        check, tilde = kkt.check_anchor_hypothesis, kkt.strict_index_set
+
+        def counted_check(*args):
+            calls["anchor"] += 1
+            return check(*args)
+
+        def counted_tilde(*args):
+            calls["tilde"] += 1
+            return tilde(*args)
+
+        monkeypatch.setattr(kkt, "check_anchor_hypothesis", counted_check)
+        monkeypatch.setattr(kkt, "strict_index_set", counted_tilde)
+        lam = solve_multipliers(surd.problem, surd.anchor)
+        pts = enumerate_constrained(surd.problem, surd.anchor, lam, V.SP3, 13)
+        assert pts == [(1.0, 1.0)]
+        assert calls == {"anchor": 1, "tilde": 1}
+
+    def test_empty_grid_checks_nothing(self, surd):
+        # no feasible node: the anchor (here with a zero gradient) is
+        # never examined, as when every point was checked on its own
+        cp = ConstrainedProblem(
+            parse("x1^2 + x2^2", 2), (parse("x1 + 10", 2),),
+            ConvexSetDescriptor(2, ()), 2, surd.problem.domain_window,
+        )
+        lam = MultiplierVector((0.0,))
+        assert enumerate_constrained(cp, (0.0, 0.0), lam, V.SP1, 5) == []
+        with pytest.raises(HypothesisViolatedError):
+            membership_constrained(cp, (0.0, 0.0), lam, (0.0, 0.0), V.SP1)
 
 
 class TestLagrangian:

@@ -2,12 +2,13 @@
 
 import pytest
 
+from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import enumerate_solution_set
 from qcsol.core import CharacVariant, Problem
-from qcsol.errors import EmptyGridError
-from qcsol.expr import parse
-from qcsol.oracle import agreement, brute_force_solutions
-from qcsol.registry import get_example
+from qcsol.errors import EmptyGridError, EvalError
+from qcsol.expr import evaluate, parse
+from qcsol.oracle import OracleResult, _grid_of, agreement, brute_force_solutions
+from qcsol.registry import builtin_examples, get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace
 
 
@@ -57,4 +58,25 @@ def test_empty_grid():
         Box((0.0,), (1.0,)),
     )
     with pytest.raises(EmptyGridError):
+        brute_force_solutions(p, 5)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_examples()))
+def test_oracle_equals_pointwise_minimum(name):
+    e = get_example(name)
+    pts = _grid_of(e.problem, e.resolution, DEFAULT_CONFIG)
+    values = [evaluate(e.problem.objective, x) for x in pts]
+    vmin = min(values)
+    want = OracleResult(
+        vmin,
+        tuple(tuple(float(c) for c in x) for x, v in zip(pts, values) if v <= vmin + 1e-9),
+        len(pts),
+    )
+    got = brute_force_solutions(e.problem, e.resolution)
+    assert got == want and got.min_value.hex() == want.min_value.hex()
+
+
+def test_oracle_raises_the_first_failing_point():
+    p = Problem(parse("sqrt(x1)", 1), ConvexSetDescriptor(1, ()), 1, Box((-1.0,), (1.0,)))
+    with pytest.raises(EvalError, match="sqrt of negative value"):
         brute_force_solutions(p, 5)

@@ -47,6 +47,18 @@ def test_config_override_applies():
     assert cfg.eps_grad == 1e-6 and cfg.seed == 7
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{"eps_grad": "big"}, {"eps_feas": True}, {"eps_dir": float("nan")},
+     {"eps_act": None}, {"seed": 1.5}, {"seed": False}],
+)
+def test_bad_config_values_rejected(config):
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["config"] = config
+    with pytest.raises(ProblemFormatError):
+        load_problem(doc)
+
+
 def test_constrained_shape():
     e = get_example("ex2_3_constrained")
     text = dumps(e.problem, known_solution=e.anchor)

@@ -1,9 +1,15 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
+import numpy as np
 import pytest
 
-from qcsol.errors import DimensionError
+from qcsol import subdiff
+from qcsol.config import DEFAULT_CONFIG
+from qcsol.core import Problem
+from qcsol.errors import DimensionError, EvalError
+from qcsol.expr import evaluate, parse
 from qcsol.registry import get_example
+from qcsol.sets import Box, ConvexSetDescriptor, grid_nodes
 from qcsol.subdiff import (
     MLPair,
     default_gp_candidates,
@@ -87,3 +93,106 @@ class TestMartinezLegaz:
     def test_rejects_higher_dimensions(self, quadrant):
         with pytest.raises(DimensionError):
             ml_solution_check_1d(quadrant.problem, 0.0, 0.5)
+
+
+def _per_pair_check(p, xbar, x, resolution, form, pairs=None, member=ml_member_1d):
+    """ml_solution_check_1d as the loop over ml_member_1d without a shared
+    grid (the per-pair definition)."""
+    window = p.domain_window
+    eps = DEFAULT_CONFIG.eps_feas
+    for pair in default_ml_pairs(window) if pairs is None else pairs:
+        if not member(p.objective, x, pair, window, resolution):
+            continue
+        if form == "M2":
+            if pair.v * xbar >= pair.t - eps:
+                return True
+        elif member(p.objective, xbar, pair, window, resolution):
+            return True
+    return False
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EvalError as exc:
+        return type(exc)
+
+
+class TestSharedWindowValues:
+    def test_ml_check_equals_per_pair_loop(self, flat, monkeypatch):
+        p = flat.problem
+        xs = [float(x) for x in np.linspace(-0.5, 2.5, 121)]
+        cases = [
+            (resolution, form, xbar)
+            for resolution in (201, 41, 7)
+            for form in ("M1", "M2")
+            for xbar in (0.0, 0.5, 1.5)
+        ]
+        got = {
+            case: [ml_solution_check_1d(p, case[2], x, resolution=case[0], form=case[1])
+                   for x in xs]
+            for case in cases
+        }
+        # The reference memoizes the scalar evaluations and the per-pair
+        # verdicts it repeats; both are pure, so the verdicts are those of
+        # the plain loop.
+        values = {}
+
+        def evaluate_once(f, x):
+            key = float(x[0])
+            if key not in values:
+                values[key] = evaluate(f, x)
+            return values[key]
+
+        verdicts = {}
+
+        def member_once(f, x, pair, window, resolution):
+            key = (x, pair, resolution)
+            if key not in verdicts:
+                verdicts[key] = ml_member_1d(f, x, pair, window, resolution)
+            return verdicts[key]
+
+        monkeypatch.setattr(subdiff, "evaluate", evaluate_once)
+        pairs = default_ml_pairs(p.domain_window)
+        for resolution, form, xbar in cases:
+            want = [
+                _per_pair_check(p, xbar, x, resolution, form, pairs, member_once)
+                for x in xs
+            ]
+            assert got[resolution, form, xbar] == want, (resolution, form, xbar)
+
+    def test_partly_failing_objective(self):
+        # sqrt(x1) fails on half the window: the shared evaluation must not
+        # raise where the per-pair loop never evaluates
+        q = Problem(parse("sqrt(x1)", 1), ConvexSetDescriptor(1, ()), 1, Box((-1.0,), (1.0,)))
+        pairs = [MLPair(1.0, t) for t in (0.2, 0.5, 0.8)] + [MLPair(-1.0, 0.3)]
+        seen = set()
+        for resolution in (41, 7):
+            for form in ("M1", "M2"):
+                for xbar in (0.0, 0.5):
+                    for x in np.linspace(-1.0, 1.0, 21):
+                        for cands in (None, pairs):
+                            got = _outcome(lambda: ml_solution_check_1d(
+                                q, xbar, float(x), cands, resolution=resolution, form=form))
+                            want = _outcome(lambda: _per_pair_check(
+                                q, xbar, float(x), resolution, form, cands))
+                            assert got == want
+                            seen.add(got)
+        assert seen == {True, False, EvalError}
+
+    def test_resolution_validation(self, flat):
+        with pytest.raises(ValueError):
+            ml_solution_check_1d(flat.problem, 0.0, 0.5, resolution=1)
+
+    def test_gp_grid_values_are_the_scalar_values(self, quadrant):
+        f, w = quadrant.problem.objective, quadrant.problem.domain_window
+        pts, vals = subdiff._grid_values(f, w, 21)
+        assert [v.hex() for v in vals.tolist()] == [
+            evaluate(f, x).hex() for x in grid_nodes(w, 21)
+        ]
+        g = parse("sqrt(x1) + x2", 2)
+        with pytest.raises(EvalError) as batch:
+            subdiff._grid_values(g, w, 5)
+        with pytest.raises(EvalError) as scalar:
+            [evaluate(g, x) for x in grid_nodes(w, 5)]
+        assert str(batch.value) == str(scalar.value)
