@@ -69,7 +69,7 @@ def _load(args, require_constrained: Optional[bool] = None):
 
 
 def _window(args, problem) -> Box:
-    if getattr(args, "window", None):
+    if args.window:
         vals = [float(v) for v in args.window.split(",")]
         if len(vals) != 2 * problem.dimension:
             raise UsageError("--window needs lo1,hi1,...,lon,hin")
@@ -357,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-dir", dest="eps_dir", type=float, default=None)
         p.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
         p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
-        p.add_argument("--window", help="lo1,hi1,...,lon,hin override")
 
     p = sub.add_parser("classify", help="gradient dichotomy of the solution set")
     common(p)
@@ -376,6 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-convexity", help="sampled convexity hypothesis checks")
     common(p, anchor=False, resolution=False)
+    p.add_argument("--window", help="lo1,hi1,...,lon,hin override")
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--t-steps", dest="t_steps", type=int, default=10)
     p.set_defaults(func=_cmd_check_convexity)

@@ -303,6 +303,18 @@ def _guard_rows(guard, X: np.ndarray) -> np.ndarray:
     return holds
 
 
+def _powers(base: np.ndarray, k: int) -> np.ndarray:
+    """Python's float ** int (libm pow) of every entry, once per distinct
+    bit pattern; np.power differs from it in the last bit on some inputs."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(base).view(np.int64), return_inverse=True
+    )
+    try:
+        return np.array([b ** k for b in bits.view(np.float64).tolist()])[inverse]
+    except OverflowError:
+        raise EvalError("power overflows") from None
+
+
 def _eval_rows(e: Expr, X: np.ndarray, eps: float) -> np.ndarray:
     """_eval_float on every row of X, one numpy pass per node.
 
@@ -325,13 +337,7 @@ def _eval_rows(e: Expr, X: np.ndarray, eps: float) -> np.ndarray:
             raise EvalError("division by zero")
         return _eval_rows(e.left, X, eps) / den
     if isinstance(e, Pow):
-        # Python's float ** int (libm pow); np.power differs from it in the
-        # last bit on some inputs.
-        base = _eval_rows(e.base, X, eps).tolist()
-        try:
-            return np.array([b ** e.exponent for b in base], dtype=float)
-        except OverflowError:
-            raise EvalError("power overflows") from None
+        return _powers(_eval_rows(e.base, X, eps), e.exponent)
     if isinstance(e, Neg):
         return -_eval_rows(e.operand, X, eps)
     if isinstance(e, Sqrt):
@@ -386,14 +392,127 @@ def evaluate_many(f: Expr, X, eps: float = 1e-9) -> np.ndarray:
 
 def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,
          eps_val: float = 1e-9, eps_dir: float = 1e-8) -> np.ndarray:
-    """Exact gradient via dual numbers, one forward pass per coordinate."""
+    """Exact gradient via dual numbers, one forward pass per coordinate.
+
+    Raises EvalError where evaluation fails, and when the value or a
+    gradient component is not finite.
+    """
     xv = np.asarray(x, dtype=float)
     n = dimension if dimension is not None else xv.size
     if xv.size != n:
         raise DimensionError(f"point has dimension {xv.size}, expected {n}")
-    return np.array(
-        [_eval_dual(f, xv, i, eps_val, eps_dir).dot for i in range(n)]
-    )
+    duals = [_eval_dual(f, xv, i, eps_val, eps_dir) for i in range(n)]
+    if duals and not math.isfinite(duals[0].val):
+        raise EvalError(f"non-finite value {duals[0].val} at {tuple(xv)}")
+    g = np.array([d.dot for d in duals])
+    if not np.all(np.isfinite(g)):
+        raise EvalError(f"non-finite gradient {tuple(g)} at {tuple(xv)}")
+    return g
+
+
+def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
+    """_eval_dual on every row of X for every seed at once: the values (N,)
+    and the derivatives (N, n), column i being seed i's.
+
+    Raises EvalError iff _eval_dual raises at some row and seed; every
+    other entry equals _eval_dual's bit for bit.
+    """
+    N, n = X.shape
+    if isinstance(e, Const):
+        return np.full(N, float(e.value)), np.zeros((N, n))
+    if isinstance(e, Var):
+        dot = np.zeros((N, n))
+        dot[:, e.index - 1] = 1.0
+        return X[:, e.index - 1].copy(), dot
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        lv, ld = _dual_rows(e.left, X, eps_val, eps_dir)
+        rv, rd = _dual_rows(e.right, X, eps_val, eps_dir)
+        if isinstance(e, Add):
+            return lv + rv, ld + rd
+        if isinstance(e, Sub):
+            return lv - rv, ld - rd
+        if isinstance(e, Mul):
+            return lv * rv, lv[:, None] * rd + ld * rv[:, None]
+        if np.any(rv == 0.0):
+            raise EvalError("division by zero")
+        v = lv / rv
+        return v, (ld - v[:, None] * rd) / rv[:, None]
+    if isinstance(e, Pow):
+        base, dot = _dual_rows(e.base, X, eps_val, eps_dir)
+        k = e.exponent
+        if k == 0:
+            return np.ones(N), np.zeros((N, n))
+        # in Dual.ipow's order of operations
+        return _powers(base, k), (k * _powers(base, k - 1))[:, None] * dot
+    if isinstance(e, Neg):
+        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        return -v, -dot
+    if isinstance(e, Sqrt):
+        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        if np.any(v < 0.0):
+            raise EvalError("sqrt of negative value")
+        r = np.sqrt(v)
+        flat = dot == 0.0
+        if np.any(~flat & (r == 0.0)[:, None]):
+            raise EvalError("sqrt not differentiable at zero")
+        return r, np.where(flat, 0.0, dot / (2.0 * r)[:, None])
+    if isinstance(e, Abs):
+        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        pos, neg = v > 0.0, v < 0.0
+        kink = ~(pos | neg)  # zero, or NaN as in Dual.abs
+        if np.any(kink[:, None] & (dot != 0.0)):
+            raise EvalError("abs not differentiable at zero")
+        out = np.where(pos[:, None], dot, np.where(neg[:, None], -dot, 0.0))
+        return np.where(pos, v, np.where(neg, -v, 0.0)), out
+    if isinstance(e, Piecewise):
+        hits = [_guard_rows(guard, X) for guard, _ in e.branches]
+        if not np.all(np.any(hits, axis=0)):
+            raise EvalError("point outside every piecewise guard")
+        # As in _eval_rows; every later branch must also agree in each
+        # derivative within eps_dir * (1 + |first|).
+        out_v, out_d = np.empty(N), np.empty((N, n))
+        seen = np.zeros(N, dtype=bool)
+        for hit, (_, br) in zip(hits, e.branches):
+            rows = np.flatnonzero(hit)
+            if rows.size == 0:
+                continue
+            v, dot = _dual_rows(br, X[rows], eps_val, eps_dir)
+            first = ~seen[rows]
+            later = rows[~first]
+            if np.any(np.abs(v[~first] - out_v[later]) > eps_val):
+                raise BoundaryMismatchError("branch values differ")
+            scale = 1.0 + np.abs(out_d[later])
+            if np.any(np.abs(dot[~first] - out_d[later]) > eps_dir * scale):
+                raise BoundaryMismatchError("branch gradients differ")
+            out_v[rows[first]] = v[first]
+            out_d[rows[first]] = dot[first]
+            seen[rows] = True
+        return out_v, out_d
+    raise TypeError(f"unknown node {e!r}")
+
+
+def grad_many(f: Expr, X, dimension: Optional[int] = None,
+              eps_val: float = 1e-9, eps_dir: float = 1e-8) -> np.ndarray:
+    """Gradients of f at the rows of an (N, n) array X, as an (N, n) array.
+
+    Row i equals grad(f, X[i], dimension, eps_val, eps_dir) bit for bit.
+    When grad raises at some row, this raises what it raises at the first
+    such row.
+    """
+    Xv = np.ascontiguousarray(X, dtype=float)
+    if Xv.ndim != 2:
+        raise DimensionError("a batch of points must be an (N, n) array")
+    n = dimension if dimension is not None else Xv.shape[1]
+    if Xv.shape[1] != n:
+        raise DimensionError(f"point has dimension {Xv.shape[1]}, expected {n}")
+    try:
+        with np.errstate(all="ignore"):
+            values, dots = _dual_rows(f, Xv, eps_val, eps_dir)
+        if np.all(np.isfinite(values)) and np.all(np.isfinite(dots)):
+            return dots
+    except EvalError:
+        pass
+    return np.array([grad(f, x, n, eps_val, eps_dir) for x in Xv]).reshape(len(Xv), n)
 
 
 def grad_fd(f: Expr, x: Sequence[float], h: float = 1e-6) -> np.ndarray:

@@ -4,6 +4,7 @@ characterizations."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -11,7 +12,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alternatives import solve_lp, strict_feasibility
-from .charac import _cosine_distance, _verdict, check_anchor_hypothesis
+from .charac import (
+    _Rows,
+    _cosine_distance,
+    _enumerate,
+    _row_dots,
+    _verdict,
+    check_anchor_hypothesis,
+)
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     CharacVariant,
@@ -26,12 +34,14 @@ from .errors import (
     InfeasibleError,
     NoMultiplierError,
     NotOpenGroundSetError,
+    QcsolError,
 )
-from .expr import evaluate, grad
+from .expr import evaluate, evaluate_many, grad, grad_many
 from .sets import (
     Box,
     ConvexSetDescriptor,
     contains,
+    contains_many,
     grid_nodes,
     normal_cone_generators,
     tangent_polar_at,
@@ -65,11 +75,26 @@ def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool
 def feasible_grid(
     cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
 ) -> List[np.ndarray]:
-    return [
-        x
-        for x in grid_nodes(cp.domain_window, resolution)
-        if is_feasible(cp, x, cfg)
-    ]
+    """Grid nodes of the window that is_feasible accepts, in grid order.
+
+    The ground set is tested on all nodes at once and each constraint is
+    evaluated once on the nodes in it; when the nodes are not all finite
+    or an evaluation fails, the nodes are tested one by one, so that the
+    error is the one is_feasible raises at the first failing node.
+    """
+    nodes = grid_nodes(cp.domain_window, resolution)
+    X = np.array(nodes, dtype=float)
+    if np.all(np.isfinite(X)):
+        try:
+            keep = contains_many(cp.ground_set, X, cfg.eps_feas)
+            inside = np.flatnonzero(keep)
+            for g in cp.constraints:
+                keep[inside] &= evaluate_many(g, X[inside]) <= cfg.eps_feas
+        except QcsolError:
+            pass
+        else:
+            return [x for x, k in zip(nodes, keep) if k]
+    return [x for x in nodes if is_feasible(cp, x, cfg)]
 
 
 def active_set(
@@ -292,8 +317,10 @@ def _verdict_constrained(
     xv: np.ndarray,
     variant: CharacVariant,
     cfg: Config,
+    g: Optional[np.ndarray] = None,
 ) -> MembershipVerdict:
-    """The multiplier variant's conditions at xv, given the anchor."""
+    """The multiplier variant's conditions at xv, given the anchor and,
+    optionally, the objective's gradient g at xv."""
     xb, g0 = anchor.xb, anchor.g0
 
     residuals: Dict[str, float] = {}
@@ -313,7 +340,8 @@ def _verdict_constrained(
                 ok = ok and abs(dot) <= cfg.eps_feas
             else:
                 ok = ok and dot >= -cfg.eps_feas
-        g = grad(cp.objective, xv, cp.dimension)
+        if g is None:
+            g = grad(cp.objective, xv, cp.dimension)
         gnorm = float(np.linalg.norm(g))
         residuals["gradient_norm"] = gnorm
         ok = ok and gnorm > cfg.eps_grad
@@ -325,12 +353,45 @@ def _verdict_constrained(
 
     base = variant.unconstrained_base
     in_S = contains(cp.ground_set, xv, cfg.eps_feas)
-    plain = _verdict(anchor.plain, xb, anchor.plain_g0, xv, base, in_S, cfg)
+    plain = _verdict(anchor.plain, xb, anchor.plain_g0, xv, base, in_S, cfg, g)
     feas = bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
     residuals.update(plain.residuals)
     residuals["constraints_feasible"] = 0.0 if feas else 1.0
     return MembershipVerdict(
         tuple(float(c) for c in xv), variant, in_x1 and feas and plain.member, residuals
+    )
+
+
+def _members_constrained(
+    cp: ConstrainedProblem,
+    anchor: _Anchor,
+    X: np.ndarray,
+    variant: CharacVariant,
+    cfg: Config,
+) -> np.ndarray:
+    """_verdict_constrained(...).member for the rows of X, all feasible:
+    in the ground set and with every constraint at most eps_feas."""
+    xb, g0 = anchor.xb, anchor.g0
+    values = [evaluate_many(g, X) for g in cp.constraints]
+    G = grad_many(cp.objective, X, cp.dimension)
+    double = variant in (CharacVariant.SHATPP1, CharacVariant.SHATPP2)
+    if double and cp.ground_set.atoms:
+        raise NotOpenGroundSetError(
+            "double-primed variants need an open (unconstrained) ground set"
+        )
+    rows = _Rows(X, G, xb, g0 if double else anchor.plain_g0)
+    for i in anchor.tilde:  # member_X1; the others hold on feasible rows
+        rows.require(~(np.abs(values[i]) > cfg.eps_act))
+    if double:
+        form = abs if variant is CharacVariant.SHATPP1 else operator.neg
+        for i, gi in anchor.tilde_grads:
+            dots, slack = _row_dots(X - xb, gi)
+            rows.compare(form(dots), cfg.eps_feas, slack)
+        rows.same_direction(cfg)
+    else:
+        rows.decide(variant.unconstrained_base, cfg)
+    return rows.redecide(
+        lambda r: _verdict_constrained(cp, anchor, X[r], variant, cfg, G[r]).member
     )
 
 
@@ -345,8 +406,11 @@ def enumerate_constrained(
     """Grid enumeration of a primed/double-primed characterization."""
     pts = feasible_grid(cp, resolution, cfg)
     anchor = _Anchor(cp, as_point(xbar, cp.dimension), lam, variant, cfg)
-    verdicts = (_verdict_constrained(cp, anchor, x, variant, cfg) for x in pts)
-    return [v.point for v in verdicts if v.member]
+    return _enumerate(
+        pts,
+        lambda X: _members_constrained(cp, anchor, X, variant, cfg),
+        lambda x: _verdict_constrained(cp, anchor, x, variant, cfg),
+    )
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

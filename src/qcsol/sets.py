@@ -7,7 +7,6 @@ atoms; curved sets are supported everywhere else.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
@@ -120,11 +119,13 @@ def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
     axes = [
         np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
     ]
-    return [np.array(node) for node in itertools.product(*axes)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return list(np.stack(mesh, axis=-1).reshape(-1, len(axes)))
 
 
 def _atom_violations(atom: Atom, X: np.ndarray) -> np.ndarray:
-    """atom_violation of every row of X, by the same formula."""
+    """atom_violation of every row of X, by the same formula up to the
+    summation order of its dot products and norms."""
     if isinstance(atom, Box):
         below = np.max(np.asarray(atom.lo) - X, axis=1)
         above = np.max(X - np.asarray(atom.hi), axis=1)
@@ -138,24 +139,57 @@ def _atom_violations(atom: Atom, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown atom {atom!r}")
 
 
+# Relative rounding slack of _atom_violations against atom_violation, per
+# coordinate: numpy's matrix products and row norms sum in another order
+# than np.dot, which moves an n-term sum by at most 2 * n * 2**-53 of the
+# sum of its terms' magnitudes; this is over 40 times as much.  The
+# absolute floors cover underflowing products (and their square roots).
+_SLACK = 1e-14
+
+
+def _violation_slack(atom: Atom, X: np.ndarray, violations: np.ndarray) -> np.ndarray:
+    """How far each of _atom_violations may lie from atom_violation's."""
+    n = X.shape[1]
+    if isinstance(atom, Box):
+        return np.zeros(len(X))  # differences and maxima round alike
+    if isinstance(atom, Ball):
+        norms = violations + atom.radius
+        return _SLACK * n * (np.abs(norms) + abs(atom.radius)) + 1e-150
+    terms = np.abs(X * np.asarray(atom.a, dtype=float)).sum(axis=1)
+    return _SLACK * n * (terms + abs(atom.b)) + 1e-300
+
+
+def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """contains(S, x, tol) for every row of an (N, n) array X, as a mask.
+
+    Each atom is tested on all rows at once; a row whose violation lies
+    within rounding of tol is decided by atom_violation itself.
+    """
+    if X.shape[1] != S.dimension:
+        raise DimensionError(
+            f"point has dimension {X.shape[1]}, set expects {S.dimension}"
+        )
+    keep = np.ones(len(X), dtype=bool)
+    for atom in S.atoms:
+        violations = _atom_violations(atom, X)
+        ok = violations <= tol
+        near = ~(np.abs(violations - tol) > _violation_slack(atom, X, violations))
+        for r in np.flatnonzero(near):
+            ok[r] = atom_violation(atom, X[r]) <= tol
+        keep &= ok
+    return keep
+
+
 def sample_grid(
     S: ConvexSetDescriptor, window: Box, resolution: int, tol: float = 1e-9
 ) -> List[np.ndarray]:
     """Grid nodes of the window that belong to S; deterministic order.
 
     Equal to filtering grid_nodes(window, resolution) through
-    contains(S, x, tol), with each atom tested on all nodes at once.
+    contains(S, x, tol).
     """
-    nodes = grid_nodes(window, resolution)
-    X = np.array(nodes, dtype=float)
-    if X.shape[1] != S.dimension:
-        raise DimensionError(
-            f"point has dimension {X.shape[1]}, set expects {S.dimension}"
-        )
-    keep = np.ones(len(nodes), dtype=bool)
-    for atom in S.atoms:
-        keep &= _atom_violations(atom, X) <= tol
-    return [x for x, k in zip(nodes, keep) if k]
+    X = np.array(grid_nodes(window, resolution), dtype=float)
+    return list(X[contains_many(S, X, tol)])
 
 
 def tangent_polar_at(

@@ -8,8 +8,9 @@ cross-check the gradient-based characterizations on the same instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,6 +232,14 @@ def default_ml_pairs(
 ) -> List[MLPair]:
     """Candidate (v, t) pairs: a few positive slopes with thresholds
     spanning v * window (zero always included)."""
+    return list(_ml_pairs(window, tuple(vs), t_count))
+
+
+@functools.lru_cache(maxsize=32)
+def _ml_pairs(
+    window: Box, vs: tuple = (0.5, 1.0, 2.0), t_count: int = 21
+) -> Tuple[MLPair, ...]:
+    """default_ml_pairs as an immutable tuple, built once per arguments."""
     lo, hi = window.lo[0], window.hi[0]
     pairs = []
     for v in vs:
@@ -238,7 +247,7 @@ def default_ml_pairs(
         ts.add(0.0)
         for t in sorted(ts):
             pairs.append(MLPair(float(v), float(t)))
-    return pairs
+    return tuple(pairs)
 
 
 def ml_solution_check_1d(
@@ -263,7 +272,7 @@ def ml_solution_check_1d(
         raise ValueError("resolution must be >= 2")
     window = window or p.domain_window
     if candidate_pairs is None:
-        candidate_pairs = default_ml_pairs(window)
+        candidate_pairs = _ml_pairs(window)
     f = p.objective
     grid = _window_values(f, window, resolution, [x, xbar] if form == "M1" else [x])
     for pair in candidate_pairs:

@@ -1,8 +1,11 @@
 """Dichotomy classification and characterization membership."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qcsol import charac
 from qcsol.charac import (
     check_anchor_hypothesis,
     classify_dichotomy,
@@ -11,10 +14,12 @@ from qcsol.charac import (
     membership,
     variant_agreement,
 )
+from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, Problem
-from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError
+from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
+from qcsol.expr import grad as charac_grad, parse
 from qcsol.registry import builtin_examples, get_example
-from qcsol.sets import sample_grid
+from qcsol.sets import Box, ConvexSetDescriptor, sample_grid
 
 V = CharacVariant
 
@@ -165,3 +170,114 @@ def test_convex_gradient_constancy():
     e = get_example("ex2_2")
     pts = [(-1.0, x2) for x2 in np.linspace(-2.0, 2.0, 7)]
     assert convex_gradient_constancy(e.problem, e.anchor, pts)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (QcsolError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture()
+def memo_grad(monkeypatch):
+    """charac.grad memoized per (expression, point): the pointwise reference
+    below asks for each grid point's gradient once per variant."""
+    seen = {}
+
+    def grad(f, x, dimension=None):
+        key = (id(f), np.asarray(x, dtype=float).tobytes(), dimension)
+        if key not in seen:
+            seen[key] = charac_grad(f, x, dimension)
+        return seen[key]
+
+    monkeypatch.setattr(charac, "grad", grad)
+
+
+def _pointwise(p, anchor, variant, resolution, cfg=DEFAULT_CONFIG):
+    return [
+        tuple(float(c) for c in x)
+        for x in sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
+        if membership(p, anchor, x, variant, cfg).member
+    ]
+
+
+@pytest.mark.parametrize("name", UNCONSTRAINED)
+def test_enumeration_is_pointwise_membership_at_canonical_resolution(name, memo_grad):
+    e = get_example(name)
+    for v in V:
+        want = _outcome(lambda: _pointwise(e.problem, e.anchor, v, e.resolution))
+        got = _outcome(lambda: enumerate_solution_set(e.problem, e.anchor, v, e.resolution))
+        assert got == want, v
+
+
+def rounded_apart(u, v) -> bool:
+    """Whether numpy's row sum of u * v rounds apart from np.dot(u, v)."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return float((u * v).sum()) != float(np.dot(u, v))
+
+
+# An objective with inexact coefficients and an anchor with a nonzero
+# gradient; no atoms, so every node is feasible.
+NEAR = Problem(
+    parse("0.1*x1*x1 + 0.7*x2 + 0.3*x1*x2 - 0.13*x2*x2", 2),
+    ConvexSetDescriptor(2, ()),
+    2,
+    Box((-1.0, -1.0), (1.0, 1.0)),
+)
+NEAR_ANCHOR = (0.3, 0.2)
+def _residual(name, variant):
+    """The threshold value of a reported residual at x."""
+    return lambda x, g, g0: abs(membership(NEAR, NEAR_ANCHOR, x, variant).residuals[name])
+
+
+def _collinearity_threshold(x, g, g0):
+    """The eps_dir at which collinearity_factor's verdict on (g0, g) flips."""
+    p = float(np.dot(g0, g) / np.dot(g0, g0))
+    return float(np.linalg.norm(g - p * g0) / np.linalg.norm(g))
+
+
+# condition -> (the tolerance it is compared with, the variants that test
+# it, the dot products it is computed from, of d = x - xbar, g = grad f(x)
+# and g0 = grad f(xbar), and its threshold value at a node)
+NEAR_CONDITIONS = {
+    "anchor_gradient_dot": ("eps_feas", (V.SHAT1, V.SHAT2, V.THAT1, V.THAT2, V.T5),
+                            lambda d, g, g0: [(d, g0)],
+                            _residual("anchor_gradient_dot", V.SHAT1)),
+    "point_gradient_dot": ("eps_feas", (V.S1, V.S2, V.T1, V.T2, V.S5),
+                           lambda d, g, g0: [(g, -d)],
+                           _residual("point_gradient_dot", V.S1)),
+    "dot_gap": ("eps_feas", (V.S3, V.S4, V.T3, V.T4),
+                lambda d, g, g0: [(d, g0), (g, -d)], _residual("dot_gap", V.S3)),
+    "gradient_norm": ("eps_grad", (V.STILDE, V.S1),
+                      lambda d, g, g0: [(g, g)], _residual("gradient_norm", V.STILDE)),
+    "cosine_distance": ("eps_dir", (V.SHAT1, V.SHAT2),
+                        lambda d, g, g0: [(g, g0), (g, g)],
+                        _residual("cosine_distance", V.SHAT1)),
+    "collinearity": ("eps_dir", (V.THAT1, V.THAT2),
+                     lambda d, g, g0: [(g0, g), (g, g)], _collinearity_threshold),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(NEAR_CONDITIONS))
+def test_enumeration_decides_near_threshold_rows_like_membership(condition, memo_grad):
+    # The tolerance is set to a condition's threshold value at a node, and
+    # to the floats next to it, at the first nodes where one of its dot
+    # products rounds differently in numpy's row sums than in np.dot.
+    tol, variants, dots, threshold = NEAR_CONDITIONS[condition]
+    resolution = 9
+    xb = np.array(NEAR_ANCHOR)
+    g0 = charac_grad(NEAR.objective, xb)
+    limits = set()
+    for x in sample_grid(NEAR.feasible_set, NEAR.domain_window, resolution):
+        g = charac_grad(NEAR.objective, x)
+        if len(limits) < 12 and any(rounded_apart(u, v) for u, v in dots(x - xb, g, g0)):
+            value = threshold(x, g, g0)
+            limits |= {value, float(np.nextafter(value, 0.0)), float(np.nextafter(value, 1.0))}
+    assert limits
+    for limit in sorted(limits):
+        cfg = replace(DEFAULT_CONFIG, **{tol: limit})
+        for v in variants:
+            want = _outcome(lambda: _pointwise(NEAR, NEAR_ANCHOR, v, resolution, cfg))
+            got = _outcome(lambda: enumerate_solution_set(NEAR, NEAR_ANCHOR, v, resolution, cfg))
+            assert got == want, (v, tol, limit)

@@ -163,3 +163,27 @@ def test_overflow_is_a_numeric_error(tmp_path, capsys):
     assert run(["oracle", "--problem", path, "--resolution", "5"]) == 3
     err = capsys.readouterr().err
     assert "EvalError" in err and "Traceback" not in err
+
+
+def test_overflowing_gradient_point_is_a_numeric_error(tmp_path, capsys):
+    # x1 * x1 overflows at 1e200 while its derivative 2e200 does not
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "objective": "x1 * x1", "feasible_set": [],
+        "domain_window": {"lo": [-1.0], "hi": [1.0]}, "known_solution": [0.0],
+    }))
+    code = run(["verify-membership", "--problem", str(path), "--variant", "T1",
+                "--point", "1e200"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "EvalError" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_window_is_a_check_convexity_option_only(capsys):
+    assert run(["oracle", "--example", "ex2_1", "--window", "0,1,0,1"]) == 2
+    capsys.readouterr()
+    code = run(["check-convexity", "--example", "ex2_2", "--window=-1,1,-1,1",
+                "--pairs", "20", "--t-steps", "3"])
+    assert code == 0
+    assert _json_out(capsys)["quasiconvex"]["checked_pairs"] == 20

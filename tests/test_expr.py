@@ -25,6 +25,7 @@ from qcsol.expr import (
     free_variables,
     grad,
     grad_fd,
+    grad_many,
     parse,
     pretty,
 )
@@ -299,5 +300,74 @@ def test_evaluate_many_equals_rowwise_evaluate(f, rows):
     else:
         with pytest.raises(EvalError) as info:
             evaluate_many(f, X)
+        assert type(info.value) is type(first_error)
+        assert str(info.value) == str(first_error)
+
+
+def _grad_outcome(f, x):
+    try:
+        return _bits(grad(f, x))
+    except EvalError as exc:
+        return exc
+
+
+class TestGradMany:
+    def test_non_finite_value_or_gradient(self):
+        # the value x1 * x1 overflows while its gradient 2e200 does not
+        f = parse("x1 * x1", 1)
+        with pytest.raises(EvalError, match="non-finite value"):
+            grad(f, [1e200])
+        with pytest.raises(EvalError, match="non-finite value"):
+            grad_many(f, np.array([[1.0], [1e200]]))
+        g = parse("1/x1", 1)  # the value 1e300 is finite, its slope is not
+        with pytest.raises(EvalError, match="non-finite gradient"):
+            grad(g, [1e-300])
+        with pytest.raises(EvalError, match="non-finite gradient"):
+            grad_many(g, np.array([[1.0], [1e-300]]))
+
+    def test_flat_kink_differentiates_and_sharp_kink_raises(self):
+        # sqrt(x1^2) has derivative 0 at 0 (the dual part of x1^2 vanishes
+        # there); abs(x1) carries a nonzero dual part into its kink
+        smooth, sharp = parse("sqrt(x1^2)", 1), parse("abs(x1)", 1)
+        assert _bits(grad(smooth, [0.0])) == _bits([0.0])
+        assert _bits(grad_many(smooth, np.array([[0.0], [-2.0]])).ravel()) == _bits([0.0, -1.0])
+        with pytest.raises(EvalError, match="abs not differentiable at zero"):
+            grad(sharp, [0.0])
+        with pytest.raises(EvalError, match="abs not differentiable at zero"):
+            grad_many(sharp, np.array([[1.0], [0.0]]))
+
+    def test_integer_power_is_libm_pow(self):
+        # the slope 4 * x**3 of x1^4 is where np.power would differ
+        f = parse("x1^4", 1)
+        X = np.linspace(0.0, 2.0, 201)[:, None]
+        assert _bits(grad_many(f, X).ravel()) == [b for x in X for b in _bits(grad(f, x))]
+
+    def test_piecewise_gradient_mismatch_is_the_first_rows_error(self):
+        kink = parse("pw[x1 <= 0: 0; x1 >= 0: x1]", 1)
+        with pytest.raises(BoundaryMismatchError, match="gradients differ at"):
+            grad_many(kink, np.array([[-1.0], [0.0], [1.0]]))
+        assert _bits(grad_many(kink, np.array([[-1.0], [1.0]])).ravel()) == _bits([0.0, 1.0])
+
+    def test_shapes(self):
+        f = parse("x1 + x2", 2)
+        assert grad_many(f, np.empty((0, 2))).shape == (0, 2)
+        with pytest.raises(DimensionError):
+            grad_many(f, np.array([1.0, 2.0]))
+        with pytest.raises(DimensionError):
+            grad_many(f, np.ones((3, 2)), dimension=3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(_ASTS, _BATCHES)
+@settings(max_examples=200, deadline=None)
+def test_grad_many_equals_rowwise_grad(f, rows):
+    X = np.array(rows, dtype=float)
+    expected = [_grad_outcome(f, x) for x in X]
+    first_error = next((r for r in expected if isinstance(r, EvalError)), None)
+    if first_error is None:
+        assert [_bits(g) for g in grad_many(f, X)] == expected
+    else:
+        with pytest.raises(EvalError) as info:
+            grad_many(f, X)
         assert type(info.value) is type(first_error)
         assert str(info.value) == str(first_error)

@@ -1,10 +1,13 @@
 """Multipliers, constraint qualification, and primed characterizations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector
-from qcsol import kkt
+from qcsol import charac, expr, kkt
 from qcsol.errors import (
     HypothesisViolatedError,
     InfeasibleError,
@@ -29,7 +32,7 @@ from qcsol.kkt import (
     strict_index_set,
 )
 from qcsol.registry import get_example
-from qcsol.sets import Box, ConvexSetDescriptor, Halfspace
+from qcsol.sets import Ball, Box, ConvexSetDescriptor, Halfspace, grid_nodes
 
 V = CharacVariant
 
@@ -220,3 +223,135 @@ class TestLagrangian:
         lam = solve_multipliers(surd.problem, surd.anchor)
         assert lagrangian_constancy(surd.problem, surd.anchor, lam, [(1.0, 1.0)])
         assert not lagrangian_constancy(surd.problem, surd.anchor, lam, [(0.0, 0.0)])
+
+
+def _result(fn):
+    try:
+        return fn()
+    except (QcsolError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _feasible_cases(window):
+    disk = get_example("ex2_3_constrained").problem
+    tilted = ConvexSetDescriptor(2, (Halfspace((0.1, 0.7), 0.3), Ball((0.1, 0.2), 1.1)))
+    two = (parse("x1^2 + x2^2 - 2", 2), parse("0.3*x1 - 0.1*x2 - 0.2", 2))
+    # the first constraint fails first at the node (1, y), the second at
+    # the very first node: the node-by-node filter raises the second's error
+    failing = (parse("1/(x1 - 1)", 2), parse("sqrt(x2 + 1)", 2))
+    yield pytest.param(disk, id="disk")
+    yield pytest.param(ConstrainedProblem(disk.objective, two, tilted, 2, window), id="atoms")
+    yield pytest.param(
+        ConstrainedProblem(disk.objective, failing, ConvexSetDescriptor(2, ()), 2, window),
+        id="failing",
+    )
+    unbounded = Box((-np.inf, -1.0), (1.0, 1.0))
+    yield pytest.param(ConstrainedProblem(disk.objective, two, tilted, 2, unbounded), id="inf")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("cp", _feasible_cases(Box((-1.5, -1.5), (1.5, 1.5))))
+@pytest.mark.parametrize("resolution", [5, 13, 61])
+def test_feasible_grid_equals_pointwise_is_feasible(cp, resolution):
+    def pointwise():
+        nodes = [x for x in grid_nodes(cp.domain_window, resolution) if is_feasible(cp, x)]
+        return [x.tobytes() for x in nodes]
+
+    want = _result(pointwise)
+    assert _result(lambda: [x.tobytes() for x in feasible_grid(cp, resolution)]) == want
+
+
+@pytest.fixture()
+def memo_calculus(monkeypatch):
+    """grad and evaluate memoized per (expression, point) in kkt and charac:
+    the pointwise reference below asks for each node's values once per
+    variant."""
+    for module in (kkt, charac):
+        for name, original in (("grad", expr.grad), ("evaluate", expr.evaluate)):
+            if not hasattr(module, name):
+                continue
+            seen = {}
+
+            def memo(f, x, *args, _seen=seen, _original=original):
+                key = (id(f), np.asarray(x, dtype=float).tobytes(), args)
+                if key not in _seen:
+                    _seen[key] = _original(f, x, *args)
+                return _seen[key]
+
+            monkeypatch.setattr(module, name, memo)
+
+
+def test_enumeration_is_pointwise_membership_at_canonical_resolution(surd, memo_calculus):
+    cp, r = surd.problem, surd.resolution
+    lam = solve_multipliers(cp, surd.anchor)
+    for v in V:
+        want = _result(lambda: [
+            tuple(float(c) for c in x)
+            for x in feasible_grid(cp, r)
+            if membership_constrained(cp, surd.anchor, lam, x, v).member
+        ])
+        assert _result(lambda: enumerate_constrained(cp, surd.anchor, lam, v, r)) == want, v
+
+
+def _rounded_apart(u, v) -> bool:
+    """Whether numpy's row sum of u * v rounds apart from np.dot(u, v)."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return float((u * v).sum()) != float(np.dot(u, v))
+
+
+# A linear objective, whose gradient directions agree to rounding at every
+# node, and a quadratic one, whose cosine distances vary; both with
+# inexact coefficients and one constraint 0.3 x1 - 0.1 x2 <= 0.2.
+NEAR_OBJECTIVES = {
+    "linear": "0.1*x1 + 0.7*x2",
+    "quadratic": "0.1*x1*x1 + 0.7*x2 + 0.3*x1*x2 - 0.13*x2*x2",
+}
+# residual -> (objective, the tolerance it is compared with, the variants
+# reporting it, the dot products it is computed from: of d = x - xbar,
+# g = grad f(x), g0 = grad f(xbar) and gi = grad g_1(xbar))
+NEAR_RESIDUALS = {
+    "active_gradient_dot_0": ("linear", "eps_feas", (V.SHATPP1, V.SHATPP2),
+                              lambda d, g, g0, gi: [(gi, d)]),
+    "anchor_gradient_dot": ("linear", "eps_feas", (V.SHATP1, V.SHATP2, V.SP5),
+                            lambda d, g, g0, gi: [(g0, d)]),
+    "dot_gap": ("linear", "eps_feas", (V.SP3, V.SP4), lambda d, g, g0, gi: [(g0, d), (g, -d)]),
+    "cosine_distance": ("quadratic", "eps_dir", (V.SHATPP2, V.SHATP2),
+                        lambda d, g, g0, gi: [(g, g0), (g, g)]),
+}
+
+
+@pytest.mark.parametrize("residual", sorted(NEAR_RESIDUALS))
+def test_enumeration_decides_near_threshold_rows_like_membership(residual, memo_calculus):
+    # With eps_act = 10 the constraint is active, with a positive
+    # multiplier, at every node, so every feasible node is in X1(lambda).
+    # The tolerance is set to a residual's exact value at a node, and to
+    # the next float below it, at the first nodes where one of its dot
+    # products rounds differently in numpy's row sums than in np.dot.
+    objective, tol, variants, dots = NEAR_RESIDUALS[residual]
+    cp = ConstrainedProblem(
+        parse(NEAR_OBJECTIVES[objective], 2),
+        (parse("0.3*x1 - 0.1*x2 - 0.2", 2),),
+        ConvexSetDescriptor(2, ()), 2, Box((-3.0, -3.0), (3.0, 3.0)),
+    )
+    anchor, lam, resolution = (0.0, 0.0), MultiplierVector((0.5,)), 9
+    base = replace(DEFAULT_CONFIG, eps_act=10.0)
+    xb = np.array(anchor)
+    g0, gi = expr.grad(cp.objective, xb), expr.grad(cp.constraints[0], xb)
+    limits = set()
+    for x in feasible_grid(cp, resolution, base):
+        g = expr.grad(cp.objective, x)
+        if len(limits) < 8 and any(_rounded_apart(u, v) for u, v in dots(x - xb, g, g0, gi)):
+            verdict = membership_constrained(cp, anchor, lam, x, variants[0], base)
+            r = abs(verdict.residuals[residual])
+            limits |= {r, float(np.nextafter(r, 0.0))}
+    assert limits
+    for limit in sorted(limits):
+        cfg = replace(base, **{tol: limit})
+        for v in variants:
+            want = _result(lambda: [
+                tuple(float(c) for c in x)
+                for x in feasible_grid(cp, resolution, cfg)
+                if membership_constrained(cp, anchor, lam, x, v, cfg).member
+            ])
+            got = _result(lambda: enumerate_constrained(cp, anchor, lam, v, resolution, cfg))
+            assert got == want, (v, tol, limit)

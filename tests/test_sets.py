@@ -16,6 +16,7 @@ from qcsol.sets import (
     LinearEquality,
     atom_violation,
     contains,
+    contains_many,
     grid_nodes,
     normal_cone_generators,
     sample_grid,
@@ -98,6 +99,31 @@ def test_sample_grid_equals_pointwise_contains(S, window, resolution, tol):
         )
     else:
         assert len(got) == resolution ** S.dimension
+
+
+def _boundary_rows(atom):
+    """400 points on the boundary of an atom with inexact coefficients."""
+    t = np.linspace(-2.0, 2.0, 400)
+    if isinstance(atom, Ball):
+        return np.asarray(atom.center) + atom.radius * np.column_stack([np.cos(t), np.sin(t)])
+    (a1, a2), b = atom.a, atom.b
+    return np.column_stack([t, (b - a1 * t) / a2])
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [Halfspace((0.1, 0.7), 0.3), LinearEquality((0.1, 0.7), 0.3), Ball((0.1, 0.7), 0.3)],
+    ids=["halfspace", "equality", "ball"],
+)
+@pytest.mark.parametrize("tol", [0.0, 1e-17])
+def test_contains_many_decides_boundary_rows_like_contains(atom, tol):
+    # numpy's matrix product and row norms round c . x differently from the
+    # np.dot in atom_violation on many of these rows
+    S = ConvexSetDescriptor(2, (atom,))
+    X = _boundary_rows(atom)
+    expected = [contains(S, x, tol) for x in X]
+    assert True in expected and False in expected
+    assert contains_many(S, X, tol).tolist() == expected
 
 
 class TestCones:

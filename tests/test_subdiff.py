@@ -79,6 +79,16 @@ class TestMartinezLegaz:
         assert any(p.t == 0.0 for p in pairs)
         assert all(p.v > 0 for p in pairs)
 
+    def test_default_pairs_are_a_fresh_list(self, flat):
+        w = flat.problem.domain_window
+        pairs = default_ml_pairs(w)
+        assert isinstance(pairs, list) and default_ml_pairs(w) is not pairs
+        pairs.clear()
+        assert len(default_ml_pairs(w)) == 63
+        assert default_ml_pairs(w, vs=[1.0], t_count=3) == [
+            MLPair(1.0, 0.0), MLPair(1.0, 1.0), MLPair(1.0, 2.0)
+        ]
+
     def test_solution_check_m2(self, flat):
         p = flat.problem
         assert ml_solution_check_1d(p, 0.0, 0.5)
