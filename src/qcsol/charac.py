@@ -16,8 +16,8 @@ import numpy as np
 from .alternatives import collinearity_factor
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, DichotomyReport, MembershipVerdict, Problem, as_point
-from .errors import HypothesisViolatedError, InconsistentDichotomyError
-from .expr import grad, grad_many
+from .errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
+from .expr import _DOT_FLOOR, _DOT_SLACK, _row_dots, grad, grad_many
 from .sets import contains, sample_grid
 
 
@@ -221,22 +221,12 @@ def _verdict(
     return MembershipVerdict(tuple(float(c) for c in xv), variant, all(conds), residuals)
 
 
-# Rounding slack of the vectorized quantities below, relative to the sum of
-# the magnitudes they are computed from, per vector component.  Two
-# summation orders of an n-term dot product lie within 2 * n * 2**-53 of
-# each other relative to that sum; 1e-14 is over 40 times as much.  The
-# absolute floor covers underflow, and the direction conditions of rows
-# whose gradient norms are below _TINY (whose squares may be subnormal)
-# are left to the scalar verdict.
-_SLACK = 1e-14
-_FLOOR = 1e-150
+# The vectorized quantities below allow _DOT_SLACK of rounding relative to
+# the sum of the magnitudes they are computed from, per vector component,
+# and _DOT_FLOOR for underflow.  The direction conditions of rows whose
+# gradient norms are below _TINY (whose squares may be subnormal) are left
+# to the scalar verdict.
 _TINY = 1e-140
-
-
-def _row_dots(A: np.ndarray, v: np.ndarray):
-    """The dot product of each row of A with v, and its slack."""
-    terms = A * v
-    return terms.sum(axis=1), _SLACK * A.shape[1] * np.abs(terms).sum(axis=1) + _FLOOR
 
 
 class _Rows:
@@ -254,14 +244,14 @@ class _Rows:
         self.G, self.g0 = G, g0
         self.g0norm = float(np.linalg.norm(g0))
         self.gnorm = np.sqrt((G * G).sum(axis=1))
-        self.gnorm_slack = _SLACK * n * self.gnorm + _FLOOR
+        self.gnorm_slack = _DOT_SLACK * n * self.gnorm + _DOT_FLOOR
         anchor_dot, anchor_slack = _row_dots(d, g0)
         point_dot, point_slack = _row_dots(G, -d)
         gap = point_dot - anchor_dot
         self.values = {
             "anchor_gradient_dot": (anchor_dot, anchor_slack),
             "point_gradient_dot": (point_dot, point_slack),
-            "dot_gap": (gap, anchor_slack + point_slack + _SLACK * n * np.abs(gap)),
+            "dot_gap": (gap, anchor_slack + point_slack + _DOT_SLACK * n * np.abs(gap)),
             "gradient_norm": (self.gnorm, self.gnorm_slack),
         }
         self.holds = np.ones(len(X), dtype=bool)
@@ -299,7 +289,7 @@ class _Rows:
         dots, slack = _row_dots(self.G, self.g0)
         scale = self.gnorm * self.g0norm
         cosine = 1.0 - dots / scale
-        self.compare(cosine, cfg.eps_dir, 4 * _SLACK * len(self.g0) + slack / scale)
+        self.compare(cosine, cfg.eps_dir, 4 * _DOT_SLACK * len(self.g0) + slack / scale)
         self._unsure_if_tiny()
 
     def positive_factor(self, cfg: Config) -> None:
@@ -313,10 +303,10 @@ class _Rows:
         dots, slack = _row_dots(self.G, g0)
         g0g0 = np.dot(g0, g0)
         factor = dots / g0g0
-        self.compare(factor, 0.0, slack / g0g0 + _SLACK * np.abs(factor), above=True)
+        self.compare(factor, 0.0, slack / g0g0 + _DOT_SLACK * np.abs(factor), above=True)
         gap = np.sqrt(((self.G - factor[:, None] * g0) ** 2).sum(axis=1))
         scale = self.gnorm + np.abs(factor) * self.g0norm + gap
-        self.compare(gap, cfg.eps_dir * self.gnorm, _SLACK * n * scale + _FLOOR)
+        self.compare(gap, cfg.eps_dir * self.gnorm, _DOT_SLACK * n * scale + _DOT_FLOOR)
         self._unsure_if_tiny()
 
     def _unsure_if_tiny(self) -> None:
@@ -334,9 +324,10 @@ def _enumerate(pts: Sequence[np.ndarray], batch, verdict) -> List[tuple]:
     """The points of pts with a positive verdict.
 
     batch(X) gives the member mask of the rows of X; when the points are
-    not all finite, or batch raises anything, every point gets its
-    verdict(x) in turn, so that an error is the one, and comes where, the
-    per-point definition raises it.
+    not all finite, or batch raises an error that verdict can raise (a
+    QcsolError, or the ValueError of a variant without an unconstrained
+    base), every point gets its verdict(x) in turn, so that an error is
+    the one, and comes where, the per-point definition raises it.
     """
     if not pts:
         return []
@@ -345,7 +336,7 @@ def _enumerate(pts: Sequence[np.ndarray], batch, verdict) -> List[tuple]:
         try:
             with np.errstate(all="ignore"):
                 member = batch(X)
-        except Exception:  # the per-point path below raises it, if it is real
+        except (QcsolError, ValueError):  # the per-point path raises it, if real
             pass
         else:
             return [tuple(float(c) for c in x) for x in X[member]]

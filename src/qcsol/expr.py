@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,11 +279,22 @@ def evaluate(f: Expr, x: Sequence[float], eps: float = 1e-9) -> float:
     return value
 
 
-# Two summation orders of an n-term dot product (numpy's row sum, and the
-# BLAS dot that _guard_holds uses, which may fuse multiply-adds) each lie
-# within n * 2**-53 * sum(|terms|) of the exact sum; this slack is over
-# four times their largest possible difference.
-_DOT_SLACK = 1e-15
+# Rounding slack of a vectorized n-term dot product (numpy's row sum)
+# against np.dot (a BLAS dot, which may fuse multiply-adds), relative to
+# the sum of its terms' magnitudes, per term.  Two summation orders of an
+# n-term sum lie within 2 * n * 2**-53 of each other relative to that sum;
+# _DOT_SLACK is over 40 times as much.  _DOT_FLOOR covers underflowing
+# products and their square roots.  Other vectorized residuals use the
+# same two constants for their own rounding.
+_DOT_SLACK = 1e-14
+_DOT_FLOOR = 1e-150
+
+
+def _row_dots(A: np.ndarray, v) -> Tuple[np.ndarray, np.ndarray]:
+    """The dot product of each row of A with v, and how far each may lie
+    from np.dot's."""
+    terms = A * np.asarray(v, dtype=float)
+    return terms.sum(axis=1), _DOT_SLACK * A.shape[1] * np.abs(terms).sum(axis=1) + _DOT_FLOOR
 
 
 def _guard_rows(guard, X: np.ndarray) -> np.ndarray:
@@ -292,11 +303,9 @@ def _guard_rows(guard, X: np.ndarray) -> np.ndarray:
     decided by _guard_holds' own formula."""
     holds = np.ones(len(X), dtype=bool)
     for ineq in guard:
-        terms = X * np.asarray(ineq.coeffs, dtype=float)
-        dots = terms.sum(axis=1)
+        dots, slack = _row_dots(X, ineq.coeffs)
         limit = ineq.bound + GUARD_TOL
         ok = dots <= limit
-        slack = _DOT_SLACK * X.shape[1] * np.abs(terms).sum(axis=1) + 1e-300
         for r in np.flatnonzero(~(np.abs(dots - limit) > slack)):
             ok[r] = float(np.dot(ineq.coeffs, X[r])) <= limit
         holds &= ok
@@ -390,8 +399,14 @@ def evaluate_many(f: Expr, X, eps: float = 1e-9) -> np.ndarray:
     raise EvalError("batch evaluation failed at a point that evaluates")
 
 
+# grad's agreement tolerances for piecewise branches meeting at a point:
+# values within _EPS_VAL, derivatives within _EPS_DIR * (1 + |first|).
+_EPS_VAL = 1e-9
+_EPS_DIR = 1e-8
+
+
 def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,
-         eps_val: float = 1e-9, eps_dir: float = 1e-8) -> np.ndarray:
+         eps_val: float = _EPS_VAL, eps_dir: float = _EPS_DIR) -> np.ndarray:
     """Exact gradient via dual numbers, one forward pass per coordinate.
 
     Raises EvalError where evaluation fails, and when the value or a
@@ -410,7 +425,7 @@ def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,
     return g
 
 
-def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
+def _dual_rows(e: Expr, X: np.ndarray):
     """_eval_dual on every row of X for every seed at once: the values (N,)
     and the derivatives (N, n), column i being seed i's.
 
@@ -425,8 +440,8 @@ def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
         dot[:, e.index - 1] = 1.0
         return X[:, e.index - 1].copy(), dot
     if isinstance(e, (Add, Sub, Mul, Div)):
-        lv, ld = _dual_rows(e.left, X, eps_val, eps_dir)
-        rv, rd = _dual_rows(e.right, X, eps_val, eps_dir)
+        lv, ld = _dual_rows(e.left, X)
+        rv, rd = _dual_rows(e.right, X)
         if isinstance(e, Add):
             return lv + rv, ld + rd
         if isinstance(e, Sub):
@@ -438,17 +453,17 @@ def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
         v = lv / rv
         return v, (ld - v[:, None] * rd) / rv[:, None]
     if isinstance(e, Pow):
-        base, dot = _dual_rows(e.base, X, eps_val, eps_dir)
+        base, dot = _dual_rows(e.base, X)
         k = e.exponent
         if k == 0:
             return np.ones(N), np.zeros((N, n))
         # in Dual.ipow's order of operations
         return _powers(base, k), (k * _powers(base, k - 1))[:, None] * dot
     if isinstance(e, Neg):
-        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        v, dot = _dual_rows(e.operand, X)
         return -v, -dot
     if isinstance(e, Sqrt):
-        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        v, dot = _dual_rows(e.operand, X)
         if np.any(v < 0.0):
             raise EvalError("sqrt of negative value")
         r = np.sqrt(v)
@@ -457,7 +472,7 @@ def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
             raise EvalError("sqrt not differentiable at zero")
         return r, np.where(flat, 0.0, dot / (2.0 * r)[:, None])
     if isinstance(e, Abs):
-        v, dot = _dual_rows(e.operand, X, eps_val, eps_dir)
+        v, dot = _dual_rows(e.operand, X)
         pos, neg = v > 0.0, v < 0.0
         kink = ~(pos | neg)  # zero, or NaN as in Dual.abs
         if np.any(kink[:, None] & (dot != 0.0)):
@@ -469,20 +484,20 @@ def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
         if not np.all(np.any(hits, axis=0)):
             raise EvalError("point outside every piecewise guard")
         # As in _eval_rows; every later branch must also agree in each
-        # derivative within eps_dir * (1 + |first|).
+        # derivative within _EPS_DIR * (1 + |first|).
         out_v, out_d = np.empty(N), np.empty((N, n))
         seen = np.zeros(N, dtype=bool)
         for hit, (_, br) in zip(hits, e.branches):
             rows = np.flatnonzero(hit)
             if rows.size == 0:
                 continue
-            v, dot = _dual_rows(br, X[rows], eps_val, eps_dir)
+            v, dot = _dual_rows(br, X[rows])
             first = ~seen[rows]
             later = rows[~first]
-            if np.any(np.abs(v[~first] - out_v[later]) > eps_val):
+            if np.any(np.abs(v[~first] - out_v[later]) > _EPS_VAL):
                 raise BoundaryMismatchError("branch values differ")
             scale = 1.0 + np.abs(out_d[later])
-            if np.any(np.abs(dot[~first] - out_d[later]) > eps_dir * scale):
+            if np.any(np.abs(dot[~first] - out_d[later]) > _EPS_DIR * scale):
                 raise BoundaryMismatchError("branch gradients differ")
             out_v[rows[first]] = v[first]
             out_d[rows[first]] = dot[first]
@@ -491,11 +506,10 @@ def _dual_rows(e: Expr, X: np.ndarray, eps_val: float, eps_dir: float):
     raise TypeError(f"unknown node {e!r}")
 
 
-def grad_many(f: Expr, X, dimension: Optional[int] = None,
-              eps_val: float = 1e-9, eps_dir: float = 1e-8) -> np.ndarray:
+def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     """Gradients of f at the rows of an (N, n) array X, as an (N, n) array.
 
-    Row i equals grad(f, X[i], dimension, eps_val, eps_dir) bit for bit.
+    Row i equals grad(f, X[i], dimension) bit for bit.
     When grad raises at some row, this raises what it raises at the first
     such row.
     """
@@ -507,12 +521,12 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None,
         raise DimensionError(f"point has dimension {Xv.shape[1]}, expected {n}")
     try:
         with np.errstate(all="ignore"):
-            values, dots = _dual_rows(f, Xv, eps_val, eps_dir)
+            values, dots = _dual_rows(f, Xv)
         if np.all(np.isfinite(values)) and np.all(np.isfinite(dots)):
             return dots
     except EvalError:
         pass
-    return np.array([grad(f, x, n, eps_val, eps_dir) for x in Xv]).reshape(len(Xv), n)
+    return np.array([grad(f, x, n) for x in Xv]).reshape(len(Xv), n)
 
 
 def grad_fd(f: Expr, x: Sequence[float], h: float = 1e-6) -> np.ndarray:

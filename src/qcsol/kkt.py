@@ -16,7 +16,6 @@ from .charac import (
     _Rows,
     _cosine_distance,
     _enumerate,
-    _row_dots,
     _verdict,
     check_anchor_hypothesis,
 )
@@ -36,7 +35,7 @@ from .errors import (
     NotOpenGroundSetError,
     QcsolError,
 )
-from .expr import evaluate, evaluate_many, grad, grad_many
+from .expr import _row_dots, evaluate, evaluate_many, grad, grad_many
 from .sets import (
     Box,
     ConvexSetDescriptor,

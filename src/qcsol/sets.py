@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionError, NonPolyhedralError
+from .expr import _DOT_FLOOR, _DOT_SLACK, _row_dots
 
 
 @dataclass(frozen=True)
@@ -123,40 +124,26 @@ def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
     return list(np.stack(mesh, axis=-1).reshape(-1, len(axes)))
 
 
-def _atom_violations(atom: Atom, X: np.ndarray) -> np.ndarray:
+def _atom_violations(atom: Atom, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """atom_violation of every row of X, by the same formula up to the
-    summation order of its dot products and norms."""
+    summation order of its dot products and norms, and how far each may
+    lie from atom_violation's."""
     if isinstance(atom, Box):
         below = np.max(np.asarray(atom.lo) - X, axis=1)
         above = np.max(X - np.asarray(atom.hi), axis=1)
-        return np.where(above > below, above, below)  # builtin max(below, above)
-    if isinstance(atom, Halfspace):
-        return X @ np.asarray(atom.a, dtype=float) - atom.b
+        # builtin max(below, above); differences and maxima round alike
+        return np.where(above > below, above, below), np.zeros(len(X))
     if isinstance(atom, Ball):
-        return np.linalg.norm(X - np.asarray(atom.center), axis=1) - atom.radius
-    if isinstance(atom, LinearEquality):
-        return np.abs(X @ np.asarray(atom.a, dtype=float) - atom.b)
+        norms = np.linalg.norm(X - np.asarray(atom.center), axis=1)
+        slack = _DOT_SLACK * X.shape[1] * (norms + abs(atom.radius)) + _DOT_FLOOR
+        return norms - atom.radius, slack
+    if isinstance(atom, (Halfspace, LinearEquality)):
+        dots, slack = _row_dots(X, atom.a)
+        violations = dots - atom.b
+        if isinstance(atom, LinearEquality):
+            violations = np.abs(violations)
+        return violations, slack + _DOT_SLACK * abs(atom.b)
     raise TypeError(f"unknown atom {atom!r}")
-
-
-# Relative rounding slack of _atom_violations against atom_violation, per
-# coordinate: numpy's matrix products and row norms sum in another order
-# than np.dot, which moves an n-term sum by at most 2 * n * 2**-53 of the
-# sum of its terms' magnitudes; this is over 40 times as much.  The
-# absolute floors cover underflowing products (and their square roots).
-_SLACK = 1e-14
-
-
-def _violation_slack(atom: Atom, X: np.ndarray, violations: np.ndarray) -> np.ndarray:
-    """How far each of _atom_violations may lie from atom_violation's."""
-    n = X.shape[1]
-    if isinstance(atom, Box):
-        return np.zeros(len(X))  # differences and maxima round alike
-    if isinstance(atom, Ball):
-        norms = violations + atom.radius
-        return _SLACK * n * (np.abs(norms) + abs(atom.radius)) + 1e-150
-    terms = np.abs(X * np.asarray(atom.a, dtype=float)).sum(axis=1)
-    return _SLACK * n * (terms + abs(atom.b)) + 1e-300
 
 
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -171,9 +158,9 @@ def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> n
         )
     keep = np.ones(len(X), dtype=bool)
     for atom in S.atoms:
-        violations = _atom_violations(atom, X)
+        violations, slack = _atom_violations(atom, X)
         ok = violations <= tol
-        near = ~(np.abs(violations - tol) > _violation_slack(atom, X, violations))
+        near = ~(np.abs(violations - tol) > slack)
         for r in np.flatnonzero(near):
             ok[r] = atom_violation(atom, X[r]) <= tol
         keep &= ok

@@ -232,14 +232,6 @@ def default_ml_pairs(
 ) -> List[MLPair]:
     """Candidate (v, t) pairs: a few positive slopes with thresholds
     spanning v * window (zero always included)."""
-    return list(_ml_pairs(window, tuple(vs), t_count))
-
-
-@functools.lru_cache(maxsize=32)
-def _ml_pairs(
-    window: Box, vs: tuple = (0.5, 1.0, 2.0), t_count: int = 21
-) -> Tuple[MLPair, ...]:
-    """default_ml_pairs as an immutable tuple, built once per arguments."""
     lo, hi = window.lo[0], window.hi[0]
     pairs = []
     for v in vs:
@@ -247,7 +239,13 @@ def _ml_pairs(
         ts.add(0.0)
         for t in sorted(ts):
             pairs.append(MLPair(float(v), float(t)))
-    return tuple(pairs)
+    return pairs
+
+
+@functools.lru_cache(maxsize=32)
+def _ml_pairs(lo: float, hi: float) -> Tuple[MLPair, ...]:
+    """default_ml_pairs of the 1-D window [lo, hi], built once per window."""
+    return tuple(default_ml_pairs(Box((lo,), (hi,))))
 
 
 def ml_solution_check_1d(
@@ -272,7 +270,7 @@ def ml_solution_check_1d(
         raise ValueError("resolution must be >= 2")
     window = window or p.domain_window
     if candidate_pairs is None:
-        candidate_pairs = _ml_pairs(window)
+        candidate_pairs = _ml_pairs(window.lo[0], window.hi[0])
     f = p.objective
     grid = _window_values(f, window, resolution, [x, xbar] if form == "M1" else [x])
     for pair in candidate_pairs:

@@ -211,6 +211,33 @@ def test_enumeration_is_pointwise_membership_at_canonical_resolution(name, memo_
         assert got == want, v
 
 
+def count_scalar_grad(monkeypatch, *modules):
+    """Count the calls of scalar grad through each listed module's name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return charac_grad(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "grad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", UNCONSTRAINED)
+def test_enumeration_takes_the_batch_path(name, monkeypatch):
+    """Enumeration at canonical resolution asks scalar grad only for the
+    anchor's gradient: a batch path that fell back to the per-point loop
+    would ask once per grid point."""
+    from qcsol import expr
+
+    e = get_example(name)
+    for v in V:
+        calls = count_scalar_grad(monkeypatch, expr, charac)
+        _outcome(lambda: enumerate_solution_set(e.problem, e.anchor, v, e.resolution))
+        assert len(calls) <= 2, v
+
+
 def rounded_apart(u, v) -> bool:
     """Whether numpy's row sum of u * v rounds apart from np.dot(u, v)."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

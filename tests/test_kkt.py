@@ -293,6 +293,25 @@ def test_enumeration_is_pointwise_membership_at_canonical_resolution(surd, memo_
         assert _result(lambda: enumerate_constrained(cp, surd.anchor, lam, v, r)) == want, v
 
 
+def test_enumeration_takes_the_batch_path(surd, monkeypatch):
+    """Enumeration at canonical resolution asks scalar grad only for the
+    anchor's and the tilde constraints' gradients, not once per node."""
+    cp, r = surd.problem, surd.resolution
+    lam = solve_multipliers(cp, surd.anchor)
+    calls, original = [], expr.grad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (expr, charac, kkt):
+        monkeypatch.setattr(module, "grad", counted)
+    for v in V:
+        calls.clear()
+        _result(lambda: enumerate_constrained(cp, surd.anchor, lam, v, r))
+        assert len(calls) <= 4, v
+
+
 def _rounded_apart(u, v) -> bool:
     """Whether numpy's row sum of u * v rounds apart from np.dot(u, v)."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

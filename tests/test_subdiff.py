@@ -89,6 +89,15 @@ class TestMartinezLegaz:
             MLPair(1.0, 0.0), MLPair(1.0, 1.0), MLPair(1.0, 2.0)
         ]
 
+    def test_solution_check_accepts_a_window_built_from_lists(self, flat):
+        p = flat.problem
+        w = p.domain_window
+        listed = Box(list(w.lo), list(w.hi))
+        for x in (0.5, 1.0, 1.5):
+            assert ml_solution_check_1d(p, 0.0, x, window=listed) == ml_solution_check_1d(
+                p, 0.0, x, window=w
+            )
+
     def test_solution_check_m2(self, flat):
         p = flat.problem
         assert ml_solution_check_1d(p, 0.0, 0.5)
