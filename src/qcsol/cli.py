@@ -8,19 +8,19 @@ negative/violation result, 2 usage error, 3 numeric or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
-from .core import CharacVariant, ConstrainedProblem, Problem
+from .core import CharacVariant, ConstrainedProblem
 from .errors import ProblemFormatError, QcsolError
-from .problemfile import config_from_json, dump_problem, loads
-from .registry import builtin_examples, get_example
+from .problemfile import config_from_json, loads
+from .registry import get_example
 from .sets import Box
 
 EXIT_OK = 0
@@ -84,8 +84,19 @@ def _variant(name: str) -> CharacVariant:
         raise UsageError(f"unknown variant {name!r}")
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(json.dumps(_strict(report), indent=2, allow_nan=False))
 
 
 def _require_anchor(known):
@@ -99,8 +110,7 @@ def _require_anchor(known):
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=False)
-    anchor = _require_anchor(known)
+    problem, _, cfg = _load(args, require_constrained=False)
     res = oracle.brute_force_solutions(problem, args.resolution, cfg.eps_opt, cfg)
     report = charac.classify_dichotomy(problem, res.solution_points, cfg)
     _emit(
@@ -338,7 +348,12 @@ def _cmd_run_example(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing keeps
+    no state in it: each parse returns a fresh Namespace, and usage,
+    errors and --help look up sys.stdout, sys.stderr and the terminal
+    width when they print."""
     parser = argparse.ArgumentParser(
         prog="qcsol",
         description="Solution-set characterizations for quasiconvex programs",
@@ -359,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
 
     p = sub.add_parser("classify", help="gradient dichotomy of the solution set")
-    common(p)
+    common(p, anchor=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate one characterization on the grid")

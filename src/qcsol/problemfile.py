@@ -51,13 +51,25 @@ _CONFIG_KEYS = {
 }
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_real(value) -> bool:
+    """A JSON number (not a boolean) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _real(value, name: str) -> float:
+    if not _is_finite_real(value):
+        raise ProblemFormatError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
 
 
 def _reals(value, name: str, dim: Optional[int] = None) -> Tuple[float, ...]:
-    if not isinstance(value, list) or not all(_is_real(v) for v in value):
-        raise ProblemFormatError(f"{name} must be a list of reals")
+    if not isinstance(value, list) or not all(_is_finite_real(v) for v in value):
+        raise ProblemFormatError(f"{name} must be a list of finite reals")
     if dim is not None and len(value) != dim:
         raise ProblemFormatError(f"{name} must have length {dim}")
     return tuple(float(v) for v in value)
@@ -75,17 +87,25 @@ def _atom_from_json(obj: dict, dim: int) -> Atom:
     if kind == "halfspace":
         if keys != {"a", "b"}:
             raise ProblemFormatError(f"halfspace atom has wrong keys: {sorted(keys)}")
-        return Halfspace(_reals(obj["a"], "halfspace.a", dim), float(obj["b"]))
+        return Halfspace(
+            _reals(obj["a"], "halfspace.a", dim), _real(obj["b"], "halfspace.b")
+        )
     if kind == "ball":
         if keys != {"center", "radius"}:
             raise ProblemFormatError(f"ball atom has wrong keys: {sorted(keys)}")
-        return Ball(_reals(obj["center"], "ball.center", dim), float(obj["radius"]))
+        return Ball(
+            _reals(obj["center"], "ball.center", dim),
+            _real(obj["radius"], "ball.radius"),
+        )
     if kind == "linear_equality":
         if keys != {"a", "b"}:
             raise ProblemFormatError(
                 f"linear_equality atom has wrong keys: {sorted(keys)}"
             )
-        return LinearEquality(_reals(obj["a"], "linear_equality.a", dim), float(obj["b"]))
+        return LinearEquality(
+            _reals(obj["a"], "linear_equality.a", dim),
+            _real(obj["b"], "linear_equality.b"),
+        )
     raise ProblemFormatError(f"unknown atom type {kind!r}")
 
 
@@ -119,7 +139,7 @@ def config_from_json(obj: dict, base: Config = DEFAULT_CONFIG) -> Config:
         if key == "seed":
             ok = isinstance(value, int) and not isinstance(value, bool)
         else:
-            ok = _is_real(value) and (isinstance(value, int) or math.isfinite(value))
+            ok = _is_finite_real(value)
         if not ok:
             kind = "an integer" if key == "seed" else "a finite real"
             raise ProblemFormatError(f"config {key} must be {kind}, got {value!r}")

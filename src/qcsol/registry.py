@@ -7,6 +7,7 @@ makes the discrete solution set land exactly on grid nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -111,7 +112,11 @@ def _ex_surd_constrained() -> ExampleEntry:
     )
 
 
-def builtin_examples() -> Dict[str, ExampleEntry]:
+@functools.cache
+def _table() -> Dict[str, ExampleEntry]:
+    """The examples, built once per process on first use.  Entries are
+    frozen all the way down (frozen dataclasses, tuples, frozen ASTs), so
+    every caller can share them; only the dict itself is private."""
     entries = (
         _ex_ratio(),
         _ex_cubic(),
@@ -123,8 +128,13 @@ def builtin_examples() -> Dict[str, ExampleEntry]:
     return {e.name: e for e in entries}
 
 
+def builtin_examples() -> Dict[str, ExampleEntry]:
+    """A fresh dict of the shared entries, so a caller may change it."""
+    return dict(_table())
+
+
 def get_example(name: str) -> ExampleEntry:
-    examples = builtin_examples()
+    examples = _table()
     if name not in examples:
         raise KeyError(
             f"unknown example {name!r}; available: {', '.join(sorted(examples))}"

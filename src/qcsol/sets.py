@@ -25,6 +25,9 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise DimensionError("box lo/hi lengths differ")
+        # infinite bounds are allowed, NaN is not (it would pass lo > hi)
+        if any(math.isnan(v) for v in (*self.lo, *self.hi)):
+            raise ValueError("box has a NaN bound")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError("box has lo > hi")
 

@@ -1,9 +1,17 @@
 """Command line interface: exit codes and JSON reports."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcsol
+from qcsol import cli
 from qcsol.cli import run
 from qcsol.problemfile import dumps
 from qcsol.registry import get_example
@@ -187,3 +195,128 @@ def test_window_is_a_check_convexity_option_only(capsys):
                 "--pairs", "20", "--t-steps", "3"])
     assert code == 0
     assert _json_out(capsys)["quasiconvex"]["checked_pairs"] == 20
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_residual_is_printed_as_null(capsys):
+    # the collinearity gap of a point with a non-collinear gradient is inf
+    code = run(["verify-membership", "--example", "ex2_1", "--variant", "THAT1",
+                "--point", "1.5,1.0"])
+    assert code == 1
+    out = _strict_json(capsys.readouterr().out)
+    assert out["member"] is False
+    assert out["residuals"]["collinearity_gap"] is None
+
+
+def test_classify_needs_no_anchor(tmp_path, capsys):
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    assert "known_solution" not in doc
+    path = tmp_path / "no_anchor.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--problem", str(path), "--resolution", "9"]) == 0
+    assert _json_out(capsys)["alternative"] == "I"
+    assert run(["classify", "--example", "ex2_1", "--anchor", "1,0"]) == 2
+    assert "unrecognized arguments: --anchor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["feasible_set"][1].update(b=[1]),
+        lambda doc: doc["domain_window"]["lo"].__setitem__(0, float("nan")),
+    ],
+    ids=["list-halfspace-b", "nan-window"],
+)
+def test_bad_number_in_problem_file_is_an_input_error(tmp_path, capsys, edit):
+    e = get_example("ex2_1")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+    assert "Traceback" not in captured.err
+
+
+def _parser_argvs(tmp_path):
+    """Every README command at low resolution, both problem sources, a
+    usage error, --help and a numeric error, alternating kinds."""
+    files = {}
+    for name in ("ex2_1", "ex2_3_constrained"):
+        e = get_example(name)
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(dumps(e.problem, known_solution=e.anchor))
+    return [
+        ["run-example", "ex2_2", "--check", "all"],
+        ["enumerate", "--example", "ex2_1"],                 # argparse error
+        ["classify", "--example", "ex2_4", "--resolution", "5"],
+        ["--help"],
+        ["enumerate", "--example", "ex2_2", "--variant", "SHAT1", "--resolution", "5"],
+        ["classify"],                                        # no problem source
+        ["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1.5,0"],
+        ["verify-membership", "--problem", str(files["ex2_1"]), "--variant", "THAT1",
+         "--point", "1.5,1.0"],
+        ["verify-membership", "--help"],
+        ["oracle", "--example", "ex4_1", "--resolution", "11"],
+        ["enumerate", "--example", "ex2_4", "--variant", "SHAT1", "--resolution", "5"],
+        ["agreement", "--example", "ex2_1", "--variant", "SHAT2", "--resolution", "5"],
+        ["kkt-solve", "--example", "ex2_3_constrained"],
+        ["no-such-command"],
+        ["kkt-solve", "--problem", str(files["ex2_3_constrained"])],
+        ["check-cq", "--example", "ex2_3_constrained"],
+        ["subdiff-check", "--example", "ex4_1", "--route", "ml", "--point", "0.5",
+         "--resolution", "21"],
+        ["oracle", "--example", "ex2_1", "--resolution", "x"],
+        ["check-convexity", "--example", "ex2_3", "--pairs", "20", "--t-steps", "3"],
+    ]
+
+
+def _outputs(argvs, capsys):
+    results = []
+    for argv in argvs:
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_shared_parser_output_equals_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # if no earlier test built the shared parser, build it under other
+    # streams and another terminal width than the runs below use
+    monkeypatch.setenv("COLUMNS", "200")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "60")
+    argvs = _parser_argvs(tmp_path)
+    shared = _outputs(argvs + argvs, capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _outputs(argvs, capsys)
+    assert shared == fresh + fresh
+    assert {code for code, _, _ in fresh} == {0, 1, 2, 3}
+    assert all(out or err for _, out, err in fresh)
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_builds_neither_the_parser_nor_the_examples():
+    src = str(Path(qcsol.__file__).resolve().parents[1])
+    code = (
+        "import qcsol.cli, qcsol.registry as r; "
+        "print(qcsol.cli._build_parser.cache_info().currsize, "
+        "r._table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["0", "0"]

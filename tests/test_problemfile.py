@@ -96,3 +96,75 @@ def test_objective_text_is_parsed():
     problem, _, _ = loads(dumps(e.problem))
     assert isinstance(problem, Problem)
     assert problem.objective == e.problem.objective
+
+
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), [1], "1", True, None,
+                10 ** 400]
+
+
+def _short(value):
+    return repr(value)[:12]
+
+
+def _bad_atoms():
+    good = {
+        "box": {"lo": [0.0, 0.0], "hi": [2.0, 2.0]},
+        "halfspace": {"a": [1.0, 0.0], "b": 5.0},
+        "ball": {"center": [1.0, 1.0], "radius": 2.0},
+        "linear_equality": {"a": [0.0, 1.0], "b": 0.0},
+    }
+    for kind, fields in good.items():
+        for key, value in fields.items():
+            for bad in _BAD_NUMBERS:
+                entry = [bad, value[1]] if isinstance(value, list) else bad
+                atom = {"type": kind, **fields, key: entry}
+                yield pytest.param(atom, id=f"{kind}.{key}={_short(bad)}")
+
+
+@pytest.mark.parametrize("atom", _bad_atoms())
+def test_atom_numbers_must_be_finite_reals(atom):
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["feasible_set"] = [atom]
+    with pytest.raises(ProblemFormatError, match="finite real"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [{"type": "box", "lo": [0.0, float("nan")], "hi": [2.0, 2.0]},
+     {"type": "ball", "center": [0.0, 0.0], "radius": float("inf")}],
+    ids=["box", "ball"],
+)
+def test_ground_set_numbers_must_be_finite_reals(atom):
+    doc = json.loads(dumps(get_example("ex2_3_constrained").problem))
+    doc["ground_set"] = [atom]
+    with pytest.raises(ProblemFormatError, match="finite real"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize("bad", _BAD_NUMBERS, ids=_short)
+@pytest.mark.parametrize("bound", ["lo", "hi"])
+def test_window_numbers_must_be_finite_reals(bound, bad):
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["domain_window"][bound][1] = bad
+    with pytest.raises(ProblemFormatError, match="finite real"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize("bad", _BAD_NUMBERS, ids=_short)
+def test_known_solution_numbers_must_be_finite_reals(bad):
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["known_solution"] = [1.0, bad]
+    with pytest.raises(ProblemFormatError, match="finite real"):
+        load_problem(doc)
+
+
+def test_integer_numbers_are_accepted():
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["feasible_set"] = [{"type": "halfspace", "a": [-1, 1], "b": 0}]
+    doc["domain_window"] = {"lo": [1, 0], "hi": [2, 2]}
+    doc["known_solution"] = [1, 0]
+    problem, known, _ = load_problem(doc)
+    assert problem.feasible_set.atoms[0].b == 0.0
+    assert isinstance(problem.feasible_set.atoms[0].b, float)
+    assert known == (1.0, 0.0)

@@ -35,6 +35,14 @@ class TestAtoms:
         with pytest.raises(DimensionError):
             Box((0.0,), (1.0, 2.0))
 
+    def test_box_rejects_nan_bounds_but_allows_infinite_ones(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Box((float("nan"),), (1.0,))
+        with pytest.raises(ValueError, match="NaN"):
+            Box((0.0, 0.0), (1.0, float("nan")))
+        box = Box((-float("inf"), 0.0), (float("inf"), 1.0))
+        assert atom_violation(box, np.array([1e300, 0.5])) == -0.5
+
     def test_violations(self):
         assert atom_violation(Box((0.0,), (1.0,)), np.array([1.5])) == pytest.approx(0.5)
         assert atom_violation(Halfspace((1.0, 0.0), 1.0), np.array([2.0, 0.0])) == pytest.approx(1.0)
