@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import KernelError, ZeroVectorError
+from .expr import _dot, _norm
 
 _MAX_ITER = 10_000
 
@@ -299,6 +300,13 @@ def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
 # Collinearity with a positive factor
 # ---------------------------------------------------------------------------
 
+def _collinearity(a, b):
+    """The least-squares factor p = (a.b)/(a.a) of b on a and the distance
+    ||b - p a||; the entries of b may be floats or numpy columns."""
+    p = _dot(a, b) / _dot(a, a)
+    return p, _norm([bi - p * ai for ai, bi in zip(a, b)])
+
+
 def collinearity_factor(
     a: Sequence[float], b: Sequence[float], cfg: Config = DEFAULT_CONFIG
 ) -> Optional[float]:
@@ -309,11 +317,9 @@ def collinearity_factor(
     """
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    if np.linalg.norm(av) <= cfg.eps_grad or np.linalg.norm(bv) <= cfg.eps_grad:
+    if _norm(av) <= cfg.eps_grad or _norm(bv) <= cfg.eps_grad:
         raise ZeroVectorError("collinearity test needs nonzero vectors")
-    p = float(np.dot(av, bv) / np.dot(av, av))
-    if p <= 0.0:
+    p, gap = _collinearity(av, bv)
+    if p <= 0.0 or gap > cfg.eps_dir * _norm(bv):
         return None
-    if np.linalg.norm(bv - p * av) > cfg.eps_dir * np.linalg.norm(bv):
-        return None
-    return p
+    return float(p)

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .alternatives import collinearity_factor
+from .alternatives import _collinearity
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, DichotomyReport, MembershipVerdict, Problem, as_point
-from .errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
-from .expr import _DOT_FLOOR, _DOT_SLACK, _row_dots, grad, grad_many
+from .errors import HypothesisViolatedError, InconsistentDichotomyError
+from .expr import _dot, _norm, grad, grad_many
 from .sets import contains, sample_grid
 
 
@@ -64,17 +64,6 @@ def classify_dichotomy(
     return DichotomyReport("I", tuple(float(c) for c in common), witnesses)
 
 
-_NEEDS_ANCHOR_GRADIENT = {
-    CharacVariant.SHAT1,
-    CharacVariant.SHAT2,
-    CharacVariant.S1,
-    CharacVariant.S2,
-    CharacVariant.S3,
-    CharacVariant.S4,
-    CharacVariant.S5,
-}
-
-
 def check_anchor_hypothesis(
     p: Problem, xbar, variant: CharacVariant, cfg: Config = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -83,7 +72,7 @@ def check_anchor_hypothesis(
     if not contains(p.feasible_set, xb, cfg.eps_feas):
         raise HypothesisViolatedError(f"anchor {tuple(xb)} is not feasible")
     g0 = grad(p.objective, xb, p.dimension)
-    if variant in _NEEDS_ANCHOR_GRADIENT and np.linalg.norm(g0) <= cfg.eps_grad:
+    if variant in _NEEDS_ANCHOR_GRADIENT and _norm(g0) <= cfg.eps_grad:
         raise HypothesisViolatedError(
             f"variant {variant.value} requires a nonzero gradient at the anchor"
         )
@@ -111,10 +100,7 @@ def membership(
 
 
 def _reject_multiplier_variant(variant: CharacVariant) -> None:
-    if variant.requires_multiplier or variant in (
-        CharacVariant.SHATPP1,
-        CharacVariant.SHATPP2,
-    ):
+    if variant not in _CONDITIONS:
         raise ValueError(
             f"{variant.value} needs a multiplier; use kkt.membership_constrained"
         )
@@ -139,6 +125,10 @@ _CONDITIONS = {
     CharacVariant.T5: ("point_dot_zero", "anchor_dot_zero"),
 }
 
+# The anchor is a member of every variant's set, so a variant whose
+# members need a nonzero gradient needs one at the anchor.
+_NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_gradient" in names}
+
 # Threshold conditions: name -> (residual, form, tolerance, above).  The
 # condition holds when form(residual) <= the tolerance, or > it if above.
 # The forms apply to floats and to numpy arrays alike.
@@ -162,113 +152,55 @@ def _verdict(
     variant: CharacVariant,
     in_S: bool,
     cfg: Config,
-    g: Optional[np.ndarray] = None,
 ) -> MembershipVerdict:
     """The variant's conditions at xv, given the validated anchor xb with
-    its gradient g0, the feasibility in_S of xv and, optionally, the
-    gradient g at xv."""
-    if g is None:
-        g = grad(p.objective, xv, p.dimension)
-    d = xv - xb
-    if variant not in _CONDITIONS:
-        raise ValueError(f"unhandled variant {variant!r}")
-
-    gnorm = float(np.linalg.norm(g))
-    g0norm = float(np.linalg.norm(g0))
-    anchor_dot = float(g0 @ d)      # grad f(xbar) . (x - xbar)
-    point_dot = float(g @ (-d))    # grad f(x) . (xbar - x)
-    values = {
-        "anchor_gradient_dot": anchor_dot,
-        "point_gradient_dot": point_dot,
-        "dot_gap": point_dot - anchor_dot,
-        "gradient_norm": gnorm,
-    }
-
-    residuals: Dict[str, float] = {"in_feasible_set": 0.0 if in_S else 1.0}
-    conds: List[bool] = [in_S]
-    for name in _CONDITIONS[variant]:
-        if name == "same_direction":
-            if gnorm <= cfg.eps_grad or g0norm <= cfg.eps_grad:
-                residuals["cosine_distance"] = 2.0
-                conds.append(False)
-            else:
-                cd = _cosine_distance(g, g0)
-                residuals["cosine_distance"] = cd
-                conds.append(cd <= cfg.eps_dir)
-        elif name == "positive_factor":
-            # T-hat family: exists p > 0 with grad f(x) = p grad f(xbar).
-            if g0norm <= cfg.eps_grad and gnorm <= cfg.eps_grad:
-                residuals["collinearity_gap"] = 0.0
-                conds.append(True)
-            elif g0norm <= cfg.eps_grad or gnorm <= cfg.eps_grad:
-                residuals["collinearity_gap"] = float("inf")
-                conds.append(False)
-            else:
-                factor = collinearity_factor(g0, g, cfg)
-                if factor is None:
-                    residuals["collinearity_gap"] = float("inf")
-                    conds.append(False)
-                else:
-                    residuals["collinearity_gap"] = 0.0
-                    residuals["collinearity_factor"] = factor
-                    conds.append(True)
-        else:
-            key, form, tol, above = _THRESHOLDS[name]
-            residuals[key] = values[key]
-            t, limit = form(values[key]), getattr(cfg, tol)
-            conds.append(t > limit if above else t <= limit)
-
-    return MembershipVerdict(tuple(float(c) for c in xv), variant, all(conds), residuals)
-
-
-# The vectorized quantities below allow _DOT_SLACK of rounding relative to
-# the sum of the magnitudes they are computed from, per vector component,
-# and _DOT_FLOOR for underflow.  The direction conditions of rows whose
-# gradient norms are below _TINY (whose squares may be subnormal) are left
-# to the scalar verdict.
-_TINY = 1e-140
+    its gradient g0 and the feasibility in_S of xv."""
+    g = grad(p.objective, xv, p.dimension)
+    with np.errstate(all="ignore"):
+        rows = _Rows(xv, g, xb, g0)
+        rows.decide(variant, cfg)
+    residuals = {"in_feasible_set": 0.0 if in_S else 1.0, **rows.point()}
+    return MembershipVerdict(
+        tuple(float(c) for c in xv), variant, bool(in_S and rows.member), residuals
+    )
 
 
 class _Rows:
-    """_verdict's conditions decided for the rows of X at once.
+    """The conditions of the characterizations, decided at N points at once.
 
-    The rows are all in the feasible set; G holds their gradients (rows of
-    grad_many) and g0 the anchor xb's gradient.  A row holds when every
-    condition holds clear of its rounding slack, and fails when one fails
-    clear of it; any other row is undecided, left to the scalar verdict.
+    X holds the points as rows and G their gradients, and g0 is the
+    gradient at the anchor xb.  One point and its gradient can be given
+    as vectors instead: every column is then a scalar, and point() gives
+    the residuals of that point.  Each condition adds its residuals, in
+    order, and its verdict to member.
     """
 
     def __init__(self, X: np.ndarray, G: np.ndarray, xb: np.ndarray, g0: np.ndarray):
-        n = X.shape[1]
-        d = X - xb
-        self.G, self.g0 = G, g0
-        self.g0norm = float(np.linalg.norm(g0))
-        self.gnorm = np.sqrt((G * G).sum(axis=1))
-        self.gnorm_slack = _DOT_SLACK * n * self.gnorm + _DOT_FLOOR
-        anchor_dot, anchor_slack = _row_dots(d, g0)
-        point_dot, point_slack = _row_dots(G, -d)
-        gap = point_dot - anchor_dot
+        d = (X - xb).T
+        self.G, self.g0 = G.T, g0
+        self.gnorm, self.g0norm = _norm(self.G), _norm(g0)
+        anchor_dot = _dot(g0, d)        # grad f(xbar) . (x - xbar)
+        point_dot = _dot(self.G, -d)    # grad f(x) . (xbar - x)
         self.values = {
-            "anchor_gradient_dot": (anchor_dot, anchor_slack),
-            "point_gradient_dot": (point_dot, point_slack),
-            "dot_gap": (gap, anchor_slack + point_slack + _DOT_SLACK * n * np.abs(gap)),
-            "gradient_norm": (self.gnorm, self.gnorm_slack),
+            "anchor_gradient_dot": anchor_dot,
+            "point_gradient_dot": point_dot,
+            "dot_gap": point_dot - anchor_dot,
+            "gradient_norm": self.gnorm,
         }
-        self.holds = np.ones(len(X), dtype=bool)
-        self.fails = np.zeros(len(X), dtype=bool)
+        self.member = np.ones(X.shape[:-1], dtype=bool)
+        self.residuals: Dict[str, object] = {}
+        self.shown: Dict[str, object] = {}  # residual -> where it is reported
 
-    def require(self, ok) -> None:
-        """A condition decided exactly."""
-        self.holds &= ok
-        self.fails |= np.logical_not(ok)
+    def report(self, name: str, value, ok, shown=None) -> None:
+        self.residuals[name] = value
+        self.member &= ok
+        if shown is not None:
+            self.shown[name] = shown
 
-    def compare(self, value, limit, slack, above: bool = False) -> None:
-        """value > limit if above, else value <= limit, where value may lie
-        up to slack from the scalar verdict's own rounding."""
-        ok = value > limit if above else value <= limit
-        clear = np.abs(value - limit) > slack
-        self.holds &= ok & clear
-        self.fails |= ~ok & clear
+    def threshold(self, name: str, value, form, limit: float, above: bool = False) -> None:
+        """form(value) > limit if above, else form(value) <= limit."""
+        t = form(value)
+        self.report(name, value, t > limit if above else t <= limit)
 
     def decide(self, variant: CharacVariant, cfg: Config) -> None:
         for name in _CONDITIONS[variant]:
@@ -278,70 +210,45 @@ class _Rows:
                 self.positive_factor(cfg)
             else:
                 key, form, tol, above = _THRESHOLDS[name]
-                value, slack = self.values[key]
-                self.compare(form(value), getattr(cfg, tol), slack, above)
+                self.threshold(key, self.values[key], form, getattr(cfg, tol), above)
+
+    def cosine_distance(self):
+        return 1.0 - _dot(self.G, self.g0) / (self.gnorm * self.g0norm)
 
     def same_direction(self, cfg: Config) -> None:
-        """Nonzero gradients at the row and at the anchor, at cosine
-        distance at most eps_dir."""
-        self.require(self.g0norm > cfg.eps_grad)
-        self.compare(self.gnorm, cfg.eps_grad, self.gnorm_slack, above=True)
-        dots, slack = _row_dots(self.G, self.g0)
-        scale = self.gnorm * self.g0norm
-        cosine = 1.0 - dots / scale
-        self.compare(cosine, cfg.eps_dir, 4 * _DOT_SLACK * len(self.g0) + slack / scale)
-        self._unsure_if_tiny()
+        """Nonzero gradients at the point and at the anchor, at cosine
+        distance at most eps_dir; the distance reads 2 where a gradient
+        is zero."""
+        small = (self.gnorm <= cfg.eps_grad) | (self.g0norm <= cfg.eps_grad)
+        cd = np.where(small, 2.0, self.cosine_distance())
+        self.report("cosine_distance", cd, ~small & (cd <= cfg.eps_dir))
 
     def positive_factor(self, cfg: Config) -> None:
         """Both gradients zero, or grad f(x) = p grad f(xbar) with p > 0
         (collinearity_factor's test)."""
-        if self.g0norm <= cfg.eps_grad:
-            self.compare(self.gnorm, cfg.eps_grad, self.gnorm_slack)
-            return
-        n, g0 = len(self.g0), self.g0
-        self.compare(self.gnorm, cfg.eps_grad, self.gnorm_slack, above=True)
-        dots, slack = _row_dots(self.G, g0)
-        g0g0 = np.dot(g0, g0)
-        factor = dots / g0g0
-        self.compare(factor, 0.0, slack / g0g0 + _DOT_SLACK * np.abs(factor), above=True)
-        gap = np.sqrt(((self.G - factor[:, None] * g0) ** 2).sum(axis=1))
-        scale = self.gnorm + np.abs(factor) * self.g0norm + gap
-        self.compare(gap, cfg.eps_dir * self.gnorm, _DOT_SLACK * n * scale + _DOT_FLOOR)
-        self._unsure_if_tiny()
+        zero, zero0 = self.gnorm <= cfg.eps_grad, self.g0norm <= cfg.eps_grad
+        factor, gap = _collinearity(self.g0, self.G)
+        found = ~zero & ~zero0 & ~(factor <= 0.0) & ~(gap > cfg.eps_dir * self.gnorm)
+        holds = (zero & zero0) | found
+        self.report("collinearity_gap", np.where(holds, 0.0, np.inf), holds)
+        self.report("collinearity_factor", factor, True, shown=found)
 
-    def _unsure_if_tiny(self) -> None:
-        """Direction tests on gradients below _TINY go to the scalar verdict."""
-        self.holds &= ~((self.gnorm < _TINY) | (self.g0norm < _TINY))
-
-    def redecide(self, verdict) -> np.ndarray:
-        """The member mask, each undecided row r decided by verdict(r)."""
-        for r in np.flatnonzero(~(self.holds | self.fails)):
-            self.holds[r] = verdict(r)
-        return self.holds
+    def point(self) -> Dict[str, float]:
+        """The residuals of the one point the columns are scalars of."""
+        return {
+            name: float(value) for name, value in self.residuals.items()
+            if self.shown.get(name, True)
+        }
 
 
-def _enumerate(pts: Sequence[np.ndarray], batch, verdict) -> List[tuple]:
-    """The points of pts with a positive verdict.
-
-    batch(X) gives the member mask of the rows of X; when the points are
-    not all finite, or batch raises an error that verdict can raise (a
-    QcsolError, or the ValueError of a variant without an unconstrained
-    base), every point gets its verdict(x) in turn, so that an error is
-    the one, and comes where, the per-point definition raises it.
-    """
+def _enumerate(pts: Sequence[np.ndarray], members) -> List[tuple]:
+    """The points of pts whose rows members(X) marks, X the points as rows."""
     if not pts:
         return []
     X = np.array(pts, dtype=float)
-    if np.all(np.isfinite(X)):
-        try:
-            with np.errstate(all="ignore"):
-                member = batch(X)
-        except (QcsolError, ValueError):  # the per-point path raises it, if real
-            pass
-        else:
-            return [tuple(float(c) for c in x) for x in X[member]]
-    verdicts = (verdict(x) for x in pts)
-    return [v.point for v in verdicts if v.member]
+    with np.errstate(all="ignore"):
+        member = members(X)
+    return [tuple(float(c) for c in x) for x in X[member]]
 
 
 def enumerate_solution_set(
@@ -358,15 +265,12 @@ def enumerate_solution_set(
     # sample_grid keeps exactly the points that contains() accepts at eps_feas
     pts = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
 
-    def batch(X):
-        G = grad_many(p.objective, X, p.dimension)
-        rows = _Rows(X, G, xb, g0)
+    def members(X):
+        rows = _Rows(X, grad_many(p.objective, X, p.dimension), xb, g0)
         rows.decide(variant, cfg)
-        return rows.redecide(lambda r: _verdict(p, xb, g0, X[r], variant, True, cfg, G[r]).member)
+        return rows.member
 
-    return _enumerate(
-        pts, batch, lambda x: _verdict(p, xb, g0, as_point(x, p.dimension), variant, True, cfg)
-    )
+    return _enumerate(pts, members)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,8 @@ def _window(args, problem) -> Box:
         vals = [float(v) for v in args.window.split(",")]
         if len(vals) != 2 * problem.dimension:
             raise UsageError("--window needs lo1,hi1,...,lon,hin")
+        if not all(math.isfinite(v) for v in vals):
+            raise UsageError("--window bounds must be finite")
         return Box(tuple(vals[0::2]), tuple(vals[1::2]))
     return problem.domain_window
 

@@ -2,18 +2,21 @@
 
 The grammar (documented in docs/grammar.md) covers infix arithmetic with
 integer powers, ``sqrt``, ``abs`` and piecewise expressions whose guards
-are conjunctions of linear inequalities.  Gradients are exact, computed by
-forward-mode dual numbers, one pass per coordinate; ``grad_fd`` provides
-the independent central-difference cross-check.  ``evaluate_many`` gives
-the values of ``evaluate`` on a whole batch of points in one numpy pass
-per AST node.
+are conjunctions of linear inequalities.  Each expression is compiled
+once into straight-line Python that computes its value and, in forward
+mode, its exact gradient; the same code runs on Python floats for one
+point (``evaluate``, ``grad``) and on numpy columns for a batch
+(``evaluate_many``, ``grad_many``), so both agree bit for bit.
+``grad_fd`` provides the independent central-difference cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,218 +104,221 @@ ExprAst = Expr
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers (forward-mode AD)
+# One forward evaluator, compiled per expression
 # ---------------------------------------------------------------------------
 
-class Dual:
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val: float, dot: float = 0.0):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, o):
-        return Dual(self.val + o.val, self.dot + o.dot)
-
-    def __sub__(self, o):
-        return Dual(self.val - o.val, self.dot - o.dot)
-
-    def __mul__(self, o):
-        return Dual(self.val * o.val, self.val * o.dot + self.dot * o.val)
-
-    def __truediv__(self, o):
-        if o.val == 0.0:
-            raise EvalError("division by zero")
-        v = self.val / o.val
-        return Dual(v, (self.dot - v * o.dot) / o.val)
-
-    def ipow(self, k: int) -> "Dual":
-        try:
-            v = self.val ** k
-            if k == 0:
-                return Dual(1.0, 0.0)
-            return Dual(v, k * self.val ** (k - 1) * self.dot)
-        except OverflowError:
-            raise EvalError("power overflows") from None
-
-    def sqrt(self) -> "Dual":
-        if self.val < 0.0:
-            raise EvalError("sqrt of negative value")
-        r = math.sqrt(self.val)
-        if self.dot == 0.0:
-            return Dual(r, 0.0)
-        if r == 0.0:
-            raise EvalError("sqrt not differentiable at zero")
-        return Dual(r, self.dot / (2.0 * r))
-
-    def abs(self) -> "Dual":
-        if self.val > 0.0:
-            return Dual(self.val, self.dot)
-        if self.val < 0.0:
-            return Dual(-self.val, -self.dot)
-        if self.dot == 0.0:
-            return Dual(0.0, 0.0)
-        raise EvalError("abs not differentiable at zero")
+# Piecewise branches meeting at a point must agree: values within
+# _EPS_VAL, derivatives within _EPS_DIR * (1 + |first branch's|).
+_EPS_VAL = 1e-9
+_EPS_DIR = 1e-8
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def _guard_holds(guard, point) -> bool:
-    return all(
-        float(np.dot(ineq.coeffs, point)) <= ineq.bound + GUARD_TOL for ineq in guard
-    )
+def _dot(u, v):
+    """u . v summed left to right, 0 + u1 v1 + u2 v2 + ... (so an all-zero
+    sum is +0, as in BLAS); the entries may be floats or numpy columns
+    (then one dot product per row)."""
+    return functools.reduce(operator.add, map(operator.mul, u, v), 0.0)
 
 
-def _select_branches(pw: Piecewise, point):
-    hit = [br for guard, br in pw.branches if _guard_holds(guard, point)]
-    if not hit:
-        raise EvalError(f"point {tuple(point)} outside every piecewise guard")
-    return hit
+def _norm(u):
+    return np.sqrt(_dot(u, u))
 
 
-def _eval_float(e: Expr, x, eps: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index - 1])
-    if isinstance(e, Add):
-        return _eval_float(e.left, x, eps) + _eval_float(e.right, x, eps)
-    if isinstance(e, Sub):
-        return _eval_float(e.left, x, eps) - _eval_float(e.right, x, eps)
-    if isinstance(e, Mul):
-        return _eval_float(e.left, x, eps) * _eval_float(e.right, x, eps)
-    if isinstance(e, Div):
-        den = _eval_float(e.right, x, eps)
-        if den == 0.0:
-            raise EvalError("division by zero")
-        return _eval_float(e.left, x, eps) / den
-    if isinstance(e, Pow):
-        base = _eval_float(e.base, x, eps)
-        try:
-            return base ** e.exponent
-        except OverflowError:
-            raise EvalError("power overflows") from None
-    if isinstance(e, Neg):
-        return -_eval_float(e.operand, x, eps)
-    if isinstance(e, Sqrt):
-        v = _eval_float(e.operand, x, eps)
-        if v < 0.0:
-            raise EvalError("sqrt of negative value")
-        return math.sqrt(v)
-    if isinstance(e, Abs):
-        return abs(_eval_float(e.operand, x, eps))
-    if isinstance(e, Piecewise):
-        hit = _select_branches(e, x)
-        values = [_eval_float(br, x, eps) for br in hit]
-        first = values[0]
-        for v in values[1:]:
-            if abs(v - first) > eps:
-                raise BoundaryMismatchError(
-                    f"branch values differ at {tuple(x)}: {values}"
-                )
-        return first
-    raise TypeError(f"unknown node {e!r}")
+class _Compiler:
+    """Straight-line Python for an expression's value and its n partial
+    derivatives, in forward mode: each node's derivatives follow from its
+    operands' by the rules of dual-number arithmetic.  n = 0 gives the
+    value alone.
 
-
-def _eval_dual(e: Expr, x, seed: int, eps_val: float, eps_dir: float) -> Dual:
-    """Evaluate with the seed-th coordinate carrying a unit perturbation."""
-    if isinstance(e, Const):
-        return Dual(e.value, 0.0)
-    if isinstance(e, Var):
-        return Dual(float(x[e.index - 1]), 1.0 if e.index - 1 == seed else 0.0)
-    if isinstance(e, Add):
-        return _eval_dual(e.left, x, seed, eps_val, eps_dir) + _eval_dual(
-            e.right, x, seed, eps_val, eps_dir
-        )
-    if isinstance(e, Sub):
-        return _eval_dual(e.left, x, seed, eps_val, eps_dir) - _eval_dual(
-            e.right, x, seed, eps_val, eps_dir
-        )
-    if isinstance(e, Mul):
-        return _eval_dual(e.left, x, seed, eps_val, eps_dir) * _eval_dual(
-            e.right, x, seed, eps_val, eps_dir
-        )
-    if isinstance(e, Div):
-        return _eval_dual(e.left, x, seed, eps_val, eps_dir) / _eval_dual(
-            e.right, x, seed, eps_val, eps_dir
-        )
-    if isinstance(e, Pow):
-        return _eval_dual(e.base, x, seed, eps_val, eps_dir).ipow(e.exponent)
-    if isinstance(e, Neg):
-        inner = _eval_dual(e.operand, x, seed, eps_val, eps_dir)
-        return Dual(-inner.val, -inner.dot)
-    if isinstance(e, Sqrt):
-        return _eval_dual(e.operand, x, seed, eps_val, eps_dir).sqrt()
-    if isinstance(e, Abs):
-        return _eval_dual(e.operand, x, seed, eps_val, eps_dir).abs()
-    if isinstance(e, Piecewise):
-        hit = _select_branches(e, x)
-        results = [_eval_dual(br, x, seed, eps_val, eps_dir) for br in hit]
-        first = results[0]
-        for r in results[1:]:
-            if abs(r.val - first.val) > eps_val:
-                raise BoundaryMismatchError(
-                    f"branch values differ at {tuple(x)}"
-                )
-            scale = 1.0 + abs(first.dot)
-            if abs(r.dot - first.dot) > eps_dir * scale:
-                raise BoundaryMismatchError(
-                    f"branch gradients differ at {tuple(x)}: "
-                    f"{first.dot} vs {r.dot}"
-                )
-        return first
-    raise TypeError(f"unknown node {e!r}")
-
-
-def evaluate(f: Expr, x: Sequence[float], eps: float = 1e-9) -> float:
-    """Value of f at x.
-
-    Raises EvalError on domain violations, on an overflowing power and on
-    a non-finite value (an overflowing product, or a non-finite x).
+    The source defines ``_build(POW, NONZERO, SQRT, SQRTD, ABSD, PW, k0,
+    k1, ...)``, which returns ``f(x)`` -> (value, derivatives) for a
+    list x of coordinates.  The helpers hold everything that depends on
+    whether a coordinate is a float or a numpy column; the constants k*
+    are passed in by reference.  Each piecewise branch is a function of
+    its own, called by PW with the point or rows it applies to.
     """
-    xv = np.asarray(x, dtype=float)
-    value = _eval_float(f, xv, eps)
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite value {value} at {tuple(xv)}")
-    return value
+
+    def __init__(self, n: int):
+        self.n = n
+        self.consts: list = []
+        self.functions: List[str] = []
+        self.temps = 0
+        self.lines: List[str] = []
+
+    def source(self, e: Expr) -> str:
+        top = self.function(e)
+        params = ", ".join(_HELPERS + tuple(f"k{i}" for i in range(len(self.consts))))
+        body = "\n".join("    " + line for fn in self.functions for line in fn.splitlines())
+        return f"def _build({params}):\n{body}\n    return {top}\n"
+
+    def function(self, e: Expr) -> str:
+        name = f"f{self.temps}"
+        self.temps += 1
+        outer, self.lines = self.lines, []
+        value, derivs = self.node(e)
+        ret = f"return {value}, ({''.join(d + ', ' for d in derivs)})"
+        self.functions.append("\n".join(
+            [f"def {name}(x):"] + ["    " + line for line in self.lines + [ret]]
+        ))
+        self.lines = outer
+        return name
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def value(self, expr: str) -> str:
+        name = f"v{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def derivs(self, exprs) -> List[str]:
+        names = [f"d{self.temps}_{i}" for i in range(self.n)]
+        self.temps += 1
+        self.lines.extend(f"{name} = {expr}" for name, expr in zip(names, exprs))
+        return names
+
+    def node(self, e: Expr):
+        """The names (or literals) holding e's value and derivatives."""
+        n = self.n
+        if isinstance(e, Const):
+            return self.const(e.value), ["0.0"] * n
+        if isinstance(e, Var):
+            i = e.index - 1
+            return f"x[{i}]", ["1.0" if j == i else "0.0" for j in range(n)]
+        if isinstance(e, (Add, Sub)):
+            (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
+            op = "+" if isinstance(e, Add) else "-"
+            return self.value(f"{l} {op} {r}"), self.derivs(
+                f"{a} {op} {b}" for a, b in zip(ld, rd)
+            )
+        if isinstance(e, Mul):
+            (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
+            return self.value(f"{l} * {r}"), self.derivs(
+                f"{l} * {b} + {a} * {r}" for a, b in zip(ld, rd)
+            )
+        if isinstance(e, Div):
+            if n:
+                (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
+                self.lines.append(f"NONZERO({r})")
+            else:  # the value alone tests the denominator before the numerator
+                r, rd = self.node(e.right)
+                self.lines.append(f"NONZERO({r})")
+                l, ld = self.node(e.left)
+            v = self.value(f"{l} / {r}")
+            return v, self.derivs(f"({a} - {v} * {b}) / {r}" for a, b in zip(ld, rd))
+        if isinstance(e, Pow):
+            b, bd = self.node(e.base)
+            if e.exponent == 0:
+                return "1.0", ["0.0"] * n
+            k = self.const(e.exponent)
+            v = self.value(f"POW({b}, {k})")
+            if not n:
+                return v, []
+            slope = self.value(f"{k} * POW({b}, {self.const(e.exponent - 1)})")
+            return v, self.derivs(f"{slope} * {a}" for a in bd)
+        if isinstance(e, Neg):
+            o, od = self.node(e.operand)
+            return self.value(f"-{o}"), self.derivs(f"-{a}" for a in od)
+        if isinstance(e, Sqrt):
+            o, od = self.node(e.operand)
+            v = self.value(f"SQRT({o})")
+            return v, self.derivs(f"SQRTD({v}, {a})" for a in od)
+        if isinstance(e, Abs):
+            o, od = self.node(e.operand)
+            return self.value(f"abs({o})"), self.derivs(f"ABSD({o}, {a})" for a in od)
+        if isinstance(e, Piecewise):
+            hits, branches = [], []
+            for guard, branch in e.branches:
+                branches.append(self.function(branch))
+                tests = []
+                for ineq in guard:
+                    terms = " + ".join(
+                        f"{self.const(c)} * x[{i}]" for i, c in enumerate(ineq.coeffs)
+                    )
+                    tests.append(f"({terms} <= {self.const(ineq.bound + GUARD_TOL)})")
+                hits.append(self.value(" & ".join(tests) or "True"))
+            v = f"v{self.temps}"
+            derivs = [f"d{self.temps}_{i}" for i in range(n)]
+            self.temps += 1
+            self.lines.append(
+                f"{v}, ({''.join(d + ', ' for d in derivs)}) = "
+                f"PW(x, ({''.join(h + ', ' for h in hits)}), ({', '.join(branches)},), {n})"
+            )
+            return v, derivs
+        raise TypeError(f"unknown node {e!r}")
 
 
-# Rounding slack of a vectorized n-term dot product (numpy's row sum)
-# against np.dot (a BLAS dot, which may fuse multiply-adds), relative to
-# the sum of its terms' magnitudes, per term.  Two summation orders of an
-# n-term sum lie within 2 * n * 2**-53 of each other relative to that sum;
-# _DOT_SLACK is over 40 times as much.  _DOT_FLOOR covers underflowing
-# products and their square roots.  Other vectorized residuals use the
-# same two constants for their own rounding.
-_DOT_SLACK = 1e-14
-_DOT_FLOOR = 1e-150
+_HELPERS = ("POW", "NONZERO", "SQRT", "SQRTD", "ABSD", "PW")
 
 
-def _row_dots(A: np.ndarray, v) -> Tuple[np.ndarray, np.ndarray]:
-    """The dot product of each row of A with v, and how far each may lie
-    from np.dot's."""
-    terms = A * np.asarray(v, dtype=float)
-    return terms.sum(axis=1), _DOT_SLACK * A.shape[1] * np.abs(terms).sum(axis=1) + _DOT_FLOOR
+# The float helpers: one point, coordinates as Python floats.
+
+def _at(x) -> tuple:
+    """A point as error messages print it."""
+    return tuple(np.array(x, dtype=float))
 
 
-def _guard_rows(guard, X: np.ndarray) -> np.ndarray:
-    """_guard_holds for every row of X.  Rows whose vectorized dot product
-    lies too close to the bound for the summation order not to matter are
-    decided by _guard_holds' own formula."""
-    holds = np.ones(len(X), dtype=bool)
-    for ineq in guard:
-        dots, slack = _row_dots(X, ineq.coeffs)
-        limit = ineq.bound + GUARD_TOL
-        ok = dots <= limit
-        for r in np.flatnonzero(~(np.abs(dots - limit) > slack)):
-            ok[r] = float(np.dot(ineq.coeffs, X[r])) <= limit
-        holds &= ok
-    return holds
+def _pow(base: float, k: int) -> float:
+    try:
+        return base ** k
+    except OverflowError:
+        raise EvalError("power overflows") from None
 
 
-def _powers(base: np.ndarray, k: int) -> np.ndarray:
+def _nonzero(v: float) -> None:
+    if v == 0.0:
+        raise EvalError("division by zero")
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise EvalError("sqrt of negative value")
+    return math.sqrt(v)
+
+
+def _sqrt_slope(r: float, d: float) -> float:
+    if d == 0.0:
+        return 0.0
+    if r == 0.0:
+        raise EvalError("sqrt not differentiable at zero")
+    return d / (2.0 * r)
+
+
+def _abs_slope(v: float, d: float) -> float:
+    if v > 0.0:
+        return d
+    if v < 0.0:
+        return -d
+    if d == 0.0:  # also where v is NaN
+        return 0.0
+    raise EvalError("abs not differentiable at zero")
+
+
+def _branch(x, hits, branches, n):
+    """The value (and n derivatives) of the first branch whose guard holds
+    at x; every other such branch must agree with it."""
+    results = [branch(x) for hit, branch in zip(hits, branches) if hit]
+    if not results:
+        raise EvalError(f"point {_at(x)} outside every piecewise guard")
+    value, derivs = results[0]
+    for i in range(n or 1):
+        for other, slopes in results[1:]:
+            if abs(other - value) > _EPS_VAL:
+                shown = "" if n else f": {[r[0] for r in results]}"
+                raise BoundaryMismatchError(f"branch values differ at {_at(x)}{shown}")
+            if n and abs(slopes[i] - derivs[i]) > _EPS_DIR * (1.0 + abs(derivs[i])):
+                raise BoundaryMismatchError(
+                    f"branch gradients differ at {_at(x)}: {derivs[i]} vs {slopes[i]}"
+                )
+    return value, derivs
+
+
+# The column helpers: many points, each coordinate a numpy column.  A row
+# raises here iff the float helpers raise at it.
+
+def _powers(base, k: int) -> np.ndarray:
     """Python's float ** int (libm pow) of every entry, once per distinct
     bit pattern; np.power differs from it in the last bit on some inputs."""
     bits, inverse = np.unique(
@@ -324,90 +330,134 @@ def _powers(base: np.ndarray, k: int) -> np.ndarray:
         raise EvalError("power overflows") from None
 
 
-def _eval_rows(e: Expr, X: np.ndarray, eps: float) -> np.ndarray:
-    """_eval_float on every row of X, one numpy pass per node.
-
-    Raises EvalError iff _eval_float raises at some row; every other
-    value equals _eval_float's bit for bit.
-    """
-    if isinstance(e, Const):
-        return np.full(len(X), float(e.value))
-    if isinstance(e, Var):
-        return X[:, e.index - 1].copy()
-    if isinstance(e, Add):
-        return _eval_rows(e.left, X, eps) + _eval_rows(e.right, X, eps)
-    if isinstance(e, Sub):
-        return _eval_rows(e.left, X, eps) - _eval_rows(e.right, X, eps)
-    if isinstance(e, Mul):
-        return _eval_rows(e.left, X, eps) * _eval_rows(e.right, X, eps)
-    if isinstance(e, Div):
-        den = _eval_rows(e.right, X, eps)
-        if np.any(den == 0.0):
-            raise EvalError("division by zero")
-        return _eval_rows(e.left, X, eps) / den
-    if isinstance(e, Pow):
-        return _powers(_eval_rows(e.base, X, eps), e.exponent)
-    if isinstance(e, Neg):
-        return -_eval_rows(e.operand, X, eps)
-    if isinstance(e, Sqrt):
-        v = _eval_rows(e.operand, X, eps)
-        if np.any(v < 0.0):
-            raise EvalError("sqrt of negative value")
-        return np.sqrt(v)
-    if isinstance(e, Abs):
-        return np.abs(_eval_rows(e.operand, X, eps))
-    if isinstance(e, Piecewise):
-        hits = [_guard_rows(guard, X) for guard, _ in e.branches]
-        if not np.all(np.any(hits, axis=0)):
-            raise EvalError("point outside every piecewise guard")
-        # Each branch runs on the rows it covers; a row takes the value of
-        # its first covering branch, and every later one must agree.
-        out = np.empty(len(X))
-        seen = np.zeros(len(X), dtype=bool)
-        for hit, (_, br) in zip(hits, e.branches):
-            rows = np.flatnonzero(hit)
-            if rows.size == 0:
-                continue
-            values = _eval_rows(br, X[rows], eps)
-            first = ~seen[rows]
-            if np.any(np.abs(values[~first] - out[rows[~first]]) > eps):
-                raise BoundaryMismatchError("branch values differ")
-            out[rows[first]] = values[first]
-            seen[rows] = True
-        return out
-    raise TypeError(f"unknown node {e!r}")
+def _nonzero_rows(v) -> None:
+    if np.any(v == 0.0):
+        raise EvalError("division by zero")
 
 
-def evaluate_many(f: Expr, X, eps: float = 1e-9) -> np.ndarray:
-    """Values of f at the rows of an (N, n) array X.
+def _sqrt_rows(v):
+    if np.any(v < 0.0):
+        raise EvalError("sqrt of negative value")
+    return np.sqrt(v)
 
-    Entry i equals evaluate(f, X[i], eps) bit for bit.  When evaluate
-    raises at some row, this raises what it raises at the first such row.
-    """
+
+def _sqrt_slope_rows(r, d):
+    flat = d == 0.0
+    if np.any(np.logical_not(flat) & (r == 0.0)):
+        raise EvalError("sqrt not differentiable at zero")
+    return np.where(flat, 0.0, d / (2.0 * r))
+
+
+def _abs_slope_rows(v, d):
+    pos, neg = v > 0.0, v < 0.0
+    if np.any(np.logical_not(pos | neg) & (d != 0.0)):
+        raise EvalError("abs not differentiable at zero")
+    return np.where(pos, d, np.where(neg, -d, 0.0))
+
+
+def _branch_rows(x, hits, branches, n):
+    """_branch on every row: each branch runs on the rows its guard holds
+    at, and a row takes its first such branch's results."""
+    N = len(x[0])
+    hits = [np.broadcast_to(hit, N) for hit in hits]
+    if not np.all(np.any(hits, axis=0)):
+        raise EvalError("point outside every piecewise guard")
+    value, derivs = np.empty(N), [np.empty(N) for _ in range(n)]
+    seen = np.zeros(N, dtype=bool)
+    for hit, branch in zip(hits, branches):
+        rows = np.flatnonzero(hit)
+        if rows.size == 0:
+            continue
+        v, ds = branch([c[rows] for c in x])
+        new, old = ~seen[rows], rows[seen[rows]]
+        v = np.broadcast_to(v, rows.shape)
+        if np.any(np.abs(v[~new] - value[old]) > _EPS_VAL):
+            raise BoundaryMismatchError("branch values differ")
+        value[rows[new]] = v[new]
+        for out, d in zip(derivs, ds):
+            d = np.broadcast_to(d, rows.shape)
+            if np.any(np.abs(d[~new] - out[old]) > _EPS_DIR * (1.0 + np.abs(out[old]))):
+                raise BoundaryMismatchError("branch gradients differ")
+            out[rows[new]] = d[new]
+        seen[rows] = True
+    return value, tuple(derivs)
+
+
+_FLOATS = (_pow, _nonzero, _sqrt, _sqrt_slope, _abs_slope, _branch)
+_COLUMNS = (_powers, _nonzero_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _branch_rows)
+
+
+@functools.lru_cache(maxsize=512)
+def _program(f: Expr, n: int):
+    """f compiled for n derivatives: (the float function, the column
+    function).  ASTs are frozen, so equal ones share their program."""
+    scope: dict = {}
+    compiler = _Compiler(n)
+    exec(compile(compiler.source(f), "<qcsol expression>", "exec"), scope)
+    build = scope["_build"]
+    return build(*_FLOATS, *compiler.consts), build(*_COLUMNS, *compiler.consts)
+
+
+def _point(run, xv: np.ndarray):
+    """The float program run at the point xv: its value and derivatives,
+    which must be finite."""
+    value, derivs = run(xv.tolist())
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite value {value} at {tuple(xv)}")
+    if not all(map(math.isfinite, derivs)):
+        raise EvalError(f"non-finite gradient {tuple(np.array(derivs))} at {tuple(xv)}")
+    return value, derivs
+
+
+def _as_rows(X) -> np.ndarray:
     Xv = np.ascontiguousarray(X, dtype=float)
     if Xv.ndim != 2:
         raise DimensionError("a batch of points must be an (N, n) array")
+    return Xv
+
+
+def _batch(f: Expr, Xv: np.ndarray, n: int):
+    """f's program for n derivatives on the rows of Xv at once, as
+    (values, derivatives), each broadcast to full columns.  Where some row
+    fails, raises what _point raises at the first such row."""
+    run, columns = _program(f, n)
     try:
         with np.errstate(all="ignore"):
-            values = _eval_rows(f, Xv, eps)
-        if np.all(np.isfinite(values)):
-            return values
+            value, derivs = columns(list(np.ascontiguousarray(Xv.T)))
+        values = np.empty(len(Xv))
+        values[:] = value
+        G = np.empty((len(Xv), n))
+        for i, d in enumerate(derivs):
+            G[:, i] = d
+        if np.all(np.isfinite(values)) and np.all(np.isfinite(G)):
+            return values, G
     except EvalError:
         pass
     for x in Xv:
-        evaluate(f, x, eps)
+        _point(run, x)
     raise EvalError("batch evaluation failed at a point that evaluates")
 
 
-# grad's agreement tolerances for piecewise branches meeting at a point:
-# values within _EPS_VAL, derivatives within _EPS_DIR * (1 + |first|).
-_EPS_VAL = 1e-9
-_EPS_DIR = 1e-8
+def evaluate(f: Expr, x: Sequence[float]) -> float:
+    """Value of f at x.
+
+    Raises EvalError on domain violations, on an overflowing power and on
+    a non-finite value (an overflowing product, or a non-finite x).
+    """
+    return _point(_program(f, 0)[0], np.asarray(x, dtype=float))[0]
 
 
-def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,
-         eps_val: float = _EPS_VAL, eps_dir: float = _EPS_DIR) -> np.ndarray:
-    """Exact gradient via dual numbers, one forward pass per coordinate.
+def evaluate_many(f: Expr, X) -> np.ndarray:
+    """Values of f at the rows of an (N, n) array X.
+
+    Entry i equals evaluate(f, X[i]) bit for bit.  When evaluate raises at
+    some row, this raises what it raises at the first such row.
+    """
+    return _batch(f, _as_rows(X), 0)[0]
+
+
+def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
+    """Exact gradient, by forward-mode differentiation.
 
     Raises EvalError where evaluation fails, and when the value or a
     gradient component is not finite.
@@ -416,94 +466,7 @@ def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None,
     n = dimension if dimension is not None else xv.size
     if xv.size != n:
         raise DimensionError(f"point has dimension {xv.size}, expected {n}")
-    duals = [_eval_dual(f, xv, i, eps_val, eps_dir) for i in range(n)]
-    if duals and not math.isfinite(duals[0].val):
-        raise EvalError(f"non-finite value {duals[0].val} at {tuple(xv)}")
-    g = np.array([d.dot for d in duals])
-    if not np.all(np.isfinite(g)):
-        raise EvalError(f"non-finite gradient {tuple(g)} at {tuple(xv)}")
-    return g
-
-
-def _dual_rows(e: Expr, X: np.ndarray):
-    """_eval_dual on every row of X for every seed at once: the values (N,)
-    and the derivatives (N, n), column i being seed i's.
-
-    Raises EvalError iff _eval_dual raises at some row and seed; every
-    other entry equals _eval_dual's bit for bit.
-    """
-    N, n = X.shape
-    if isinstance(e, Const):
-        return np.full(N, float(e.value)), np.zeros((N, n))
-    if isinstance(e, Var):
-        dot = np.zeros((N, n))
-        dot[:, e.index - 1] = 1.0
-        return X[:, e.index - 1].copy(), dot
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        lv, ld = _dual_rows(e.left, X)
-        rv, rd = _dual_rows(e.right, X)
-        if isinstance(e, Add):
-            return lv + rv, ld + rd
-        if isinstance(e, Sub):
-            return lv - rv, ld - rd
-        if isinstance(e, Mul):
-            return lv * rv, lv[:, None] * rd + ld * rv[:, None]
-        if np.any(rv == 0.0):
-            raise EvalError("division by zero")
-        v = lv / rv
-        return v, (ld - v[:, None] * rd) / rv[:, None]
-    if isinstance(e, Pow):
-        base, dot = _dual_rows(e.base, X)
-        k = e.exponent
-        if k == 0:
-            return np.ones(N), np.zeros((N, n))
-        # in Dual.ipow's order of operations
-        return _powers(base, k), (k * _powers(base, k - 1))[:, None] * dot
-    if isinstance(e, Neg):
-        v, dot = _dual_rows(e.operand, X)
-        return -v, -dot
-    if isinstance(e, Sqrt):
-        v, dot = _dual_rows(e.operand, X)
-        if np.any(v < 0.0):
-            raise EvalError("sqrt of negative value")
-        r = np.sqrt(v)
-        flat = dot == 0.0
-        if np.any(~flat & (r == 0.0)[:, None]):
-            raise EvalError("sqrt not differentiable at zero")
-        return r, np.where(flat, 0.0, dot / (2.0 * r)[:, None])
-    if isinstance(e, Abs):
-        v, dot = _dual_rows(e.operand, X)
-        pos, neg = v > 0.0, v < 0.0
-        kink = ~(pos | neg)  # zero, or NaN as in Dual.abs
-        if np.any(kink[:, None] & (dot != 0.0)):
-            raise EvalError("abs not differentiable at zero")
-        out = np.where(pos[:, None], dot, np.where(neg[:, None], -dot, 0.0))
-        return np.where(pos, v, np.where(neg, -v, 0.0)), out
-    if isinstance(e, Piecewise):
-        hits = [_guard_rows(guard, X) for guard, _ in e.branches]
-        if not np.all(np.any(hits, axis=0)):
-            raise EvalError("point outside every piecewise guard")
-        # As in _eval_rows; every later branch must also agree in each
-        # derivative within _EPS_DIR * (1 + |first|).
-        out_v, out_d = np.empty(N), np.empty((N, n))
-        seen = np.zeros(N, dtype=bool)
-        for hit, (_, br) in zip(hits, e.branches):
-            rows = np.flatnonzero(hit)
-            if rows.size == 0:
-                continue
-            v, dot = _dual_rows(br, X[rows])
-            first = ~seen[rows]
-            later = rows[~first]
-            if np.any(np.abs(v[~first] - out_v[later]) > _EPS_VAL):
-                raise BoundaryMismatchError("branch values differ")
-            scale = 1.0 + np.abs(out_d[later])
-            if np.any(np.abs(dot[~first] - out_d[later]) > _EPS_DIR * scale):
-                raise BoundaryMismatchError("branch gradients differ")
-            out_v[rows[first]] = v[first]
-            out_d[rows[first]] = dot[first]
-            seen[rows] = True
-        return out_v, out_d
-    raise TypeError(f"unknown node {e!r}")
+    return np.array(_point(_program(f, n)[0], xv)[1], dtype=float)
 
 
 def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
@@ -513,20 +476,11 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     When grad raises at some row, this raises what it raises at the first
     such row.
     """
-    Xv = np.ascontiguousarray(X, dtype=float)
-    if Xv.ndim != 2:
-        raise DimensionError("a batch of points must be an (N, n) array")
+    Xv = _as_rows(X)
     n = dimension if dimension is not None else Xv.shape[1]
     if Xv.shape[1] != n:
         raise DimensionError(f"point has dimension {Xv.shape[1]}, expected {n}")
-    try:
-        with np.errstate(all="ignore"):
-            values, dots = _dual_rows(f, Xv)
-        if np.all(np.isfinite(values)) and np.all(np.isfinite(dots)):
-            return dots
-    except EvalError:
-        pass
-    return np.array([grad(f, x, n) for x in Xv]).reshape(len(Xv), n)
+    return _batch(f, Xv, n)[1]
 
 
 def grad_fd(f: Expr, x: Sequence[float], h: float = 1e-6) -> np.ndarray:
@@ -566,9 +520,6 @@ def free_variables(e: Expr) -> set:
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
-
-_SYMBOLS = ("<=", ">=", "+", "-", "*", "/", "^", "(", ")", "[", "]", ":", ";", "&", ",")
-
 
 def _tokenize(text: str):
     tokens = []
@@ -765,18 +716,14 @@ class _Parser:
 
 def _extract_linear(e: Expr, dim: int, off: int):
     """Coefficients of a guard expression, which must be affine."""
-    zero = np.zeros(dim)
+    run = _program(e, 0)[0]
     try:
-        c0 = _eval_float(e, zero, 1e-9)
-        coeffs = []
-        for i in range(dim):
-            unit = zero.copy()
-            unit[i] = 1.0
-            coeffs.append(_eval_float(e, unit, 1e-9) - c0)
+        c0 = run([0.0] * dim)[0]
+        coeffs = [run([float(i == j) for j in range(dim)])[0] - c0 for i in range(dim)]
         # Affinity probe at a generic point.
-        probe = np.array([0.734 + 0.211 * i for i in range(dim)])
-        expected = c0 + float(np.dot(coeffs, probe))
-        actual = _eval_float(e, probe, 1e-9)
+        probe = [0.734 + 0.211 * i for i in range(dim)]
+        expected = c0 + _dot(coeffs, probe)
+        actual = run(probe)[0]
     except EvalError:
         raise ParseError("guard expression must be affine", off)
     if abs(actual - expected) > 1e-9 * (1.0 + abs(expected)):

@@ -7,18 +7,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .alternatives import solve_lp, strict_feasibility
-from .charac import (
-    _Rows,
-    _cosine_distance,
-    _enumerate,
-    _verdict,
-    check_anchor_hypothesis,
-)
+from .charac import _Rows, _enumerate, check_anchor_hypothesis
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     CharacVariant,
@@ -35,10 +29,8 @@ from .errors import (
     NotOpenGroundSetError,
     QcsolError,
 )
-from .expr import _row_dots, evaluate, evaluate_many, grad, grad_many
+from .expr import _dot, _norm, evaluate, evaluate_many, grad, grad_many
 from .sets import (
-    Box,
-    ConvexSetDescriptor,
     contains,
     contains_many,
     grid_nodes,
@@ -266,7 +258,7 @@ class _Anchor:
     @cached_property
     def g0(self) -> np.ndarray:
         g0 = grad(self.cp.objective, self.xb, self.cp.dimension)
-        if float(np.linalg.norm(g0)) <= self.cfg.eps_grad:
+        if _norm(g0) <= self.cfg.eps_grad:
             raise HypothesisViolatedError(
                 f"variant {self.variant.value} requires a nonzero gradient at the anchor"
             )
@@ -296,6 +288,9 @@ class _Anchor:
         )
 
 
+_DOUBLE_PRIMED = (CharacVariant.SHATPP1, CharacVariant.SHATPP2)
+
+
 def membership_constrained(
     cp: ConstrainedProblem,
     xbar,
@@ -307,91 +302,53 @@ def membership_constrained(
     """Membership for the primed and double-primed variants."""
     xb = as_point(xbar, cp.dimension)
     xv = as_point(x, cp.dimension)
-    return _verdict_constrained(cp, _Anchor(cp, xb, lam, variant, cfg), xv, variant, cfg)
+    anchor = _Anchor(cp, xb, lam, variant, cfg)
+    anchor.g0  # the anchor hypothesis comes first
+    in_x1 = member_X1(cp, xb, lam, xv, cfg, _anchor=anchor)
+    with np.errstate(all="ignore"):
+        rows = _conditions(anchor, xv, variant, cfg, lambda: grad(cp.objective, xv, cp.dimension))
+    point = tuple(float(c) for c in xv)
+    residuals = {"in_X1": 0.0 if in_x1 else 1.0}
+    if variant in _DOUBLE_PRIMED:
+        residuals.update(rows.point())
+        return MembershipVerdict(point, variant, in_x1 and bool(rows.member), residuals)
+    in_S = contains(cp.ground_set, xv, cfg.eps_feas)
+    feas = bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
+    residuals.update(
+        {"in_feasible_set": 0.0 if in_S else 1.0, **rows.point(),
+         "constraints_feasible": 0.0 if feas else 1.0}
+    )
+    member = in_x1 and feas and in_S and bool(rows.member)
+    return MembershipVerdict(point, variant, member, residuals)
 
 
-def _verdict_constrained(
-    cp: ConstrainedProblem,
-    anchor: _Anchor,
-    xv: np.ndarray,
-    variant: CharacVariant,
-    cfg: Config,
-    g: Optional[np.ndarray] = None,
-) -> MembershipVerdict:
-    """The multiplier variant's conditions at xv, given the anchor and,
-    optionally, the objective's gradient g at xv."""
-    xb, g0 = anchor.xb, anchor.g0
-
-    residuals: Dict[str, float] = {}
-    in_x1 = member_X1(cp, xb, anchor.lam, xv, cfg, _anchor=anchor)
-    residuals["in_X1"] = 0.0 if in_x1 else 1.0
-
-    if variant in (CharacVariant.SHATPP1, CharacVariant.SHATPP2):
-        if cp.ground_set.atoms:
+def _conditions(
+    anchor: _Anchor, X: np.ndarray, variant: CharacVariant, cfg: Config, gradients
+) -> _Rows:
+    """The multiplier variant's conditions beyond membership in X1(lambda)
+    and feasibility, at one point X or at the rows of X, whose objective
+    gradients gradients() gives.  The variant's anchor hypotheses are
+    checked before that call."""
+    if variant in _DOUBLE_PRIMED:
+        if anchor.cp.ground_set.atoms:
             raise NotOpenGroundSetError(
                 "double-primed variants need an open (unconstrained) ground set"
             )
-        ok = in_x1
-        for i, gi in anchor.tilde_grads:
-            dot = float(gi @ (xv - xb))
-            residuals[f"active_gradient_dot_{i}"] = dot
-            if variant is CharacVariant.SHATPP1:
-                ok = ok and abs(dot) <= cfg.eps_feas
-            else:
-                ok = ok and dot >= -cfg.eps_feas
-        if g is None:
-            g = grad(cp.objective, xv, cp.dimension)
-        gnorm = float(np.linalg.norm(g))
-        residuals["gradient_norm"] = gnorm
-        ok = ok and gnorm > cfg.eps_grad
-        if gnorm > cfg.eps_grad:
-            cd = _cosine_distance(g, g0)
-            residuals["cosine_distance"] = cd
-            ok = ok and cd <= cfg.eps_dir
-        return MembershipVerdict(tuple(float(c) for c in xv), variant, ok, residuals)
-
-    base = variant.unconstrained_base
-    in_S = contains(cp.ground_set, xv, cfg.eps_feas)
-    plain = _verdict(anchor.plain, xb, anchor.plain_g0, xv, base, in_S, cfg, g)
-    feas = bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
-    residuals.update(plain.residuals)
-    residuals["constraints_feasible"] = 0.0 if feas else 1.0
-    return MembershipVerdict(
-        tuple(float(c) for c in xv), variant, in_x1 and feas and plain.member, residuals
-    )
-
-
-def _members_constrained(
-    cp: ConstrainedProblem,
-    anchor: _Anchor,
-    X: np.ndarray,
-    variant: CharacVariant,
-    cfg: Config,
-) -> np.ndarray:
-    """_verdict_constrained(...).member for the rows of X, all feasible:
-    in the ground set and with every constraint at most eps_feas."""
-    xb, g0 = anchor.xb, anchor.g0
-    values = [evaluate_many(g, X) for g in cp.constraints]
-    G = grad_many(cp.objective, X, cp.dimension)
-    double = variant in (CharacVariant.SHATPP1, CharacVariant.SHATPP2)
-    if double and cp.ground_set.atoms:
-        raise NotOpenGroundSetError(
-            "double-primed variants need an open (unconstrained) ground set"
-        )
-    rows = _Rows(X, G, xb, g0 if double else anchor.plain_g0)
-    for i in anchor.tilde:  # member_X1; the others hold on feasible rows
-        rows.require(~(np.abs(values[i]) > cfg.eps_act))
-    if double:
+        tilde_grads = anchor.tilde_grads
+        rows = _Rows(X, gradients(), anchor.xb, anchor.g0)
         form = abs if variant is CharacVariant.SHATPP1 else operator.neg
-        for i, gi in anchor.tilde_grads:
-            dots, slack = _row_dots(X - xb, gi)
-            rows.compare(form(dots), cfg.eps_feas, slack)
-        rows.same_direction(cfg)
-    else:
-        rows.decide(variant.unconstrained_base, cfg)
-    return rows.redecide(
-        lambda r: _verdict_constrained(cp, anchor, X[r], variant, cfg, G[r]).member
-    )
+        d = (X - anchor.xb).T
+        for i, gi in tilde_grads:
+            rows.threshold(f"active_gradient_dot_{i}", _dot(gi, d), form, cfg.eps_feas)
+        rows.threshold("gradient_norm", rows.gnorm, operator.pos, cfg.eps_grad, above=True)
+        cd = rows.cosine_distance()
+        rows.report("cosine_distance", cd, cd <= cfg.eps_dir, shown=rows.gnorm > cfg.eps_grad)
+        return rows
+    base = variant.unconstrained_base
+    g0 = anchor.plain_g0
+    rows = _Rows(X, gradients(), anchor.xb, g0)
+    rows.decide(base, cfg)
+    return rows
 
 
 def enumerate_constrained(
@@ -405,11 +362,20 @@ def enumerate_constrained(
     """Grid enumeration of a primed/double-primed characterization."""
     pts = feasible_grid(cp, resolution, cfg)
     anchor = _Anchor(cp, as_point(xbar, cp.dimension), lam, variant, cfg)
-    return _enumerate(
-        pts,
-        lambda X: _members_constrained(cp, anchor, X, variant, cfg),
-        lambda x: _verdict_constrained(cp, anchor, x, variant, cfg),
-    )
+
+    def members(X):
+        # membership_constrained on rows that are all feasible: in the
+        # ground set and with every constraint at most eps_feas
+        anchor.g0  # the anchor hypothesis comes first
+        in_x1 = np.ones(len(X), dtype=bool)  # member_X1 on such rows
+        for i in anchor.tilde:
+            in_x1 &= ~(np.abs(evaluate_many(cp.constraints[i], X)) > cfg.eps_act)
+        rows = _conditions(
+            anchor, X, variant, cfg, lambda: grad_many(cp.objective, X, cp.dimension)
+        )
+        return in_x1 & rows.member
+
+    return _enumerate(pts, members)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

@@ -160,7 +160,7 @@ def load_problem(doc: dict):
         if key not in doc:
             raise ProblemFormatError(f"missing required key {key!r}")
     dim = doc["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ProblemFormatError("dimension must be a positive integer")
     if not isinstance(doc["objective"], str):
         raise ProblemFormatError("objective must be an expression string")

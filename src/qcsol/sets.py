@@ -8,13 +8,13 @@ atoms; curved sets are supported everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionError, NonPolyhedralError
-from .expr import _DOT_FLOOR, _DOT_SLACK, _row_dots
+from .expr import _dot, _norm
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,24 @@ def _atom_dim(atom: Atom) -> int:
     return len(atom.center)
 
 
+def _violations(atom: Atom, X: np.ndarray):
+    """Signed violations of one point (n,) or of each row of X (N, n);
+    <= 0 means the atom is satisfied."""
+    if isinstance(atom, Box):
+        below = np.max(np.asarray(atom.lo) - X, axis=-1)
+        above = np.max(X - np.asarray(atom.hi), axis=-1)
+        return np.where(above > below, above, below)  # builtin max(below, above)
+    if isinstance(atom, (Halfspace, LinearEquality)):
+        gap = _dot(atom.a, X.T) - atom.b
+        return abs(gap) if isinstance(atom, LinearEquality) else gap
+    if isinstance(atom, Ball):
+        return _norm([c - ci for c, ci in zip(X.T, atom.center)]) - atom.radius
+    raise TypeError(f"unknown atom {atom!r}")
+
+
 def atom_violation(atom: Atom, x: np.ndarray) -> float:
     """Signed violation; <= 0 means the atom is satisfied."""
-    if isinstance(atom, Box):
-        lo = np.asarray(atom.lo)
-        hi = np.asarray(atom.hi)
-        return float(max(np.max(lo - x), np.max(x - hi)))
-    if isinstance(atom, Halfspace):
-        return float(np.dot(atom.a, x) - atom.b)
-    if isinstance(atom, Ball):
-        return float(np.linalg.norm(x - np.asarray(atom.center)) - atom.radius)
-    if isinstance(atom, LinearEquality):
-        return float(abs(np.dot(atom.a, x) - atom.b))
-    raise TypeError(f"unknown atom {atom!r}")
+    return float(_violations(atom, np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,20 @@ def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> b
     return all(atom_violation(atom, xv) <= tol for atom in S.atoms)
 
 
+# The most nodes a grid may have: a larger one is refused before any
+# memory is allocated for it.
+MAX_GRID_NODES = 10**6
+
+
 def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
     """All nodes of the regular grid over the window, row-major order."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution ** len(window.lo) > MAX_GRID_NODES:
+        raise ValueError(
+            f"a grid of {resolution}^{len(window.lo)} nodes exceeds the limit "
+            f"of {MAX_GRID_NODES} nodes"
+        )
     axes = [
         np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
     ]
@@ -127,46 +142,16 @@ def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
     return list(np.stack(mesh, axis=-1).reshape(-1, len(axes)))
 
 
-def _atom_violations(atom: Atom, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """atom_violation of every row of X, by the same formula up to the
-    summation order of its dot products and norms, and how far each may
-    lie from atom_violation's."""
-    if isinstance(atom, Box):
-        below = np.max(np.asarray(atom.lo) - X, axis=1)
-        above = np.max(X - np.asarray(atom.hi), axis=1)
-        # builtin max(below, above); differences and maxima round alike
-        return np.where(above > below, above, below), np.zeros(len(X))
-    if isinstance(atom, Ball):
-        norms = np.linalg.norm(X - np.asarray(atom.center), axis=1)
-        slack = _DOT_SLACK * X.shape[1] * (norms + abs(atom.radius)) + _DOT_FLOOR
-        return norms - atom.radius, slack
-    if isinstance(atom, (Halfspace, LinearEquality)):
-        dots, slack = _row_dots(X, atom.a)
-        violations = dots - atom.b
-        if isinstance(atom, LinearEquality):
-            violations = np.abs(violations)
-        return violations, slack + _DOT_SLACK * abs(atom.b)
-    raise TypeError(f"unknown atom {atom!r}")
-
-
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """contains(S, x, tol) for every row of an (N, n) array X, as a mask.
-
-    Each atom is tested on all rows at once; a row whose violation lies
-    within rounding of tol is decided by atom_violation itself.
-    """
+    """contains(S, x, tol) for every row of an (N, n) array X, as a mask,
+    by the same formula on all rows at once."""
     if X.shape[1] != S.dimension:
         raise DimensionError(
             f"point has dimension {X.shape[1]}, set expects {S.dimension}"
         )
     keep = np.ones(len(X), dtype=bool)
     for atom in S.atoms:
-        violations, slack = _atom_violations(atom, X)
-        ok = violations <= tol
-        near = ~(np.abs(violations - tol) > slack)
-        for r in np.flatnonzero(near):
-            ok[r] = atom_violation(atom, X[r]) <= tol
-        keep &= ok
+        keep &= _violations(atom, X) <= tol
     return keep
 
 
@@ -188,30 +173,11 @@ def tangent_polar_at(
     """Tangent cone of a polyhedral X at x, as inequality rows.
 
     This equals the polar of the normal cone at x: directions y with
-    row . y <= 0 for every atom face active at x.
+    row . y <= 0 for each generator of normal_cone_generators (each face
+    active at x).
     """
-    if not X.polyhedral:
-        raise NonPolyhedralError("cone extraction needs a polyhedral set")
-    xv = np.asarray(x, dtype=float)
-    rows: List[tuple] = []
-    n = X.dimension
-    for atom in X.atoms:
-        if isinstance(atom, Halfspace):
-            if abs(np.dot(atom.a, xv) - atom.b) <= eps_act:
-                rows.append(tuple(float(c) for c in atom.a))
-        elif isinstance(atom, LinearEquality):
-            rows.append(tuple(float(c) for c in atom.a))
-            rows.append(tuple(-float(c) for c in atom.a))
-        elif isinstance(atom, Box):
-            for i in range(n):
-                unit = [0.0] * n
-                if abs(xv[i] - atom.hi[i]) <= eps_act:
-                    unit[i] = 1.0
-                    rows.append(tuple(unit))
-                elif abs(xv[i] - atom.lo[i]) <= eps_act:
-                    unit[i] = -1.0
-                    rows.append(tuple(unit))
-    return ConeRep(tuple(rows))
+    gens = normal_cone_generators(X, x, eps_act)
+    return ConeRep(tuple(tuple(float(c) for c in g) for g in gens))
 
 
 def normal_cone_generators(

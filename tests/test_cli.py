@@ -197,6 +197,37 @@ def test_window_is_a_check_convexity_option_only(capsys):
     assert _json_out(capsys)["quasiconvex"]["checked_pairs"] == 20
 
 
+def test_infinite_window_is_a_usage_error(capsys):
+    code = run(["check-convexity", "--example", "ex2_2", "--window=-inf,inf,-1,1",
+                "--pairs", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+    assert "Traceback" not in captured.err
+
+
+def test_oversized_grid_is_an_input_error(capsys):
+    # 100000^2 nodes would need a 74.5 GiB array
+    assert run(["oracle", "--example", "ex2_1", "--resolution", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+    assert "exceeds the limit" in captured.err
+
+
+def test_boolean_dimension_is_an_input_error(tmp_path, capsys):
+    doc = json.loads(Path(_write_problem(tmp_path, 1.0)).read_text())
+    doc["dimension"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+    assert "dimension" in captured.err
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")

@@ -1,8 +1,8 @@
-"""Parser, evaluator, and dual-number differentiation tests."""
+"""Parser, evaluator, and forward-mode differentiation tests."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
@@ -11,7 +11,6 @@ from qcsol.expr import (
     Add,
     Const,
     Div,
-    Dual,
     LinearIneq,
     Mul,
     Neg,
@@ -126,10 +125,9 @@ class TestGradient:
             assert grad(f, x) == pytest.approx(grad_fd(f, x), abs=1e-6)
 
     def test_dual_arithmetic(self):
-        d = Dual(3.0, 1.0)
-        out = d * d + Dual(2.0, 0.0) / d
-        assert out.val == pytest.approx(9.0 + 2.0 / 3.0)
-        assert out.dot == pytest.approx(6.0 - 2.0 / 9.0)
+        f = parse("x1 * x1 + 2 / x1", 1)
+        assert evaluate(f, [3.0]) == pytest.approx(9.0 + 2.0 / 3.0)
+        assert grad(f, [3.0]) == pytest.approx([6.0 - 2.0 / 9.0])
 
 
 SMOOTH = parse("x1^3 - 2*x1*x2 + sqrt(x2^2 + 1)", 2)
@@ -357,6 +355,19 @@ class TestGradMany:
             grad_many(f, np.ones((3, 2)), dimension=3)
 
 
+def test_gradient_values_are_evaluate_values():
+    # x1 - x1 is NaN at x1 = inf, with zero derivatives: abs of it is NaN
+    # for grad as for evaluate, so grad fails where evaluate fails
+    f = parse("abs(x1 - x1) + x2", 2)
+    x = [float("inf"), 1.0]
+    with pytest.raises(EvalError, match="non-finite value"):
+        evaluate(f, x)
+    with pytest.raises(EvalError, match="non-finite value"):
+        grad(f, x)
+    with pytest.raises(EvalError, match="non-finite value"):
+        grad_many(f, np.array([x]))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @given(_ASTS, _BATCHES)
 @settings(max_examples=200, deadline=None)
@@ -371,3 +382,70 @@ def test_grad_many_equals_rowwise_grad(f, rows):
             grad_many(f, X)
         assert type(info.value) is type(first_error)
         assert str(info.value) == str(first_error)
+
+
+# Random smooth ASTs: no piecewise and no abs, and sqrt only of a positive
+# argument (u^2 + 1), so that every derivative exists where grad succeeds.
+def _smooth_extend(children):
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(0, 3)),
+        st.builds(Neg, children),
+        children.map(lambda u: Sqrt(Add(Pow(u, 2), Const(1.0)))),
+    )
+
+
+_SMOOTH_ASTS = st.recursive(
+    st.one_of(
+        st.builds(Var, st.integers(1, 2)),
+        st.builds(Const, st.sampled_from([0.5, 1.0, 2.0, -3.0, 0.3])),
+    ),
+    _smooth_extend,
+    max_leaves=6,
+)
+
+
+def _to_sympy(e, sp, xs):
+    """The expression in sympy, every constant as the exact rational of its
+    float."""
+    if isinstance(e, Const):
+        return sp.Rational(e.value)
+    if isinstance(e, Var):
+        return xs[e.index - 1]
+    if isinstance(e, Neg):
+        return -_to_sympy(e.operand, sp, xs)
+    if isinstance(e, Sqrt):
+        return sp.sqrt(_to_sympy(e.operand, sp, xs))
+    if isinstance(e, Pow):
+        return _to_sympy(e.base, sp, xs) ** e.exponent
+    left, right = _to_sympy(e.left, sp, xs), _to_sympy(e.right, sp, xs)
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    if isinstance(e, Mul):
+        return left * right
+    return left / right
+
+
+@given(_SMOOTH_ASTS, st.floats(-2, 2), st.floats(-2, 2))
+@settings(max_examples=100, deadline=None)
+def test_grad_agrees_with_sympy(f, a, b):
+    # An independent check of the one derivative rule that grad and
+    # grad_many share: symbolic differentiation, evaluated exactly.
+    sp = pytest.importorskip("sympy")
+    try:
+        g = grad(f, [a, b], 2)
+    except EvalError:
+        assume(False)
+    xs = sp.symbols("x1 x2")
+    point = {xs[0]: sp.Rational(a), xs[1]: sp.Rational(b)}
+    symbolic = _to_sympy(f, sp, xs)
+    for i, s in enumerate(xs):
+        exact = sp.diff(symbolic, s).evalf(30, subs=point)
+        assume(exact.is_finite)
+        # rounding in the float evaluation, relative to the exact slope
+        assert abs(g[i] - float(exact)) <= 1e-6 * (1.0 + abs(float(exact))), (i, exact)

@@ -1,5 +1,7 @@
 """Convex set descriptors, grids, and polyhedral cones."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from qcsol.core import Problem
 from qcsol.errors import DimensionError, NonPolyhedralError
 from qcsol.registry import builtin_examples
 from qcsol.sets import (
+    MAX_GRID_NODES,
     Ball,
     Box,
     ConvexSetDescriptor,
@@ -68,6 +71,19 @@ class TestGrids:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             grid_nodes(Box((0.0,), (1.0,)), 1)
+
+    def test_grid_size_limit_is_checked_before_allocating(self):
+        cube = Box((0.0,) * 3, (1.0,) * 3)
+        assert 101 ** 3 > MAX_GRID_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                grid_nodes(cube, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(grid_nodes(Box((0.0,), (1.0,)), MAX_GRID_NODES // 100)) == MAX_GRID_NODES // 100
 
     def test_sample_grid_rectangle(self):
         # 9 nodes of [1,2]x[0,2] at resolution 3; exactly 7 satisfy x2 <= x1
