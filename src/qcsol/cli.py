@@ -159,6 +159,9 @@ def _cmd_verify_membership(args) -> int:
 
 
 def _cmd_check_convexity(args) -> int:
+    for flag, count in (("--pairs", args.pairs), ("--t-steps", args.t_steps)):
+        if count < 0:
+            raise UsageError(f"{flag} must be a nonnegative integer")
     problem, _, cfg = _load(args)
     window = _window(args, problem)
     quasi = convexity.check_quasiconvex(

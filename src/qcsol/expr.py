@@ -387,15 +387,55 @@ _FLOATS = (_pow, _nonzero, _sqrt, _sqrt_slope, _abs_slope, _branch)
 _COLUMNS = (_powers, _nonzero_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _branch_rows)
 
 
-@functools.lru_cache(maxsize=512)
-def _program(f: Expr, n: int):
-    """f compiled for n derivatives: (the float function, the column
-    function).  ASTs are frozen, so equal ones share their program."""
+_MEMO_SIZE = 512
+
+
+class _AstKey:
+    """An AST as a cache key, equal to another exactly when their reprs
+    are.  == on ASTs would equate Const(0.0) with Const(-0.0), whose
+    programs give zeros of different signs."""
+
+    __slots__ = ("ast", "text", "hash")
+
+    def __init__(self, ast: Expr):
+        self.ast = ast
+        self.text = repr(ast)
+        self.hash = hash(self.text)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.text == other.text
+
+
+_ast_keys: dict = {}  # id(f) -> _AstKey(f), for the ASTs seen most recently
+
+
+def _ast_key(f: Expr) -> _AstKey:
+    """f's cache key, built once per AST object: looking it up neither
+    hashes nor compares the tree."""
+    key = _ast_keys.get(id(f))
+    if key is None or key.ast is not f:
+        if len(_ast_keys) >= _MEMO_SIZE:
+            _ast_keys.clear()
+        key = _ast_keys[id(f)] = _AstKey(f)
+    return key
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _compiled(key: _AstKey, n: int):
     scope: dict = {}
     compiler = _Compiler(n)
-    exec(compile(compiler.source(f), "<qcsol expression>", "exec"), scope)
+    exec(compile(compiler.source(key.ast), "<qcsol expression>", "exec"), scope)
     build = scope["_build"]
     return build(*_FLOATS, *compiler.consts), build(*_COLUMNS, *compiler.consts)
+
+
+def _program(f: Expr, n: int):
+    """f compiled for n derivatives: (the float function, the column
+    function).  ASTs with equal reprs share their program."""
+    return _compiled(_ast_key(f), n)
 
 
 def _point(run, xv: np.ndarray):

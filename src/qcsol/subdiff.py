@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError, EvalError
-from .expr import ExprAst, evaluate, evaluate_many, grad
+from .expr import ExprAst, _dot, evaluate, evaluate_many, grad
 from .sets import Box, grid_nodes
 
 
@@ -30,8 +30,28 @@ class MLPair:
 
 
 def _grid_values(f: ExprAst, window: Box, resolution: int):
-    pts = grid_nodes(window, resolution)
-    return pts, evaluate_many(f, np.array(pts))
+    """The (N, n) array of grid nodes over the window, and f at each."""
+    X = np.array(grid_nodes(window, resolution))
+    return X, evaluate_many(f, X)
+
+
+def _directions(vs, dimension: int) -> np.ndarray:
+    """The directions vs as the rows of a (k, dimension) array."""
+    V = np.asarray(vs, dtype=float)
+    if V.size == 0:
+        return V.reshape(0, dimension)
+    if V.ndim != 2 or V.shape[1] != dimension:
+        raise ValueError(f"a direction must have {dimension} entries")
+    return V
+
+
+def _gp_members(V: np.ndarray, x0: np.ndarray, f0: float, grid, eps: float) -> np.ndarray:
+    """For each row v of V, whether no grid point x has v.(x - x0) >= -eps
+    and f(x) < f(x0) - eps."""
+    X, values = grid
+    steps = (X[values < f0 - eps] - x0).T
+    ahead = _dot(V.T[:, :, None], steps[:, None, :]) >= -eps
+    return ~np.any(ahead, axis=1)
 
 
 def gp_member(
@@ -52,13 +72,10 @@ def gp_member(
     if resolution < 3:
         raise ValueError("resolution must be >= 3")
     x0v = np.asarray(x0, dtype=float)
-    vv = np.asarray(v, dtype=float)
     f0 = evaluate(f, x0v)
-    pts, vals = _grid if _grid is not None else _grid_values(f, window, resolution)
-    for x, fx in zip(pts, vals):
-        if float(vv @ (x - x0v)) >= -cfg.eps_feas and fx < f0 - cfg.eps_feas:
-            return False
-    return True
+    grid = _grid if _grid is not None else _grid_values(f, window, resolution)
+    V = _directions([v], grid[0].shape[1])
+    return bool(_gp_members(V, x0v, f0, grid, cfg.eps_feas)[0])
 
 
 def default_gp_candidates(
@@ -99,69 +116,32 @@ def gp_solution_check(
     True certifies membership through a finite witness; False means no
     witness was found in the candidate family.
     """
+    if resolution < 3:
+        raise ValueError("resolution must be >= 3")
     window = window or p.domain_window
     xb = as_point(xbar, p.dimension)
     xv = as_point(x, p.dimension)
     if candidate_vs is None:
         candidate_vs = default_gp_candidates(p.objective, xb, xv, p.dimension, cfg)
     grid = _grid if _grid is not None else _grid_values(p.objective, window, resolution)
-    for v in candidate_vs:
-        vv = np.asarray(v, dtype=float)
-        if abs(float(vv @ (xv - xb))) > cfg.eps_feas:
-            continue
-        if gp_member(p.objective, xb, vv, window, resolution, cfg, _grid=grid) and (
-            gp_member(p.objective, xv, vv, window, resolution, cfg, _grid=grid)
-        ):
-            return True
-    return False
+    V = _directions(candidate_vs, p.dimension)
+    eps = cfg.eps_feas
+    # f(xbar) and f(x) are evaluated only once some candidate needs them
+    V = V[~(np.abs(_dot(V.T, xv - xb)) > eps)]
+    for point in (xb, xv):
+        if len(V):
+            V = V[_gp_members(V, point, evaluate(p.objective, point), grid, eps)]
+    return bool(len(V))
 
 
-@dataclass(frozen=True)
-class _WindowValues:
-    """f on the 1-D window grid, and at the edge-trend points and the
-    tested points, evaluated once for every pair."""
-
-    ys: np.ndarray
-    values: np.ndarray  # f at ys
-    at: dict            # point -> f(point)
-
-
-def _trend_points(window: Box, resolution: int) -> dict:
+def _trend_points(lo: float, hi: float, resolution: int) -> dict:
     """edge -> (outer, inner): the window edge and its grid neighbour."""
-    lo, hi = window.lo[0], window.hi[0]
     step = (hi - lo) / (resolution - 1)
     return {"lo": (lo, lo + step), "hi": (hi, hi - step)}
 
 
-def _window_values(
-    f: ExprAst, window: Box, resolution: int, points: Sequence[float]
-) -> Optional[_WindowValues]:
-    """Every value the ML route can read for these points, in one batch.
-
-    None when any of them fails to evaluate: the per-pair path then
-    evaluates, and raises at, exactly the points it always did.
-    """
-    ys = np.linspace(window.lo[0], window.hi[0], resolution)
-    trend = _trend_points(window, resolution)
-    scalars = [y for edge in trend.values() for y in edge] + list(points)
-    try:
-        vals = evaluate_many(f, np.concatenate([ys, scalars])[:, None])
-    except EvalError:
-        return None
-    return _WindowValues(ys, vals[: len(ys)], dict(zip(scalars, vals[len(ys):])))
-
-
-def _value(f: ExprAst, y: float, grid: Optional[_WindowValues]) -> float:
-    return evaluate(f, [y]) if grid is None else grid.at[y]
-
-
 def _halfline_inf(
-    f: ExprAst,
-    pair: MLPair,
-    window: Box,
-    resolution: int,
-    cfg: Config,
-    _grid: Optional[_WindowValues] = None,
+    f: ExprAst, pair: MLPair, window: Box, resolution: int, cfg: Config
 ) -> float:
     """Infimum of f over {y : v y >= t} clipped to the window grid.
 
@@ -171,7 +151,7 @@ def _halfline_inf(
     documented heuristic, not a proof.
     """
     lo, hi = window.lo[0], window.hi[0]
-    ys = np.linspace(lo, hi, resolution) if _grid is None else _grid.ys
+    ys = np.linspace(lo, hi, resolution)
     v, t = pair.v, pair.t
     if v > 0.0:
         cut = t / v
@@ -193,14 +173,12 @@ def _halfline_inf(
         mask = np.zeros_like(ys, dtype=bool)
 
     for edge in tail_edges:
-        outer, inner = _trend_points(window, resolution)[edge]
-        if _value(f, outer, _grid) < _value(f, inner, _grid) - cfg.eps_feas:
+        outer, inner = _trend_points(lo, hi, resolution)[edge]
+        if evaluate(f, [outer]) < evaluate(f, [inner]) - cfg.eps_feas:
             return float("-inf")
 
     if not mask.any():
         return float("inf")
-    if _grid is not None:
-        return float(_grid.values[mask].min())
     return float(min(evaluate(f, [y]) for y in ys[mask]))
 
 
@@ -211,20 +189,71 @@ def ml_member_1d(
     window: Box,
     resolution: int = 201,
     cfg: Config = DEFAULT_CONFIG,
-    _grid: Optional[_WindowValues] = None,
 ) -> bool:
-    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x.
-
-    A precomputed _WindowValues holding f(x) can be passed to amortize the
-    evaluations over many pairs.
-    """
+    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x."""
     if len(window.lo) != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if pair.v * x < pair.t - cfg.eps_feas:
         return False
-    fx = _value(f, x, _grid)
-    inf_val = _halfline_inf(f, pair, window, resolution, cfg, _grid)
+    fx = evaluate(f, [x])
+    inf_val = _halfline_inf(f, pair, window, resolution, cfg)
     return inf_val >= fx - cfg.eps_feas
+
+
+@dataclass(frozen=True)
+class _Window:
+    """f on the grid of a 1-D window, reduced to what every halfline
+    infimum reads: the grid, the running minima of the values from either
+    end, and the values at the edge-trend points."""
+
+    ys: np.ndarray
+    prefix_min: np.ndarray  # prefix_min[i] = min(values[: i + 1])
+    suffix_min: np.ndarray  # suffix_min[i] = min(values[i:])
+    trend: tuple            # f at lo, lo + step, hi, hi - step
+
+
+def _window(f: ExprAst, lo: float, hi: float, resolution: int) -> Optional[_Window]:
+    """The window of f over [lo, hi] in one batch; None when some of its
+    points fails to evaluate."""
+    ys = np.linspace(lo, hi, resolution)
+    trend = _trend_points(lo, hi, resolution)
+    points = [y for edge in trend.values() for y in edge]
+    try:
+        values = evaluate_many(f, np.concatenate([ys, points])[:, None])
+    except EvalError:
+        return None
+    grid = values[:resolution]
+    return _Window(
+        ys,
+        np.minimum.accumulate(grid),
+        np.minimum.accumulate(grid[::-1])[::-1],
+        tuple(values[resolution:].tolist()),
+    )
+
+
+def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
+    """_halfline_inf of every pair (V[i], T[i]) on the window w."""
+    ys = w.ys
+    lo, hi = ys[0], ys[-1]
+    pos, neg = V > 0.0, V < 0.0
+    zero = ~(pos | neg)
+    with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 takes no cut
+        cut = T / V
+    # the grid part of the region: ys[start:] for v > 0, ys[:stop] for v < 0
+    start = np.searchsorted(ys, cut - eps, side="left")
+    stop = np.where(np.isnan(cut), 0, np.searchsorted(ys, cut + eps, side="right"))
+    inside = zero | (pos & (start < len(ys))) | (neg & (stop > 0))
+    inner = np.where(
+        pos,
+        w.suffix_min[np.minimum(start, len(ys) - 1)],
+        np.where(neg, w.prefix_min[np.maximum(stop - 1, 0)], w.suffix_min[0]),
+    )
+    lo_tail = np.where(inside, ~pos | (cut < lo), pos & (cut < lo))
+    hi_tail = np.where(inside, ~neg | (cut > hi), ~lo_tail)
+    lo_out, lo_in, hi_out, hi_in = w.trend
+    falls = (lo_tail & (lo_out < lo_in - eps)) | (hi_tail & (hi_out < hi_in - eps))
+    inf = np.where(falls, -np.inf, np.where(inside, inner, np.inf))
+    return np.where(zero & (T > 0.0), np.inf, inf)  # empty constraint region
 
 
 def default_ml_pairs(
@@ -272,15 +301,44 @@ def ml_solution_check_1d(
     if candidate_pairs is None:
         candidate_pairs = _ml_pairs(window.lo[0], window.hi[0])
     f = p.objective
-    grid = _window_values(f, window, resolution, [x, xbar] if form == "M1" else [x])
+    if len(window.lo) != 1:
+        raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
+    w = _window(f, window.lo[0], window.hi[0], resolution)
+    if w is None:
+        return _ml_check_per_pair(f, xbar, x, candidate_pairs, window, resolution, cfg, form)
+    eps = cfg.eps_feas
+    V = np.array([pair.v for pair in candidate_pairs], dtype=float)
+    T = np.array([pair.t for pair in candidate_pairs], dtype=float)
+    inf = _halfline_infima(w, V, T, eps)
+
+    def members(point: float, among: np.ndarray) -> np.ndarray:
+        # f(point) is evaluated only when some pair passes v * point >= t
+        paired = among & ~(V * point < T - eps)
+        if not paired.any():
+            return paired
+        return paired & (inf >= evaluate(f, [point]) - eps)
+
+    at_x = members(x, np.ones(len(V), dtype=bool))
+    if not at_x.any():
+        return False
+    if form == "M2":
+        return bool(np.any(at_x & (V * xbar >= T - eps)))
+    if form != "M1":
+        raise ValueError("form must be 'M1' or 'M2'")
+    return bool(members(xbar, at_x).any())
+
+
+def _ml_check_per_pair(f, xbar, x, candidate_pairs, window, resolution, cfg, form) -> bool:
+    """ml_solution_check_1d pair by pair, evaluating f only where
+    ml_member_1d does: for windows where f fails somewhere."""
     for pair in candidate_pairs:
-        if not ml_member_1d(f, x, pair, window, resolution, cfg, _grid=grid):
+        if not ml_member_1d(f, x, pair, window, resolution, cfg):
             continue
         if form == "M2":
             if pair.v * xbar >= pair.t - cfg.eps_feas:
                 return True
         elif form == "M1":
-            if ml_member_1d(f, xbar, pair, window, resolution, cfg, _grid=grid):
+            if ml_member_1d(f, xbar, pair, window, resolution, cfg):
                 return True
         else:
             raise ValueError("form must be 'M1' or 'M2'")

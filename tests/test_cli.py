@@ -207,6 +207,17 @@ def test_infinite_window_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag,value", [("--pairs", "-3"), ("--t-steps", "-2")])
+def test_negative_sampler_size_is_a_usage_error(capsys, flag, value):
+    code = run(["check-convexity", "--example", "ex2_3", "--pairs", "5", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "usage", "message": f"{flag} must be a nonnegative integer"
+    }
+
+
 def test_oversized_grid_is_an_input_error(capsys):
     # 100000^2 nodes would need a 74.5 GiB array
     assert run(["oracle", "--example", "ex2_1", "--resolution", "100000"]) == 2

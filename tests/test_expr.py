@@ -1,5 +1,7 @@
 """Parser, evaluator, and forward-mode differentiation tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -449,3 +451,28 @@ def test_grad_agrees_with_sympy(f, a, b):
         assume(exact.is_finite)
         # rounding in the float evaluation, relative to the exact slope
         assert abs(g[i] - float(exact)) <= 1e-6 * (1.0 + abs(float(exact))), (i, exact)
+
+
+class TestCompileMemo:
+    def test_signed_zero_constants_compile_apart(self):
+        # Const(0.0) == Const(-0.0), but their programs differ in the sign
+        # of a zero result
+        plus, minus = Mul(Const(0.0), Var(1)), Mul(Const(-0.0), Var(1))
+        assert plus == minus
+        for _ in range(2):
+            for f, sign in ((plus, 1.0), (minus, -1.0)):
+                assert math.copysign(1.0, evaluate(f, [1.0])) == sign
+                assert math.copysign(1.0, evaluate_many(f, np.array([[1.0]]))[0]) == sign
+
+    def test_a_call_does_not_hash_the_tree(self, monkeypatch):
+        f = parse("sqrt(x1^2 + x2^2) + x1 * x2", 2)
+        evaluate(f, [0.3, 0.4])
+        grad(f, [0.3, 0.4])
+        hashes = []
+        for node in (Add, Mul, Pow, Sqrt, Var):
+            monkeypatch.setattr(node, "__hash__", lambda self: hashes.append(self) or 0)
+        for _ in range(3):
+            evaluate(f, [0.3, 0.4])
+            grad(f, [0.3, 0.4])
+            evaluate_many(f, np.array([[0.3, 0.4]]))
+        assert hashes == []

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qcsol import subdiff
-from qcsol.config import DEFAULT_CONFIG
+from qcsol.config import DEFAULT_CONFIG, Config
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, EvalError
-from qcsol.expr import evaluate, parse
+from qcsol.expr import _dot, evaluate, parse
 from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, grid_nodes
 from qcsol.subdiff import (
@@ -215,3 +215,110 @@ class TestSharedWindowValues:
         with pytest.raises(EvalError) as scalar:
             [evaluate(g, x) for x in grid_nodes(w, 5)]
         assert str(batch.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# The array routes against per-point and per-pair references
+# ---------------------------------------------------------------------------
+
+
+def _ref_gp_member(f, x0, v, grid, eps):
+    """The per-point GP loop."""
+    X, values = grid
+    f0 = evaluate(f, x0)
+    for x, fx in zip(X, values):
+        if _dot(v, x - x0) >= -eps and fx < f0 - eps:
+            return False
+    return True
+
+
+def _ref_gp_check(p, xbar, x, candidates, grid, cfg):
+    """The per-candidate GP loop."""
+    eps = cfg.eps_feas
+    xb, xv = np.asarray(xbar, dtype=float), np.asarray(x, dtype=float)
+    for v in candidates:
+        v = np.asarray(v, dtype=float)
+        if abs(_dot(v, xv - xb)) > eps:
+            continue
+        if _ref_gp_member(p.objective, xb, v, grid, eps) and (
+            _ref_gp_member(p.objective, xv, v, grid, eps)
+        ):
+            return True
+    return False
+
+
+def test_gp_route_equals_per_point_loop(quadrant):
+    p, xbar = quadrant.problem, quadrant.anchor
+    grid = subdiff._grid_values(p.objective, p.domain_window, 21)
+    assert grid[0].shape == (441, 2)
+    # equal components make exact ties with the left-to-right dot product
+    custom = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.6), (0.3, -0.3), (0.7, 0.1), (-0.6, 0.8)]
+    seen = set()
+    for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
+        for x in grid[0]:
+            for cands in (None, custom):
+                want_cands = cands
+                if cands is None:
+                    want_cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
+                got = gp_solution_check(p, xbar, x, cands, _grid=grid, cfg=cfg)
+                assert got is _ref_gp_check(p, xbar, x, want_cands, grid, cfg), (cfg, x, cands)
+                seen.add(got)
+        for x in grid[0][::7]:
+            for v in custom:
+                got = gp_member(p.objective, x, v, p.domain_window, cfg=cfg)
+                assert got is _ref_gp_member(p.objective, x, np.asarray(v), grid, cfg.eps_feas)
+    assert seen == {True, False}
+
+
+def test_gp_rejects_directions_of_another_dimension(quadrant):
+    p, xbar = quadrant.problem, quadrant.anchor
+    with pytest.raises(ValueError):
+        gp_solution_check(p, xbar, (0.0, -1.0), [(1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError):
+        gp_member(p.objective, xbar, (1.0,), p.domain_window)
+    assert gp_solution_check(p, xbar, (0.0, -1.0), []) is False
+
+
+def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
+    window = Box((-1.0,), (1.5,))
+    resolution = 11
+    ys = [float(y) for y in np.linspace(-1.0, 1.5, resolution)]
+    # v < 0, v = 0 and v > 0; t > 0 with v = 0; cuts outside the window
+    # on both sides; and cuts exactly at grid nodes, where the side of
+    # each comparison decides which node the halfline takes
+    pairs = [MLPair(v, t) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)
+             for t in (-5.0, -1.0, 0.0, 0.3, 5.0)]
+    pairs += [MLPair(1.0, y) for y in ys] + [MLPair(-1.0, -y) for y in ys]
+    values = {}
+    real_evaluate = evaluate
+
+    def evaluate_once(f, x):  # the reference makes the same few calls often
+        key = (id(f), float(x[0]))
+        if key not in values:
+            values[key] = real_evaluate(f, x)
+        return values[key]
+
+    monkeypatch.setattr(subdiff, "evaluate", evaluate_once)
+    seen = set()
+    for text in ("(x1 - 0.2)^2 - x1^3", "abs(x1 - 0.5)", "x1"):
+        p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, window)
+        for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
+            eps = cfg.eps_feas
+            verdicts = {}
+            for pair in pairs:
+                for y in ys + [-2.0, 2.0]:
+                    verdicts[pair, y] = ml_member_1d(p.objective, y, pair, window, resolution, cfg)
+            for xbar in (-1.0, 0.2, 1.5):
+                for x in ys + [-2.0, 2.0]:
+                    for form in ("M1", "M2"):
+                        got = ml_solution_check_1d(p, xbar, x, pairs, window, resolution, cfg, form)
+                        want = any(
+                            verdicts[pair, x]
+                            and (pair.v * xbar >= pair.t - eps if form == "M2"
+                                 else ml_member_1d(p.objective, xbar, pair, window,
+                                                   resolution, cfg))
+                            for pair in pairs
+                        )
+                        assert got is want, (text, cfg, xbar, x, form)
+                        seen.add(got)
+    assert seen == {True, False}
