@@ -91,19 +91,19 @@ def membership(
     Residuals are signed slacks, one per named condition; the verdict is
     positive iff every condition holds within its tolerance.
     """
-    _reject_multiplier_variant(variant)
-    g0 = check_anchor_hypothesis(p, xbar, variant, cfg)
-    xb = as_point(xbar, p.dimension)
+    xb, g0 = _plain_anchor(p, xbar, variant, cfg)
     xv = as_point(x, p.dimension)
     in_S = contains(p.feasible_set, xv, cfg.eps_feas)
     return _verdict(p, xb, g0, xv, variant, in_S, cfg)
 
 
-def _reject_multiplier_variant(variant: CharacVariant) -> None:
+def _plain_anchor(p: Problem, xbar, variant: CharacVariant, cfg: Config):
+    """A plain variant's anchor as a point, and its checked gradient."""
     if variant not in _CONDITIONS:
         raise ValueError(
             f"{variant.value} needs a multiplier; use kkt.membership_constrained"
         )
+    return as_point(xbar, p.dimension), check_anchor_hypothesis(p, xbar, variant, cfg)
 
 
 # The conditions of each plain variant, in the order of their residuals.
@@ -157,8 +157,7 @@ def _verdict(
     its gradient g0 and the feasibility in_S of xv."""
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
-        rows = _Rows(xv, g, xb, g0)
-        rows.decide(variant, cfg)
+        rows = _Rows(xv, g, xb, g0).decide(variant, cfg)
     residuals = {"in_feasible_set": 0.0 if in_S else 1.0, **rows.point()}
     return MembershipVerdict(
         tuple(float(c) for c in xv), variant, bool(in_S and rows.member), residuals
@@ -202,7 +201,7 @@ class _Rows:
         t = form(value)
         self.report(name, value, t > limit if above else t <= limit)
 
-    def decide(self, variant: CharacVariant, cfg: Config) -> None:
+    def decide(self, variant: CharacVariant, cfg: Config) -> "_Rows":
         for name in _CONDITIONS[variant]:
             if name == "same_direction":
                 self.same_direction(cfg)
@@ -211,6 +210,7 @@ class _Rows:
             else:
                 key, form, tol, above = _THRESHOLDS[name]
                 self.threshold(key, self.values[key], form, getattr(cfg, tol), above)
+        return self
 
     def cosine_distance(self):
         return 1.0 - _dot(self.G, self.g0) / (self.gnorm * self.g0norm)
@@ -241,14 +241,21 @@ class _Rows:
         }
 
 
-def _enumerate(pts: Sequence[np.ndarray], members) -> List[tuple]:
-    """The points of pts whose rows members(X) marks, X the points as rows."""
-    if not pts:
+def _enumerate(X: np.ndarray, members) -> List[tuple]:
+    """The rows of the (N, n) array X that members(X) marks, as tuples."""
+    if not len(X):
         return []
-    X = np.array(pts, dtype=float)
     with np.errstate(all="ignore"):
-        member = members(X)
-    return [tuple(float(c) for c in x) for x in X[member]]
+        return list(map(tuple, X[members(X)].tolist()))
+
+
+def _enumerate_grid(p: Problem, xb, g0, variant: CharacVariant, X: np.ndarray, cfg: Config):
+    """The rows of the feasible grid X in the variant's set; xb, g0 from _plain_anchor."""
+
+    def members(X):
+        return _Rows(X, grad_many(p.objective, X, p.dimension), xb, g0).decide(variant, cfg).member
+
+    return _enumerate(X, members)
 
 
 def enumerate_solution_set(
@@ -259,18 +266,10 @@ def enumerate_solution_set(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid points of the domain window whose membership verdict is positive."""
-    _reject_multiplier_variant(variant)
-    g0 = check_anchor_hypothesis(p, xbar, variant, cfg)
-    xb = as_point(xbar, p.dimension)
+    xb, g0 = _plain_anchor(p, xbar, variant, cfg)
     # sample_grid keeps exactly the points that contains() accepts at eps_feas
-    pts = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
-
-    def members(X):
-        rows = _Rows(X, grad_many(p.objective, X, p.dimension), xb, g0)
-        rows.decide(variant, cfg)
-        return rows.member
-
-    return _enumerate(pts, members)
+    X = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
+    return _enumerate_grid(p, xb, g0, variant, X, cfg)
 
 
 @dataclass(frozen=True)

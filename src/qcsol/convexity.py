@@ -112,7 +112,7 @@ def check_levelset_convex(
     """Midpoint convexity of the lower level set {f <= alpha} on the grid."""
     if resolution < 3:
         raise ValueError("resolution must be >= 3")
-    nodes = np.array(grid_nodes(window, resolution))
+    nodes = grid_nodes(window, resolution)
     level = nodes[evaluate_many(f, nodes) <= alpha]
     holds = True
     for I, J in _index_pairs(len(level)):

@@ -213,10 +213,13 @@ class _Compiler:
             if e.exponent == 0:
                 return "1.0", ["0.0"] * n
             k = self.const(e.exponent)
-            v = self.value(f"POW({b}, {k})")
             if not n:
-                return v, []
-            slope = self.value(f"{k} * POW({b}, {self.const(e.exponent - 1)})")
+                return self.value(f"POW({b}, {k})"), []
+            # b^k and b^(k-1) in one call, which reads b once
+            v, lower = f"v{self.temps}", f"w{self.temps}"
+            self.temps += 1
+            self.lines.append(f"{v}, {lower} = POW({b}, {k}, {self.const(e.exponent - 1)})")
+            slope = self.value(f"{k} * {lower}")
             return v, self.derivs(f"{slope} * {a}" for a in bd)
         if isinstance(e, Neg):
             o, od = self.node(e.operand)
@@ -260,9 +263,10 @@ def _at(x) -> tuple:
     return tuple(np.array(x, dtype=float))
 
 
-def _pow(base: float, k: int) -> float:
+def _pow(base: float, k: int, lower: Optional[int] = None):
+    """base ** k, or the pair (base ** k, base ** lower)."""
     try:
-        return base ** k
+        return base ** k if lower is None else (base ** k, base ** lower)
     except OverflowError:
         raise EvalError("power overflows") from None
 
@@ -318,14 +322,19 @@ def _branch(x, hits, branches, n):
 # The column helpers: many points, each coordinate a numpy column.  A row
 # raises here iff the float helpers raise at it.
 
-def _powers(base, k: int) -> np.ndarray:
-    """Python's float ** int (libm pow) of every entry, once per distinct
-    bit pattern; np.power differs from it in the last bit on some inputs."""
+def _powers(base, k: int, lower: Optional[int] = None):
+    """_pow on every entry: Python's float ** int (libm pow), once per
+    distinct bit pattern, the pair's two powers from one np.unique pass;
+    np.power differs from it in the last bit on some inputs."""
     bits, inverse = np.unique(
         np.ascontiguousarray(base).view(np.int64), return_inverse=True
     )
+    floats = bits.view(np.float64).tolist()
     try:
-        return np.array([b ** k for b in bits.view(np.float64).tolist()])[inverse]
+        value = np.array([b ** k for b in floats])[inverse]
+        if lower is None:
+            return value
+        return value, np.array([b ** lower for b in floats])[inverse]
     except OverflowError:
         raise EvalError("power overflows") from None
 

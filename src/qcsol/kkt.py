@@ -65,16 +65,16 @@ def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool
 
 def feasible_grid(
     cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
-) -> List[np.ndarray]:
-    """Grid nodes of the window that is_feasible accepts, in grid order.
+) -> np.ndarray:
+    """Grid nodes of the window that is_feasible accepts, as the rows of
+    an (N, n) array in grid order.
 
     The ground set is tested on all nodes at once and each constraint is
     evaluated once on the nodes in it; when the nodes are not all finite
     or an evaluation fails, the nodes are tested one by one, so that the
     error is the one is_feasible raises at the first failing node.
     """
-    nodes = grid_nodes(cp.domain_window, resolution)
-    X = np.array(nodes, dtype=float)
+    X = grid_nodes(cp.domain_window, resolution)
     if np.all(np.isfinite(X)):
         try:
             keep = contains_many(cp.ground_set, X, cfg.eps_feas)
@@ -84,8 +84,8 @@ def feasible_grid(
         except QcsolError:
             pass
         else:
-            return [x for x, k in zip(nodes, keep) if k]
-    return [x for x in nodes if is_feasible(cp, x, cfg)]
+            return X[keep]
+    return X[[is_feasible(cp, x, cfg) for x in X]]
 
 
 def active_set(
@@ -344,11 +344,8 @@ def _conditions(
         cd = rows.cosine_distance()
         rows.report("cosine_distance", cd, cd <= cfg.eps_dir, shown=rows.gnorm > cfg.eps_grad)
         return rows
-    base = variant.unconstrained_base
-    g0 = anchor.plain_g0
-    rows = _Rows(X, gradients(), anchor.xb, g0)
-    rows.decide(base, cfg)
-    return rows
+    base, g0 = variant.unconstrained_base, anchor.plain_g0
+    return _Rows(X, gradients(), anchor.xb, g0).decide(base, cfg)
 
 
 def enumerate_constrained(
@@ -360,7 +357,7 @@ def enumerate_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
-    pts = feasible_grid(cp, resolution, cfg)
+    X = feasible_grid(cp, resolution, cfg)
     anchor = _Anchor(cp, as_point(xbar, cp.dimension), lam, variant, cfg)
 
     def members(X):
@@ -375,7 +372,7 @@ def enumerate_constrained(
         )
         return in_x1 & rows.member
 
-    return _enumerate(pts, members)
+    return _enumerate(X, members)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

@@ -8,11 +8,11 @@ validated against it by exact set comparison on the same grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .charac import enumerate_solution_set
+from .charac import _enumerate_grid, _plain_anchor
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem, as_point
 from .errors import EmptyGridError
@@ -28,7 +28,7 @@ class OracleResult:
     grid_size: int
 
 
-def _grid_of(p: Union[Problem, ConstrainedProblem], resolution: int, cfg: Config):
+def _grid_of(p: Union[Problem, ConstrainedProblem], resolution: int, cfg: Config) -> np.ndarray:
     if isinstance(p, ConstrainedProblem):
         return feasible_grid(p, resolution, cfg)
     return sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
@@ -41,17 +41,18 @@ def brute_force_solutions(
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleResult:
     """Exhaustive minimization over the feasible grid."""
-    pts = _grid_of(p, resolution, cfg)
-    if not pts:
+    return _minimize(p, _grid_of(p, resolution, cfg), eps_opt)
+
+
+def _minimize(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float) -> OracleResult:
+    """The oracle on the feasible grid X, an (N, n) array."""
+    if not len(X):
         raise EmptyGridError("no feasible grid point in the window")
-    values = evaluate_many(p.objective, np.array(pts)).tolist()
-    vmin = min(values)
-    sols = tuple(
-        tuple(float(c) for c in x)
-        for x, v in zip(pts, values)
-        if v <= vmin + eps_opt
-    )
-    return OracleResult(float(vmin), sols, len(pts))
+    values = evaluate_many(p.objective, X)
+    # the builtin min keeps the first of equal minima: a zero keeps its sign
+    vmin = min(values.tolist())
+    sols = tuple(map(tuple, X[values <= vmin + eps_opt].tolist()))
+    return OracleResult(vmin, sols, len(X))
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,15 @@ def agreement(
     eps_opt: float = 1e-9,
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleAgreement:
-    """Symmetric difference of the oracle set and one enumerated variant."""
-    result = brute_force_solutions(p, resolution, eps_opt, cfg)
+    """Symmetric difference of the oracle set and one enumerated variant on one grid."""
+    X = _grid_of(p, resolution, cfg)
+    result = _minimize(p, X, eps_opt)
     xb = as_point(xbar, p.dimension)
     if evaluate(p.objective, xb) > result.min_value + eps_opt:
         raise ValueError(
             f"anchor {tuple(xb)} is not in the oracle solution set"
         )
-    enumerated = set(enumerate_solution_set(p, xbar, variant, resolution, cfg))
+    enumerated = set(_enumerate_grid(p, *_plain_anchor(p, xbar, variant, cfg), variant, X, cfg))
     oracle_set = set(result.solution_points)
     missing = tuple(sorted(oracle_set - enumerated))
     extra = tuple(sorted(enumerated - oracle_set))

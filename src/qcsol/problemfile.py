@@ -207,7 +207,7 @@ def _probe_nonempty(S: ConvexSetDescriptor, window: Box, known):
         if not contains(S, known, 1e-9):
             raise ProblemFormatError("known_solution is not in the feasible set")
         return
-    if not sample_grid(S, window, 9):
+    if not len(sample_grid(S, window, 9)):
         raise ProblemFormatError(
             "feasible set appears empty on a coarse window probe"
         )

@@ -126,8 +126,8 @@ def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> b
 MAX_GRID_NODES = 10**6
 
 
-def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
-    """All nodes of the regular grid over the window, row-major order."""
+def grid_nodes(window: Box, resolution: int) -> np.ndarray:
+    """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if resolution ** len(window.lo) > MAX_GRID_NODES:
@@ -139,7 +139,7 @@ def grid_nodes(window: Box, resolution: int) -> List[np.ndarray]:
         np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return list(np.stack(mesh, axis=-1).reshape(-1, len(axes)))
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -157,14 +157,14 @@ def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> n
 
 def sample_grid(
     S: ConvexSetDescriptor, window: Box, resolution: int, tol: float = 1e-9
-) -> List[np.ndarray]:
-    """Grid nodes of the window that belong to S; deterministic order.
+) -> np.ndarray:
+    """Grid nodes of the window that belong to S, as (N, n) rows in grid order.
 
     Equal to filtering grid_nodes(window, resolution) through
     contains(S, x, tol).
     """
-    X = np.array(grid_nodes(window, resolution), dtype=float)
-    return list(X[contains_many(S, X, tol)])
+    X = grid_nodes(window, resolution)
+    return X[contains_many(S, X, tol)]
 
 
 def tangent_polar_at(

@@ -31,7 +31,7 @@ class MLPair:
 
 def _grid_values(f: ExprAst, window: Box, resolution: int):
     """The (N, n) array of grid nodes over the window, and f at each."""
-    X = np.array(grid_nodes(window, resolution))
+    X = grid_nodes(window, resolution)
     return X, evaluate_many(f, X)
 
 
@@ -167,10 +167,9 @@ def _halfline_inf(
         mask = np.ones_like(ys, dtype=bool)
         tail_edges = ["lo", "hi"]
     if not mask.any():
-        # region lies entirely outside the window; fall back to the
-        # nearest edge trend
-        tail_edges = ["lo" if (v > 0 and t / v < lo) else "hi"]
-        mask = np.zeros_like(ys, dtype=bool)
+        # region lies entirely outside the window, past hi for v > 0 and
+        # past lo for v < 0; fall back to the trend at that edge
+        tail_edges = ["hi" if v > 0 else "lo"]
 
     for edge in tail_edges:
         outer, inner = _trend_points(lo, hi, resolution)[edge]
@@ -248,8 +247,8 @@ def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np
         w.suffix_min[np.minimum(start, len(ys) - 1)],
         np.where(neg, w.prefix_min[np.maximum(stop - 1, 0)], w.suffix_min[0]),
     )
-    lo_tail = np.where(inside, ~pos | (cut < lo), pos & (cut < lo))
-    hi_tail = np.where(inside, ~neg | (cut > hi), ~lo_tail)
+    lo_tail = np.where(inside, ~pos | (cut < lo), neg)
+    hi_tail = np.where(inside, ~neg | (cut > hi), pos)
     lo_out, lo_in, hi_out, hi_in = w.trend
     falls = (lo_tail & (lo_out < lo_in - eps)) | (hi_tail & (hi_out < hi_in - eps))
     inf = np.where(falls, -np.inf, np.where(inside, inner, np.inf))

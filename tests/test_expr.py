@@ -327,10 +327,15 @@ class TestGradMany:
 
     def test_flat_kink_differentiates_and_sharp_kink_raises(self):
         # sqrt(x1^2) has derivative 0 at 0 (the dual part of x1^2 vanishes
-        # there); abs(x1) carries a nonzero dual part into its kink
+        # there); abs(x1) carries a nonzero dual part into its kink.  That
+        # sqrt(x1^2) = |x1| and the norm pass their kinks as smooth points
+        # is a known limit of the d == 0 slope rule (docs/grammar.md)
         smooth, sharp = parse("sqrt(x1^2)", 1), parse("abs(x1)", 1)
         assert _bits(grad(smooth, [0.0])) == _bits([0.0])
         assert _bits(grad_many(smooth, np.array([[0.0], [-2.0]])).ravel()) == _bits([0.0, -1.0])
+        norm = parse("sqrt(x1^2 + x2^2)", 2)
+        assert _bits(grad(norm, [0.0, 0.0])) == _bits([0.0, 0.0])
+        assert _bits(grad_many(norm, np.zeros((1, 2))).ravel()) == _bits([0.0, 0.0])
         with pytest.raises(EvalError, match="abs not differentiable at zero"):
             grad(sharp, [0.0])
         with pytest.raises(EvalError, match="abs not differentiable at zero"):

@@ -9,6 +9,7 @@ from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector
 from qcsol import charac, expr, kkt
 from qcsol.errors import (
+    EvalError,
     HypothesisViolatedError,
     InfeasibleError,
     NoMultiplierError,
@@ -247,6 +248,8 @@ def _feasible_cases(window):
     )
     unbounded = Box((-np.inf, -1.0), (1.0, 1.0))
     yield pytest.param(ConstrainedProblem(disk.objective, two, tilted, 2, unbounded), id="inf")
+    never = (parse("x1^2 + x2^2 + 1", 2),)  # no node is feasible
+    yield pytest.param(ConstrainedProblem(disk.objective, never, tilted, 2, window), id="empty")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -259,6 +262,26 @@ def test_feasible_grid_equals_pointwise_is_feasible(cp, resolution):
 
     want = _result(pointwise)
     assert _result(lambda: [x.tobytes() for x in feasible_grid(cp, resolution)]) == want
+
+
+def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
+    cp = surd.problem
+    never = replace(cp, constraints=(parse("x1^2 + x2^2 + 1", 2),))
+    X = feasible_grid(cp, 13)
+    assert isinstance(X, np.ndarray) and X.dtype == float
+    assert X.shape == (sum(is_feasible(cp, x) for x in grid_nodes(cp.domain_window, 13)), 2)
+    assert feasible_grid(never, 13).shape == (0, 2)
+
+    # the node-by-node path, taken when a batch evaluation fails, returns
+    # the same array
+    def refuse(*args):
+        raise EvalError("refused")
+
+    monkeypatch.setattr(kkt, "evaluate_many", refuse)
+    Y = feasible_grid(cp, 13)
+    assert Y.dtype == float and Y.shape == X.shape and Y.tobytes() == X.tobytes()
+    empty = feasible_grid(never, 13)
+    assert empty.dtype == float and empty.shape == (0, 2)
 
 
 @pytest.fixture()

@@ -4,7 +4,8 @@ import pytest
 
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import enumerate_solution_set
-from qcsol.core import CharacVariant, Problem
+from qcsol import sets
+from qcsol.core import CharacVariant, ConstrainedProblem, Problem
 from qcsol.errors import EmptyGridError, EvalError
 from qcsol.expr import evaluate, parse
 from qcsol.oracle import OracleResult, _grid_of, agreement, brute_force_solutions
@@ -59,6 +60,40 @@ def test_empty_grid():
     )
     with pytest.raises(EmptyGridError):
         brute_force_solutions(p, 5)
+    with pytest.raises(EmptyGridError):
+        agreement(p, (0.0,), CharacVariant.STILDE, 5)
+    # a constrained problem whose constraint no node of the window meets
+    cp = ConstrainedProblem(parse("x1", 1), (parse("x1 + 10", 1),), ConvexSetDescriptor(1, ()),
+                            1, Box((0.0,), (1.0,)))
+    with pytest.raises(EmptyGridError):
+        brute_force_solutions(cp, 5)
+
+
+def test_agreement_builds_one_grid(monkeypatch):
+    calls = []
+    real = sets.grid_nodes
+
+    def counted(window, resolution):
+        calls.append(resolution)
+        return real(window, resolution)
+
+    monkeypatch.setattr(sets, "grid_nodes", counted)
+    e = get_example("ex2_1")
+    for v in (CharacVariant.SHAT1, CharacVariant.T3):
+        calls.clear()
+        rep = agreement(e.problem, e.anchor, v, 9)
+        assert rep.equal and calls == [9]
+        assert set(enumerate_solution_set(e.problem, e.anchor, v, 9)) == set(rep.oracle.solution_points)
+
+
+@pytest.mark.parametrize("text,sign", [("0 * x1", "-"), ("-(0 * x1)", "")])
+def test_zero_minimum_keeps_the_sign_of_its_first_node(text, sign):
+    # on [-1, 1] the first node, x1 = -1, gives 0 * x1 = -0.0; the nodes
+    # from x1 = 0 on give +0.0; every node is a minimizer
+    p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, Box((-1.0,), (1.0,)))
+    res = brute_force_solutions(p, 5)
+    assert res.min_value.hex() == sign + "0x0.0p+0"
+    assert len(res.solution_points) == 5
 
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()))

@@ -87,8 +87,14 @@ def test_probe_rejects_apparently_empty_set():
     doc = json.loads(dumps(get_example("ex2_1").problem))
     doc.pop("known_solution", None)
     doc["feasible_set"] = [{"type": "halfspace", "a": [1.0, 0.0], "b": -10.0}]
-    with pytest.raises(ProblemFormatError):
+    with pytest.raises(ProblemFormatError, match="appears empty"):
         load_problem(doc)
+    # one feasible node of the probe grid is enough: (1, 0)
+    doc["feasible_set"] = [
+        {"type": "halfspace", "a": [1.0, 0.0], "b": 1.0},
+        {"type": "halfspace", "a": [0.0, 1.0], "b": 0.0},
+    ]
+    assert isinstance(load_problem(doc)[0], Problem)
 
 
 def test_objective_text_is_parsed():

@@ -85,6 +85,19 @@ class TestGrids:
         assert peak < 1 << 20
         assert len(grid_nodes(Box((0.0,), (1.0,)), MAX_GRID_NODES // 100)) == MAX_GRID_NODES // 100
 
+    def test_grids_are_float_arrays_of_rows(self):
+        window = Box((1.0, 0.0), (2.0, 2.0))
+        X = grid_nodes(window, 3)
+        assert isinstance(X, np.ndarray) and X.dtype == float and X.shape == (9, 2)
+        assert X.tolist() == [[a, b] for a in (1.0, 1.5, 2.0) for b in (0.0, 1.0, 2.0)]
+        pts = sample_grid(RECT, window, 3)
+        assert isinstance(pts, np.ndarray) and pts.dtype == float and pts.shape == (7, 2)
+        away = ConvexSetDescriptor(2, (Halfspace((1.0, 0.0), -10.0),))
+        empty = sample_grid(away, window, 3)
+        assert isinstance(empty, np.ndarray) and empty.dtype == float
+        assert empty.shape == (0, 2)
+        assert grid_nodes(Box((0,), (1,)), 2).dtype == float  # integer bounds too
+
     def test_sample_grid_rectangle(self):
         # 9 nodes of [1,2]x[0,2] at resolution 3; exactly 7 satisfy x2 <= x1
         pts = {tuple(x) for x in sample_grid(RECT, Box((1.0, 0.0), (2.0, 2.0)), 3)}
@@ -112,7 +125,7 @@ def _grid_cases():
 def test_sample_grid_equals_pointwise_contains(S, window, resolution, tol):
     expected = [x for x in grid_nodes(window, resolution) if contains(S, x, tol)]
     got = sample_grid(S, window, resolution, tol)
-    assert len(got) == len(expected)
+    assert got.shape == (len(expected), S.dimension) and got.dtype == float
     for x, y in zip(got, expected):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     if S.atoms:

@@ -289,6 +289,9 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
     pairs = [MLPair(v, t) for v in (-2.0, -0.5, 0.0, 0.5, 2.0)
              for t in (-5.0, -1.0, 0.0, 0.3, 5.0)]
     pairs += [MLPair(1.0, y) for y in ys] + [MLPair(-1.0, -y) for y in ys]
+    # v < 0 with the cut just past either edge: the region y <= cut lies
+    # left of the window (the trend at lo decides) or covers it
+    pairs += [MLPair(v, v * cut) for v in (-1.0, -3.0) for cut in (-1.01, 1.51)]
     values = {}
     real_evaluate = evaluate
 
@@ -300,7 +303,7 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
 
     monkeypatch.setattr(subdiff, "evaluate", evaluate_once)
     seen = set()
-    for text in ("(x1 - 0.2)^2 - x1^3", "abs(x1 - 0.5)", "x1"):
+    for text in ("(x1 - 0.2)^2 - x1^3", "abs(x1 - 0.5)", "x1", "-x1"):
         p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, window)
         for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
             eps = cfg.eps_feas
@@ -322,3 +325,20 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
                         assert got is want, (text, cfg, xbar, x, form)
                         seen.add(got)
     assert seen == {True, False}
+
+
+def test_ml_region_outside_the_window_reads_the_edge_on_its_side():
+    # f = x1 falls outward at lo and rises outward at hi: a region left of
+    # the window (v < 0) has infimum -inf, one right of it (v > 0) does not
+    f, w, cfg = parse("x1", 1), Box((0.0,), (1.0,)), DEFAULT_CONFIG
+    assert subdiff._halfline_inf(f, MLPair(-1.0, 0.5), w, 201, cfg) == float("-inf")
+    assert subdiff._halfline_inf(f, MLPair(1.0, 1.5), w, 201, cfg) == float("inf")
+    assert not ml_member_1d(f, -1.0, MLPair(-1.0, 1.0), w)
+    assert ml_member_1d(f, 2.0, MLPair(1.0, 2.0), w)
+    g = parse("-x1", 1)  # the mirror image: falls outward at hi only
+    assert subdiff._halfline_inf(g, MLPair(-1.0, 0.5), w, 201, cfg) == float("inf")
+    assert subdiff._halfline_inf(g, MLPair(1.0, 1.5), w, 201, cfg) == float("-inf")
+    window = subdiff._window(f, 0.0, 1.0, 201)
+    V, T = np.array([-1.0, 1.0, -2.0]), np.array([0.5, 1.5, 3.0])
+    want = [subdiff._halfline_inf(f, MLPair(v, t), w, 201, cfg) for v, t in zip(V, T)]
+    assert subdiff._halfline_infima(window, V, T, cfg.eps_feas).tolist() == want
