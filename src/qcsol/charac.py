@@ -1,21 +1,29 @@
 """Solution-set characterizations from a known solution.
 
-Implements the gradient dichotomy classifier and the membership
-predicates for the hat/tilde/numbered S-families and the T-families,
-plus windowed enumeration and cross-variant agreement reports.
+Implements the gradient dichotomy classifier, the condition table of all
+24 characterization variants (the hat/tilde/numbered S-families, the
+T-families and their primed and double-primed multiplier forms), the
+membership predicates and windowed enumeration of the 15 plain variants.
+kkt decides the multiplier variants from the same table.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .alternatives import _collinearity
 from .config import DEFAULT_CONFIG, Config
-from .core import CharacVariant, DichotomyReport, MembershipVerdict, Problem, as_point
+from .core import (
+    CharacVariant,
+    ConstrainedProblem,
+    DichotomyReport,
+    MembershipVerdict,
+    Problem,
+    as_point,
+)
 from .errors import HypothesisViolatedError, InconsistentDichotomyError
 from .expr import _dot, _norm, grad, grad_many
 from .sets import contains, sample_grid
@@ -94,92 +102,96 @@ def membership(
     xb, g0 = _plain_anchor(p, xbar, variant, cfg)
     xv = as_point(x, p.dimension)
     in_S = contains(p.feasible_set, xv, cfg.eps_feas)
-    return _verdict(p, xb, g0, xv, variant, in_S, cfg)
+    g = grad(p.objective, xv, p.dimension)
+    with np.errstate(all="ignore"):
+        rows = _Rows(xv, g, xb, g0, {"in_feasible_set": in_S}).decide(variant, cfg)
+    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
+
+
+def _reject_constrained(p) -> None:
+    if isinstance(p, ConstrainedProblem):
+        raise ValueError(
+            "a constrained problem needs a multiplier; use kkt.enumerate_constrained"
+        )
 
 
 def _plain_anchor(p: Problem, xbar, variant: CharacVariant, cfg: Config):
     """A plain variant's anchor as a point, and its checked gradient."""
-    if variant not in _CONDITIONS:
+    _reject_constrained(p)
+    if variant.requires_multiplier:
         raise ValueError(
             f"{variant.value} needs a multiplier; use kkt.membership_constrained"
         )
     return as_point(xbar, p.dimension), check_anchor_hypothesis(p, xbar, variant, cfg)
 
 
-# The conditions of each plain variant, in the order of their residuals.
+# The conditions of each variant, in the order of their residuals.  The
+# set conditions in_feasible_set (x in S), in_X1 (x in X1(lambda)) and
+# constraints_feasible (every g_i(x) <= 0) are masks that the caller hands
+# _Rows.  docs/theorems.md states every condition as a formula.
 _CONDITIONS = {
-    CharacVariant.SHAT1: ("anchor_dot_zero", "same_direction", "nonzero_gradient"),
-    CharacVariant.SHAT2: ("anchor_dot_at_most", "same_direction", "nonzero_gradient"),
-    CharacVariant.STILDE: ("zero_gradient",),
-    CharacVariant.S1: ("point_dot_zero", "nonzero_gradient"),
-    CharacVariant.S2: ("point_dot_at_least", "nonzero_gradient"),
-    CharacVariant.S3: ("dot_gap_zero", "nonzero_gradient"),
-    CharacVariant.S4: ("dot_gap_at_least", "nonzero_gradient"),
-    CharacVariant.S5: ("point_dot_zero", "anchor_dot_zero", "nonzero_gradient"),
-    CharacVariant.THAT1: ("anchor_dot_zero", "positive_factor"),
-    CharacVariant.THAT2: ("anchor_dot_at_most", "positive_factor"),
-    CharacVariant.T1: ("point_dot_zero",),
-    CharacVariant.T2: ("point_dot_at_least",),
-    CharacVariant.T3: ("dot_gap_zero",),
-    CharacVariant.T4: ("dot_gap_at_least",),
-    CharacVariant.T5: ("point_dot_zero", "anchor_dot_zero"),
+    CharacVariant.SHAT1: ("in_feasible_set", "anchor_dot_zero", "same_direction", "nonzero_gradient"),
+    CharacVariant.SHAT2: ("in_feasible_set", "anchor_dot_at_most", "same_direction", "nonzero_gradient"),
+    CharacVariant.STILDE: ("in_feasible_set", "zero_gradient"),
+    CharacVariant.S1: ("in_feasible_set", "point_dot_zero", "nonzero_gradient"),
+    CharacVariant.S2: ("in_feasible_set", "point_dot_at_least", "nonzero_gradient"),
+    CharacVariant.S3: ("in_feasible_set", "dot_gap_zero", "nonzero_gradient"),
+    CharacVariant.S4: ("in_feasible_set", "dot_gap_at_least", "nonzero_gradient"),
+    CharacVariant.S5: ("in_feasible_set", "point_dot_zero", "anchor_dot_zero", "nonzero_gradient"),
+    CharacVariant.THAT1: ("in_feasible_set", "anchor_dot_zero", "positive_factor"),
+    CharacVariant.THAT2: ("in_feasible_set", "anchor_dot_at_most", "positive_factor"),
+    CharacVariant.T1: ("in_feasible_set", "point_dot_zero"),
+    CharacVariant.T2: ("in_feasible_set", "point_dot_at_least"),
+    CharacVariant.T3: ("in_feasible_set", "dot_gap_zero"),
+    CharacVariant.T4: ("in_feasible_set", "dot_gap_at_least"),
+    CharacVariant.T5: ("in_feasible_set", "point_dot_zero", "anchor_dot_zero"),
 }
+# A primed variant is its plain base's set within X1(lambda) and {g <= 0}.
+_CONDITIONS.update(
+    (primed, ("in_X1", *_CONDITIONS[base], "constraints_feasible"))
+    for primed, base in (
+        (CharacVariant.SHATP1, CharacVariant.SHAT1),
+        (CharacVariant.SHATP2, CharacVariant.SHAT2),
+        (CharacVariant.SP1, CharacVariant.S1),
+        (CharacVariant.SP2, CharacVariant.S2),
+        (CharacVariant.SP3, CharacVariant.S3),
+        (CharacVariant.SP4, CharacVariant.S4),
+        (CharacVariant.SP5, CharacVariant.S5),
+    )
+)
+# A double-primed variant does not test x in S: it is stated for an open
+# ground set.
+_CONDITIONS[CharacVariant.SHATPP1] = (
+    "in_X1", "active_dots_zero", "nonzero_gradient", "same_unit_gradient"
+)
+_CONDITIONS[CharacVariant.SHATPP2] = (
+    "in_X1", "active_dots_at_least", "nonzero_gradient", "same_unit_gradient"
+)
 
 # The anchor is a member of every variant's set, so a variant whose
 # members need a nonzero gradient needs one at the anchor.
 _NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_gradient" in names}
-
-# Threshold conditions: name -> (residual, form, tolerance, above).  The
-# condition holds when form(residual) <= the tolerance, or > it if above.
-# The forms apply to floats and to numpy arrays alike.
-_THRESHOLDS = {
-    "anchor_dot_zero": ("anchor_gradient_dot", abs, "eps_feas", False),
-    "anchor_dot_at_most": ("anchor_gradient_dot", operator.pos, "eps_feas", False),
-    "point_dot_zero": ("point_gradient_dot", abs, "eps_feas", False),
-    "point_dot_at_least": ("point_gradient_dot", operator.neg, "eps_feas", False),
-    "dot_gap_zero": ("dot_gap", abs, "eps_feas", False),
-    "dot_gap_at_least": ("dot_gap", operator.neg, "eps_feas", False),
-    "zero_gradient": ("gradient_norm", operator.pos, "eps_grad", False),
-    "nonzero_gradient": ("gradient_norm", operator.pos, "eps_grad", True),
-}
-
-
-def _verdict(
-    p: Problem,
-    xb: np.ndarray,
-    g0: np.ndarray,
-    xv: np.ndarray,
-    variant: CharacVariant,
-    in_S: bool,
-    cfg: Config,
-) -> MembershipVerdict:
-    """The variant's conditions at xv, given the validated anchor xb with
-    its gradient g0 and the feasibility in_S of xv."""
-    g = grad(p.objective, xv, p.dimension)
-    with np.errstate(all="ignore"):
-        rows = _Rows(xv, g, xb, g0).decide(variant, cfg)
-    residuals = {"in_feasible_set": 0.0 if in_S else 1.0, **rows.point()}
-    return MembershipVerdict(
-        tuple(float(c) for c in xv), variant, bool(in_S and rows.member), residuals
-    )
 
 
 class _Rows:
     """The conditions of the characterizations, decided at N points at once.
 
     X holds the points as rows and G their gradients, and g0 is the
-    gradient at the anchor xb.  One point and its gradient can be given
-    as vectors instead: every column is then a scalar, and point() gives
-    the residuals of that point.  Each condition adds its residuals, in
-    order, and its verdict to member.
+    gradient at the anchor xb.  sets maps each set condition to the mask
+    of the points in its set, and active lists (i, grad g_i(xb)) for the
+    strict-multiplier constraints i.  One point and its gradient can be
+    given as vectors instead: every column is then a scalar, and point()
+    gives the residuals of that point.  Each condition adds its
+    residuals, in order, and its verdict to member.
     """
 
-    def __init__(self, X: np.ndarray, G: np.ndarray, xb: np.ndarray, g0: np.ndarray):
-        d = (X - xb).T
-        self.G, self.g0 = G.T, g0
+    def __init__(self, X: np.ndarray, G: np.ndarray, xb: np.ndarray, g0: np.ndarray,
+                 sets: Dict[str, object], active: Sequence = ()):
+        self.d = (X - xb).T
+        self.G, self.g0, self.sets, self.active = G.T, g0, sets, active
         self.gnorm, self.g0norm = _norm(self.G), _norm(g0)
-        anchor_dot = _dot(g0, d)        # grad f(xbar) . (x - xbar)
-        point_dot = _dot(self.G, -d)    # grad f(x) . (xbar - x)
+        anchor_dot = _dot(g0, self.d)        # grad f(xbar) . (x - xbar)
+        point_dot = _dot(self.G, -self.d)    # grad f(x) . (xbar - x)
         self.values = {
             "anchor_gradient_dot": anchor_dot,
             "point_gradient_dot": point_dot,
@@ -203,14 +215,13 @@ class _Rows:
 
     def decide(self, variant: CharacVariant, cfg: Config) -> "_Rows":
         for name in _CONDITIONS[variant]:
-            if name == "same_direction":
-                self.same_direction(cfg)
-            elif name == "positive_factor":
-                self.positive_factor(cfg)
-            else:
-                key, form, tol, above = _THRESHOLDS[name]
-                self.threshold(key, self.values[key], form, getattr(cfg, tol), above)
+            _DECIDE[name](self, cfg)
         return self
+
+    def in_set(self, name: str) -> None:
+        """The caller's mask of the points in the set; reads 0 in it, 1 out."""
+        mask = self.sets[name]
+        self.report(name, np.where(mask, 0.0, 1.0), mask)
 
     def cosine_distance(self):
         return 1.0 - _dot(self.G, self.g0) / (self.gnorm * self.g0norm)
@@ -223,6 +234,12 @@ class _Rows:
         cd = np.where(small, 2.0, self.cosine_distance())
         self.report("cosine_distance", cd, ~small & (cd <= cfg.eps_dir))
 
+    def same_unit_gradient(self, cfg: Config) -> None:
+        """Cosine distance at most eps_dir from the anchor gradient,
+        reported only where the gradient at the point is nonzero."""
+        cd = self.cosine_distance()
+        self.report("cosine_distance", cd, cd <= cfg.eps_dir, shown=self.gnorm > cfg.eps_grad)
+
     def positive_factor(self, cfg: Config) -> None:
         """Both gradients zero, or grad f(x) = p grad f(xbar) with p > 0
         (collinearity_factor's test)."""
@@ -233,12 +250,44 @@ class _Rows:
         self.report("collinearity_gap", np.where(holds, 0.0, np.inf), holds)
         self.report("collinearity_factor", factor, True, shown=found)
 
+    def active_dots(self, form, cfg: Config) -> None:
+        """form(grad g_i(xbar) . (x - xbar)) <= eps_feas for each
+        strict-multiplier constraint i."""
+        for i, gi in self.active:
+            self.threshold(f"active_gradient_dot_{i}", _dot(gi, self.d), form, cfg.eps_feas)
+
     def point(self) -> Dict[str, float]:
         """The residuals of the one point the columns are scalars of."""
         return {
             name: float(value) for name, value in self.residuals.items()
             if self.shown.get(name, True)
         }
+
+
+def _threshold(key: str, form, tol: str, above: bool = False):
+    """The condition form(values[key]) <= cfg.tol, or > it if above.  The
+    forms apply to floats and to numpy arrays alike."""
+    return lambda rows, cfg: rows.threshold(key, rows.values[key], form, getattr(cfg, tol), above)
+
+
+# condition name -> how _Rows decides it
+_DECIDE = {
+    **{name: lambda rows, cfg, name=name: rows.in_set(name)
+       for name in ("in_feasible_set", "in_X1", "constraints_feasible")},
+    "anchor_dot_zero": _threshold("anchor_gradient_dot", abs, "eps_feas"),
+    "anchor_dot_at_most": _threshold("anchor_gradient_dot", operator.pos, "eps_feas"),
+    "point_dot_zero": _threshold("point_gradient_dot", abs, "eps_feas"),
+    "point_dot_at_least": _threshold("point_gradient_dot", operator.neg, "eps_feas"),
+    "dot_gap_zero": _threshold("dot_gap", abs, "eps_feas"),
+    "dot_gap_at_least": _threshold("dot_gap", operator.neg, "eps_feas"),
+    "zero_gradient": _threshold("gradient_norm", operator.pos, "eps_grad"),
+    "nonzero_gradient": _threshold("gradient_norm", operator.pos, "eps_grad", above=True),
+    "same_direction": _Rows.same_direction,
+    "same_unit_gradient": _Rows.same_unit_gradient,
+    "positive_factor": _Rows.positive_factor,
+    "active_dots_zero": lambda rows, cfg: rows.active_dots(abs, cfg),
+    "active_dots_at_least": lambda rows, cfg: rows.active_dots(operator.neg, cfg),
+}
 
 
 def _enumerate(X: np.ndarray, members) -> List[tuple]:
@@ -253,7 +302,8 @@ def _enumerate_grid(p: Problem, xb, g0, variant: CharacVariant, X: np.ndarray, c
     """The rows of the feasible grid X in the variant's set; xb, g0 from _plain_anchor."""
 
     def members(X):
-        return _Rows(X, grad_many(p.objective, X, p.dimension), xb, g0).decide(variant, cfg).member
+        G = grad_many(p.objective, X, p.dimension)
+        return _Rows(X, G, xb, g0, {"in_feasible_set": True}).decide(variant, cfg).member
 
     return _enumerate(X, members)
 
@@ -270,39 +320,6 @@ def enumerate_solution_set(
     # sample_grid keeps exactly the points that contains() accepts at eps_feas
     X = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
     return _enumerate_grid(p, xb, g0, variant, X, cfg)
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    agree: bool
-    sets: Dict[str, tuple]
-    differences: Dict[str, tuple]  # "V1/V2" -> (only_in_v1, only_in_v2)
-
-
-def variant_agreement(
-    p: Problem,
-    xbar,
-    variants: Sequence[CharacVariant],
-    resolution: int,
-    cfg: Config = DEFAULT_CONFIG,
-) -> AgreementReport:
-    """Pairwise symmetric differences of enumerated sets."""
-    enumerated = {
-        v.value: tuple(enumerate_solution_set(p, xbar, v, resolution, cfg))
-        for v in variants
-    }
-    diffs: Dict[str, tuple] = {}
-    agree = True
-    names = [v.value for v in variants]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            sa, sb = set(enumerated[a]), set(enumerated[b])
-            only_a = tuple(sorted(sa - sb))
-            only_b = tuple(sorted(sb - sa))
-            if only_a or only_b:
-                agree = False
-                diffs[f"{a}/{b}"] = (only_a, only_b)
-    return AgreementReport(agree, enumerated, diffs)
 
 
 def convex_gradient_constancy(

@@ -289,14 +289,10 @@ def _cmd_subdiff_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-_ALL_UNCONSTRAINED = (
-    CharacVariant.SHAT1,
-    CharacVariant.SHAT2,
-    CharacVariant.S1,
-    CharacVariant.S2,
-    CharacVariant.S3,
-    CharacVariant.S4,
-    CharacVariant.S5,
+# The plain variants of alternative I: those that need a nonzero gradient.
+_ALL_UNCONSTRAINED = tuple(
+    v for v, names in charac._CONDITIONS.items()
+    if "nonzero_gradient" in names and not v.requires_multiplier
 )
 
 

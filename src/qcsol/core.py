@@ -126,15 +126,6 @@ class CharacVariant(str, Enum):
     def requires_multiplier(self) -> bool:
         return self.value.startswith(("SHATP", "SP"))
 
-    @property
-    def unconstrained_base(self) -> "CharacVariant":
-        """The plain variant a primed one intersects with X1(lambda)."""
-        if self in (CharacVariant.SHATP1, CharacVariant.SHATP2):
-            return CharacVariant("SHAT" + self.value[-1])
-        if self.value.startswith("SP"):
-            return CharacVariant("S" + self.value[-1])
-        raise ValueError(f"{self.value} has no unconstrained base")
-
 
 @dataclass(frozen=True)
 class MembershipVerdict:

@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG, Config
 from .errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 
 GUARD_TOL = 1e-12  # absolute slack when deciding whether a guard holds
@@ -532,8 +533,10 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     return _batch(f, Xv, n)[1]
 
 
-def grad_fd(f: Expr, x: Sequence[float], h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient, the independent oracle for grad()."""
+def grad_fd(f: Expr, x: Sequence[float], cfg: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """Central-difference gradient with step cfg.h_fd, the independent
+    oracle for grad()."""
+    h = cfg.h_fd
     xv = np.asarray(x, dtype=float)
     out = np.empty(xv.size)
     for i in range(xv.size):

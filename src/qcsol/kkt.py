@@ -4,15 +4,13 @@ characterizations."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .alternatives import solve_lp, strict_feasibility
-from .charac import _Rows, _enumerate, check_anchor_hypothesis
+from .charac import _CONDITIONS, _Rows, _enumerate, check_anchor_hypothesis
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     CharacVariant,
@@ -23,13 +21,12 @@ from .core import (
     as_point,
 )
 from .errors import (
-    HypothesisViolatedError,
     InfeasibleError,
     NoMultiplierError,
     NotOpenGroundSetError,
     QcsolError,
 )
-from .expr import _dot, _norm, evaluate, evaluate_many, grad, grad_many
+from .expr import evaluate, evaluate_many, grad, grad_many
 from .sets import (
     contains,
     contains_many,
@@ -205,25 +202,23 @@ def member_X1(
     lam: MultiplierVector,
     x,
     cfg: Config = DEFAULT_CONFIG,
-    _anchor: Optional["_Anchor"] = None,
 ) -> bool:
     """x in X1(lambda): strict-multiplier constraints hold with equality,
-    the rest with inequality, and x is in the ground set.  An _Anchor for
-    (xbar, lam) can be passed to share its strict index set."""
+    the rest with inequality, and x is in the ground set."""
     xv = as_point(x, cp.dimension)
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
-    tilde = set(
-        strict_index_set(cp, xbar, lam, cfg) if _anchor is None else _anchor.tilde
+    tilde = strict_index_set(cp, xbar, lam, cfg)
+    return _in_X1(constraint_values(cp, xv), tilde, cfg)
+
+
+def _in_X1(vals: np.ndarray, tilde: tuple, cfg: Config) -> bool:
+    """Whether a point of the ground set with constraint values vals is in
+    X1(lambda), whose strict-multiplier indices are tilde."""
+    return not any(
+        abs(v) > cfg.eps_act if i in tilde else v > cfg.eps_feas
+        for i, v in enumerate(vals)
     )
-    vals = constraint_values(cp, xv)
-    for i, v in enumerate(vals):
-        if i in tilde:
-            if abs(v) > cfg.eps_act:
-                return False
-        elif v > cfg.eps_feas:
-            return False
-    return True
 
 
 def _as_plain_problem(cp: ConstrainedProblem) -> Problem:
@@ -237,58 +232,24 @@ def _as_plain_problem(cp: ConstrainedProblem) -> Problem:
     )
 
 
-class _Anchor:
-    """The anchor-only quantities of the multiplier variants.
-
-    Each is computed, and its hypothesis checked, on first use, where the
-    per-point definition computes it; one instance then serves every
-    point of an enumeration.
-    """
-
-    def __init__(
-        self,
-        cp: ConstrainedProblem,
-        xb: np.ndarray,
-        lam: MultiplierVector,
-        variant: CharacVariant,
-        cfg: Config,
-    ):
-        self.cp, self.xb, self.lam, self.variant, self.cfg = cp, xb, lam, variant, cfg
-
-    @cached_property
-    def g0(self) -> np.ndarray:
-        g0 = grad(self.cp.objective, self.xb, self.cp.dimension)
-        if _norm(g0) <= self.cfg.eps_grad:
-            raise HypothesisViolatedError(
-                f"variant {self.variant.value} requires a nonzero gradient at the anchor"
-            )
-        return g0
-
-    @cached_property
-    def tilde(self) -> tuple:
-        return strict_index_set(self.cp, self.xb, self.lam, self.cfg)
-
-    @cached_property
-    def tilde_grads(self) -> list:
-        """(i, grad g_i(xbar)) for each strict-multiplier index i."""
-        return [
-            (i, grad(self.cp.constraints[i], self.xb, self.cp.dimension))
-            for i in self.tilde
-        ]
-
-    @cached_property
-    def plain(self) -> Problem:
-        return _as_plain_problem(self.cp)
-
-    @cached_property
-    def plain_g0(self) -> np.ndarray:
-        """The anchor gradient, checked for the unconstrained base variant."""
-        return check_anchor_hypothesis(
-            self.plain, self.xb, self.variant.unconstrained_base, self.cfg
+def _checked_anchor(
+    cp: ConstrainedProblem, xb: np.ndarray, lam: MultiplierVector, variant: CharacVariant,
+    cfg: Config,
+):
+    """Check every anchor hypothesis of a multiplier variant, in order, and
+    return the anchor's objective gradient, its strict-multiplier indices
+    and (i, grad g_i(xb)) for each of them."""
+    if not variant.requires_multiplier:
+        raise ValueError(f"{variant.value} has no unconstrained base")
+    g0 = check_anchor_hypothesis(_as_plain_problem(cp), xb, variant, cfg)
+    tilde = strict_index_set(cp, xb, lam, cfg)
+    # a row that does not test x in S is stated for an open ground set
+    if "in_feasible_set" not in _CONDITIONS[variant] and cp.ground_set.atoms:
+        raise NotOpenGroundSetError(
+            "double-primed variants need an open (unconstrained) ground set"
         )
-
-
-_DOUBLE_PRIMED = (CharacVariant.SHATPP1, CharacVariant.SHATPP2)
+    active = [(i, grad(cp.constraints[i], xb, cp.dimension)) for i in tilde]
+    return g0, tilde, active
 
 
 def membership_constrained(
@@ -302,50 +263,18 @@ def membership_constrained(
     """Membership for the primed and double-primed variants."""
     xb = as_point(xbar, cp.dimension)
     xv = as_point(x, cp.dimension)
-    anchor = _Anchor(cp, xb, lam, variant, cfg)
-    anchor.g0  # the anchor hypothesis comes first
-    in_x1 = member_X1(cp, xb, lam, xv, cfg, _anchor=anchor)
-    with np.errstate(all="ignore"):
-        rows = _conditions(anchor, xv, variant, cfg, lambda: grad(cp.objective, xv, cp.dimension))
-    point = tuple(float(c) for c in xv)
-    residuals = {"in_X1": 0.0 if in_x1 else 1.0}
-    if variant in _DOUBLE_PRIMED:
-        residuals.update(rows.point())
-        return MembershipVerdict(point, variant, in_x1 and bool(rows.member), residuals)
+    g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
     in_S = contains(cp.ground_set, xv, cfg.eps_feas)
-    feas = bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
-    residuals.update(
-        {"in_feasible_set": 0.0 if in_S else 1.0, **rows.point(),
-         "constraints_feasible": 0.0 if feas else 1.0}
-    )
-    member = in_x1 and feas and in_S and bool(rows.member)
-    return MembershipVerdict(point, variant, member, residuals)
-
-
-def _conditions(
-    anchor: _Anchor, X: np.ndarray, variant: CharacVariant, cfg: Config, gradients
-) -> _Rows:
-    """The multiplier variant's conditions beyond membership in X1(lambda)
-    and feasibility, at one point X or at the rows of X, whose objective
-    gradients gradients() gives.  The variant's anchor hypotheses are
-    checked before that call."""
-    if variant in _DOUBLE_PRIMED:
-        if anchor.cp.ground_set.atoms:
-            raise NotOpenGroundSetError(
-                "double-primed variants need an open (unconstrained) ground set"
-            )
-        tilde_grads = anchor.tilde_grads
-        rows = _Rows(X, gradients(), anchor.xb, anchor.g0)
-        form = abs if variant is CharacVariant.SHATPP1 else operator.neg
-        d = (X - anchor.xb).T
-        for i, gi in tilde_grads:
-            rows.threshold(f"active_gradient_dot_{i}", _dot(gi, d), form, cfg.eps_feas)
-        rows.threshold("gradient_norm", rows.gnorm, operator.pos, cfg.eps_grad, above=True)
-        cd = rows.cosine_distance()
-        rows.report("cosine_distance", cd, cd <= cfg.eps_dir, shown=rows.gnorm > cfg.eps_grad)
-        return rows
-    base, g0 = variant.unconstrained_base, anchor.plain_g0
-    return _Rows(X, gradients(), anchor.xb, g0).decide(base, cfg)
+    vals = constraint_values(cp, xv)
+    sets = {
+        "in_X1": in_S and _in_X1(vals, tilde, cfg),
+        "in_feasible_set": in_S,
+        "constraints_feasible": bool(np.all(vals <= cfg.eps_feas)),
+    }
+    with np.errstate(all="ignore"):
+        g = grad(cp.objective, xv, cp.dimension)
+        rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
+    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
 
 
 def enumerate_constrained(
@@ -358,19 +287,20 @@ def enumerate_constrained(
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
     X = feasible_grid(cp, resolution, cfg)
-    anchor = _Anchor(cp, as_point(xbar, cp.dimension), lam, variant, cfg)
+    xb = as_point(xbar, cp.dimension)
+    if not len(X):
+        return []
+    g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
 
     def members(X):
         # membership_constrained on rows that are all feasible: in the
         # ground set and with every constraint at most eps_feas
-        anchor.g0  # the anchor hypothesis comes first
-        in_x1 = np.ones(len(X), dtype=bool)  # member_X1 on such rows
-        for i in anchor.tilde:
+        in_x1 = np.ones(len(X), dtype=bool)
+        for i in tilde:
             in_x1 &= ~(np.abs(evaluate_many(cp.constraints[i], X)) > cfg.eps_act)
-        rows = _conditions(
-            anchor, X, variant, cfg, lambda: grad_many(cp.objective, X, cp.dimension)
-        )
-        return in_x1 & rows.member
+        sets = {"in_X1": in_x1, "in_feasible_set": True, "constraints_feasible": True}
+        G = grad_many(cp.objective, X, cp.dimension)
+        return _Rows(X, G, xb, g0, sets, active).decide(variant, cfg).member
 
     return _enumerate(X, members)
 

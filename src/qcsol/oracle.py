@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .charac import _enumerate_grid, _plain_anchor
+from .charac import _enumerate_grid, _plain_anchor, _reject_constrained
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem, as_point
 from .errors import EmptyGridError
@@ -72,6 +72,7 @@ def agreement(
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleAgreement:
     """Symmetric difference of the oracle set and one enumerated variant on one grid."""
+    _reject_constrained(p)
     X = _grid_of(p, resolution, cfg)
     result = _minimize(p, X, eps_opt)
     xb = as_point(xbar, p.dimension)

@@ -198,16 +198,16 @@ def load_problem(doc: dict):
         if "ground_set" in doc:
             raise ProblemFormatError("ground_set requires constraints")
         problem = Problem(objective, ConvexSetDescriptor(dim, atoms), dim, window)
-        _probe_nonempty(problem.feasible_set, window, known)
+        _probe_nonempty(problem.feasible_set, window, known, cfg.eps_feas)
     return problem, known, cfg
 
 
-def _probe_nonempty(S: ConvexSetDescriptor, window: Box, known):
+def _probe_nonempty(S: ConvexSetDescriptor, window: Box, known, eps_feas: float):
     if known is not None:
-        if not contains(S, known, 1e-9):
+        if not contains(S, known, eps_feas):
             raise ProblemFormatError("known_solution is not in the feasible set")
         return
-    if not len(sample_grid(S, window, 9)):
+    if not len(sample_grid(S, window, 9, eps_feas)):
         raise ProblemFormatError(
             "feasible set appears empty on a coarse window probe"
         )

@@ -12,7 +12,6 @@ from qcsol.charac import (
     convex_gradient_constancy,
     enumerate_solution_set,
     membership,
-    variant_agreement,
 )
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, Problem
@@ -147,9 +146,33 @@ def test_enumeration_errors():
 def test_variant_agreement_small_grid():
     e = get_example("ex2_1")
     variants = [V.SHAT1, V.SHAT2, V.S1, V.S2, V.S3, V.S4, V.S5]
-    rep = variant_agreement(e.problem, e.anchor, variants, 9)
-    assert rep.agree and rep.differences == {}
-    assert set(rep.sets) == {v.value for v in variants}
+    sets = {frozenset(enumerate_solution_set(e.problem, e.anchor, v, 9)) for v in variants}
+    assert len(sets) == 1 and sets != {frozenset()}
+
+
+def test_every_variant_has_one_row_of_known_conditions():
+    assert len(charac._CONDITIONS) == len(V) and set(charac._CONDITIONS) == set(V)
+    assert {name for row in charac._CONDITIONS.values() for name in row} <= set(charac._DECIDE)
+
+
+PRIMED_BASES = {
+    V.SHATP1: V.SHAT1, V.SHATP2: V.SHAT2,
+    V.SP1: V.S1, V.SP2: V.S2, V.SP3: V.S3, V.SP4: V.S4, V.SP5: V.S5,
+}
+
+
+@pytest.mark.parametrize("primed", PRIMED_BASES, ids=lambda v: v.value)
+def test_primed_row_holds_its_base_row(primed):
+    # the nesting of the multiplier forms, S'_i within S_i and X1(lambda),
+    # read off the table: a primed row tests every condition of its base
+    row, base = charac._CONDITIONS[primed], charac._CONDITIONS[PRIMED_BASES[primed]]
+    assert row == ("in_X1", *base, "constraints_feasible")
+
+
+def test_rows_with_nonzero_gradient_need_it_at_the_anchor():
+    want = {V.SHAT1, V.SHAT2, V.S1, V.S2, V.S3, V.S4, V.S5, *PRIMED_BASES, V.SHATPP1, V.SHATPP2}
+    assert {v for v, names in charac._CONDITIONS.items() if "nonzero_gradient" in names} == want
+    assert charac._NEEDS_ANCHOR_GRADIENT == want
 
 
 def test_nesting_on_random_points():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcsol.config import Config
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 from qcsol.expr import (
     Abs,
@@ -145,6 +146,13 @@ def test_ad_agrees_with_fd(a, b):
     g = grad(SMOOTH, x)
     scale = 1.0 + float(np.max(np.abs(g)))
     assert np.max(np.abs(g - grad_fd(SMOOTH, x))) <= 1e-5 * scale
+
+
+def test_grad_fd_steps_by_config_h_fd():
+    # the central difference of x^3 is 3 x^2 + h^2
+    f, h = parse("x1^3", 1), 1e-3
+    for x in (0.5, 2.0):
+        assert grad_fd(f, [x], Config(h_fd=h))[0] == pytest.approx(3 * x * x + h * h, abs=1e-10)
 
 
 ROUND_TRIP_SOURCES = [

@@ -213,6 +213,45 @@ class TestEnumerationSharesTheAnchor:
             membership_constrained(cp, (0.0, 0.0), lam, (0.0, 0.0), V.SP1)
 
 
+class TestAnchorCheckedBeforeAnyPoint:
+    """The anchor hypotheses are checked before any point, so a bad anchor
+    fails the same way at every point; here on the ground set x1 <= 1.2."""
+
+    @pytest.fixture()
+    def closed(self, surd):
+        cp = surd.problem
+        return ConstrainedProblem(
+            cp.objective, cp.constraints,
+            ConvexSetDescriptor(2, (Halfspace((1.0, 0.0), 1.2),)), 2, cp.domain_window,
+        )
+
+    def test_constraint_violating_anchor_fails_at_every_node(self, surd, closed):
+        lam = solve_multipliers(surd.problem, surd.anchor)
+        nodes = grid_nodes(closed.domain_window, 9)
+        assert (1.5, -1.5) in map(tuple, nodes.tolist())  # outside the ground set
+        for v in MULTIPLIER_VARIANTS:
+            for x in nodes:
+                with pytest.raises(InfeasibleError):
+                    membership_constrained(closed, (1.1, 1.1), lam, x, v)
+            with pytest.raises(InfeasibleError):
+                enumerate_constrained(closed, (1.1, 1.1), lam, v, 9)
+
+    def test_anchor_outside_the_ground_set_is_not_feasible(self, surd, closed):
+        lam = solve_multipliers(surd.problem, surd.anchor)
+        plain, anchor = kkt._as_plain_problem(closed), (1.3, 0.0)
+        for v in V:
+            if v.requires_multiplier:
+                outcomes = [lambda x=x: membership_constrained(closed, anchor, lam, x, v)
+                            for x in ((0.0, 0.0), (1.5, -1.5))]
+                outcomes.append(lambda: enumerate_constrained(closed, anchor, lam, v, 9))
+            else:
+                outcomes = [lambda: charac.membership(plain, anchor, (0.0, 0.0), v),
+                            lambda: charac.enumerate_solution_set(plain, anchor, v, 9)]
+            for outcome in outcomes:
+                with pytest.raises(HypothesisViolatedError, match="not feasible"):
+                    outcome()
+
+
 class TestLagrangian:
     def test_value(self, surd):
         lam = MultiplierVector((0.5,))

@@ -3,8 +3,8 @@
 import pytest
 
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.charac import enumerate_solution_set
-from qcsol import sets
+from qcsol.charac import enumerate_solution_set, membership
+from qcsol import oracle, sets
 from qcsol.core import CharacVariant, ConstrainedProblem, Problem
 from qcsol.errors import EmptyGridError, EvalError
 from qcsol.expr import evaluate, parse
@@ -84,6 +84,20 @@ def test_agreement_builds_one_grid(monkeypatch):
         rep = agreement(e.problem, e.anchor, v, 9)
         assert rep.equal and calls == [9]
         assert set(enumerate_solution_set(e.problem, e.anchor, v, 9)) == set(rep.oracle.solution_points)
+
+
+def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
+    grids = []
+    monkeypatch.setattr(oracle, "_grid_of", lambda *args: grids.append(args))
+    e = get_example("ex2_3_constrained")
+    for call in (
+        lambda: agreement(e.problem, e.anchor, CharacVariant.S1, 9),
+        lambda: enumerate_solution_set(e.problem, e.anchor, CharacVariant.S1, 9),
+        lambda: membership(e.problem, e.anchor, (1.0, 1.0), CharacVariant.S1),
+    ):
+        with pytest.raises(ValueError, match="kkt.enumerate_constrained"):
+            call()
+    assert grids == []
 
 
 @pytest.mark.parametrize("text,sign", [("0 * x1", "-"), ("-(0 * x1)", "")])

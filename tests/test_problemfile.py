@@ -97,6 +97,22 @@ def test_probe_rejects_apparently_empty_set():
     assert isinstance(load_problem(doc)[0], Problem)
 
 
+def test_known_solution_is_probed_at_the_files_eps_feas():
+    doc = {
+        "dimension": 1,
+        "objective": "x1",
+        "feasible_set": [{"type": "box", "lo": [0.0], "hi": [1.0]}],
+        "domain_window": {"lo": [-1.0], "hi": [2.0]},
+        "known_solution": [-1e-7],
+        "config": {"eps_feas": 1e-6},
+    }
+    problem, known, cfg = load_problem(doc)
+    assert known == (-1e-7,) and cfg.eps_feas == 1e-6
+    del doc["config"]
+    with pytest.raises(ProblemFormatError, match="not in the feasible set"):
+        load_problem(doc)
+
+
 def test_objective_text_is_parsed():
     e = get_example("ex2_1")
     problem, _, _ = loads(dumps(e.problem))
