@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsol.config import Config
@@ -446,7 +446,38 @@ def _to_sympy(e, sp, xs):
     return left / right
 
 
+def _slope_size(e, sp, xs, s):
+    """The exact value of e and the sum of the magnitudes of the terms that
+    forward mode adds into its slope along s.  Float rounding of the slope is
+    relative to this size, not to the slope itself: x1 * (0.3 / x1) has slope
+    0 from two terms of 6e13 at x1 = 5e-15."""
+    if isinstance(e, Const):
+        return sp.Rational(e.value), 0
+    if isinstance(e, Var):
+        x = xs[e.index - 1]
+        return x, int(x == s)
+    if isinstance(e, Neg):
+        v, m = _slope_size(e.operand, sp, xs, s)
+        return -v, m
+    if isinstance(e, Sqrt):
+        v, m = _slope_size(e.operand, sp, xs, s)
+        return sp.sqrt(v), m / (2 * sp.sqrt(v))
+    if isinstance(e, Pow):
+        v, m = _slope_size(e.base, sp, xs, s)
+        k = e.exponent
+        return v**k, (abs(k * v ** (k - 1)) * m if k else 0)
+    (l, ml), (r, mr) = _slope_size(e.left, sp, xs, s), _slope_size(e.right, sp, xs, s)
+    if isinstance(e, Add):
+        return l + r, ml + mr
+    if isinstance(e, Sub):
+        return l - r, ml + mr
+    if isinstance(e, Mul):
+        return l * r, ml * abs(r) + abs(l) * mr
+    return l / r, (ml + abs(l / r) * mr) / abs(r)
+
+
 @given(_SMOOTH_ASTS, st.floats(-2, 2), st.floats(-2, 2))
+@example(Mul(Var(1), Div(Const(0.3), Var(1))), 4.888661471630653e-15, 0.0)
 @settings(max_examples=100, deadline=None)
 def test_grad_agrees_with_sympy(f, a, b):
     # An independent check of the one derivative rule that grad and
@@ -461,9 +492,10 @@ def test_grad_agrees_with_sympy(f, a, b):
     symbolic = _to_sympy(f, sp, xs)
     for i, s in enumerate(xs):
         exact = sp.diff(symbolic, s).evalf(30, subs=point)
-        assume(exact.is_finite)
-        # rounding in the float evaluation, relative to the exact slope
-        assert abs(g[i] - float(exact)) <= 1e-6 * (1.0 + abs(float(exact))), (i, exact)
+        size = sp.sympify(_slope_size(f, sp, xs, s)[1]).evalf(30, subs=point)
+        assume(exact.is_finite and size.is_finite)
+        # rounding in the float evaluation, relative to the slope's terms
+        assert abs(g[i] - float(exact)) <= 1e-12 * (1.0 + float(size)), (i, exact, size)
 
 
 class TestCompileMemo:
