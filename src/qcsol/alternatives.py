@@ -27,6 +27,18 @@ class LPResult:
     objective: float
 
 
+def _pivot(T, basis, row, col):
+    """Make col basic in row: scale the row, then clear col from every
+    other row that has a nonzero entry in it."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        # a row with a zero entry is left alone: subtracting 0 * T[row]
+        # would turn its -0.0 entries into 0.0
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
 def _run_simplex(T, basis, cost, allowed, tol):
     """Minimize cost over the tableau in place; Bland's rule throughout."""
     m = T.shape[0]
@@ -55,12 +67,7 @@ def _run_simplex(T, basis, cost, allowed, tol):
                     leaving = i
         if leaving < 0:
             raise _Unbounded()
-        piv = T[leaving, entering]
-        T[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leaving]
-        basis[leaving] = entering
+        _pivot(T, basis, leaving, entering)
     raise KernelError("simplex iteration cap exceeded")
 
 
@@ -74,72 +81,60 @@ def solve_lp(
     b_ub=None,
     A_eq=None,
     b_eq=None,
-    tol: float = 1e-9,
+    cfg: Config = DEFAULT_CONFIG,
 ) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+    cfg.eps_lp is the pivot and phase-1 feasibility tolerance.
+    """
+    tol = cfg.eps_lp
     c = np.asarray(c, dtype=float)
     n = c.size
     A_ub = np.empty((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
     b_ub = np.empty(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
     A_eq = np.empty((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
     b_eq = np.empty(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
+    m_ub, m = A_ub.shape[0], A_ub.shape[0] + A_eq.shape[0]
 
-    n_slack = m_ub
-    n_total = n + n_slack + m  # artificials for every row, unused ones stay 0
-    A = np.zeros((m, n_total))
-    b = np.concatenate([b_ub, b_eq])
-    A[:m_ub, :n] = A_ub
-    A[m_ub:, :n] = A_eq
-    for i in range(m_ub):
-        A[i, n + i] = 1.0
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b = b.copy()
-            b[i] *= -1.0
-    art_start = n + n_slack
+    # Columns: x, one slack per <= row, one artificial per row (unused ones stay 0).
+    art_start = n + m_ub
+    n_total = art_start + m
+    T = np.zeros((m, n_total + 1))
+    T[:m_ub, :n] = A_ub
+    T[m_ub:, :n] = A_eq
+    T[:m_ub, n:art_start] = np.eye(m_ub)
+    T[:, -1] = np.concatenate([b_ub, b_eq])
+    # Each row is flipped to b_i >= 0.  A slack that survived the flip with
+    # coefficient +1 is the row's initial basic variable; every other row
+    # starts on its artificial.
     basis: List[int] = []
     for i in range(m):
-        # use the slack as the initial basic variable when it survived the
-        # sign flip with coefficient +1
-        if i < m_ub and A[i, n + i] == 1.0:
+        if T[i, -1] < 0:
+            T[i] *= -1.0
+        if i < m_ub and T[i, n + i] == 1.0:
             basis.append(n + i)
-            A[i, art_start + i] = 0.0
         else:
-            A[i, art_start + i] = 1.0
+            T[i, art_start + i] = 1.0
             basis.append(art_start + i)
-
-    T = np.hstack([A, b.reshape(-1, 1)])
     allowed = np.ones(n_total, dtype=bool)
 
     # Phase 1: minimize the sum of artificials.
-    cost1 = np.zeros(n_total)
-    cost1[art_start:] = 1.0
     if any(bi >= art_start for bi in basis):
+        cost1 = np.zeros(n_total)
+        cost1[art_start:] = 1.0
         try:
             _run_simplex(T, basis, cost1, allowed, tol)
         except _Unbounded:  # phase-1 objective is bounded below by zero
             raise KernelError("phase-1 reported unbounded")
-        obj1 = float(cost1[basis] @ T[:, -1])
-        if obj1 > tol:
+        if float(cost1[basis] @ T[:, -1]) > tol:
             return LPResult("infeasible", None, math.nan)
         # Drive leftover zero-level artificials out of the basis.
         for i in range(m):
             if basis[i] >= art_start:
-                piv_col = -1
                 for j in range(art_start):
                     if abs(T[i, j]) > tol:
-                        piv_col = j
+                        _pivot(T, basis, i, j)
                         break
-                if piv_col >= 0:
-                    piv = T[i, piv_col]
-                    T[i] /= piv
-                    for k in range(m):
-                        if k != i and T[k, piv_col] != 0.0:
-                            T[k] -= T[k, piv_col] * T[i]
-                    basis[i] = piv_col
     allowed[art_start:] = False
 
     # Phase 2: maximize c.x == minimize (-c).x.
@@ -150,8 +145,7 @@ def solve_lp(
     except _Unbounded:
         return LPResult("unbounded", None, math.inf)
     x = np.zeros(n_total)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
+    x[basis] = T[:, -1]
     return LPResult("optimal", x[:n], float(c @ x[:n]))
 
 
@@ -174,77 +168,43 @@ def strict_feasibility(
 ) -> FeasibilityResult:
     """Find y in [-1,1]^n with A_le y <= b_le and A_strict y < b_strict.
 
-    Strictness is realized by maximizing the margin eps subject to
-    A_strict y <= b_strict - eps; the result is a witness when the optimal
-    margin exceeds eps_lp, otherwise point is None.
+    A_strict needs at least one row (ValueError otherwise); the weak rows
+    A_le may be None or empty.  Strictness is realized by maximizing the
+    margin eps subject to A_strict y <= b_strict - eps; the result is a
+    witness when the optimal margin exceeds eps_lp, otherwise point is None.
     """
-    A_le = None if A_le is None or len(A_le) == 0 else np.atleast_2d(np.asarray(A_le, float))
-    A_strict = (
-        None
-        if A_strict is None or len(A_strict) == 0
-        else np.atleast_2d(np.asarray(A_strict, float))
-    )
-    if A_le is None and A_strict is None:
-        return FeasibilityResult(np.zeros(0), math.inf)
-    n = (A_le if A_le is not None else A_strict).shape[1]
+    if A_strict is None or len(A_strict) == 0:
+        raise ValueError("strict feasibility needs at least one strict row")
+    A_strict = np.atleast_2d(np.asarray(A_strict, float))
+    n = A_strict.shape[1]
+    if A_le is None or len(A_le) == 0:
+        A_le, b_le = np.empty((0, n)), ()
+    A = np.vstack([A_le, A_strict])
+    b = np.concatenate([np.atleast_1d(np.asarray(v, float)) for v in (b_le, b_strict)])
+    m_le = len(A) - len(A_strict)
 
-    if A_strict is None:
-        # Pure feasibility over the box; y = 0 first, then the kernel.
-        b_le = np.atleast_1d(np.asarray(b_le, float))
-        if np.all(b_le >= -cfg.eps_lp):
-            return FeasibilityResult(np.zeros(n), math.inf)
-        res = _box_lp(np.zeros(n + 1), A_le, b_le, None, None, n, cfg)
-        if res.status != "optimal":
-            return FeasibilityResult(None, -math.inf)
-        return FeasibilityResult(res.x[:n] - 1.0, math.inf)
-
-    b_strict = np.atleast_1d(np.asarray(b_strict, float))
-    b_le = (
-        np.atleast_1d(np.asarray(b_le, float)) if A_le is not None else None
+    # Variables: z = y + 1 in [0,2]^n, plus eps >= 0; maximize eps.  A row
+    # a . y <= b becomes a . z <= b + a . 1.  eps is bounded by the strict
+    # rows plus the box, but capped anyway so all-zero strict rows stay
+    # bounded.
+    ones = np.ones(n)
+    rows = np.zeros((len(A) + n + 1, n + 1))
+    rows[: len(A), :n] = A
+    rows[m_le : len(A), n] = 1.0
+    rows[len(A) :] = np.eye(n + 1)  # z_i <= 2, then the cap on eps
+    bound = 1.0 + max(
+        abs(float(bi)) + float(np.abs(a).sum()) for a, bi in zip(A[m_le:], b[m_le:])
     )
-    # Variables: z = y + 1 in [0,2]^n, plus eps >= 0; maximize eps.
+    rhs = [bi + float(a @ ones) for a, bi in zip(A, b)] + [2.0] * n + [bound]
     c = np.zeros(n + 1)
     c[n] = 1.0
-    res = _box_lp(c, A_le, b_le, A_strict, b_strict, n, cfg)
+    res = solve_lp(c, rows, rhs, cfg=cfg)
     if res.status != "optimal":
         return FeasibilityResult(None, -math.inf)
     margin = res.objective
     if margin <= cfg.eps_lp:
         return FeasibilityResult(None, margin)
     return FeasibilityResult(res.x[:n] - 1.0, margin)
-
-
-def _box_lp(c, A_le, b_le, A_strict, b_strict, n, cfg) -> LPResult:
-    rows = []
-    rhs = []
-    ones = np.ones(n)
-    if A_le is not None:
-        for a, b in zip(A_le, b_le):
-            rows.append(np.concatenate([a, [0.0]]))
-            rhs.append(b + float(a @ ones))
-    if A_strict is not None:
-        for a, b in zip(A_strict, b_strict):
-            rows.append(np.concatenate([a, [1.0]]))
-            rhs.append(b + float(a @ ones))
-    for i in range(n):  # z_i <= 2
-        unit = np.zeros(n + 1)
-        unit[i] = 1.0
-        rows.append(unit)
-        rhs.append(2.0)
-    # eps is bounded by the strict rows plus the box, but cap it anyway so
-    # the degenerate all-zero-rows case stays bounded
-    cap = np.zeros(n + 1)
-    cap[n] = 1.0
-    if A_strict is not None:
-        bound = 1.0 + max(
-            abs(float(b)) + float(np.abs(a).sum())
-            for a, b in zip(A_strict, b_strict)
-        )
-    else:
-        bound = 1.0
-    rows.append(cap)
-    rhs.append(bound)
-    return solve_lp(c, np.array(rows), np.array(rhs), tol=cfg.eps_lp)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +243,7 @@ def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
     m, n = A.shape
     A_eq = np.vstack([A.T, np.ones((1, m))])
     b_eq = np.concatenate([np.zeros(n), [1.0]])
-    res = solve_lp(np.zeros(m), A_eq=A_eq, b_eq=b_eq, tol=cfg.eps_lp)
+    res = solve_lp(np.zeros(m), A_eq=A_eq, b_eq=b_eq, cfg=cfg)
     if res.status != "optimal":
         return None
     return res.x

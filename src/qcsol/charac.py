@@ -25,7 +25,7 @@ from .core import (
     as_point,
 )
 from .errors import HypothesisViolatedError, InconsistentDichotomyError
-from .expr import _dot, _norm, grad, grad_many
+from .expr import _at, _dot, _norm, grad, grad_many
 from .sets import contains, sample_grid
 
 
@@ -47,7 +47,7 @@ def classify_dichotomy(
     pts = [as_point(x, p.dimension) for x in known_solutions]
     for x in pts:
         if not contains(p.feasible_set, x, cfg.eps_feas):
-            raise ValueError(f"claimed solution {tuple(x)} is not feasible")
+            raise ValueError(f"claimed solution {_at(x)} is not feasible")
     grads = [grad(p.objective, x, p.dimension) for x in pts]
     norms = [float(np.linalg.norm(g)) for g in grads]
     witnesses = tuple((tuple(float(v) for v in x), nrm) for x, nrm in zip(pts, norms))
@@ -64,8 +64,8 @@ def classify_dichotomy(
         for j in range(i + 1, len(units)):
             if _cosine_distance(units[i], units[j]) > cfg.eps_dir:
                 raise InconsistentDichotomyError(
-                    f"normalized gradients at {tuple(pts[i])} and "
-                    f"{tuple(pts[j])} differ beyond tolerance"
+                    f"normalized gradients at {_at(pts[i])} and "
+                    f"{_at(pts[j])} differ beyond tolerance"
                 )
     mean = np.mean(units, axis=0)
     common = mean / np.linalg.norm(mean)
@@ -78,7 +78,7 @@ def check_anchor_hypothesis(
     """Validate the anchor point and return its gradient."""
     xb = as_point(xbar, p.dimension)
     if not contains(p.feasible_set, xb, cfg.eps_feas):
-        raise HypothesisViolatedError(f"anchor {tuple(xb)} is not feasible")
+        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
     g0 = grad(p.objective, xb, p.dimension)
     if variant in _NEEDS_ANCHOR_GRADIENT and _norm(g0) <= cfg.eps_grad:
         raise HypothesisViolatedError(

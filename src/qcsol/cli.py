@@ -113,7 +113,7 @@ def _require_anchor(known):
 
 def _cmd_classify(args) -> int:
     problem, _, cfg = _load(args, require_constrained=False)
-    res = oracle.brute_force_solutions(problem, args.resolution, cfg.eps_opt, cfg)
+    res = oracle.brute_force_solutions(problem, args.resolution, cfg=cfg)
     report = charac.classify_dichotomy(problem, res.solution_points, cfg)
     _emit(
         {
@@ -194,7 +194,7 @@ def _cmd_check_convexity(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem, _, cfg = _load(args)
-    res = oracle.brute_force_solutions(problem, args.resolution, cfg.eps_opt, cfg)
+    res = oracle.brute_force_solutions(problem, args.resolution, cfg=cfg)
     _emit(
         {
             "min_value": res.min_value,
@@ -210,7 +210,7 @@ def _cmd_agreement(args) -> int:
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
     rep = oracle.agreement(
-        problem, anchor, variant, args.resolution, cfg.eps_opt, cfg
+        problem, anchor, variant, args.resolution, cfg=cfg
     )
     _emit(
         {
@@ -304,7 +304,7 @@ def _cmd_run_example(args) -> int:
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
         resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
-        res = oracle.brute_force_solutions(problem, resolution, cfg.eps_opt, cfg)
+        res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
         covered = all(
             kkt.member_X1(problem, anchor, lam, p, cfg)
             for p in res.solution_points
@@ -323,7 +323,7 @@ def _cmd_run_example(args) -> int:
         _emit(report)
         return EXIT_OK if covered else EXIT_NEGATIVE
 
-    res = oracle.brute_force_solutions(problem, resolution, cfg.eps_opt, cfg)
+    res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
     dich = charac.classify_dichotomy(problem, res.solution_points, cfg)
     report["alternative"] = dich.alternative
     report["oracle_min"] = res.min_value
@@ -335,7 +335,7 @@ def _cmd_run_example(args) -> int:
         agreements = {}
         for variant in variants:
             rep = oracle.agreement(
-                problem, anchor, variant, resolution, cfg.eps_opt, cfg
+                problem, anchor, variant, resolution, cfg=cfg
             )
             agreements[variant.value] = rep.equal
         report["agreement"] = agreements

@@ -260,8 +260,9 @@ _HELPERS = ("POW", "NONZERO", "SQRT", "SQRTD", "ABSD", "PW")
 # The float helpers: one point, coordinates as Python floats.
 
 def _at(x) -> tuple:
-    """A point as error messages print it."""
-    return tuple(np.array(x, dtype=float))
+    """A point (or a gradient) as error messages print it: a tuple of
+    Python floats."""
+    return tuple(np.array(x, dtype=float).tolist())
 
 
 def _pow(base: float, k: int, lower: Optional[int] = None):
@@ -453,9 +454,9 @@ def _point(run, xv: np.ndarray):
     which must be finite."""
     value, derivs = run(xv.tolist())
     if not math.isfinite(value):
-        raise EvalError(f"non-finite value {value} at {tuple(xv)}")
+        raise EvalError(f"non-finite value {value} at {_at(xv)}")
     if not all(map(math.isfinite, derivs)):
-        raise EvalError(f"non-finite gradient {tuple(np.array(derivs))} at {tuple(xv)}")
+        raise EvalError(f"non-finite gradient {_at(derivs)} at {_at(xv)}")
     return value, derivs
 
 

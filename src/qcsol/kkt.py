@@ -21,19 +21,14 @@ from .core import (
     as_point,
 )
 from .errors import (
+    HypothesisViolatedError,
     InfeasibleError,
     NoMultiplierError,
     NotOpenGroundSetError,
     QcsolError,
 )
-from .expr import evaluate, evaluate_many, grad, grad_many
-from .sets import (
-    contains,
-    contains_many,
-    grid_nodes,
-    normal_cone_generators,
-    tangent_polar_at,
-)
+from .expr import _at, evaluate, evaluate_many, grad, grad_many
+from .sets import contains, contains_many, grid_nodes, normal_cone_generators
 
 
 @dataclass(frozen=True)
@@ -94,7 +89,7 @@ def active_set(
     """Indices of active constraints at a feasible point."""
     xv = as_point(x, cp.dimension)
     if not is_feasible(cp, xv, cfg):
-        raise InfeasibleError(f"point {tuple(xv)} is infeasible")
+        raise InfeasibleError(f"point {_at(xv)} is infeasible")
     vals = constraint_values(cp, xv)
     active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
     positive = ()
@@ -113,10 +108,11 @@ def check_gmfcq(
     if not report.active:
         return CQReport(True, tuple(0.0 for _ in range(cp.dimension)))
     strict_rows = [grad(cp.constraints[i], xb, cp.dimension) for i in report.active]
-    cone = tangent_polar_at(cp.ground_set, xb, cfg.eps_act)
-    A_le = [list(row) for row in cone.rows] or None
-    b_le = [0.0] * len(cone.rows) if cone.rows else None
-    res = strict_feasibility(A_le, b_le, strict_rows, [0.0] * len(strict_rows), cfg)
+    # tangent directions y of the ground set: n . y <= 0 for each normal n
+    normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
+    res = strict_feasibility(
+        normals, [0.0] * len(normals), strict_rows, [0.0] * len(strict_rows), cfg
+    )
     if res.point is None:
         return CQReport(False, None)
     return CQReport(True, tuple(float(v) for v in res.point))
@@ -149,17 +145,15 @@ def solve_multipliers(
 
     # Solve sum_i mu_i col_i = -grad f(xbar), mu >= 0.
     A_eq = np.column_stack(cols)
-    res = solve_lp(
-        np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, tol=cfg.eps_lp
-    )
+    res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, cfg=cfg)
     if res.status != "optimal":
         raise NoMultiplierError(
-            f"no multiplier exists at {tuple(xb)} within tolerance"
+            f"no multiplier exists at {_at(xb)} within tolerance"
         )
     lambdas = [0.0] * cp.m
     for idx, i in enumerate(report.active):
         lambdas[i] = float(res.x[idx])
-    rank = int(np.linalg.matrix_rank(A_eq)) if cols else 0
+    rank = int(np.linalg.matrix_rank(A_eq))
     return MultiplierVector(tuple(lambdas), rank_deficient=rank < len(cols))
 
 
@@ -181,7 +175,7 @@ def stationarity_residual(
         np.zeros(len(normals)),
         A_eq=np.column_stack(normals),
         b_eq=-resid,
-        tol=cfg.eps_lp,
+        cfg=cfg,
     )
     if res.status == "optimal":
         recon = np.column_stack(normals) @ res.x
@@ -240,8 +234,14 @@ def _checked_anchor(
     return the anchor's objective gradient, its strict-multiplier indices
     and (i, grad g_i(xb)) for each of them."""
     if not variant.requires_multiplier:
-        raise ValueError(f"{variant.value} has no unconstrained base")
+        raise ValueError(
+            f"{variant.value} needs no multiplier; use charac.membership or "
+            "charac.enumerate_solution_set"
+        )
     g0 = check_anchor_hypothesis(_as_plain_problem(cp), xb, variant, cfg)
+    # an anchor that violates a constraint is refused like one outside S
+    if not np.all(constraint_values(cp, xb) <= cfg.eps_feas):
+        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
     tilde = strict_index_set(cp, xb, lam, cfg)
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and cp.ground_set.atoms:

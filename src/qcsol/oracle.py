@@ -8,7 +8,7 @@ validated against it by exact set comparison on the same grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .charac import _enumerate_grid, _plain_anchor, _reject_constrained
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem, as_point
 from .errors import EmptyGridError
-from .expr import evaluate, evaluate_many
+from .expr import _at, evaluate, evaluate_many
 from .kkt import feasible_grid
 from .sets import sample_grid
 
@@ -37,10 +37,12 @@ def _grid_of(p: Union[Problem, ConstrainedProblem], resolution: int, cfg: Config
 def brute_force_solutions(
     p: Union[Problem, ConstrainedProblem],
     resolution: int,
-    eps_opt: float = 1e-9,
+    eps_opt: Optional[float] = None,
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleResult:
-    """Exhaustive minimization over the feasible grid."""
+    """Exhaustive minimization over the feasible grid; eps_opt defaults
+    to cfg.eps_opt."""
+    eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     return _minimize(p, _grid_of(p, resolution, cfg), eps_opt)
 
 
@@ -68,17 +70,19 @@ def agreement(
     xbar,
     variant: CharacVariant,
     resolution: int,
-    eps_opt: float = 1e-9,
+    eps_opt: Optional[float] = None,
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleAgreement:
-    """Symmetric difference of the oracle set and one enumerated variant on one grid."""
+    """Symmetric difference of the oracle set and one enumerated variant on
+    one grid; eps_opt defaults to cfg.eps_opt."""
     _reject_constrained(p)
+    eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     X = _grid_of(p, resolution, cfg)
     result = _minimize(p, X, eps_opt)
     xb = as_point(xbar, p.dimension)
     if evaluate(p.objective, xb) > result.min_value + eps_opt:
         raise ValueError(
-            f"anchor {tuple(xb)} is not in the oracle solution set"
+            f"anchor {_at(xb)} is not in the oracle solution set"
         )
     enumerated = set(_enumerate_grid(p, *_plain_anchor(p, xbar, variant, cfg), variant, X, cfg))
     oracle_set = set(result.solution_points)

@@ -1,8 +1,8 @@
-"""Convex set descriptors: membership, grid sampling, polyhedral cones.
+"""Convex set descriptors: membership, grid sampling, normal cones.
 
 A set is the intersection of atoms (boxes, halfspaces, balls, linear
-equalities).  Tangent/normal-cone extraction is restricted to polyhedral
-atoms; curved sets are supported everywhere else.
+equalities).  Normal-cone extraction is restricted to polyhedral atoms;
+curved sets are supported everywhere else.
 """
 
 from __future__ import annotations
@@ -104,14 +104,6 @@ class ConvexSetDescriptor:
         return not any(isinstance(a, Ball) for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class ConeRep:
-    """Polyhedral cone {y : row . y <= 0 for each row}; equality rows give
-    both orientations."""
-
-    rows: tuple  # of coefficient tuples
-
-
 def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> bool:
     xv = np.asarray(x, dtype=float)
     if xv.size != S.dimension:
@@ -165,19 +157,6 @@ def sample_grid(
     """
     X = grid_nodes(window, resolution)
     return X[contains_many(S, X, tol)]
-
-
-def tangent_polar_at(
-    X: ConvexSetDescriptor, x: Sequence[float], eps_act: float = 1e-9
-) -> ConeRep:
-    """Tangent cone of a polyhedral X at x, as inequality rows.
-
-    This equals the polar of the normal cone at x: directions y with
-    row . y <= 0 for each generator of normal_cone_generators (each face
-    active at x).
-    """
-    gens = normal_cone_generators(X, x, eps_act)
-    return ConeRep(tuple(tuple(float(c) for c in g) for g in gens))
 
 
 def normal_cone_generators(

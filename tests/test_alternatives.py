@@ -66,6 +66,11 @@ class TestStrictFeasibility:
         y = np.asarray(res.point)
         assert y[1] <= -0.5 + 1e-9 and y[0] < 0
 
+    def test_needs_a_strict_row(self):
+        for A_strict in (None, [], np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                strict_feasibility([[0.0, 1.0]], [-0.5], A_strict, [])
+
 
 class TestGordan:
     def test_primal_branch(self):
@@ -86,6 +91,12 @@ class TestGordan:
 
     def test_dual_certificate_none_when_primal(self):
         assert dual_certificate([[1.0, 0.0], [0.0, 1.0]]) is None
+
+    def test_rejects_a_matrix_without_rows(self):
+        with pytest.raises(ValueError):
+            gordan_alternative(np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            primal_margin(np.zeros((0, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -109,6 +120,76 @@ def test_gordan_exclusivity(case):
         assert np.max(np.abs(A.T @ y)) <= 1e-9
         assert np.sum(y) == pytest.approx(1.0, abs=1e-9)
         assert primal_margin(A) <= DEFAULT_CONFIG.eps_lp
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def _random_lp(seed):
+    """An LP of the size the benchmark's kernel workload solves: m, n in
+    1..6 and entries in [-1, 1], every seventh rounded to integers so that
+    it is degenerate; about four in five are infeasible or unbounded."""
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 7, size=2))
+    A, b, c = rng.uniform(-1.0, 1.0, (m, n)), rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, n)
+    if seed % 7 == 0:
+        A, b, c = np.round(A), np.round(b), np.round(c)
+    return A, b, c
+
+
+def _highs_reference(linprog, c, A_ub, b_ub, A_eq, b_eq):
+    """The LP's status and optimum from HiGHS solves of bounded LPs only:
+    on LPs this small HiGHS reports some unbounded ones as infeasible (with
+    presolve) or as unknown (without).  A feasible LP is unbounded iff it
+    has an improving ray: d >= 0 with A_ub d <= 0, A_eq d = 0, c . d > 0."""
+
+    def solve(cost, rhs_ub, rhs_eq, bounds):
+        return linprog(
+            cost, A_ub=A_ub if len(A_ub) else None, b_ub=rhs_ub if len(A_ub) else None,
+            A_eq=A_eq if len(A_eq) else None, b_eq=rhs_eq if len(A_eq) else None,
+            bounds=bounds, method="highs",
+        )
+
+    feasible = solve(np.zeros_like(c), b_ub, b_eq, (0, None))
+    assert feasible.status in (0, 2)
+    if feasible.status == 2:
+        return "infeasible", None
+    ray = solve(-c, np.zeros_like(b_ub), np.zeros_like(b_eq), (0, 1))
+    assert ray.status == 0
+    if -ray.fun > 1e-9:
+        return "unbounded", None
+    best = solve(-c, b_ub, b_eq, (0, None))
+    assert best.status == 0
+    return "optimal", -best.fun
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["ub", "eq", "both"]))
+@settings(max_examples=300, deadline=None)
+def test_solve_lp_agrees_with_highs(linprog, seed, form):
+    A, b, c = _random_lp(seed)
+    h = {"ub": len(A), "eq": 0, "both": len(A) // 2}[form]
+    A_ub, b_ub, A_eq, b_eq = A[:h], b[:h], A[h:], b[h:]
+    res = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    status, objective = _highs_reference(linprog, c, A_ub, b_ub, A_eq, b_eq)
+    assert res.status == status
+    if status == "optimal":
+        assert abs(res.objective - objective) <= 1e-7 * (1.0 + abs(res.objective))
+        assert np.all(res.x >= -1e-9)
+        assert np.all(A_ub @ res.x <= b_ub + 1e-9)
+        assert np.all(np.abs(A_eq @ res.x - b_eq) <= 1e-9)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_gordan_branch_agrees_with_highs(linprog, seed):
+    # A x > 0 has a solution iff A x >= 1 has one (scale x)
+    A = _random_lp(seed)[0]
+    ref = linprog(np.zeros(A.shape[1]), A_ub=-A, b_ub=-np.ones(len(A)),
+                  bounds=(None, None), method="highs")
+    assert ref.status in (0, 2)
+    assert gordan_alternative(A).branch == ("primal" if ref.status == 0 else "dual")
 
 
 class TestCollinearity:

@@ -91,6 +91,41 @@ def test_run_example_all_checks(capsys):
     assert all(out["agreement"].values())
 
 
+@pytest.mark.parametrize("variant", ["SP1", "SHATP1", "SHATPP1"])
+def test_kkt_enumerate(capsys, variant):
+    assert run([
+        "kkt-enumerate", "--example", "ex2_3_constrained", "--variant", variant,
+        "--resolution", "61",
+    ]) == 0
+    out = _json_out(capsys)
+    assert out["points"] == [[1.0, 1.0]]
+    assert out["lambdas"] == [0.5]
+
+
+def test_infeasible_anchor_prints_plain_floats(capsys):
+    assert run([
+        "kkt-enumerate", "--example", "ex2_3_constrained", "--variant", "SP1",
+        "--anchor", "1.1,1.1",
+    ]) == 3
+    err = json.loads(capsys.readouterr().err)
+    # solve_multipliers refuses the point before any anchor check
+    assert err == {"error": "InfeasibleError", "message": "point (1.1, 1.1) is infeasible"}
+
+
+def test_run_example_constrained(capsys):
+    assert run(["run-example", "ex2_3_constrained"]) == 0
+    out = _json_out(capsys)
+    assert out["solutions_in_X1"] is True
+    assert out["lagrangian_constant"] is True
+
+
+def test_run_example_summary(capsys):
+    assert run(["run-example", "ex2_1"]) == 0
+    out = _json_out(capsys)
+    assert out["alternative"] == "I"
+    assert "agreement" not in out
+
+
 def test_problem_file_input(tmp_path, capsys):
     e = get_example("ex2_1")
     path = tmp_path / "problem.json"

@@ -106,6 +106,10 @@ class TestPiecewise:
         with pytest.raises(EvalError):
             evaluate(f, [1.0])
 
+    def test_message_prints_the_point_as_floats(self):
+        with pytest.raises(EvalError, match=r"point \(2\.0,\) outside"):
+            evaluate(parse("pw[x1 <= 0: 1]", 1), [2.0])
+
     def test_nonlinear_guard_rejected(self):
         with pytest.raises(ParseError):
             parse("pw[x1^2 <= 1: x1]", 1)

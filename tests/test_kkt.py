@@ -87,6 +87,23 @@ class TestMultipliers:
         with pytest.raises(NoMultiplierError):
             solve_multipliers(cp, (0.0, 0.0))
 
+    def test_residual_modulo_an_active_face(self, surd):
+        # at (1, 1) both upper bounds of the box are active, so the normal
+        # cone absorbs the whole gradient (-1, -1) of f; the face x1 <= 1
+        # alone absorbs none of it
+        cp = surd.problem
+        boxed, halved = (
+            ConstrainedProblem(cp.objective, cp.constraints, ConvexSetDescriptor(2, (atom,)),
+                               2, cp.domain_window)
+            for atom in (Box((-1.5, -1.5), (1.0, 1.0)), Halfspace((1.0, 0.0), 1.0))
+        )
+        zero = MultiplierVector((0.0,))
+        assert stationarity_residual(boxed, (1.0, 1.0), zero) == 0.0
+        assert stationarity_residual(halved, (1.0, 1.0), zero) == 1.0
+        lam = solve_multipliers(halved, (1.0, 1.0))
+        assert lam.lambdas == (0.5,)
+        assert stationarity_residual(halved, (1.0, 1.0), lam) == 0.0
+
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
             MultiplierVector((-0.1,))
@@ -231,9 +248,9 @@ class TestAnchorCheckedBeforeAnyPoint:
         assert (1.5, -1.5) in map(tuple, nodes.tolist())  # outside the ground set
         for v in MULTIPLIER_VARIANTS:
             for x in nodes:
-                with pytest.raises(InfeasibleError):
+                with pytest.raises(HypothesisViolatedError):
                     membership_constrained(closed, (1.1, 1.1), lam, x, v)
-            with pytest.raises(InfeasibleError):
+            with pytest.raises(HypothesisViolatedError):
                 enumerate_constrained(closed, (1.1, 1.1), lam, v, 9)
 
     def test_anchor_outside_the_ground_set_is_not_feasible(self, surd, closed):

@@ -1,5 +1,7 @@
 """Brute-force grid oracle."""
 
+from dataclasses import replace
+
 import pytest
 
 from qcsol.config import DEFAULT_CONFIG
@@ -43,6 +45,16 @@ def test_agreement_with_enumeration():
     assert rep.equal and rep.missing == () and rep.extra == ()
     pts = enumerate_solution_set(e.problem, e.anchor, CharacVariant.SHAT1, 9)
     assert set(pts) == set(rep.oracle.solution_points)
+
+
+def test_eps_opt_defaults_to_the_config():
+    e = get_example("ex2_4")
+    cfg = replace(DEFAULT_CONFIG, eps_opt=0.5)
+    res = brute_force_solutions(e.problem, 17, cfg=cfg)
+    assert len(res.solution_points) == 33
+    assert res == brute_force_solutions(e.problem, 17, 0.5)
+    rep = agreement(e.problem, e.anchor, CharacVariant.STILDE, 17, cfg=cfg)
+    assert rep.oracle == res
 
 
 def test_agreement_rejects_suboptimal_anchor():

@@ -23,7 +23,6 @@ from qcsol.sets import (
     grid_nodes,
     normal_cone_generators,
     sample_grid,
-    tangent_polar_at,
 )
 
 RECT = ConvexSetDescriptor(
@@ -164,31 +163,28 @@ def test_contains_many_decides_boundary_rows_like_contains(atom, tol):
 
 
 class TestCones:
-    def test_tangent_polar_at_corner(self):
-        cone = tangent_polar_at(RECT, [1.0, 0.0])
-        rows = {tuple(r) for r in cone.rows}
-        # active: x1 >= 1 (row -e1), x2 >= 0 (row -e2); the halfspace is inactive
-        assert (-1.0, 0.0) in rows and (0.0, -1.0) in rows
-        assert len(rows) == 2
-
-    def test_tangent_polar_interior(self):
-        assert tangent_polar_at(RECT, [1.5, 0.5]).rows == ()
-
     def test_equality_gives_both_orientations(self):
         S = ConvexSetDescriptor(2, (LinearEquality((1.0, 1.0), 1.0),))
-        rows = {tuple(r) for r in tangent_polar_at(S, [0.5, 0.5]).rows}
+        rows = {tuple(r) for r in normal_cone_generators(S, [0.5, 0.5])}
         assert rows == {(1.0, 1.0), (-1.0, -1.0)}
 
     def test_normal_cone_generators(self):
-        gens = {tuple(g) for g in normal_cone_generators(RECT, [1.0, 0.0])}
+        gens = [tuple(g.tolist()) for g in normal_cone_generators(RECT, [1.0, 0.0])]
+        # active: x1 >= 1 (row -e1), x2 >= 0 (row -e2); the halfspace is inactive
         assert (-1.0, 0.0) in gens and (0.0, -1.0) in gens
+        assert len(gens) == 2
         assert normal_cone_generators(RECT, [1.5, 0.5]) == []
+
+    def test_active_halfspace_and_box_upper_bounds(self):
+        # at (2, 2): x1 <= 2 (row e1), x2 <= 2 (row e2) and -x1 + x2 <= 0
+        gens = normal_cone_generators(RECT, [2.0, 2.0])
+        assert [g.tolist() for g in gens] == [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
 
     def test_ball_is_not_polyhedral(self):
         S = ConvexSetDescriptor(2, (Ball((0.0, 0.0), 1.0),))
         assert not S.polyhedral
         with pytest.raises(NonPolyhedralError):
-            tangent_polar_at(S, [1.0, 0.0])
+            normal_cone_generators(S, [1.0, 0.0])
 
 
 @given(
