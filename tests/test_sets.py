@@ -163,16 +163,23 @@ def test_contains_many_decides_boundary_rows_like_contains(atom, tol):
 
 
 class TestCones:
+    def test_tangent_polar_at_corner(self):
+        gens = [tuple(g.tolist()) for g in normal_cone_generators(RECT, [1.0, 0.0])]
+        # active: x1 >= 1 (row -e1), x2 >= 0 (row -e2); the halfspace is inactive
+        assert (-1.0, 0.0) in gens and (0.0, -1.0) in gens
+        assert len(gens) == 2
+
+    def test_tangent_polar_interior(self):
+        assert normal_cone_generators(RECT, [1.5, 0.5]) == []
+
     def test_equality_gives_both_orientations(self):
         S = ConvexSetDescriptor(2, (LinearEquality((1.0, 1.0), 1.0),))
         rows = {tuple(r) for r in normal_cone_generators(S, [0.5, 0.5])}
         assert rows == {(1.0, 1.0), (-1.0, -1.0)}
 
     def test_normal_cone_generators(self):
-        gens = [tuple(g.tolist()) for g in normal_cone_generators(RECT, [1.0, 0.0])]
-        # active: x1 >= 1 (row -e1), x2 >= 0 (row -e2); the halfspace is inactive
+        gens = {tuple(g) for g in normal_cone_generators(RECT, [1.0, 0.0])}
         assert (-1.0, 0.0) in gens and (0.0, -1.0) in gens
-        assert len(gens) == 2
         assert normal_cone_generators(RECT, [1.5, 0.5]) == []
 
     def test_active_halfspace_and_box_upper_bounds(self):
