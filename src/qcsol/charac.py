@@ -26,11 +26,7 @@ from .core import (
 )
 from .errors import HypothesisViolatedError, InconsistentDichotomyError
 from .expr import _at, _dot, _norm, grad, grad_many
-from .sets import contains, sample_grid
-
-
-def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 1.0 - float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+from .sets import contains, contains_many, sample_grid
 
 
 def classify_dichotomy(
@@ -38,38 +34,39 @@ def classify_dichotomy(
 ) -> DichotomyReport:
     """Classify the solution set by the gradient dichotomy.
 
-    Alternative I: every inspected gradient is nonzero and the normalized
-    gradients agree pairwise; II: every gradient is zero.  A mix raises
-    InconsistentDichotomyError (bad inputs or miscalibrated tolerances).
+    Alternative I: every inspected gradient is nonzero and the gradients
+    agree pairwise; II: every gradient is zero.  A mix raises
+    InconsistentDichotomyError at the first failing pair (docs/theorems.md).
     """
-    if not known_solutions:
+    if not len(known_solutions):
         raise ValueError("need at least one known solution")
-    pts = [as_point(x, p.dimension) for x in known_solutions]
-    for x in pts:
-        if not contains(p.feasible_set, x, cfg.eps_feas):
-            raise ValueError(f"claimed solution {_at(x)} is not feasible")
-    grads = [grad(p.objective, x, p.dimension) for x in pts]
-    norms = [float(np.linalg.norm(g)) for g in grads]
-    witnesses = tuple((tuple(float(v) for v in x), nrm) for x, nrm in zip(pts, norms))
+    X = np.array([as_point(x, p.dimension) for x in known_solutions])
+    outside = ~contains_many(p.feasible_set, X, cfg.eps_feas)
+    if outside.any():
+        raise ValueError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
+    G = grad_many(p.objective, X, p.dimension)
+    norms = _norm(G.T)
+    witnesses = tuple(zip(map(tuple, X.tolist()), norms.tolist()))
 
-    if all(nrm <= cfg.eps_grad for nrm in norms):
+    zero = norms <= cfg.eps_grad
+    if zero.all():
         return DichotomyReport("II", None, witnesses)
-    if any(nrm <= cfg.eps_grad for nrm in norms):
+    if zero.any():
         raise InconsistentDichotomyError(
             "solutions mix zero and nonzero gradients; inputs are not all "
             "minimizers or tolerances are miscalibrated"
         )
-    units = [g / nrm for g, nrm in zip(grads, norms)]
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            if _cosine_distance(units[i], units[j]) > cfg.eps_dir:
-                raise InconsistentDichotomyError(
-                    f"normalized gradients at {_at(pts[i])} and "
-                    f"{_at(pts[j])} differ beyond tolerance"
-                )
-    mean = np.mean(units, axis=0)
-    common = mean / np.linalg.norm(mean)
-    return DichotomyReport("I", tuple(float(c) for c in common), witnesses)
+    for i in range(len(X) - 1):
+        # the condition table's cosine distance, with solution i as the anchor
+        far = _Rows(X[i + 1:], G[i + 1:], X[i], G[i], {}).cosine_distance() > cfg.eps_dir
+        if far.any():
+            raise InconsistentDichotomyError(
+                f"normalized gradients at {_at(X[i])} and "
+                f"{_at(X[i + 1 + far.argmax()])} differ beyond tolerance"
+            )
+    mean = np.mean(G / norms[:, None], axis=0)
+    common = mean / _norm(mean)
+    return DichotomyReport("I", tuple(common.tolist()), witnesses)
 
 
 def check_anchor_hypothesis(
@@ -320,17 +317,3 @@ def enumerate_solution_set(
     # sample_grid keeps exactly the points that contains() accepts at eps_feas
     X = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
     return _enumerate_grid(p, xb, g0, variant, X, cfg)
-
-
-def convex_gradient_constancy(
-    p: Problem, xbar, solutions: Sequence, cfg: Config = DEFAULT_CONFIG
-) -> bool:
-    """For convex f the gradient is constant over the solution set."""
-    xb = as_point(xbar, p.dimension)
-    g0 = grad(p.objective, xb, p.dimension)
-    scale = cfg.eps_dir * (1.0 + float(np.linalg.norm(g0)))
-    for x in solutions:
-        g = grad(p.objective, as_point(x, p.dimension), p.dimension)
-        if float(np.linalg.norm(g - g0)) > scale:
-            return False
-    return True

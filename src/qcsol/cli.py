@@ -228,6 +228,7 @@ def _cmd_agreement(args) -> int:
 def _cmd_kkt_solve(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
+    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
     _emit(
@@ -244,6 +245,7 @@ def _cmd_kkt_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
+    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     points = kkt.enumerate_constrained(
         problem, anchor, lam, variant, args.resolution, cfg
@@ -261,6 +263,7 @@ def _cmd_kkt_enumerate(args) -> int:
 def _cmd_check_cq(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
+    kkt._feasible_anchor(problem, anchor, cfg)
     rep = kkt.check_gmfcq(problem, anchor, cfg)
     _emit(
         {

@@ -55,6 +55,12 @@ def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool
     return bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
 
 
+def _feasible_anchor(cp: ConstrainedProblem, xbar, cfg: Config) -> None:
+    """Refuse an anchor outside the ground set or a constraint (is_feasible)."""
+    if not is_feasible(cp, xbar, cfg):
+        raise HypothesisViolatedError(f"anchor {_at(xbar)} is not feasible")
+
+
 def feasible_grid(
     cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -134,7 +140,6 @@ def solve_multipliers(
     normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
 
     cols = active_grads + normals
-    k = len(active_grads)
     if not cols:
         if float(np.linalg.norm(gf)) > cfg.eps_lp:
             raise NoMultiplierError(
@@ -160,27 +165,21 @@ def solve_multipliers(
 def stationarity_residual(
     cp: ConstrainedProblem, xbar, lam: MultiplierVector, cfg: Config = DEFAULT_CONFIG
 ) -> float:
-    """Norm of grad f + sum lambda_i grad g_i modulo the normal cone at xbar."""
+    """Max-norm distance of resid = grad f + sum lambda_i grad g_i at xbar to
+    minus the normal cone N: max|resid + N mu| at the minimizer of the LP
+    min t over mu >= 0 with |resid + N mu| <= t (docs/theorems.md)."""
     xb = as_point(xbar, cp.dimension)
     resid = grad(cp.objective, xb, cp.dimension).copy()
     for i, g in enumerate(cp.constraints):
         if lam.lambdas[i] != 0.0:
             resid += lam.lambdas[i] * grad(g, xb, cp.dimension)
     normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
-    if not normals:
-        return float(np.max(np.abs(resid))) if resid.size else 0.0
-    # Distance of -resid to the normal cone, via nonnegative least squares
-    # replaced by LP feasibility at tolerance.
-    res = solve_lp(
-        np.zeros(len(normals)),
-        A_eq=np.column_stack(normals),
-        b_eq=-resid,
-        cfg=cfg,
-    )
-    if res.status == "optimal":
-        recon = np.column_stack(normals) @ res.x
-        return float(np.max(np.abs(recon + resid)))
-    return float(np.max(np.abs(resid)))
+    N = np.reshape(normals, (len(normals), cp.dimension)).T
+    # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t
+    t = -np.ones((cp.dimension, 1))
+    A_ub, b_ub = np.block([[N, t], [-N, t]]), np.concatenate([-resid, resid])
+    mu = solve_lp(np.append(np.zeros(len(normals)), -1.0), A_ub, b_ub, cfg=cfg).x[:-1]
+    return float(np.max(np.abs(resid + N @ mu)))
 
 
 def strict_index_set(
@@ -200,19 +199,24 @@ def member_X1(
     """x in X1(lambda): strict-multiplier constraints hold with equality,
     the rest with inequality, and x is in the ground set."""
     xv = as_point(x, cp.dimension)
+    # a point outside the ground set is no member, whatever the anchor
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
     tilde = strict_index_set(cp, xbar, lam, cfg)
-    return _in_X1(constraint_values(cp, xv), tilde, cfg)
+    return bool(_set_conditions(cp, xv[None], tilde, cfg)["in_X1"][0])
 
 
-def _in_X1(vals: np.ndarray, tilde: tuple, cfg: Config) -> bool:
-    """Whether a point of the ground set with constraint values vals is in
-    X1(lambda), whose strict-multiplier indices are tilde."""
-    return not any(
-        abs(v) > cfg.eps_act if i in tilde else v > cfg.eps_feas
-        for i, v in enumerate(vals)
-    )
+def _set_conditions(cp: ConstrainedProblem, X: np.ndarray, tilde: tuple, cfg: Config) -> dict:
+    """Masks of the rows of the (N, n) array X in the multiplier rows' sets:
+    in_feasible_set, constraints_feasible and in_X1, whose strict-multiplier
+    indices are tilde (docs/theorems.md gives the formulas)."""
+    in_S = contains_many(cp.ground_set, X, cfg.eps_feas)
+    feasible, in_X1 = np.ones(len(X), dtype=bool), in_S.copy()
+    for i, g in enumerate(cp.constraints):
+        v = evaluate_many(g, X)
+        feasible &= v <= cfg.eps_feas
+        in_X1 &= ~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas)
+    return {"in_feasible_set": in_S, "constraints_feasible": feasible, "in_X1": in_X1}
 
 
 def _as_plain_problem(cp: ConstrainedProblem) -> Problem:
@@ -238,10 +242,8 @@ def _checked_anchor(
             f"{variant.value} needs no multiplier; use charac.membership or "
             "charac.enumerate_solution_set"
         )
+    _feasible_anchor(cp, xb, cfg)
     g0 = check_anchor_hypothesis(_as_plain_problem(cp), xb, variant, cfg)
-    # an anchor that violates a constraint is refused like one outside S
-    if not np.all(constraint_values(cp, xb) <= cfg.eps_feas):
-        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
     tilde = strict_index_set(cp, xb, lam, cfg)
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and cp.ground_set.atoms:
@@ -264,13 +266,7 @@ def membership_constrained(
     xb = as_point(xbar, cp.dimension)
     xv = as_point(x, cp.dimension)
     g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
-    in_S = contains(cp.ground_set, xv, cfg.eps_feas)
-    vals = constraint_values(cp, xv)
-    sets = {
-        "in_X1": in_S and _in_X1(vals, tilde, cfg),
-        "in_feasible_set": in_S,
-        "constraints_feasible": bool(np.all(vals <= cfg.eps_feas)),
-    }
+    sets = {name: mask[0] for name, mask in _set_conditions(cp, xv[None], tilde, cfg).items()}
     with np.errstate(all="ignore"):
         g = grad(cp.objective, xv, cp.dimension)
         rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
@@ -293,12 +289,7 @@ def enumerate_constrained(
     g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
 
     def members(X):
-        # membership_constrained on rows that are all feasible: in the
-        # ground set and with every constraint at most eps_feas
-        in_x1 = np.ones(len(X), dtype=bool)
-        for i in tilde:
-            in_x1 &= ~(np.abs(evaluate_many(cp.constraints[i], X)) > cfg.eps_act)
-        sets = {"in_X1": in_x1, "in_feasible_set": True, "constraints_feasible": True}
+        sets = _set_conditions(cp, X, tilde, cfg)
         G = grad_many(cp.objective, X, cp.dimension)
         return _Rows(X, G, xb, g0, sets, active).decide(variant, cfg).member
 

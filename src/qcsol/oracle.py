@@ -15,7 +15,7 @@ import numpy as np
 from .charac import _enumerate_grid, _plain_anchor, _reject_constrained
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem, as_point
-from .errors import EmptyGridError
+from .errors import EmptyGridError, HypothesisViolatedError
 from .expr import _at, evaluate, evaluate_many
 from .kkt import feasible_grid
 from .sets import sample_grid
@@ -81,9 +81,7 @@ def agreement(
     result = _minimize(p, X, eps_opt)
     xb = as_point(xbar, p.dimension)
     if evaluate(p.objective, xb) > result.min_value + eps_opt:
-        raise ValueError(
-            f"anchor {_at(xb)} is not in the oracle solution set"
-        )
+        raise HypothesisViolatedError(f"anchor {_at(xb)} is not in the oracle solution set")
     enumerated = set(_enumerate_grid(p, *_plain_anchor(p, xbar, variant, cfg), variant, X, cfg))
     oracle_set = set(result.solution_points)
     missing = tuple(sorted(oracle_set - enumerated))

@@ -4,21 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsol import charac
 from qcsol.charac import (
     check_anchor_hypothesis,
     classify_dichotomy,
-    convex_gradient_constancy,
     enumerate_solution_set,
     membership,
 )
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.core import CharacVariant, Problem
+from qcsol.core import CharacVariant, DichotomyReport, Problem
 from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
-from qcsol.expr import grad as charac_grad, parse
+from qcsol.expr import _dot, _norm, grad as charac_grad, parse
 from qcsol.registry import builtin_examples, get_example
-from qcsol.sets import Box, ConvexSetDescriptor, sample_grid
+from qcsol.sets import Box, ConvexSetDescriptor, Halfspace, contains, sample_grid
 
 V = CharacVariant
 
@@ -42,6 +43,82 @@ class TestDichotomy:
         e = get_example("ex2_2")
         with pytest.raises(InconsistentDichotomyError):
             classify_dichotomy(e.problem, [(-1.0, 0.0), (0.0, 0.0)])
+
+
+def _dichotomy_per_pair(p, solutions, cfg=DEFAULT_CONFIG):
+    """classify_dichotomy one point and one pair at a time: contains and
+    grad per point, then every pair (i, j), i < j, at the cosine distance
+    1 - g_j . g_i / (|g_j| |g_i|)."""
+    pts = [np.asarray(x, dtype=float) for x in solutions]
+    for x in pts:
+        if not contains(p.feasible_set, x, cfg.eps_feas):
+            raise ValueError(f"claimed solution {tuple(x.tolist())} is not feasible")
+    grads = [charac_grad(p.objective, x, p.dimension) for x in pts]
+    norms = [_norm(g) for g in grads]
+    witnesses = tuple((tuple(x.tolist()), float(nrm)) for x, nrm in zip(pts, norms))
+    if all(nrm <= cfg.eps_grad for nrm in norms):
+        return DichotomyReport("II", None, witnesses)
+    if any(nrm <= cfg.eps_grad for nrm in norms):
+        raise InconsistentDichotomyError(
+            "solutions mix zero and nonzero gradients; inputs are not all "
+            "minimizers or tolerances are miscalibrated"
+        )
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if 1.0 - _dot(grads[j], grads[i]) / (norms[j] * norms[i]) > cfg.eps_dir:
+                raise InconsistentDichotomyError(
+                    f"normalized gradients at {tuple(pts[i].tolist())} and "
+                    f"{tuple(pts[j].tolist())} differ beyond tolerance"
+                )
+    mean = np.mean([g / nrm for g, nrm in zip(grads, norms)], axis=0)
+    return DichotomyReport("I", tuple((mean / _norm(mean)).tolist()), witnesses)
+
+
+_COEFFICIENTS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def _dichotomy_cases(draw):
+    """A linear or separable quadratic objective in 1-3 variables and 1-12
+    points on a ray from a base point, each moved by noise of one scale;
+    at scales near 1e-4 the gradients are near-parallel, at cosine
+    distances around eps_dir.  The ground set is open or a halfspace that
+    may cut some points off."""
+    n = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        text = " + ".join(f"({c})*x{i + 1}" for i, c in enumerate(coeffs))
+    else:
+        centers = draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
+        text = " + ".join(
+            f"({abs(c)})*(x{i + 1} - ({u}))^2" for i, (c, u) in enumerate(zip(coeffs, centers))
+        )
+    base = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    ray = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-6, 3e-5, 1e-4, 3e-4, 1e-1]))
+    k = draw(st.integers(1, 12))
+    ts = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=k, max_size=k))
+    noise = draw(st.lists(st.floats(-1, 1), min_size=k * n, max_size=k * n))
+    pts = [
+        tuple(b + t * r + scale * noise[m * n + i] for i, (b, r) in enumerate(zip(base, ray)))
+        for m, t in enumerate(ts)
+    ]
+    atoms = ()
+    if draw(st.booleans()):
+        atoms = (Halfspace(tuple(draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))),
+                           draw(st.floats(-3, 3))),)
+    window = Box((-10.0,) * n, (10.0,) * n)
+    return Problem(parse(text, n), ConvexSetDescriptor(n, atoms), n, window), pts
+
+
+@given(_dichotomy_cases())
+@settings(max_examples=300, deadline=None)
+def test_dichotomy_equals_the_per_pair_loop(case):
+    p, pts = case
+    got = _outcome(lambda: classify_dichotomy(p, pts))
+    want = _outcome(lambda: _dichotomy_per_pair(p, pts))
+    # the same alternative, witnesses and direction bytes, or the same error
+    assert repr(got) == repr(want)
 
 
 class TestAnchorHypothesis:
@@ -187,12 +264,6 @@ def test_nesting_on_random_points():
         assert not m[V.S5] or (m[V.S1] and m[V.S3])
         assert not m[V.S1] or m[V.S2]
         assert not m[V.S3] or m[V.S4]
-
-
-def test_convex_gradient_constancy():
-    e = get_example("ex2_2")
-    pts = [(-1.0, x2) for x2 in np.linspace(-2.0, 2.0, 7)]
-    assert convex_gradient_constancy(e.problem, e.anchor, pts)
 
 
 def _outcome(fn):

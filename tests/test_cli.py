@@ -103,13 +103,31 @@ def test_kkt_enumerate(capsys, variant):
 
 
 def test_infeasible_anchor_prints_plain_floats(capsys):
+    # each multiplier command checks the anchor before it solves for a
+    # multiplier there
+    for argv in (
+        ["kkt-solve"], ["check-cq"], ["kkt-enumerate", "--variant", "SP1"],
+    ):
+        assert run([
+            *argv, "--example", "ex2_3_constrained", "--anchor", "1.1,1.1",
+        ]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "HypothesisViolatedError", "message": "anchor (1.1, 1.1) is not feasible",
+        }
+
+
+def test_anchor_outside_the_oracle_set_is_a_hypothesis_error(capsys):
     assert run([
-        "kkt-enumerate", "--example", "ex2_3_constrained", "--variant", "SP1",
-        "--anchor", "1.1,1.1",
+        "agreement", "--example", "ex2_1", "--variant", "S1", "--anchor", "2,2",
+        "--resolution", "5",
     ]) == 3
-    err = json.loads(capsys.readouterr().err)
-    # solve_multipliers refuses the point before any anchor check
-    assert err == {"error": "InfeasibleError", "message": "point (1.1, 1.1) is infeasible"}
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "HypothesisViolatedError",
+        "message": "anchor (2.0, 2.0) is not in the oracle solution set",
+    }
 
 
 def test_run_example_constrained(capsys):

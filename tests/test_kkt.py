@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector
@@ -33,7 +35,15 @@ from qcsol.kkt import (
     strict_index_set,
 )
 from qcsol.registry import get_example
-from qcsol.sets import Ball, Box, ConvexSetDescriptor, Halfspace, grid_nodes
+from qcsol.sets import (
+    Ball,
+    Box,
+    ConvexSetDescriptor,
+    Halfspace,
+    LinearEquality,
+    grid_nodes,
+    normal_cone_generators,
+)
 
 V = CharacVariant
 
@@ -104,9 +114,70 @@ class TestMultipliers:
         assert lam.lambdas == (0.5,)
         assert stationarity_residual(halved, (1.0, 1.0), lam) == 0.0
 
+    def test_residual_is_the_distance_to_the_cone(self, surd):
+        # grad f = (-2, -1) at (1, 1); the face x1 <= 1 absorbs the first
+        # component, at mu in [1, 3], and leaves |-1| = 1
+        cp = ConstrainedProblem(
+            parse("-2*x1 - x2", 2), surd.problem.constraints,
+            ConvexSetDescriptor(2, (Halfspace((1.0, 0.0), 1.0),)), 2,
+            surd.problem.domain_window,
+        )
+        assert stationarity_residual(cp, (1.0, 1.0), MultiplierVector((0.0,))) == 1.0
+
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
             MultiplierVector((-0.1,))
+
+
+_DYADIC = st.sampled_from([-2.0, -1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def _residual_cases(draw):
+    """A linear objective and one linear constraint, active at a dyadic
+    anchor in 2 or 3 variables, with a dyadic multiplier, on a ground set
+    of 0-4 halfspaces (active at the anchor or not), a box with some upper
+    bounds at the anchor, and an equality through it."""
+    n = draw(st.integers(2, 3))
+    vec = st.lists(_DYADIC, min_size=n, max_size=n)
+    xb, c, d = draw(vec), draw(vec), draw(vec)
+    atoms = []
+    for a in draw(st.lists(vec, max_size=4)):
+        slack = draw(st.sampled_from([0.0, 0.0, 1.0]))
+        atoms.append(Halfspace(tuple(a), float(np.dot(a, xb)) + slack))
+    if draw(st.booleans()):
+        at = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        atoms.append(Box((-5.0,) * n, tuple(x if on else 5.0 for x, on in zip(xb, at))))
+    if draw(st.booleans()):
+        a = draw(vec)
+        atoms.append(LinearEquality(tuple(a), float(np.dot(a, xb))))
+    names = [f"x{i + 1}" for i in range(n)]
+    f = parse(" + ".join(f"({ci})*{v}" for ci, v in zip(c, names)), n)
+    g = parse(" + ".join(f"({di})*{v}" for di, v in zip(d, names)) + f" - ({np.dot(d, xb)})", n)
+    cp = ConstrainedProblem(f, (g,), ConvexSetDescriptor(n, tuple(atoms)), n,
+                            Box((-5.0,) * n, (5.0,) * n))
+    lam = draw(st.sampled_from([0.0, 0.25, 0.5, 2.0]))
+    return cp, tuple(xb), MultiplierVector((lam,)), np.array(c) + lam * np.array(d)
+
+
+@given(_residual_cases())
+@settings(max_examples=200, deadline=None)
+def test_stationarity_residual_agrees_with_highs(case):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cp, xb, lam, resid = case
+    N = np.array(normal_cone_generators(cp.ground_set, xb), dtype=float).reshape(-1, cp.dimension).T
+    t = -np.ones((cp.dimension, 1))
+    # min t over mu >= 0 with |resid + N mu| <= t, componentwise
+    ref = linprog(
+        np.append(np.zeros(N.shape[1]), 1.0), A_ub=np.block([[N, t], [-N, t]]),
+        b_ub=np.concatenate([-resid, resid]), bounds=(0, None), method="highs",
+    )
+    assert ref.status == 0
+    got = stationarity_residual(cp, xb, lam)
+    # mu = 0 leaves max|resid|; the kernel's minimizer may leave a few ulps
+    # more, within its tolerance
+    assert got <= np.max(np.abs(resid)) + DEFAULT_CONFIG.eps_lp
+    assert abs(got - ref.fun) <= DEFAULT_CONFIG.eps_lp
 
 
 class TestConstraintQualification:

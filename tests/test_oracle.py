@@ -8,7 +8,7 @@ from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import enumerate_solution_set, membership
 from qcsol import oracle, sets
 from qcsol.core import CharacVariant, ConstrainedProblem, Problem
-from qcsol.errors import EmptyGridError, EvalError
+from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
 from qcsol.expr import evaluate, parse
 from qcsol.oracle import OracleResult, _grid_of, agreement, brute_force_solutions
 from qcsol.registry import builtin_examples, get_example
@@ -59,7 +59,7 @@ def test_eps_opt_defaults_to_the_config():
 
 def test_agreement_rejects_suboptimal_anchor():
     e = get_example("ex2_1")
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolatedError, match=r"anchor \(1\.0, 1\.0\) is not in the oracle"):
         agreement(e.problem, (1.0, 1.0), CharacVariant.SHAT1, 9)
 
 
