@@ -58,7 +58,7 @@ def classify_dichotomy(
         )
     for i in range(len(X) - 1):
         # the condition table's cosine distance, with solution i as the anchor
-        far = _Rows(X[i + 1:], G[i + 1:], X[i], G[i], {}).cosine_distance() > cfg.eps_dir
+        far = _cosine_distance(G[i + 1:].T, norms[i + 1:], G[i], norms[i]) > cfg.eps_dir
         if far.any():
             raise InconsistentDichotomyError(
                 f"normalized gradients at {_at(X[i])} and "
@@ -170,6 +170,12 @@ _CONDITIONS[CharacVariant.SHATPP2] = (
 _NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_gradient" in names}
 
 
+def _cosine_distance(G, gnorm, g0, g0norm):
+    """1 - cos of the angle between g0 and each gradient, the columns of G
+    (or one vector), given the norms of both."""
+    return 1.0 - _dot(G, g0) / (gnorm * g0norm)
+
+
 class _Rows:
     """The conditions of the characterizations, decided at N points at once.
 
@@ -221,7 +227,7 @@ class _Rows:
         self.report(name, np.where(mask, 0.0, 1.0), mask)
 
     def cosine_distance(self):
-        return 1.0 - _dot(self.G, self.g0) / (self.gnorm * self.g0norm)
+        return _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm)
 
     def same_direction(self, cfg: Config) -> None:
         """Nonzero gradients at the point and at the anchor, at cosine

@@ -68,22 +68,19 @@ def feasible_grid(
     an (N, n) array in grid order.
 
     The ground set is tested on all nodes at once and each constraint is
-    evaluated once on the nodes in it; when the nodes are not all finite
-    or an evaluation fails, the nodes are tested one by one, so that the
-    error is the one is_feasible raises at the first failing node.
+    evaluated once on the nodes in it; when an evaluation fails, the nodes
+    are tested one by one, so that the error is the one is_feasible raises
+    at the first failing node.
     """
     X = grid_nodes(cp.domain_window, resolution)
-    if np.all(np.isfinite(X)):
-        try:
-            keep = contains_many(cp.ground_set, X, cfg.eps_feas)
-            inside = np.flatnonzero(keep)
-            for g in cp.constraints:
-                keep[inside] &= evaluate_many(g, X[inside]) <= cfg.eps_feas
-        except QcsolError:
-            pass
-        else:
-            return X[keep]
-    return X[[is_feasible(cp, x, cfg) for x in X]]
+    try:
+        keep = contains_many(cp.ground_set, X, cfg.eps_feas)
+        inside = np.flatnonzero(keep)
+        for g in cp.constraints:
+            keep[inside] &= evaluate_many(g, X[inside]) <= cfg.eps_feas
+    except QcsolError:
+        return X[[is_feasible(cp, x, cfg) for x in X]]
+    return X[keep]
 
 
 def active_set(
@@ -167,7 +164,8 @@ def stationarity_residual(
 ) -> float:
     """Max-norm distance of resid = grad f + sum lambda_i grad g_i at xbar to
     minus the normal cone N: max|resid + N mu| at the minimizer of the LP
-    min t over mu >= 0 with |resid + N mu| <= t (docs/theorems.md)."""
+    min t over mu >= 0 with |resid + N mu| <= t, or max|resid| (mu = 0)
+    where that is smaller (docs/theorems.md)."""
     xb = as_point(xbar, cp.dimension)
     resid = grad(cp.objective, xb, cp.dimension).copy()
     for i, g in enumerate(cp.constraints):
@@ -179,7 +177,7 @@ def stationarity_residual(
     t = -np.ones((cp.dimension, 1))
     A_ub, b_ub = np.block([[N, t], [-N, t]]), np.concatenate([-resid, resid])
     mu = solve_lp(np.append(np.zeros(len(normals)), -1.0), A_ub, b_ub, cfg=cfg).x[:-1]
-    return float(np.max(np.abs(resid + N @ mu)))
+    return float(min(np.max(np.abs(resid + N @ mu)), np.max(np.abs(resid))))
 
 
 def strict_index_set(

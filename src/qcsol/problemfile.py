@@ -9,6 +9,7 @@ round-trip decimals), so load/dump round-trips byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Dict, List, Optional, Tuple, Union
@@ -38,17 +39,7 @@ _TOP_KEYS = {
     "known_solution",
     "config",
 }
-_CONFIG_KEYS = {
-    "eps_grad",
-    "eps_dir",
-    "eps_act",
-    "eps_feas",
-    "eps_lp",
-    "eps_opt",
-    "h_fd",
-    "delta_open",
-    "seed",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(Config)}
 
 
 def _is_finite_real(value) -> bool:
@@ -75,50 +66,44 @@ def _reals(value, name: str, dim: Optional[int] = None) -> Tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+# atom type name -> atom class.  An atom's JSON fields are its class's
+# dataclass fields, in order: a list of reals for a field annotated tuple,
+# a real for one annotated float.
+_ATOMS = {
+    "box": Box,
+    "halfspace": Halfspace,
+    "ball": Ball,
+    "linear_equality": LinearEquality,
+}
+
+
 def _atom_from_json(obj: dict, dim: int) -> Atom:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProblemFormatError("each set atom must be a tagged object")
     kind = obj["type"]
+    cls = _ATOMS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ProblemFormatError(f"unknown atom type {kind!r}")
+    fields = dataclasses.fields(cls)
     keys = set(obj) - {"type"}
-    if kind == "box":
-        if keys != {"lo", "hi"}:
-            raise ProblemFormatError(f"box atom has wrong keys: {sorted(keys)}")
-        return Box(_reals(obj["lo"], "box.lo", dim), _reals(obj["hi"], "box.hi", dim))
-    if kind == "halfspace":
-        if keys != {"a", "b"}:
-            raise ProblemFormatError(f"halfspace atom has wrong keys: {sorted(keys)}")
-        return Halfspace(
-            _reals(obj["a"], "halfspace.a", dim), _real(obj["b"], "halfspace.b")
-        )
-    if kind == "ball":
-        if keys != {"center", "radius"}:
-            raise ProblemFormatError(f"ball atom has wrong keys: {sorted(keys)}")
-        return Ball(
-            _reals(obj["center"], "ball.center", dim),
-            _real(obj["radius"], "ball.radius"),
-        )
-    if kind == "linear_equality":
-        if keys != {"a", "b"}:
-            raise ProblemFormatError(
-                f"linear_equality atom has wrong keys: {sorted(keys)}"
-            )
-        return LinearEquality(
-            _reals(obj["a"], "linear_equality.a", dim),
-            _real(obj["b"], "linear_equality.b"),
-        )
-    raise ProblemFormatError(f"unknown atom type {kind!r}")
+    if keys != {f.name for f in fields}:
+        raise ProblemFormatError(f"{kind} atom has wrong keys: {sorted(keys)}")
+    return cls(*(
+        _reals(obj[f.name], f"{kind}.{f.name}", dim) if f.type == "tuple"
+        else _real(obj[f.name], f"{kind}.{f.name}")
+        for f in fields
+    ))
 
 
 def _atom_to_json(atom: Atom) -> dict:
-    if isinstance(atom, Box):
-        return {"type": "box", "lo": list(atom.lo), "hi": list(atom.hi)}
-    if isinstance(atom, Halfspace):
-        return {"type": "halfspace", "a": list(atom.a), "b": atom.b}
-    if isinstance(atom, Ball):
-        return {"type": "ball", "center": list(atom.center), "radius": atom.radius}
-    if isinstance(atom, LinearEquality):
-        return {"type": "linear_equality", "a": list(atom.a), "b": atom.b}
-    raise TypeError(f"unknown atom {atom!r}")
+    kind = next((k for k, cls in _ATOMS.items() if isinstance(atom, cls)), None)
+    if kind is None:
+        raise TypeError(f"unknown atom {atom!r}")
+    doc = {"type": kind}
+    for f in dataclasses.fields(atom):
+        value = getattr(atom, f.name)
+        doc[f.name] = list(value) if f.type == "tuple" else value
+    return doc
 
 
 def _window_from_json(obj, dim: int) -> Box:

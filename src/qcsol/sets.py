@@ -122,6 +122,8 @@ def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if not all(map(math.isfinite, (*window.lo, *window.hi))):
+        raise ValueError(f"a grid needs a finite window, got {window!r}")
     if resolution ** len(window.lo) > MAX_GRID_NODES:
         raise ValueError(
             f"a grid of {resolution}^{len(window.lo)} nodes exceeds the limit "

@@ -148,7 +148,8 @@ def _halfline_inf(
     When the true region extends past a window edge, a monotone trend at
     that edge approximates the unbounded tail: if f still decreases
     outward at the edge the infimum is flagged as -inf.  This is a
-    documented heuristic, not a proof.
+    documented heuristic, not a proof.  A nonempty region with no grid
+    node bounds nothing and reads -inf.
     """
     lo, hi = window.lo[0], window.hi[0]
     ys = np.linspace(lo, hi, resolution)
@@ -167,17 +168,11 @@ def _halfline_inf(
         mask = np.ones_like(ys, dtype=bool)
         tail_edges = ["lo", "hi"]
     if not mask.any():
-        # region lies entirely outside the window, past hi for v > 0 and
-        # past lo for v < 0; fall back to the trend at that edge
-        tail_edges = ["hi" if v > 0 else "lo"]
-
+        return float("-inf")
     for edge in tail_edges:
         outer, inner = _trend_points(lo, hi, resolution)[edge]
         if evaluate(f, [outer]) < evaluate(f, [inner]) - cfg.eps_feas:
             return float("-inf")
-
-    if not mask.any():
-        return float("inf")
     return float(min(evaluate(f, [y]) for y in ys[mask]))
 
 
@@ -247,11 +242,10 @@ def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np
         w.suffix_min[np.minimum(start, len(ys) - 1)],
         np.where(neg, w.prefix_min[np.maximum(stop - 1, 0)], w.suffix_min[0]),
     )
-    lo_tail = np.where(inside, ~pos | (cut < lo), neg)
-    hi_tail = np.where(inside, ~neg | (cut > hi), pos)
+    lo_tail, hi_tail = ~pos | (cut < lo), ~neg | (cut > hi)
     lo_out, lo_in, hi_out, hi_in = w.trend
     falls = (lo_tail & (lo_out < lo_in - eps)) | (hi_tail & (hi_out < hi_in - eps))
-    inf = np.where(falls, -np.inf, np.where(inside, inner, np.inf))
+    inf = np.where(inside & ~falls, inner, -np.inf)
     return np.where(zero & (T > 0.0), np.inf, inf)  # empty constraint region
 
 

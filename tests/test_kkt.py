@@ -174,9 +174,8 @@ def test_stationarity_residual_agrees_with_highs(case):
     )
     assert ref.status == 0
     got = stationarity_residual(cp, xb, lam)
-    # mu = 0 leaves max|resid|; the kernel's minimizer may leave a few ulps
-    # more, within its tolerance
-    assert got <= np.max(np.abs(resid)) + DEFAULT_CONFIG.eps_lp
+    # mu = 0 leaves max|resid|, which the residual never exceeds
+    assert got <= np.max(np.abs(resid))
     assert abs(got - ref.fun) <= DEFAULT_CONFIG.eps_lp
 
 

@@ -81,6 +81,22 @@ def test_empty_grid():
         brute_force_solutions(cp, 5)
 
 
+def test_a_non_finite_window_is_refused_in_both_problem_forms():
+    # the plain oracle once minimized over the finite nodes alone, while the
+    # constrained one failed on the first node with a NaN coordinate
+    window = Box((-float("inf"), -1.0), (1.0, 1.0))
+    f = parse("x1^2 + x2^2", 2)
+    p = Problem(f, ConvexSetDescriptor(2, (Halfspace((0.1, 0.7), 0.3),)), 2, window)
+    cp = ConstrainedProblem(f, (parse("0.1*x1 + 0.7*x2 - 0.3", 2),),
+                            ConvexSetDescriptor(2, ()), 2, window)
+    messages = set()
+    for problem in (p, cp):
+        with pytest.raises(ValueError, match="a grid needs a finite window") as info:
+            brute_force_solutions(problem, 5)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_agreement_builds_one_grid(monkeypatch):
     calls = []
     real = sets.grid_nodes

@@ -327,18 +327,21 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
     assert seen == {True, False}
 
 
-def test_ml_region_outside_the_window_reads_the_edge_on_its_side():
-    # f = x1 falls outward at lo and rises outward at hi: a region left of
-    # the window (v < 0) has infimum -inf, one right of it (v > 0) does not
+def test_ml_region_outside_the_window_certifies_nothing():
+    # a region {y : v y >= t} with no window node reads -inf on either
+    # side, whatever the trend at the window's edges
     f, w, cfg = parse("x1", 1), Box((0.0,), (1.0,)), DEFAULT_CONFIG
-    assert subdiff._halfline_inf(f, MLPair(-1.0, 0.5), w, 201, cfg) == float("-inf")
-    assert subdiff._halfline_inf(f, MLPair(1.0, 1.5), w, 201, cfg) == float("inf")
+    g = parse("-x1", 1)
+    for h in (f, g):
+        assert subdiff._halfline_inf(h, MLPair(-1.0, 0.5), w, 201, cfg) == float("-inf")
+        assert subdiff._halfline_inf(h, MLPair(1.0, 1.5), w, 201, cfg) == float("-inf")
     assert not ml_member_1d(f, -1.0, MLPair(-1.0, 1.0), w)
-    assert ml_member_1d(f, 2.0, MLPair(1.0, 2.0), w)
-    g = parse("-x1", 1)  # the mirror image: falls outward at hi only
-    assert subdiff._halfline_inf(g, MLPair(-1.0, 0.5), w, 201, cfg) == float("inf")
-    assert subdiff._halfline_inf(g, MLPair(1.0, 1.5), w, 201, cfg) == float("-inf")
+    assert not ml_member_1d(f, 2.0, MLPair(1.0, 2.0), w)
+    # inf of -y over y <= -0.5 is 0.5, below f(-1) = 1
+    assert not ml_member_1d(g, -1.0, MLPair(-2.0, 1.0), w)
+    # a region that meets the window reads its grid minimum
+    assert subdiff._halfline_inf(f, MLPair(1.0, 0.5), w, 201, cfg) == 0.5
     window = subdiff._window(f, 0.0, 1.0, 201)
-    V, T = np.array([-1.0, 1.0, -2.0]), np.array([0.5, 1.5, 3.0])
+    V, T = np.array([-1.0, 1.0, -2.0, 1.0]), np.array([0.5, 1.5, 3.0, 0.5])
     want = [subdiff._halfline_inf(f, MLPair(v, t), w, 201, cfg) for v, t in zip(V, T)]
     assert subdiff._halfline_infima(window, V, T, cfg.eps_feas).tolist() == want
