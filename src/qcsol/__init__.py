@@ -17,7 +17,7 @@ from .core import (
     MultiplierVector,
     Problem,
 )
-from .expr import evaluate, evaluate_many, grad, grad_fd, parse, pretty
+from .expr import evaluate, evaluate_many, grad, parse, pretty
 from .sets import Ball, Box, ConvexSetDescriptor, Halfspace, LinearEquality
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "grad",
-    "grad_fd",
     "parse",
     "pretty",
     "Ball",

@@ -19,7 +19,7 @@ from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem
 from .errors import ProblemFormatError, QcsolError
-from .problemfile import config_from_json, loads
+from .problemfile import _json_document, config_from_json, loads
 from .registry import get_example
 from .sets import Box
 
@@ -38,7 +38,7 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
     path = os.environ.get("QCX_CONFIG")
     if path:
         with open(path) as fh:
-            cfg = config_from_json(json.load(fh), cfg)
+            cfg = config_from_json(_json_document(fh.read()), cfg)
     return cfg.with_overrides(
         eps_grad=args.eps_grad,
         eps_dir=args.eps_dir,
@@ -451,7 +451,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except (ProblemFormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (ProblemFormatError, OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except QcsolError as exc:

@@ -18,7 +18,6 @@ class Config:
     eps_feas: float = 1e-9    # slack tolerance for set membership / inequalities
     eps_lp: float = 1e-9      # pivot / certificate tolerance of the LP kernel
     eps_opt: float = 1e-9     # f-value band defining the discrete solution set
-    h_fd: float = 1e-6        # central-difference step
     delta_open: float = 1e-9  # interior margin approximating open domains
     seed: int = 42            # default seed for all sampled checks
 

@@ -7,7 +7,6 @@ once into straight-line Python that computes its value and, in forward
 mode, its exact gradient; the same code runs on Python floats for one
 point (``evaluate``, ``grad``) and on numpy columns for a batch
 (``evaluate_many``, ``grad_many``), so both agree bit for bit.
-``grad_fd`` provides the independent central-difference cross-check.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, Config
 from .errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 
 GUARD_TOL = 1e-12  # absolute slack when deciding whether a guard holds
@@ -534,21 +532,6 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     return _batch(f, Xv, n)[1]
 
 
-def grad_fd(f: Expr, x: Sequence[float], cfg: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Central-difference gradient with step cfg.h_fd, the independent
-    oracle for grad()."""
-    h = cfg.h_fd
-    xv = np.asarray(x, dtype=float)
-    out = np.empty(xv.size)
-    for i in range(xv.size):
-        xp = xv.copy()
-        xm = xv.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (evaluate(f, xp) - evaluate(f, xm)) / (2.0 * h)
-    return out
-
-
 def free_variables(e: Expr) -> set:
     if isinstance(e, Var):
         return {e.index}
@@ -623,7 +606,18 @@ def _tokenize(text: str):
 # Recursive-descent parser
 # ---------------------------------------------------------------------------
 
+_MAX_DEPTH = 100  # the deepest nesting parse accepts; see docs/grammar.md
+
+
 class _Parser:
+    """Recursive descent.  Each rule returns its expression with the
+    depth of its tree (1 for a number or a variable, one more than the
+    deepest operand or branch otherwise) and takes the number of groups,
+    functions, piecewise brackets and minus signs the text has already
+    opened around it.  Both are refused past _MAX_DEPTH as they grow, so
+    neither the descent nor a later walk of the tree runs into Python's
+    recursion limit."""
+
     def __init__(self, text: str, dimension: int):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -643,51 +637,52 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", off)
         return self.advance()
 
+    def bounded(self, depth: int, off: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", off)
+        return depth
+
     def parse(self) -> Expr:
-        e = self.expression()
+        e, _ = self.expression(0)
         kind, text, off = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {text!r}", off)
         return e
 
-    def expression(self) -> Expr:
-        e = self.term()
+    def expression(self, around: int):
+        e, depth = self.term(around)
         while True:
             kind, text, off = self.peek()
-            if text == "+":
-                self.advance()
-                e = Add(e, self.term())
-            elif text == "-":
-                self.advance()
-                e = Sub(e, self.term())
-            else:
-                return e
+            if text not in ("+", "-"):
+                return e, depth
+            self.advance()
+            right, rdepth = self.term(around)
+            e = (Add if text == "+" else Sub)(e, right)
+            depth = self.bounded(max(depth, rdepth) + 1, off)
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def term(self, around: int):
+        e, depth = self.factor(around)
         while True:
             kind, text, off = self.peek()
-            if text == "*":
-                self.advance()
-                e = Mul(e, self.factor())
-            elif text == "/":
-                self.advance()
-                e = Div(e, self.factor())
-            else:
-                return e
+            if text not in ("*", "/"):
+                return e, depth
+            self.advance()
+            right, rdepth = self.factor(around)
+            e = (Mul if text == "*" else Div)(e, right)
+            depth = self.bounded(max(depth, rdepth) + 1, off)
 
-    def factor(self) -> Expr:
+    def factor(self, around: int):
+        while self.peek()[1] == "+":
+            self.advance()
         kind, text, off = self.peek()
         if text == "-":
             self.advance()
-            return Neg(self.factor())
-        if text == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
+            e, depth = self.factor(self.bounded(around + 1, off))
+            return Neg(e), self.bounded(depth + 1, off)
+        return self.power(around)
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, around: int):
+        base, depth = self.atom(around)
         kind, text, off = self.peek()
         if text == "^":
             self.advance()
@@ -695,73 +690,76 @@ class _Parser:
             if kind != "num" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer literal", off)
             self.advance()
-            return Pow(base, int(text))
-        return base
+            return Pow(base, int(text)), self.bounded(depth + 1, off)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self, around: int):
         kind, text, off = self.advance()
         if kind == "num":
             try:
-                return Const(float(text))
+                return Const(float(text)), 1
             except ValueError:
                 raise ParseError(f"bad number literal {text!r}", off)
         if kind == "name":
             if text == "sqrt" or text == "abs":
                 self.expect("(")
-                inner = self.expression()
+                inner, depth = self.expression(self.bounded(around + 1, off))
                 self.expect(")")
-                return Sqrt(inner) if text == "sqrt" else Abs(inner)
+                node = Sqrt(inner) if text == "sqrt" else Abs(inner)
+                return node, self.bounded(depth + 1, off)
             if text == "pw":
-                return self.piecewise(off)
+                return self.piecewise(around, off)
             if text.startswith("x") and text[1:].isdigit():
                 idx = int(text[1:])
                 if idx < 1 or idx > self.dim:
                     raise ParseError(
                         f"variable {text} out of range for dimension {self.dim}", off
                     )
-                return Var(idx)
+                return Var(idx), 1
             raise ParseError(f"unknown identifier {text!r}", off)
         if text == "(":
-            inner = self.expression()
+            inner = self.expression(self.bounded(around + 1, off))
             self.expect(")")
             return inner
         raise ParseError(
             f"expected an operand, found {text or 'end of input'!r}", off
         )
 
-    def piecewise(self, off: int) -> Expr:
+    def piecewise(self, around: int, off: int):
+        inside = self.bounded(around + 1, off)
         self.expect("[")
-        branches = []
+        branches, depth = [], 0
         while True:
-            guard = self.guard()
+            guard = self.guard(inside)
             self.expect(":")
-            branch = self.expression()
+            branch, bdepth = self.expression(inside)
             branches.append((tuple(guard), branch))
+            depth = max(depth, bdepth)
             kind, text, _ = self.peek()
             if text == ";":
                 self.advance()
                 continue
             break
         self.expect("]")
-        return Piecewise(tuple(branches))
+        return Piecewise(tuple(branches)), self.bounded(depth + 1, off)
 
-    def guard(self):
-        ineqs = [self.comparison()]
+    def guard(self, around: int):
+        ineqs = [self.comparison(around)]
         while self.peek()[1] == "&":
             self.advance()
-            ineqs.append(self.comparison())
+            ineqs.append(self.comparison(around))
         return ineqs
 
-    def comparison(self) -> LinearIneq:
+    def comparison(self, around: int) -> LinearIneq:
         start_off = self.peek()[2]
-        lhs = self.expression()
+        lhs, ldepth = self.expression(around)
         kind, text, off = self.peek()
         if text not in ("<=", ">="):
             raise ParseError("expected '<=' or '>=' in guard", off)
         self.advance()
-        rhs = self.expression()
-        diff = Sub(lhs, rhs)
-        coeffs, const = _extract_linear(diff, self.dim, start_off)
+        rhs, rdepth = self.expression(around)
+        self.bounded(max(ldepth, rdepth) + 1, off)  # lhs - rhs is compiled below
+        coeffs, const = _extract_linear(Sub(lhs, rhs), self.dim, start_off)
         if text == "<=":
             return LinearIneq(tuple(coeffs), -const)
         return LinearIneq(tuple(-c for c in coeffs), const)
@@ -829,8 +827,9 @@ def _fmt_raw(e: Expr) -> str:
         return f"{_fmt(e.left, 2)} * {_fmt(e.right, 3)}"
     if isinstance(e, Div):
         return f"{_fmt(e.left, 2)} / {_fmt(e.right, 3)}"
-    if isinstance(e, Neg):
-        return f"-{_fmt(e.operand, 4)}"
+    if isinstance(e, Neg):  # --x, as parsed, not -(-x), which nests deeper
+        inner = e.operand
+        return "-" + (_fmt_raw(inner) if isinstance(inner, Neg) else _fmt(inner, 4))
     if isinstance(e, Pow):
         return f"{_fmt(e.base, 5)}^{e.exponent}"
     if isinstance(e, Sqrt):

@@ -161,17 +161,21 @@ def load_problem(doc: dict):
         known = _reals(doc["known_solution"], "known_solution", dim)
 
     if "constraints" in doc:
-        if not isinstance(doc["constraints"], list) or not doc["constraints"]:
+        constraints = doc["constraints"]
+        if not isinstance(constraints, list) or not constraints or not all(
+            isinstance(g, str) for g in constraints
+        ):
             raise ProblemFormatError("constraints must be a nonempty list of strings")
         if atoms:
             raise ProblemFormatError(
                 "constrained problems take their set atoms in ground_set; "
                 "feasible_set must be empty"
             )
-        constraints = tuple(parse(g, dim) for g in doc["constraints"])
-        ground_atoms = tuple(
-            _atom_from_json(a, dim) for a in doc.get("ground_set", [])
-        )
+        ground = doc.get("ground_set", [])
+        if not isinstance(ground, list):
+            raise ProblemFormatError("ground_set must be a list of atoms")
+        constraints = tuple(parse(g, dim) for g in constraints)
+        ground_atoms = tuple(_atom_from_json(a, dim) for a in ground)
         problem = ConstrainedProblem(
             objective,
             constraints,
@@ -225,12 +229,19 @@ def dump_problem(
     return doc
 
 
-def loads(text: str):
+def _json_document(text: str):
+    """The JSON value of a problem or config file's text; text that is
+    not JSON, or nests too deeply to read, is a ProblemFormatError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
-    return load_problem(doc)
+    except RecursionError:
+        raise ProblemFormatError("invalid JSON: nested too deeply") from None
+
+
+def loads(text: str):
+    return load_problem(_json_document(text))
 
 
 def dumps(problem, known_solution=None, config=None) -> str:

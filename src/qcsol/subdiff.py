@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
-from .errors import DimensionError, EvalError
+from .errors import DimensionError
 from .expr import ExprAst, _dot, evaluate, evaluate_many, grad
 from .sets import Box, grid_nodes
 
@@ -134,66 +134,6 @@ def gp_solution_check(
     return bool(len(V))
 
 
-def _trend_points(lo: float, hi: float, resolution: int) -> dict:
-    """edge -> (outer, inner): the window edge and its grid neighbour."""
-    step = (hi - lo) / (resolution - 1)
-    return {"lo": (lo, lo + step), "hi": (hi, hi - step)}
-
-
-def _halfline_inf(
-    f: ExprAst, pair: MLPair, window: Box, resolution: int, cfg: Config
-) -> float:
-    """Infimum of f over {y : v y >= t} clipped to the window grid.
-
-    When the true region extends past a window edge, a monotone trend at
-    that edge approximates the unbounded tail: if f still decreases
-    outward at the edge the infimum is flagged as -inf.  This is a
-    documented heuristic, not a proof.  A nonempty region with no grid
-    node bounds nothing and reads -inf.
-    """
-    lo, hi = window.lo[0], window.hi[0]
-    ys = np.linspace(lo, hi, resolution)
-    v, t = pair.v, pair.t
-    if v > 0.0:
-        cut = t / v
-        mask = ys >= cut - cfg.eps_feas
-        tail_edges = ["hi"] + (["lo"] if cut < lo else [])
-    elif v < 0.0:
-        cut = t / v
-        mask = ys <= cut + cfg.eps_feas
-        tail_edges = ["lo"] + (["hi"] if cut > hi else [])
-    else:
-        if t > 0.0:
-            return float("inf")  # empty constraint region
-        mask = np.ones_like(ys, dtype=bool)
-        tail_edges = ["lo", "hi"]
-    if not mask.any():
-        return float("-inf")
-    for edge in tail_edges:
-        outer, inner = _trend_points(lo, hi, resolution)[edge]
-        if evaluate(f, [outer]) < evaluate(f, [inner]) - cfg.eps_feas:
-            return float("-inf")
-    return float(min(evaluate(f, [y]) for y in ys[mask]))
-
-
-def ml_member_1d(
-    f: ExprAst,
-    x: float,
-    pair: MLPair,
-    window: Box,
-    resolution: int = 201,
-    cfg: Config = DEFAULT_CONFIG,
-) -> bool:
-    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x."""
-    if len(window.lo) != 1:
-        raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    if pair.v * x < pair.t - cfg.eps_feas:
-        return False
-    fx = evaluate(f, [x])
-    inf_val = _halfline_inf(f, pair, window, resolution, cfg)
-    return inf_val >= fx - cfg.eps_feas
-
-
 @dataclass(frozen=True)
 class _Window:
     """f on the grid of a 1-D window, reduced to what every halfline
@@ -206,16 +146,18 @@ class _Window:
     trend: tuple            # f at lo, lo + step, hi, hi - step
 
 
-def _window(f: ExprAst, lo: float, hi: float, resolution: int) -> Optional[_Window]:
-    """The window of f over [lo, hi] in one batch; None when some of its
-    points fails to evaluate."""
+def _window(f: ExprAst, window: Box, resolution: int) -> _Window:
+    """The window of f over a 1-D box in one batch: its grid, then the
+    edge-trend points (each edge and its grid neighbour).  Where f fails,
+    raises what evaluate raises at the first failing point."""
+    if len(window.lo) != 1:
+        raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    lo, hi = window.lo[0], window.hi[0]
     ys = np.linspace(lo, hi, resolution)
-    trend = _trend_points(lo, hi, resolution)
-    points = [y for edge in trend.values() for y in edge]
-    try:
-        values = evaluate_many(f, np.concatenate([ys, points])[:, None])
-    except EvalError:
-        return None
+    step = (hi - lo) / (resolution - 1)
+    values = evaluate_many(f, np.concatenate([ys, [lo, lo + step, hi, hi - step]])[:, None])
     grid = values[:resolution]
     return _Window(
         ys,
@@ -226,7 +168,15 @@ def _window(f: ExprAst, lo: float, hi: float, resolution: int) -> Optional[_Wind
 
 
 def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
-    """_halfline_inf of every pair (V[i], T[i]) on the window w."""
+    """Infimum of f over {y : V[i] y >= T[i]} clipped to the window grid,
+    for every pair i.
+
+    When the true region extends past a window edge, a monotone trend at
+    that edge approximates the unbounded tail: if f still decreases
+    outward at the edge the infimum is flagged as -inf.  This is a
+    documented heuristic, not a proof.  A nonempty region with no grid
+    node bounds nothing and reads -inf.
+    """
     ys = w.ys
     lo, hi = ys[0], ys[-1]
     pos, neg = V > 0.0, V < 0.0
@@ -247,6 +197,25 @@ def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np
     falls = (lo_tail & (lo_out < lo_in - eps)) | (hi_tail & (hi_out < hi_in - eps))
     inf = np.where(inside & ~falls, inner, -np.inf)
     return np.where(zero & (T > 0.0), np.inf, inf)  # empty constraint region
+
+
+def ml_member_1d(
+    f: ExprAst,
+    x: float,
+    pair: MLPair,
+    window: Box,
+    resolution: int = 201,
+    cfg: Config = DEFAULT_CONFIG,
+) -> bool:
+    """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x:
+    v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
+    infimum read off the window as ml_solution_check_1d reads it."""
+    w = _window(f, window, resolution)
+    V, T = np.array([pair.v], dtype=float), np.array([pair.t], dtype=float)
+    inf = _halfline_infima(w, V, T, cfg.eps_feas)[0]
+    if pair.v * x < pair.t - cfg.eps_feas:
+        return False
+    return bool(inf >= evaluate(f, [x]) - cfg.eps_feas)
 
 
 def default_ml_pairs(
@@ -288,17 +257,11 @@ def ml_solution_check_1d(
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    f = p.objective
     window = window or p.domain_window
+    w = _window(f, window, resolution)
     if candidate_pairs is None:
         candidate_pairs = _ml_pairs(window.lo[0], window.hi[0])
-    f = p.objective
-    if len(window.lo) != 1:
-        raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    w = _window(f, window.lo[0], window.hi[0], resolution)
-    if w is None:
-        return _ml_check_per_pair(f, xbar, x, candidate_pairs, window, resolution, cfg, form)
     eps = cfg.eps_feas
     V = np.array([pair.v for pair in candidate_pairs], dtype=float)
     T = np.array([pair.t for pair in candidate_pairs], dtype=float)
@@ -320,19 +283,3 @@ def ml_solution_check_1d(
         raise ValueError("form must be 'M1' or 'M2'")
     return bool(members(xbar, at_x).any())
 
-
-def _ml_check_per_pair(f, xbar, x, candidate_pairs, window, resolution, cfg, form) -> bool:
-    """ml_solution_check_1d pair by pair, evaluating f only where
-    ml_member_1d does: for windows where f fails somewhere."""
-    for pair in candidate_pairs:
-        if not ml_member_1d(f, x, pair, window, resolution, cfg):
-            continue
-        if form == "M2":
-            if pair.v * xbar >= pair.t - cfg.eps_feas:
-                return True
-        elif form == "M1":
-            if ml_member_1d(f, xbar, pair, window, resolution, cfg):
-                return True
-        else:
-            raise ValueError("form must be 'M1' or 'M2'")
-    return False

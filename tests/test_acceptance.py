@@ -13,7 +13,7 @@ from qcsol.alternatives import dual_certificate, gordan_alternative, primal_marg
 from qcsol.charac import classify_dichotomy, enumerate_solution_set, membership
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant
-from qcsol.expr import evaluate, grad, grad_fd
+from qcsol.expr import evaluate, grad
 from qcsol.kkt import (
     constraint_values,
     lagrangian_constancy,
@@ -25,6 +25,7 @@ from qcsol.oracle import agreement, brute_force_solutions
 from qcsol.registry import builtin_examples, get_example
 from qcsol.sets import sample_grid
 from qcsol.subdiff import _grid_values, gp_solution_check, ml_solution_check_1d
+from test_expr import grad_fd
 
 V = CharacVariant
 

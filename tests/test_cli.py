@@ -341,6 +341,48 @@ def test_bad_number_in_problem_file_is_an_input_error(tmp_path, capsys, edit):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(ground_set=5),
+        lambda doc: doc.update(constraints=[5]),
+    ],
+    ids=["number-ground-set", "number-constraint"],
+)
+def test_malformed_constrained_document_is_an_input_error(tmp_path, capsys, edit):
+    e = get_example("ex2_3_constrained")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
+def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_deeply_nested_config_file_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    monkeypatch.setenv("QCX_CONFIG", str(path))
+    assert run(["classify", "--example", "ex2_1", "--resolution", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_unreadable_problem_path_is_an_input_error(tmp_path, capsys):
+    assert run(["oracle", "--problem", str(tmp_path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
 def _parser_argvs(tmp_path):
     """Every README command at low resolution, both problem sources, a
     usage error, --help and a numeric error, alternating kinds."""

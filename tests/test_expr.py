@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcsol.config import Config
+from qcsol.core import Problem
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 from qcsol.expr import (
+    _MAX_DEPTH,
     Abs,
     Add,
     Const,
@@ -26,11 +27,24 @@ from qcsol.expr import (
     evaluate_many,
     free_variables,
     grad,
-    grad_fd,
     grad_many,
     parse,
     pretty,
 )
+from qcsol.sets import Box, ConvexSetDescriptor
+
+def grad_fd(f, x, h=1e-6):
+    """Central-difference gradient with step h: the independent reference
+    for grad()."""
+    xv = np.asarray(x, dtype=float)
+    out = np.empty(xv.size)
+    for i in range(xv.size):
+        xp, xm = xv.copy(), xv.copy()
+        xp[i] += h
+        xm[i] -= h
+        out[i] = (evaluate(f, xp) - evaluate(f, xm)) / (2.0 * h)
+    return out
+
 
 QUADRANT = (
     "pw[x1 >= 0 & x2 >= 0: x1^2 + x2^2; "
@@ -150,13 +164,6 @@ def test_ad_agrees_with_fd(a, b):
     g = grad(SMOOTH, x)
     scale = 1.0 + float(np.max(np.abs(g)))
     assert np.max(np.abs(g - grad_fd(SMOOTH, x))) <= 1e-5 * scale
-
-
-def test_grad_fd_steps_by_config_h_fd():
-    # the central difference of x^3 is 3 x^2 + h^2
-    f, h = parse("x1^3", 1), 1e-3
-    for x in (0.5, 2.0):
-        assert grad_fd(f, [x], Config(h_fd=h))[0] == pytest.approx(3 * x * x + h * h, abs=1e-10)
 
 
 ROUND_TRIP_SOURCES = [
@@ -525,3 +532,39 @@ class TestCompileMemo:
             grad(f, [0.3, 0.4])
             evaluate_many(f, np.array([[0.3, 0.4]]))
         assert hashes == []
+
+
+def _nested(shape, k):
+    """x1 under k levels of one construct."""
+    return {
+        "parentheses": "(" * k + "x1" + ")" * k,
+        "sqrt": "sqrt(" * k + "x1" + ")" * k,
+        "minus": "-" * k + "x1",
+        "terms": "x1+" * k + "x1",
+    }[shape]
+
+
+@pytest.mark.parametrize(
+    "shape,k", [("parentheses", 200), ("sqrt", 200), ("minus", 400), ("terms", 400)]
+)
+def test_a_deep_expression_is_a_parse_error(shape, k):
+    with pytest.raises(ParseError, match=f"deeper than {_MAX_DEPTH} levels"):
+        parse(_nested(shape, k), 1)
+
+
+@pytest.mark.parametrize(
+    "shape,k",
+    # the deepest of each: 100 groups around x1; a tree 100 levels deep
+    [("parentheses", _MAX_DEPTH), ("sqrt", _MAX_DEPTH - 1), ("minus", _MAX_DEPTH - 1),
+     ("terms", _MAX_DEPTH - 1)],
+)
+def test_an_expression_at_the_depth_bound_is_usable(shape, k):
+    with pytest.raises(ParseError):
+        parse(_nested(shape, k + 1), 1)
+    f = parse(_nested(shape, k), 1)
+    p = Problem(f, ConvexSetDescriptor(1, ()), 1, Box((0.5,), (1.0,)))
+    assert repr(f) in repr(p)
+    assert parse(pretty(f), 1) == f
+    X = np.array([[0.6], [0.7]])
+    assert evaluate_many(f, X).tolist() == [evaluate(f, x) for x in X]
+    assert grad_many(f, X).tolist() == [grad(f, x).tolist() for x in X]

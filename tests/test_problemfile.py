@@ -190,3 +190,25 @@ def test_integer_numbers_are_accepted():
     assert problem.feasible_set.atoms[0].b == 0.0
     assert isinstance(problem.feasible_set.atoms[0].b, float)
     assert known == (1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("ground_set", 5, "ground_set must be a list"),
+     ("constraints", [5], "constraints must be a nonempty list of strings")],
+    ids=["ground-set-number", "constraint-number"],
+)
+def test_constrained_document_shapes_are_checked(key, value, message):
+    e = get_example("ex2_3_constrained")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    doc[key] = value
+    with pytest.raises(ProblemFormatError, match=message):
+        load_problem(doc)
+
+
+def test_h_fd_is_an_unknown_config_key():
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["config"] = {"h_fd": 1e-6}
+    with pytest.raises(ProblemFormatError, match="unknown config keys: \\['h_fd'\\]"):
+        load_problem(doc)
+

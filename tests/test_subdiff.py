@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsol import subdiff
 from qcsol.config import DEFAULT_CONFIG, Config
@@ -114,9 +116,50 @@ class TestMartinezLegaz:
             ml_solution_check_1d(quadrant.problem, 0.0, 0.5)
 
 
-def _per_pair_check(p, xbar, x, resolution, form, pairs=None, member=ml_member_1d):
-    """ml_solution_check_1d as the loop over ml_member_1d without a shared
-    grid (the per-pair definition)."""
+def _ref_halfline_inf(f, pair, window, resolution, cfg):
+    """Infimum of f over {y : v y >= t} clipped to the window grid, by
+    scalar evaluate at each node of the region, with the edge-trend rule:
+    where the region extends past a window edge and f still decreases
+    outward there, -inf.  A nonempty region with no grid node reads -inf."""
+    lo, hi = window.lo[0], window.hi[0]
+    ys = np.linspace(lo, hi, resolution)
+    step = (hi - lo) / (resolution - 1)
+    trend = {"lo": (lo, lo + step), "hi": (hi, hi - step)}
+    v, t = pair.v, pair.t
+    if v > 0.0:
+        cut = t / v
+        mask = ys >= cut - cfg.eps_feas
+        tail_edges = ["hi"] + (["lo"] if cut < lo else [])
+    elif v < 0.0:
+        cut = t / v
+        mask = ys <= cut + cfg.eps_feas
+        tail_edges = ["lo"] + (["hi"] if cut > hi else [])
+    else:
+        if t > 0.0:
+            return float("inf")  # empty constraint region
+        mask = np.ones_like(ys, dtype=bool)
+        tail_edges = ["lo", "hi"]
+    if not mask.any():
+        return float("-inf")
+    for edge in tail_edges:
+        outer, inner = trend[edge]
+        if evaluate(f, [outer]) < evaluate(f, [inner]) - cfg.eps_feas:
+            return float("-inf")
+    return float(min(evaluate(f, [y]) for y in ys[mask]))
+
+
+def _ref_ml_member(f, x, pair, window, resolution=201, cfg=DEFAULT_CONFIG):
+    """ml_member_1d by its definition: the pairing check, then f(x), then
+    the halfline infimum of the pair."""
+    if pair.v * x < pair.t - cfg.eps_feas:
+        return False
+    fx = evaluate(f, [x])
+    return _ref_halfline_inf(f, pair, window, resolution, cfg) >= fx - cfg.eps_feas
+
+
+def _per_pair_check(p, xbar, x, resolution, form, pairs=None, member=_ref_ml_member):
+    """ml_solution_check_1d as the loop over the per-pair definition
+    without a shared grid."""
     window = p.domain_window
     eps = DEFAULT_CONFIG.eps_feas
     for pair in default_ml_pairs(window) if pairs is None else pairs:
@@ -156,11 +199,12 @@ class TestSharedWindowValues:
         # verdicts it repeats; both are pure, so the verdicts are those of
         # the plain loop.
         values = {}
+        real_evaluate = evaluate
 
         def evaluate_once(f, x):
             key = float(x[0])
             if key not in values:
-                values[key] = evaluate(f, x)
+                values[key] = real_evaluate(f, x)
             return values[key]
 
         verdicts = {}
@@ -168,10 +212,10 @@ class TestSharedWindowValues:
         def member_once(f, x, pair, window, resolution):
             key = (x, pair, resolution)
             if key not in verdicts:
-                verdicts[key] = ml_member_1d(f, x, pair, window, resolution)
+                verdicts[key] = _ref_ml_member(f, x, pair, window, resolution)
             return verdicts[key]
 
-        monkeypatch.setattr(subdiff, "evaluate", evaluate_once)
+        monkeypatch.setitem(globals(), "evaluate", evaluate_once)
         pairs = default_ml_pairs(p.domain_window)
         for resolution, form, xbar in cases:
             want = [
@@ -181,23 +225,32 @@ class TestSharedWindowValues:
             assert got[resolution, form, xbar] == want, (resolution, form, xbar)
 
     def test_partly_failing_objective(self):
-        # sqrt(x1) fails on half the window: the shared evaluation must not
-        # raise where the per-pair loop never evaluates
-        q = Problem(parse("sqrt(x1)", 1), ConvexSetDescriptor(1, ()), 1, Box((-1.0,), (1.0,)))
+        # sqrt(x1) fails on half the window: both entry points raise what
+        # evaluate raises at the first failing node of the window, as the
+        # GP grid does, whatever the pair, the point or the form
         pairs = [MLPair(1.0, t) for t in (0.2, 0.5, 0.8)] + [MLPair(-1.0, 0.3)]
-        seen = set()
-        for resolution in (41, 7):
-            for form in ("M1", "M2"):
-                for xbar in (0.0, 0.5):
-                    for x in np.linspace(-1.0, 1.0, 21):
-                        for cands in (None, pairs):
-                            got = _outcome(lambda: ml_solution_check_1d(
-                                q, xbar, float(x), cands, resolution=resolution, form=form))
-                            want = _outcome(lambda: _per_pair_check(
-                                q, xbar, float(x), resolution, form, cands))
-                            assert got == want
-                            seen.add(got)
-        assert seen == {True, False, EvalError}
+        window = Box((-1.0,), (1.0,))
+        for text in ("sqrt(x1)", "pw[x1 <= 0.25: x1]"):
+            f = parse(text, 1)
+            q = Problem(f, ConvexSetDescriptor(1, ()), 1, window)
+            for resolution in (41, 7):
+                nodes = np.linspace(-1.0, 1.0, resolution)
+                first = next(y for y in nodes if _outcome(lambda: evaluate(f, [y])) is EvalError)
+                with pytest.raises(EvalError) as want:
+                    evaluate(f, [first])
+                for form in ("M1", "M2"):
+                    for xbar in (0.0, 0.5):
+                        for x in np.linspace(-1.0, 1.0, 21):
+                            for cands in (None, pairs):
+                                with pytest.raises(EvalError) as got:
+                                    ml_solution_check_1d(
+                                        q, xbar, float(x), cands, resolution=resolution, form=form)
+                                assert str(got.value) == str(want.value)
+                for pair in pairs:
+                    for x in (-0.5, 0.5, 2.0):
+                        with pytest.raises(EvalError) as got:
+                            ml_member_1d(f, x, pair, window, resolution)
+                        assert str(got.value) == str(want.value)
 
     def test_resolution_validation(self, flat):
         with pytest.raises(ValueError):
@@ -301,7 +354,7 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
             values[key] = real_evaluate(f, x)
         return values[key]
 
-    monkeypatch.setattr(subdiff, "evaluate", evaluate_once)
+    monkeypatch.setitem(globals(), "evaluate", evaluate_once)
     seen = set()
     for text in ("(x1 - 0.2)^2 - x1^3", "abs(x1 - 0.5)", "x1", "-x1"):
         p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, window)
@@ -310,7 +363,9 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
             verdicts = {}
             for pair in pairs:
                 for y in ys + [-2.0, 2.0]:
-                    verdicts[pair, y] = ml_member_1d(p.objective, y, pair, window, resolution, cfg)
+                    verdicts[pair, y] = _ref_ml_member(p.objective, y, pair, window, resolution, cfg)
+                    got = ml_member_1d(p.objective, y, pair, window, resolution, cfg)
+                    assert got is verdicts[pair, y], (text, cfg, pair, y)
             for xbar in (-1.0, 0.2, 1.5):
                 for x in ys + [-2.0, 2.0]:
                     for form in ("M1", "M2"):
@@ -318,8 +373,8 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
                         want = any(
                             verdicts[pair, x]
                             and (pair.v * xbar >= pair.t - eps if form == "M2"
-                                 else ml_member_1d(p.objective, xbar, pair, window,
-                                                   resolution, cfg))
+                                 else _ref_ml_member(p.objective, xbar, pair, window,
+                                                     resolution, cfg))
                             for pair in pairs
                         )
                         assert got is want, (text, cfg, xbar, x, form)
@@ -333,15 +388,92 @@ def test_ml_region_outside_the_window_certifies_nothing():
     f, w, cfg = parse("x1", 1), Box((0.0,), (1.0,)), DEFAULT_CONFIG
     g = parse("-x1", 1)
     for h in (f, g):
-        assert subdiff._halfline_inf(h, MLPair(-1.0, 0.5), w, 201, cfg) == float("-inf")
-        assert subdiff._halfline_inf(h, MLPair(1.0, 1.5), w, 201, cfg) == float("-inf")
+        assert _ref_halfline_inf(h, MLPair(-1.0, 0.5), w, 201, cfg) == float("-inf")
+        assert _ref_halfline_inf(h, MLPair(1.0, 1.5), w, 201, cfg) == float("-inf")
     assert not ml_member_1d(f, -1.0, MLPair(-1.0, 1.0), w)
     assert not ml_member_1d(f, 2.0, MLPair(1.0, 2.0), w)
     # inf of -y over y <= -0.5 is 0.5, below f(-1) = 1
     assert not ml_member_1d(g, -1.0, MLPair(-2.0, 1.0), w)
     # a region that meets the window reads its grid minimum
-    assert subdiff._halfline_inf(f, MLPair(1.0, 0.5), w, 201, cfg) == 0.5
-    window = subdiff._window(f, 0.0, 1.0, 201)
+    assert _ref_halfline_inf(f, MLPair(1.0, 0.5), w, 201, cfg) == 0.5
+    window = subdiff._window(f, w, 201)
     V, T = np.array([-1.0, 1.0, -2.0, 1.0]), np.array([0.5, 1.5, 3.0, 0.5])
-    want = [subdiff._halfline_inf(f, MLPair(v, t), w, 201, cfg) for v, t in zip(V, T)]
+    want = [_ref_halfline_inf(f, MLPair(v, t), w, 201, cfg) for v, t in zip(V, T)]
     assert subdiff._halfline_infima(window, V, T, cfg.eps_feas).tolist() == want
+
+
+def test_ml_member_refuses_a_window_of_fewer_than_two_nodes(flat):
+    f, w = flat.problem.objective, flat.problem.domain_window
+    for resolution in (0, 1):
+        with pytest.raises(ValueError):
+            ml_member_1d(f, 0.5, MLPair(1.0, 0.4), w, resolution)
+
+
+# ---------------------------------------------------------------------------
+# The ML route against its per-pair definition on generated cases
+# ---------------------------------------------------------------------------
+
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4)  # exact ties happen
+
+
+@st.composite
+def _ml_cases(draw):
+    """A smooth, kinked or piecewise objective, a window, a resolution,
+    pairs of each sign of v whose cuts fall on grid nodes, past either
+    edge or anywhere, and points inside and outside the window."""
+    a, b, c = (f"({draw(_QUARTERS)})" for _ in range(3))
+    text = draw(st.sampled_from([
+        f"{a} * (x1 - {c})^2 + {b} * x1^3",
+        f"{a} * abs(x1 - {c}) + {b} * x1",
+        f"pw[x1 <= {c}: {a} * (x1 - {c}); x1 >= {c}: {b} * (x1 - {c})^2]",
+    ]))
+    lo = draw(_QUARTERS)
+    hi = lo + draw(st.integers(1, 16)) / 4
+    resolution = draw(st.integers(2, 201))
+    ys = np.linspace(lo, hi, resolution)
+
+    def place():
+        kind = draw(st.sampled_from(["node", "below", "above", "free"]))
+        if kind == "node":
+            return float(ys[draw(st.integers(0, resolution - 1))])
+        if kind == "free":
+            return draw(_QUARTERS)
+        past = draw(st.sampled_from([1e-3, 0.25, 2.0]))
+        return lo - past if kind == "below" else hi + past
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        v = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]))
+        t = draw(_QUARTERS) if v == 0.0 else v * place()
+        pairs.append(MLPair(v, t))
+    xs = [place() for _ in range(draw(st.integers(1, 3)))]
+    eps = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    return text, Box((lo,), (hi,)), resolution, pairs, xs, place(), Config(eps_feas=eps)
+
+
+@given(_ml_cases())
+@settings(max_examples=80, deadline=None)
+def test_ml_route_equals_its_definition(case):
+    text, window, resolution, pairs, xs, xbar, cfg = case
+    f = parse(text, 1)
+    p = Problem(f, ConvexSetDescriptor(1, ()), 1, window)
+    eps = cfg.eps_feas
+    V, T = np.array([[pair.v, pair.t] for pair in pairs]).T
+    infima = subdiff._halfline_infima(subdiff._window(f, window, resolution), V, T, eps)
+    assert infima.tolist() == [
+        _ref_halfline_inf(f, pair, window, resolution, cfg) for pair in pairs
+    ]
+    for x in xs:
+        at_x = {}
+        for pair in pairs:
+            at_x[pair] = _ref_ml_member(f, x, pair, window, resolution, cfg)
+            assert ml_member_1d(f, x, pair, window, resolution, cfg) is at_x[pair]
+        for form in ("M1", "M2"):
+            want = any(
+                at_x[pair]
+                and (pair.v * xbar >= pair.t - eps if form == "M2"
+                     else _ref_ml_member(f, xbar, pair, window, resolution, cfg))
+                for pair in pairs
+            )
+            got = ml_solution_check_1d(p, xbar, x, pairs, window, resolution, cfg, form)
+            assert got is want, (form, x)
