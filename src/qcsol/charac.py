@@ -4,13 +4,14 @@ Implements the gradient dichotomy classifier, the condition table of all
 24 characterization variants (the hat/tilde/numbered S-families, the
 T-families and their primed and double-primed multiplier forms), the
 membership predicates and windowed enumeration of the 15 plain variants.
-kkt decides the multiplier variants from the same table.
+One decision path decides every variant; kkt's multiplier functions call
+it too.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from .core import (
     Problem,
     as_point,
 )
-from .errors import HypothesisViolatedError, InconsistentDichotomyError
+from .errors import HypothesisViolatedError, InconsistentDichotomyError, NotOpenGroundSetError
 from .expr import _at, _dot, _norm, grad, grad_many
-from .sets import contains, contains_many, sample_grid
+from .feasibility import _feasible_anchor, _masks, feasible_grid, strict_index_set
+from .sets import contains_many
 
 
 def classify_dichotomy(
@@ -44,7 +46,12 @@ def classify_dichotomy(
     outside = ~contains_many(p.feasible_set, X, cfg.eps_feas)
     if outside.any():
         raise ValueError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
-    G = grad_many(p.objective, X, p.dimension)
+    return _dichotomy(X, grad_many(p.objective, X, p.dimension), cfg)
+
+
+def _dichotomy(X: np.ndarray, G: np.ndarray, cfg: Config) -> DichotomyReport:
+    """classify_dichotomy of the feasible solutions X, the rows of a (k, n)
+    array with k >= 1, whose gradients are the rows of G."""
     norms = _norm(G.T)
     witnesses = tuple(zip(map(tuple, X.tolist()), norms.tolist()))
 
@@ -72,10 +79,10 @@ def classify_dichotomy(
 def check_anchor_hypothesis(
     p: Problem, xbar, variant: CharacVariant, cfg: Config = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Validate the anchor point and return its gradient."""
+    """Validate the anchor point and return its gradient.  p may be a
+    ConstrainedProblem: the anchor must then meet its constraints too."""
     xb = as_point(xbar, p.dimension)
-    if not contains(p.feasible_set, xb, cfg.eps_feas):
-        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
+    _feasible_anchor(p, xb, cfg)
     g0 = grad(p.objective, xb, p.dimension)
     if variant in _NEEDS_ANCHOR_GRADIENT and _norm(g0) <= cfg.eps_grad:
         raise HypothesisViolatedError(
@@ -96,36 +103,13 @@ def membership(
     Residuals are signed slacks, one per named condition; the verdict is
     positive iff every condition holds within its tolerance.
     """
-    xb, g0 = _plain_anchor(p, xbar, variant, cfg)
-    xv = as_point(x, p.dimension)
-    in_S = contains(p.feasible_set, xv, cfg.eps_feas)
-    g = grad(p.objective, xv, p.dimension)
-    with np.errstate(all="ignore"):
-        rows = _Rows(xv, g, xb, g0, {"in_feasible_set": in_S}).decide(variant, cfg)
-    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
-
-
-def _reject_constrained(p) -> None:
-    if isinstance(p, ConstrainedProblem):
-        raise ValueError(
-            "a constrained problem needs a multiplier; use kkt.enumerate_constrained"
-        )
-
-
-def _plain_anchor(p: Problem, xbar, variant: CharacVariant, cfg: Config):
-    """A plain variant's anchor as a point, and its checked gradient."""
-    _reject_constrained(p)
-    if variant.requires_multiplier:
-        raise ValueError(
-            f"{variant.value} needs a multiplier; use kkt.membership_constrained"
-        )
-    return as_point(xbar, p.dimension), check_anchor_hypothesis(p, xbar, variant, cfg)
+    return _decide(p, xbar, None, x, variant, cfg)
 
 
 # The conditions of each variant, in the order of their residuals.  The
 # set conditions in_feasible_set (x in S), in_X1 (x in X1(lambda)) and
-# constraints_feasible (every g_i(x) <= 0) are masks that the caller hands
-# _Rows.  docs/theorems.md states every condition as a formula.
+# constraints_feasible (every g_i(x) <= 0) are masks, from
+# feasibility._masks.  docs/theorems.md states every condition as a formula.
 _CONDITIONS = {
     CharacVariant.SHAT1: ("in_feasible_set", "anchor_dot_zero", "same_direction", "nonzero_gradient"),
     CharacVariant.SHAT2: ("in_feasible_set", "anchor_dot_at_most", "same_direction", "nonzero_gradient"),
@@ -293,24 +277,6 @@ _DECIDE = {
 }
 
 
-def _enumerate(X: np.ndarray, members) -> List[tuple]:
-    """The rows of the (N, n) array X that members(X) marks, as tuples."""
-    if not len(X):
-        return []
-    with np.errstate(all="ignore"):
-        return list(map(tuple, X[members(X)].tolist()))
-
-
-def _enumerate_grid(p: Problem, xb, g0, variant: CharacVariant, X: np.ndarray, cfg: Config):
-    """The rows of the feasible grid X in the variant's set; xb, g0 from _plain_anchor."""
-
-    def members(X):
-        G = grad_many(p.objective, X, p.dimension)
-        return _Rows(X, G, xb, g0, {"in_feasible_set": True}).decide(variant, cfg).member
-
-    return _enumerate(X, members)
-
-
 def enumerate_solution_set(
     p: Problem,
     xbar,
@@ -319,7 +285,64 @@ def enumerate_solution_set(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid points of the domain window whose membership verdict is positive."""
-    xb, g0 = _plain_anchor(p, xbar, variant, cfg)
-    # sample_grid keeps exactly the points that contains() accepts at eps_feas
-    X = sample_grid(p.feasible_set, p.domain_window, resolution, cfg.eps_feas)
-    return _enumerate_grid(p, xb, g0, variant, X, cfg)
+    _check_kind(p, None, variant)
+    return _enumerate(p, xbar, None, variant, feasible_grid(p, resolution, cfg), cfg)
+
+
+# The one decision path of all 24 variants.  lam is None for a plain
+# variant, and a plain problem is the case with no constraints.
+
+def _check_kind(p, lam, variant: CharacVariant) -> None:
+    """Refuse a problem or variant of the other kind: without a multiplier,
+    a plain problem and a plain variant; with one, a multiplier variant."""
+    if lam is None and isinstance(p, ConstrainedProblem):
+        raise ValueError("a constrained problem needs a multiplier; use kkt.enumerate_constrained")
+    if lam is None and variant.requires_multiplier:
+        raise ValueError(f"{variant.value} needs a multiplier; use kkt.membership_constrained")
+    if lam is not None and not variant.requires_multiplier:
+        raise ValueError(f"{variant.value} needs no multiplier; use charac.membership or "
+                         "charac.enumerate_solution_set")
+
+
+def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
+    """Check every anchor hypothesis of the variant, in order, and return
+    the anchor as a point, its objective gradient, its strict-multiplier
+    indices and (i, grad g_i(xb)) for each of them."""
+    xb = as_point(xbar, p.dimension)
+    g0 = check_anchor_hypothesis(p, xb, variant, cfg)
+    tilde = () if lam is None else strict_index_set(p, xb, lam, cfg)
+    # a row that does not test x in S is stated for an open ground set
+    if "in_feasible_set" not in _CONDITIONS[variant] and p.ground_set.atoms:
+        raise NotOpenGroundSetError(
+            "double-primed variants need an open (unconstrained) ground set"
+        )
+    active = [(i, grad(p.constraints[i], xb, p.dimension)) for i in tilde]
+    return xb, g0, tilde, active
+
+
+def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipVerdict:
+    """The verdict and residuals of one point, on the scalar path."""
+    _check_kind(p, lam, variant)
+    xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
+    xv = as_point(x, p.dimension)
+    sets = _masks(p, xv, tilde, cfg)
+    g = grad(p.objective, xv, p.dimension)
+    with np.errstate(all="ignore"):
+        rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
+    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
+
+
+def _enumerate(p, xbar, lam, variant: CharacVariant, X: np.ndarray, cfg: Config,
+               G: Optional[np.ndarray] = None) -> List[tuple]:
+    """The rows of the feasible grid X in the variant's set, as tuples in
+    grid order; G holds the gradients at the rows where the caller has
+    them.  The caller checks the kind first; an empty grid returns [] and
+    checks nothing."""
+    if not len(X):
+        return []
+    xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
+    with np.errstate(all="ignore"):
+        if G is None:
+            G = grad_many(p.objective, X, p.dimension)
+        rows = _Rows(X, G, xb, g0, _masks(p, X, tilde, cfg, grid=True), active)
+        return list(map(tuple, X[rows.decide(variant, cfg).member].tolist()))

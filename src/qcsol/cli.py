@@ -19,6 +19,8 @@ from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem
 from .errors import ProblemFormatError, QcsolError
+from .expr import grad_many
+from .feasibility import _feasible_anchor, _masks
 from .problemfile import _json_document, config_from_json, loads
 from .registry import get_example
 from .sets import Box
@@ -51,7 +53,7 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
 def _load(args, require_constrained: Optional[bool] = None):
     """Problem from --problem PATH or --example NAME, plus anchor and config."""
     if getattr(args, "example", None):
-        entry = get_example(args.example)
+        entry = _example(args.example)
         problem, known, cfg = entry.problem, entry.anchor, _base_config(args)
     elif getattr(args, "problem", None):
         with open(args.problem) as fh:
@@ -64,19 +66,33 @@ def _load(args, require_constrained: Optional[bool] = None):
     if require_constrained is False and isinstance(problem, ConstrainedProblem):
         raise UsageError("this subcommand needs an unconstrained problem")
     if getattr(args, "anchor", None):
-        known = tuple(float(v) for v in args.anchor.split(","))
+        known = _reals(args.anchor, "--anchor", problem.dimension)
     return problem, known, cfg
+
+
+def _reals(text: str, flag: str, count: int) -> tuple:
+    """The value of flag: count finite reals, comma separated."""
+    try:
+        vals = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        vals = ()
+    if len(vals) != count or not all(map(math.isfinite, vals)):
+        raise UsageError(f"{flag} needs {count} comma-separated finite reals, got {text!r}")
+    return vals
 
 
 def _window(args, problem) -> Box:
     if args.window:
-        vals = [float(v) for v in args.window.split(",")]
-        if len(vals) != 2 * problem.dimension:
-            raise UsageError("--window needs lo1,hi1,...,lon,hin")
-        if not all(math.isfinite(v) for v in vals):
-            raise UsageError("--window bounds must be finite")
-        return Box(tuple(vals[0::2]), tuple(vals[1::2]))
+        vals = _reals(args.window, "--window", 2 * problem.dimension)
+        return Box(vals[0::2], vals[1::2])
     return problem.domain_window
+
+
+def _example(name: str):
+    try:
+        return get_example(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
 
 
 def _variant(name: str) -> CharacVariant:
@@ -134,9 +150,7 @@ def _cmd_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    points = charac.enumerate_solution_set(
-        problem, anchor, variant, args.resolution, cfg
-    )
+    points = charac.enumerate_solution_set(problem, anchor, variant, args.resolution, cfg)
     _emit({"variant": variant.value, "points": [list(p) for p in points]})
     return EXIT_OK if points else EXIT_NEGATIVE
 
@@ -145,7 +159,7 @@ def _cmd_verify_membership(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    point = tuple(float(v) for v in args.point.split(","))
+    point = _reals(args.point, "--point", problem.dimension)
     verdict = charac.membership(problem, anchor, point, variant, cfg)
     _emit(
         {
@@ -164,12 +178,8 @@ def _cmd_check_convexity(args) -> int:
             raise UsageError(f"{flag} must be a nonnegative integer")
     problem, _, cfg = _load(args)
     window = _window(args, problem)
-    quasi = convexity.check_quasiconvex(
-        problem.objective, window, args.pairs, args.t_steps, cfg
-    )
-    first_order = convexity.check_first_order_qcx(
-        problem.objective, window, args.pairs, cfg
-    )
+    quasi = convexity.check_quasiconvex(problem.objective, window, args.pairs, args.t_steps, cfg)
+    first_order = convexity.check_first_order_qcx(problem.objective, window, args.pairs, cfg)
     _emit(
         {
             "quasiconvex": {
@@ -209,9 +219,7 @@ def _cmd_agreement(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    rep = oracle.agreement(
-        problem, anchor, variant, args.resolution, cfg=cfg
-    )
+    rep = oracle.agreement(problem, anchor, variant, args.resolution, cfg=cfg)
     _emit(
         {
             "variant": variant.value,
@@ -228,7 +236,7 @@ def _cmd_agreement(args) -> int:
 def _cmd_kkt_solve(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    kkt._feasible_anchor(problem, anchor, cfg)
+    _feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
     _emit(
@@ -245,11 +253,9 @@ def _cmd_kkt_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    kkt._feasible_anchor(problem, anchor, cfg)
+    _feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
-    points = kkt.enumerate_constrained(
-        problem, anchor, lam, variant, args.resolution, cfg
-    )
+    points = kkt.enumerate_constrained(problem, anchor, lam, variant, args.resolution, cfg)
     _emit(
         {
             "variant": variant.value,
@@ -263,7 +269,7 @@ def _cmd_kkt_enumerate(args) -> int:
 def _cmd_check_cq(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    kkt._feasible_anchor(problem, anchor, cfg)
+    _feasible_anchor(problem, anchor, cfg)
     rep = kkt.check_gmfcq(problem, anchor, cfg)
     _emit(
         {
@@ -277,7 +283,7 @@ def _cmd_check_cq(args) -> int:
 def _cmd_subdiff_check(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
-    point = tuple(float(v) for v in args.point.split(","))
+    point = _reals(args.point, "--point", problem.dimension)
     if args.route == "gp":
         ok = subdiff.gp_solution_check(
             problem, anchor, point, resolution=args.resolution, cfg=cfg
@@ -300,50 +306,40 @@ _ALL_UNCONSTRAINED = tuple(
 
 
 def _cmd_run_example(args) -> int:
-    entry = get_example(args.name)
+    entry = _example(args.name)
     cfg = _base_config(args)
-    problem, anchor, resolution = entry.problem, entry.anchor, entry.resolution
+    problem, anchor = entry.problem, entry.anchor
     report = {"example": entry.name, "description": entry.description}
+    # one grid and one oracle result for every check below
+    X = kkt.feasible_grid(problem, entry.resolution, cfg)
+    res, solutions = oracle._minimize(problem, X, cfg.eps_opt)
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
         resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
-        res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
-        covered = all(
-            kkt.member_X1(problem, anchor, lam, p, cfg)
-            for p in res.solution_points
-        )
-        report.update(
-            {
-                "lambdas": list(lam.lambdas),
-                "stationarity_residual": resid,
-                "oracle_min": res.min_value,
-                "solutions_in_X1": covered,
-                "lagrangian_constant": kkt.lagrangian_constancy(
-                    problem, anchor, lam, res.solution_points, cfg
-                ),
-            }
-        )
+        tilde = kkt.strict_index_set(problem, anchor, lam, cfg)
+        covered = bool(_masks(problem, X[solutions], tilde, cfg)["in_X1"].all())
+        report.update({
+            "lambdas": list(lam.lambdas),
+            "stationarity_residual": resid,
+            "oracle_min": res.min_value,
+            "solutions_in_X1": covered,
+            "lagrangian_constant": kkt.lagrangian_constancy(
+                problem, anchor, lam, res.solution_points, cfg
+            ),
+        })
         _emit(report)
         return EXIT_OK if covered else EXIT_NEGATIVE
 
-    res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
-    dich = charac.classify_dichotomy(problem, res.solution_points, cfg)
-    report["alternative"] = dich.alternative
-    report["oracle_min"] = res.min_value
-    report["oracle_count"] = len(res.solution_points)
+    G = grad_many(problem.objective, X, problem.dimension)
+    dich = charac._dichotomy(X[solutions], G[solutions], cfg)
+    report.update(alternative=dich.alternative, oracle_min=res.min_value,
+                  oracle_count=len(res.solution_points))
     if args.check == "all":
-        variants = (
-            _ALL_UNCONSTRAINED if dich.alternative == "I" else (CharacVariant.STILDE,)
-        )
-        agreements = {}
-        for variant in variants:
-            rep = oracle.agreement(
-                problem, anchor, variant, resolution, cfg=cfg
-            )
-            agreements[variant.value] = rep.equal
-        report["agreement"] = agreements
+        variants = _ALL_UNCONSTRAINED if dich.alternative == "I" else (CharacVariant.STILDE,)
+        reps = oracle._agreements(problem, anchor, variants, X, res, cfg.eps_opt, cfg, G)
+        report["agreement"] = {v.value: rep.equal for v, rep in reps.items()}
         _emit(report)
-        return EXIT_OK if all(agreements.values()) else EXIT_NEGATIVE
+        return EXIT_OK if all(report["agreement"].values()) else EXIT_NEGATIVE
     _emit(report)
     return EXIT_OK
 
@@ -364,9 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, anchor=True, resolution=True):
-        p.add_argument("--problem", help="path to a JSON problem file")
-        p.add_argument("--example", help="name of a builtin example")
+    def common(p, source=True, anchor=True, resolution=True):
+        if source:
+            p.add_argument("--problem", help="path to a JSON problem file")
+            p.add_argument("--example", help="name of a builtin example")
         if anchor:
             p.add_argument("--anchor", help="known solution, comma separated")
         if resolution:
@@ -430,11 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-example", help="reproduce a builtin example")
     p.add_argument("name")
     p.add_argument("--check", choices=("summary", "all"), default="summary")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eps-grad", dest="eps_grad", type=float, default=None)
-    p.add_argument("--eps-dir", dest="eps_dir", type=float, default=None)
-    p.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
-    p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
+    common(p, source=False, anchor=False, resolution=False)
     p.set_defaults(func=_cmd_run_example)
 
     return parser

@@ -40,6 +40,13 @@ class Problem:
     dimension: int
     domain_window: Box
 
+    # A plain problem is the case of a constrained one with no constraints.
+    constraints = ()
+
+    @property
+    def ground_set(self) -> ConvexSetDescriptor:
+        return self.feasible_set
+
     def __post_init__(self):
         if self.dimension < 1:
             raise DimensionError("dimension must be >= 1")

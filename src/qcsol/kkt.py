@@ -1,5 +1,5 @@
-"""Inequality-constrained machinery: active sets, constraint
-qualifications, Lagrange multipliers and the multiplier-based
+"""Inequality-constrained machinery: active sets (from feasibility),
+constraint qualifications, Lagrange multipliers and the multiplier-based
 characterizations."""
 
 from __future__ import annotations
@@ -10,95 +10,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .alternatives import solve_lp, strict_feasibility
-from .charac import _CONDITIONS, _Rows, _enumerate, check_anchor_hypothesis
+from .charac import _check_kind, _decide, _enumerate
 from .config import DEFAULT_CONFIG, Config
-from .core import (
-    CharacVariant,
-    ConstrainedProblem,
-    MembershipVerdict,
-    MultiplierVector,
-    Problem,
-    as_point,
-)
-from .errors import (
-    HypothesisViolatedError,
-    InfeasibleError,
-    NoMultiplierError,
-    NotOpenGroundSetError,
-    QcsolError,
-)
-from .expr import _at, evaluate, evaluate_many, grad, grad_many
-from .sets import contains, contains_many, grid_nodes, normal_cone_generators
-
-
-@dataclass(frozen=True)
-class ActiveSetReport:
-    active: tuple            # indices i with |g_i(x)| <= eps_act (0-based)
-    strictly_positive: tuple  # active indices with lambda_i > eps_lp
+from .core import CharacVariant, ConstrainedProblem, MembershipVerdict, MultiplierVector, as_point
+from .errors import NoMultiplierError
+from .expr import _at, evaluate, grad
+# the feasible set of a problem, under kkt's public names
+from .feasibility import ActiveSetReport, _masks, active_set, constraint_values  # noqa: F401
+from .feasibility import feasible_grid, is_feasible, strict_index_set  # noqa: F401
+from .sets import contains, normal_cone_generators
 
 
 @dataclass(frozen=True)
 class CQReport:
     holds: bool
     direction: Optional[tuple]
-
-
-def constraint_values(cp: ConstrainedProblem, x) -> np.ndarray:
-    xv = as_point(x, cp.dimension)
-    return np.array([evaluate(g, xv) for g in cp.constraints])
-
-
-def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool:
-    xv = as_point(x, cp.dimension)
-    if not contains(cp.ground_set, xv, cfg.eps_feas):
-        return False
-    return bool(np.all(constraint_values(cp, xv) <= cfg.eps_feas))
-
-
-def _feasible_anchor(cp: ConstrainedProblem, xbar, cfg: Config) -> None:
-    """Refuse an anchor outside the ground set or a constraint (is_feasible)."""
-    if not is_feasible(cp, xbar, cfg):
-        raise HypothesisViolatedError(f"anchor {_at(xbar)} is not feasible")
-
-
-def feasible_grid(
-    cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Grid nodes of the window that is_feasible accepts, as the rows of
-    an (N, n) array in grid order.
-
-    The ground set is tested on all nodes at once and each constraint is
-    evaluated once on the nodes in it; when an evaluation fails, the nodes
-    are tested one by one, so that the error is the one is_feasible raises
-    at the first failing node.
-    """
-    X = grid_nodes(cp.domain_window, resolution)
-    try:
-        keep = contains_many(cp.ground_set, X, cfg.eps_feas)
-        inside = np.flatnonzero(keep)
-        for g in cp.constraints:
-            keep[inside] &= evaluate_many(g, X[inside]) <= cfg.eps_feas
-    except QcsolError:
-        return X[[is_feasible(cp, x, cfg) for x in X]]
-    return X[keep]
-
-
-def active_set(
-    cp: ConstrainedProblem,
-    x,
-    lam: Optional[MultiplierVector] = None,
-    cfg: Config = DEFAULT_CONFIG,
-) -> ActiveSetReport:
-    """Indices of active constraints at a feasible point."""
-    xv = as_point(x, cp.dimension)
-    if not is_feasible(cp, xv, cfg):
-        raise InfeasibleError(f"point {_at(xv)} is infeasible")
-    vals = constraint_values(cp, xv)
-    active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
-    positive = ()
-    if lam is not None:
-        positive = tuple(i for i in active if lam.lambdas[i] > cfg.eps_lp)
-    return ActiveSetReport(active, positive)
 
 
 def check_gmfcq(
@@ -180,13 +106,6 @@ def stationarity_residual(
     return float(min(np.max(np.abs(resid + N @ mu)), np.max(np.abs(resid))))
 
 
-def strict_index_set(
-    cp: ConstrainedProblem, xbar, lam: MultiplierVector, cfg: Config = DEFAULT_CONFIG
-) -> tuple:
-    """Active indices with strictly positive multipliers."""
-    return active_set(cp, xbar, lam, cfg).strictly_positive
-
-
 def member_X1(
     cp: ConstrainedProblem,
     xbar,
@@ -201,55 +120,7 @@ def member_X1(
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
     tilde = strict_index_set(cp, xbar, lam, cfg)
-    return bool(_set_conditions(cp, xv[None], tilde, cfg)["in_X1"][0])
-
-
-def _set_conditions(cp: ConstrainedProblem, X: np.ndarray, tilde: tuple, cfg: Config) -> dict:
-    """Masks of the rows of the (N, n) array X in the multiplier rows' sets:
-    in_feasible_set, constraints_feasible and in_X1, whose strict-multiplier
-    indices are tilde (docs/theorems.md gives the formulas)."""
-    in_S = contains_many(cp.ground_set, X, cfg.eps_feas)
-    feasible, in_X1 = np.ones(len(X), dtype=bool), in_S.copy()
-    for i, g in enumerate(cp.constraints):
-        v = evaluate_many(g, X)
-        feasible &= v <= cfg.eps_feas
-        in_X1 &= ~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas)
-    return {"in_feasible_set": in_S, "constraints_feasible": feasible, "in_X1": in_X1}
-
-
-def _as_plain_problem(cp: ConstrainedProblem) -> Problem:
-    """The (PI) feasible set as a plain problem for the unconstrained
-    predicates; constraint atoms are enforced separately via is_feasible."""
-    return Problem(
-        objective=cp.objective,
-        feasible_set=cp.ground_set,
-        dimension=cp.dimension,
-        domain_window=cp.domain_window,
-    )
-
-
-def _checked_anchor(
-    cp: ConstrainedProblem, xb: np.ndarray, lam: MultiplierVector, variant: CharacVariant,
-    cfg: Config,
-):
-    """Check every anchor hypothesis of a multiplier variant, in order, and
-    return the anchor's objective gradient, its strict-multiplier indices
-    and (i, grad g_i(xb)) for each of them."""
-    if not variant.requires_multiplier:
-        raise ValueError(
-            f"{variant.value} needs no multiplier; use charac.membership or "
-            "charac.enumerate_solution_set"
-        )
-    _feasible_anchor(cp, xb, cfg)
-    g0 = check_anchor_hypothesis(_as_plain_problem(cp), xb, variant, cfg)
-    tilde = strict_index_set(cp, xb, lam, cfg)
-    # a row that does not test x in S is stated for an open ground set
-    if "in_feasible_set" not in _CONDITIONS[variant] and cp.ground_set.atoms:
-        raise NotOpenGroundSetError(
-            "double-primed variants need an open (unconstrained) ground set"
-        )
-    active = [(i, grad(cp.constraints[i], xb, cp.dimension)) for i in tilde]
-    return g0, tilde, active
+    return bool(_masks(cp, xv, tilde, cfg)["in_X1"])
 
 
 def membership_constrained(
@@ -261,14 +132,7 @@ def membership_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> MembershipVerdict:
     """Membership for the primed and double-primed variants."""
-    xb = as_point(xbar, cp.dimension)
-    xv = as_point(x, cp.dimension)
-    g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
-    sets = {name: mask[0] for name, mask in _set_conditions(cp, xv[None], tilde, cfg).items()}
-    with np.errstate(all="ignore"):
-        g = grad(cp.objective, xv, cp.dimension)
-        rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
-    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
+    return _decide(cp, xbar, lam, x, variant, cfg)
 
 
 def enumerate_constrained(
@@ -280,18 +144,8 @@ def enumerate_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
-    X = feasible_grid(cp, resolution, cfg)
-    xb = as_point(xbar, cp.dimension)
-    if not len(X):
-        return []
-    g0, tilde, active = _checked_anchor(cp, xb, lam, variant, cfg)
-
-    def members(X):
-        sets = _set_conditions(cp, X, tilde, cfg)
-        G = grad_many(cp.objective, X, cp.dimension)
-        return _Rows(X, G, xb, g0, sets, active).decide(variant, cfg).member
-
-    return _enumerate(X, members)
+    _check_kind(cp, lam, variant)
+    return _enumerate(cp, xbar, lam, variant, feasible_grid(cp, resolution, cfg), cfg)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .config import DEFAULT_CONFIG, Config
 from .core import ConstrainedProblem, Problem
-from .errors import ProblemFormatError
+from .errors import ParseError, ProblemFormatError
 from .expr import parse, pretty
 from .sets import (
     Atom,
@@ -149,7 +149,7 @@ def load_problem(doc: dict):
         raise ProblemFormatError("dimension must be a positive integer")
     if not isinstance(doc["objective"], str):
         raise ProblemFormatError("objective must be an expression string")
-    objective = parse(doc["objective"], dim)
+    objective = _expression(doc["objective"], dim, "objective")
     if not isinstance(doc["feasible_set"], list):
         raise ProblemFormatError("feasible_set must be a list of atoms")
     atoms = tuple(_atom_from_json(a, dim) for a in doc["feasible_set"])
@@ -174,7 +174,9 @@ def load_problem(doc: dict):
         ground = doc.get("ground_set", [])
         if not isinstance(ground, list):
             raise ProblemFormatError("ground_set must be a list of atoms")
-        constraints = tuple(parse(g, dim) for g in constraints)
+        constraints = tuple(
+            _expression(g, dim, f"constraints[{i}]") for i, g in enumerate(constraints)
+        )
         ground_atoms = tuple(_atom_from_json(a, dim) for a in ground)
         problem = ConstrainedProblem(
             objective,
@@ -189,6 +191,15 @@ def load_problem(doc: dict):
         problem = Problem(objective, ConvexSetDescriptor(dim, atoms), dim, window)
         _probe_nonempty(problem.feasible_set, window, known, cfg.eps_feas)
     return problem, known, cfg
+
+
+def _expression(text: str, dim: int, field: str):
+    """The parsed text of a document field; a ParseError, with its message
+    and offset, becomes a ProblemFormatError that names the field."""
+    try:
+        return parse(text, dim)
+    except ParseError as exc:
+        raise ProblemFormatError(f"{field}: {exc}") from exc
 
 
 def _probe_nonempty(S: ConvexSetDescriptor, window: Box, known, eps_feas: float):

@@ -123,18 +123,16 @@ def test_criterion_05_flat_reproduction():
 
 
 def test_criterion_06_dichotomy_exclusivity():
-    from qcsol.core import ConstrainedProblem
-    from qcsol.kkt import _as_plain_problem
+    from qcsol.core import ConstrainedProblem, Problem
 
     ok = True
     for name in sorted(builtin_examples()):
         e = get_example(name)
         res = brute_force_solutions(e.problem, e.resolution)
-        problem = (
-            _as_plain_problem(e.problem)
-            if isinstance(e.problem, ConstrainedProblem)
-            else e.problem
-        )
+        problem = e.problem
+        if isinstance(problem, ConstrainedProblem):
+            problem = Problem(problem.objective, problem.ground_set, problem.dimension,
+                              problem.domain_window)
         rep = classify_dichotomy(problem, res.solution_points)
         ok = ok and rep.alternative in ("I", "II")
         if rep.alternative == "I":

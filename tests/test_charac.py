@@ -220,6 +220,16 @@ def test_enumeration_errors():
             membership(e.problem, e.anchor, (1.5, 0.0), v)
 
 
+def test_empty_grid_checks_nothing():
+    # no feasible node: the anchor, outside the set and with a zero
+    # gradient, is never examined, as when every point was checked on its own
+    p = Problem(parse("x1^2 + x2^2", 2), ConvexSetDescriptor(2, (Halfspace((1.0, 0.0), -10.0),)),
+                2, Box((-1.5, -1.5), (1.5, 1.5)))
+    assert enumerate_solution_set(p, (0.0, 0.0), V.S1, 5) == []
+    with pytest.raises(HypothesisViolatedError):
+        membership(p, (0.0, 0.0), (0.0, 0.0), V.S1)
+
+
 def test_variant_agreement_small_grid():
     e = get_example("ex2_1")
     variants = [V.SHAT1, V.SHAT2, V.S1, V.S2, V.S3, V.S4, V.S5]

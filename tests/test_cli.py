@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import qcsol
-from qcsol import cli
+from qcsol import cli, sets
 from qcsol.cli import run
 from qcsol.problemfile import dumps
-from qcsol.registry import get_example
+from qcsol.registry import builtin_examples, get_example
 
 
 def _json_out(capsys):
@@ -359,6 +359,67 @@ def test_malformed_constrained_document_is_an_input_error(tmp_path, capsys, edit
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "input"
+
+
+@pytest.mark.parametrize("field,text", [("objective", "x1 +"), ("constraints", ["x1 <="])])
+def test_unparsable_expression_in_problem_file_is_an_input_error(tmp_path, capsys, field, text):
+    e = get_example("ex2_3_constrained")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    doc[field] = text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and err["message"].startswith(field)
+    assert "(offset " in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1,2,3"],
+        ["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1.5,0",
+         "--anchor", "1,0,0"],
+        ["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1.5,x"],
+        ["subdiff-check", "--example", "ex2_4", "--route", "gp", "--point", "0"],
+        ["subdiff-check", "--example", "ex2_4", "--route", "gp", "--point", "nan,0"],
+        ["agreement", "--example", "ex2_1", "--variant", "S1", "--anchor", "1"],
+        ["check-cq", "--example", "ex2_3_constrained", "--anchor", "1,1,1"],
+        ["check-convexity", "--example", "ex2_2", "--window=-1,1,-1"],
+    ],
+    ids=["point-count", "anchor-count", "point-text", "subdiff-point-count",
+         "subdiff-point-nan", "agreement-anchor", "cq-anchor", "window-count"],
+)
+def test_wrong_coordinates_are_a_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and "comma-separated finite reals" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["run-example", "nope"], ["classify", "--example", "nope"]])
+def test_unknown_example_message_is_plain_text(capsys, argv):
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage"
+    assert err["message"].startswith("unknown example 'nope'; available: ex2_1, ")
+
+
+@pytest.mark.parametrize("name", sorted(builtin_examples()))
+def test_run_example_builds_one_grid(monkeypatch, capsys, name):
+    calls = []
+    real = sets.grid_nodes
+
+    def counted(window, resolution):
+        calls.append(resolution)
+        return real(window, resolution)
+
+    monkeypatch.setattr(sets, "grid_nodes", counted)
+    assert run(["run-example", name, "--check", "all"]) == 0
+    assert calls == [get_example(name).resolution]
 
 
 def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector
-from qcsol import charac, expr, kkt
+from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
+from qcsol import charac, expr, feasibility, kkt
 from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
@@ -270,7 +270,7 @@ class TestEnumerationSharesTheAnchor:
 
     def test_anchor_checked_once(self, surd, monkeypatch):
         calls = {"anchor": 0, "tilde": 0}
-        check, tilde = kkt.check_anchor_hypothesis, kkt.strict_index_set
+        check, tilde = charac.check_anchor_hypothesis, charac.strict_index_set
 
         def counted_check(*args):
             calls["anchor"] += 1
@@ -280,8 +280,8 @@ class TestEnumerationSharesTheAnchor:
             calls["tilde"] += 1
             return tilde(*args)
 
-        monkeypatch.setattr(kkt, "check_anchor_hypothesis", counted_check)
-        monkeypatch.setattr(kkt, "strict_index_set", counted_tilde)
+        monkeypatch.setattr(charac, "check_anchor_hypothesis", counted_check)
+        monkeypatch.setattr(charac, "strict_index_set", counted_tilde)
         lam = solve_multipliers(surd.problem, surd.anchor)
         pts = enumerate_constrained(surd.problem, surd.anchor, lam, V.SP3, 13)
         assert pts == [(1.0, 1.0)]
@@ -325,7 +325,8 @@ class TestAnchorCheckedBeforeAnyPoint:
 
     def test_anchor_outside_the_ground_set_is_not_feasible(self, surd, closed):
         lam = solve_multipliers(surd.problem, surd.anchor)
-        plain, anchor = kkt._as_plain_problem(closed), (1.3, 0.0)
+        plain = Problem(closed.objective, closed.ground_set, 2, closed.domain_window)
+        anchor = (1.3, 0.0)
         for v in V:
             if v.requires_multiplier:
                 outcomes = [lambda x=x: membership_constrained(closed, anchor, lam, x, v)
@@ -403,7 +404,7 @@ def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
     def refuse(*args):
         raise EvalError("refused")
 
-    monkeypatch.setattr(kkt, "evaluate_many", refuse)
+    monkeypatch.setattr(feasibility, "evaluate_many", refuse)
     Y = feasible_grid(cp, 13)
     assert Y.dtype == float and Y.shape == X.shape and Y.tobytes() == X.tobytes()
     empty = feasible_grid(never, 13)
@@ -412,10 +413,11 @@ def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
 
 @pytest.fixture()
 def memo_calculus(monkeypatch):
-    """grad and evaluate memoized per (expression, point) in kkt and charac:
+    """grad and evaluate memoized per (expression, point) in kkt, charac and
+    feasibility:
     the pointwise reference below asks for each node's values once per
     variant."""
-    for module in (kkt, charac):
+    for module in (kkt, charac, feasibility):
         for name, original in (("grad", expr.grad), ("evaluate", expr.evaluate)):
             if not hasattr(module, name):
                 continue

@@ -7,10 +7,11 @@ import pytest
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import enumerate_solution_set, membership
 from qcsol import oracle, sets
-from qcsol.core import CharacVariant, ConstrainedProblem, Problem
+from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
 from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
 from qcsol.expr import evaluate, parse
-from qcsol.oracle import OracleResult, _grid_of, agreement, brute_force_solutions
+from qcsol.kkt import enumerate_constrained, feasible_grid
+from qcsol.oracle import OracleResult, agreement, brute_force_solutions
 from qcsol.registry import builtin_examples, get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace
 
@@ -116,7 +117,7 @@ def test_agreement_builds_one_grid(monkeypatch):
 
 def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
     grids = []
-    monkeypatch.setattr(oracle, "_grid_of", lambda *args: grids.append(args))
+    monkeypatch.setattr(sets, "grid_nodes", lambda *args: grids.append(args))
     e = get_example("ex2_3_constrained")
     for call in (
         lambda: agreement(e.problem, e.anchor, CharacVariant.S1, 9),
@@ -124,6 +125,18 @@ def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
         lambda: membership(e.problem, e.anchor, (1.0, 1.0), CharacVariant.S1),
     ):
         with pytest.raises(ValueError, match="kkt.enumerate_constrained"):
+            call()
+    # and a variant of the other kind, for a plain problem and a constrained one
+    plain = get_example("ex2_1")
+    lam = MultiplierVector((0.5,))
+    for call, match in (
+        (lambda: agreement(plain.problem, plain.anchor, CharacVariant.SP1, 9), "needs a multiplier"),
+        (lambda: enumerate_solution_set(plain.problem, plain.anchor, CharacVariant.SP1, 9),
+         "needs a multiplier"),
+        (lambda: enumerate_constrained(e.problem, e.anchor, lam, CharacVariant.S1, 9),
+         "needs no multiplier"),
+    ):
+        with pytest.raises(ValueError, match=match):
             call()
     assert grids == []
 
@@ -141,7 +154,7 @@ def test_zero_minimum_keeps_the_sign_of_its_first_node(text, sign):
 @pytest.mark.parametrize("name", sorted(builtin_examples()))
 def test_oracle_equals_pointwise_minimum(name):
     e = get_example(name)
-    pts = _grid_of(e.problem, e.resolution, DEFAULT_CONFIG)
+    pts = feasible_grid(e.problem, e.resolution, DEFAULT_CONFIG)
     values = [evaluate(e.problem.objective, x) for x in pts]
     vmin = min(values)
     want = OracleResult(

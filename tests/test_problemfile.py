@@ -212,3 +212,24 @@ def test_h_fd_is_an_unknown_config_key():
     with pytest.raises(ProblemFormatError, match="unknown config keys: \\['h_fd'\\]"):
         load_problem(doc)
 
+
+
+@pytest.mark.parametrize(
+    "edit,field,message",
+    [
+        (lambda doc: doc.update(objective="x1 +"), "objective",
+         "expected an operand, found 'end of input' (offset 4)"),
+        (lambda doc: doc.update(constraints=["x1^2 + x2^2 - 2", "x1 <="]), "constraints[1]",
+         "unexpected trailing input '<=' (offset 3)"),
+        (lambda doc: doc.update(objective="(" * 150 + "x1" + ")" * 150), "objective",
+         "expression nests deeper than 100 levels (offset 100)"),
+    ],
+    ids=["objective", "constraint", "depth"],
+)
+def test_parse_error_names_the_field(edit, field, message):
+    e = get_example("ex2_3_constrained")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    edit(doc)
+    with pytest.raises(ProblemFormatError) as info:
+        load_problem(doc)
+    assert str(info.value) == f"{field}: {message}"
