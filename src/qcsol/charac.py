@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+# kkt imports charac too: each module looks the other's names up at call time
+from . import kkt
 from .alternatives import _collinearity
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -27,7 +29,6 @@ from .core import (
 )
 from .errors import HypothesisViolatedError, InconsistentDichotomyError, NotOpenGroundSetError
 from .expr import _at, _dot, _norm, grad, grad_many
-from .feasibility import _feasible_anchor, _masks, feasible_grid, strict_index_set
 from .sets import contains_many
 
 
@@ -82,7 +83,7 @@ def check_anchor_hypothesis(
     """Validate the anchor point and return its gradient.  p may be a
     ConstrainedProblem: the anchor must then meet its constraints too."""
     xb = as_point(xbar, p.dimension)
-    _feasible_anchor(p, xb, cfg)
+    kkt._feasible_anchor(p, xb, cfg)
     g0 = grad(p.objective, xb, p.dimension)
     if variant in _NEEDS_ANCHOR_GRADIENT and _norm(g0) <= cfg.eps_grad:
         raise HypothesisViolatedError(
@@ -109,7 +110,7 @@ def membership(
 # The conditions of each variant, in the order of their residuals.  The
 # set conditions in_feasible_set (x in S), in_X1 (x in X1(lambda)) and
 # constraints_feasible (every g_i(x) <= 0) are masks, from
-# feasibility._masks.  docs/theorems.md states every condition as a formula.
+# kkt._masks.  docs/theorems.md states every condition as a formula.
 _CONDITIONS = {
     CharacVariant.SHAT1: ("in_feasible_set", "anchor_dot_zero", "same_direction", "nonzero_gradient"),
     CharacVariant.SHAT2: ("in_feasible_set", "anchor_dot_at_most", "same_direction", "nonzero_gradient"),
@@ -286,7 +287,7 @@ def enumerate_solution_set(
 ) -> List[tuple]:
     """Grid points of the domain window whose membership verdict is positive."""
     _check_kind(p, None, variant)
-    return _enumerate(p, xbar, None, variant, feasible_grid(p, resolution, cfg), cfg)
+    return _enumerate(p, xbar, None, variant, kkt.feasible_grid(p, resolution, cfg), cfg)
 
 
 # The one decision path of all 24 variants.  lam is None for a plain
@@ -310,7 +311,7 @@ def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
     indices and (i, grad g_i(xb)) for each of them."""
     xb = as_point(xbar, p.dimension)
     g0 = check_anchor_hypothesis(p, xb, variant, cfg)
-    tilde = () if lam is None else strict_index_set(p, xb, lam, cfg)
+    tilde = () if lam is None else kkt.strict_index_set(p, xb, lam, cfg)
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and p.ground_set.atoms:
         raise NotOpenGroundSetError(
@@ -325,7 +326,7 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     _check_kind(p, lam, variant)
     xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     xv = as_point(x, p.dimension)
-    sets = _masks(p, xv, tilde, cfg)
+    sets = kkt._masks(p, xv, tilde, cfg)
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
         rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
@@ -335,8 +336,8 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
 def _enumerate(p, xbar, lam, variant: CharacVariant, X: np.ndarray, cfg: Config,
                G: Optional[np.ndarray] = None) -> List[tuple]:
     """The rows of the feasible grid X in the variant's set, as tuples in
-    grid order; G holds the gradients at the rows where the caller has
-    them.  The caller checks the kind first; an empty grid returns [] and
+    grid order; G, when the caller has it, holds the gradients at the rows
+    of X.  The caller checks the kind first; an empty grid returns [] and
     checks nothing."""
     if not len(X):
         return []
@@ -344,5 +345,5 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, X: np.ndarray, cfg: Config,
     with np.errstate(all="ignore"):
         if G is None:
             G = grad_many(p.objective, X, p.dimension)
-        rows = _Rows(X, G, xb, g0, _masks(p, X, tilde, cfg, grid=True), active)
+        rows = _Rows(X, G, xb, g0, kkt._masks(p, X, tilde, cfg, grid=True), active)
         return list(map(tuple, X[rows.decide(variant, cfg).member].tolist()))

@@ -19,8 +19,6 @@ from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem
 from .errors import ProblemFormatError, QcsolError
-from .expr import grad_many
-from .feasibility import _feasible_anchor, _masks
 from .problemfile import _json_document, config_from_json, loads
 from .registry import get_example
 from .sets import Box
@@ -150,7 +148,9 @@ def _cmd_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    points = charac.enumerate_solution_set(problem, anchor, variant, args.resolution, cfg)
+    points = charac.enumerate_solution_set(
+        problem, anchor, variant, args.resolution, cfg
+    )
     _emit({"variant": variant.value, "points": [list(p) for p in points]})
     return EXIT_OK if points else EXIT_NEGATIVE
 
@@ -178,8 +178,12 @@ def _cmd_check_convexity(args) -> int:
             raise UsageError(f"{flag} must be a nonnegative integer")
     problem, _, cfg = _load(args)
     window = _window(args, problem)
-    quasi = convexity.check_quasiconvex(problem.objective, window, args.pairs, args.t_steps, cfg)
-    first_order = convexity.check_first_order_qcx(problem.objective, window, args.pairs, cfg)
+    quasi = convexity.check_quasiconvex(
+        problem.objective, window, args.pairs, args.t_steps, cfg
+    )
+    first_order = convexity.check_first_order_qcx(
+        problem.objective, window, args.pairs, cfg
+    )
     _emit(
         {
             "quasiconvex": {
@@ -219,7 +223,9 @@ def _cmd_agreement(args) -> int:
     problem, known, cfg = _load(args, require_constrained=False)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    rep = oracle.agreement(problem, anchor, variant, args.resolution, cfg=cfg)
+    rep = oracle.agreement(
+        problem, anchor, variant, args.resolution, cfg=cfg
+    )
     _emit(
         {
             "variant": variant.value,
@@ -236,7 +242,7 @@ def _cmd_agreement(args) -> int:
 def _cmd_kkt_solve(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    _feasible_anchor(problem, anchor, cfg)
+    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
     _emit(
@@ -253,9 +259,11 @@ def _cmd_kkt_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    _feasible_anchor(problem, anchor, cfg)
+    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
-    points = kkt.enumerate_constrained(problem, anchor, lam, variant, args.resolution, cfg)
+    points = kkt.enumerate_constrained(
+        problem, anchor, lam, variant, args.resolution, cfg
+    )
     _emit(
         {
             "variant": variant.value,
@@ -269,7 +277,7 @@ def _cmd_kkt_enumerate(args) -> int:
 def _cmd_check_cq(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    _feasible_anchor(problem, anchor, cfg)
+    kkt._feasible_anchor(problem, anchor, cfg)
     rep = kkt.check_gmfcq(problem, anchor, cfg)
     _emit(
         {
@@ -303,43 +311,44 @@ _ALL_UNCONSTRAINED = tuple(
     v for v, names in charac._CONDITIONS.items()
     if "nonzero_gradient" in names and not v.requires_multiplier
 )
+# the variants whose agreement run-example --check all reports, by alternative
+_AGREEMENT_VARIANTS = {"I": _ALL_UNCONSTRAINED, "II": (CharacVariant.STILDE,)}
 
 
 def _cmd_run_example(args) -> int:
     entry = _example(args.name)
     cfg = _base_config(args)
-    problem, anchor = entry.problem, entry.anchor
+    problem, anchor, resolution = entry.problem, entry.anchor, entry.resolution
     report = {"example": entry.name, "description": entry.description}
-    # one grid and one oracle result for every check below
-    X = kkt.feasible_grid(problem, entry.resolution, cfg)
-    res, solutions = oracle._minimize(problem, X, cfg.eps_opt)
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
         resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
-        tilde = kkt.strict_index_set(problem, anchor, lam, cfg)
-        covered = bool(_masks(problem, X[solutions], tilde, cfg)["in_X1"].all())
-        report.update({
-            "lambdas": list(lam.lambdas),
-            "stationarity_residual": resid,
-            "oracle_min": res.min_value,
-            "solutions_in_X1": covered,
-            "lagrangian_constant": kkt.lagrangian_constancy(
-                problem, anchor, lam, res.solution_points, cfg
-            ),
-        })
+        checks = oracle.grid_checks(problem, anchor, resolution, lam=lam, cfg=cfg)
+        res, covered = checks.oracle, checks.solutions_in_X1
+        report.update(
+            {
+                "lambdas": list(lam.lambdas),
+                "stationarity_residual": resid,
+                "oracle_min": res.min_value,
+                "solutions_in_X1": covered,
+                "lagrangian_constant": kkt.lagrangian_constancy(
+                    problem, anchor, lam, res.solution_points, cfg
+                ),
+            }
+        )
         _emit(report)
         return EXIT_OK if covered else EXIT_NEGATIVE
 
-    G = grad_many(problem.objective, X, problem.dimension)
-    dich = charac._dichotomy(X[solutions], G[solutions], cfg)
-    report.update(alternative=dich.alternative, oracle_min=res.min_value,
-                  oracle_count=len(res.solution_points))
+    variants = _AGREEMENT_VARIANTS if args.check == "all" else None
+    checks = oracle.grid_checks(problem, anchor, resolution, variants, cfg=cfg)
+    report["alternative"] = checks.dichotomy.alternative
+    report["oracle_min"] = checks.oracle.min_value
+    report["oracle_count"] = len(checks.oracle.solution_points)
     if args.check == "all":
-        variants = _ALL_UNCONSTRAINED if dich.alternative == "I" else (CharacVariant.STILDE,)
-        reps = oracle._agreements(problem, anchor, variants, X, res, cfg.eps_opt, cfg, G)
-        report["agreement"] = {v.value: rep.equal for v, rep in reps.items()}
+        agreements = {v.value: rep.equal for v, rep in checks.agreements.items()}
+        report["agreement"] = agreements
         _emit(report)
-        return EXIT_OK if all(report["agreement"].values()) else EXIT_NEGATIVE
+        return EXIT_OK if all(agreements.values()) else EXIT_NEGATIVE
     _emit(report)
     return EXIT_OK
 
@@ -360,10 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, source=True, anchor=True, resolution=True):
-        if source:
-            p.add_argument("--problem", help="path to a JSON problem file")
-            p.add_argument("--example", help="name of a builtin example")
+    def common(p, anchor=True, resolution=True):
+        p.add_argument("--problem", help="path to a JSON problem file")
+        p.add_argument("--example", help="name of a builtin example")
         if anchor:
             p.add_argument("--anchor", help="known solution, comma separated")
         if resolution:
@@ -427,7 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-example", help="reproduce a builtin example")
     p.add_argument("name")
     p.add_argument("--check", choices=("summary", "all"), default="summary")
-    common(p, source=False, anchor=False, resolution=False)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--eps-grad", dest="eps_grad", type=float, default=None)
+    p.add_argument("--eps-dir", dest="eps_dir", type=float, default=None)
+    p.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
+    p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
     p.set_defaults(func=_cmd_run_example)
 
     return parser

@@ -1,6 +1,11 @@
-"""Inequality-constrained machinery: active sets (from feasibility),
-constraint qualifications, Lagrange multipliers and the multiplier-based
-characterizations."""
+"""Inequality-constrained machinery: active sets, constraint
+qualifications, Lagrange multipliers and the multiplier-based
+characterizations.
+
+The feasible-set functions (constraint_values to strict_index_set, and
+the set-condition masks) take a plain Problem too: the case with no
+constraints, whose ground set is its feasible set.
+"""
 
 from __future__ import annotations
 
@@ -9,22 +14,93 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+# charac imports kkt too: each module looks the other's names up at call time
+from . import charac
 from .alternatives import solve_lp, strict_feasibility
-from .charac import _check_kind, _decide, _enumerate
 from .config import DEFAULT_CONFIG, Config
-from .core import CharacVariant, ConstrainedProblem, MembershipVerdict, MultiplierVector, as_point
-from .errors import NoMultiplierError
-from .expr import _at, evaluate, grad
-# the feasible set of a problem, under kkt's public names
-from .feasibility import ActiveSetReport, _masks, active_set, constraint_values  # noqa: F401
-from .feasibility import feasible_grid, is_feasible, strict_index_set  # noqa: F401
-from .sets import contains, normal_cone_generators
+from .core import (
+    CharacVariant,
+    ConstrainedProblem,
+    MembershipVerdict,
+    MultiplierVector,
+    as_point,
+)
+from .errors import (
+    HypothesisViolatedError,
+    InfeasibleError,
+    NoMultiplierError,
+    QcsolError,
+)
+from .expr import _at, evaluate, evaluate_many, grad
+from .sets import contains, contains_many, normal_cone_generators, sample_grid
+
+
+@dataclass(frozen=True)
+class ActiveSetReport:
+    active: tuple            # indices i with |g_i(x)| <= eps_act (0-based)
+    strictly_positive: tuple  # active indices with lambda_i > eps_lp
 
 
 @dataclass(frozen=True)
 class CQReport:
     holds: bool
     direction: Optional[tuple]
+
+
+def constraint_values(cp: ConstrainedProblem, x) -> np.ndarray:
+    xv = as_point(x, cp.dimension)
+    return np.array([evaluate(g, xv) for g in cp.constraints])
+
+
+def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool:
+    xv = as_point(x, cp.dimension)
+    # every constraint is evaluated, so that the first failing one raises
+    return contains(cp.ground_set, xv, cfg.eps_feas) and all(
+        [evaluate(g, xv) <= cfg.eps_feas for g in cp.constraints]
+    )
+
+
+def _feasible_anchor(cp: ConstrainedProblem, xbar, cfg: Config) -> None:
+    """Refuse an anchor outside the ground set or a constraint (is_feasible)."""
+    if not is_feasible(cp, xbar, cfg):
+        raise HypothesisViolatedError(f"anchor {_at(xbar)} is not feasible")
+
+
+def feasible_grid(
+    cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
+) -> np.ndarray:
+    """Grid nodes of the window that is_feasible accepts, as the rows of
+    an (N, n) array in grid order.
+
+    The ground set is tested on all nodes at once (sample_grid) and each
+    constraint is evaluated once on the nodes in it; when an evaluation
+    fails, the nodes are tested one by one, so that the error is the one
+    is_feasible raises at the first failing node.
+    """
+    X = sample_grid(cp.ground_set, cp.domain_window, resolution, cfg.eps_feas)
+    try:
+        keep = [evaluate_many(g, X) <= cfg.eps_feas for g in cp.constraints]
+    except QcsolError:
+        return X[[is_feasible(cp, x, cfg) for x in X]]
+    return X[np.all(keep, axis=0)] if keep else X
+
+
+def active_set(
+    cp: ConstrainedProblem,
+    x,
+    lam: Optional[MultiplierVector] = None,
+    cfg: Config = DEFAULT_CONFIG,
+) -> ActiveSetReport:
+    """Indices of active constraints at a feasible point."""
+    xv = as_point(x, cp.dimension)
+    if not is_feasible(cp, xv, cfg):
+        raise InfeasibleError(f"point {_at(xv)} is infeasible")
+    vals = constraint_values(cp, xv)
+    active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
+    positive = ()
+    if lam is not None:
+        positive = tuple(i for i in active if lam.lambdas[i] > cfg.eps_lp)
+    return ActiveSetReport(active, positive)
 
 
 def check_gmfcq(
@@ -106,6 +182,13 @@ def stationarity_residual(
     return float(min(np.max(np.abs(resid + N @ mu)), np.max(np.abs(resid))))
 
 
+def strict_index_set(
+    cp: ConstrainedProblem, xbar, lam: MultiplierVector, cfg: Config = DEFAULT_CONFIG
+) -> tuple:
+    """Active indices with strictly positive multipliers."""
+    return active_set(cp, xbar, lam, cfg).strictly_positive
+
+
 def member_X1(
     cp: ConstrainedProblem,
     xbar,
@@ -123,6 +206,26 @@ def member_X1(
     return bool(_masks(cp, xv, tilde, cfg)["in_X1"])
 
 
+def _masks(p, X: np.ndarray, tilde: tuple, cfg: Config, grid: bool = False) -> dict:
+    """The masks of the set conditions at one point X (n,), or at each row
+    of an (N, n) array X: in_feasible_set (x in S), constraints_feasible
+    (every g_i(x) <= 0) and in_X1, whose strict-multiplier indices are
+    tilde (docs/theorems.md gives the formulas).  One point stays on the
+    scalar path, contains and evaluate.  On a feasible grid (grid), every
+    row is in S and meets every constraint: only the constraints in tilde
+    are evaluated, for in_X1."""
+    one = X.ndim == 1
+    in_S = grid or (contains if one else contains_many)(p.ground_set, X, cfg.eps_feas)
+    feasible, in_X1 = True, in_S
+    for i, g in enumerate(p.constraints):
+        if grid and i not in tilde:
+            continue
+        v = np.asarray(evaluate(g, X) if one else evaluate_many(g, X))
+        feasible = feasible & (v <= cfg.eps_feas)
+        in_X1 = in_X1 & (~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas))
+    return {"in_feasible_set": in_S, "constraints_feasible": feasible, "in_X1": in_X1}
+
+
 def membership_constrained(
     cp: ConstrainedProblem,
     xbar,
@@ -132,7 +235,7 @@ def membership_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> MembershipVerdict:
     """Membership for the primed and double-primed variants."""
-    return _decide(cp, xbar, lam, x, variant, cfg)
+    return charac._decide(cp, xbar, lam, x, variant, cfg)
 
 
 def enumerate_constrained(
@@ -144,8 +247,8 @@ def enumerate_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
-    _check_kind(cp, lam, variant)
-    return _enumerate(cp, xbar, lam, variant, feasible_grid(cp, resolution, cfg), cfg)
+    charac._check_kind(cp, lam, variant)
+    return charac._enumerate(cp, xbar, lam, variant, feasible_grid(cp, resolution, cfg), cfg)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

@@ -8,16 +8,23 @@ validated against it by exact set comparison on the same grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .charac import _check_kind, _enumerate
+from .charac import _check_kind, _dichotomy, _enumerate
 from .config import DEFAULT_CONFIG, Config
-from .core import CharacVariant, ConstrainedProblem, Problem, as_point
+from .core import (
+    CharacVariant,
+    ConstrainedProblem,
+    DichotomyReport,
+    MultiplierVector,
+    Problem,
+    as_point,
+)
 from .errors import EmptyGridError, HypothesisViolatedError
-from .expr import _at, evaluate, evaluate_many
-from .feasibility import feasible_grid
+from .expr import _at, evaluate, evaluate_many, grad_many
+from .kkt import _masks, feasible_grid, strict_index_set
 
 
 @dataclass(frozen=True)
@@ -36,19 +43,24 @@ def brute_force_solutions(
     """Exhaustive minimization over the feasible grid; eps_opt defaults
     to cfg.eps_opt."""
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
-    return _minimize(p, feasible_grid(p, resolution, cfg), eps_opt)[0]
+    return _minimize(p, feasible_grid(p, resolution, cfg), eps_opt)
 
 
-def _minimize(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float):
-    """The oracle on the feasible grid X, an (N, n) array, and the mask of
-    its solution rows."""
+def _minimize(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float) -> OracleResult:
+    """The oracle on the feasible grid X, an (N, n) array."""
+    vmin, solutions = _level_set(p, X, eps_opt)
+    return OracleResult(vmin, tuple(map(tuple, X[solutions].tolist())), len(X))
+
+
+def _level_set(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float):
+    """The least objective value on the feasible grid X and the mask of
+    the rows within eps_opt of it."""
     if not len(X):
         raise EmptyGridError("no feasible grid point in the window")
     values = evaluate_many(p.objective, X)
     # the builtin min keeps the first of equal minima: a zero keeps its sign
     vmin = min(values.tolist())
-    solutions = values <= vmin + eps_opt
-    return OracleResult(vmin, tuple(map(tuple, X[solutions].tolist())), len(X)), solutions
+    return vmin, values <= vmin + eps_opt
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ def agreement(
     _check_kind(p, None, variant)
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     X = feasible_grid(p, resolution, cfg)
-    result = _minimize(p, X, eps_opt)[0]
+    result = _minimize(p, X, eps_opt)
     return _agreements(p, xbar, (variant,), X, result, eps_opt, cfg)[variant]
 
 
@@ -91,3 +103,46 @@ def _agreements(p: Problem, xbar, variants: Sequence[CharacVariant], X: np.ndarr
         extra = tuple(sorted(enumerated - oracle_set))
         reports[variant] = OracleAgreement(not missing and not extra, missing, extra, result)
     return reports
+
+
+@dataclass(frozen=True)
+class GridChecks:
+    oracle: OracleResult
+    dichotomy: Optional[DichotomyReport]  # without a multiplier
+    agreements: dict                      # variant -> OracleAgreement
+    solutions_in_X1: Optional[bool]       # with a multiplier
+
+
+def grid_checks(
+    p: Union[Problem, ConstrainedProblem],
+    xbar,
+    resolution: int,
+    variants: Optional[Dict[str, Sequence[CharacVariant]]] = None,
+    lam: Optional[MultiplierVector] = None,
+    cfg: Config = DEFAULT_CONFIG,
+) -> GridChecks:
+    """Every check of the oracle's solution set on one feasible grid, with
+    one oracle result and at most one gradient array.
+
+    With a multiplier lam: whether X1(lam) holds every oracle solution,
+    decided in one mask call.  Without: the dichotomy of the oracle's
+    solutions, and the agreement of each plain variant that variants lists
+    under the dichotomy's alternative ("I" or "II").  The gradients are
+    taken at every grid row when variants is given, else at the solution
+    rows only.
+    """
+    for listed in (variants or {}).values():
+        for variant in listed:
+            _check_kind(p, None, variant)
+    X = feasible_grid(p, resolution, cfg)
+    vmin, solutions = _level_set(p, X, cfg.eps_opt)
+    S = X[solutions]
+    result = OracleResult(vmin, tuple(map(tuple, S.tolist())), len(X))
+    if lam is not None:
+        tilde = strict_index_set(p, xbar, lam, cfg)
+        return GridChecks(result, None, {}, bool(_masks(p, S, tilde, cfg)["in_X1"].all()))
+    G = grad_many(p.objective, X if variants else S, p.dimension)
+    dich = _dichotomy(S, G[solutions] if variants else G, cfg)
+    listed = (variants or {}).get(dich.alternative, ())
+    reports = _agreements(p, xbar, listed, X, result, cfg.eps_opt, cfg, G) if listed else {}
+    return GridChecks(result, dich, reports, None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
-from qcsol import charac, expr, feasibility, kkt
+from qcsol import charac, expr, kkt
 from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
@@ -270,7 +270,7 @@ class TestEnumerationSharesTheAnchor:
 
     def test_anchor_checked_once(self, surd, monkeypatch):
         calls = {"anchor": 0, "tilde": 0}
-        check, tilde = charac.check_anchor_hypothesis, charac.strict_index_set
+        check, tilde = charac.check_anchor_hypothesis, kkt.strict_index_set
 
         def counted_check(*args):
             calls["anchor"] += 1
@@ -281,7 +281,7 @@ class TestEnumerationSharesTheAnchor:
             return tilde(*args)
 
         monkeypatch.setattr(charac, "check_anchor_hypothesis", counted_check)
-        monkeypatch.setattr(charac, "strict_index_set", counted_tilde)
+        monkeypatch.setattr(kkt, "strict_index_set", counted_tilde)
         lam = solve_multipliers(surd.problem, surd.anchor)
         pts = enumerate_constrained(surd.problem, surd.anchor, lam, V.SP3, 13)
         assert pts == [(1.0, 1.0)]
@@ -404,7 +404,7 @@ def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
     def refuse(*args):
         raise EvalError("refused")
 
-    monkeypatch.setattr(feasibility, "evaluate_many", refuse)
+    monkeypatch.setattr(kkt, "evaluate_many", refuse)
     Y = feasible_grid(cp, 13)
     assert Y.dtype == float and Y.shape == X.shape and Y.tobytes() == X.tobytes()
     empty = feasible_grid(never, 13)
@@ -413,11 +413,10 @@ def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
 
 @pytest.fixture()
 def memo_calculus(monkeypatch):
-    """grad and evaluate memoized per (expression, point) in kkt, charac and
-    feasibility:
+    """grad and evaluate memoized per (expression, point) in kkt and charac:
     the pointwise reference below asks for each node's values once per
     variant."""
-    for module in (kkt, charac, feasibility):
+    for module in (kkt, charac):
         for name, original in (("grad", expr.grad), ("evaluate", expr.evaluate)):
             if not hasattr(module, name):
                 continue

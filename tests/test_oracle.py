@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.charac import enumerate_solution_set, membership
+from qcsol.charac import classify_dichotomy, enumerate_solution_set, membership
 from qcsol import oracle, sets
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
 from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
@@ -113,6 +113,31 @@ def test_agreement_builds_one_grid(monkeypatch):
         rep = agreement(e.problem, e.anchor, v, 9)
         assert rep.equal and calls == [9]
         assert set(enumerate_solution_set(e.problem, e.anchor, v, 9)) == set(rep.oracle.solution_points)
+
+
+@pytest.mark.parametrize("name", ["ex2_1", "ex2_4"])
+def test_grid_checks_share_one_grid_and_one_gradient_array(monkeypatch, name):
+    e = get_example(name)
+    variants = {"I": (CharacVariant.S1, CharacVariant.T3), "II": (CharacVariant.STILDE,)}
+    rows = []
+    real = oracle.grad_many
+
+    def counted(f, X, n):
+        rows.append(len(X))
+        return real(f, X, n)
+
+    monkeypatch.setattr(oracle, "grad_many", counted)
+    summary = oracle.grid_checks(e.problem, e.anchor, 9)
+    res = brute_force_solutions(e.problem, 9)
+    # without variants, gradients at the oracle's solutions only
+    assert summary.oracle == res and rows == [len(res.solution_points)]
+    assert summary.dichotomy == classify_dichotomy(e.problem, res.solution_points)
+    assert summary.agreements == {} and summary.solutions_in_X1 is None
+    rows.clear()
+    full = oracle.grid_checks(e.problem, e.anchor, 9, variants)
+    assert rows == [res.grid_size] and full.dichotomy == summary.dichotomy
+    listed = variants[full.dichotomy.alternative]
+    assert full.agreements == {v: agreement(e.problem, e.anchor, v, 9) for v in listed}
 
 
 def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
