@@ -1,8 +1,11 @@
 """Gordan's theorem of the alternative and the collinearity test.
 
-Both are backed by a self-contained dense two-phase simplex kernel with
+Both are backed by a self-contained two-phase simplex kernel with
 Bland's anti-cycling rule.  Systems here are tiny (a handful of rows and
-columns), so the tableau form is more than adequate.
+columns), so the tableau is a list of rows of Python floats: per-entry
+numpy indexing would cost more than the arithmetic.  The public
+functions take numpy arrays or sequences and convert them once; nested
+lists of floats are taken as they are.
 """
 
 from __future__ import annotations
@@ -27,43 +30,68 @@ class LPResult:
     objective: float
 
 
+def _listed(A, depth: int) -> list:
+    """A as lists nested depth deep (a list of rows at depth 2): lists are
+    taken as they are, anything else is read once by numpy as a float
+    array; None is empty."""
+    if A is None:
+        return []
+    if type(A) is list and (depth == 1 or all(type(a) is list for a in A)):
+        return A
+    return np.array(A, dtype=float, ndmin=depth).tolist()
+
+
+def _sum(values) -> float:
+    """Left-to-right sum from 0.0, as numpy sums rows of a few entries."""
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
 def _pivot(T, basis, row, col):
     """Make col basic in row: scale the row, then clear col from every
     other row that has a nonzero entry in it."""
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
+    p = T[row][col]
+    pr = T[row] = [v / p for v in T[row]]
+    for i, r in enumerate(T):
+        f = r[col]
         # a row with a zero entry is left alone: subtracting 0 * T[row]
         # would turn its -0.0 entries into 0.0
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+        if i != row and f != 0.0:
+            T[i] = [a - f * b for a, b in zip(r, pr)]
     basis[row] = col
 
 
-def _run_simplex(T, basis, cost, allowed, tol):
-    """Minimize cost over the tableau in place; Bland's rule throughout."""
-    m = T.shape[0]
+def _run_simplex(T, basis, cost, entering_below, tol):
+    """Minimize cost over the tableau in place, entering only columns
+    j < entering_below; Bland's rule throughout."""
     for _ in range(_MAX_ITER):
-        cb = cost[basis]
-        # reduced costs r_j = c_j - c_B . B^-1 A_j  (tableau already reduced)
-        reduced = cost - cb @ T[:, :-1]
+        # reduced costs r_j = c_j - c_B . B^-1 A_j (tableau already reduced),
+        # left to right up to the first negative one; a basic row of zero
+        # cost could only change the sign of a zero sum
+        priced = [(cost[b], r) for b, r in zip(basis, T) if cost[b] != 0.0]
         entering = -1
-        for j in range(T.shape[1] - 1):
-            if allowed[j] and reduced[j] < -tol:
+        for j in range(entering_below):
+            s = 0.0
+            for cb, r in priced:
+                s += cb * r[j]
+            if cost[j] - s < -tol:
                 entering = j
                 break
         if entering < 0:
             return
         ratio = math.inf
         leaving = -1
-        for i in range(m):
-            a = T[i, entering]
+        for i, r in enumerate(T):
+            a = r[entering]
             if a > tol:
-                r = T[i, -1] / a
-                if r < ratio - tol or (
-                    abs(r - ratio) <= tol
+                q = r[-1] / a
+                if q < ratio - tol or (
+                    abs(q - ratio) <= tol
                     and (leaving < 0 or basis[i] < basis[leaving])
                 ):
-                    ratio = r
+                    ratio = q
                     leaving = i
         if leaving < 0:
             raise _Unbounded()
@@ -90,62 +118,57 @@ def solve_lp(
     tol = cfg.eps_lp
     c = np.asarray(c, dtype=float)
     n = c.size
-    A_ub = np.empty((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
-    b_ub = np.empty(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    A_eq = np.empty((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
-    b_eq = np.empty(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    m_ub, m = A_ub.shape[0], A_ub.shape[0] + A_eq.shape[0]
+    rows_ub = _listed(A_ub, 2)
+    rows, rhs = rows_ub + _listed(A_eq, 2), _listed(b_ub, 1) + _listed(b_eq, 1)
+    m_ub, m = len(rows_ub), len(rows)
+    if len(rhs) != m or any(len(a) != n for a in rows):
+        raise ValueError(f"{m} rows of {n} entries need {m} right-hand sides")
 
-    # Columns: x, one slack per <= row, one artificial per row (unused ones stay 0).
+    # Columns: x, one slack per <= row, then one artificial per row that
+    # starts on one.  Each row is flipped to b_i >= 0; a slack that survived
+    # the flip with coefficient +1 is the row's initial basic variable, every
+    # other row starts on its artificial.
     art_start = n + m_ub
-    n_total = art_start + m
-    T = np.zeros((m, n_total + 1))
-    T[:m_ub, :n] = A_ub
-    T[m_ub:, :n] = A_eq
-    T[:m_ub, n:art_start] = np.eye(m_ub)
-    T[:, -1] = np.concatenate([b_ub, b_eq])
-    # Each row is flipped to b_i >= 0.  A slack that survived the flip with
-    # coefficient +1 is the row's initial basic variable; every other row
-    # starts on its artificial.
-    basis: List[int] = []
-    for i in range(m):
-        if T[i, -1] < 0:
-            T[i] *= -1.0
-        if i < m_ub and T[i, n + i] == 1.0:
-            basis.append(n + i)
-        else:
-            T[i, art_start + i] = 1.0
-            basis.append(art_start + i)
-    allowed = np.ones(n_total, dtype=bool)
+    art = [i for i, bi in enumerate(rhs) if i >= m_ub or bi < 0]
+    width = art_start + len(art)
+    basis = [n + i for i in range(m)]
+    T: List[list] = []
+    for i, (a, bi) in enumerate(zip(rows, rhs)):
+        row = [*a, *([0.0] * (width - n)), bi]
+        if i < m_ub:
+            row[n + i] = 1.0
+        T.append([-v for v in row] if bi < 0 else row)
+    for k, i in enumerate(art, art_start):
+        T[i][k] = 1.0
+        basis[i] = k
 
     # Phase 1: minimize the sum of artificials.
-    if any(bi >= art_start for bi in basis):
-        cost1 = np.zeros(n_total)
-        cost1[art_start:] = 1.0
+    if art_start < width:
+        cost1 = [0.0] * art_start + [1.0] * (width - art_start)
         try:
-            _run_simplex(T, basis, cost1, allowed, tol)
+            _run_simplex(T, basis, cost1, width, tol)
         except _Unbounded:  # phase-1 objective is bounded below by zero
             raise KernelError("phase-1 reported unbounded")
-        if float(cost1[basis] @ T[:, -1]) > tol:
+        if _sum(r[-1] for b, r in zip(basis, T) if b >= art_start) > tol:
             return LPResult("infeasible", None, math.nan)
         # Drive leftover zero-level artificials out of the basis.
         for i in range(m):
             if basis[i] >= art_start:
                 for j in range(art_start):
-                    if abs(T[i, j]) > tol:
+                    if abs(T[i][j]) > tol:
                         _pivot(T, basis, i, j)
                         break
-    allowed[art_start:] = False
+        # phase 2 never enters an artificial, so nothing reads their columns
+        T = [r[:art_start] + r[-1:] for r in T]
 
     # Phase 2: maximize c.x == minimize (-c).x.
-    cost2 = np.zeros(n_total)
-    cost2[:n] = -c
+    cost2 = [-v for v in c.tolist()] + [0.0] * (width - n)
     try:
-        _run_simplex(T, basis, cost2, allowed, tol)
+        _run_simplex(T, basis, cost2, art_start, tol)
     except _Unbounded:
         return LPResult("unbounded", None, math.inf)
-    x = np.zeros(n_total)
-    x[basis] = T[:, -1]
+    x = np.zeros(width)
+    x[basis] = [r[-1] for r in T]
     return LPResult("optimal", x[:n], float(c @ x[:n]))
 
 
@@ -175,30 +198,21 @@ def strict_feasibility(
     """
     if A_strict is None or len(A_strict) == 0:
         raise ValueError("strict feasibility needs at least one strict row")
-    A_strict = np.atleast_2d(np.asarray(A_strict, float))
-    n = A_strict.shape[1]
-    if A_le is None or len(A_le) == 0:
-        A_le, b_le = np.empty((0, n)), ()
-    A = np.vstack([A_le, A_strict])
-    b = np.concatenate([np.atleast_1d(np.asarray(v, float)) for v in (b_le, b_strict)])
-    m_le = len(A) - len(A_strict)
+    strict, b_strict = _listed(A_strict, 2), _listed(b_strict, 1)
+    n = len(strict[0])
+    weak = [] if A_le is None or len(A_le) == 0 else _listed(A_le, 2)
+    A, b = weak + strict, (_listed(b_le, 1) if weak else []) + b_strict
 
     # Variables: z = y + 1 in [0,2]^n, plus eps >= 0; maximize eps.  A row
     # a . y <= b becomes a . z <= b + a . 1.  eps is bounded by the strict
     # rows plus the box, but capped anyway so all-zero strict rows stay
     # bounded.
-    ones = np.ones(n)
-    rows = np.zeros((len(A) + n + 1, n + 1))
-    rows[: len(A), :n] = A
-    rows[m_le : len(A), n] = 1.0
-    rows[len(A) :] = np.eye(n + 1)  # z_i <= 2, then the cap on eps
-    bound = 1.0 + max(
-        abs(float(bi)) + float(np.abs(a).sum()) for a, bi in zip(A[m_le:], b[m_le:])
-    )
-    rhs = [bi + float(a @ ones) for a, bi in zip(A, b)] + [2.0] * n + [bound]
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    res = solve_lp(c, rows, rhs, cfg=cfg)
+    rows = [a + [0.0] for a in weak] + [a + [1.0] for a in strict]
+    # z_i <= 2, then the cap on eps
+    rows += [[0.0] * i + [1.0] + [0.0] * (n - i) for i in range(n + 1)]
+    bound = 1.0 + max(abs(bi) + _sum(abs(v) for v in a) for a, bi in zip(strict, b_strict))
+    rhs = [bi + _sum(a) for a, bi in zip(A, b)] + [2.0] * n + [bound]
+    res = solve_lp([0.0] * n + [1.0], rows, rhs, cfg=cfg)
     if res.status != "optimal":
         return FeasibilityResult(None, -math.inf)
     margin = res.objective
@@ -227,23 +241,29 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix must be finite")
-    m, n = A.shape
-    res = strict_feasibility(None, None, -A, np.zeros(m), cfg)
+    rows = A.tolist()
+    res = _primal(rows, cfg)
     if res.point is not None:
         return GordanResult("primal", res.point, res.margin)
-    dual = dual_certificate(A, cfg)
+    dual = dual_certificate(rows, cfg)
     if dual is None:
         raise KernelError("neither Gordan branch is certifiable at tolerance")
     return GordanResult("dual", dual, res.margin)
 
 
+def _primal(rows: List[list], cfg: Config) -> FeasibilityResult:
+    """Strict feasibility of A x > 0, posed as -A x < 0."""
+    negated = [[-v for v in a] for a in rows]
+    return strict_feasibility(None, None, negated, [0.0] * len(rows), cfg)
+
+
 def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
     """y >= 0 with A^T y = 0 and sum(y) = 1, or None if infeasible."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    A_eq = np.vstack([A.T, np.ones((1, m))])
-    b_eq = np.concatenate([np.zeros(n), [1.0]])
-    res = solve_lp(np.zeros(m), A_eq=A_eq, b_eq=b_eq, cfg=cfg)
+    rows = _listed(A, 2)
+    m = len(rows)
+    A_eq = [list(col) for col in zip(*rows)] + [[1.0] * m]
+    b_eq = [0.0] * (len(A_eq) - 1) + [1.0]
+    res = solve_lp([0.0] * m, A_eq=A_eq, b_eq=b_eq, cfg=cfg)
     if res.status != "optimal":
         return None
     return res.x
@@ -251,9 +271,7 @@ def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
 
 def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
     """Best strict margin of A x > 0 over the unit box (<= eps_lp: infeasible)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    res = strict_feasibility(None, None, -A, np.zeros(A.shape[0]), cfg)
-    return res.margin
+    return _primal(_listed(A, 2), cfg).margin
 
 
 # ---------------------------------------------------------------------------

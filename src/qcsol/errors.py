@@ -34,7 +34,9 @@ class ZeroVectorError(QcsolError):
 
 
 class KernelError(QcsolError):
-    """The LP kernel exceeded its iteration cap."""
+    """The LP kernel failed: the simplex exceeded its iteration cap, phase 1
+    reported an unbounded objective, or neither branch of Gordan's
+    alternative could be certified at the tolerance."""
 
 
 class InconsistentDichotomyError(QcsolError):

@@ -53,11 +53,17 @@ def constraint_values(cp: ConstrainedProblem, x) -> np.ndarray:
 
 
 def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool:
-    xv = as_point(x, cp.dimension)
-    # every constraint is evaluated, so that the first failing one raises
-    return contains(cp.ground_set, xv, cfg.eps_feas) and all(
-        [evaluate(g, xv) <= cfg.eps_feas for g in cp.constraints]
-    )
+    return _feasible_values(cp, as_point(x, cp.dimension), cfg) is not None
+
+
+def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
+    """The constraint values at a point of the ground set that meets every
+    constraint, else None.  Outside the ground set nothing is evaluated;
+    inside, every constraint is, so that the first failing one raises."""
+    if not contains(cp.ground_set, xv, cfg.eps_feas):
+        return None
+    vals = [evaluate(g, xv) for g in cp.constraints]
+    return vals if all(v <= cfg.eps_feas for v in vals) else None
 
 
 def _feasible_anchor(cp: ConstrainedProblem, xbar, cfg: Config) -> None:
@@ -93,9 +99,9 @@ def active_set(
 ) -> ActiveSetReport:
     """Indices of active constraints at a feasible point."""
     xv = as_point(x, cp.dimension)
-    if not is_feasible(cp, xv, cfg):
+    vals = _feasible_values(cp, xv, cfg)
+    if vals is None:
         raise InfeasibleError(f"point {_at(xv)} is infeasible")
-    vals = constraint_values(cp, xv)
     active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
     positive = ()
     if lam is not None:

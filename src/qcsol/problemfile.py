@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from .config import DEFAULT_CONFIG, Config
 from .core import ConstrainedProblem, Problem

@@ -69,6 +69,51 @@ class TestFeasibility:
         with pytest.raises(InfeasibleError):
             active_set(surd.problem, (2.0, 2.0))
 
+    def test_active_set_keeps_the_feasibility_errors(self, surd):
+        # outside the ground set nothing is evaluated; inside, the first
+        # constraint that fails to evaluate raises
+        cp = ConstrainedProblem(
+            surd.problem.objective, (parse("sqrt(x1) - 1", 2), parse("1/x2", 2)),
+            ConvexSetDescriptor(2, (Box((-1.0, -1.0), (2.0, 2.0)),)), 2,
+            surd.problem.domain_window,
+        )
+        with pytest.raises(InfeasibleError, match=r"point \(3.0, 0.0\) is infeasible"):
+            active_set(cp, (3.0, 0.0))
+        for x in ((-1.0, 0.0), (1.0, 0.0)):
+            with pytest.raises(EvalError) as info:
+                active_set(cp, x)
+            with pytest.raises(EvalError) as want:
+                is_feasible(cp, x)
+            assert str(info.value) == str(want.value)
+
+
+def _count_constraint_evaluations(monkeypatch):
+    """The points at which kkt evaluates a constraint, as tuples."""
+    points = []
+
+    def counted(g, x):
+        points.append(tuple(float(v) for v in x))
+        return expr.evaluate(g, x)
+
+    monkeypatch.setattr(kkt, "evaluate", counted)
+    return points
+
+
+def test_active_set_evaluates_each_constraint_once(surd, monkeypatch):
+    cp = replace(surd.problem, constraints=(parse("x1^2 + x2^2 - 2", 2), parse("x1 - x2", 2)))
+    points = _count_constraint_evaluations(monkeypatch)
+    assert active_set(cp, (1.0, 1.0)).active == (0, 1)
+    assert points == [(1.0, 1.0)] * 2
+
+
+def test_membership_evaluates_the_constraint_twice_at_the_anchor(surd, monkeypatch):
+    # once to check the anchor is feasible, once for its active set
+    lam = solve_multipliers(surd.problem, surd.anchor)
+    points = _count_constraint_evaluations(monkeypatch)
+    membership_constrained(surd.problem, surd.anchor, lam, (0.5, 0.5), V.SP1)
+    assert points.count(tuple(surd.anchor)) == 2
+    assert points.count((0.5, 0.5)) == 1
+
 
 class TestMultipliers:
     def test_golden_multiplier(self, surd):
