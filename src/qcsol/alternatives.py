@@ -1,11 +1,11 @@
 """Gordan's theorem of the alternative and the collinearity test.
 
-Both are backed by a self-contained two-phase simplex kernel with
-Bland's anti-cycling rule.  Systems here are tiny (a handful of rows and
-columns), so the tableau is a list of rows of Python floats: per-entry
-numpy indexing would cost more than the arithmetic.  The public
-functions take numpy arrays or sequences and convert them once; nested
-lists of floats are taken as they are.
+Gordan's alternative rests on a self-contained two-phase simplex kernel
+with Bland's anti-cycling rule.  Its systems are tiny (a handful of rows
+and columns), so the tableau is a list of rows of Python floats: per-entry
+numpy indexing would cost more than the arithmetic.  The public functions
+take numpy arrays or sequences and convert them once; nested lists of
+floats are taken as they are.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _listed(A, depth: int) -> list:
 
 
 def _sum(values) -> float:
-    """Left-to-right sum from 0.0, as numpy sums rows of a few entries."""
+    """Left-to-right sum from 0.0: numpy's result on fewer than 8 entries."""
     s = 0.0
     for v in values:
         s += v
@@ -122,7 +122,7 @@ def solve_lp(
     rows, rhs = rows_ub + _listed(A_eq, 2), _listed(b_ub, 1) + _listed(b_eq, 1)
     m_ub, m = len(rows_ub), len(rows)
     if len(rhs) != m or any(len(a) != n for a in rows):
-        raise ValueError(f"{m} rows of {n} entries need {m} right-hand sides")
+        raise ValueError(f"constraints need rows of {n} entries, one right-hand side each")
 
     # Columns: x, one slack per <= row, then one artificial per row that
     # starts on one.  Each row is flipped to b_i >= 0; a slack that survived

@@ -48,6 +48,25 @@ class TestSolveLP:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0)
 
+    def test_rejects_constraints_that_do_not_fit(self):
+        for bad in (
+            {"A_ub": [[1.0]], "b_ub": [1.0]},
+            {"A_ub": np.ones((1, 1)), "b_ub": [1.0]},
+            {"A_ub": [[1.0, 1.0]], "b_ub": [1.0, 2.0]},
+            {"A_eq": [[1.0, 1.0], [1.0]], "b_eq": [1.0, 1.0]},
+            {"b_eq": [1.0]},
+        ):
+            with pytest.raises(ValueError):
+                solve_lp([1.0, 1.0], **bad)
+
+    def test_lists_of_ints_solve_like_float_arrays(self):
+        lists = ([1, -2, 0], [[1, 2, 0], [3, -1, 1]], [4, -1], [[1, 1, 1]], [2])
+        arrays = [np.asarray(v, dtype=float) for v in lists]
+        got, want = solve_lp(*lists), solve_lp(*arrays)
+        assert got.status == want.status == "optimal"
+        assert got.x.dtype == float and got.x.tobytes() == want.x.tobytes()
+        assert got.objective.hex() == want.objective.hex()
+
 
 class TestStrictFeasibility:
     def test_single_strict_row(self):
