@@ -29,6 +29,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+# the Config fields that a flag sets (--seed, --eps-grad, ...)
+_CONFIG_FLAGS = ("seed", "eps_grad", "eps_dir", "eps_feas", "eps_act")
+
+
 class UsageError(Exception):
     pass
 
@@ -39,13 +43,8 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
     if path:
         with open(path) as fh:
             cfg = config_from_json(_json_document(fh.read()), cfg)
-    return cfg.with_overrides(
-        eps_grad=args.eps_grad,
-        eps_dir=args.eps_dir,
-        eps_feas=args.eps_feas,
-        eps_act=args.eps_act,
-        seed=args.seed,
-    )
+    flags = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
+    return config_from_json(flags, cfg)
 
 
 def _load(args, require_constrained: Optional[bool] = None):
@@ -242,7 +241,6 @@ def _cmd_agreement(args) -> int:
 def _cmd_kkt_solve(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
     _emit(
@@ -259,7 +257,6 @@ def _cmd_kkt_enumerate(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
     variant = _variant(args.variant)
-    kkt._feasible_anchor(problem, anchor, cfg)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     points = kkt.enumerate_constrained(
         problem, anchor, lam, variant, args.resolution, cfg
@@ -277,7 +274,6 @@ def _cmd_kkt_enumerate(args) -> int:
 def _cmd_check_cq(args) -> int:
     problem, known, cfg = _load(args, require_constrained=True)
     anchor = _require_anchor(known)
-    kkt._feasible_anchor(problem, anchor, cfg)
     rep = kkt.check_gmfcq(problem, anchor, cfg)
     _emit(
         {
@@ -369,6 +365,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def config_flags(p):
+        for name in _CONFIG_FLAGS:
+            p.add_argument("--" + name.replace("_", "-"), type=int if name == "seed" else float)
+
     def common(p, anchor=True, resolution=True):
         p.add_argument("--problem", help="path to a JSON problem file")
         p.add_argument("--example", help="name of a builtin example")
@@ -376,11 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--anchor", help="known solution, comma separated")
         if resolution:
             p.add_argument("--resolution", type=int, default=21)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--eps-grad", dest="eps_grad", type=float, default=None)
-        p.add_argument("--eps-dir", dest="eps_dir", type=float, default=None)
-        p.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
-        p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
+        config_flags(p)
 
     p = sub.add_parser("classify", help="gradient dichotomy of the solution set")
     common(p, anchor=False)
@@ -435,11 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-example", help="reproduce a builtin example")
     p.add_argument("name")
     p.add_argument("--check", choices=("summary", "all"), default="summary")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eps-grad", dest="eps_grad", type=float, default=None)
-    p.add_argument("--eps-dir", dest="eps_dir", type=float, default=None)
-    p.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
-    p.add_argument("--eps-act", dest="eps_act", type=float, default=None)
+    config_flags(p)
     p.set_defaults(func=_cmd_run_example)
 
     return parser

@@ -7,7 +7,7 @@ Config record so the CLI can override every threshold in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,6 @@ class Config:
     eps_opt: float = 1e-9     # f-value band defining the discrete solution set
     delta_open: float = 1e-9  # interior margin approximating open domains
     seed: int = 42            # default seed for all sampled checks
-
-    def with_overrides(self, **kwargs) -> "Config":
-        """Return a copy with the given fields replaced; None values are ignored."""
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **clean)
 
 
 DEFAULT_CONFIG = Config()

@@ -41,9 +41,12 @@ def _require_count(name: str, value: int) -> None:
 
 def _draws(window: Box, rng: np.random.Generator, margin: float, rows: int) -> np.ndarray:
     """rows successive uniform points of the window shrunk by margin: the
-    same numbers as rows calls of rng.uniform(lo, hi)."""
+    same numbers as rows calls of rng.uniform(lo, hi).  A window narrower
+    than 2 * margin on some axis is refused."""
     lo = np.asarray(window.lo) + margin
     hi = np.asarray(window.hi) - margin
+    if np.any(hi < lo):
+        raise ValueError(f"window {window!r} is narrower than 2 * delta_open = {2 * margin!r}")
     return rng.uniform(lo, hi, size=(rows, len(lo)))
 
 

@@ -47,10 +47,6 @@ class HypothesisViolatedError(QcsolError):
     """A theorem hypothesis (e.g. nonzero gradient at the anchor) fails."""
 
 
-class InfeasibleError(QcsolError):
-    """A point required to be feasible is not."""
-
-
 class NoMultiplierError(QcsolError):
     """No Lagrange multiplier exists at the given point and tolerance."""
 

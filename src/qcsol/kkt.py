@@ -2,9 +2,10 @@
 qualifications, Lagrange multipliers and the multiplier-based
 characterizations.
 
-The feasible-set functions (constraint_values to strict_index_set, and
-the set-condition masks) take a plain Problem too: the case with no
-constraints, whose ground set is its feasible set.
+The feasible-set functions (is_feasible to strict_index_set, and the
+set-condition masks) take a plain Problem too: the case with no
+constraints, whose ground set is its feasible set.  active_set, and so
+every multiplier question, refuses an anchor that is_feasible refuses.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
 )
 from .errors import (
     HypothesisViolatedError,
-    InfeasibleError,
     NoMultiplierError,
     QcsolError,
 )
@@ -47,11 +47,6 @@ class CQReport:
     direction: Optional[tuple]
 
 
-def constraint_values(cp: ConstrainedProblem, x) -> np.ndarray:
-    xv = as_point(x, cp.dimension)
-    return np.array([evaluate(g, xv) for g in cp.constraints])
-
-
 def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool:
     return _feasible_values(cp, as_point(x, cp.dimension), cfg) is not None
 
@@ -66,10 +61,13 @@ def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
     return vals if all(v <= cfg.eps_feas for v in vals) else None
 
 
-def _feasible_anchor(cp: ConstrainedProblem, xbar, cfg: Config) -> None:
-    """Refuse an anchor outside the ground set or a constraint (is_feasible)."""
-    if not is_feasible(cp, xbar, cfg):
-        raise HypothesisViolatedError(f"anchor {_at(xbar)} is not feasible")
+def _feasible_anchor(cp: ConstrainedProblem, xb, cfg: Config) -> list:
+    """The constraint values at an anchor point xb that is_feasible
+    accepts; any other anchor is refused."""
+    vals = _feasible_values(cp, xb, cfg)
+    if vals is None:
+        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
+    return vals
 
 
 def feasible_grid(
@@ -97,11 +95,8 @@ def active_set(
     lam: Optional[MultiplierVector] = None,
     cfg: Config = DEFAULT_CONFIG,
 ) -> ActiveSetReport:
-    """Indices of active constraints at a feasible point."""
-    xv = as_point(x, cp.dimension)
-    vals = _feasible_values(cp, xv, cfg)
-    if vals is None:
-        raise InfeasibleError(f"point {_at(xv)} is infeasible")
+    """Indices of active constraints at a feasible anchor x."""
+    vals = _feasible_anchor(cp, as_point(x, cp.dimension), cfg)
     active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
     positive = ()
     if lam is not None:

@@ -114,7 +114,8 @@ def _window_from_json(obj, dim: int) -> Box:
 
 def config_from_json(obj: dict, base: Config = DEFAULT_CONFIG) -> Config:
     """base with the fields of a JSON config object replaced: seed must be
-    an integer, every tolerance a finite real."""
+    a nonnegative integer, every tolerance a nonnegative finite real.  The
+    CLI passes its config flags here too."""
     if not isinstance(obj, dict):
         raise ProblemFormatError("config must be an object")
     unknown = set(obj) - _CONFIG_KEYS
@@ -122,13 +123,13 @@ def config_from_json(obj: dict, base: Config = DEFAULT_CONFIG) -> Config:
         raise ProblemFormatError(f"unknown config keys: {sorted(unknown)}")
     for key, value in obj.items():
         if key == "seed":
-            ok = isinstance(value, int) and not isinstance(value, bool)
+            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
         else:
-            ok = _is_finite_real(value)
+            ok = _is_finite_real(value) and value >= 0
         if not ok:
-            kind = "an integer" if key == "seed" else "a finite real"
+            kind = "a nonnegative integer" if key == "seed" else "a nonnegative finite real"
             raise ProblemFormatError(f"config {key} must be {kind}, got {value!r}")
-    return base.with_overrides(**obj)
+    return dataclasses.replace(base, **obj)
 
 
 def load_problem(doc: dict):

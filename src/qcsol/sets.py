@@ -118,17 +118,22 @@ def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> b
 MAX_GRID_NODES = 10**6
 
 
-def grid_nodes(window: Box, resolution: int) -> np.ndarray:
-    """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
+def check_grid_size(resolution: int, dim: int) -> None:
+    """Refuse a grid of resolution nodes per axis in dim dimensions that
+    has fewer than 2 per axis or more than MAX_GRID_NODES in all."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution ** dim > MAX_GRID_NODES:
+        raise ValueError(
+            f"a grid of {resolution}^{dim} nodes exceeds the limit of {MAX_GRID_NODES} nodes"
+        )
+
+
+def grid_nodes(window: Box, resolution: int) -> np.ndarray:
+    """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
+    check_grid_size(resolution, len(window.lo))
     if not all(map(math.isfinite, (*window.lo, *window.hi))):
         raise ValueError(f"a grid needs a finite window, got {window!r}")
-    if resolution ** len(window.lo) > MAX_GRID_NODES:
-        raise ValueError(
-            f"a grid of {resolution}^{len(window.lo)} nodes exceeds the limit "
-            f"of {MAX_GRID_NODES} nodes"
-        )
     axes = [
         np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
     ]

@@ -18,7 +18,7 @@ from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError
 from .expr import ExprAst, _dot, evaluate, evaluate_many, grad
-from .sets import Box, grid_nodes
+from .sets import Box, check_grid_size, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,7 @@ def _window(f: ExprAst, window: Box, resolution: int) -> _Window:
     raises what evaluate raises at the first failing point."""
     if len(window.lo) != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    check_grid_size(resolution, 1)
     lo, hi = window.lo[0], window.hi[0]
     ys = np.linspace(lo, hi, resolution)
     step = (hi - lo) / (resolution - 1)

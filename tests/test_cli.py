@@ -1,5 +1,6 @@
 """Command line interface: exit codes and JSON reports."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,12 +10,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcsol
 from qcsol import cli, sets
+from qcsol.core import CharacVariant
 from qcsol.cli import run
 from qcsol.problemfile import dumps
 from qcsol.registry import builtin_examples, get_example
+from test_kkt import _count_constraint_evaluations
 
 
 def _json_out(capsys):
@@ -518,3 +523,109 @@ def test_import_builds_neither_the_parser_nor_the_examples():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run-example", "ex2_4", "--eps-grad", "nan"],
+         "config eps_grad must be a nonnegative finite real, got nan"),
+        (["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point=1.5,0.5",
+          "--eps-feas", "inf"], "config eps_feas must be a nonnegative finite real, got inf"),
+        (["run-example", "ex2_4", "--eps-grad=-1"],
+         "config eps_grad must be a nonnegative finite real, got -1.0"),
+        (["check-convexity", "--example", "ex2_2", "--pairs", "5", "--seed", "-1"],
+         "config seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["nan-eps-grad", "inf-eps-feas", "negative-eps-grad", "negative-seed"],
+)
+def test_config_flags_are_validated_like_file_values(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "message": message}
+
+
+def test_kkt_solve_checks_the_anchor_once(monkeypatch, capsys):
+    points = _count_constraint_evaluations(monkeypatch)
+    assert run(["kkt-solve", "--example", "ex2_3_constrained"]) == 0
+    assert points == [tuple(get_example("ex2_3_constrained").anchor)]
+
+
+def test_oversized_ml_grid_is_an_input_error(capsys):
+    assert run(["subdiff-check", "--example", "ex4_1", "--route", "ml", "--point=0.5",
+                "--resolution", str(sets.MAX_GRID_NODES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and "exceeds the limit" in err["message"]
+
+
+def test_degenerate_window_is_an_input_error(capsys):
+    assert run(["check-convexity", "--example", "ex4_1", "--window=2,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "input",
+        "message": "window Box(lo=(2.0,), hi=(2.0,)) is narrower than 2 * delta_open = 2e-09",
+    }
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: argv lists built from the parser's own subcommands and flags
+# ---------------------------------------------------------------------------
+
+_COORDINATES = ["0.5", "1.5,0", "0,-1", "-1,1", "1,1", "2,2", "1.1,1.1", "0,1,0,1",
+                "2,2,2,2", "nan,0", "inf", "1,2,3", "", "x"]
+
+
+def _values(action):
+    """A small adversarial pool of values that argparse accepts for action."""
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.sampled_from([str(k) for k in range(-2, 10)])
+    if action.type is float:
+        return st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-12", "0.5", "100"])
+    if action.dest in ("example", "name"):
+        return st.sampled_from([*sorted(builtin_examples()), "nope"])
+    if action.dest == "variant":
+        return st.sampled_from([*(v.value for v in CharacVariant), "nope", ""])
+    return st.sampled_from(_COORDINATES)
+
+
+def _subcommands():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    # --problem needs a file; every draw reads a builtin example instead
+    return [(name, [a for a in p._actions
+                    if not isinstance(a, argparse._HelpAction) and a.dest != "problem"])
+            for name, p in sorted(sub.choices.items())]
+
+
+@st.composite
+def _argvs(draw):
+    name, actions = draw(st.sampled_from(_subcommands()))
+    argv = [name]
+    for action in actions:
+        if not action.option_strings:
+            argv.append(draw(_values(action)))
+        elif action.required or action.dest == "example" or draw(st.integers(0, 3)) == 0:
+            # --flag=value, so that a value such as -inf is not read as a flag
+            argv.append(f"{action.option_strings[0]}={draw(_values(action))}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_argvs())
+def test_fuzzed_argv_ends_in_a_report_or_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        _strict_json(out.getvalue())
+    if err.getvalue():
+        report = json.loads(err.getvalue())
+        assert set(report) == {"error", "message"}
+    assert bool(out.getvalue()) != bool(err.getvalue())

@@ -216,6 +216,21 @@ def test_negative_sample_counts_are_rejected(sampler):
     assert got is True or got.holds
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda f, w: check_quasiconvex(f, w, pairs=5),
+    lambda f, w: check_first_order_qcx(f, w, pairs=5),
+    lambda f, w: check_pseudoconvex_at(f, (2.0,), w, samples=5),
+], ids=["quasiconvex", "first-order", "pseudoconvex"])
+def test_a_window_narrower_than_the_open_margin_is_refused(sampler):
+    f, margin = parse("x1^2", 1), DEFAULT_CONFIG.delta_open
+    with pytest.raises(ValueError, match=(
+        r"^window Box\(lo=\(2.0,\), hi=\(2.0,\)\) is narrower than 2 \* delta_open = 2e-09$"
+    )):
+        sampler(f, Box((2.0,), (2.0,)))
+    got = sampler(f, Box((2.0,), (2.0 + 4 * margin,)))
+    assert got is True or got.holds
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

@@ -13,7 +13,6 @@ from qcsol import charac, expr, kkt
 from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
-    InfeasibleError,
     NoMultiplierError,
     NotOpenGroundSetError,
     QcsolError,
@@ -22,7 +21,6 @@ from qcsol.expr import parse
 from qcsol.kkt import (
     active_set,
     check_gmfcq,
-    constraint_values,
     enumerate_constrained,
     feasible_grid,
     is_feasible,
@@ -55,7 +53,7 @@ def surd():
 
 class TestFeasibility:
     def test_constraint_values(self, surd):
-        vals = constraint_values(surd.problem, (1.0, 1.0))
+        vals = [expr.evaluate(g, (1.0, 1.0)) for g in surd.problem.constraints]
         assert vals == pytest.approx([0.0])
 
     def test_is_feasible(self, surd):
@@ -66,7 +64,7 @@ class TestFeasibility:
         rep = active_set(surd.problem, (1.0, 1.0))
         assert rep.active == (0,)
         assert active_set(surd.problem, (0.0, 0.0)).active == ()
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(HypothesisViolatedError, match=r"anchor \(2.0, 2.0\) is not feasible"):
             active_set(surd.problem, (2.0, 2.0))
 
     def test_active_set_keeps_the_feasibility_errors(self, surd):
@@ -77,7 +75,7 @@ class TestFeasibility:
             ConvexSetDescriptor(2, (Box((-1.0, -1.0), (2.0, 2.0)),)), 2,
             surd.problem.domain_window,
         )
-        with pytest.raises(InfeasibleError, match=r"point \(3.0, 0.0\) is infeasible"):
+        with pytest.raises(HypothesisViolatedError, match=r"anchor \(3.0, 0.0\) is not feasible"):
             active_set(cp, (3.0, 0.0))
         for x in ((-1.0, 0.0), (1.0, 0.0)):
             with pytest.raises(EvalError) as info:
@@ -85,6 +83,14 @@ class TestFeasibility:
             with pytest.raises(EvalError) as want:
                 is_feasible(cp, x)
             assert str(info.value) == str(want.value)
+
+
+def test_multiplier_questions_refuse_an_infeasible_anchor(surd):
+    lam = solve_multipliers(surd.problem, surd.anchor)
+    for ask in (active_set, solve_multipliers, check_gmfcq,
+                lambda cp, x: strict_index_set(cp, x, lam)):
+        with pytest.raises(HypothesisViolatedError, match=r"^anchor \(2.0, 2.0\) is not feasible$"):
+            ask(surd.problem, (2.0, 2.0))
 
 
 def _count_constraint_evaluations(monkeypatch):
@@ -124,7 +130,7 @@ class TestMultipliers:
 
     def test_complementary_slackness(self, surd):
         lam = solve_multipliers(surd.problem, surd.anchor)
-        vals = constraint_values(surd.problem, surd.anchor)
+        vals = [expr.evaluate(g, surd.anchor) for g in surd.problem.constraints]
         assert all(abs(l * v) <= 1e-9 for l, v in zip(lam.lambdas, vals))
 
     def test_strict_index_set(self, surd):

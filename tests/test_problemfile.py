@@ -50,7 +50,8 @@ def test_config_override_applies():
 @pytest.mark.parametrize(
     "config",
     [{"eps_grad": "big"}, {"eps_feas": True}, {"eps_dir": float("nan")},
-     {"eps_act": None}, {"seed": 1.5}, {"seed": False}],
+     {"eps_act": None}, {"seed": 1.5}, {"seed": False}, {"seed": -1},
+     {"eps_act": -1e-9}],
 )
 def test_bad_config_values_rejected(config):
     doc = json.loads(dumps(get_example("ex2_1").problem))

@@ -1,5 +1,7 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from qcsol.core import Problem
 from qcsol.errors import DimensionError, EvalError
 from qcsol.expr import _dot, evaluate, parse
 from qcsol.registry import get_example
-from qcsol.sets import Box, ConvexSetDescriptor, grid_nodes
+from qcsol.sets import MAX_GRID_NODES, Box, ConvexSetDescriptor, grid_nodes
 from qcsol.subdiff import (
     MLPair,
     default_gp_candidates,
@@ -407,6 +409,22 @@ def test_ml_member_refuses_a_window_of_fewer_than_two_nodes(flat):
     for resolution in (0, 1):
         with pytest.raises(ValueError):
             ml_member_1d(f, 0.5, MLPair(1.0, 0.4), w, resolution)
+
+
+def test_ml_route_refuses_a_grid_above_the_cap_before_allocating(flat):
+    f, w = flat.problem.objective, flat.problem.domain_window
+    over = MAX_GRID_NODES + 1
+    message = rf"a grid of {over}\^1 nodes exceeds the limit of {MAX_GRID_NODES} nodes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            ml_solution_check_1d(flat.problem, 0.0, 0.5, resolution=over)
+        with pytest.raises(ValueError, match=message):
+            ml_member_1d(f, 0.5, MLPair(1.0, 0.4), w, over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
