@@ -47,24 +47,36 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
     return config_from_json(flags, cfg)
 
 
-def _load(args, require_constrained: Optional[bool] = None):
-    """Problem from --problem PATH or --example NAME, plus anchor and config."""
-    if getattr(args, "example", None):
+def _load(args):
+    """Problem, anchor and config of a subcommand, checked in this order:
+    the problem from --problem PATH or --example NAME, of the kind its
+    subparser's defaults name (constrained True, False, or None for
+    either); the anchor (--anchor, else the file's known solution), which
+    exactly the subcommands that take --anchor require; then --variant
+    and --point, each replaced in args by its parsed value."""
+    if args.example:
         entry = _example(args.example)
-        problem, known, cfg = entry.problem, entry.anchor, _base_config(args)
-    elif getattr(args, "problem", None):
+        problem, anchor, cfg = entry.problem, entry.anchor, _base_config(args)
+    elif args.problem:
         with open(args.problem) as fh:
-            problem, known, file_cfg = loads(fh.read())
+            problem, anchor, file_cfg = loads(fh.read())
         cfg = _base_config(args, file_cfg)
     else:
         raise UsageError("either --problem PATH or --example NAME is required")
-    if require_constrained is True and not isinstance(problem, ConstrainedProblem):
-        raise UsageError("this subcommand needs a constrained problem")
-    if require_constrained is False and isinstance(problem, ConstrainedProblem):
-        raise UsageError("this subcommand needs an unconstrained problem")
-    if getattr(args, "anchor", None):
-        known = _reals(args.anchor, "--anchor", problem.dimension)
-    return problem, known, cfg
+    needs = args.constrained
+    if needs is not None and needs != isinstance(problem, ConstrainedProblem):
+        kind = "a constrained" if needs else "an unconstrained"
+        raise UsageError(f"this subcommand needs {kind} problem")
+    if "anchor" in args:
+        if args.anchor:
+            anchor = _reals(args.anchor, "--anchor", problem.dimension)
+        if anchor is None:
+            raise UsageError("an anchor solution is required (--anchor or known_solution)")
+    if "variant" in args:
+        args.variant = _variant(args.variant)
+    if "point" in args:
+        args.point = _reals(args.point, "--point", problem.dimension)
+    return problem, anchor, cfg
 
 
 def _reals(text: str, flag: str, count: int) -> tuple:
@@ -76,13 +88,6 @@ def _reals(text: str, flag: str, count: int) -> tuple:
     if len(vals) != count or not all(map(math.isfinite, vals)):
         raise UsageError(f"{flag} needs {count} comma-separated finite reals, got {text!r}")
     return vals
-
-
-def _window(args, problem) -> Box:
-    if args.window:
-        vals = _reals(args.window, "--window", 2 * problem.dimension)
-        return Box(vals[0::2], vals[1::2])
-    return problem.domain_window
 
 
 def _example(name: str):
@@ -110,196 +115,145 @@ def _strict(value):
     return value
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(_strict(report), indent=2, allow_nan=False))
-
-
-def _require_anchor(known):
-    if known is None:
-        raise UsageError("an anchor solution is required (--anchor or known_solution)")
-    return known
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report and whether its result is positive
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
-    problem, _, cfg = _load(args, require_constrained=False)
+def _cmd_classify(args):
+    problem, _, cfg = _load(args)
     res = oracle.brute_force_solutions(problem, args.resolution, cfg=cfg)
     report = charac.classify_dichotomy(problem, res.solution_points, cfg)
-    _emit(
-        {
-            "alternative": report.alternative,
-            "common_unit_gradient": list(report.common_unit_gradient)
-            if report.common_unit_gradient
-            else None,
-            "witnesses": [
-                {"point": list(pt), "gradient_norm": nrm}
-                for pt, nrm in report.witnesses
-            ],
-        }
-    )
-    return EXIT_OK
+    return {
+        "alternative": report.alternative,
+        "common_unit_gradient": list(report.common_unit_gradient)
+        if report.common_unit_gradient
+        else None,
+        "witnesses": [
+            {"point": list(pt), "gradient_norm": nrm}
+            for pt, nrm in report.witnesses
+        ],
+    }, True
 
 
-def _cmd_enumerate(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=False)
-    anchor = _require_anchor(known)
-    variant = _variant(args.variant)
-    points = charac.enumerate_solution_set(
-        problem, anchor, variant, args.resolution, cfg
-    )
-    _emit({"variant": variant.value, "points": [list(p) for p in points]})
-    return EXIT_OK if points else EXIT_NEGATIVE
+def _cmd_enumerate(args):
+    """enumerate, and kkt-enumerate with the anchor's multiplier."""
+    problem, anchor, cfg = _load(args)
+    report = {"variant": args.variant.value}
+    if isinstance(problem, ConstrainedProblem):
+        lam = kkt.solve_multipliers(problem, anchor, cfg)
+        report["lambdas"] = list(lam.lambdas)
+        points = kkt.enumerate_constrained(
+            problem, anchor, lam, args.variant, args.resolution, cfg
+        )
+    else:
+        points = charac.enumerate_solution_set(
+            problem, anchor, args.variant, args.resolution, cfg
+        )
+    report["points"] = [list(p) for p in points]
+    return report, bool(points)
 
 
-def _cmd_verify_membership(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=False)
-    anchor = _require_anchor(known)
-    variant = _variant(args.variant)
-    point = _reals(args.point, "--point", problem.dimension)
-    verdict = charac.membership(problem, anchor, point, variant, cfg)
-    _emit(
-        {
-            "point": list(verdict.point),
-            "variant": verdict.variant.value,
-            "member": verdict.member,
-            "residuals": verdict.residuals,
-        }
-    )
-    return EXIT_OK if verdict.member else EXIT_NEGATIVE
+def _cmd_verify_membership(args):
+    problem, anchor, cfg = _load(args)
+    verdict = charac.membership(problem, anchor, args.point, args.variant, cfg)
+    return {
+        "point": list(verdict.point),
+        "variant": verdict.variant.value,
+        "member": verdict.member,
+        "residuals": verdict.residuals,
+    }, verdict.member
 
 
-def _cmd_check_convexity(args) -> int:
+def _cmd_check_convexity(args):
     for flag, count in (("--pairs", args.pairs), ("--t-steps", args.t_steps)):
         if count < 0:
             raise UsageError(f"{flag} must be a nonnegative integer")
     problem, _, cfg = _load(args)
-    window = _window(args, problem)
+    window = problem.domain_window
+    if args.window:
+        vals = _reals(args.window, "--window", 2 * problem.dimension)
+        window = Box(vals[0::2], vals[1::2])
     quasi = convexity.check_quasiconvex(
         problem.objective, window, args.pairs, args.t_steps, cfg
     )
     first_order = convexity.check_first_order_qcx(
         problem.objective, window, args.pairs, cfg
     )
-    _emit(
-        {
-            "quasiconvex": {
-                "holds": quasi.holds,
-                "checked_pairs": quasi.checked,
-                "counterexample": list(map(list, quasi.counterexample[:2]))
-                + [quasi.counterexample[2]]
-                if quasi.counterexample
-                else None,
-            },
-            "first_order": {
-                "holds": first_order.holds,
-                "counterexample": list(map(list, first_order.counterexample))
-                if first_order.counterexample
-                else None,
-            },
-            "note": "sampled falsification; 'holds' means no violation found",
-        }
-    )
-    return EXIT_OK if quasi.holds and first_order.holds else EXIT_NEGATIVE
+    return {
+        "quasiconvex": {
+            "holds": quasi.holds,
+            "checked_pairs": quasi.checked,
+            "counterexample": list(map(list, quasi.counterexample[:2]))
+            + [quasi.counterexample[2]]
+            if quasi.counterexample
+            else None,
+        },
+        "first_order": {
+            "holds": first_order.holds,
+            "counterexample": list(map(list, first_order.counterexample))
+            if first_order.counterexample
+            else None,
+        },
+        "note": "sampled falsification; 'holds' means no violation found",
+    }, quasi.holds and first_order.holds
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     problem, _, cfg = _load(args)
     res = oracle.brute_force_solutions(problem, args.resolution, cfg=cfg)
-    _emit(
-        {
-            "min_value": res.min_value,
-            "grid_size": res.grid_size,
-            "solution_points": [list(p) for p in res.solution_points],
-        }
-    )
-    return EXIT_OK
+    return {
+        "min_value": res.min_value,
+        "grid_size": res.grid_size,
+        "solution_points": [list(p) for p in res.solution_points],
+    }, True
 
 
-def _cmd_agreement(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=False)
-    anchor = _require_anchor(known)
-    variant = _variant(args.variant)
-    rep = oracle.agreement(
-        problem, anchor, variant, args.resolution, cfg=cfg
-    )
-    _emit(
-        {
-            "variant": variant.value,
-            "equal": rep.equal,
-            "missing": [list(p) for p in rep.missing],
-            "extra": [list(p) for p in rep.extra],
-            "oracle_min": rep.oracle.min_value,
-            "oracle_count": len(rep.oracle.solution_points),
-        }
-    )
-    return EXIT_OK if rep.equal else EXIT_NEGATIVE
+def _cmd_agreement(args):
+    problem, anchor, cfg = _load(args)
+    rep = oracle.agreement(problem, anchor, args.variant, args.resolution, cfg=cfg)
+    return {
+        "variant": args.variant.value,
+        "equal": rep.equal,
+        "missing": [list(p) for p in rep.missing],
+        "extra": [list(p) for p in rep.extra],
+        "oracle_min": rep.oracle.min_value,
+        "oracle_count": len(rep.oracle.solution_points),
+    }, rep.equal
 
 
-def _cmd_kkt_solve(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=True)
-    anchor = _require_anchor(known)
+def _cmd_kkt_solve(args):
+    problem, anchor, cfg = _load(args)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
-    _emit(
-        {
-            "lambdas": list(lam.lambdas),
-            "rank_deficient": lam.rank_deficient,
-            "stationarity_residual": resid,
-        }
-    )
-    return EXIT_OK
+    return {
+        "lambdas": list(lam.lambdas),
+        "rank_deficient": lam.rank_deficient,
+        "stationarity_residual": resid,
+    }, True
 
 
-def _cmd_kkt_enumerate(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=True)
-    anchor = _require_anchor(known)
-    variant = _variant(args.variant)
-    lam = kkt.solve_multipliers(problem, anchor, cfg)
-    points = kkt.enumerate_constrained(
-        problem, anchor, lam, variant, args.resolution, cfg
-    )
-    _emit(
-        {
-            "variant": variant.value,
-            "lambdas": list(lam.lambdas),
-            "points": [list(p) for p in points],
-        }
-    )
-    return EXIT_OK if points else EXIT_NEGATIVE
-
-
-def _cmd_check_cq(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=True)
-    anchor = _require_anchor(known)
+def _cmd_check_cq(args):
+    problem, anchor, cfg = _load(args)
     rep = kkt.check_gmfcq(problem, anchor, cfg)
-    _emit(
-        {
-            "holds": rep.holds,
-            "direction": list(rep.direction) if rep.direction else None,
-        }
-    )
-    return EXIT_OK if rep.holds else EXIT_NEGATIVE
+    return {
+        "holds": rep.holds,
+        "direction": list(rep.direction) if rep.direction else None,
+    }, rep.holds
 
 
-def _cmd_subdiff_check(args) -> int:
-    problem, known, cfg = _load(args, require_constrained=False)
-    anchor = _require_anchor(known)
-    point = _reals(args.point, "--point", problem.dimension)
+def _cmd_subdiff_check(args):
+    problem, anchor, cfg = _load(args)
     if args.route == "gp":
         ok = subdiff.gp_solution_check(
-            problem, anchor, point, resolution=args.resolution, cfg=cfg
+            problem, anchor, args.point, resolution=args.resolution, cfg=cfg
         )
     else:
         if problem.dimension != 1:
             raise UsageError("--route ml needs a one-dimensional problem")
         ok = subdiff.ml_solution_check_1d(
-            problem, anchor[0], point[0], resolution=args.resolution, cfg=cfg
+            problem, anchor[0], args.point[0], resolution=args.resolution, cfg=cfg
         )
-    _emit({"route": args.route, "point": list(point), "member": ok})
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return {"route": args.route, "point": list(args.point), "member": ok}, ok
 
 
 # The plain variants of alternative I: those that need a nonzero gradient.
@@ -311,7 +265,7 @@ _ALL_UNCONSTRAINED = tuple(
 _AGREEMENT_VARIANTS = {"I": _ALL_UNCONSTRAINED, "II": (CharacVariant.STILDE,)}
 
 
-def _cmd_run_example(args) -> int:
+def _cmd_run_example(args):
     entry = _example(args.name)
     cfg = _base_config(args)
     problem, anchor, resolution = entry.problem, entry.anchor, entry.resolution
@@ -332,26 +286,30 @@ def _cmd_run_example(args) -> int:
                 ),
             }
         )
-        _emit(report)
-        return EXIT_OK if covered else EXIT_NEGATIVE
+        return report, covered
 
     variants = _AGREEMENT_VARIANTS if args.check == "all" else None
     checks = oracle.grid_checks(problem, anchor, resolution, variants, cfg=cfg)
     report["alternative"] = checks.dichotomy.alternative
     report["oracle_min"] = checks.oracle.min_value
     report["oracle_count"] = len(checks.oracle.solution_points)
+    agreements = {v.value: rep.equal for v, rep in checks.agreements.items()}
     if args.check == "all":
-        agreements = {v.value: rep.equal for v, rep in checks.agreements.items()}
         report["agreement"] = agreements
-        _emit(report)
-        return EXIT_OK if all(agreements.values()) else EXIT_NEGATIVE
-    _emit(report)
-    return EXIT_OK
+    return report, all(agreements.values())
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections raise UsageError, so that run reports
+    them as JSON like every other error; --help still prints and exits."""
+
+    def error(self, message):
+        raise UsageError(message)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     no state in it: each parse returns a fresh Namespace, and usage,
     errors and --help look up sys.stdout, sys.stderr and the terminal
     width when they print."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcsol",
         description="Solution-set characterizations for quasiconvex programs",
     )
@@ -369,7 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in _CONFIG_FLAGS:
             p.add_argument("--" + name.replace("_", "-"), type=int if name == "seed" else float)
 
-    def common(p, anchor=True, resolution=True):
+    def command(name, func, summary, constrained=None, anchor=True, resolution=True):
+        """A subcommand on --problem/--example; constrained is the problem
+        kind it needs (None: either)."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--problem", help="path to a JSON problem file")
         p.add_argument("--example", help="name of a builtin example")
         if anchor:
@@ -377,56 +338,38 @@ def _build_parser() -> argparse.ArgumentParser:
         if resolution:
             p.add_argument("--resolution", type=int, default=21)
         config_flags(p)
+        p.set_defaults(func=func, constrained=constrained)
+        return p
 
-    p = sub.add_parser("classify", help="gradient dichotomy of the solution set")
-    common(p, anchor=False)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("enumerate", help="enumerate one characterization on the grid")
-    common(p)
+    command("classify", _cmd_classify, "gradient dichotomy of the solution set",
+            constrained=False, anchor=False)
+    p = command("enumerate", _cmd_enumerate, "enumerate one characterization on the grid",
+                constrained=False)
     p.add_argument("--variant", required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("verify-membership", help="membership verdict for one point")
-    common(p, resolution=False)
+    p = command("verify-membership", _cmd_verify_membership,
+                "membership verdict for one point", constrained=False, resolution=False)
     p.add_argument("--variant", required=True)
     p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_verify_membership)
-
-    p = sub.add_parser("check-convexity", help="sampled convexity hypothesis checks")
-    common(p, anchor=False, resolution=False)
+    p = command("check-convexity", _cmd_check_convexity,
+                "sampled convexity hypothesis checks", anchor=False, resolution=False)
     p.add_argument("--window", help="lo1,hi1,...,lon,hin override")
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--t-steps", dest="t_steps", type=int, default=10)
-    p.set_defaults(func=_cmd_check_convexity)
-
-    p = sub.add_parser("oracle", help="brute-force solution set on the grid")
-    common(p, anchor=False)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("agreement", help="diff one variant against the oracle")
-    common(p)
+    command("oracle", _cmd_oracle, "brute-force solution set on the grid", anchor=False)
+    p = command("agreement", _cmd_agreement, "diff one variant against the oracle",
+                constrained=False)
     p.add_argument("--variant", required=True)
-    p.set_defaults(func=_cmd_agreement)
-
-    p = sub.add_parser("kkt-solve", help="Lagrange multipliers at the anchor")
-    common(p, resolution=False)
-    p.set_defaults(func=_cmd_kkt_solve)
-
-    p = sub.add_parser("kkt-enumerate", help="enumerate a multiplier characterization")
-    common(p)
+    command("kkt-solve", _cmd_kkt_solve, "Lagrange multipliers at the anchor",
+            constrained=True, resolution=False)
+    p = command("kkt-enumerate", _cmd_enumerate, "enumerate a multiplier characterization",
+                constrained=True)
     p.add_argument("--variant", required=True)
-    p.set_defaults(func=_cmd_kkt_enumerate)
-
-    p = sub.add_parser("check-cq", help="generalized MFCQ at the anchor")
-    common(p, resolution=False)
-    p.set_defaults(func=_cmd_check_cq)
-
-    p = sub.add_parser("subdiff-check", help="subdifferential membership routes")
-    common(p)
+    command("check-cq", _cmd_check_cq, "generalized MFCQ at the anchor",
+            constrained=True, resolution=False)
+    p = command("subdiff-check", _cmd_subdiff_check, "subdifferential membership routes",
+                constrained=False)
     p.add_argument("--route", choices=("gp", "ml"), required=True)
     p.add_argument("--point", required=True)
-    p.set_defaults(func=_cmd_subdiff_check)
 
     p = sub.add_parser("run-example", help="reproduce a builtin example")
     p.add_argument("name")
@@ -438,25 +381,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    """Parse argv, run its subcommand and print its report on stdout, or
+    one JSON error object on stderr; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        report, positive = args.func(args)
+        print(json.dumps(_strict(report), indent=2, allow_nan=False))
+        return EXIT_OK if positive else EXIT_NEGATIVE
+    except SystemExit:  # --help, printed by argparse
+        return EXIT_OK
     except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        error, message, code = "usage", str(exc), EXIT_USAGE
     except (ProblemFormatError, OSError, KeyError, ValueError) as exc:
-        print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
+        error, message, code = "input", str(exc), EXIT_USAGE
     except QcsolError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
+        error, message, code = type(exc).__name__, str(exc), EXIT_NUMERIC
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ from .errors import (
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _at, evaluate, evaluate_many, grad
+from .expr import _at, _norm, evaluate, evaluate_many, grad
 from .sets import contains, contains_many, normal_cone_generators, sample_grid
 
 
@@ -141,7 +141,7 @@ def solve_multipliers(
 
     cols = active_grads + normals
     if not cols:
-        if float(np.linalg.norm(gf)) > cfg.eps_lp:
+        if _norm(gf) > cfg.eps_lp:
             raise NoMultiplierError(
                 "stationarity cannot hold: nonzero gradient, no active "
                 "constraints, unconstrained ground set"

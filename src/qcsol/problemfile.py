@@ -148,13 +148,16 @@ def load_problem(doc: dict):
     dim = doc["dimension"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ProblemFormatError("dimension must be a positive integer")
+    # the window's length must equal the dimension, so reading it first
+    # refuses a claimed dimension that no list in the document backs
+    # before the objective's guards are extracted at that dimension
+    window = _window_from_json(doc["domain_window"], dim)
     if not isinstance(doc["objective"], str):
         raise ProblemFormatError("objective must be an expression string")
     objective = _expression(doc["objective"], dim, "objective")
     if not isinstance(doc["feasible_set"], list):
         raise ProblemFormatError("feasible_set must be a list of atoms")
     atoms = tuple(_atom_from_json(a, dim) for a in doc["feasible_set"])
-    window = _window_from_json(doc["domain_window"], dim)
     cfg = config_from_json(doc.get("config", {}))
 
     known = None

@@ -108,11 +108,6 @@ def _table() -> Dict[str, ExampleEntry]:
     return table
 
 
-def builtin_examples() -> Dict[str, ExampleEntry]:
-    """A fresh dict of the shared entries, so a caller may change it."""
-    return dict(_table())
-
-
 def get_example(name: str) -> ExampleEntry:
     examples = _table()
     if name not in examples:

@@ -181,7 +181,7 @@ def normal_cone_generators(
     n = X.dimension
     for atom in X.atoms:
         if isinstance(atom, Halfspace):
-            if abs(np.dot(atom.a, xv) - atom.b) <= eps_act:
+            if abs(_dot(atom.a, xv) - atom.b) <= eps_act:
                 gens.append(np.asarray(atom.a, dtype=float))
         elif isinstance(atom, LinearEquality):
             a = np.asarray(atom.a, dtype=float)

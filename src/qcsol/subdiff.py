@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError
-from .expr import ExprAst, _dot, evaluate, evaluate_many, grad
+from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad
 from .sets import Box, check_grid_size, grid_nodes
 
 
@@ -95,7 +95,7 @@ def default_gp_candidates(
             cands.append(vec)
     for point in (xbar, x):
         g = grad(f, np.asarray(point, dtype=float), dimension)
-        nrm = float(np.linalg.norm(g))
+        nrm = _norm(g)
         if nrm > cfg.eps_grad:
             cands.append(g / nrm)
     return cands

@@ -21,10 +21,11 @@ from qcsol.kkt import (
     stationarity_residual,
 )
 from qcsol.oracle import agreement, brute_force_solutions
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
 from qcsol.sets import sample_grid
 from qcsol.subdiff import _grid_values, gp_solution_check, ml_solution_check_1d
 from test_expr import grad_fd
+from test_registry import EXAMPLE_NAMES
 
 V = CharacVariant
 
@@ -125,7 +126,7 @@ def test_criterion_06_dichotomy_exclusivity():
     from qcsol.core import ConstrainedProblem, Problem
 
     ok = True
-    for name in sorted(builtin_examples()):
+    for name in EXAMPLE_NAMES:
         e = get_example(name)
         res = brute_force_solutions(e.problem, e.resolution)
         problem = e.problem
@@ -170,7 +171,7 @@ def test_criterion_07_gordan_property_suite():
 def test_criterion_08_ad_correctness():
     rng = np.random.default_rng(DEFAULT_CONFIG.seed)
     ok = True
-    for name in sorted(builtin_examples()):
+    for name in EXAMPLE_NAMES:
         e = get_example(name)
         f = e.problem.objective
         lo = np.asarray(e.problem.domain_window.lo)

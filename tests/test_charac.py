@@ -18,8 +18,9 @@ from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, DichotomyReport, Problem
 from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
 from qcsol.expr import _dot, _norm, grad as charac_grad, parse
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace, contains, sample_grid
+from test_registry import EXAMPLE_NAMES
 
 V = CharacVariant
 
@@ -179,7 +180,7 @@ class TestEnumeration:
 
 
 UNCONSTRAINED = [
-    e.name for e in builtin_examples().values() if isinstance(e.problem, Problem)
+    name for name in EXAMPLE_NAMES if isinstance(get_example(name).problem, Problem)
 ]
 # the variants membership() decides without a multiplier
 PLAIN_VARIANTS = [

@@ -8,9 +8,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcsol
@@ -18,8 +19,9 @@ from qcsol import cli, sets
 from qcsol.core import CharacVariant
 from qcsol.cli import run
 from qcsol.problemfile import dumps
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
 from test_kkt import _count_constraint_evaluations
+from test_registry import EXAMPLE_NAMES
 
 
 def _json_out(capsys):
@@ -168,6 +170,30 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--example", "ex2_1", "--resolution", "x"],
+         "argument --resolution: invalid int value: 'x'"),
+        (["oracle", "--example", "ex2_1", "--nope"], "unrecognized arguments: --nope"),
+        (["enumerate", "--example", "ex2_1"], "the following arguments are required: --variant"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["non-integer", "unknown-flag", "missing-required", "no-subcommand"],
+)
+def test_argparse_rejection_is_one_json_usage_error(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "usage", "message": message}
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    assert run(["oracle", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qcsol oracle ") and captured.err == ""
+
+
 def test_numeric_error_exit_code(capsys):
     # SHAT1 needs a nonzero anchor gradient; ex2_4's vanishes
     code = run([
@@ -184,6 +210,15 @@ def test_config_file_env(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps({"seed": 11}))
     monkeypatch.setenv("QCX_CONFIG", str(cfg_path))
     assert run(["classify", "--example", "ex2_1", "--resolution", "9"]) == 0
+
+
+# a piecewise objective's guards were extracted at the claimed dimension
+_HUGE_DIMENSION = {
+    "dimension": 10**400,
+    "objective": "pw[x1 <= 0: -x1; x1 >= 0: x1]",
+    "feasible_set": [],
+    "domain_window": {"lo": [-1.0], "hi": [1.0]},
+}
 
 
 def _write_problem(tmp_path, window, config=None, name="problem.json"):
@@ -283,6 +318,17 @@ def test_oversized_grid_is_an_input_error(capsys):
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "input"
     assert "exceeds the limit" in captured.err
+
+
+def test_huge_dimension_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_HUGE_DIMENSION))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "input", "message": f"window.lo must have length {10**400}",
+    }
 
 
 def test_boolean_dimension_is_an_input_error(tmp_path, capsys):
@@ -413,7 +459,7 @@ def test_unknown_example_message_is_plain_text(capsys, argv):
     assert err["message"].startswith("unknown example 'nope'; available: ex2_1, ")
 
 
-@pytest.mark.parametrize("name", sorted(builtin_examples()))
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_run_example_builds_one_grid(monkeypatch, capsys, name):
     calls = []
     real = sets.grid_nodes
@@ -572,7 +618,8 @@ def test_degenerate_window_is_an_input_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing: argv lists built from the parser's own subcommands and flags
+# Fuzzing: argv lists built from the parser's own subcommands and flags,
+# and problem and config documents built from the builtin examples
 # ---------------------------------------------------------------------------
 
 _COORDINATES = ["0.5", "1.5,0", "0,-1", "-1,1", "1,1", "2,2", "1.1,1.1", "0,1,0,1",
@@ -588,7 +635,7 @@ def _values(action):
     if action.type is float:
         return st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-12", "0.5", "100"])
     if action.dest in ("example", "name"):
-        return st.sampled_from([*sorted(builtin_examples()), "nope"])
+        return st.sampled_from([*EXAMPLE_NAMES, "nope"])
     if action.dest == "variant":
         return st.sampled_from([*(v.value for v in CharacVariant), "nope", ""])
     return st.sampled_from(_COORDINATES)
@@ -603,29 +650,120 @@ def _subcommands():
             for name, p in sorted(sub.choices.items())]
 
 
+# the argv faults that argparse itself rejects
+_FAULTS = ("non-integer", "unknown-flag", "missing-required", "no-subcommand")
+
+
 @st.composite
 def _argvs(draw):
+    """An argv list and whether argparse must reject it: one fault of
+    _FAULTS, or none, in which case every value is one argparse accepts."""
     name, actions = draw(st.sampled_from(_subcommands()))
-    argv = [name]
+    fault = draw(st.sampled_from([None, None, None, *_FAULTS]))
+    if fault == "missing-required" and not any(a.required for a in actions):
+        fault = None
+    argv = [] if fault == "no-subcommand" else [name]
     for action in actions:
         if not action.option_strings:
             argv.append(draw(_values(action)))
+        elif action.required and fault == "missing-required":
+            continue
         elif action.required or action.dest == "example" or draw(st.integers(0, 3)) == 0:
             # --flag=value, so that a value such as -inf is not read as a flag
             argv.append(f"{action.option_strings[0]}={draw(_values(action))}")
-    return argv
+    if fault == "non-integer":
+        flag = draw(st.sampled_from([a.option_strings[0] for a in actions if a.type is int]))
+        argv.append(f"{flag}={draw(st.sampled_from(['x', '1.5', '']))}")
+    if fault == "unknown-flag":
+        argv.insert(draw(st.integers(1, len(argv))), "--nope")
+    return argv, fault is not None
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(_argvs())
-def test_fuzzed_argv_ends_in_a_report_or_a_json_error(argv):
+def _run_captured(argv):
+    """run(argv) with its streams captured; asserts that it ends in an
+    exit code of 0-3 and either one strict-JSON report on stdout or one
+    {"error", "message"} object on stderr, and returns (code, error)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 1, 2, 3)
+    assert bool(out.getvalue()) != bool(err.getvalue())
     if out.getvalue():
         _strict_json(out.getvalue())
-    if err.getvalue():
-        report = json.loads(err.getvalue())
-        assert set(report) == {"error", "message"}
-    assert bool(out.getvalue()) != bool(err.getvalue())
+        return code, None
+    report = json.loads(err.getvalue())
+    assert set(report) == {"error", "message"}
+    return code, report["error"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_argvs())
+def test_fuzzed_argv_ends_in_a_report_or_a_json_error(case):
+    argv, rejected = case
+    code, error = _run_captured(argv)
+    if rejected:
+        assert (code, error) == (2, "usage")
+
+
+_POOL = [None, True, 0, -1, 2, 10**400, 1.5, 1e308, float("inf"), float("nan"), "", "x1",
+         "x1 +", "x1^2 + x2^2", "pw[x1 <= 0: -x1; x1 >= 0: x1]", [], [0.5], [0.0, 0.0],
+         ["x1^2 + x2^2 - 2"], {}, {"lo": [0], "hi": [1]}, {"eps_grad": 100},
+         [{"type": "box", "lo": [0], "hi": [1]}],
+         [{"type": "halfspace", "a": [1.0, 1.0], "b": 1.0}]]
+_FIELDS = ["dimension", "objective", "feasible_set", "domain_window", "known_solution",
+           "constraints", "ground_set", "config", "solver"]
+_CONFIG_KEYS = ["seed", "eps_grad", "eps_opt", "eps_feas", "eps_lp", "delta_open", "typo"]
+
+
+@st.composite
+def _documents(draw):
+    """A builtin example's problem document with one or two top-level
+    fields replaced from _POOL or dropped, and a QCX_CONFIG document (or
+    None)."""
+    e = get_example(draw(st.sampled_from(EXAMPLE_NAMES)))
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    for _ in range(draw(st.integers(1, 2))):
+        field = draw(st.sampled_from(_FIELDS))
+        if draw(st.booleans()):
+            doc.pop(field, None)
+        else:
+            doc[field] = draw(st.sampled_from(_POOL))
+    config = None
+    if draw(st.integers(0, 3)) == 0:
+        config = draw(st.sampled_from(_POOL) | st.dictionaries(
+            st.sampled_from(_CONFIG_KEYS), st.sampled_from(_POOL), max_size=2))
+    return doc, config
+
+
+def _document_argvs(path, doc):
+    """Every subcommand that reads --problem, at resolution 5 or less."""
+    dim = doc.get("dimension")
+    point = "--point=" + ",".join(["0.5"] * (dim if dim in (1, 2) else 1))
+    low = "--resolution=5"
+    return [[*argv, "--problem", path] for argv in (
+        ["classify", low], ["oracle", low], ["enumerate", "--variant=S1", low],
+        ["kkt-enumerate", "--variant=SP1", low], ["agreement", "--variant=STILDE", low],
+        ["verify-membership", "--variant=S1", point], ["kkt-solve"], ["check-cq"],
+        ["subdiff-check", "--route=gp", point, low],
+        ["check-convexity", "--pairs=5", "--t-steps=2"],
+    )]
+
+
+def test_document_fuzz_runs_every_problem_subcommand():
+    argvs = _document_argvs("p.json", {"dimension": 2})
+    assert {a[0] for a in argvs} == {name for name, _ in _subcommands()} - {"run-example"}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_documents())
+@example((_HUGE_DIMENSION, None))
+def test_fuzzed_problem_document_ends_in_a_report_or_a_json_error(tmp_path_factory, case):
+    doc, config = case
+    folder = tmp_path_factory.mktemp("doc")
+    path, config_path = folder / "problem.json", folder / "config.json"
+    path.write_text(json.dumps(doc))
+    config_path.write_text(json.dumps(config))
+    env = {"QCX_CONFIG": str(config_path)} if config is not None else {}
+    with mock.patch.dict(os.environ, env):
+        for argv in _document_argvs(str(path), doc):
+            _run_captured(argv)

@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 from qcsol.cli import run
+from test_cli import _subcommands
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.json"
 
@@ -95,6 +96,11 @@ def _transcript() -> str:
 
 def test_cli_transcript_is_unchanged():
     assert _transcript() == TRANSCRIPT.read_text()
+
+
+def test_transcript_covers_every_subcommand():
+    covered = {entry["argv"][0] for entry in json.loads(TRANSCRIPT.read_text())}
+    assert {name for name, _ in _subcommands()} <= covered
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import pytest
 
 from qcsol.errors import ProblemFormatError
 from qcsol.problemfile import dumps, load_problem
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
+from test_registry import EXAMPLE_NAMES
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 
@@ -70,7 +71,7 @@ def _atom_message(atom) -> str:
 
 def _golden() -> dict:
     examples = {}
-    for name in sorted(builtin_examples()):
+    for name in EXAMPLE_NAMES:
         e = get_example(name)
         examples[name] = {"repr": repr(e), "dumps": dumps(e.problem, e.anchor)}
     messages = {key: _atom_message(atom) for key, atom in MALFORMED_ATOMS.items()}
@@ -81,7 +82,7 @@ def _stored() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(builtin_examples()))
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_builtin_example_repr_and_text_are_unchanged(name):
     e = get_example(name)
     want = _stored()["examples"][name]
@@ -90,7 +91,7 @@ def test_builtin_example_repr_and_text_are_unchanged(name):
 
 
 def test_the_golden_file_lists_every_example():
-    assert sorted(_stored()["examples"]) == sorted(builtin_examples())
+    assert sorted(_stored()["examples"]) == list(EXAMPLE_NAMES)
 
 
 @pytest.mark.parametrize("key", sorted(MALFORMED_ATOMS))

@@ -12,8 +12,9 @@ from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
 from qcsol.expr import evaluate, parse
 from qcsol.kkt import enumerate_constrained, feasible_grid
 from qcsol.oracle import OracleResult, agreement, brute_force_solutions
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace
+from test_registry import EXAMPLE_NAMES
 
 
 def test_rectangle_oracle():
@@ -176,7 +177,7 @@ def test_zero_minimum_keeps_the_sign_of_its_first_node(text, sign):
     assert len(res.solution_points) == 5
 
 
-@pytest.mark.parametrize("name", sorted(builtin_examples()))
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_oracle_equals_pointwise_minimum(name):
     e = get_example(name)
     pts = feasible_grid(e.problem, e.resolution, DEFAULT_CONFIG)

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
+from qcsol import problemfile
 from qcsol.core import ConstrainedProblem, Problem
 from qcsol.errors import ProblemFormatError
 from qcsol.problemfile import dumps, load_problem, loads
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
+from test_registry import EXAMPLE_NAMES
 
 
-@pytest.mark.parametrize("name", sorted(builtin_examples()))
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_round_trip_all_builtins(name):
     e = get_example(name)
     text = dumps(e.problem, known_solution=e.anchor)
@@ -205,6 +207,23 @@ def test_constrained_document_shapes_are_checked(key, value, message):
     doc[key] = value
     with pytest.raises(ProblemFormatError, match=message):
         load_problem(doc)
+
+
+@pytest.mark.parametrize("dim", [10**400, 4000], ids=["huge", "large"])
+def test_window_length_is_checked_before_the_objective_is_parsed(monkeypatch, dim):
+    # a piecewise objective's guards are extracted at the claimed
+    # dimension: at 10**400 that overflowed, at 4000 it took seconds
+    parsed = []
+    monkeypatch.setattr(problemfile, "parse", lambda *a: parsed.append(a))
+    doc = {
+        "dimension": dim,
+        "objective": "pw[x1 <= 0: -x1; x1 >= 0: x1]",
+        "feasible_set": [],
+        "domain_window": {"lo": [-1.0], "hi": [1.0]},
+    }
+    with pytest.raises(ProblemFormatError, match=f"window.lo must have length {dim}"):
+        load_problem(doc)
+    assert parsed == []
 
 
 def test_h_fd_is_an_unknown_config_key():

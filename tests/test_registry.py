@@ -4,26 +4,23 @@ import dataclasses
 
 import pytest
 
-from qcsol.registry import builtin_examples, get_example
+from qcsol.registry import get_example
+
+# every builtin example, sorted; the tests that run each example use it
+EXAMPLE_NAMES = ("ex2_1", "ex2_2", "ex2_3", "ex2_3_constrained", "ex2_4", "ex4_1")
+
+
+def test_example_names_lists_every_example():
+    with pytest.raises(KeyError) as info:
+        get_example("nope")
+    assert info.value.args[0] == (
+        f"unknown example 'nope'; available: {', '.join(EXAMPLE_NAMES)}"
+    )
+    assert [get_example(name).name for name in EXAMPLE_NAMES] == list(EXAMPLE_NAMES)
 
 
 def test_entries_are_shared():
     assert get_example("ex2_1") is get_example("ex2_1")
-    assert builtin_examples()["ex2_1"] is get_example("ex2_1")
-
-
-def test_mutating_the_returned_dict_leaves_the_table_alone():
-    examples = builtin_examples()
-    original = examples["ex2_1"]
-    examples["ex2_1"] = examples["ex2_2"]
-    del examples["ex4_1"]
-    examples.clear()
-    assert get_example("ex2_1") is original
-    assert get_example("ex4_1").name == "ex4_1"
-    assert sorted(builtin_examples()) == [
-        "ex2_1", "ex2_2", "ex2_3", "ex2_3_constrained", "ex2_4", "ex4_1",
-    ]
-    assert builtin_examples() is not builtin_examples()
 
 
 def test_entries_are_frozen():
@@ -32,4 +29,3 @@ def test_entries_are_frozen():
         entry.anchor = (0.0, 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         entry.problem.domain_window = None
-

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, NonPolyhedralError
-from qcsol.registry import builtin_examples
+from qcsol.registry import get_example
 from qcsol.sets import (
     MAX_GRID_NODES,
     Ball,
@@ -24,6 +24,7 @@ from qcsol.sets import (
     normal_cone_generators,
     sample_grid,
 )
+from test_registry import EXAMPLE_NAMES
 
 RECT = ConvexSetDescriptor(
     2, (Box((1.0, 0.0), (2.0, 2.0)), Halfspace((-1.0, 1.0), 0.0))
@@ -111,7 +112,7 @@ def _grid_cases():
     # every builtin example's set (box plus halfspace, halfspaces, a ball,
     # a 1-D box, the atom-free ground set of the constrained example) and a
     # line x1 + x2 = 1 that passes exactly through 5 of its 25 nodes
-    for e in builtin_examples().values():
+    for e in map(get_example, EXAMPLE_NAMES):
         p = e.problem
         S = p.feasible_set if isinstance(p, Problem) else p.ground_set
         yield pytest.param(S, p.domain_window, e.resolution, id=e.name)
@@ -186,6 +187,16 @@ class TestCones:
         # at (2, 2): x1 <= 2 (row e1), x2 <= 2 (row e2) and -x1 + x2 <= 0
         gens = normal_cone_generators(RECT, [2.0, 2.0])
         assert [g.tolist() for g in gens] == [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
+
+    def test_a_halfspace_is_active_where_atom_violation_puts_it_on_the_boundary(self):
+        # with fused multiply-add, np.dot(a, x) rounds this a . x one ulp
+        # away from the left-to-right sum that atom_violation takes
+        a = (-0.5424755574590947, 0.8905413911078446)
+        x = [0.8028549152229671, -0.9388200339328929]
+        atom = Halfspace(a, -1.2715872667128658)
+        assert atom_violation(atom, x) == 0.0
+        S = ConvexSetDescriptor(2, (atom,))
+        assert [g.tolist() for g in normal_cone_generators(S, x, eps_act=0.0)] == [list(a)]
 
     def test_ball_is_not_polyhedral(self):
         S = ConvexSetDescriptor(2, (Ball((0.0, 0.0), 1.0),))
