@@ -11,7 +11,7 @@ it too.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -287,7 +287,7 @@ def enumerate_solution_set(
 ) -> List[tuple]:
     """Grid points of the domain window whose membership verdict is positive."""
     _check_kind(p, None, variant)
-    return _enumerate(p, xbar, None, variant, kkt.feasible_grid(p, resolution, cfg), cfg)
+    return _enumerate(p, xbar, None, variant, kkt._grid(p, resolution, cfg), cfg)
 
 
 # The one decision path of all 24 variants.  lam is None for a plain
@@ -333,17 +333,13 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
 
 
-def _enumerate(p, xbar, lam, variant: CharacVariant, X: np.ndarray, cfg: Config,
-               G: Optional[np.ndarray] = None) -> List[tuple]:
-    """The rows of the feasible grid X in the variant's set, as tuples in
-    grid order; G, when the caller has it, holds the gradients at the rows
-    of X.  The caller checks the kind first; an empty grid returns [] and
-    checks nothing."""
-    if not len(X):
+def _enumerate(p, xbar, lam, variant: CharacVariant, grid, cfg: Config) -> List[tuple]:
+    """The rows of the feasible grid record grid (kkt._grid) in the
+    variant's set, as tuples in grid order.  The caller checks the kind
+    first; an empty grid returns [] and checks nothing."""
+    if not len(grid.X):
         return []
     xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     with np.errstate(all="ignore"):
-        if G is None:
-            G = grad_many(p.objective, X, p.dimension)
-        rows = _Rows(X, G, xb, g0, kkt._masks(p, X, tilde, cfg, grid=True), active)
-        return list(map(tuple, X[rows.decide(variant, cfg).member].tolist()))
+        rows = _Rows(grid.X, grid.gradients(), xb, g0, kkt._masks(p, grid, tilde, cfg), active)
+        return list(map(tuple, grid.X[rows.decide(variant, cfg).member].tolist()))

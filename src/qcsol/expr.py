@@ -409,6 +409,9 @@ class _AstKey:
     def __init__(self, ast: Expr):
         self.ast = ast
         self.text = repr(ast)
+        if "array(" in self.text:  # numpy prints an array's entries rounded
+            with np.printoptions(floatmode="unique"):
+                self.text = repr(ast)
         self.hash = hash(self.text)
 
     def __hash__(self) -> int:

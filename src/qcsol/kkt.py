@@ -10,6 +10,7 @@ every multiplier question, refuses an anchor that is_feasible refuses.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -27,12 +28,13 @@ from .core import (
     as_point,
 )
 from .errors import (
+    EmptyGridError,
     HypothesisViolatedError,
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _at, _norm, evaluate, evaluate_many, grad
-from .sets import contains, contains_many, normal_cone_generators, sample_grid
+from .expr import _MEMO_SIZE, _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
+from .sets import MAX_GRID_NODES, contains, normal_cone_generators, sample_grid
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,74 @@ def feasible_grid(
     fails, the nodes are tested one by one, so that the error is the one
     is_feasible raises at the first failing node.
     """
+    return _feasible_rows(cp, resolution, cfg)[0]
+
+
+def _feasible_rows(cp: ConstrainedProblem, resolution: int, cfg: Config):
+    """feasible_grid, and the (m, N) array of constraint values at its rows."""
     X = sample_grid(cp.ground_set, cp.domain_window, resolution, cfg.eps_feas)
+    m = len(cp.constraints)
     try:
-        keep = [evaluate_many(g, X) <= cfg.eps_feas for g in cp.constraints]
+        V = np.array([evaluate_many(g, X) for g in cp.constraints]).reshape(m, len(X))
     except QcsolError:
-        return X[[is_feasible(cp, x, cfg) for x in X]]
-    return X[np.all(keep, axis=0)] if keep else X
+        V = np.array([_feasible_values(cp, x, cfg) or [np.inf] * m for x in X]).T
+    keep = np.all(V <= cfg.eps_feas, axis=0)
+    return X[keep], V[:, keep]
+
+
+class _Grid:
+    """One evaluation of a feasible grid, shared by every consumer: rows X,
+    constraint values C (m, N) and, on first use, the objective's gradients
+    and values and the oracle's level set.  Every array is read-only; a
+    failing evaluation is not kept, so it raises again on the next use."""
+
+    def __init__(self, p, X: np.ndarray, C: np.ndarray):
+        self.p, self.X, self.C = p, _frozen(X), _frozen(C)
+        self._G = self._values = self._level = None
+
+    def gradients(self, rows=None) -> np.ndarray:
+        """The gradients at every row, kept, or at the rows of the mask rows."""
+        if self._G is None and rows is not None:
+            return grad_many(self.p.objective, self.X[rows], self.p.dimension)
+        if self._G is None:
+            self._G = _frozen(grad_many(self.p.objective, self.X, self.p.dimension))
+        return self._G if rows is None else self._G[rows]
+
+    def level_set(self, eps_opt: float):
+        """The least objective value and the mask of rows within eps_opt of it."""
+        if self._level is None or self._level[0] != eps_opt:
+            if not len(self.X):
+                raise EmptyGridError("no feasible grid point in the window")
+            if self._values is None:
+                self._values = _frozen(evaluate_many(self.p.objective, self.X))
+            # the builtin min keeps the first of equal minima: a zero keeps its sign
+            vmin = min(self._values.tolist())
+            self._level = (eps_opt, vmin, _frozen(self._values <= vmin + eps_opt))
+        return self._level[1:]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# (problem by repr, resolution, eps_feas) -> _Grid, least recently used first
+_GRIDS: "OrderedDict[tuple, _Grid]" = OrderedDict()
+
+
+def _grid(p, resolution: int, cfg: Config) -> _Grid:
+    """The feasible grid of p, evaluated once per process.  p is keyed by
+    repr, as expr's programs are; the records hold at most _MEMO_SIZE grids
+    and MAX_GRID_NODES rows in all, and the least recently used go first."""
+    key = (_ast_key(p), resolution, cfg.eps_feas)
+    grid = _GRIDS.pop(key, None)
+    if grid is None:
+        grid = _Grid(p, *_feasible_rows(p, resolution, cfg))
+        while _GRIDS and (len(_GRIDS) >= _MEMO_SIZE or len(grid.X) + sum(
+                len(g.X) for g in _GRIDS.values()) > MAX_GRID_NODES):
+            _GRIDS.popitem(last=False)
+    _GRIDS[key] = grid
+    return grid
 
 
 def active_set(
@@ -207,21 +271,18 @@ def member_X1(
     return bool(_masks(cp, xv, tilde, cfg)["in_X1"])
 
 
-def _masks(p, X: np.ndarray, tilde: tuple, cfg: Config, grid: bool = False) -> dict:
+def _masks(p, X, tilde: tuple, cfg: Config) -> dict:
     """The masks of the set conditions at one point X (n,), or at each row
-    of an (N, n) array X: in_feasible_set (x in S), constraints_feasible
-    (every g_i(x) <= 0) and in_X1, whose strict-multiplier indices are
-    tilde (docs/theorems.md gives the formulas).  One point stays on the
-    scalar path, contains and evaluate.  On a feasible grid (grid), every
-    row is in S and meets every constraint: only the constraints in tilde
-    are evaluated, for in_X1."""
-    one = X.ndim == 1
-    in_S = grid or (contains if one else contains_many)(p.ground_set, X, cfg.eps_feas)
+    of a feasible grid record X: in_feasible_set (x in S),
+    constraints_feasible (every g_i(x) <= 0) and in_X1, whose
+    strict-multiplier indices are tilde (docs/theorems.md gives the
+    formulas).  One point stays on the scalar path, contains and evaluate;
+    a record's rows are in S, and it holds their constraint values."""
+    grid = isinstance(X, _Grid)
+    in_S = np.ones(len(X.X), dtype=bool) if grid else contains(p.ground_set, X, cfg.eps_feas)
+    values = X.C if grid else np.array([evaluate(g, X) for g in p.constraints])
     feasible, in_X1 = True, in_S
-    for i, g in enumerate(p.constraints):
-        if grid and i not in tilde:
-            continue
-        v = np.asarray(evaluate(g, X) if one else evaluate_many(g, X))
+    for i, v in enumerate(values):
         feasible = feasible & (v <= cfg.eps_feas)
         in_X1 = in_X1 & (~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas))
     return {"in_feasible_set": in_S, "constraints_feasible": feasible, "in_X1": in_X1}
@@ -249,7 +310,7 @@ def enumerate_constrained(
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
     charac._check_kind(cp, lam, variant)
-    return charac._enumerate(cp, xbar, lam, variant, feasible_grid(cp, resolution, cfg), cfg)
+    return charac._enumerate(cp, xbar, lam, variant, _grid(cp, resolution, cfg), cfg)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

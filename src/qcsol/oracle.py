@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
-import numpy as np
-
 from .charac import _check_kind, _dichotomy, _enumerate
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -22,9 +20,9 @@ from .core import (
     Problem,
     as_point,
 )
-from .errors import EmptyGridError, HypothesisViolatedError
-from .expr import _at, evaluate, evaluate_many, grad_many
-from .kkt import _masks, feasible_grid, strict_index_set
+from .errors import HypothesisViolatedError
+from .expr import _at, evaluate
+from .kkt import _grid, _masks, strict_index_set
 
 
 @dataclass(frozen=True)
@@ -43,24 +41,13 @@ def brute_force_solutions(
     """Exhaustive minimization over the feasible grid; eps_opt defaults
     to cfg.eps_opt."""
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
-    return _minimize(p, feasible_grid(p, resolution, cfg), eps_opt)
+    return _minimize(_grid(p, resolution, cfg), eps_opt)
 
 
-def _minimize(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float) -> OracleResult:
-    """The oracle on the feasible grid X, an (N, n) array."""
-    vmin, solutions = _level_set(p, X, eps_opt)
-    return OracleResult(vmin, tuple(map(tuple, X[solutions].tolist())), len(X))
-
-
-def _level_set(p: Union[Problem, ConstrainedProblem], X: np.ndarray, eps_opt: float):
-    """The least objective value on the feasible grid X and the mask of
-    the rows within eps_opt of it."""
-    if not len(X):
-        raise EmptyGridError("no feasible grid point in the window")
-    values = evaluate_many(p.objective, X)
-    # the builtin min keeps the first of equal minima: a zero keeps its sign
-    vmin = min(values.tolist())
-    return vmin, values <= vmin + eps_opt
+def _minimize(grid, eps_opt: float) -> OracleResult:
+    """The oracle on the feasible grid record grid (kkt._grid)."""
+    vmin, solutions = grid.level_set(eps_opt)
+    return OracleResult(vmin, tuple(map(tuple, grid.X[solutions].tolist())), len(grid.X))
 
 
 @dataclass(frozen=True)
@@ -83,22 +70,22 @@ def agreement(
     one grid; eps_opt defaults to cfg.eps_opt."""
     _check_kind(p, None, variant)
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
-    X = feasible_grid(p, resolution, cfg)
-    result = _minimize(p, X, eps_opt)
-    return _agreements(p, xbar, (variant,), X, result, eps_opt, cfg)[variant]
+    grid = _grid(p, resolution, cfg)
+    result = _minimize(grid, eps_opt)
+    return _agreements(p, xbar, (variant,), grid, result, eps_opt, cfg)[variant]
 
 
-def _agreements(p: Problem, xbar, variants: Sequence[CharacVariant], X: np.ndarray,
-                result: OracleResult, eps_opt: float, cfg: Config, G=None) -> dict:
-    """agreement of each plain variant, in order, on the grid X whose
-    oracle is result; G as in charac._enumerate."""
+def _agreements(p: Problem, xbar, variants: Sequence[CharacVariant], grid,
+                result: OracleResult, eps_opt: float, cfg: Config) -> dict:
+    """agreement of each plain variant, in order, on the grid record grid
+    whose oracle is result."""
     xb = as_point(xbar, p.dimension)
     if evaluate(p.objective, xb) > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(xb)} is not in the oracle solution set")
     oracle_set = set(result.solution_points)
     reports = {}
     for variant in variants:
-        enumerated = set(_enumerate(p, xbar, None, variant, X, cfg, G))
+        enumerated = set(_enumerate(p, xbar, None, variant, grid, cfg))
         missing = tuple(sorted(oracle_set - enumerated))
         extra = tuple(sorted(enumerated - oracle_set))
         reports[variant] = OracleAgreement(not missing and not extra, missing, extra, result)
@@ -129,20 +116,23 @@ def grid_checks(
     solutions, and the agreement of each plain variant that variants lists
     under the dichotomy's alternative ("I" or "II").  The gradients are
     taken at every grid row when variants is given, else at the solution
-    rows only.
+    rows only (or read from the grid's record).  lam excludes variants.
     """
+    if lam is not None and variants is not None:
+        raise ValueError("grid_checks takes a multiplier or variants, not both")
     for listed in (variants or {}).values():
         for variant in listed:
             _check_kind(p, None, variant)
-    X = feasible_grid(p, resolution, cfg)
-    vmin, solutions = _level_set(p, X, cfg.eps_opt)
-    S = X[solutions]
-    result = OracleResult(vmin, tuple(map(tuple, S.tolist())), len(X))
+    grid = _grid(p, resolution, cfg)
+    result = _minimize(grid, cfg.eps_opt)
+    solutions = grid.level_set(cfg.eps_opt)[1]
     if lam is not None:
         tilde = strict_index_set(p, xbar, lam, cfg)
-        return GridChecks(result, None, {}, bool(_masks(p, S, tilde, cfg)["in_X1"].all()))
-    G = grad_many(p.objective, X if variants else S, p.dimension)
-    dich = _dichotomy(S, G[solutions] if variants else G, cfg)
+        in_X1 = _masks(p, grid, tilde, cfg)["in_X1"]
+        return GridChecks(result, None, {}, bool(in_X1[solutions].all()))
+    if variants:
+        grid.gradients()  # kept for the agreements
+    dich = _dichotomy(grid.X[solutions], grid.gradients(solutions), cfg)
     listed = (variants or {}).get(dich.alternative, ())
-    reports = _agreements(p, xbar, listed, X, result, cfg.eps_opt, cfg, G) if listed else {}
+    reports = _agreements(p, xbar, listed, grid, result, cfg.eps_opt, cfg) if listed else {}
     return GridChecks(result, dich, reports, None)

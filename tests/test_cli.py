@@ -460,17 +460,25 @@ def test_unknown_example_message_is_plain_text(capsys, argv):
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
-def test_run_example_builds_one_grid(monkeypatch, capsys, name):
-    calls = []
-    real = sets.grid_nodes
-
-    def counted(window, resolution):
-        calls.append(resolution)
-        return real(window, resolution)
-
-    monkeypatch.setattr(sets, "grid_nodes", counted)
+def test_run_example_builds_one_grid(grid_work, capsys, name):
+    resolution = get_example(name).resolution
     assert run(["run-example", name, "--check", "all"]) == 0
-    assert calls == [get_example(name).resolution]
+    assert grid_work["grids"] == [resolution]
+    # warm: the same run, and an enumeration at the same resolution, build
+    # no grid; the second run takes no gradient batch
+    taken = list(grid_work["gradients"])
+    assert run(["run-example", name, "--check", "all"]) == 0
+    assert grid_work["gradients"] == taken
+    enumerate_argv = (
+        ["kkt-enumerate", "--example", name, "--variant", "SP1"]
+        if name == "ex2_3_constrained"
+        else ["enumerate", "--example", name, "--variant", "STILDE"]
+    )
+    run(enumerate_argv + ["--resolution", str(resolution)])
+    assert grid_work["grids"] == [resolution]
+    # the constrained run-example takes no gradients on the grid, so there
+    # the enumeration takes the first batch
+    assert grid_work["gradients"] == taken or name == "ex2_3_constrained"
 
 
 def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):

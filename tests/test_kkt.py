@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcsol.charac import enumerate_solution_set
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
 from qcsol import charac, expr, kkt
@@ -32,8 +33,10 @@ from qcsol.kkt import (
     stationarity_residual,
     strict_index_set,
 )
+from qcsol.oracle import agreement, brute_force_solutions
 from qcsol.registry import get_example
 from qcsol.sets import (
+    MAX_GRID_NODES,
     Ball,
     Box,
     ConvexSetDescriptor,
@@ -42,6 +45,7 @@ from qcsol.sets import (
     grid_nodes,
     normal_cone_generators,
 )
+from test_registry import EXAMPLE_NAMES
 
 V = CharacVariant
 
@@ -575,3 +579,101 @@ def test_enumeration_decides_near_threshold_rows_like_membership(residual, memo_
             ])
             got = _result(lambda: enumerate_constrained(cp, anchor, lam, v, resolution, cfg))
             assert got == want, (v, tol, limit)
+
+
+class TestGridMemo:
+    """kkt._grid: one evaluation of each feasible grid per process."""
+
+    def test_record_arrays_are_read_only(self, surd):
+        grid = kkt._grid(surd.problem, 9, DEFAULT_CONFIG)
+        mask = grid.level_set(DEFAULT_CONFIG.eps_opt)[1]
+        for a in (grid.X, grid.C, grid._values, grid.gradients(), mask):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_feasible_grid_is_a_writable_copy(self):
+        e = get_example("ex2_1")
+        oracle_before = brute_force_solutions(e.problem, 9)
+        points = enumerate_solution_set(e.problem, e.anchor, V.S1, 9)
+        X = feasible_grid(e.problem, 9)
+        assert X.flags.writeable and X is not kkt._grid(e.problem, 9, DEFAULT_CONFIG).X
+        X[...] = 0.0
+        assert brute_force_solutions(e.problem, 9) == oracle_before
+        assert enumerate_solution_set(e.problem, e.anchor, V.S1, 9) == points
+        assert feasible_grid(e.problem, 9).tolist() == kkt._grid(e.problem, 9, DEFAULT_CONFIG).X.tolist()
+
+    def test_a_failing_evaluation_raises_again_and_harms_no_other_record(self):
+        e = get_example("ex2_1")
+        # the objective fails at the nodes x1 = 1.5, its gradient at x1 = 1
+        no_value = replace(e.problem, objective=parse("x2 / (x1 - 1.5)", 2))
+        no_gradient = replace(e.problem, objective=parse("sqrt(x1 - 1) + x2", 2))
+        for call in (
+            lambda: brute_force_solutions(no_value, 9),
+            lambda: agreement(no_value, e.anchor, V.S1, 9),
+            lambda: enumerate_solution_set(no_gradient, (1.5, 0.0), V.STILDE, 9),
+        ):
+            first, second = _result(call), _result(call)
+            assert first[0] is EvalError and first == second
+        warm = brute_force_solutions(e.problem, 9)
+        kkt._GRIDS.clear()
+        assert warm == brute_force_solutions(e.problem, 9)
+
+    def test_signed_zeros_get_separate_records(self):
+        p = get_example("ex2_2").problem
+        cfg = DEFAULT_CONFIG
+        plus = replace(p, objective=expr.Add(p.objective, expr.Const(0.0)))
+        minus = replace(p, objective=expr.Add(p.objective, expr.Const(-0.0)))
+        assert plus == minus
+        assert kkt._grid(plus, 9, cfg) is not kkt._grid(minus, 9, cfg)
+        # a -0.0 upper bound is the last node on its axis
+        lo = p.domain_window.lo
+        up, down = (replace(p, domain_window=Box(lo, (2.0, z))) for z in (0.0, -0.0))
+        assert up == down
+        a, b = kkt._grid(up, 9, cfg), kkt._grid(down, 9, cfg)
+        assert a is not b and a.X.tolist() == b.X.tolist() and a.X.tobytes() != b.X.tobytes()
+        assert kkt._grid(replace(p), 9, cfg) is kkt._grid(p, 9, cfg)
+
+    def test_numpy_bounds_are_keyed_by_every_digit(self):
+        p = get_example("ex2_2").problem
+        near, far = (
+            replace(p, domain_window=Box(np.array([-1.0, -2.0]), np.array([2.0, hi])))
+            for hi in (2.0, 2.000000001)
+        )
+        a, b = kkt._grid(near, 5, DEFAULT_CONFIG), kkt._grid(far, 5, DEFAULT_CONFIG)
+        assert a is not b and b.X.tolist() == feasible_grid(far, 5).tolist()
+
+    def test_records_hold_at_most_max_grid_nodes_rows(self):
+        e = get_example("ex2_3")
+        held = []
+        for eps in (1e-9, 1e-8, 1e-7, 1e-6):
+            cfg = replace(DEFAULT_CONFIG, eps_feas=eps)
+            grid = kkt._grid(e.problem, 700, cfg)
+            assert len(grid.X) > MAX_GRID_NODES // 3
+            held.append(sum(len(g.X) for g in kkt._GRIDS.values()))
+            assert kkt._grid(e.problem, 700, cfg) is grid
+        assert max(held) <= MAX_GRID_NODES and len(kkt._GRIDS) < 4
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_a_warm_grid_gives_the_cold_answers(self, name):
+        e = get_example(name)
+        p, anchor, r = e.problem, e.anchor, e.resolution
+        if isinstance(p, ConstrainedProblem):
+            lam = solve_multipliers(p, anchor)
+            calls = [
+                lambda v=v: enumerate_constrained(p, anchor, lam, v, r)
+                for v in V if v.requires_multiplier
+            ]
+        else:
+            calls = [
+                call
+                for v in V if not v.requires_multiplier
+                for call in (
+                    lambda v=v: agreement(p, anchor, v, r),
+                    lambda v=v: enumerate_solution_set(p, anchor, v, r),
+                )
+            ]
+        cold = []
+        for call in calls:
+            kkt._GRIDS.clear()
+            cold.append(_result(call))
+        assert [_result(call) for call in calls] == cold

@@ -99,39 +99,30 @@ def test_a_non_finite_window_is_refused_in_both_problem_forms():
     assert len(messages) == 1
 
 
-def test_agreement_builds_one_grid(monkeypatch):
-    calls = []
-    real = sets.grid_nodes
-
-    def counted(window, resolution):
-        calls.append(resolution)
-        return real(window, resolution)
-
-    monkeypatch.setattr(sets, "grid_nodes", counted)
+def test_agreement_builds_one_grid(grid_work):
     e = get_example("ex2_1")
-    for v in (CharacVariant.SHAT1, CharacVariant.T3):
-        calls.clear()
+    rep = agreement(e.problem, e.anchor, CharacVariant.SHAT1, 9)
+    assert rep.equal and grid_work == {"grids": [9], "gradients": [rep.oracle.grid_size]}
+    # warm: another variant, and enumeration at the same resolution, reuse
+    # the grid and its gradients
+    grid_work["grids"].clear(), grid_work["gradients"].clear()
+    for v in (CharacVariant.T3, CharacVariant.SHAT1):
         rep = agreement(e.problem, e.anchor, v, 9)
-        assert rep.equal and calls == [9]
+        assert rep.equal
         assert set(enumerate_solution_set(e.problem, e.anchor, v, 9)) == set(rep.oracle.solution_points)
+    assert grid_work == {"grids": [], "gradients": []}
 
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex2_4"])
-def test_grid_checks_share_one_grid_and_one_gradient_array(monkeypatch, name):
+def test_grid_checks_share_one_grid_and_one_gradient_array(grid_work, name):
     e = get_example(name)
     variants = {"I": (CharacVariant.S1, CharacVariant.T3), "II": (CharacVariant.STILDE,)}
-    rows = []
-    real = oracle.grad_many
-
-    def counted(f, X, n):
-        rows.append(len(X))
-        return real(f, X, n)
-
-    monkeypatch.setattr(oracle, "grad_many", counted)
+    rows = grid_work["gradients"]
     summary = oracle.grid_checks(e.problem, e.anchor, 9)
     res = brute_force_solutions(e.problem, 9)
-    # without variants, gradients at the oracle's solutions only
-    assert summary.oracle == res and rows == [len(res.solution_points)]
+    # without variants, one grid, and gradients at the oracle's solutions only
+    assert summary.oracle == res and grid_work["grids"] == [9]
+    assert rows == [len(res.solution_points)]
     assert summary.dichotomy == classify_dichotomy(e.problem, res.solution_points)
     assert summary.agreements == {} and summary.solutions_in_X1 is None
     rows.clear()
@@ -139,6 +130,19 @@ def test_grid_checks_share_one_grid_and_one_gradient_array(monkeypatch, name):
     assert rows == [res.grid_size] and full.dichotomy == summary.dichotomy
     listed = variants[full.dichotomy.alternative]
     assert full.agreements == {v: agreement(e.problem, e.anchor, v, 9) for v in listed}
+    # warm: the summary now reads the kept gradients
+    assert oracle.grid_checks(e.problem, e.anchor, 9) == summary
+    assert grid_work["grids"] == [9] and rows == [res.grid_size]
+
+
+@pytest.mark.parametrize("name", ["ex2_1", "ex2_3_constrained"])
+def test_grid_checks_refuses_a_multiplier_with_variants_before_any_grid(grid_work, name):
+    e = get_example(name)
+    with pytest.raises(ValueError, match="a multiplier or variants, not both"):
+        oracle.grid_checks(
+            e.problem, e.anchor, 9, {"I": (CharacVariant.SP1,)}, lam=MultiplierVector((0.5,))
+        )
+    assert grid_work["grids"] == []
 
 
 def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
