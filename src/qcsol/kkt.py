@@ -10,7 +10,6 @@ every multiplier question, refuses an anchor that is_feasible refuses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -33,8 +32,8 @@ from .errors import (
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _MEMO_SIZE, _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
-from .sets import MAX_GRID_NODES, contains, normal_cone_generators, sample_grid
+from .expr import _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
+from .sets import _frozen, _kept, contains, normal_cone_generators, sample_grid
 
 
 @dataclass(frozen=True)
@@ -129,28 +128,14 @@ class _Grid:
         return self._level[1:]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# (problem by repr, resolution, eps_feas) -> _Grid, least recently used first
-_GRIDS: "OrderedDict[tuple, _Grid]" = OrderedDict()
-
-
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
-    """The feasible grid of p, evaluated once per process.  p is keyed by
-    repr, as expr's programs are; the records hold at most _MEMO_SIZE grids
-    and MAX_GRID_NODES rows in all, and the least recently used go first."""
-    key = (_ast_key(p), resolution, cfg.eps_feas)
-    grid = _GRIDS.pop(key, None)
-    if grid is None:
-        grid = _Grid(p, *_feasible_rows(p, resolution, cfg))
-        while _GRIDS and (len(_GRIDS) >= _MEMO_SIZE or len(grid.X) + sum(
-                len(g.X) for g in _GRIDS.values()) > MAX_GRID_NODES):
-            _GRIDS.popitem(last=False)
-    _GRIDS[key] = grid
-    return grid
+    """The feasible grid of p, evaluated once per process and kept in
+    sets' store; p is keyed by repr, as expr's programs are."""
+    return _kept(
+        ("feasible", _ast_key(p), resolution, cfg.eps_feas),
+        lambda: _Grid(p, *_feasible_rows(p, resolution, cfg)),
+        lambda grid: len(grid.X),
+    )
 
 
 def active_set(

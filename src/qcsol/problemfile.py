@@ -25,6 +25,7 @@ from .sets import (
     ConvexSetDescriptor,
     Halfspace,
     LinearEquality,
+    _kept,
     contains,
     sample_grid,
 )
@@ -256,7 +257,9 @@ def _json_document(text: str):
 
 
 def loads(text: str):
-    return load_problem(_json_document(text))
+    """load_problem of a document's text, loaded once per process and kept
+    in sets' store under the exact text: an edited document is new text."""
+    return _kept(("document", text), lambda: load_problem(_json_document(text)))
 
 
 def dumps(problem, known_solution=None, config=None) -> str:

@@ -8,13 +8,14 @@ curved sets are supported everywhere else.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionError, NonPolyhedralError
-from .expr import _dot, _norm
+from .expr import _MEMO_SIZE, _dot, _norm
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,32 @@ def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+# (kind, ...) -> (record, its rows), least recently used first: the
+# feasible grids, GP grids and problem documents this process keeps
+_KEPT: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def _kept(key: tuple, build, rows=lambda record: 0):
+    """build(), kept for the process under key.  The store holds at most
+    _MEMO_SIZE records and MAX_GRID_NODES rows in all, and the least
+    recently used go first; a failing build is not kept, so it raises
+    again on the next call."""
+    entry = _KEPT.pop(key, None)
+    if entry is None:
+        record = build()
+        entry = (record, rows(record))
+        while _KEPT and (len(_KEPT) >= _MEMO_SIZE or entry[1] + sum(
+                n for _, n in _KEPT.values()) > MAX_GRID_NODES):
+            _KEPT.popitem(last=False)
+    _KEPT[key] = entry
+    return entry[0]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError
-from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad
-from .sets import Box, check_grid_size, grid_nodes
+from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
+from .sets import Box, _frozen, _kept, check_grid_size, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,16 @@ class MLPair:
 
 
 def _grid_values(f: ExprAst, window: Box, resolution: int):
-    """The (N, n) array of grid nodes over the window, and f at each."""
-    X = grid_nodes(window, resolution)
-    return X, evaluate_many(f, X)
+    """The (N, n) array of grid nodes over the window, and f at each, as
+    read-only arrays evaluated once per process and kept in sets' store;
+    f and the window are keyed by repr, so 0.0 and -0.0 bounds differ."""
+
+    def build():
+        X = grid_nodes(window, resolution)
+        return _frozen(X), _frozen(evaluate_many(f, X))
+
+    key = ("gp", _ast_key(f), _ast_key(window), resolution)
+    return _kept(key, build, lambda grid: len(grid[0]))
 
 
 def _directions(vs, dimension: int) -> np.ndarray:
@@ -80,25 +87,31 @@ def gp_member(
 
 def default_gp_candidates(
     f: ExprAst, xbar, x, dimension: int, cfg: Config = DEFAULT_CONFIG
-) -> List[np.ndarray]:
-    """Structural candidate directions: coordinate rays, positive-orthant
-    samples, and the gradient directions at the two points when nonzero."""
-    cands: List[np.ndarray] = []
-    for i in range(dimension):
-        unit = np.zeros(dimension)
-        unit[i] = 1.0
-        cands.append(unit)
-    if dimension >= 2:
-        for combo in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)):
-            vec = np.ones(dimension)
-            vec[0], vec[1] = combo
-            cands.append(vec)
+) -> np.ndarray:
+    """Structural candidate directions, as the rows of a (k, dimension)
+    array: coordinate rays, positive-orthant samples, and the gradient
+    directions at the two points when nonzero."""
+    grads = []
     for point in (xbar, x):
         g = grad(f, np.asarray(point, dtype=float), dimension)
         nrm = _norm(g)
         if nrm > cfg.eps_grad:
-            cands.append(g / nrm)
-    return cands
+            grads.append(g / nrm)
+    rays = _gp_rays(dimension)
+    return np.vstack([rays, *grads]) if grads else rays
+
+
+@functools.lru_cache(maxsize=32)
+def _gp_rays(dimension: int) -> np.ndarray:
+    """The coordinate rays and positive-orthant samples of
+    default_gp_candidates, one read-only array built once per dimension."""
+    rows = list(np.eye(dimension))
+    if dimension >= 2:
+        for combo in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)):
+            vec = np.ones(dimension)
+            vec[0], vec[1] = combo
+            rows.append(vec)
+    return _frozen(np.array(rows))
 
 
 def gp_solution_check(

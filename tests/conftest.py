@@ -1,20 +1,21 @@
 import pytest
 
-from qcsol import kkt, sets
+from qcsol import kkt, sets, subdiff
 
 
 @pytest.fixture(autouse=True)
-def _cold_grids():
-    """Every test starts with no evaluated grid, so that no result or grid
-    count depends on the tests that ran before it."""
-    kkt._GRIDS.clear()
+def _cold_records():
+    """Every test starts with no kept record (feasible grid, GP grid or
+    problem document), so that no result or grid count depends on the
+    tests that ran before it."""
+    sets._KEPT.clear()
 
 
 @pytest.fixture()
 def grid_work(monkeypatch):
-    """The grids built (their resolutions) and the gradient batches taken
-    on grid records (their row counts) from now on, in call order, with
-    the grid memo cleared first."""
+    """The grids built (their resolutions), feasible or GP, and the
+    gradient batches taken on grid records (their row counts) from now
+    on, in call order, with the kept records cleared first."""
     work = {"grids": [], "gradients": []}
     nodes, gradients = sets.grid_nodes, kkt.grad_many
 
@@ -27,6 +28,7 @@ def grid_work(monkeypatch):
         return gradients(f, X, n)
 
     monkeypatch.setattr(sets, "grid_nodes", counted_nodes)
+    monkeypatch.setattr(subdiff, "grid_nodes", counted_nodes)
     monkeypatch.setattr(kkt, "grad_many", counted_gradients)
-    kkt._GRIDS.clear()
+    sets._KEPT.clear()
     return work

@@ -775,3 +775,36 @@ def test_fuzzed_problem_document_ends_in_a_report_or_a_json_error(tmp_path_facto
     with mock.patch.dict(os.environ, env):
         for argv in _document_argvs(str(path), doc):
             _run_captured(argv)
+
+
+def test_a_rewritten_problem_file_gives_the_new_answer(tmp_path, capsys):
+    path = Path(_write_problem(tmp_path, 1.0))
+    doc = json.loads(path.read_text())
+    answers = []
+    for objective in ("x1^2", "(x1 - 1)^2", "x1^2"):
+        path.write_text(json.dumps(dict(doc, objective=objective)))
+        assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 0
+        answers.append(_json_out(capsys)["solution_points"])
+    assert answers == [[[0.0]], [[1.0]], [[0.0]]]
+
+
+def test_a_warm_gp_subdiff_check_builds_no_grid(grid_work, tmp_path, capsys):
+    e = get_example("ex2_4")
+    path = tmp_path / "quadrant.json"
+    path.write_text(dumps(e.problem, known_solution=e.anchor))
+    nodes = sets.grid_nodes(e.problem.domain_window, e.resolution).tolist()
+    grid_work["grids"].clear()
+
+    def check(x):
+        argv = ["subdiff-check", "--problem", str(path), "--route", "gp",
+                "--point=" + ",".join(map(repr, x))]
+        return run(argv), capsys.readouterr()
+
+    cold = []
+    for x in nodes:
+        sets._KEPT.clear()
+        cold.append(check(x))
+    assert grid_work["grids"] == [21] * len(nodes)
+    assert [check(x) for x in nodes] == cold
+    assert grid_work["grids"] == [21] * len(nodes)
+    assert {code for code, _ in cold} == {0, 1}

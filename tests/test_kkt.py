@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qcsol.charac import enumerate_solution_set
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
-from qcsol import charac, expr, kkt
+from qcsol import charac, expr, kkt, sets
 from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
@@ -615,7 +615,7 @@ class TestGridMemo:
             first, second = _result(call), _result(call)
             assert first[0] is EvalError and first == second
         warm = brute_force_solutions(e.problem, 9)
-        kkt._GRIDS.clear()
+        sets._KEPT.clear()
         assert warm == brute_force_solutions(e.problem, 9)
 
     def test_signed_zeros_get_separate_records(self):
@@ -649,9 +649,9 @@ class TestGridMemo:
             cfg = replace(DEFAULT_CONFIG, eps_feas=eps)
             grid = kkt._grid(e.problem, 700, cfg)
             assert len(grid.X) > MAX_GRID_NODES // 3
-            held.append(sum(len(g.X) for g in kkt._GRIDS.values()))
+            held.append(sum(rows for _, rows in sets._KEPT.values()))
             assert kkt._grid(e.problem, 700, cfg) is grid
-        assert max(held) <= MAX_GRID_NODES and len(kkt._GRIDS) < 4
+        assert max(held) <= MAX_GRID_NODES and len(sets._KEPT) < 4
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_a_warm_grid_gives_the_cold_answers(self, name):
@@ -674,6 +674,6 @@ class TestGridMemo:
             ]
         cold = []
         for call in calls:
-            kkt._GRIDS.clear()
+            sets._KEPT.clear()
             cold.append(_result(call))
         assert [_result(call) for call in calls] == cold

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcsol import problemfile
+from qcsol import problemfile, sets
 from qcsol.core import ConstrainedProblem, Problem
 from qcsol.errors import ProblemFormatError
 from qcsol.problemfile import dumps, load_problem, loads
@@ -253,3 +253,33 @@ def test_parse_error_names_the_field(edit, field, message):
     with pytest.raises(ProblemFormatError) as info:
         load_problem(doc)
     assert str(info.value) == f"{field}: {message}"
+
+
+def test_the_same_text_loads_to_the_same_objects(monkeypatch):
+    e = get_example("ex2_3_constrained")
+    text = dumps(e.problem, known_solution=e.anchor)
+    first = loads(text)
+    parsed = []
+    monkeypatch.setattr(problemfile, "parse", lambda *a: parsed.append(a))
+    assert loads(text) is first
+    assert parsed == []
+    # the record is keyed by the exact text: the same JSON, spaced
+    # otherwise, is loaded again
+    monkeypatch.undo()
+    again = loads(text + "\n")
+    assert again == first and again[0] is not first[0]
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    json.dumps({"dimension": 1, "objective": "x1 +", "feasible_set": [],
+                "domain_window": {"lo": [0.0], "hi": [1.0]}}),
+], ids=["json", "objective"])
+def test_a_bad_document_raises_the_same_error_twice(text):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ProblemFormatError) as exc:
+            loads(text)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert not sets._KEPT

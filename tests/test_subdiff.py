@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsol import subdiff
+from qcsol import kkt, sets, subdiff
 from qcsol.config import DEFAULT_CONFIG, Config
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, EvalError
-from qcsol.expr import _dot, evaluate, parse
+from qcsol.expr import _dot, _norm, evaluate, grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import MAX_GRID_NODES, Box, ConvexSetDescriptor, grid_nodes
 from qcsol.subdiff import (
@@ -332,6 +332,69 @@ def test_gp_rejects_directions_of_another_dimension(quadrant):
     with pytest.raises(ValueError):
         gp_member(p.objective, xbar, (1.0,), p.domain_window)
     assert gp_solution_check(p, xbar, (0.0, -1.0), []) is False
+
+
+def _parent_gp_candidates(f, xbar, x, dimension, cfg):
+    """default_gp_candidates as a list built afresh on every call: the
+    reference for the rays kept once per dimension."""
+    cands = []
+    for i in range(dimension):
+        unit = np.zeros(dimension)
+        unit[i] = 1.0
+        cands.append(unit)
+    if dimension >= 2:
+        for combo in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)):
+            vec = np.ones(dimension)
+            vec[0], vec[1] = combo
+            cands.append(vec)
+    for point in (xbar, x):
+        g = grad(f, np.asarray(point, dtype=float), dimension)
+        nrm = _norm(g)
+        if nrm > cfg.eps_grad:
+            cands.append(g / nrm)
+    return cands
+
+
+def test_default_gp_candidates_keep_the_parents_order_and_verdicts(quadrant):
+    p, xbar, cfg = quadrant.problem, quadrant.anchor, DEFAULT_CONFIG
+    seen = set()
+    for x in grid_nodes(p.domain_window, 21):
+        want = _parent_gp_candidates(p.objective, xbar, x, 2, cfg)
+        got = default_gp_candidates(p.objective, xbar, x, 2, cfg)
+        assert got.tobytes() == np.array(want).tobytes()
+        verdict = gp_solution_check(p, xbar, x)
+        assert verdict is gp_solution_check(p, xbar, x, want), x
+        seen.add(verdict)
+    assert seen == {True, False}
+    for dim in (1, 3):  # a zero gradient adds no direction to the rays
+        f, zero = parse("0", dim), np.zeros(dim)
+        rays = default_gp_candidates(f, zero, zero, dim)
+        assert rays.tobytes() == np.array(_parent_gp_candidates(f, zero, zero, dim, cfg)).tobytes()
+        assert not rays.flags.writeable and default_gp_candidates(f, zero, zero, dim) is rays
+
+
+def test_gp_grids_are_kept_read_only_per_window(quadrant):
+    f, w = quadrant.problem.objective, quadrant.problem.domain_window
+    grid = subdiff._grid_values(f, w, 21)
+    assert subdiff._grid_values(f, Box(tuple(w.lo), tuple(w.hi)), 21) is grid
+    assert not grid[0].flags.writeable and not grid[1].flags.writeable
+    # a -0.0 upper bound is the last node on its axis
+    up, down = (Box(w.lo, (2.0, z)) for z in (0.0, -0.0))
+    assert up == down
+    a, b = subdiff._grid_values(f, up, 5), subdiff._grid_values(f, down, 5)
+    assert a is not b and a[0].tolist() == b[0].tolist() and a[0].tobytes() != b[0].tobytes()
+
+
+def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
+    f, w = quadrant.problem.objective, quadrant.problem.domain_window
+    p = get_example("ex2_3").problem
+    feasible = kkt._grid(p, 700, DEFAULT_CONFIG)
+    grid = subdiff._grid_values(f, w, 830)
+    assert len(feasible.X) + len(grid[0]) > MAX_GRID_NODES
+    assert [rows for _, rows in sets._KEPT.values()] == [len(grid[0])]
+    # each evicts the other when it is evaluated again
+    assert kkt._grid(p, 700, DEFAULT_CONFIG) is not feasible
+    assert subdiff._grid_values(f, w, 830) is not grid
 
 
 def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
