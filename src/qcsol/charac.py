@@ -32,6 +32,9 @@ from .expr import _at, _dot, _norm, grad, grad_many
 from .sets import contains_many
 
 
+_PAIRS = 1 << 16  # the most solution pairs classify_dichotomy compares at once
+
+
 def classify_dichotomy(
     p: Problem, known_solutions: Sequence, cfg: Config = DEFAULT_CONFIG
 ) -> DichotomyReport:
@@ -43,16 +46,19 @@ def classify_dichotomy(
     """
     if not len(known_solutions):
         raise ValueError("need at least one known solution")
-    X = np.array([as_point(x, p.dimension) for x in known_solutions])
+    # one conversion; where it fails, as_point reads the points one by one,
+    # so that the first bad point raises its own error
+    try:
+        X = np.asarray(known_solutions, dtype=float)
+        read = X.ndim == 2 and X.shape[1] == p.dimension and np.isfinite(X).all()
+    except (ValueError, TypeError, OverflowError):
+        read = False
+    if not read:
+        X = np.array([as_point(x, p.dimension) for x in known_solutions])
     outside = ~contains_many(p.feasible_set, X, cfg.eps_feas)
     if outside.any():
         raise ValueError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
-    return _dichotomy(X, grad_many(p.objective, X, p.dimension), cfg)
-
-
-def _dichotomy(X: np.ndarray, G: np.ndarray, cfg: Config) -> DichotomyReport:
-    """classify_dichotomy of the feasible solutions X, the rows of a (k, n)
-    array with k >= 1, whose gradients are the rows of G."""
+    G = grad_many(p.objective, X, p.dimension)
     norms = _norm(G.T)
     witnesses = tuple(zip(map(tuple, X.tolist()), norms.tolist()))
 
@@ -64,13 +70,19 @@ def _dichotomy(X: np.ndarray, G: np.ndarray, cfg: Config) -> DichotomyReport:
             "solutions mix zero and nonzero gradients; inputs are not all "
             "minimizers or tolerances are miscalibrated"
         )
-    for i in range(len(X) - 1):
-        # the condition table's cosine distance, with solution i as the anchor
-        far = _cosine_distance(G[i + 1:].T, norms[i + 1:], G[i], norms[i]) > cfg.eps_dir
+    # the condition table's cosine distance of each pair (i, j), i < j,
+    # with solution i as the anchor, for a block of rows i at a time
+    k = len(X)
+    rows = max(1, _PAIRS // k)
+    for lo in range(0, k - 1, rows):
+        i = np.arange(lo, min(lo + rows, k - 1))
+        cd = _cosine_distance(G.T[:, None, :], norms, G[i].T[:, :, None], norms[i, None])
+        far = (cd > cfg.eps_dir) & (np.arange(k) > i[:, None])
         if far.any():
+            first, j = np.argwhere(far)[0]
             raise InconsistentDichotomyError(
-                f"normalized gradients at {_at(X[i])} and "
-                f"{_at(X[i + 1 + far.argmax()])} differ beyond tolerance"
+                f"normalized gradients at {_at(X[i[first]])} and "
+                f"{_at(X[j])} differ beyond tolerance"
             )
     mean = np.mean(G / norms[:, None], axis=0)
     common = mean / _norm(mean)

@@ -270,11 +270,11 @@ def _cmd_run_example(args):
     cfg = _base_config(args)
     problem, anchor, resolution = entry.problem, entry.anchor, entry.resolution
     report = {"example": entry.name, "description": entry.description}
+    res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
         resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
-        checks = oracle.grid_checks(problem, anchor, resolution, lam=lam, cfg=cfg)
-        res, covered = checks.oracle, checks.solutions_in_X1
+        covered = all(kkt.member_X1(problem, anchor, lam, x, cfg) for x in res.solution_points)
         report.update(
             {
                 "lambdas": list(lam.lambdas),
@@ -288,15 +288,17 @@ def _cmd_run_example(args):
         )
         return report, covered
 
-    variants = _AGREEMENT_VARIANTS if args.check == "all" else None
-    checks = oracle.grid_checks(problem, anchor, resolution, variants, cfg=cfg)
-    report["alternative"] = checks.dichotomy.alternative
-    report["oracle_min"] = checks.oracle.min_value
-    report["oracle_count"] = len(checks.oracle.solution_points)
-    agreements = {v.value: rep.equal for v, rep in checks.agreements.items()}
-    if args.check == "all":
-        report["agreement"] = agreements
-    return report, all(agreements.values())
+    alternative = charac.classify_dichotomy(problem, res.solution_points, cfg).alternative
+    report["alternative"] = alternative
+    report["oracle_min"] = res.min_value
+    report["oracle_count"] = len(res.solution_points)
+    if args.check != "all":
+        return report, True
+    report["agreement"] = {
+        v.value: oracle.agreement(problem, anchor, v, resolution, cfg=cfg).equal
+        for v in _AGREEMENT_VARIANTS[alternative]
+    }
+    return report, all(report["agreement"].values())
 
 
 # ---------------------------------------------------------------------------

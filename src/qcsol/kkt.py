@@ -107,13 +107,11 @@ class _Grid:
         self.p, self.X, self.C = p, _frozen(X), _frozen(C)
         self._G = self._values = self._level = None
 
-    def gradients(self, rows=None) -> np.ndarray:
-        """The gradients at every row, kept, or at the rows of the mask rows."""
-        if self._G is None and rows is not None:
-            return grad_many(self.p.objective, self.X[rows], self.p.dimension)
+    def gradients(self) -> np.ndarray:
+        """The gradients at every row."""
         if self._G is None:
             self._G = _frozen(grad_many(self.p.objective, self.X, self.p.dimension))
-        return self._G if rows is None else self._G[rows]
+        return self._G
 
     def level_set(self, eps_opt: float):
         """The least objective value and the mask of rows within eps_opt of it."""

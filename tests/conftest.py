@@ -1,6 +1,6 @@
 import pytest
 
-from qcsol import kkt, sets, subdiff
+from qcsol import charac, kkt, sets, subdiff
 
 
 @pytest.fixture(autouse=True)
@@ -14,8 +14,9 @@ def _cold_records():
 @pytest.fixture()
 def grid_work(monkeypatch):
     """The grids built (their resolutions), feasible or GP, and the
-    gradient batches taken on grid records (their row counts) from now
-    on, in call order, with the kept records cleared first."""
+    gradient batches (their row counts) taken on grid records and by
+    classify_dichotomy from now on, in call order, with the kept records
+    cleared first."""
     work = {"grids": [], "gradients": []}
     nodes, gradients = sets.grid_nodes, kkt.grad_many
 
@@ -30,5 +31,6 @@ def grid_work(monkeypatch):
     monkeypatch.setattr(sets, "grid_nodes", counted_nodes)
     monkeypatch.setattr(subdiff, "grid_nodes", counted_nodes)
     monkeypatch.setattr(kkt, "grad_many", counted_gradients)
+    monkeypatch.setattr(charac, "grad_many", counted_gradients)
     sets._KEPT.clear()
     return work

@@ -1,6 +1,7 @@
 """Dichotomy classification and characterization membership."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qcsol.charac import (
     membership,
 )
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.core import CharacVariant, DichotomyReport, Problem
+from qcsol.core import CharacVariant, DichotomyReport, Problem, as_point
 from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
 from qcsol.expr import _dot, _norm, grad as charac_grad, parse
 from qcsol.registry import get_example
@@ -119,6 +120,59 @@ def test_dichotomy_equals_the_per_pair_loop(case):
     got = _outcome(lambda: classify_dichotomy(p, pts))
     want = _outcome(lambda: _dichotomy_per_pair(p, pts))
     # the same alternative, witnesses and direction bytes, or the same error
+    assert repr(got) == repr(want)
+
+
+@given(_dichotomy_cases(), st.sampled_from([1, 2, 5, 13]))
+@settings(max_examples=100, deadline=None)
+def test_dichotomy_in_blocks_of_rows_equals_the_per_pair_loop(case, pairs):
+    # at most pairs cosine distances per array: blocks of one row or more,
+    # so the first failing pair may lie in any block
+    p, pts = case
+    with mock.patch.object(charac, "_PAIRS", pairs):
+        got = _outcome(lambda: classify_dichotomy(p, pts))
+    assert repr(got) == repr(_outcome(lambda: _dichotomy_per_pair(p, pts)))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1.0, 0.0), (1.5, 0.0)],
+        np.array([[1.0, 0.0], [2.0, 0.0]]),
+        [("1", "0"), ("1.5", "-0")],
+        [(1.0, 0.0), (1.5, 0.0, 0.0)],
+        [(1.0, _NAN), (1.5, 0.0, 0.0)],
+        [(1.0, 0.0), (1.5, _NAN)],
+        [(1.0, 0.0), (_INF, 0.0)],
+        [(1.0, 0.0, 0.0), (1.5, 0.0, 0.0)],
+        [(1.0, 0.0, 0.0), (_NAN, 0.0, 0.0)],
+        (1.0, 0.0),
+        [[(1.0, 0.0)]],
+        ["10", "15"],
+        [(1.0, 0.0), ("1,5", "0")],
+        [(1.0, 0.0), (1j, 0.0)],
+        [(1.0, 0.0), (10**400, 0)],
+    ],
+    ids=["tuples", "array", "numeric-strings", "ragged", "non-finite-then-ragged",
+         "nan", "inf", "wrong-dimension", "wrong-dimension-then-nan", "flat-point",
+         "nested", "strings", "bad-string", "complex", "huge-int"],
+)
+def test_dichotomy_reads_its_solutions_as_the_per_point_loop(points):
+    # the one-array read falls back to as_point on each point, so the first
+    # bad point raises what as_point raises at it
+    p = get_example("ex2_1").problem
+
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: classify_dichotomy(p, points))
+    want = outcome(lambda: _dichotomy_per_pair(p, [as_point(x, 2) for x in points]))
     assert repr(got) == repr(want)
 
 

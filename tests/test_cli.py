@@ -18,6 +18,7 @@ import qcsol
 from qcsol import cli, sets
 from qcsol.core import CharacVariant
 from qcsol.cli import run
+from qcsol.oracle import brute_force_solutions
 from qcsol.problemfile import dumps
 from qcsol.registry import get_example
 from test_kkt import _count_constraint_evaluations
@@ -461,24 +462,28 @@ def test_unknown_example_message_is_plain_text(capsys, argv):
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_run_example_builds_one_grid(grid_work, capsys, name):
-    resolution = get_example(name).resolution
+    e = get_example(name)
     assert run(["run-example", name, "--check", "all"]) == 0
-    assert grid_work["grids"] == [resolution]
+    assert grid_work["grids"] == [e.resolution]
+    # a plain example takes the dichotomy's batch at the oracle's k
+    # solutions, then one batch at all N rows for the agreements; the
+    # constrained one takes none
+    res = brute_force_solutions(e.problem, e.resolution)
+    k, N = len(res.solution_points), res.grid_size
+    plain = name != "ex2_3_constrained"
+    assert grid_work["gradients"] == ([k, N] if plain else [])
     # warm: the same run, and an enumeration at the same resolution, build
-    # no grid; the second run takes no gradient batch
-    taken = list(grid_work["gradients"])
+    # no grid; the run takes the dichotomy's batch alone, and the
+    # enumeration reads the kept all-rows batch, or takes it
     assert run(["run-example", name, "--check", "all"]) == 0
-    assert grid_work["gradients"] == taken
     enumerate_argv = (
-        ["kkt-enumerate", "--example", name, "--variant", "SP1"]
-        if name == "ex2_3_constrained"
-        else ["enumerate", "--example", name, "--variant", "STILDE"]
+        ["enumerate", "--example", name, "--variant", "STILDE"]
+        if plain
+        else ["kkt-enumerate", "--example", name, "--variant", "SP1"]
     )
-    run(enumerate_argv + ["--resolution", str(resolution)])
-    assert grid_work["grids"] == [resolution]
-    # the constrained run-example takes no gradients on the grid, so there
-    # the enumeration takes the first batch
-    assert grid_work["gradients"] == taken or name == "ex2_3_constrained"
+    run(enumerate_argv + ["--resolution", str(e.resolution)])
+    assert grid_work["grids"] == [e.resolution]
+    assert grid_work["gradients"] == ([k, N, k] if plain else [N])
 
 
 def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):

@@ -34,9 +34,10 @@ _MULTIPLIER_VARIANTS = (
 
 
 def _argvs():
-    """About a hundred argv lists at low resolution: the plain examples
+    """About 140 argv lists at low resolution: the plain examples
     through every unconstrained subcommand, the constrained one through
-    the multiplier subcommands, and the anchor and input errors."""
+    the multiplier subcommands, the anchor and input errors, and
+    run-example under each tolerance flag."""
     argvs = []
     for name, point in _PLAIN.items():
         ex = ["--example", name]
@@ -80,6 +81,16 @@ def _argvs():
         ["verify-membership", "--example", "ex2_3", "--variant", "S1", "--point", "2,2"],
         ["classify", "--example", "ex2_3", "--resolution", "9"],
     ]
+    # run-example under each tolerance flag; an eps_grad of 1e9 reads
+    # every gradient as zero, so every plain example becomes alternative II
+    for name in (*_PLAIN, "ex2_3_constrained"):
+        all_checks = ["run-example", name, "--check", "all"]
+        argvs += [
+            *(all_checks + ["--eps-grad", v] for v in ("1e-3", "0.3", "1e9")),
+            all_checks + ["--eps-dir", "0"],
+            all_checks + ["--eps-feas", "0.01"],
+            all_checks + ["--eps-act", "0.5"],
+        ]
     return argvs
 
 

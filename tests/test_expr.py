@@ -1,6 +1,7 @@
 """Parser, evaluator, and forward-mode differentiation tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -434,27 +435,33 @@ _SMOOTH_ASTS = st.recursive(
 )
 
 
-def _to_sympy(e, sp, xs):
+def _to_sympy(e, sp, xs, values=None):
     """The expression in sympy, every constant as the exact rational of its
-    float."""
+    float.  Given a list values, every node's result is appended to it,
+    operands before their node."""
     if isinstance(e, Const):
-        return sp.Rational(e.value)
-    if isinstance(e, Var):
-        return xs[e.index - 1]
-    if isinstance(e, Neg):
-        return -_to_sympy(e.operand, sp, xs)
-    if isinstance(e, Sqrt):
-        return sp.sqrt(_to_sympy(e.operand, sp, xs))
-    if isinstance(e, Pow):
-        return _to_sympy(e.base, sp, xs) ** e.exponent
-    left, right = _to_sympy(e.left, sp, xs), _to_sympy(e.right, sp, xs)
-    if isinstance(e, Add):
-        return left + right
-    if isinstance(e, Sub):
-        return left - right
-    if isinstance(e, Mul):
-        return left * right
-    return left / right
+        v = sp.Rational(e.value)
+    elif isinstance(e, Var):
+        v = xs[e.index - 1]
+    elif isinstance(e, Neg):
+        v = -_to_sympy(e.operand, sp, xs, values)
+    elif isinstance(e, Sqrt):
+        v = sp.sqrt(_to_sympy(e.operand, sp, xs, values))
+    elif isinstance(e, Pow):
+        v = _to_sympy(e.base, sp, xs, values) ** e.exponent
+    else:
+        left, right = _to_sympy(e.left, sp, xs, values), _to_sympy(e.right, sp, xs, values)
+        if isinstance(e, Add):
+            v = left + right
+        elif isinstance(e, Sub):
+            v = left - right
+        elif isinstance(e, Mul):
+            v = left * right
+        else:
+            v = left / right
+    if values is not None:
+        values.append(v)
+    return v
 
 
 def _slope_size(e, sp, xs, s):
@@ -487,6 +494,23 @@ def _slope_size(e, sp, xs, s):
     return l / r, (ml + abs(l / r) * mr) / abs(r)
 
 
+# the least normal double, 2.2250738585072014e-308
+_MIN_NORMAL = sys.float_info.min
+
+
+def _underflows(e, sp, point) -> bool:
+    """Whether the exact value of some node of e at point, a tuple of
+    sympy Rationals, is nonzero and below the least normal double in
+    magnitude.  Float evaluation rounds it to a subnormal or to zero, and
+    forward mode then differentiates another program (docs/grammar.md,
+    "Known limit: underflow")."""
+    tiny, values = sp.Rational(_MIN_NORMAL), []
+    _to_sympy(e, sp, point, values)
+    return any(
+        v.is_zero is False and v.is_finite and bool(abs(v) < tiny) for v in values
+    )
+
+
 @given(_SMOOTH_ASTS, st.floats(-2, 2), st.floats(-2, 2))
 @example(Mul(Var(1), Div(Const(0.3), Var(1))), 4.888661471630653e-15, 0.0)
 @settings(max_examples=100, deadline=None)
@@ -500,6 +524,8 @@ def test_grad_agrees_with_sympy(f, a, b):
         assume(False)
     xs = sp.symbols("x1 x2")
     point = {xs[0]: sp.Rational(a), xs[1]: sp.Rational(b)}
+    # an underflowed intermediate changes the program that is differentiated
+    assume(not _underflows(f, sp, tuple(point.values())))
     symbolic = _to_sympy(f, sp, xs)
     for i, s in enumerate(xs):
         exact = sp.diff(symbolic, s).evalf(30, subs=point)
@@ -507,6 +533,22 @@ def test_grad_agrees_with_sympy(f, a, b):
         assume(exact.is_finite and size.is_finite)
         # rounding in the float evaluation, relative to the slope's terms
         assert abs(g[i] - float(exact)) <= 1e-12 * (1.0 + float(size)), (i, exact, size)
+
+
+def test_an_underflowed_intermediate_changes_the_differentiated_program():
+    # x1*x1 underflows to 0, so the float program is 0 / x1: its value is
+    # 0.0, and the quotient rule (u' - (u/v) v') / v with u = 0 gives
+    # u' / v = 2, where d(x1*x1/x1)/dx1 = 1 (docs/grammar.md)
+    f = parse("x1*x1/x1", 2)
+    assert f == Div(Mul(Var(1), Var(1)), Var(1))
+    x = [2.3789477329612417e-199, 0.0]
+    assert evaluate(f, x) == 0.0
+    assert grad(f, x, 2).tolist() == [2.0, 0.0]
+    assert grad_many(f, np.array([x]), 2).tolist() == [[2.0, 0.0]]
+    # the sympy cross-check skips this point, but not one where x1*x1 is normal
+    sp = pytest.importorskip("sympy")
+    assert _underflows(f, sp, (sp.Rational(x[0]), sp.Rational(x[1])))
+    assert not _underflows(f, sp, (sp.Rational(1e-150), sp.Rational(0)))
 
 
 class TestCompileMemo:

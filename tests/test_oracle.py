@@ -1,12 +1,17 @@
 """Brute-force grid oracle."""
 
+import itertools
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import classify_dichotomy, enumerate_solution_set, membership
-from qcsol import oracle, sets
+from qcsol import sets
+from qcsol.cli import _AGREEMENT_VARIANTS, run
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
 from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
 from qcsol.expr import evaluate, parse
@@ -114,35 +119,28 @@ def test_agreement_builds_one_grid(grid_work):
 
 
 @pytest.mark.parametrize("name", ["ex2_1", "ex2_4"])
-def test_grid_checks_share_one_grid_and_one_gradient_array(grid_work, name):
+def test_run_example_shares_one_grid_and_one_gradient_array(grid_work, capsys, name):
     e = get_example(name)
-    variants = {"I": (CharacVariant.S1, CharacVariant.T3), "II": (CharacVariant.STILDE,)}
-    rows = grid_work["gradients"]
-    summary = oracle.grid_checks(e.problem, e.anchor, 9)
-    res = brute_force_solutions(e.problem, 9)
-    # without variants, one grid, and gradients at the oracle's solutions only
-    assert summary.oracle == res and grid_work["grids"] == [9]
-    assert rows == [len(res.solution_points)]
-    assert summary.dichotomy == classify_dichotomy(e.problem, res.solution_points)
-    assert summary.agreements == {} and summary.solutions_in_X1 is None
-    rows.clear()
-    full = oracle.grid_checks(e.problem, e.anchor, 9, variants)
-    assert rows == [res.grid_size] and full.dichotomy == summary.dichotomy
-    listed = variants[full.dichotomy.alternative]
-    assert full.agreements == {v: agreement(e.problem, e.anchor, v, 9) for v in listed}
-    # warm: the summary now reads the kept gradients
-    assert oracle.grid_checks(e.problem, e.anchor, 9) == summary
-    assert grid_work["grids"] == [9] and rows == [res.grid_size]
-
-
-@pytest.mark.parametrize("name", ["ex2_1", "ex2_3_constrained"])
-def test_grid_checks_refuses_a_multiplier_with_variants_before_any_grid(grid_work, name):
-    e = get_example(name)
-    with pytest.raises(ValueError, match="a multiplier or variants, not both"):
-        oracle.grid_checks(
-            e.problem, e.anchor, 9, {"I": (CharacVariant.SP1,)}, lam=MultiplierVector((0.5,))
-        )
-    assert grid_work["grids"] == []
+    res = brute_force_solutions(e.problem, e.resolution)
+    k, N = len(res.solution_points), res.grid_size
+    # the summary: one grid, and gradients at the oracle's solutions only
+    assert run(["run-example", name]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k]
+    # every check: the dichotomy's batch again, and one batch at all rows
+    assert run(["run-example", name, "--check", "all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, k, N]
+    dichotomy = classify_dichotomy(e.problem, res.solution_points)
+    assert "agreement" not in summary and {**summary, "agreement": report["agreement"]} == report
+    assert report["alternative"] == dichotomy.alternative
+    assert (report["oracle_min"], report["oracle_count"]) == (res.min_value, k)
+    assert report["agreement"] == {
+        v.value: agreement(e.problem, e.anchor, v, e.resolution).equal
+        for v in _AGREEMENT_VARIANTS[dichotomy.alternative]
+    }
+    # the questions asked here again: only the dichotomy takes a batch
+    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, k, N, k]
 
 
 def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):
@@ -200,3 +198,62 @@ def test_oracle_raises_the_first_failing_point():
     p = Problem(parse("sqrt(x1)", 1), ConvexSetDescriptor(1, ()), 1, Box((-1.0,), (1.0,)))
     with pytest.raises(EvalError, match="sqrt of negative value"):
         brute_force_solutions(p, 5)
+
+
+# An exact oracle for alternative II.  The flat-bottomed objective
+# sum_i ((x_i - u_i)_+)^2 + ((l_i - x_i)_+)^2 is C1 and convex; it and its
+# gradient vanish exactly on the box [l, u], and it is positive off it.
+# So its solution set on S is [l, u] ∩ S when that is nonempty, and with
+# dyadic data on the nodes of [-2, 2] at resolution 9 (steps of 0.5) every
+# value, gradient and membership is exact.
+_NODES = tuple(k / 2 for k in range(-4, 5))
+_DYADIC = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def _flat_bottomed(l, u):
+    return " + ".join(
+        f"pw[x{i} <= {lo}: ({lo} - x{i})^2; x{i} >= {lo} & x{i} <= {hi}: 0;"
+        f" x{i} >= {hi}: (x{i} - {hi})^2]"
+        for i, (lo, hi) in enumerate(zip(l, u), 1)
+    )
+
+
+@st.composite
+def _flat_bottomed_cases(draw):
+    """The bottom [l, u] on grid nodes, S a box on grid nodes or a
+    halfspace with dyadic data, and the grid nodes in [l, u] ∩ S."""
+    n = draw(st.integers(1, 3))
+
+    def box():
+        pairs = [sorted(draw(st.lists(st.sampled_from(_NODES), min_size=2, max_size=2)))
+                 for _ in range(n)]
+        return tuple(lo for lo, _ in pairs), tuple(hi for _, hi in pairs)
+
+    l, u = box()
+    if draw(st.booleans()):
+        atom = Box(*box())
+        inside = lambda x: all(lo <= c <= hi for lo, c, hi in zip(atom.lo, x, atom.hi))
+    else:
+        atom = Halfspace(tuple(draw(_DYADIC) for _ in range(n)),
+                         draw(st.sampled_from([k / 4 for k in range(-8, 9)])))
+        inside = lambda x: sum(a * c for a, c in zip(atom.a, x)) <= atom.b
+    exact = {x for x in itertools.product(_NODES, repeat=n)
+             if inside(x) and all(lo <= c <= hi for lo, c, hi in zip(l, x, u))}
+    assume(exact)
+    window = Box((-2.0,) * n, (2.0,) * n)
+    p = Problem(parse(_flat_bottomed(l, u), n), ConvexSetDescriptor(n, (atom,)), n, window)
+    return p, exact
+
+
+@given(_flat_bottomed_cases())
+@settings(max_examples=40, deadline=None)
+def test_flat_bottomed_solution_set_is_the_box_within_s(case):
+    p, exact = case
+    res = brute_force_solutions(p, 9)
+    assert res.min_value == 0.0
+    assert len(res.solution_points) == len(exact) and set(res.solution_points) == exact
+    assert classify_dichotomy(p, res.solution_points).alternative == "II"
+    anchor = min(exact)
+    assert set(enumerate_solution_set(p, anchor, CharacVariant.STILDE, 9)) == exact
+    rep = agreement(p, anchor, CharacVariant.STILDE, 9)
+    assert rep.equal and rep.oracle == res
