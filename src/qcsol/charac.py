@@ -27,7 +27,8 @@ from .core import (
     Problem,
     as_point,
 )
-from .errors import HypothesisViolatedError, InconsistentDichotomyError, NotOpenGroundSetError
+from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
+                     NotOpenGroundSetError)
 from .expr import _at, _dot, _norm, grad, grad_many
 from .sets import contains_many
 
@@ -309,11 +310,11 @@ def _check_kind(p, lam, variant: CharacVariant) -> None:
     """Refuse a problem or variant of the other kind: without a multiplier,
     a plain problem and a plain variant; with one, a multiplier variant."""
     if lam is None and isinstance(p, ConstrainedProblem):
-        raise ValueError("a constrained problem needs a multiplier; use kkt.enumerate_constrained")
+        raise InputError("a constrained problem needs a multiplier; use kkt.enumerate_constrained")
     if lam is None and variant.requires_multiplier:
-        raise ValueError(f"{variant.value} needs a multiplier; use kkt.membership_constrained")
+        raise InputError(f"{variant.value} needs a multiplier; use kkt.membership_constrained")
     if lam is not None and not variant.requires_multiplier:
-        raise ValueError(f"{variant.value} needs no multiplier; use charac.membership or "
+        raise InputError(f"{variant.value} needs no multiplier; use charac.membership or "
                          "charac.enumerate_solution_set")
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional
 from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem
-from .errors import ProblemFormatError, QcsolError
+from .errors import InputError, QcsolError
 from .problemfile import _json_document, config_from_json, loads
 from .registry import get_example
 from .sets import Box
@@ -394,7 +394,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK
     except UsageError as exc:
         error, message, code = "usage", str(exc), EXIT_USAGE
-    except (ProblemFormatError, OSError, KeyError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         error, message, code = "input", str(exc), EXIT_USAGE
     except QcsolError as exc:
         error, message, code = type(exc).__name__, str(exc), EXIT_NUMERIC

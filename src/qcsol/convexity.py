@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import EvalError
+from .errors import EvalError, InputError
 from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad, grad_many
 from .sets import Box, grid_nodes
 
@@ -36,7 +36,7 @@ class ConvexityReport:
 
 def _require_count(name: str, value: int) -> None:
     if value < 0:
-        raise ValueError(f"{name} must be >= 0")
+        raise InputError(f"{name} must be >= 0")
 
 
 def _draws(window: Box, rng: np.random.Generator, margin: float, rows: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def _draws(window: Box, rng: np.random.Generator, margin: float, rows: int) -> n
     lo = np.asarray(window.lo) + margin
     hi = np.asarray(window.hi) - margin
     if np.any(hi < lo):
-        raise ValueError(f"window {window!r} is narrower than 2 * delta_open = {2 * margin!r}")
+        raise InputError(f"window {window!r} is narrower than 2 * delta_open = {2 * margin!r}")
     return rng.uniform(lo, hi, size=(rows, len(lo)))
 
 
@@ -114,7 +114,7 @@ def check_levelset_convex(
 ) -> bool:
     """Midpoint convexity of the lower level set {f <= alpha} on the grid."""
     if resolution < 3:
-        raise ValueError("resolution must be >= 3")
+        raise InputError("resolution must be >= 3")
     nodes = grid_nodes(window, resolution)
     level = nodes[evaluate_many(f, nodes) <= alpha]
     holds = True

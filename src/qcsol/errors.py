@@ -59,5 +59,10 @@ class EmptyGridError(QcsolError):
     """No feasible grid point inside the window."""
 
 
-class ProblemFormatError(QcsolError):
+class InputError(QcsolError, ValueError):
+    """Input refused at the boundary: a bad document, a problem or variant
+    of the wrong kind, or a window or size no grid or sampler takes."""
+
+
+class ProblemFormatError(InputError):
     """Invalid JSON problem file."""

@@ -324,12 +324,16 @@ def _branch(x, hits, branches, n):
 
 def _powers(base, k: int, lower: Optional[int] = None):
     """_pow on every entry: Python's float ** int (libm pow), once per
-    distinct bit pattern, the pair's two powers from one np.unique pass;
-    np.power differs from it in the last bit on some inputs."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(base).view(np.int64), return_inverse=True
-    )
-    floats = bits.view(np.float64).tolist()
+    distinct bit pattern, found by one sort of the bits; np.power differs
+    from it in the last bit on some inputs."""
+    bits = np.ascontiguousarray(base).view(np.int64)
+    order = bits.argsort()
+    ranked = bits[order]
+    first = np.ones(len(bits), dtype=bool)  # where a new bit pattern starts
+    first[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    floats = ranked[first].view(np.float64).tolist()
     try:
         value = np.array([b ** k for b in floats])[inverse]
         if lower is None:
@@ -366,29 +370,34 @@ def _abs_slope_rows(v, d):
 
 def _branch_rows(x, hits, branches, n):
     """_branch on every row: each branch runs on the rows its guard holds
-    at, and a row takes its first such branch's results."""
+    at (all rows for an empty guard), and a row keeps the results of the
+    first branch that takes it, which a later one must match there."""
     N = len(x[0])
-    hits = [np.broadcast_to(hit, N) for hit in hits]
-    if not np.all(np.any(hits, axis=0)):
-        raise EvalError("point outside every piecewise guard")
     value, derivs = np.empty(N), [np.empty(N) for _ in range(n)]
-    seen = np.zeros(N, dtype=bool)
+    taken = np.zeros(N, dtype=bool)
     for hit, branch in zip(hits, branches):
-        rows = np.flatnonzero(hit)
-        if rows.size == 0:
+        rows = np.arange(N) if hit is True else hit.nonzero()[0]
+        if not rows.size:
             continue
         v, ds = branch([c[rows] for c in x])
-        new, old = ~seen[rows], rows[seen[rows]]
-        v = np.broadcast_to(v, rows.shape)
-        if np.any(np.abs(v[~new] - value[old]) > _EPS_VAL):
-            raise BoundaryMismatchError("branch values differ")
-        value[rows[new]] = v[new]
+        shared = taken[rows]
+        if np.count_nonzero(shared):  # rows an earlier branch took keep its results
+            prev = value[rows]
+            if np.count_nonzero(shared & (np.abs(v - prev) > _EPS_VAL)):
+                raise BoundaryMismatchError("branch values differ")
+            v, kept = np.where(shared, prev, v), []
+            for out, d in zip(derivs, ds):
+                prev = out[rows]
+                if np.count_nonzero(shared & (np.abs(d - prev) > _EPS_DIR * (1.0 + np.abs(prev)))):
+                    raise BoundaryMismatchError("branch gradients differ")
+                kept.append(np.where(shared, prev, d))
+            ds = kept
+        value[rows] = v
         for out, d in zip(derivs, ds):
-            d = np.broadcast_to(d, rows.shape)
-            if np.any(np.abs(d[~new] - out[old]) > _EPS_DIR * (1.0 + np.abs(out[old]))):
-                raise BoundaryMismatchError("branch gradients differ")
-            out[rows[new]] = d[new]
-        seen[rows] = True
+            out[rows] = d
+        taken[rows] = True
+    if np.count_nonzero(taken) < N:
+        raise EvalError("point outside every piecewise guard")
     return value, tuple(derivs)
 
 
@@ -481,7 +490,7 @@ def _batch(f: Expr, Xv: np.ndarray, n: int):
         G = np.empty((len(Xv), n))
         for i, d in enumerate(derivs):
             G[:, i] = d
-        if np.all(np.isfinite(values)) and np.all(np.isfinite(G)):
+        if np.isfinite(values).all() and np.isfinite(G).all():
             return values, G
     except EvalError:
         pass

@@ -14,7 +14,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, NonPolyhedralError
+from .errors import DimensionError, InputError, NonPolyhedralError
 from .expr import _MEMO_SIZE, _dot, _norm
 
 
@@ -28,9 +28,9 @@ class Box:
             raise DimensionError("box lo/hi lengths differ")
         # infinite bounds are allowed, NaN is not (it would pass lo > hi)
         if any(math.isnan(v) for v in (*self.lo, *self.hi)):
-            raise ValueError("box has a NaN bound")
+            raise InputError("box has a NaN bound")
         if any(l > h for l, h in zip(self.lo, self.hi)):
-            raise ValueError("box has lo > hi")
+            raise InputError("box has lo > hi")
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def check_grid_size(resolution: int, dim: int) -> None:
     """Refuse a grid of resolution nodes per axis in dim dimensions that
     has fewer than 2 per axis or more than MAX_GRID_NODES in all."""
     if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+        raise InputError("resolution must be >= 2")
     if resolution ** dim > MAX_GRID_NODES:
-        raise ValueError(
+        raise InputError(
             f"a grid of {resolution}^{dim} nodes exceeds the limit of {MAX_GRID_NODES} nodes"
         )
 
@@ -134,7 +134,7 @@ def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
     check_grid_size(resolution, len(window.lo))
     if not all(map(math.isfinite, (*window.lo, *window.hi))):
-        raise ValueError(f"a grid needs a finite window, got {window!r}")
+        raise InputError(f"a grid needs a finite window, got {window!r}")
     axes = [
         np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
     ]

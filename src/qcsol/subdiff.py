@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
 from .sets import Box, _frozen, _kept, check_grid_size, grid_nodes
 
@@ -77,7 +77,7 @@ def gp_member(
     to amortize the grid evaluation over many calls.
     """
     if resolution < 3:
-        raise ValueError("resolution must be >= 3")
+        raise InputError("resolution must be >= 3")
     x0v = np.asarray(x0, dtype=float)
     f0 = evaluate(f, x0v)
     grid = _grid if _grid is not None else _grid_values(f, window, resolution)
@@ -130,7 +130,7 @@ def gp_solution_check(
     witness was found in the candidate family.
     """
     if resolution < 3:
-        raise ValueError("resolution must be >= 3")
+        raise InputError("resolution must be >= 3")
     window = window or p.domain_window
     xb = as_point(xbar, p.dimension)
     xv = as_point(x, p.dimension)
@@ -151,12 +151,11 @@ def gp_solution_check(
 class _Window:
     """f on the grid of a 1-D window, reduced to what every halfline
     infimum reads: the grid, the running minima of the values from either
-    end, and the values at the edge-trend points."""
+    end in one lookup table, and the values at the edge-trend points."""
 
     ys: np.ndarray
-    prefix_min: np.ndarray  # prefix_min[i] = min(values[: i + 1])
-    suffix_min: np.ndarray  # suffix_min[i] = min(values[i:])
-    trend: tuple            # f at lo, lo + step, hi, hi - step
+    minima: np.ndarray  # min over ys[i:] at i, -inf, -inf, min over ys[:k] at len(ys) + 1 + k
+    trend: tuple  # f at lo, lo + step, hi, hi - step
 
 
 def _window(f: ExprAst, window: Box, resolution: int) -> _Window:
@@ -167,16 +166,15 @@ def _window(f: ExprAst, window: Box, resolution: int) -> _Window:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     check_grid_size(resolution, 1)
     lo, hi = window.lo[0], window.hi[0]
-    ys = np.linspace(lo, hi, resolution)
     step = (hi - lo) / (resolution - 1)
-    values = evaluate_many(f, np.concatenate([ys, [lo, lo + step, hi, hi - step]])[:, None])
+    X = np.empty((resolution + 4, 1))
+    X[:resolution, 0] = np.linspace(lo, hi, resolution)
+    X[resolution:, 0] = lo, lo + step, hi, hi - step
+    values = evaluate_many(f, X)
     grid = values[:resolution]
-    return _Window(
-        ys,
-        np.minimum.accumulate(grid),
-        np.minimum.accumulate(grid[::-1])[::-1],
-        tuple(values[resolution:].tolist()),
-    )
+    return _Window(X[:resolution, 0], np.concatenate([
+        np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
+    ]), tuple(values[resolution:].tolist()))
 
 
 def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
@@ -190,25 +188,20 @@ def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np
     node bounds nothing and reads -inf.
     """
     ys = w.ys
-    lo, hi = ys[0], ys[-1]
     pos, neg = V > 0.0, V < 0.0
-    zero = ~(pos | neg)
     with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 takes no cut
         cut = T / V
     # the grid part of the region: ys[start:] for v > 0, ys[:stop] for v < 0
-    start = np.searchsorted(ys, cut - eps, side="left")
-    stop = np.where(np.isnan(cut), 0, np.searchsorted(ys, cut + eps, side="right"))
-    inside = zero | (pos & (start < len(ys))) | (neg & (stop > 0))
-    inner = np.where(
-        pos,
-        w.suffix_min[np.minimum(start, len(ys) - 1)],
-        np.where(neg, w.prefix_min[np.maximum(stop - 1, 0)], w.suffix_min[0]),
-    )
-    lo_tail, hi_tail = ~pos | (cut < lo), ~neg | (cut > hi)
+    start = ys.searchsorted(cut - eps, side="left")
+    stop = np.where(np.isnan(cut), 0, ys.searchsorted(cut + eps, side="right"))
+    inf = w.minima[np.where(pos, start, np.where(neg, stop + (len(ys) + 1), 0))]
     lo_out, lo_in, hi_out, hi_in = w.trend
-    falls = (lo_tail & (lo_out < lo_in - eps)) | (hi_tail & (hi_out < hi_in - eps))
-    inf = np.where(inside & ~falls, inner, -np.inf)
-    return np.where(zero & (T > 0.0), np.inf, inf)  # empty constraint region
+    if lo_out < lo_in - eps:  # the regions that reach past lo fall without bound
+        inf[~pos | (cut < ys[0])] = -np.inf
+    if hi_out < hi_in - eps:
+        inf[~neg | (cut > ys[-1])] = -np.inf
+    inf[~(pos | neg) & (T > 0.0)] = np.inf  # empty constraint region
+    return inf
 
 
 def ml_member_1d(
@@ -223,7 +216,7 @@ def ml_member_1d(
     v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
     infimum read off the window as ml_solution_check_1d reads it."""
     w = _window(f, window, resolution)
-    V, T = np.array([pair.v], dtype=float), np.array([pair.t], dtype=float)
+    V, T = _slopes_thresholds([pair])
     inf = _halfline_infima(w, V, T, cfg.eps_feas)[0]
     if pair.v * x < pair.t - cfg.eps_feas:
         return False
@@ -246,9 +239,15 @@ def default_ml_pairs(
 
 
 @functools.lru_cache(maxsize=32)
-def _ml_pairs(lo: float, hi: float) -> Tuple[MLPair, ...]:
-    """default_ml_pairs of the 1-D window [lo, hi], built once per window."""
-    return tuple(default_ml_pairs(Box((lo,), (hi,))))
+def _ml_pairs(lo: float, hi: float) -> np.ndarray:
+    """default_ml_pairs of the 1-D window [lo, hi] as one read-only array,
+    built once per window: the slopes, then the thresholds."""
+    return _frozen(_slopes_thresholds(default_ml_pairs(Box((lo,), (hi,)))))
+
+
+def _slopes_thresholds(pairs: Sequence[MLPair]) -> np.ndarray:
+    """The pairs' slopes and thresholds, as the two rows of one array."""
+    return np.array([[q.v for q in pairs], [q.t for q in pairs]], dtype=float)
 
 
 def ml_solution_check_1d(
@@ -272,26 +271,24 @@ def ml_solution_check_1d(
     f = p.objective
     window = window or p.domain_window
     w = _window(f, window, resolution)
-    if candidate_pairs is None:
-        candidate_pairs = _ml_pairs(window.lo[0], window.hi[0])
+    V, T = (_ml_pairs(window.lo[0], window.hi[0]) if candidate_pairs is None
+            else _slopes_thresholds(candidate_pairs))
     eps = cfg.eps_feas
-    V = np.array([pair.v for pair in candidate_pairs], dtype=float)
-    T = np.array([pair.t for pair in candidate_pairs], dtype=float)
     inf = _halfline_infima(w, V, T, eps)
+    floor = T - eps
 
-    def members(point: float, among: np.ndarray) -> np.ndarray:
+    def members(point: float, among=True) -> np.ndarray:
         # f(point) is evaluated only when some pair passes v * point >= t
-        paired = among & ~(V * point < T - eps)
-        if not paired.any():
+        paired = among & ~(V * point < floor)
+        if not np.count_nonzero(paired):
             return paired
         return paired & (inf >= evaluate(f, [point]) - eps)
 
-    at_x = members(x, np.ones(len(V), dtype=bool))
-    if not at_x.any():
+    at_x = members(x)
+    if not np.count_nonzero(at_x):
         return False
     if form == "M2":
-        return bool(np.any(at_x & (V * xbar >= T - eps)))
+        return bool(np.count_nonzero(at_x & (V * xbar >= floor)))
     if form != "M1":
         raise ValueError("form must be 'M1' or 'M2'")
     return bool(members(xbar, at_x).any())
-

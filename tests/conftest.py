@@ -1,6 +1,18 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from qcsol import charac, kkt, sets, subdiff
+
+# Tier-1 draws the same hypothesis examples on every run, so that it
+# passes or fails on the code alone.  QCSOL_HYPOTHESIS_PROFILE=explore
+# draws fresh examples on each run, and keeps the failing ones in
+# .hypothesis/, to search beyond them; each @settings block keeps its own
+# max_examples under either profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("QCSOL_HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(autouse=True)

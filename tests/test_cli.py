@@ -18,6 +18,7 @@ import qcsol
 from qcsol import cli, sets
 from qcsol.core import CharacVariant
 from qcsol.cli import run
+from qcsol.errors import InputError
 from qcsol.oracle import brute_force_solutions
 from qcsol.problemfile import dumps
 from qcsol.registry import get_example
@@ -310,6 +311,29 @@ def test_negative_sampler_size_is_a_usage_error(capsys, flag, value):
     assert json.loads(captured.err) == {
         "error": "usage", "message": f"{flag} must be a nonnegative integer"
     }
+
+
+@pytest.mark.parametrize("fault", [ValueError("internal"), KeyError("internal")])
+def test_a_fault_inside_qcsol_is_not_an_input_error(monkeypatch, fault):
+    # only InputError (and an unreadable file) is bad input; any other
+    # ValueError or KeyError is a bug and leaves as a traceback
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli.oracle, "brute_force_solutions", fail)
+    with pytest.raises(type(fault)):
+        run(["oracle", "--example", "ex2_1", "--resolution", "5"])
+
+
+def test_an_input_error_from_inside_qcsol_is_reported_as_input(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise InputError("refused")
+
+    monkeypatch.setattr(cli.oracle, "brute_force_solutions", refuse)
+    assert run(["oracle", "--example", "ex2_1", "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "message": "refused"}
 
 
 def test_oversized_grid_is_an_input_error(capsys):
@@ -673,7 +697,7 @@ def _argvs(draw):
     _FAULTS, or none, in which case every value is one argparse accepts."""
     name, actions = draw(st.sampled_from(_subcommands()))
     fault = draw(st.sampled_from([None, None, None, *_FAULTS]))
-    if fault == "missing-required" and not any(a.required for a in actions):
+    if fault == "missing-required" and not any(a.required and a.option_strings for a in actions):
         fault = None
     argv = [] if fault == "no-subcommand" else [name]
     for action in actions:
@@ -709,7 +733,7 @@ def _run_captured(argv):
     return code, report["error"]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None)
 @given(_argvs())
 def test_fuzzed_argv_ends_in_a_report_or_a_json_error(case):
     argv, rejected = case
@@ -767,7 +791,7 @@ def test_document_fuzz_runs_every_problem_subcommand():
     assert {a[0] for a in argvs} == {name for name, _ in _subcommands()} - {"run-example"}
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@settings(max_examples=120, deadline=None)
 @given(_documents())
 @example((_HUGE_DIMENSION, None))
 def test_fuzzed_problem_document_ends_in_a_report_or_a_json_error(tmp_path_factory, case):

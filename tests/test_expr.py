@@ -12,6 +12,7 @@ from qcsol.core import Problem
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 from qcsol.expr import (
     _MAX_DEPTH,
+    _powers,
     Abs,
     Add,
     Const,
@@ -272,15 +273,29 @@ _LEAVES = st.one_of(
     st.builds(Var, st.integers(1, 2)),
     st.builds(Const, st.sampled_from([0.0, 1.0, -2.0, 0.5, 3.0, 1e-3, 1e150])),
 )
-_INEQS = st.builds(
-    LinearIneq,
-    st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 0.5]), st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
-    st.sampled_from([0.0, 0.5, -0.25, 1.0]),
+_INEQS = st.one_of(
+    st.builds(
+        LinearIneq,
+        st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 0.5]), st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
+        st.sampled_from([0.0, 0.5, -0.25, 1.0]),
+    ),
+    st.just(LinearIneq((0.0, 0.0), -1.0)),  # holds at no point: its branch takes no row
 )
 
 
+def _thrice(guard, e):
+    """Three branches on one guard: each row it holds at is taken three
+    times, by bodies that agree within the boundary tolerances where e is
+    small (but not bit for bit: the row keeps the first's results) and
+    differ where e is large."""
+    near = Const(1.0 + 2.0 ** -40)
+    return Piecewise(((guard, e), (guard, Mul(e, near)), (guard, Mul(near, e))))
+
+
 def _extend(children):
-    branch = st.tuples(st.lists(_INEQS, min_size=1, max_size=2).map(tuple), children)
+    # an empty guard holds everywhere (the compiled guard is the constant True)
+    guard = st.lists(_INEQS, min_size=0, max_size=2).map(tuple)
+    branch = st.tuples(guard, children)
     return st.one_of(
         st.builds(Add, children, children),
         st.builds(Sub, children, children),
@@ -291,10 +306,12 @@ def _extend(children):
         st.builds(Sqrt, children),
         st.builds(Abs, children),
         st.builds(Piecewise, st.lists(branch, min_size=1, max_size=3).map(tuple)),
+        st.builds(_thrice, guard, children),
     )
 
 
 _ASTS = st.recursive(_LEAVES, _extend, max_leaves=8)
+_THRICE = _thrice((), Var(1))  # every row is shared, and the slopes differ too
 _COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0, 1e-300, 1e200, -1e100,
                      float("inf"), float("nan")]),
@@ -305,6 +322,7 @@ _BATCHES = st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=12)
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @given(_ASTS, _BATCHES)
+@example(_THRICE, [(0.5, 1.0), (-3.0, 0.0)])
 @settings(max_examples=200, deadline=None)
 def test_evaluate_many_equals_rowwise_evaluate(f, rows):
     X = np.array(rows, dtype=float)
@@ -322,6 +340,36 @@ def test_evaluate_many_equals_rowwise_evaluate(f, rows):
             evaluate_many(f, X)
         assert type(info.value) is type(first_error)
         assert str(info.value) == str(first_error)
+
+
+# Bases for _powers: signed zeros, NaN, infinities, subnormals, values
+# whose powers overflow, and any float, drawn with repeats
+_BASES = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 1e-160, 1e200,
+                                   float("nan"), float("inf"), float("-inf")])
+                  | st.floats(allow_subnormal=True), min_size=1, max_size=3)
+
+
+@given(_BASES.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12)),
+       st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_powers_are_the_per_entry_python_powers(entries, k):
+    # _powers reads each distinct bit pattern once; every entry, repeated
+    # or not, must still get Python's own b ** k and b ** (k - 1)
+    base = np.array(entries, dtype=float)
+    try:
+        want = [np.array([b ** j for b in entries], dtype=float) for j in (k, k - 1)]
+    except OverflowError:
+        with pytest.raises(EvalError, match="power overflows"):
+            _powers(base, k, k - 1)
+        return
+    got = _powers(base, k, k - 1)
+    assert [g.view(np.int64).tolist() for g in got] == [w.view(np.int64).tolist() for w in want]
+    assert _powers(base, k).view(np.int64).tolist() == want[0].view(np.int64).tolist()
+
+
+def test_powers_of_a_constant_base_and_of_no_rows():
+    assert _powers(3.0, 2, 1)[0].tolist() == [9.0] and _powers(3.0, 2, 1)[1].tolist() == [3.0]
+    assert [a.shape for a in _powers(np.empty(0), 3, 2)] == [(0,), (0,)]
 
 
 def _grad_outcome(f, x):
@@ -397,6 +445,7 @@ def test_gradient_values_are_evaluate_values():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @given(_ASTS, _BATCHES)
+@example(_THRICE, [(0.5, 1.0), (-3.0, 0.0)])
 @settings(max_examples=200, deadline=None)
 def test_grad_many_equals_rowwise_grad(f, rows):
     X = np.array(rows, dtype=float)

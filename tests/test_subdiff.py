@@ -93,6 +93,15 @@ class TestMartinezLegaz:
             MLPair(1.0, 0.0), MLPair(1.0, 1.0), MLPair(1.0, 2.0)
         ]
 
+    def test_default_pair_arrays_are_read_only_and_built_once(self, flat):
+        w = flat.problem.domain_window
+        V, T = subdiff._ml_pairs(w.lo[0], w.hi[0])
+        assert not V.flags.writeable and not T.flags.writeable
+        pairs = default_ml_pairs(w)
+        assert V.tobytes() == np.array([q.v for q in pairs]).tobytes()
+        assert T.tobytes() == np.array([q.t for q in pairs]).tobytes()
+        assert subdiff._ml_pairs(w.lo[0], w.hi[0]) is subdiff._ml_pairs(w.lo[0], w.hi[0])
+
     def test_solution_check_accepts_a_window_built_from_lists(self, flat):
         p = flat.problem
         w = p.domain_window
