@@ -10,6 +10,7 @@ it too.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Dict, List, Sequence
 
@@ -29,8 +30,8 @@ from .core import (
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import _at, _dot, _norm, grad, grad_many
-from .sets import contains_many
+from .expr import _at, _dot, _norm, evaluate, grad, grad_many
+from .sets import contains, contains_many
 
 
 _PAIRS = 1 << 16  # the most solution pairs classify_dichotomy compares at once
@@ -181,9 +182,9 @@ class _Rows:
     gradient at the anchor xb.  sets maps each set condition to the mask
     of the points in its set, and active lists (i, grad g_i(xb)) for the
     strict-multiplier constraints i.  One point and its gradient can be
-    given as vectors instead: every column is then a scalar, and point()
-    gives the residuals of that point.  Each condition adds its
-    residuals, in order, and its verdict to member.
+    given as vectors instead: every column is then a scalar.  Each
+    condition returns its (residual name, value, verdict, shown) entries,
+    in order, where shown marks the points whose residual is reported.
     """
 
     def __init__(self, X: np.ndarray, G: np.ndarray, xb: np.ndarray, g0: np.ndarray,
@@ -199,76 +200,58 @@ class _Rows:
             "dot_gap": point_dot - anchor_dot,
             "gradient_norm": self.gnorm,
         }
-        self.member = np.ones(X.shape[:-1], dtype=bool)
-        self.residuals: Dict[str, object] = {}
-        self.shown: Dict[str, object] = {}  # residual -> where it is reported
 
-    def report(self, name: str, value, ok, shown=None) -> None:
-        self.residuals[name] = value
-        self.member &= ok
-        if shown is not None:
-            self.shown[name] = shown
-
-    def threshold(self, name: str, value, form, limit: float, above: bool = False) -> None:
-        """form(value) > limit if above, else form(value) <= limit."""
+    def threshold(self, name: str, value, form, limit: float, above: bool = False) -> tuple:
+        """The entry of form(value) > limit if above, else form(value) <= limit."""
         t = form(value)
-        self.report(name, value, t > limit if above else t <= limit)
+        return name, value, t > limit if above else t <= limit, True
 
-    def decide(self, variant: CharacVariant, cfg: Config) -> "_Rows":
-        for name in _CONDITIONS[variant]:
-            _DECIDE[name](self, cfg)
-        return self
+    def decide(self, variant: CharacVariant, cfg: Config):
+        """The variant's verdict, the AND of its row's conditions, and
+        their entries in order."""
+        entries = [e for name in _CONDITIONS[variant] for e in _DECIDE[name](self, cfg)]
+        return functools.reduce(operator.and_, (ok for _, _, ok, _ in entries)), entries
 
-    def in_set(self, name: str) -> None:
+    def in_set(self, name: str) -> list:
         """The caller's mask of the points in the set; reads 0 in it, 1 out."""
         mask = self.sets[name]
-        self.report(name, np.where(mask, 0.0, 1.0), mask)
+        return [(name, np.where(mask, 0.0, 1.0), mask, True)]
 
-    def cosine_distance(self):
-        return _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm)
-
-    def same_direction(self, cfg: Config) -> None:
+    def same_direction(self, cfg: Config) -> list:
         """Nonzero gradients at the point and at the anchor, at cosine
         distance at most eps_dir; the distance reads 2 where a gradient
         is zero."""
         small = (self.gnorm <= cfg.eps_grad) | (self.g0norm <= cfg.eps_grad)
-        cd = np.where(small, 2.0, self.cosine_distance())
-        self.report("cosine_distance", cd, ~small & (cd <= cfg.eps_dir))
+        cd = np.where(small, 2.0, _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm))
+        return [("cosine_distance", cd, ~small & (cd <= cfg.eps_dir), True)]
 
-    def same_unit_gradient(self, cfg: Config) -> None:
+    def same_unit_gradient(self, cfg: Config) -> list:
         """Cosine distance at most eps_dir from the anchor gradient,
         reported only where the gradient at the point is nonzero."""
-        cd = self.cosine_distance()
-        self.report("cosine_distance", cd, cd <= cfg.eps_dir, shown=self.gnorm > cfg.eps_grad)
+        cd = _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm)
+        return [("cosine_distance", cd, cd <= cfg.eps_dir, self.gnorm > cfg.eps_grad)]
 
-    def positive_factor(self, cfg: Config) -> None:
+    def positive_factor(self, cfg: Config) -> list:
         """Both gradients zero, or grad f(x) = p grad f(xbar) with p > 0
         (collinearity_factor's test)."""
         zero, zero0 = self.gnorm <= cfg.eps_grad, self.g0norm <= cfg.eps_grad
         factor, gap = _collinearity(self.g0, self.G)
         found = ~zero & ~zero0 & ~(factor <= 0.0) & ~(gap > cfg.eps_dir * self.gnorm)
         holds = (zero & zero0) | found
-        self.report("collinearity_gap", np.where(holds, 0.0, np.inf), holds)
-        self.report("collinearity_factor", factor, True, shown=found)
+        return [("collinearity_gap", np.where(holds, 0.0, np.inf), holds, True),
+                ("collinearity_factor", factor, True, found)]
 
-    def active_dots(self, form, cfg: Config) -> None:
+    def active_dots(self, form, cfg: Config) -> list:
         """form(grad g_i(xbar) . (x - xbar)) <= eps_feas for each
         strict-multiplier constraint i."""
-        for i, gi in self.active:
-            self.threshold(f"active_gradient_dot_{i}", _dot(gi, self.d), form, cfg.eps_feas)
-
-    def point(self) -> Dict[str, float]:
-        """The residuals of the one point the columns are scalars of."""
-        return {
-            name: float(value) for name, value in self.residuals.items()
-            if self.shown.get(name, True)
-        }
+        return [self.threshold(f"active_gradient_dot_{i}", _dot(gi, self.d), form, cfg.eps_feas)
+                for i, gi in self.active]
 
 
 def _threshold(key: str, form, tol: str, above: bool = False):
     """The condition form(values[key]) <= cfg.tol, or > it if above.  The
     forms apply to floats and to numpy arrays alike."""
-    return lambda rows, cfg: rows.threshold(key, rows.values[key], form, getattr(cfg, tol), above)
+    return lambda rows, cfg: [rows.threshold(key, rows.values[key], form, getattr(cfg, tol), above)]
 
 
 # condition name -> how _Rows decides it
@@ -299,8 +282,7 @@ def enumerate_solution_set(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid points of the domain window whose membership verdict is positive."""
-    _check_kind(p, None, variant)
-    return _enumerate(p, xbar, None, variant, kkt._grid(p, resolution, cfg), cfg)
+    return _enumerate(p, xbar, None, variant, resolution, cfg)
 
 
 # The one decision path of all 24 variants.  lam is None for a plain
@@ -335,24 +317,29 @@ def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
 
 
 def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipVerdict:
-    """The verdict and residuals of one point, on the scalar path."""
+    """The verdict and residuals of one point."""
     _check_kind(p, lam, variant)
     xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     xv = as_point(x, p.dimension)
-    sets = kkt._masks(p, xv, tilde, cfg)
+    in_S = contains(p.ground_set, xv, cfg.eps_feas)
+    sets = kkt._masks(in_S, np.array([evaluate(g, xv) for g in p.constraints]), tilde, cfg)
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
-        rows = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
-    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(rows.member), rows.point())
+        member, entries = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
+    residuals = {name: float(value) for name, value, _, shown in entries if shown}
+    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(member), residuals)
 
 
-def _enumerate(p, xbar, lam, variant: CharacVariant, grid, cfg: Config) -> List[tuple]:
-    """The rows of the feasible grid record grid (kkt._grid) in the
-    variant's set, as tuples in grid order.  The caller checks the kind
-    first; an empty grid returns [] and checks nothing."""
+def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config) -> List[tuple]:
+    """The rows of p's feasible grid (kkt._grid) in the variant's set, as
+    tuples in grid order.  The kind is checked before the grid is read;
+    an empty grid returns [] and checks no anchor."""
+    _check_kind(p, lam, variant)
+    grid = kkt._grid(p, resolution, cfg)
     if not len(grid.X):
         return []
     xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     with np.errstate(all="ignore"):
-        rows = _Rows(grid.X, grid.gradients(), xb, g0, kkt._masks(p, grid, tilde, cfg), active)
-        return list(map(tuple, grid.X[rows.decide(variant, cfg).member].tolist()))
+        sets = kkt._masks(True, grid.C, tilde, cfg)  # every row is in S
+        member, _ = _Rows(grid.X, grid.gradients(), xb, g0, sets, active).decide(variant, cfg)
+        return list(map(tuple, grid.X[member].tolist()))

@@ -224,7 +224,7 @@ def _cmd_agreement(args):
 def _cmd_kkt_solve(args):
     problem, anchor, cfg = _load(args)
     lam = kkt.solve_multipliers(problem, anchor, cfg)
-    resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
+    resid = kkt._stationarity(problem, anchor, lam, cfg)
     return {
         "lambdas": list(lam.lambdas),
         "rank_deficient": lam.rank_deficient,
@@ -273,7 +273,7 @@ def _cmd_run_example(args):
     res = oracle.brute_force_solutions(problem, resolution, cfg=cfg)
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
-        resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
+        resid = kkt._stationarity(problem, anchor, lam, cfg)
         covered = all(kkt.member_X1(problem, anchor, lam, x, cfg) for x in res.solution_points)
         report.update(
             {

@@ -2,10 +2,10 @@
 qualifications, Lagrange multipliers and the multiplier-based
 characterizations.
 
-The feasible-set functions (is_feasible to strict_index_set, and the
-set-condition masks) take a plain Problem too: the case with no
-constraints, whose ground set is its feasible set.  active_set, and so
-every multiplier question, refuses an anchor that is_feasible refuses.
+The feasible-set functions (is_feasible to strict_index_set) take a
+plain Problem too: the case with no constraints, whose ground set is its
+feasible set.  Every multiplier question refuses an anchor that
+is_feasible refuses (_feasible_anchor).
 """
 
 from __future__ import annotations
@@ -216,6 +216,12 @@ def stationarity_residual(
     minus the normal cone N: max|resid + N mu| at the minimizer of the LP
     min t over mu >= 0 with |resid + N mu| <= t, or max|resid| (mu = 0)
     where that is smaller (docs/theorems.md)."""
+    _feasible_anchor(cp, as_point(xbar, cp.dimension), cfg)
+    return _stationarity(cp, xbar, lam, cfg)
+
+
+def _stationarity(cp: ConstrainedProblem, xbar, lam: MultiplierVector, cfg: Config) -> float:
+    """stationarity_residual at an anchor that solve_multipliers accepted."""
     xb = as_point(xbar, cp.dimension)
     resid = grad(cp.objective, xb, cp.dimension).copy()
     for i, g in enumerate(cp.constraints):
@@ -251,19 +257,17 @@ def member_X1(
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
     tilde = strict_index_set(cp, xbar, lam, cfg)
-    return bool(_masks(cp, xv, tilde, cfg)["in_X1"])
+    values = np.array([evaluate(g, xv) for g in cp.constraints])
+    return bool(_masks(True, values, tilde, cfg)["in_X1"])
 
 
-def _masks(p, X, tilde: tuple, cfg: Config) -> dict:
-    """The masks of the set conditions at one point X (n,), or at each row
-    of a feasible grid record X: in_feasible_set (x in S),
+def _masks(in_S, values: np.ndarray, tilde: tuple, cfg: Config) -> dict:
+    """The masks of the set conditions, from the mask in_S of x in the
+    ground set and the constraint values at x, (m,) at one point or
+    (m, N) at the N rows of a grid: in_feasible_set (x in S),
     constraints_feasible (every g_i(x) <= 0) and in_X1, whose
     strict-multiplier indices are tilde (docs/theorems.md gives the
-    formulas).  One point stays on the scalar path, contains and evaluate;
-    a record's rows are in S, and it holds their constraint values."""
-    grid = isinstance(X, _Grid)
-    in_S = np.ones(len(X.X), dtype=bool) if grid else contains(p.ground_set, X, cfg.eps_feas)
-    values = X.C if grid else np.array([evaluate(g, X) for g in p.constraints])
+    formulas)."""
     feasible, in_X1 = True, in_S
     for i, v in enumerate(values):
         feasible = feasible & (v <= cfg.eps_feas)
@@ -292,8 +296,7 @@ def enumerate_constrained(
     cfg: Config = DEFAULT_CONFIG,
 ) -> List[tuple]:
     """Grid enumeration of a primed/double-primed characterization."""
-    charac._check_kind(cp, lam, variant)
-    return charac._enumerate(cp, xbar, lam, variant, _grid(cp, resolution, cfg), cfg)
+    return charac._enumerate(cp, xbar, lam, variant, resolution, cfg)
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:

@@ -64,7 +64,7 @@ def agreement(
     if evaluate(p.objective, xb) > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(xb)} is not in the oracle solution set")
     oracle_set = set(result.solution_points)
-    enumerated = set(_enumerate(p, xbar, None, variant, _grid(p, resolution, cfg), cfg))
+    enumerated = set(_enumerate(p, xbar, None, variant, resolution, cfg))
     missing = tuple(sorted(oracle_set - enumerated))
     extra = tuple(sorted(enumerated - oracle_set))
     return OracleAgreement(not missing and not extra, missing, extra, result)

@@ -68,19 +68,17 @@ def gp_member(
     window: Box,
     resolution: int = 21,
     cfg: Config = DEFAULT_CONFIG,
-    _grid=None,
 ) -> bool:
     """Sampled test of v in the Greenberg-Pierskalla subdifferential at x0.
 
     False iff some grid point x has v.(x - x0) >= 0 and f(x) < f(x0),
-    within tolerances.  A precomputed (points, values) pair can be passed
-    to amortize the grid evaluation over many calls.
+    within tolerances.
     """
     if resolution < 3:
         raise InputError("resolution must be >= 3")
     x0v = np.asarray(x0, dtype=float)
     f0 = evaluate(f, x0v)
-    grid = _grid if _grid is not None else _grid_values(f, window, resolution)
+    grid = _grid_values(f, window, resolution)
     V = _directions([v], grid[0].shape[1])
     return bool(_gp_members(V, x0v, f0, grid, cfg.eps_feas)[0])
 

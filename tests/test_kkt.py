@@ -92,13 +92,30 @@ class TestFeasibility:
 def test_multiplier_questions_refuse_an_infeasible_anchor(surd):
     lam = solve_multipliers(surd.problem, surd.anchor)
     for ask in (active_set, solve_multipliers, check_gmfcq,
-                lambda cp, x: strict_index_set(cp, x, lam)):
+                lambda cp, x: strict_index_set(cp, x, lam),
+                lambda cp, x: stationarity_residual(cp, x, lam)):
         with pytest.raises(HypothesisViolatedError, match=r"^anchor \(2.0, 2.0\) is not feasible$"):
             ask(surd.problem, (2.0, 2.0))
 
 
+@pytest.mark.parametrize("solved", [True, False])
+def test_member_x1_equals_the_grid_mask_at_every_feasible_row(solved):
+    # the point question and the enumeration's grid path read one _masks
+    e = get_example("ex2_3_constrained")
+    cp, cfg = e.problem, DEFAULT_CONFIG
+    lam = solve_multipliers(cp, e.anchor) if solved else MultiplierVector((0.0,))
+    grid = kkt._grid(cp, e.resolution, cfg)
+    tilde = strict_index_set(cp, e.anchor, lam, cfg)
+    mask = kkt._masks(True, grid.C, tilde, cfg)["in_X1"]
+    got = [member_X1(cp, e.anchor, lam, x, cfg) for x in grid.X]
+    assert got == mask.tolist()
+    # lambda = 0 puts every feasible row in X1; the solved one, the circle
+    assert all(got) if not solved else 0 < sum(got) < len(got)
+
+
 def _count_constraint_evaluations(monkeypatch):
-    """The points at which kkt evaluates a constraint, as tuples."""
+    """The points at which kkt or charac evaluates a constraint, as tuples
+    (charac evaluates a membership point's constraints)."""
     points = []
 
     def counted(g, x):
@@ -106,6 +123,7 @@ def _count_constraint_evaluations(monkeypatch):
         return expr.evaluate(g, x)
 
     monkeypatch.setattr(kkt, "evaluate", counted)
+    monkeypatch.setattr(charac, "evaluate", counted)
     return points
 
 

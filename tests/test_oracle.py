@@ -13,7 +13,7 @@ from qcsol.charac import classify_dichotomy, enumerate_solution_set, membership
 from qcsol import sets
 from qcsol.cli import _AGREEMENT_VARIANTS, run
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
-from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError
+from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError, InputError
 from qcsol.expr import evaluate, parse
 from qcsol.kkt import enumerate_constrained, feasible_grid
 from qcsol.oracle import OracleResult, agreement, brute_force_solutions
@@ -86,6 +86,28 @@ def test_empty_grid():
                             1, Box((0.0,), (1.0,)))
     with pytest.raises(EmptyGridError):
         brute_force_solutions(cp, 5)
+
+
+def test_each_question_checks_kind_then_grid_then_anchor():
+    # no node of the window [0, 1] meets x1 >= 5, and the anchor 0.5 does not
+    p = Problem(parse("x1", 1), ConvexSetDescriptor(1, (Halfspace((-1.0,), -5.0),)), 1,
+                Box((0.0,), (1.0,)))
+    cp = ConstrainedProblem(parse("x1", 1), (parse("x1 - 10", 1),),
+                            ConvexSetDescriptor(1, (Halfspace((-1.0,), -5.0),)), 1,
+                            Box((0.0,), (1.0,)))
+    lam = MultiplierVector((0.0,))
+    wrong_kind = [
+        lambda: enumerate_solution_set(p, (0.5,), CharacVariant.SP1, 5),
+        lambda: enumerate_constrained(cp, (0.5,), lam, CharacVariant.S1, 5),
+        lambda: agreement(p, (0.5,), CharacVariant.SP1, 5),
+    ]
+    for ask in wrong_kind:
+        with pytest.raises(InputError):
+            ask()
+    assert enumerate_solution_set(p, (0.5,), CharacVariant.S1, 5) == []
+    assert enumerate_constrained(cp, (0.5,), lam, CharacVariant.SP1, 5) == []
+    with pytest.raises(EmptyGridError):
+        agreement(p, (0.5,), CharacVariant.S1, 5)
 
 
 def test_a_non_finite_window_is_refused_in_both_problem_forms():
