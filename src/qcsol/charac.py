@@ -30,8 +30,8 @@ from .core import (
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import _at, _dot, _norm, evaluate, grad, grad_many
-from .sets import contains, contains_many
+from .expr import _ast_key, _at, _dot, _norm, evaluate, grad, grad_many
+from .sets import _kept, contains, contains_many
 
 
 _PAIRS = 1 << 16  # the most solution pairs classify_dichotomy compares at once
@@ -96,14 +96,14 @@ def check_anchor_hypothesis(
 ) -> np.ndarray:
     """Validate the anchor point and return its gradient.  p may be a
     ConstrainedProblem: the anchor must then meet its constraints too."""
-    xb = as_point(xbar, p.dimension)
-    kkt._feasible_anchor(p, xb, cfg)
-    g0 = grad(p.objective, xb, p.dimension)
-    if variant in _NEEDS_ANCHOR_GRADIENT and _norm(g0) <= cfg.eps_grad:
+    anchor = kkt._anchor_record(p, xbar, cfg)
+    anchor.values  # refuses an anchor that is not feasible
+    g0, g0norm = anchor.gradient
+    if variant in _NEEDS_ANCHOR_GRADIENT and g0norm <= cfg.eps_grad:
         raise HypothesisViolatedError(
             f"variant {variant.value} requires a nonzero gradient at the anchor"
         )
-    return g0
+    return g0.copy()
 
 
 def membership(
@@ -178,21 +178,22 @@ def _cosine_distance(G, gnorm, g0, g0norm):
 class _Rows:
     """The conditions of the characterizations, decided at N points at once.
 
-    X holds the points as rows and G their gradients, and g0 is the
-    gradient at the anchor xb.  sets maps each set condition to the mask
-    of the points in its set, and active lists (i, grad g_i(xb)) for the
-    strict-multiplier constraints i.  One point and its gradient can be
-    given as vectors instead: every column is then a scalar.  Each
-    condition returns its (residual name, value, verdict, shown) entries,
-    in order, where shown marks the points whose residual is reported.
+    X holds the points as rows and G their gradients; the anchor's record
+    (kkt._anchor_record) gives the anchor xb and its gradient g0.  sets
+    maps each set condition to the mask of the points in its set, and
+    active lists (i, grad g_i(xb)) for the strict-multiplier constraints
+    i.  One point and its gradient can be given as vectors instead: every
+    column is then a scalar.  Each condition returns its (residual name,
+    value, verdict, shown) entries, in order, where shown marks the points
+    whose residual is reported.
     """
 
-    def __init__(self, X: np.ndarray, G: np.ndarray, xb: np.ndarray, g0: np.ndarray,
-                 sets: Dict[str, object], active: Sequence = ()):
-        self.d = (X - xb).T
-        self.G, self.g0, self.sets, self.active = G.T, g0, sets, active
-        self.gnorm, self.g0norm = _norm(self.G), _norm(g0)
-        anchor_dot = _dot(g0, self.d)        # grad f(xbar) . (x - xbar)
+    def __init__(self, X: np.ndarray, G: np.ndarray, anchor, sets: Dict[str, object],
+                 active: Sequence = ()):
+        self.d = (X - anchor.xb).T
+        self.G, self.sets, self.active = G.T, sets, active
+        self.gnorm, (self.g0, self.g0norm) = _norm(self.G), anchor.gradient
+        anchor_dot = _dot(self.g0, self.d)   # grad f(xbar) . (x - xbar)
         point_dot = _dot(self.G, -self.d)    # grad f(x) . (xbar - x)
         self.values = {
             "anchor_gradient_dot": anchor_dot,
@@ -200,6 +201,12 @@ class _Rows:
             "dot_gap": point_dot - anchor_dot,
             "gradient_norm": self.gnorm,
         }
+
+    def freeze(self) -> "_Rows":
+        """The rows, with every array they hold made read-only."""
+        for a in (self.d, *self.values.values(), *self.sets.values()):
+            np.asarray(a).flags.writeable = False  # a set mask may be the bool True
+        return self
 
     def threshold(self, name: str, value, form, limit: float, above: bool = False) -> tuple:
         """The entry of form(value) > limit if above, else form(value) <= limit."""
@@ -302,30 +309,29 @@ def _check_kind(p, lam, variant: CharacVariant) -> None:
 
 def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
     """Check every anchor hypothesis of the variant, in order, and return
-    the anchor as a point, its objective gradient, its strict-multiplier
+    the anchor's record (kkt._anchor_record), its strict-multiplier
     indices and (i, grad g_i(xb)) for each of them."""
-    xb = as_point(xbar, p.dimension)
-    g0 = check_anchor_hypothesis(p, xb, variant, cfg)
-    tilde = () if lam is None else kkt.strict_index_set(p, xb, lam, cfg)
+    anchor = kkt._anchor_record(p, xbar, cfg)
+    check_anchor_hypothesis(p, anchor.xb, variant, cfg)
+    tilde = () if lam is None else kkt.strict_index_set(p, anchor.xb, lam, cfg)
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and p.ground_set.atoms:
         raise NotOpenGroundSetError(
             "double-primed variants need an open (unconstrained) ground set"
         )
-    active = [(i, grad(p.constraints[i], xb, p.dimension)) for i in tilde]
-    return xb, g0, tilde, active
+    return anchor, tilde, anchor.active(tilde)
 
 
 def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipVerdict:
     """The verdict and residuals of one point."""
     _check_kind(p, lam, variant)
-    xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
+    anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     xv = as_point(x, p.dimension)
     in_S = contains(p.ground_set, xv, cfg.eps_feas)
     sets = kkt._masks(in_S, np.array([evaluate(g, xv) for g in p.constraints]), tilde, cfg)
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
-        member, entries = _Rows(xv, g, xb, g0, sets, active).decide(variant, cfg)
+        member, entries = _Rows(xv, g, anchor, sets, active).decide(variant, cfg)
     residuals = {name: float(value) for name, value, _, shown in entries if shown}
     return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(member), residuals)
 
@@ -338,8 +344,13 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Confi
     grid = kkt._grid(p, resolution, cfg)
     if not len(grid.X):
         return []
-    xb, g0, tilde, active = _anchor(p, xbar, lam, variant, cfg)
+    anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     with np.errstate(all="ignore"):
-        sets = kkt._masks(True, grid.C, tilde, cfg)  # every row is in S
-        member, _ = _Rows(grid.X, grid.gradients(), xb, g0, sets, active).decide(variant, cfg)
-        return list(map(tuple, grid.X[member].tolist()))
+        # the masks (every row is in S) and the base columns do not depend
+        # on the variant: they are kept per grid, anchor, tilde and config
+        rows = _kept(("rows", _ast_key(p), resolution, anchor.xb.tobytes(), tilde, cfg),
+                     lambda: _Rows(grid.X, grid.gradients(), anchor,
+                                   kkt._masks(True, grid.C, tilde, cfg), active).freeze(),
+                     lambda rows: len(grid.X))
+        member, _ = rows.decide(variant, cfg)
+    return list(map(tuple, grid.X[member].tolist()))

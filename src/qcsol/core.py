@@ -17,7 +17,7 @@ def as_point(x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1:
         raise DimensionError("a point must be a flat sequence of reals")
-    if not np.all(np.isfinite(xv)):
+    if not np.isfinite(xv).all():
         raise ValueError(f"point {x!r} has non-finite entries")
     if dimension is not None and xv.size != dimension:
         raise DimensionError(

@@ -781,8 +781,13 @@ def _extract_linear(e: Expr, dim: int, off: int):
     """Coefficients of a guard expression, which must be affine."""
     run = _program(e, 0)[0]
     try:
-        c0 = run([0.0] * dim)[0]
-        coeffs = [run([float(i == j) for j in range(dim)])[0] - c0 for i in range(dim)]
+        unit = [0.0] * dim
+        c0 = run(unit)[0]
+        coeffs = []
+        for i in range(dim):  # one unit vector, its entry i set in place
+            unit[i] = 1.0
+            coeffs.append(run(unit)[0] - c0)
+            unit[i] = 0.0
         # Affinity probe at a generic point.
         probe = [0.734 + 0.211 * i for i in range(dim)]
         expected = c0 + _dot(coeffs, probe)

@@ -5,11 +5,13 @@ characterizations.
 The feasible-set functions (is_feasible to strict_index_set) take a
 plain Problem too: the case with no constraints, whose ground set is its
 feasible set.  Every multiplier question refuses an anchor that
-is_feasible refuses (_feasible_anchor).
+is_feasible refuses (_Anchor.values).  The questions about one anchor
+share its kept record (_anchor_record).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -62,13 +64,46 @@ def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
     return vals if all(v <= cfg.eps_feas for v in vals) else None
 
 
-def _feasible_anchor(cp: ConstrainedProblem, xb, cfg: Config) -> list:
-    """The constraint values at an anchor point xb that is_feasible
-    accepts; any other anchor is refused."""
-    vals = _feasible_values(cp, xb, cfg)
-    if vals is None:
-        raise HypothesisViolatedError(f"anchor {_at(xb)} is not feasible")
-    return vals
+class _Anchor:
+    """What the questions about one anchor xb of p under cfg share.  Each
+    field is found on first use and kept apart, so a route reads only what
+    it asks for; a failing one is not kept, so it raises again."""
+
+    def __init__(self, p, xb: np.ndarray, cfg: Config):
+        self.p, self.xb, self.cfg, self.actives = p, _frozen(xb.copy()), cfg, {}
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        """The constraint values, of an anchor that is_feasible accepts."""
+        vals = _feasible_values(self.p, self.xb, self.cfg)
+        if vals is None:
+            raise HypothesisViolatedError(f"anchor {_at(self.xb)} is not feasible")
+        return tuple(vals)
+
+    @functools.cached_property
+    def value(self) -> float:
+        """f(xb)."""
+        return evaluate(self.p.objective, self.xb)
+
+    @functools.cached_property
+    def gradient(self) -> tuple:
+        """grad f(xb), read-only, and its norm."""
+        g0 = _frozen(grad(self.p.objective, self.xb, self.p.dimension))
+        return g0, _norm(g0)
+
+    def active(self, indices: tuple) -> list:
+        """(i, grad g_i(xb)), read-only, for each index i."""
+        if indices not in self.actives:
+            g, n = self.p.constraints, self.p.dimension
+            self.actives[indices] = [(i, _frozen(grad(g[i], self.xb, n))) for i in indices]
+        return self.actives[indices]
+
+
+def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
+    """The record of the anchor xbar of p under cfg, kept in sets' store;
+    the point is keyed by its bytes, so 0.0 and -0.0 differ."""
+    xb = as_point(xbar, p.dimension)
+    return _kept(("anchor", _ast_key(p), xb.tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
 
 
 def feasible_grid(
@@ -100,12 +135,13 @@ def _feasible_rows(cp: ConstrainedProblem, resolution: int, cfg: Config):
 class _Grid:
     """One evaluation of a feasible grid, shared by every consumer: rows X,
     constraint values C (m, N) and, on first use, the objective's gradients
-    and values and the oracle's level set.  Every array is read-only; a
-    failing evaluation is not kept, so it raises again on the next use."""
+    and values and the oracle's result (oracle.brute_force_solutions).
+    Every array is read-only; a failing evaluation is not kept, so it
+    raises again on the next use."""
 
     def __init__(self, p, X: np.ndarray, C: np.ndarray):
         self.p, self.X, self.C = p, _frozen(X), _frozen(C)
-        self._G = self._values = self._level = None
+        self._G = self._values = self.oracle = None
 
     def gradients(self) -> np.ndarray:
         """The gradients at every row."""
@@ -115,15 +151,13 @@ class _Grid:
 
     def level_set(self, eps_opt: float):
         """The least objective value and the mask of rows within eps_opt of it."""
-        if self._level is None or self._level[0] != eps_opt:
-            if not len(self.X):
-                raise EmptyGridError("no feasible grid point in the window")
-            if self._values is None:
-                self._values = _frozen(evaluate_many(self.p.objective, self.X))
-            # the builtin min keeps the first of equal minima: a zero keeps its sign
-            vmin = min(self._values.tolist())
-            self._level = (eps_opt, vmin, _frozen(self._values <= vmin + eps_opt))
-        return self._level[1:]
+        if not len(self.X):
+            raise EmptyGridError("no feasible grid point in the window")
+        if self._values is None:
+            self._values = _frozen(evaluate_many(self.p.objective, self.X))
+        # the builtin min keeps the first of equal minima: a zero keeps its sign
+        vmin = min(self._values.tolist())
+        return vmin, _frozen(self._values <= vmin + eps_opt)
 
 
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
@@ -143,7 +177,7 @@ def active_set(
     cfg: Config = DEFAULT_CONFIG,
 ) -> ActiveSetReport:
     """Indices of active constraints at a feasible anchor x."""
-    vals = _feasible_anchor(cp, as_point(x, cp.dimension), cfg)
+    vals = _anchor_record(cp, x, cfg).values
     active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
     positive = ()
     if lam is not None:
@@ -156,11 +190,11 @@ def check_gmfcq(
 ) -> CQReport:
     """Generalized MFCQ: a tangent direction strictly decreasing every
     active constraint."""
-    xb = as_point(xbar, cp.dimension)
-    report = active_set(cp, xb, cfg=cfg)
+    anchor = _anchor_record(cp, xbar, cfg)
+    xb, report = anchor.xb, active_set(cp, anchor.xb, cfg=cfg)
     if not report.active:
         return CQReport(True, tuple(0.0 for _ in range(cp.dimension)))
-    strict_rows = [grad(cp.constraints[i], xb, cp.dimension) for i in report.active]
+    strict_rows = [g for _, g in anchor.active(report.active)]
     # tangent directions y of the ground set: n . y <= 0 for each normal n
     normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
     res = strict_feasibility(
@@ -180,10 +214,10 @@ def solve_multipliers(
     set the stationarity equation is solved exactly; for a polyhedral one
     the residual is required to lie in the normal cone at xbar.
     """
-    xb = as_point(xbar, cp.dimension)
-    report = active_set(cp, xb, cfg=cfg)
-    gf = grad(cp.objective, xb, cp.dimension)
-    active_grads = [grad(cp.constraints[i], xb, cp.dimension) for i in report.active]
+    anchor = _anchor_record(cp, xbar, cfg)
+    xb, report = anchor.xb, active_set(cp, anchor.xb, cfg=cfg)
+    gf = anchor.gradient[0]
+    active_grads = [g for _, g in anchor.active(report.active)]
     normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
 
     cols = active_grads + normals
@@ -216,17 +250,11 @@ def stationarity_residual(
     minus the normal cone N: max|resid + N mu| at the minimizer of the LP
     min t over mu >= 0 with |resid + N mu| <= t, or max|resid| (mu = 0)
     where that is smaller (docs/theorems.md)."""
-    _feasible_anchor(cp, as_point(xbar, cp.dimension), cfg)
-    return _stationarity(cp, xbar, lam, cfg)
-
-
-def _stationarity(cp: ConstrainedProblem, xbar, lam: MultiplierVector, cfg: Config) -> float:
-    """stationarity_residual at an anchor that solve_multipliers accepted."""
-    xb = as_point(xbar, cp.dimension)
-    resid = grad(cp.objective, xb, cp.dimension).copy()
-    for i, g in enumerate(cp.constraints):
-        if lam.lambdas[i] != 0.0:
-            resid += lam.lambdas[i] * grad(g, xb, cp.dimension)
+    anchor = _anchor_record(cp, xbar, cfg)
+    anchor.values  # refuses an anchor that is not feasible
+    xb, resid = anchor.xb, anchor.gradient[0].copy()
+    for i, g in anchor.active(tuple(i for i in range(len(cp.constraints)) if lam.lambdas[i])):
+        resid += lam.lambdas[i] * g
     normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
     N = np.reshape(normals, (len(normals), cp.dimension)).T
     # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t

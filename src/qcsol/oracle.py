@@ -12,10 +12,10 @@ from typing import Optional, Union
 
 from .charac import _check_kind, _enumerate
 from .config import DEFAULT_CONFIG, Config
-from .core import CharacVariant, ConstrainedProblem, Problem, as_point
+from .core import CharacVariant, ConstrainedProblem, Problem
 from .errors import HypothesisViolatedError
-from .expr import _at, evaluate
-from .kkt import _grid
+from .expr import _at
+from .kkt import _anchor_record, _grid
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,11 @@ def brute_force_solutions(
     to cfg.eps_opt."""
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     grid = _grid(p, resolution, cfg)
-    vmin, solutions = grid.level_set(eps_opt)
-    return OracleResult(vmin, tuple(map(tuple, grid.X[solutions].tolist())), len(grid.X))
+    if grid.oracle is None or grid.oracle[0] != eps_opt:  # one result kept per grid
+        vmin, solutions = grid.level_set(eps_opt)
+        points = tuple(map(tuple, grid.X[solutions].tolist()))
+        grid.oracle = (eps_opt, OracleResult(vmin, points, len(grid.X)))
+    return grid.oracle[1]
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,9 @@ def agreement(
     _check_kind(p, None, variant)
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     result = brute_force_solutions(p, resolution, eps_opt, cfg)
-    xb = as_point(xbar, p.dimension)
-    if evaluate(p.objective, xb) > result.min_value + eps_opt:
-        raise HypothesisViolatedError(f"anchor {_at(xb)} is not in the oracle solution set")
+    anchor = _anchor_record(p, xbar, cfg)
+    if anchor.value > result.min_value + eps_opt:
+        raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
     oracle_set = set(result.solution_points)
     enumerated = set(_enumerate(p, xbar, None, variant, resolution, cfg))
     missing = tuple(sorted(oracle_set - enumerated))

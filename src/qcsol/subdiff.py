@@ -18,6 +18,7 @@ from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
+from .kkt import _anchor_record
 from .sets import Box, _frozen, _kept, check_grid_size, grid_nodes
 
 
@@ -89,14 +90,15 @@ def default_gp_candidates(
     """Structural candidate directions, as the rows of a (k, dimension)
     array: coordinate rays, positive-orthant samples, and the gradient
     directions at the two points when nonzero."""
-    grads = []
-    for point in (xbar, x):
-        g = grad(f, np.asarray(point, dtype=float), dimension)
-        nrm = _norm(g)
-        if nrm > cfg.eps_grad:
-            grads.append(g / nrm)
+    gradients = [grad(f, np.asarray(point, dtype=float), dimension) for point in (xbar, x)]
+    return _gp_candidates(gradients, dimension, cfg)
+
+
+def _gp_candidates(gradients, dimension: int, cfg: Config) -> np.ndarray:
+    """default_gp_candidates from the gradients at the two points."""
+    units = [g / nrm for g, nrm in zip(gradients, map(_norm, gradients)) if nrm > cfg.eps_grad]
     rays = _gp_rays(dimension)
-    return np.vstack([rays, *grads]) if grads else rays
+    return np.vstack([rays, *units]) if units else rays
 
 
 @functools.lru_cache(maxsize=32)
@@ -132,8 +134,9 @@ def gp_solution_check(
     window = window or p.domain_window
     xb = as_point(xbar, p.dimension)
     xv = as_point(x, p.dimension)
-    if candidate_vs is None:
-        candidate_vs = default_gp_candidates(p.objective, xb, xv, p.dimension, cfg)
+    if candidate_vs is None:  # the anchor's gradient is read from its record
+        gradients = [_anchor_record(p, xb, cfg).gradient[0], grad(p.objective, xv, p.dimension)]
+        candidate_vs = _gp_candidates(gradients, p.dimension, cfg)
     grid = _grid if _grid is not None else _grid_values(p.objective, window, resolution)
     V = _directions(candidate_vs, p.dimension)
     eps = cfg.eps_feas

@@ -17,9 +17,10 @@ settings.load_profile(os.environ.get("QCSOL_HYPOTHESIS_PROFILE", "tier1"))
 
 @pytest.fixture(autouse=True)
 def _cold_records():
-    """Every test starts with no kept record (feasible grid, GP grid or
-    problem document), so that no result or grid count depends on the
-    tests that ran before it."""
+    """Every test starts with no kept record (feasible grid, anchor,
+    condition rows, GP grid or problem document), so that no result,
+    grid count or evaluation count depends on the tests that ran before
+    it."""
     sets._KEPT.clear()
 
 

@@ -12,7 +12,9 @@ from qcsol.core import Problem
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
 from qcsol.expr import (
     _MAX_DEPTH,
+    _extract_linear,
     _powers,
+    _program,
     Abs,
     Add,
     Const,
@@ -129,6 +131,27 @@ class TestPiecewise:
     def test_nonlinear_guard_rejected(self):
         with pytest.raises(ParseError):
             parse("pw[x1^2 <= 1: x1]", 1)
+
+    @pytest.mark.parametrize("guard, dim", [
+        ("0.1*x1 + 0.7*x2 - 0.3", 2),
+        ("1e20 + 0.1*x3 - x1", 3),  # f(e_i) - f(0) rounds the coefficients to 0
+        ("-(x2 - 3*x1)/7 + 1/3", 2),
+        ("1e-300*x1 - 1e300*x2 + 0.3", 2),
+        ("x1 + 2*x2 + 3*x3 + 4*x4 + 5*x5", 5),
+        ("x1 - 0.5*x300 + 2", 300),
+    ])
+    def test_guard_coefficients_are_the_per_list_differences(self, guard, dim):
+        # each coefficient is f(e_i) - f(0), bit for bit as when every unit
+        # vector e_i was a list of its own
+        e = parse(guard, dim)
+        run = _program(e, 0)[0]
+        c0 = run([0.0] * dim)[0]
+        want = [run([float(i == j) for j in range(dim)])[0] - c0 for i in range(dim)]
+        coeffs, const = _extract_linear(e, dim, 0)
+        assert [c.hex() for c in coeffs] == [c.hex() for c in want]
+        assert const.hex() == c0.hex()
+        bound = parse(f"pw[{guard} <= 0: 1]", dim).branches[0][0][0]
+        assert bound == LinearIneq(tuple(want), -c0)
 
 
 class TestGradient:

@@ -134,13 +134,20 @@ def test_active_set_evaluates_each_constraint_once(surd, monkeypatch):
     assert points == [(1.0, 1.0)] * 2
 
 
-def test_membership_evaluates_the_constraint_twice_at_the_anchor(surd, monkeypatch):
-    # once to check the anchor is feasible, once for its active set
+def test_membership_evaluates_the_constraint_once_per_anchor_record(surd, monkeypatch):
+    # the anchor's feasibility check and its active set read one kept
+    # evaluation, and later questions about the same anchor read it too
     lam = solve_multipliers(surd.problem, surd.anchor)
+    sets._KEPT.clear()
     points = _count_constraint_evaluations(monkeypatch)
     membership_constrained(surd.problem, surd.anchor, lam, (0.5, 0.5), V.SP1)
-    assert points.count(tuple(surd.anchor)) == 2
+    assert points.count(tuple(surd.anchor)) == 1
     assert points.count((0.5, 0.5)) == 1
+    membership_constrained(surd.problem, surd.anchor, lam, (0.5, 0.5), V.SP3)
+    assert solve_multipliers(surd.problem, surd.anchor) == lam
+    assert stationarity_residual(surd.problem, surd.anchor, lam) <= 1e-9
+    assert points.count(tuple(surd.anchor)) == 1
+    assert points.count((0.5, 0.5)) == 2
 
 
 class TestMultipliers:
