@@ -96,14 +96,17 @@ def check_anchor_hypothesis(
 ) -> np.ndarray:
     """Validate the anchor point and return its gradient.  p may be a
     ConstrainedProblem: the anchor must then meet its constraints too."""
-    anchor = kkt._anchor_record(p, xbar, cfg)
+    return _checked(kkt._anchor_record(p, xbar, cfg), variant, cfg).gradient[0].copy()
+
+
+def _checked(anchor, variant: CharacVariant, cfg: Config):
+    """check_anchor_hypothesis on the anchor's record, which it returns."""
     anchor.values  # refuses an anchor that is not feasible
-    g0, g0norm = anchor.gradient
-    if variant in _NEEDS_ANCHOR_GRADIENT and g0norm <= cfg.eps_grad:
+    if variant in _NEEDS_ANCHOR_GRADIENT and anchor.gradient[1] <= cfg.eps_grad:
         raise HypothesisViolatedError(
             f"variant {variant.value} requires a nonzero gradient at the anchor"
         )
-    return g0.copy()
+    return anchor
 
 
 def membership(
@@ -311,9 +314,8 @@ def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
     """Check every anchor hypothesis of the variant, in order, and return
     the anchor's record (kkt._anchor_record), its strict-multiplier
     indices and (i, grad g_i(xb)) for each of them."""
-    anchor = kkt._anchor_record(p, xbar, cfg)
-    check_anchor_hypothesis(p, anchor.xb, variant, cfg)
-    tilde = () if lam is None else kkt.strict_index_set(p, anchor.xb, lam, cfg)
+    anchor = _checked(kkt._anchor_record(p, xbar, cfg), variant, cfg)
+    tilde = () if lam is None else anchor.active_set(lam).strictly_positive
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and p.ground_set.atoms:
         raise NotOpenGroundSetError(

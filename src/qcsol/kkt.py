@@ -6,7 +6,9 @@ The feasible-set functions (is_feasible to strict_index_set) take a
 plain Problem too: the case with no constraints, whose ground set is its
 feasible set.  Every multiplier question refuses an anchor that
 is_feasible refuses (_Anchor.values).  The questions about one anchor
-share its kept record (_anchor_record).
+share its kept record (_anchor_record), which keeps the multiplier, the
+GMFCQ report and the normal cone once found; stationarity_residual takes
+its multiplier from the caller, so its LP runs on every call.
 """
 
 from __future__ import annotations
@@ -98,6 +100,53 @@ class _Anchor:
             self.actives[indices] = [(i, _frozen(grad(g[i], self.xb, n))) for i in indices]
         return self.actives[indices]
 
+    def active_set(self, lam: Optional[MultiplierVector] = None) -> ActiveSetReport:
+        """active_set's answer, from the kept constraint values."""
+        active = tuple(i for i, v in enumerate(self.values) if abs(v) <= self.cfg.eps_act)
+        return ActiveSetReport(active, () if lam is None else tuple(
+            i for i in active if lam.lambdas[i] > self.cfg.eps_lp))
+
+    @functools.cached_property
+    def normals(self) -> tuple:
+        """The generators of the ground set's normal cone at xb, read-only."""
+        gens = normal_cone_generators(self.p.ground_set, self.xb, self.cfg.eps_act)
+        return tuple(_frozen(np.array(a)) for a in gens)
+
+    @functools.cached_property
+    def multipliers(self) -> MultiplierVector:
+        """solve_multipliers' answer."""
+        active, gf = self.active_set().active, self.gradient[0]
+        cols = [g for _, g in self.active(active)] + list(self.normals)
+        if not cols:
+            if _norm(gf) > self.cfg.eps_lp:
+                raise NoMultiplierError("stationarity cannot hold: nonzero gradient, no active "
+                                        "constraints, unconstrained ground set")
+            return MultiplierVector(tuple(0.0 for _ in range(self.p.m)))
+        # Solve sum_i mu_i col_i = -grad f(xbar), mu >= 0.
+        A_eq = np.column_stack(cols)
+        res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, cfg=self.cfg)
+        if res.status != "optimal":
+            raise NoMultiplierError(f"no multiplier exists at {_at(self.xb)} within tolerance")
+        lambdas = [0.0] * self.p.m
+        for idx, i in enumerate(active):
+            lambdas[i] = float(res.x[idx])
+        rank = int(np.linalg.matrix_rank(A_eq))
+        return MultiplierVector(tuple(lambdas), rank_deficient=rank < len(cols))
+
+    @functools.cached_property
+    def gmfcq(self) -> CQReport:
+        """check_gmfcq's answer."""
+        active = self.active_set().active
+        if not active:
+            return CQReport(True, tuple(0.0 for _ in range(self.p.dimension)))
+        strict_rows = [g for _, g in self.active(active)]
+        # tangent directions y of the ground set: n . y <= 0 for each normal n
+        res = strict_feasibility(self.normals, [0.0] * len(self.normals),
+                                 strict_rows, [0.0] * len(strict_rows), self.cfg)
+        if res.point is None:
+            return CQReport(False, None)
+        return CQReport(True, tuple(float(v) for v in res.point))
+
 
 def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
     """The record of the anchor xbar of p under cfg, kept in sets' store;
@@ -177,32 +226,15 @@ def active_set(
     cfg: Config = DEFAULT_CONFIG,
 ) -> ActiveSetReport:
     """Indices of active constraints at a feasible anchor x."""
-    vals = _anchor_record(cp, x, cfg).values
-    active = tuple(i for i, v in enumerate(vals) if abs(v) <= cfg.eps_act)
-    positive = ()
-    if lam is not None:
-        positive = tuple(i for i in active if lam.lambdas[i] > cfg.eps_lp)
-    return ActiveSetReport(active, positive)
+    return _anchor_record(cp, x, cfg).active_set(lam)
 
 
 def check_gmfcq(
     cp: ConstrainedProblem, xbar, cfg: Config = DEFAULT_CONFIG
 ) -> CQReport:
     """Generalized MFCQ: a tangent direction strictly decreasing every
-    active constraint."""
-    anchor = _anchor_record(cp, xbar, cfg)
-    xb, report = anchor.xb, active_set(cp, anchor.xb, cfg=cfg)
-    if not report.active:
-        return CQReport(True, tuple(0.0 for _ in range(cp.dimension)))
-    strict_rows = [g for _, g in anchor.active(report.active)]
-    # tangent directions y of the ground set: n . y <= 0 for each normal n
-    normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
-    res = strict_feasibility(
-        normals, [0.0] * len(normals), strict_rows, [0.0] * len(strict_rows), cfg
-    )
-    if res.point is None:
-        return CQReport(False, None)
-    return CQReport(True, tuple(float(v) for v in res.point))
+    active constraint.  Found once per anchor record."""
+    return _anchor_record(cp, xbar, cfg).gmfcq
 
 
 def solve_multipliers(
@@ -214,33 +246,7 @@ def solve_multipliers(
     set the stationarity equation is solved exactly; for a polyhedral one
     the residual is required to lie in the normal cone at xbar.
     """
-    anchor = _anchor_record(cp, xbar, cfg)
-    xb, report = anchor.xb, active_set(cp, anchor.xb, cfg=cfg)
-    gf = anchor.gradient[0]
-    active_grads = [g for _, g in anchor.active(report.active)]
-    normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
-
-    cols = active_grads + normals
-    if not cols:
-        if _norm(gf) > cfg.eps_lp:
-            raise NoMultiplierError(
-                "stationarity cannot hold: nonzero gradient, no active "
-                "constraints, unconstrained ground set"
-            )
-        return MultiplierVector(tuple(0.0 for _ in range(cp.m)))
-
-    # Solve sum_i mu_i col_i = -grad f(xbar), mu >= 0.
-    A_eq = np.column_stack(cols)
-    res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, cfg=cfg)
-    if res.status != "optimal":
-        raise NoMultiplierError(
-            f"no multiplier exists at {_at(xb)} within tolerance"
-        )
-    lambdas = [0.0] * cp.m
-    for idx, i in enumerate(report.active):
-        lambdas[i] = float(res.x[idx])
-    rank = int(np.linalg.matrix_rank(A_eq))
-    return MultiplierVector(tuple(lambdas), rank_deficient=rank < len(cols))
+    return _anchor_record(cp, xbar, cfg).multipliers
 
 
 def stationarity_residual(
@@ -252,10 +258,10 @@ def stationarity_residual(
     where that is smaller (docs/theorems.md)."""
     anchor = _anchor_record(cp, xbar, cfg)
     anchor.values  # refuses an anchor that is not feasible
-    xb, resid = anchor.xb, anchor.gradient[0].copy()
+    resid = anchor.gradient[0].copy()
     for i, g in anchor.active(tuple(i for i in range(len(cp.constraints)) if lam.lambdas[i])):
         resid += lam.lambdas[i] * g
-    normals = normal_cone_generators(cp.ground_set, xb, cfg.eps_act)
+    normals = anchor.normals
     N = np.reshape(normals, (len(normals), cp.dimension)).T
     # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t
     t = -np.ones((cp.dimension, 1))

@@ -2,6 +2,7 @@
 charac._enumerate's rows): every question about one anchor reuses them,
 and a warm answer is the cold one."""
 
+import functools
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from qcsol import charac, kkt, sets, subdiff
 from qcsol.config import DEFAULT_CONFIG, Config
 from qcsol.core import CharacVariant as V
 from qcsol.core import ConstrainedProblem, MultiplierVector
-from qcsol.errors import EvalError, HypothesisViolatedError
+from qcsol.errors import EvalError, HypothesisViolatedError, NoMultiplierError
 from qcsol.expr import parse
 from qcsol.oracle import agreement, brute_force_solutions
 from qcsol.registry import get_example
@@ -152,6 +153,17 @@ def test_an_anchor_is_examined_once_across_questions(monkeypatch):
     assert calls == [e.anchor, e.anchor]
 
 
+def _counted(monkeypatch, module, names):
+    """Count the calls made through module's names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, call=getattr(module, name), **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_kkt_questions_read_the_anchor_record(monkeypatch):
     e = get_example("ex2_3_constrained")
     p, anchor = e.problem, e.anchor
@@ -159,15 +171,68 @@ def test_kkt_questions_read_the_anchor_record(monkeypatch):
     monkeypatch.setattr(kkt, "evaluate",
                         lambda f, x: evaluated.append(tuple(x)) or evaluate(f, x))
     monkeypatch.setattr(kkt, "grad", lambda f, x, n: evaluated.append(f) or grad(f, x, n))
+    calls = _counted(monkeypatch, kkt,
+                     ("solve_lp", "strict_feasibility", "normal_cone_generators"))
     lam = kkt.solve_multipliers(p, anchor)
+    report = kkt.check_gmfcq(p, anchor)
     for _ in range(3):
-        assert kkt.solve_multipliers(p, anchor) == lam
-        kkt.check_gmfcq(p, anchor)
+        assert kkt.solve_multipliers(p, anchor) is lam
+        assert kkt.check_gmfcq(p, anchor) is report
         kkt.stationarity_residual(p, anchor, lam)
-        kkt.strict_index_set(p, anchor, lam)
+        assert kkt.strict_index_set(p, anchor, lam) == (0,)
         kkt.active_set(p, anchor, lam)
     # one constraint value, one objective gradient, one constraint gradient
     assert evaluated == [anchor, p.objective, p.constraints[0]]
+    # one LP for lambda and one per residual, which takes lambda from the caller
+    assert calls == {"solve_lp": 1 + 3, "strict_feasibility": 1, "normal_cone_generators": 1}
+
+
+def test_a_failing_multiplier_solve_is_not_kept(monkeypatch):
+    p = get_example("ex2_3_constrained").problem
+    solves = []
+    solve = kkt._Anchor.multipliers.func
+    field = functools.cached_property(lambda record: solves.append(1) or solve(record))
+    field.__set_name__(kkt._Anchor, "multipliers")
+    monkeypatch.setattr(kkt._Anchor, "multipliers", field)
+    calls = _counted(monkeypatch, kkt, ("solve_lp",))
+    # inside the disk, where the gradient is nonzero: no active constraint;
+    # on its edge at (1, -1): the multiplier LP is infeasible
+    for anchor, message, lps in (
+            ((0.5, 0.25), "stationarity cannot hold: nonzero gradient, no active "
+                          "constraints, unconstrained ground set", 0),
+            ((1.0, -1.0), r"no multiplier exists at \(1.0, -1.0\) within tolerance", 1)):
+        solves.clear()
+        calls["solve_lp"] = 0
+        for _ in range(3):
+            with pytest.raises(NoMultiplierError, match=f"^{message}$"):
+                kkt.solve_multipliers(p, anchor)
+        record = kkt._anchor_record(p, anchor, DEFAULT_CONFIG)
+        assert "multipliers" not in vars(record)
+        assert len(solves) == 3 and calls["solve_lp"] == 3 * lps
+        assert record.gradient[1] > 0 and record.values
+        assert kkt.check_gmfcq(p, anchor).holds and "gmfcq" in vars(record)
+
+
+def test_each_config_gets_its_own_answers():
+    """Configs that differ only in eps_lp or eps_act, asked in turn after
+    one another, each get the answers they get alone."""
+    p = get_example("ex2_3_constrained").problem
+    loose, wide = replace(DEFAULT_CONFIG, eps_lp=10.0), replace(DEFAULT_CONFIG, eps_act=0.25)
+    interior = ("NoMultiplierError", "stationarity cannot hold: nonzero gradient, no active "
+                                     "constraints, unconstrained ground set")
+    want = {
+        ((1.0, 1.0), DEFAULT_CONFIG): (repr(MultiplierVector((0.5,))),
+                                       repr(kkt.CQReport(True, (-1.0, -1.0)))),
+        ((1.0, 1.0), loose): (repr(MultiplierVector((0.0,))), repr(kkt.CQReport(False, None))),
+        ((1.0, 0.9), DEFAULT_CONFIG): (interior, repr(kkt.CQReport(True, (0.0, 0.0)))),
+        ((1.0, 0.9), loose): (repr(MultiplierVector((0.0,))), repr(kkt.CQReport(True, (0.0, 0.0)))),
+        ((1.0, 0.9), wide): (("NoMultiplierError", "no multiplier exists at (1.0, 0.9) within "
+                              "tolerance"), repr(kkt.CQReport(True, (-1.0, -1.0)))),
+    }
+    for _ in range(2):
+        for (anchor, cfg), answers in want.items():
+            assert (_answer(lambda: kkt.solve_multipliers(p, anchor, cfg)),
+                    _answer(lambda: kkt.check_gmfcq(p, anchor, cfg))) == answers, (anchor, cfg)
 
 
 def test_a_failing_field_raises_again_and_the_others_are_independent():

@@ -350,7 +350,7 @@ class TestEnumerationSharesTheAnchor:
 
     def test_anchor_checked_once(self, surd, monkeypatch):
         calls = {"anchor": 0, "tilde": 0}
-        check, tilde = charac.check_anchor_hypothesis, kkt.strict_index_set
+        check, tilde = charac._checked, kkt._Anchor.active_set
 
         def counted_check(*args):
             calls["anchor"] += 1
@@ -360,9 +360,9 @@ class TestEnumerationSharesTheAnchor:
             calls["tilde"] += 1
             return tilde(*args)
 
-        monkeypatch.setattr(charac, "check_anchor_hypothesis", counted_check)
-        monkeypatch.setattr(kkt, "strict_index_set", counted_tilde)
         lam = solve_multipliers(surd.problem, surd.anchor)
+        monkeypatch.setattr(charac, "_checked", counted_check)
+        monkeypatch.setattr(kkt._Anchor, "active_set", counted_tilde)
         pts = enumerate_constrained(surd.problem, surd.anchor, lam, V.SP3, 13)
         assert pts == [(1.0, 1.0)]
         assert calls == {"anchor": 1, "tilde": 1}
