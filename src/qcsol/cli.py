@@ -105,7 +105,7 @@ def _variant(name: str) -> CharacVariant:
 
 
 def _strict(value):
-    """value with every non-finite float replaced by None (JSON null)."""
+    """value as JSON data: each tuple a list, each non-finite float None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
@@ -125,13 +125,8 @@ def _cmd_classify(args):
     report = charac.classify_dichotomy(problem, res.solution_points, cfg)
     return {
         "alternative": report.alternative,
-        "common_unit_gradient": list(report.common_unit_gradient)
-        if report.common_unit_gradient
-        else None,
-        "witnesses": [
-            {"point": list(pt), "gradient_norm": nrm}
-            for pt, nrm in report.witnesses
-        ],
+        "common_unit_gradient": report.common_unit_gradient,
+        "witnesses": [{"point": pt, "gradient_norm": nrm} for pt, nrm in report.witnesses],
     }, True
 
 
@@ -141,7 +136,7 @@ def _cmd_enumerate(args):
     report = {"variant": args.variant.value}
     if isinstance(problem, ConstrainedProblem):
         lam = kkt.solve_multipliers(problem, anchor, cfg)
-        report["lambdas"] = list(lam.lambdas)
+        report["lambdas"] = lam.lambdas
         points = kkt.enumerate_constrained(
             problem, anchor, lam, args.variant, args.resolution, cfg
         )
@@ -149,7 +144,7 @@ def _cmd_enumerate(args):
         points = charac.enumerate_solution_set(
             problem, anchor, args.variant, args.resolution, cfg
         )
-    report["points"] = [list(p) for p in points]
+    report["points"] = points
     return report, bool(points)
 
 
@@ -157,7 +152,7 @@ def _cmd_verify_membership(args):
     problem, anchor, cfg = _load(args)
     verdict = charac.membership(problem, anchor, args.point, args.variant, cfg)
     return {
-        "point": list(verdict.point),
+        "point": verdict.point,
         "variant": verdict.variant.value,
         "member": verdict.member,
         "residuals": verdict.residuals,
@@ -183,16 +178,11 @@ def _cmd_check_convexity(args):
         "quasiconvex": {
             "holds": quasi.holds,
             "checked_pairs": quasi.checked,
-            "counterexample": list(map(list, quasi.counterexample[:2]))
-            + [quasi.counterexample[2]]
-            if quasi.counterexample
-            else None,
+            "counterexample": quasi.counterexample,
         },
         "first_order": {
             "holds": first_order.holds,
-            "counterexample": list(map(list, first_order.counterexample))
-            if first_order.counterexample
-            else None,
+            "counterexample": first_order.counterexample,
         },
         "note": "sampled falsification; 'holds' means no violation found",
     }, quasi.holds and first_order.holds
@@ -204,7 +194,7 @@ def _cmd_oracle(args):
     return {
         "min_value": res.min_value,
         "grid_size": res.grid_size,
-        "solution_points": [list(p) for p in res.solution_points],
+        "solution_points": res.solution_points,
     }, True
 
 
@@ -214,8 +204,8 @@ def _cmd_agreement(args):
     return {
         "variant": args.variant.value,
         "equal": rep.equal,
-        "missing": [list(p) for p in rep.missing],
-        "extra": [list(p) for p in rep.extra],
+        "missing": rep.missing,
+        "extra": rep.extra,
         "oracle_min": rep.oracle.min_value,
         "oracle_count": len(rep.oracle.solution_points),
     }, rep.equal
@@ -226,7 +216,7 @@ def _cmd_kkt_solve(args):
     lam = kkt.solve_multipliers(problem, anchor, cfg)
     resid = kkt.stationarity_residual(problem, anchor, lam, cfg)
     return {
-        "lambdas": list(lam.lambdas),
+        "lambdas": lam.lambdas,
         "rank_deficient": lam.rank_deficient,
         "stationarity_residual": resid,
     }, True
@@ -237,7 +227,7 @@ def _cmd_check_cq(args):
     rep = kkt.check_gmfcq(problem, anchor, cfg)
     return {
         "holds": rep.holds,
-        "direction": list(rep.direction) if rep.direction else None,
+        "direction": rep.direction,
     }, rep.holds
 
 
@@ -253,7 +243,7 @@ def _cmd_subdiff_check(args):
         ok = subdiff.ml_solution_check_1d(
             problem, anchor[0], args.point[0], resolution=args.resolution, cfg=cfg
         )
-    return {"route": args.route, "point": list(args.point), "member": ok}, ok
+    return {"route": args.route, "point": args.point, "member": ok}, ok
 
 
 # The plain variants of alternative I: those that need a nonzero gradient.
@@ -277,7 +267,7 @@ def _cmd_run_example(args):
         covered = all(kkt.member_X1(problem, anchor, lam, x, cfg) for x in res.solution_points)
         report.update(
             {
-                "lambdas": list(lam.lambdas),
+                "lambdas": lam.lambdas,
                 "stationarity_residual": resid,
                 "oracle_min": res.min_value,
                 "solutions_in_X1": covered,

@@ -81,10 +81,6 @@ class ConstrainedProblem:
             if bad:
                 raise DimensionError(f"expression uses variables out of range: {bad}")
 
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
-
 
 @dataclass(frozen=True)
 class MultiplierVector:

@@ -6,7 +6,9 @@ are conjunctions of linear inequalities.  Each expression is compiled
 once into straight-line Python that computes its value and, in forward
 mode, its exact gradient; the same code runs on Python floats for one
 point (``evaluate``, ``grad``) and on numpy columns for a batch
-(``evaluate_many``, ``grad_many``), so both agree bit for bit.
+(``evaluate_many``, ``grad_many``), so both agree bit for bit.  Each
+operator is defined once, in the operator tables after the AST nodes,
+which the parser, the printer, the compiler and free_variables all read.
 """
 
 from __future__ import annotations
@@ -101,6 +103,30 @@ Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow, Neg, Sqrt, Abs, Piecewise]
 # Parsed expression in n variables; "ExprAst" in problem files.
 ExprAst = Expr
 
+# The operator tables.  Binary operators by symbol and functions of one
+# argument by name; the printer reads both backwards.
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_FUNCTIONS = {"sqrt": Sqrt, "abs": Abs}
+_SYMBOLS = {cls: sym for sym, cls in _BINARY.items()}
+_NAMES = {cls: name for name, cls in _FUNCTIONS.items()}
+# Precedence, for the parser and the printer: binary operators are
+# left-associative, and the other nodes (5) bind tightest.
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
+# The operand fields of each node but Var and Piecewise, in evaluation order.
+_OPERANDS = {Const: (), Pow: ("base",),
+             **dict.fromkeys(_SYMBOLS, ("left", "right")),
+             **dict.fromkeys((Neg, *_NAMES), ("operand",))}
+# Forward mode: a node's value from its operands' values u (and w), and each
+# partial derivative from theirs, du (and dw), and the node's own value v.
+_RULES = {
+    Add: ("{u} + {w}", "{du} + {dw}"),
+    Sub: ("{u} - {w}", "{du} - {dw}"),
+    Mul: ("{u} * {w}", "{u} * {dw} + {du} * {w}"),
+    Neg: ("-{u}", "-{du}"),
+    Sqrt: ("SQRT({u})", "SQRTD({v}, {du})"),
+    Abs: ("abs({u})", "ABSD({u}, {du})"),
+}
+
 
 # ---------------------------------------------------------------------------
 # One forward evaluator, compiled per expression
@@ -180,23 +206,19 @@ class _Compiler:
 
     def node(self, e: Expr):
         """The names (or literals) holding e's value and derivatives."""
-        n = self.n
+        n, kind = self.n, type(e)
+        if kind in _RULES:
+            value, slope = _RULES[kind]
+            values, derivs = zip(*(self.node(getattr(e, f)) for f in _OPERANDS[kind]))
+            names = dict(zip("uw", values))
+            v = self.value(value.format(**names))
+            return v, self.derivs(slope.format(v=v, **names, **dict(zip(("du", "dw"), d)))
+                                  for d in zip(*derivs))
         if isinstance(e, Const):
             return self.const(e.value), ["0.0"] * n
         if isinstance(e, Var):
             i = e.index - 1
             return f"x[{i}]", ["1.0" if j == i else "0.0" for j in range(n)]
-        if isinstance(e, (Add, Sub)):
-            (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
-            op = "+" if isinstance(e, Add) else "-"
-            return self.value(f"{l} {op} {r}"), self.derivs(
-                f"{a} {op} {b}" for a, b in zip(ld, rd)
-            )
-        if isinstance(e, Mul):
-            (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
-            return self.value(f"{l} * {r}"), self.derivs(
-                f"{l} * {b} + {a} * {r}" for a, b in zip(ld, rd)
-            )
         if isinstance(e, Div):
             if n:
                 (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
@@ -220,16 +242,6 @@ class _Compiler:
             self.lines.append(f"{v}, {lower} = POW({b}, {k}, {self.const(e.exponent - 1)})")
             slope = self.value(f"{k} * {lower}")
             return v, self.derivs(f"{slope} * {a}" for a in bd)
-        if isinstance(e, Neg):
-            o, od = self.node(e.operand)
-            return self.value(f"-{o}"), self.derivs(f"-{a}" for a in od)
-        if isinstance(e, Sqrt):
-            o, od = self.node(e.operand)
-            v = self.value(f"SQRT({o})")
-            return v, self.derivs(f"SQRTD({v}, {a})" for a in od)
-        if isinstance(e, Abs):
-            o, od = self.node(e.operand)
-            return self.value(f"abs({o})"), self.derivs(f"ABSD({o}, {a})" for a in od)
         if isinstance(e, Piecewise):
             hits, branches = [], []
             for guard, branch in e.branches:
@@ -545,16 +557,10 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
 
 
 def free_variables(e: Expr) -> set:
+    """The indices of the variables e reads; a guard reads those with a
+    nonzero coefficient."""
     if isinstance(e, Var):
         return {e.index}
-    if isinstance(e, (Const,)):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, (Neg, Sqrt, Abs)):
-        return free_variables(e.operand)
     if isinstance(e, Piecewise):
         out = set()
         for guard, br in e.branches:
@@ -562,7 +568,7 @@ def free_variables(e: Expr) -> set:
                 out |= {i + 1 for i, c in enumerate(ineq.coeffs) if c != 0.0}
             out |= free_variables(br)
         return out
-    raise TypeError(f"unknown node {e!r}")
+    return set().union(*(free_variables(getattr(e, f)) for f in _OPERANDS[type(e)]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +667,18 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", off)
         return e
 
-    def expression(self, around: int):
-        e, depth = self.term(around)
-        while True:
-            kind, text, off = self.peek()
-            if text not in ("+", "-"):
-                return e, depth
-            self.advance()
-            right, rdepth = self.term(around)
-            e = (Add if text == "+" else Sub)(e, right)
-            depth = self.bounded(max(depth, rdepth) + 1, off)
-
-    def term(self, around: int):
+    def expression(self, around: int, prec: int = 1):
+        """Factors joined by the binary operators of precedence prec or
+        more (precedence climbing)."""
         e, depth = self.factor(around)
         while True:
             kind, text, off = self.peek()
-            if text not in ("*", "/"):
+            op = _BINARY.get(text)
+            if op is None or _PREC[op] < prec:
                 return e, depth
             self.advance()
-            right, rdepth = self.factor(around)
-            e = (Mul if text == "*" else Div)(e, right)
+            right, rdepth = self.expression(around, _PREC[op] + 1)
+            e = op(e, right)
             depth = self.bounded(max(depth, rdepth) + 1, off)
 
     def factor(self, around: int):
@@ -713,12 +711,11 @@ class _Parser:
             except ValueError:
                 raise ParseError(f"bad number literal {text!r}", off)
         if kind == "name":
-            if text == "sqrt" or text == "abs":
+            if text in _FUNCTIONS:
                 self.expect("(")
                 inner, depth = self.expression(self.bounded(around + 1, off))
                 self.expect(")")
-                node = Sqrt(inner) if text == "sqrt" else Abs(inner)
-                return node, self.bounded(depth + 1, off)
+                return _FUNCTIONS[text](inner), self.bounded(depth + 1, off)
             if text == "pw":
                 return self.piecewise(around, off)
             if text.startswith("x") and text[1:].isdigit():
@@ -810,49 +807,29 @@ def parse(text: str, dimension: int) -> Expr:
 # Pretty printer (canonical; parse . pretty == identity on ASTs)
 # ---------------------------------------------------------------------------
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Pow):
-        return 4
-    if isinstance(e, Const) and e.value < 0:
-        return 3
-    return 5
-
-
 def _fmt(e: Expr, min_prec: int) -> str:
-    s = _fmt_raw(e)
-    if _prec(e) < min_prec:
-        return f"({s})"
-    return s
+    """e's text, in parentheses where e binds looser than min_prec; a
+    negative number binds as its minus sign does."""
+    prec = _PREC[Neg] if isinstance(e, Const) and e.value < 0 else _PREC.get(type(e), 5)
+    return f"({_fmt_raw(e)})" if prec < min_prec else _fmt_raw(e)
 
 
 def _fmt_raw(e: Expr) -> str:
+    kind = type(e)
+    if kind in _SYMBOLS:  # left-associative: the right operand binds one level tighter
+        p = _PREC[kind]
+        return f"{_fmt(e.left, p)} {_SYMBOLS[kind]} {_fmt(e.right, p + 1)}"
+    if kind in _NAMES:
+        return f"{_NAMES[kind]}({_fmt(e.operand, 0)})"
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return f"x{e.index}"
-    if isinstance(e, Add):
-        return f"{_fmt(e.left, 1)} + {_fmt(e.right, 2)}"
-    if isinstance(e, Sub):
-        return f"{_fmt(e.left, 1)} - {_fmt(e.right, 2)}"
-    if isinstance(e, Mul):
-        return f"{_fmt(e.left, 2)} * {_fmt(e.right, 3)}"
-    if isinstance(e, Div):
-        return f"{_fmt(e.left, 2)} / {_fmt(e.right, 3)}"
     if isinstance(e, Neg):  # --x, as parsed, not -(-x), which nests deeper
         inner = e.operand
-        return "-" + (_fmt_raw(inner) if isinstance(inner, Neg) else _fmt(inner, 4))
+        return "-" + (_fmt_raw(inner) if isinstance(inner, Neg) else _fmt(inner, _PREC[Neg] + 1))
     if isinstance(e, Pow):
-        return f"{_fmt(e.base, 5)}^{e.exponent}"
-    if isinstance(e, Sqrt):
-        return f"sqrt({_fmt(e.operand, 0)})"
-    if isinstance(e, Abs):
-        return f"abs({_fmt(e.operand, 0)})"
+        return f"{_fmt(e.base, _PREC[Pow] + 1)}^{e.exponent}"
     if isinstance(e, Piecewise):
         parts = []
         for guard, br in e.branches:

@@ -121,13 +121,13 @@ class _Anchor:
             if _norm(gf) > self.cfg.eps_lp:
                 raise NoMultiplierError("stationarity cannot hold: nonzero gradient, no active "
                                         "constraints, unconstrained ground set")
-            return MultiplierVector(tuple(0.0 for _ in range(self.p.m)))
+            return MultiplierVector((0.0,) * len(self.p.constraints))
         # Solve sum_i mu_i col_i = -grad f(xbar), mu >= 0.
         A_eq = np.column_stack(cols)
         res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, cfg=self.cfg)
         if res.status != "optimal":
             raise NoMultiplierError(f"no multiplier exists at {_at(self.xb)} within tolerance")
-        lambdas = [0.0] * self.p.m
+        lambdas = [0.0] * len(self.p.constraints)
         for idx, i in enumerate(active):
             lambdas[i] = float(res.x[idx])
         rank = int(np.linalg.matrix_rank(A_eq))

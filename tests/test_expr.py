@@ -2,6 +2,7 @@
 
 import math
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qcsol.expr import (
     Add,
     Const,
     Div,
+    Expr,
     LinearIneq,
     Mul,
     Neg,
@@ -481,6 +483,65 @@ def test_grad_many_equals_rowwise_grad(f, rows):
             grad_many(f, X)
         assert type(info.value) is type(first_error)
         assert str(info.value) == str(first_error)
+
+
+def _ref_free_variables(e):
+    """free_variables by one isinstance test per node kind."""
+    if isinstance(e, Var):
+        return {e.index}
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return _ref_free_variables(e.left) | _ref_free_variables(e.right)
+    if isinstance(e, Pow):
+        return _ref_free_variables(e.base)
+    if isinstance(e, (Neg, Sqrt, Abs)):
+        return _ref_free_variables(e.operand)
+    out = set()
+    for guard, branch in e.branches:
+        for ineq in guard:
+            out |= {i + 1 for i, c in enumerate(ineq.coeffs) if c != 0.0}
+        out |= _ref_free_variables(branch)
+    return out
+
+
+@given(_ASTS)
+@example(_THRICE)
+@settings(max_examples=200, deadline=None)
+def test_free_variables_equals_the_reference_walk(f):
+    assert free_variables(f) == _ref_free_variables(f)
+
+
+# Each node kind with a text that parses to it: its value, gradient and
+# variables at _AT.
+_AT = [0.5, 2.0]
+_KINDS = {
+    Const: ("2.5", 2.5, [0.0, 0.0], set()),
+    Var: ("x2", 2.0, [0.0, 1.0], {2}),
+    Add: ("x1 + x2", 2.5, [1.0, 1.0], {1, 2}),
+    Sub: ("x1 - x2", -1.5, [1.0, -1.0], {1, 2}),
+    Mul: ("x1 * x2", 1.0, [2.0, 0.5], {1, 2}),
+    Div: ("x1 / x2", 0.25, [0.5, -0.125], {1, 2}),
+    Pow: ("x1^3", 0.125, [0.75, 0.0], {1}),
+    Neg: ("-x2", -2.0, [0.0, -1.0], {2}),
+    Sqrt: ("sqrt(x1 * x2)", 1.0, [1.0, 0.25], {1, 2}),
+    Abs: ("abs(x1 - x2)", 1.5, [-1.0, 1.0], {1, 2}),
+    Piecewise: ("pw[x1 <= 0: -x1; x1 >= 0: x1 * x2]", 1.0, [2.0, 0.5], {1, 2}),
+}
+
+
+def test_every_node_kind_parses_prints_and_compiles():
+    """A node kind added to Expr but left out of one of the operator
+    tables fails here."""
+    assert set(_KINDS) == set(typing.get_args(Expr))
+    for kind, (text, value, slope, variables) in _KINDS.items():
+        f = parse(text, 2)
+        assert type(f) is kind
+        assert parse(pretty(f), 2) == f
+        assert free_variables(f) == variables
+        assert evaluate(f, _AT) == value and grad(f, _AT).tolist() == slope
+        assert evaluate_many(f, np.array([_AT])).tolist() == [value]
+        assert grad_many(f, np.array([_AT])).tolist() == [slope]
 
 
 # Random smooth ASTs: no piecewise and no abs, and sqrt only of a positive

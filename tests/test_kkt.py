@@ -15,6 +15,7 @@ from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
     NoMultiplierError,
+    NonPolyhedralError,
     NotOpenGroundSetError,
     QcsolError,
 )
@@ -156,6 +157,19 @@ class TestMultipliers:
         assert lam.lambdas == pytest.approx([0.5])
         assert not lam.rank_deficient
         assert stationarity_residual(surd.problem, surd.anchor, lam) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex4_1"])
+    def test_a_plain_problem_has_an_empty_multiplier(self, name):
+        """A plain problem has no constraints: its multiplier, where the
+        ground set's normal cone gives one, has no entries."""
+        e = get_example(name)
+        if name == "ex2_3":  # a disk has no polyhedral normal cone
+            with pytest.raises(NonPolyhedralError):
+                solve_multipliers(e.problem, e.anchor)
+            return
+        lam = solve_multipliers(e.problem, e.anchor)
+        assert type(lam) is MultiplierVector and lam.lambdas == ()
+        assert stationarity_residual(e.problem, e.anchor, lam) <= 1e-9
 
     def test_complementary_slackness(self, surd):
         lam = solve_multipliers(surd.problem, surd.anchor)
