@@ -50,7 +50,7 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
 def _load(args):
     """Problem, anchor and config of a subcommand, checked in this order:
     the problem from --problem PATH or --example NAME, of the kind its
-    subparser's defaults name (constrained True, False, or None for
+    _COMMANDS defaults name (constrained True, False, or None for
     either); the anchor (--anchor, else the file's known solution), which
     exactly the subcommands that take --anchor require; then --variant
     and --point, each replaced in args by its parsed value."""
@@ -68,7 +68,7 @@ def _load(args):
         kind = "a constrained" if needs else "an unconstrained"
         raise UsageError(f"this subcommand needs {kind} problem")
     if "anchor" in args:
-        if args.anchor:
+        if args.anchor is not None:
             anchor = _reals(args.anchor, "--anchor", problem.dimension)
         if anchor is None:
             raise UsageError("an anchor solution is required (--anchor or known_solution)")
@@ -165,7 +165,7 @@ def _cmd_check_convexity(args):
             raise UsageError(f"{flag} must be a nonnegative integer")
     problem, _, cfg = _load(args)
     window = problem.domain_window
-    if args.window:
+    if args.window is not None:
         vals = _reals(args.window, "--window", 2 * problem.dimension)
         window = Box(vals[0::2], vals[1::2])
     quasi = convexity.check_quasiconvex(
@@ -292,8 +292,88 @@ def _cmd_run_example(args):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing: one table, read by argparse and by a short reader
 # ---------------------------------------------------------------------------
+
+# A subcommand's flags map each name (without "--": a positional) to
+# add_argument's keywords: type, default, choices, whether required, help.
+_CONFIG = {"--" + n.replace("_", "-"): {"type": int if n == "seed" else float}
+           for n in _CONFIG_FLAGS}
+_REQUIRED = {"required": True}
+_ANCHOR = {"--anchor": {"help": "known solution, comma separated"}}
+_RESOLUTION = {"--resolution": {"type": int, "default": 21}}
+
+
+def _command(func, summary, extra=None, constrained=None, anchor=True, resolution=True):
+    """A subcommand on --problem/--example; constrained is the problem kind it
+    needs (None: either)."""
+    flags = {"--problem": {"help": "path to a JSON problem file"},
+             "--example": {"help": "name of a builtin example"},
+             **(_ANCHOR if anchor else {}), **(_RESOLUTION if resolution else {}),
+             **_CONFIG, **(extra or {})}
+    return summary, flags, {"func": func, "constrained": constrained}
+
+
+# every subcommand, in --help's order: (summary, flags, namespace defaults)
+_COMMANDS = {
+    "classify": _command(_cmd_classify, "gradient dichotomy of the solution set",
+                         constrained=False, anchor=False),
+    "enumerate": _command(_cmd_enumerate, "enumerate one characterization on the grid",
+                          {"--variant": _REQUIRED}, constrained=False),
+    "verify-membership": _command(_cmd_verify_membership, "membership verdict for one point",
+                                  {"--variant": _REQUIRED, "--point": _REQUIRED},
+                                  constrained=False, resolution=False),
+    "check-convexity": _command(_cmd_check_convexity, "sampled convexity hypothesis checks", {
+        "--window": {"help": "lo1,hi1,...,lon,hin override"},
+        "--pairs": {"type": int, "default": 500}, "--t-steps": {"type": int, "default": 10},
+    }, anchor=False, resolution=False),
+    "oracle": _command(_cmd_oracle, "brute-force solution set on the grid", anchor=False),
+    "agreement": _command(_cmd_agreement, "diff one variant against the oracle",
+                          {"--variant": _REQUIRED}, constrained=False),
+    "kkt-solve": _command(_cmd_kkt_solve, "Lagrange multipliers at the anchor",
+                          constrained=True, resolution=False),
+    "kkt-enumerate": _command(_cmd_enumerate, "enumerate a multiplier characterization",
+                              {"--variant": _REQUIRED}, constrained=True),
+    "check-cq": _command(_cmd_check_cq, "generalized MFCQ at the anchor",
+                         constrained=True, resolution=False),
+    "subdiff-check": _command(_cmd_subdiff_check, "subdifferential membership routes",
+                              {"--route": {"choices": ("gp", "ml"), "required": True},
+                               "--point": _REQUIRED}, constrained=False),
+    "run-example": ("reproduce a builtin example", {
+        "name": {}, "--check": {"choices": ("summary", "all"), "default": "summary"}, **_CONFIG,
+    }, {"func": _cmd_run_example}),
+}
+
+
+def _read(argv) -> Optional[argparse.Namespace]:
+    """argparse's Namespace for an argv of the common form: a subcommand with no
+    positional, then exact long flags, each once, as --flag=value or --flag value
+    (a value not starting with "-"), all required ones given, each value passing
+    its type and choices.  None for any other argv: argparse reads that one."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, defaults = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a missing value defers too
+        kw = flags.get(name) if name.startswith("--") else None
+        if kw is None or name in given or not eq and value.startswith("-"):
+            return None
+        try:
+            given[name] = value = kw["type"](value) if "type" in kw else value
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    args = argparse.Namespace(command=argv[0], **defaults)
+    for name, kw in flags.items():
+        if name not in given and kw.get("required", not name.startswith("--")):
+            return None  # a positional is never given here
+        setattr(args, name[2:].replace("-", "_"), given.get(name, kw.get("default")))
+    return args
+
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose rejections raise UsageError, so that run reports
@@ -305,80 +385,45 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.  Parsing keeps
-    no state in it: each parse returns a fresh Namespace, and usage,
-    errors and --help look up sys.stdout, sys.stderr and the terminal
-    width when they print."""
-    parser = _Parser(
-        prog="qcsol",
-        description="Solution-set characterizations for quasiconvex programs",
-    )
+    """The one parser of the process, built from _COMMANDS when _read first
+    defers.  Parsing keeps no state in it: each parse returns a fresh Namespace,
+    and usage, errors and --help look up the streams and terminal width to print."""
+    parser = _Parser(prog="qcsol", description=(
+        "Solution-set characterizations for quasiconvex programs"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def config_flags(p):
-        for name in _CONFIG_FLAGS:
-            p.add_argument("--" + name.replace("_", "-"), type=int if name == "seed" else float)
-
-    def command(name, func, summary, constrained=None, anchor=True, resolution=True):
-        """A subcommand on --problem/--example; constrained is the problem
-        kind it needs (None: either)."""
+    for name, (summary, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--problem", help="path to a JSON problem file")
-        p.add_argument("--example", help="name of a builtin example")
-        if anchor:
-            p.add_argument("--anchor", help="known solution, comma separated")
-        if resolution:
-            p.add_argument("--resolution", type=int, default=21)
-        config_flags(p)
-        p.set_defaults(func=func, constrained=constrained)
-        return p
-
-    command("classify", _cmd_classify, "gradient dichotomy of the solution set",
-            constrained=False, anchor=False)
-    p = command("enumerate", _cmd_enumerate, "enumerate one characterization on the grid",
-                constrained=False)
-    p.add_argument("--variant", required=True)
-    p = command("verify-membership", _cmd_verify_membership,
-                "membership verdict for one point", constrained=False, resolution=False)
-    p.add_argument("--variant", required=True)
-    p.add_argument("--point", required=True)
-    p = command("check-convexity", _cmd_check_convexity,
-                "sampled convexity hypothesis checks", anchor=False, resolution=False)
-    p.add_argument("--window", help="lo1,hi1,...,lon,hin override")
-    p.add_argument("--pairs", type=int, default=500)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=10)
-    command("oracle", _cmd_oracle, "brute-force solution set on the grid", anchor=False)
-    p = command("agreement", _cmd_agreement, "diff one variant against the oracle",
-                constrained=False)
-    p.add_argument("--variant", required=True)
-    command("kkt-solve", _cmd_kkt_solve, "Lagrange multipliers at the anchor",
-            constrained=True, resolution=False)
-    p = command("kkt-enumerate", _cmd_enumerate, "enumerate a multiplier characterization",
-                constrained=True)
-    p.add_argument("--variant", required=True)
-    command("check-cq", _cmd_check_cq, "generalized MFCQ at the anchor",
-            constrained=True, resolution=False)
-    p = command("subdiff-check", _cmd_subdiff_check, "subdifferential membership routes",
-                constrained=False)
-    p.add_argument("--route", choices=("gp", "ml"), required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("run-example", help="reproduce a builtin example")
-    p.add_argument("name")
-    p.add_argument("--check", choices=("summary", "all"), default="summary")
-    config_flags(p)
-    p.set_defaults(func=_cmd_run_example)
-
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
+        p.set_defaults(**defaults)
     return parser
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, allow_nan=False) for string keys, each key and
+    leaf as json's C encoder prints it (an indent makes json.dumps use Python's)."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_encode(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)  # as both of json's encoders print it
+    return _encode(value)
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    """Parse argv, run its subcommand and print its report on stdout, or
-    one JSON error object on stderr; returns the exit code."""
+    """Read argv (sys.argv[1:] if None), run its subcommand and print its report
+    on stdout, or one JSON error object on stderr; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read(argv) or _build_parser().parse_args(argv)
         report, positive = args.func(args)
-        print(json.dumps(_strict(report), indent=2, allow_nan=False))
+        print(_dumps(_strict(report)))
         return EXIT_OK if positive else EXIT_NEGATIVE
     except SystemExit:  # --help, printed by argparse
         return EXIT_OK

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qcsol
@@ -464,9 +464,12 @@ def test_unparsable_expression_in_problem_file_is_an_input_error(tmp_path, capsy
         ["agreement", "--example", "ex2_1", "--variant", "S1", "--anchor", "1"],
         ["check-cq", "--example", "ex2_3_constrained", "--anchor", "1,1,1"],
         ["check-convexity", "--example", "ex2_2", "--window=-1,1,-1"],
+        ["agreement", "--example", "ex2_1", "--variant", "S1", "--anchor="],
+        ["check-convexity", "--example", "ex2_2", "--window="],
     ],
     ids=["point-count", "anchor-count", "point-text", "subdiff-point-count",
-         "subdiff-point-nan", "agreement-anchor", "cq-anchor", "window-count"],
+         "subdiff-point-nan", "agreement-anchor", "cq-anchor", "window-count",
+         "empty-anchor", "empty-window"],
 )
 def test_wrong_coordinates_are_a_usage_error(capsys, argv):
     assert run(argv) == 2
@@ -740,6 +743,81 @@ def test_fuzzed_argv_ends_in_a_report_or_a_json_error(case):
     code, error = _run_captured(argv)
     if rejected:
         assert (code, error) == (2, "usage")
+
+
+# tokens that take an argv out of the reader's common form: an unknown or
+# abbreviated flag, -h, --, a repeated flag, a separate value that starts
+# with "-", a value that fails its type, an empty token, run-example's
+# positional's name
+_ODD_TOKENS = [["--var"], ["-h"], ["--"], ["--seed=1", "--seed", "2"], ["--point", "-1,2"],
+               ["--seed="], ["--point=-1,2"], [""], ["name"]]
+
+
+@st.composite
+def _reader_argvs(draw):
+    """An argv of _argvs, each --flag=value token kept, split in two or
+    given the value "x", with up to two groups of _ODD_TOKENS inserted."""
+    argv = []
+    for token in draw(_argvs())[0]:
+        flag, eq, value = token.partition("=")
+        form = draw(st.sampled_from(["keep", "keep", "split", "x"])) if eq else "keep"
+        argv += {"keep": [token], "split": [flag, value], "x": [flag + "=x"]}[form]
+    for tokens in draw(st.lists(st.sampled_from(_ODD_TOKENS), max_size=2)):
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i] = tokens
+    return argv
+
+
+def _read_as_argparse(argv):
+    """Whether cli._read reads argv; when it does, its Namespace is the one
+    argparse gives (compared by repr, as a nan flag is unequal to itself)."""
+    args = cli._read(argv)
+    if args is not None:
+        fields = sorted(map(repr, vars(args).items()))
+        assert fields == sorted(map(repr, vars(cli._build_parser().parse_args(argv)).items()))
+    return args is not None
+
+
+@settings(max_examples=500, deadline=None)
+@given(_reader_argvs())
+@example(["run-example", "name", "ex2_1"])
+def test_the_reader_defers_or_gives_argparses_namespace(argv):
+    event("read" if _read_as_argparse(argv) else "deferred")
+
+
+def test_a_common_form_run_builds_no_parser(monkeypatch, capsys):
+    # run() reads sys.argv[1:], the qcsol entry point's argv
+    monkeypatch.setattr(sys, "argv", ["qcsol", "verify-membership", "--example", "ex2_1",
+                                      "--variant", "S1", "--point", "1.5,0", "--seed=3"])
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert run() == 0
+    assert _json_out(capsys)["member"] is True
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(2**64)])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_the_printer_prints_the_bytes_of_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [0.5, -float("inf")],
+                                   {"a": {"b": float("nan")}}])
+def test_the_printer_refuses_a_non_finite_float(value):
+    with pytest.raises(ValueError):
+        cli._dumps(value)
 
 
 _POOL = [None, True, 0, -1, 2, 10**400, 1.5, 1e308, float("inf"), float("nan"), "", "x1",

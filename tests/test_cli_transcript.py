@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from qcsol.cli import run
-from test_cli import _subcommands
+from test_cli import _read_as_argparse, _subcommands
 
 TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.json"
 
@@ -112,6 +112,13 @@ def test_cli_transcript_is_unchanged():
 def test_transcript_covers_every_subcommand():
     covered = {entry["argv"][0] for entry in json.loads(TRANSCRIPT.read_text())}
     assert {name for name, _ in _subcommands()} <= covered
+
+
+def test_the_reader_reads_every_argv_but_run_examples():
+    # every other argv here is in the reader's common form; run-example's
+    # positional goes to argparse
+    argvs = [entry["argv"] for entry in json.loads(TRANSCRIPT.read_text())]
+    assert all(_read_as_argparse(argv) == (argv[0] != "run-example") for argv in argvs)
 
 
 if __name__ == "__main__":
