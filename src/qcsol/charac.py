@@ -351,7 +351,7 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Confi
         # the masks (every row is in S) and the base columns do not depend
         # on the variant: they are kept per grid, anchor, tilde and config
         rows = _kept(("rows", _ast_key(p), resolution, anchor.xb.tobytes(), tilde, cfg),
-                     lambda: _Rows(grid.X, grid.gradients(), anchor,
+                     lambda: _Rows(grid.X, grid.gradients, anchor,
                                    kkt._masks(True, grid.C, tilde, cfg), active).freeze(),
                      lambda rows: len(grid.X))
         member, _ = rows.decide(variant, cfg)

@@ -54,10 +54,10 @@ def _load(args):
     either); the anchor (--anchor, else the file's known solution), which
     exactly the subcommands that take --anchor require; then --variant
     and --point, each replaced in args by its parsed value."""
-    if args.example:
+    if args.example is not None:
         entry = _example(args.example)
         problem, anchor, cfg = entry.problem, entry.anchor, _base_config(args)
-    elif args.problem:
+    elif args.problem is not None:
         with open(args.problem) as fh:
             problem, anchor, file_cfg = loads(fh.read())
         cfg = _base_config(args, file_cfg)
@@ -102,17 +102,6 @@ def _variant(name: str) -> CharacVariant:
         return CharacVariant(name.upper())
     except ValueError:
         raise UsageError(f"unknown variant {name!r}")
-
-
-def _strict(value):
-    """value as JSON data: each tuple a list, each non-finite float None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +393,16 @@ _encode = json.JSONEncoder(allow_nan=False).encode
 
 def _dumps(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, allow_nan=False) for string keys, each key and
-    leaf as json's C encoder prints it (an indent makes json.dumps use Python's)."""
+    leaf as json's C encoder prints it (an indent makes json.dumps use Python's),
+    except that a non-finite float prints as null."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         items = [f"{_encode(k)}: {_dumps(v, inner)}" for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)) and value:
         return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + indent + "]"
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)  # as both of json's encoders print it
+    if isinstance(value, float):  # a finite one as both of json's encoders print it
+        return float.__repr__(value) if math.isfinite(value) else "null"
     return _encode(value)
 
 
@@ -423,7 +413,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = _read(argv) or _build_parser().parse_args(argv)
         report, positive = args.func(args)
-        print(_dumps(_strict(report)))
+        print(_dumps(report))
         return EXIT_OK if positive else EXIT_NEGATIVE
     except SystemExit:  # --help, printed by argparse
         return EXIT_OK

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -575,49 +576,23 @@ def free_variables(e: Expr) -> set:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# a token after whitespace (\s is str.isspace): an operator, a number (with an
+# exponent only when digits follow), a name, the end, or any other character
+_TOKEN = re.compile(r"""\s*(?:(?P<op><=|>=|[-+*/^()\[\]:;&,])
+    |(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<eof>\Z)|(?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str):
+    """(kind, text, offset) triples, the last ("eof", "", len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        two = text[i:i + 2]
-        if two in ("<=", ">="):
-            tokens.append(("op", two, i))
-            i += 2
-            continue
-        if ch in "+-*/^()[]:;&,":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("eof", "", n))
-    return tokens
+    for m in _TOKEN.finditer(text):  # each match starts where the last ended
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -190,23 +190,25 @@ class _Grid:
 
     def __init__(self, p, X: np.ndarray, C: np.ndarray):
         self.p, self.X, self.C = p, _frozen(X), _frozen(C)
-        self._G = self._values = self.oracle = None
+        self.oracle = None
 
+    @functools.cached_property
     def gradients(self) -> np.ndarray:
         """The gradients at every row."""
-        if self._G is None:
-            self._G = _frozen(grad_many(self.p.objective, self.X, self.p.dimension))
-        return self._G
+        return _frozen(grad_many(self.p.objective, self.X, self.p.dimension))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The objective's values at every row."""
+        return _frozen(evaluate_many(self.p.objective, self.X))
 
     def level_set(self, eps_opt: float):
         """The least objective value and the mask of rows within eps_opt of it."""
         if not len(self.X):
             raise EmptyGridError("no feasible grid point in the window")
-        if self._values is None:
-            self._values = _frozen(evaluate_many(self.p.objective, self.X))
         # the builtin min keeps the first of equal minima: a zero keeps its sign
-        vmin = min(self._values.tolist())
-        return vmin, _frozen(self._values <= vmin + eps_opt)
+        vmin = min(self.values.tolist())
+        return vmin, _frozen(self.values <= vmin + eps_opt)
 
 
 def _grid(p, resolution: int, cfg: Config) -> _Grid:

@@ -216,12 +216,19 @@ def ml_member_1d(
     """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x:
     v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
     infimum read off the window as ml_solution_check_1d reads it."""
-    w = _window(f, window, resolution)
     V, T = _slopes_thresholds([pair])
-    inf = _halfline_infima(w, V, T, cfg.eps_feas)[0]
-    if pair.v * x < pair.t - cfg.eps_feas:
-        return False
-    return bool(inf >= evaluate(f, [x]) - cfg.eps_feas)
+    inf = _halfline_infima(_window(f, window, resolution), V, T, cfg.eps_feas)
+    return bool(_ml_members(f, x, V, T, inf, cfg.eps_feas)[0])
+
+
+def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float, among=True) -> np.ndarray:
+    """The mask of the pairs (V, T) in the mask among that lie in the ML
+    subdifferential at x: v x >= t and f(x) <= inf (their regions' infima),
+    within eps.  f(x) is evaluated only when some pair passes v x >= t."""
+    paired = among & ~(V * x < T - eps)
+    if not np.count_nonzero(paired):
+        return paired
+    return paired & (inf >= evaluate(f, [x]) - eps)
 
 
 def default_ml_pairs(
@@ -276,20 +283,11 @@ def ml_solution_check_1d(
             else _slopes_thresholds(candidate_pairs))
     eps = cfg.eps_feas
     inf = _halfline_infima(w, V, T, eps)
-    floor = T - eps
-
-    def members(point: float, among=True) -> np.ndarray:
-        # f(point) is evaluated only when some pair passes v * point >= t
-        paired = among & ~(V * point < floor)
-        if not np.count_nonzero(paired):
-            return paired
-        return paired & (inf >= evaluate(f, [point]) - eps)
-
-    at_x = members(x)
+    at_x = _ml_members(f, x, V, T, inf, eps)
     if not np.count_nonzero(at_x):
         return False
     if form == "M2":
-        return bool(np.count_nonzero(at_x & (V * xbar >= floor)))
+        return bool(np.count_nonzero(at_x & (V * xbar >= T - eps)))
     if form != "M1":
         raise ValueError("form must be 'M1' or 'M2'")
-    return bool(members(xbar, at_x).any())
+    return bool(_ml_members(f, xbar, V, T, inf, eps, at_x).any())

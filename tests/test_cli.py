@@ -437,7 +437,9 @@ def test_malformed_constrained_document_is_an_input_error(tmp_path, capsys, edit
     assert json.loads(captured.err)["error"] == "input"
 
 
-@pytest.mark.parametrize("field,text", [("objective", "x1 +"), ("constraints", ["x1 <="])])
+@pytest.mark.parametrize("field,text", [("objective", "x1 +"), ("constraints", ["x1 <="]),
+                                        ("objective", "x\u00b2 + x1"),
+                                        ("constraints", ["x1 + \u0663"])])
 def test_unparsable_expression_in_problem_file_is_an_input_error(tmp_path, capsys, field, text):
     e = get_example("ex2_3_constrained")
     doc = json.loads(dumps(e.problem, known_solution=e.anchor))
@@ -485,6 +487,33 @@ def test_unknown_example_message_is_plain_text(capsys, argv):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
     assert err["message"].startswith("unknown example 'nope'; available: ex2_1, ")
+
+
+@pytest.mark.parametrize("flags,error,message", [
+    (["--example=", "--problem", "p.json"], "usage", "unknown example ''; available: ex2_1, "),
+    (["--example=", "--resolution=5"], "usage", "unknown example ''; available: ex2_1, "),
+    (["--problem=", "--resolution=5"], "input", "[Errno 2] No such file or directory: ''"),
+], ids=["example-with-problem", "example", "problem"])
+def test_an_empty_example_or_problem_is_refused_as_given(capsys, flags, error, message):
+    assert run(["oracle", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error and err["message"].startswith(message)
+
+
+def test_a_non_ascii_digit_is_an_input_error_in_a_fresh_process(tmp_path):
+    path = Path(_write_problem(tmp_path, 1.0))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), objective="x\u00b2 + x1")))
+    src = str(Path(qcsol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "qcsol", "oracle", "--problem", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    err = json.loads(done.stderr)
+    assert err["error"] == "input"
+    assert err["message"] == "objective: unexpected character '\u00b2' (offset 1)"
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
@@ -813,15 +842,17 @@ def test_the_printer_prints_the_bytes_of_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, allow_nan=False)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), [0.5, -float("inf")],
-                                   {"a": {"b": float("nan")}}])
-def test_the_printer_refuses_a_non_finite_float(value):
-    with pytest.raises(ValueError):
-        cli._dumps(value)
+@pytest.mark.parametrize("value,printed", [
+    (float("nan"), None), (float("inf"), None), ((0.5, -float("inf")), [0.5, None]),
+    ({"a": {"b": float("nan")}, "c": ()}, {"a": {"b": None}, "c": []}),
+], ids=["nan", "inf", "tuple", "nested"])
+def test_the_printer_prints_a_non_finite_float_as_null(value, printed):
+    assert cli._dumps(value) == json.dumps(printed, indent=2, allow_nan=False)
 
 
 _POOL = [None, True, 0, -1, 2, 10**400, 1.5, 1e308, float("inf"), float("nan"), "", "x1",
-         "x1 +", "x1^2 + x2^2", "pw[x1 <= 0: -x1; x1 >= 0: x1]", [], [0.5], [0.0, 0.0],
+         "x1 +", "x\u00b2 + x1", "x1 + \u0663", "x1^2 + x2^2",
+         "pw[x1 <= 0: -x1; x1 >= 0: x1]", [], [0.5], [0.0, 0.0],
          ["x1^2 + x2^2 - 2"], {}, {"lo": [0], "hi": [1]}, {"eps_grad": 100},
          [{"type": "box", "lo": [0], "hi": [1]}],
          [{"type": "halfspace", "a": [1.0, 1.0], "b": 1.0}]]

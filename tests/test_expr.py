@@ -14,6 +14,7 @@ from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, Parse
 from qcsol.expr import (
     _MAX_DEPTH,
     _extract_linear,
+    _tokenize,
     _powers,
     _program,
     Abs,
@@ -743,3 +744,96 @@ def test_an_expression_at_the_depth_bound_is_usable(shape, k):
     X = np.array([[0.6], [0.7]])
     assert evaluate_many(f, X).tolist() == [evaluate(f, x) for x in X]
     assert grad_many(f, X).tolist() == [grad(f, x).tolist() for x in X]
+
+
+def _reference_tokenize(text: str):
+    """The character-by-character scanner that _tokenize replaced, kept as a
+    reference for ASCII text: str.isdigit, isalpha and isalnum also accept
+    non-ASCII digits and letters, which the grammar does not have."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        two = text[i:i + 2]
+        if two in ("<=", ">="):
+            tokens.append(("op", two, i))
+            i += 2
+            continue
+        if ch in "+-*/^()[]:;&,":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    while k < n and text[k].isdigit():
+                        k += 1
+                    j = k
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# the grammar's alphabet, a few ASCII characters outside it, and whitespace
+_ASCII_TEXT = st.text(alphabet="0123456789.eE+-*/^()[]:;&,<=>x_pwsqrtabZ!#=? \t\n\x0b\x1c",
+                      max_size=16)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ASCII_TEXT)
+@example("1e+ x1 >= .5E-3_a")
+@example("x1 \t")
+def test_tokens_of_ascii_text_are_the_reference_scanners(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+_NON_ASCII = st.characters(min_codepoint=128).filter(lambda c: c.isalnum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789.eE+-*/^()[]:;&,x_ \t", max_size=8),
+       st.characters(min_codepoint=128).filter(str.isalnum))
+@example("x", "\u00b2")  # x\u00b2 once reached int("\u00b2") and raised ValueError
+@example("x1 + ", "\u0663")  # an Arabic-Indic three once read as 3.0
+@example("x", "\u0967")  # a Devanagari one once read as x1
+def test_a_non_ascii_digit_or_letter_is_an_unexpected_character(prefix, ch):
+    with pytest.raises(ParseError) as err:
+        _tokenize(prefix + ch + "1")
+    assert str(err.value) == f"unexpected character {ch!r} (offset {len(prefix)})"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("x\u00b2 + x1")
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse(text, 2)
+    except ParseError:
+        pass

@@ -626,7 +626,7 @@ class TestGridMemo:
     def test_record_arrays_are_read_only(self, surd):
         grid = kkt._grid(surd.problem, 9, DEFAULT_CONFIG)
         mask = grid.level_set(DEFAULT_CONFIG.eps_opt)[1]
-        for a in (grid.X, grid.C, grid._values, grid.gradients(), mask):
+        for a in (grid.X, grid.C, grid.values, grid.gradients, mask):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 

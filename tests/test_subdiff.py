@@ -567,3 +567,18 @@ def test_ml_route_equals_its_definition(case):
             )
             got = ml_solution_check_1d(p, xbar, x, pairs, window, resolution, cfg, form)
             assert got is want, (form, x)
+
+
+def test_ml_routes_evaluate_f_only_once_some_pair_passes():
+    # f is undefined at x = 2; a pair with v x < t is refused without f(2)
+    f, w = parse("pw[x1 <= 1: x1]", 1), Box((0.0,), (1.0,))
+    p = Problem(f, ConvexSetDescriptor(1, ()), 1, w)
+    assert not ml_member_1d(f, 2.0, MLPair(1.0, 3.0), w)
+    for form in ("M1", "M2"):
+        assert not ml_solution_check_1d(p, 0.0, 2.0, [MLPair(1.0, 3.0)], form=form)
+        # M1 tests xbar = 2 only against the pairs that hold at x = 0.5
+        assert not ml_solution_check_1d(p, 2.0, 0.5, [MLPair(1.0, 0.9)], form=form)
+    with pytest.raises(EvalError):
+        ml_member_1d(f, 2.0, MLPair(1.0, 1.0), w)
+    with pytest.raises(EvalError):
+        ml_solution_check_1d(p, 0.0, 2.0, [MLPair(1.0, 1.0)])
