@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import KernelError, ZeroVectorError
+from .errors import InputError, KernelError, ZeroVectorError
 from .expr import _dot, _norm
 
 _MAX_ITER = 10_000
@@ -122,7 +122,7 @@ def solve_lp(
     rows, rhs = rows_ub + _listed(A_eq, 2), _listed(b_ub, 1) + _listed(b_eq, 1)
     m_ub, m = len(rows_ub), len(rows)
     if len(rhs) != m or any(len(a) != n for a in rows):
-        raise ValueError(f"constraints need rows of {n} entries, one right-hand side each")
+        raise InputError(f"constraints need rows of {n} entries, one right-hand side each")
 
     # Columns: x, one slack per <= row, then one artificial per row that
     # starts on one.  Each row is flipped to b_i >= 0; a slack that survived
@@ -197,7 +197,7 @@ def strict_feasibility(
     witness when the optimal margin exceeds eps_lp, otherwise point is None.
     """
     if A_strict is None or len(A_strict) == 0:
-        raise ValueError("strict feasibility needs at least one strict row")
+        raise InputError("strict feasibility needs at least one strict row")
     strict, b_strict = _listed(A_strict, 2), _listed(b_strict, 1)
     n = len(strict[0])
     weak = [] if A_le is None or len(A_le) == 0 else _listed(A_le, 2)
@@ -240,7 +240,7 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix must be finite")
+        raise InputError("matrix must be finite")
     rows = A.tolist()
     res = _primal(rows, cfg)
     if res.point is not None:

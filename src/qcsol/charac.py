@@ -47,7 +47,7 @@ def classify_dichotomy(
     InconsistentDichotomyError at the first failing pair (docs/theorems.md).
     """
     if not len(known_solutions):
-        raise ValueError("need at least one known solution")
+        raise InputError("need at least one known solution")
     # one conversion; where it fails, as_point reads the points one by one,
     # so that the first bad point raises its own error
     try:
@@ -59,7 +59,7 @@ def classify_dichotomy(
         X = np.array([as_point(x, p.dimension) for x in known_solutions])
     outside = ~contains_many(p.feasible_set, X, cfg.eps_feas)
     if outside.any():
-        raise ValueError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
+        raise InputError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
     G = grad_many(p.objective, X, p.dimension)
     norms = _norm(G.T)
     witnesses = tuple(zip(map(tuple, X.tolist()), norms.tolist()))

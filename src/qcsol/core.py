@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .expr import ExprAst, free_variables
 from .sets import Box, ConvexSetDescriptor
 
@@ -18,7 +19,7 @@ def as_point(x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
     if xv.ndim != 1:
         raise DimensionError("a point must be a flat sequence of reals")
     if not np.isfinite(xv).all():
-        raise ValueError(f"point {x!r} has non-finite entries")
+        raise InputError(f"point {x!r} has non-finite entries")
     if dimension is not None and xv.size != dimension:
         raise DimensionError(
             f"point has dimension {xv.size}, expected {dimension}"
@@ -72,7 +73,7 @@ class ConstrainedProblem:
         if self.dimension < 1:
             raise DimensionError("dimension must be >= 1")
         if len(self.constraints) < 1:
-            raise ValueError("at least one inequality constraint required")
+            raise InputError("at least one inequality constraint required")
         if self.ground_set.dimension != self.dimension:
             raise DimensionError("ground set dimension mismatch")
         _check_window(self.domain_window, self.dimension)
@@ -88,8 +89,8 @@ class MultiplierVector:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        if any(l < 0 for l in self.lambdas):
-            raise ValueError("multipliers must be nonnegative")
+        if not all(0.0 <= l < math.inf for l in self.lambdas):
+            raise InputError("multipliers must be nonnegative finite reals")
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,7 @@ class _Compiler:
         self.functions: List[str] = []
         self.temps = 0
         self.lines: List[str] = []
+        self.reads = 0  # a point must hold x[0] .. x[reads - 1]
 
     def source(self, e: Expr) -> str:
         top = self.function(e)
@@ -218,7 +219,7 @@ class _Compiler:
         if isinstance(e, Const):
             return self.const(e.value), ["0.0"] * n
         if isinstance(e, Var):
-            i = e.index - 1
+            i, self.reads = e.index - 1, max(self.reads, e.index)
             return f"x[{i}]", ["1.0" if j == i else "0.0" for j in range(n)]
         if isinstance(e, Div):
             if n:
@@ -249,6 +250,7 @@ class _Compiler:
                 branches.append(self.function(branch))
                 tests = []
                 for ineq in guard:
+                    self.reads = max(self.reads, len(ineq.coeffs))
                     terms = " + ".join(
                         f"{self.const(c)} * x[{i}]" for i, c in enumerate(ineq.coeffs)
                     )
@@ -463,18 +465,23 @@ def _compiled(key: _AstKey, n: int):
     compiler = _Compiler(n)
     exec(compile(compiler.source(key.ast), "<qcsol expression>", "exec"), scope)
     build = scope["_build"]
-    return build(*_FLOATS, *compiler.consts), build(*_COLUMNS, *compiler.consts)
+    return build(*_FLOATS, *compiler.consts), build(*_COLUMNS, *compiler.consts), compiler.reads
 
 
 def _program(f: Expr, n: int):
     """f compiled for n derivatives: (the float function, the column
-    function).  ASTs with equal reprs share their program."""
+    function, how many coordinates they read).  ASTs with equal reprs
+    share their program."""
     return _compiled(_ast_key(f), n)
 
 
-def _point(run, xv: np.ndarray):
-    """The float program run at the point xv: its value and derivatives,
-    which must be finite."""
+def _point(program, xv: np.ndarray):
+    """The float program run at the point xv, which must be flat and hold
+    every coordinate it reads: its value and derivatives, which must be
+    finite."""
+    run, _, reads = program
+    if xv.ndim != 1 or xv.size < reads:
+        raise DimensionError(f"a point must be flat, with at least {reads} coordinates")
     value, derivs = run(xv.tolist())
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value} at {_at(xv)}")
@@ -494,7 +501,9 @@ def _batch(f: Expr, Xv: np.ndarray, n: int):
     """f's program for n derivatives on the rows of Xv at once, as
     (values, derivatives), each broadcast to full columns.  Where some row
     fails, raises what _point raises at the first such row."""
-    run, columns = _program(f, n)
+    program = _, columns, reads = _program(f, n)
+    if Xv.shape[1] < reads:
+        raise DimensionError(f"a point must be flat, with at least {reads} coordinates")
     try:
         with np.errstate(all="ignore"):
             value, derivs = columns(list(np.ascontiguousarray(Xv.T)))
@@ -508,7 +517,7 @@ def _batch(f: Expr, Xv: np.ndarray, n: int):
     except EvalError:
         pass
     for x in Xv:
-        _point(run, x)
+        _point(program, x)
     raise EvalError("batch evaluation failed at a point that evaluates")
 
 
@@ -518,7 +527,7 @@ def evaluate(f: Expr, x: Sequence[float]) -> float:
     Raises EvalError on domain violations, on an overflowing power and on
     a non-finite value (an overflowing product, or a non-finite x).
     """
-    return _point(_program(f, 0)[0], np.asarray(x, dtype=float))[0]
+    return _point(_program(f, 0), np.asarray(x, dtype=float))[0]
 
 
 def evaluate_many(f: Expr, X) -> np.ndarray:
@@ -540,7 +549,7 @@ def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None) -> np.nda
     n = dimension if dimension is not None else xv.size
     if xv.size != n:
         raise DimensionError(f"point has dimension {xv.size}, expected {n}")
-    return np.array(_point(_program(f, n)[0], xv)[1], dtype=float)
+    return np.array(_point(_program(f, n), xv)[1], dtype=float)
 
 
 def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
@@ -635,6 +644,12 @@ class _Parser:
             raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", off)
         return depth
 
+    def integer(self, digits: str, off: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than Python converts
+            raise ParseError(f"integer of {len(digits)} digits is too long", off) from None
+
     def parse(self) -> Expr:
         e, _ = self.expression(0)
         kind, text, off = self.peek()
@@ -675,7 +690,7 @@ class _Parser:
             if kind != "num" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer literal", off)
             self.advance()
-            return Pow(base, int(text)), self.bounded(depth + 1, off)
+            return Pow(base, self.integer(text, off)), self.bounded(depth + 1, off)
         return base, depth
 
     def atom(self, around: int):
@@ -694,7 +709,7 @@ class _Parser:
             if text == "pw":
                 return self.piecewise(around, off)
             if text.startswith("x") and text[1:].isdigit():
-                idx = int(text[1:])
+                idx = self.integer(text[1:], off)
                 if idx < 1 or idx > self.dim:
                     raise ParseError(
                         f"variable {text} out of range for dimension {self.dim}", off

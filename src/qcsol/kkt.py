@@ -33,6 +33,7 @@ from .core import (
 from .errors import (
     EmptyGridError,
     HypothesisViolatedError,
+    InputError,
     NoMultiplierError,
     QcsolError,
 )
@@ -102,6 +103,8 @@ class _Anchor:
 
     def active_set(self, lam: Optional[MultiplierVector] = None) -> ActiveSetReport:
         """active_set's answer, from the kept constraint values."""
+        if lam is not None:
+            _fitted(self.p, lam)
         active = tuple(i for i, v in enumerate(self.values) if abs(v) <= self.cfg.eps_act)
         return ActiveSetReport(active, () if lam is None else tuple(
             i for i in active if lam.lambdas[i] > self.cfg.eps_lp))
@@ -146,6 +149,13 @@ class _Anchor:
         if res.point is None:
             return CQReport(False, None)
         return CQReport(True, tuple(float(v) for v in res.point))
+
+
+def _fitted(cp, lam: MultiplierVector) -> MultiplierVector:
+    """lam, refused unless it has one entry per constraint of cp."""
+    if len(lam.lambdas) != len(cp.constraints):
+        raise InputError(f"multipliers {lam.lambdas} do not fit {len(cp.constraints)} constraints")
+    return lam
 
 
 def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
@@ -258,6 +268,7 @@ def stationarity_residual(
     minus the normal cone N: max|resid + N mu| at the minimizer of the LP
     min t over mu >= 0 with |resid + N mu| <= t, or max|resid| (mu = 0)
     where that is smaller (docs/theorems.md)."""
+    _fitted(cp, lam)
     anchor = _anchor_record(cp, xbar, cfg)
     anchor.values  # refuses an anchor that is not feasible
     resid = anchor.gradient[0].copy()
@@ -338,7 +349,7 @@ def enumerate_constrained(
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:
     xv = as_point(x, cp.dimension)
     val = evaluate(cp.objective, xv)
-    for coeff, g in zip(lam.lambdas, cp.constraints):
+    for coeff, g in zip(_fitted(cp, lam).lambdas, cp.constraints):
         if coeff != 0.0:
             val += coeff * evaluate(g, xv)
     return val

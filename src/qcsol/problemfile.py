@@ -76,6 +76,7 @@ _ATOMS = {
     "ball": Ball,
     "linear_equality": LinearEquality,
 }
+_KINDS = {cls: kind for kind, cls in _ATOMS.items()}  # atom class -> type name
 
 
 def _atom_from_json(obj: dict, dim: int) -> Atom:
@@ -97,10 +98,7 @@ def _atom_from_json(obj: dict, dim: int) -> Atom:
 
 
 def _atom_to_json(atom: Atom) -> dict:
-    kind = next((k for k, cls in _ATOMS.items() if isinstance(atom, cls)), None)
-    if kind is None:
-        raise TypeError(f"unknown atom {atom!r}")
-    doc = {"type": kind}
+    doc = {"type": _KINDS[type(atom)]}
     for f in dataclasses.fields(atom):
         value = getattr(atom, f.name)
         doc[f.name] = list(value) if f.type == "tuple" else value

@@ -1,8 +1,9 @@
 """Convex set descriptors: membership, grid sampling, normal cones.
 
 A set is the intersection of atoms (boxes, halfspaces, balls, linear
-equalities).  Normal-cone extraction is restricted to polyhedral atoms;
-curved sets are supported everywhere else.
+equalities), each stating its dimension, its signed violations of a point
+(n,) or of the rows of X (N, n), <= 0 where it holds, and, but for a
+ball, its normal-cone generators at x.  grid_nodes builds every grid.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .errors import DimensionError, InputError, NonPolyhedralError
 from .expr import _MEMO_SIZE, _dot, _norm
 
@@ -32,6 +34,26 @@ class Box:
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise InputError("box has lo > hi")
 
+    dimension = property(lambda self: len(self.lo))
+
+    def violations(self, X: np.ndarray):
+        below = np.max(np.asarray(self.lo) - X, axis=-1)
+        above = np.max(X - np.asarray(self.hi), axis=-1)
+        return np.where(above > below, above, below)  # builtin max(below, above)
+
+    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+        """+e_i where x_i is at its upper bound, else -e_i where at its lower."""
+        gens, n = [], len(self.lo)
+        for i in range(n):
+            unit = np.zeros(n)  # set in place: the entries off the axis stay +0.0
+            if abs(x[i] - self.hi[i]) <= eps_act:
+                unit[i] = 1.0
+                gens.append(unit)
+            elif abs(x[i] - self.lo[i]) <= eps_act:
+                unit[i] = -1.0
+                gens.append(unit)
+        return gens
+
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -40,11 +62,25 @@ class Halfspace:
     a: tuple
     b: float
 
+    dimension = property(lambda self: len(self.a))
+
+    def violations(self, X: np.ndarray):
+        return _dot(self.a, X.T) - self.b
+
+    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+        """a where the halfspace is active."""
+        return [np.asarray(self.a, dtype=float)] if abs(self.violations(x)) <= eps_act else []
+
 
 @dataclass(frozen=True)
 class Ball:
     center: tuple
     radius: float
+
+    dimension = property(lambda self: len(self.center))
+
+    def violations(self, X: np.ndarray):
+        return _norm([c - ci for c, ci in zip(X.T, self.center)]) - self.radius
 
 
 @dataclass(frozen=True)
@@ -54,36 +90,23 @@ class LinearEquality:
     a: tuple
     b: float
 
+    dimension = property(lambda self: len(self.a))
+
+    def violations(self, X: np.ndarray):
+        return abs(_dot(self.a, X.T) - self.b)
+
+    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+        """a and -a: a free multiplier split into a positive pair."""
+        a = np.asarray(self.a, dtype=float)
+        return [a, -a]
+
 
 Atom = Union[Box, Halfspace, Ball, LinearEquality]
 
 
-def _atom_dim(atom: Atom) -> int:
-    if isinstance(atom, Box):
-        return len(atom.lo)
-    if isinstance(atom, (Halfspace, LinearEquality)):
-        return len(atom.a)
-    return len(atom.center)
-
-
-def _violations(atom: Atom, X: np.ndarray):
-    """Signed violations of one point (n,) or of each row of X (N, n);
-    <= 0 means the atom is satisfied."""
-    if isinstance(atom, Box):
-        below = np.max(np.asarray(atom.lo) - X, axis=-1)
-        above = np.max(X - np.asarray(atom.hi), axis=-1)
-        return np.where(above > below, above, below)  # builtin max(below, above)
-    if isinstance(atom, (Halfspace, LinearEquality)):
-        gap = _dot(atom.a, X.T) - atom.b
-        return abs(gap) if isinstance(atom, LinearEquality) else gap
-    if isinstance(atom, Ball):
-        return _norm([c - ci for c, ci in zip(X.T, atom.center)]) - atom.radius
-    raise TypeError(f"unknown atom {atom!r}")
-
-
 def atom_violation(atom: Atom, x: np.ndarray) -> float:
     """Signed violation; <= 0 means the atom is satisfied."""
-    return float(_violations(atom, np.asarray(x, dtype=float)))
+    return float(atom.violations(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -95,7 +118,7 @@ class ConvexSetDescriptor:
         if self.dimension < 1:
             raise DimensionError("dimension must be >= 1")
         for atom in self.atoms:
-            if _atom_dim(atom) != self.dimension:
+            if atom.dimension != self.dimension:
                 raise DimensionError(
                     f"atom {atom!r} has wrong dimension for n={self.dimension}"
                 )
@@ -105,7 +128,8 @@ class ConvexSetDescriptor:
         return not any(isinstance(a, Ball) for a in self.atoms)
 
 
-def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> bool:
+def contains(S: ConvexSetDescriptor, x: Sequence[float],
+             tol: float = DEFAULT_CONFIG.eps_feas) -> bool:
     xv = np.asarray(x, dtype=float)
     if xv.size != S.dimension:
         raise DimensionError(
@@ -119,27 +143,22 @@ def contains(S: ConvexSetDescriptor, x: Sequence[float], tol: float = 1e-9) -> b
 MAX_GRID_NODES = 10**6
 
 
-def check_grid_size(resolution: int, dim: int) -> None:
-    """Refuse a grid of resolution nodes per axis in dim dimensions that
-    has fewer than 2 per axis or more than MAX_GRID_NODES in all."""
+def grid_nodes(window: Box, resolution: int) -> np.ndarray:
+    """All nodes of the regular grid over the window, as (N, n) rows in
+    row-major order.  The window must be finite, with at least 2 nodes per
+    axis and at most MAX_GRID_NODES in all."""
     if resolution < 2:
         raise InputError("resolution must be >= 2")
-    if resolution ** dim > MAX_GRID_NODES:
-        raise InputError(
-            f"a grid of {resolution}^{dim} nodes exceeds the limit of {MAX_GRID_NODES} nodes"
-        )
-
-
-def grid_nodes(window: Box, resolution: int) -> np.ndarray:
-    """All nodes of the regular grid over the window, as (N, n) rows in row-major order."""
-    check_grid_size(resolution, len(window.lo))
+    if resolution ** window.dimension > MAX_GRID_NODES:
+        raise InputError(f"a grid of {resolution}^{window.dimension} nodes exceeds the "
+                         f"limit of {MAX_GRID_NODES} nodes")
     if not all(map(math.isfinite, (*window.lo, *window.hi))):
         raise InputError(f"a grid needs a finite window, got {window!r}")
-    axes = [
-        np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    n = window.dimension
+    X = np.empty((resolution,) * n + (n,))
+    for i, (lo, hi) in enumerate(zip(window.lo, window.hi)):  # axis i along X's axis i
+        X[..., i] = np.linspace(lo, hi, resolution).reshape((-1,) + (1,) * (n - 1 - i))
+    return X.reshape(-1, n)
 
 
 # (kind, ...) -> (record, its rows), least recently used first: the
@@ -168,7 +187,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def contains_many(S: ConvexSetDescriptor, X: np.ndarray,
+                  tol: float = DEFAULT_CONFIG.eps_feas) -> np.ndarray:
     """contains(S, x, tol) for every row of an (N, n) array X, as a mask,
     by the same formula on all rows at once."""
     if X.shape[1] != S.dimension:
@@ -177,12 +197,12 @@ def contains_many(S: ConvexSetDescriptor, X: np.ndarray, tol: float = 1e-9) -> n
         )
     keep = np.ones(len(X), dtype=bool)
     for atom in S.atoms:
-        keep &= _violations(atom, X) <= tol
+        keep &= atom.violations(X) <= tol
     return keep
 
 
 def sample_grid(
-    S: ConvexSetDescriptor, window: Box, resolution: int, tol: float = 1e-9
+    S: ConvexSetDescriptor, window: Box, resolution: int, tol: float = DEFAULT_CONFIG.eps_feas
 ) -> np.ndarray:
     """Grid nodes of the window that belong to S, as (N, n) rows in grid order.
 
@@ -194,33 +214,10 @@ def sample_grid(
 
 
 def normal_cone_generators(
-    X: ConvexSetDescriptor, x: Sequence[float], eps_act: float = 1e-9
+    X: ConvexSetDescriptor, x: Sequence[float], eps_act: float = DEFAULT_CONFIG.eps_act
 ) -> List[np.ndarray]:
-    """Generators of the normal cone of a polyhedral X at x.
-
-    Equality atoms contribute both orientations (free multipliers split
-    into a positive pair).
-    """
+    """Generators of the normal cone of a polyhedral X at x, atom by atom."""
     if not X.polyhedral:
         raise NonPolyhedralError("cone extraction needs a polyhedral set")
     xv = np.asarray(x, dtype=float)
-    gens: List[np.ndarray] = []
-    n = X.dimension
-    for atom in X.atoms:
-        if isinstance(atom, Halfspace):
-            if abs(_dot(atom.a, xv) - atom.b) <= eps_act:
-                gens.append(np.asarray(atom.a, dtype=float))
-        elif isinstance(atom, LinearEquality):
-            a = np.asarray(atom.a, dtype=float)
-            gens.append(a)
-            gens.append(-a)
-        elif isinstance(atom, Box):
-            for i in range(n):
-                unit = np.zeros(n)
-                if abs(xv[i] - atom.hi[i]) <= eps_act:
-                    unit[i] = 1.0
-                    gens.append(unit)
-                elif abs(xv[i] - atom.lo[i]) <= eps_act:
-                    unit[i] = -1.0
-                    gens.append(unit)
-    return gens
+    return [g for atom in X.atoms for g in atom.normals(xv, eps_act)]

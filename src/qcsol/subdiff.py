@@ -19,7 +19,7 @@ from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
 from .kkt import _anchor_record
-from .sets import Box, _frozen, _kept, check_grid_size, grid_nodes
+from .sets import Box, _frozen, _kept, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _directions(vs, dimension: int) -> np.ndarray:
     if V.size == 0:
         return V.reshape(0, dimension)
     if V.ndim != 2 or V.shape[1] != dimension:
-        raise ValueError(f"a direction must have {dimension} entries")
+        raise InputError(f"a direction must have {dimension} entries")
     return V
 
 
@@ -77,7 +77,7 @@ def gp_member(
     """
     if resolution < 3:
         raise InputError("resolution must be >= 3")
-    x0v = np.asarray(x0, dtype=float)
+    x0v = as_point(x0, window.dimension)
     f0 = evaluate(f, x0v)
     grid = _grid_values(f, window, resolution)
     V = _directions([v], grid[0].shape[1])
@@ -148,37 +148,25 @@ def gp_solution_check(
     return bool(len(V))
 
 
-@dataclass(frozen=True)
-class _Window:
-    """f on the grid of a 1-D window, reduced to what every halfline
-    infimum reads: the grid, the running minima of the values from either
-    end in one lookup table, and the values at the edge-trend points."""
-
-    ys: np.ndarray
-    minima: np.ndarray  # min over ys[i:] at i, -inf, -inf, min over ys[:k] at len(ys) + 1 + k
-    trend: tuple  # f at lo, lo + step, hi, hi - step
-
-
-def _window(f: ExprAst, window: Box, resolution: int) -> _Window:
-    """The window of f over a 1-D box in one batch: its grid, then the
-    edge-trend points (each edge and its grid neighbour).  Where f fails,
-    raises what evaluate raises at the first failing point."""
-    if len(window.lo) != 1:
+def _window(f: ExprAst, window: Box, resolution: int):
+    """What every halfline infimum reads of f on the grid_nodes ys of a 1-D
+    window, in one batch: ys, a lookup table of the running minima of f from
+    either end (min over ys[i:] at i, -inf, -inf, min over ys[:k] at
+    len(ys) + 1 + k) and f at the edge-trend points lo, lo + step, hi and
+    hi - step.  Where f fails, raises what evaluate raises at the first."""
+    if window.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    check_grid_size(resolution, 1)
+    ys = grid_nodes(window, resolution)[:, 0]
     lo, hi = window.lo[0], window.hi[0]
     step = (hi - lo) / (resolution - 1)
-    X = np.empty((resolution + 4, 1))
-    X[:resolution, 0] = np.linspace(lo, hi, resolution)
-    X[resolution:, 0] = lo, lo + step, hi, hi - step
-    values = evaluate_many(f, X)
+    values = evaluate_many(f, np.concatenate([ys, (lo, lo + step, hi, hi - step)])[:, None])
     grid = values[:resolution]
-    return _Window(X[:resolution, 0], np.concatenate([
+    return ys, np.concatenate([
         np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
-    ]), tuple(values[resolution:].tolist()))
+    ]), tuple(values[resolution:].tolist())
 
 
-def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
+def _halfline_infima(w: tuple, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
     """Infimum of f over {y : V[i] y >= T[i]} clipped to the window grid,
     for every pair i.
 
@@ -188,15 +176,14 @@ def _halfline_infima(w: _Window, V: np.ndarray, T: np.ndarray, eps: float) -> np
     documented heuristic, not a proof.  A nonempty region with no grid
     node bounds nothing and reads -inf.
     """
-    ys = w.ys
+    ys, minima, (lo_out, lo_in, hi_out, hi_in) = w
     pos, neg = V > 0.0, V < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 takes no cut
         cut = T / V
     # the grid part of the region: ys[start:] for v > 0, ys[:stop] for v < 0
     start = ys.searchsorted(cut - eps, side="left")
     stop = np.where(np.isnan(cut), 0, ys.searchsorted(cut + eps, side="right"))
-    inf = w.minima[np.where(pos, start, np.where(neg, stop + (len(ys) + 1), 0))]
-    lo_out, lo_in, hi_out, hi_in = w.trend
+    inf = minima[np.where(pos, start, np.where(neg, stop + (len(ys) + 1), 0))]
     if lo_out < lo_in - eps:  # the regions that reach past lo fall without bound
         inf[~pos | (cut < ys[0])] = -np.inf
     if hi_out < hi_in - eps:
@@ -276,6 +263,8 @@ def ml_solution_check_1d(
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
+    if form not in ("M1", "M2"):
+        raise InputError("form must be 'M1' or 'M2'")
     f = p.objective
     window = window or p.domain_window
     w = _window(f, window, resolution)
@@ -288,6 +277,4 @@ def ml_solution_check_1d(
         return False
     if form == "M2":
         return bool(np.count_nonzero(at_x & (V * xbar >= T - eps)))
-    if form != "M1":
-        raise ValueError("form must be 'M1' or 'M2'")
     return bool(_ml_members(f, xbar, V, T, inf, eps, at_x).any())

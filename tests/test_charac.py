@@ -17,7 +17,8 @@ from qcsol.charac import (
 )
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, DichotomyReport, Problem, as_point
-from qcsol.errors import HypothesisViolatedError, InconsistentDichotomyError, QcsolError
+from qcsol.errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
+                          QcsolError)
 from qcsol.expr import _dot, _norm, grad as charac_grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace, contains, sample_grid
@@ -54,7 +55,7 @@ def _dichotomy_per_pair(p, solutions, cfg=DEFAULT_CONFIG):
     pts = [np.asarray(x, dtype=float) for x in solutions]
     for x in pts:
         if not contains(p.feasible_set, x, cfg.eps_feas):
-            raise ValueError(f"claimed solution {tuple(x.tolist())} is not feasible")
+            raise InputError(f"claimed solution {tuple(x.tolist())} is not feasible")
     grads = [charac_grad(p.objective, x, p.dimension) for x in pts]
     norms = [_norm(g) for g in grads]
     witnesses = tuple((tuple(x.tolist()), float(nrm)) for x, nrm in zip(pts, norms))

@@ -454,6 +454,24 @@ def test_unparsable_expression_in_problem_file_is_an_input_error(tmp_path, capsy
     assert "(offset " in err["message"]
 
 
+@pytest.mark.parametrize("field,text", [("objective", "x1^" + "9" * 5000),
+                                        ("constraints", ["x" + "1" * 5000])],
+                         ids=["long-exponent", "long-variable-index"])
+def test_an_overlong_integer_in_a_problem_file_is_an_input_error(tmp_path, capsys, field, text):
+    # more digits than Python converts to an int, once a bare ValueError
+    e = get_example("ex2_3_constrained")
+    doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+    doc[field] = text
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input"
+    assert err["message"].startswith(field) and "integer of 5000 digits is too long" in err["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

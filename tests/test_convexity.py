@@ -14,7 +14,7 @@ from qcsol.convexity import (
     check_pseudoconvex_at,
     check_quasiconvex,
 )
-from qcsol.errors import EvalError, QcsolError
+from qcsol.errors import EvalError, InputError, QcsolError
 from qcsol.expr import _dot, _norm, evaluate, grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import Box, grid_nodes
@@ -214,6 +214,13 @@ def test_negative_sample_counts_are_rejected(sampler):
             sampler(f, w, n)
     got = sampler(f, w, 0)
     assert got is True or got.holds
+
+
+def test_the_level_set_check_refuses_a_grid_of_two_nodes_per_axis():
+    f, w = parse("x1^2", 1), Box((0.0,), (1.0,))
+    with pytest.raises(InputError, match="resolution must be >= 3"):
+        check_levelset_convex(f, 0.5, w, resolution=2)
+    assert check_levelset_convex(f, 0.5, w, resolution=3)
 
 
 @pytest.mark.parametrize("sampler", [

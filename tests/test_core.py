@@ -48,13 +48,17 @@ REFUSALS = {
         lambda: _constrained(constraints=(X1, parse("x2 + x3", 3))),
         DimensionError, "expression uses variables out of range: [2, 3]"),
     "no constraints": (lambda: _constrained(constraints=()),
-                       ValueError, "at least one inequality constraint required"),
+                       InputError, "at least one inequality constraint required"),
     "negative multiplier": (lambda: MultiplierVector((0.5, -1.0)),
-                            ValueError, "multipliers must be nonnegative"),
+                            InputError, "multipliers must be nonnegative finite reals"),
+    "nan multiplier": (lambda: MultiplierVector((NAN,)),
+                       InputError, "multipliers must be nonnegative finite reals"),
+    "infinite multiplier": (lambda: MultiplierVector((0.0, float("inf"))),
+                            InputError, "multipliers must be nonnegative finite reals"),
     "point not flat": (lambda: as_point([[1.0, 2.0]]),
                        DimensionError, "a point must be a flat sequence of reals"),
     "point not finite": (lambda: as_point((1.0, NAN)),
-                         ValueError, "point (1.0, nan) has non-finite entries"),
+                         InputError, "point (1.0, nan) has non-finite entries"),
     "point dimension": (lambda: as_point((1.0, 2.0), 3),
                         DimensionError, "point has dimension 2, expected 3"),
 }

@@ -101,6 +101,32 @@ class TestParseEvaluate:
         with pytest.raises(ParseError):
             parse("sin(x1)", 1)
 
+    @pytest.mark.parametrize("text, offset, message", [
+        ("sqrt x1", 5, "expected '(', found 'x1'"),
+        ("x1^1.5", 3, "exponent must be a nonnegative integer literal"),
+        ("pw[x1: x1]", 5, "expected '<=' or '>=' in guard"),
+        ("pw[1/x1 <= 1: x1]", 3, "guard expression must be affine"),
+        ("x1^" + "9" * 5000, 3, "integer of 5000 digits is too long"),
+        ("x" + "1" * 5000, 0, "integer of 5000 digits is too long"),
+        ("2 * x" + "0" * 4999 + "1", 4, "integer of 5000 digits is too long"),
+    ], ids=["sqrt without parentheses", "fractional exponent", "guard without comparison",
+            "non-affine guard", "long exponent", "long variable index", "long zero-padded index"])
+    def test_refusals_carry_their_offsets(self, text, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset)
+
+    def test_an_exponent_of_as_many_digits_as_python_converts_parses(self):
+        assert parse("x1^" + "0" * 4299 + "7", 1) == parse("x1^7", 1)
+
+    def test_unary_plus_is_dropped(self):
+        assert parse("+x1", 1) == parse("++x1", 1) == Var(1)
+
+    def test_a_dimension_below_one_is_refused(self):
+        for dimension in (0, -1):
+            with pytest.raises(DimensionError, match="dimension must be >= 1"):
+                parse("1", dimension)
+
 
 class TestPiecewise:
     def test_branch_values(self):
@@ -241,6 +267,38 @@ class TestEvaluationErrors:
             evaluate_many(f, np.array([[1e200]]))
         with pytest.raises(EvalError, match="non-finite"):
             evaluate(parse("x1 + 1", 1), [float("nan")])
+
+
+class TestPointsThatDoNotFit:
+    @pytest.mark.parametrize("text", [
+        "x1 + x2", "pw[x1 <= 0: 1; x1 >= 0: 2]", "x2^0 + 1", "sqrt(x2)"])
+    def test_a_short_point_is_refused(self, text):
+        f = parse(text, 2)
+        message = "a point must be flat, with at least 2 coordinates"
+        for call in (lambda: evaluate(f, [1.0]), lambda: grad(f, [1.0]),
+                     lambda: evaluate_many(f, [[1.0]]), lambda: grad_many(f, [[1.0]]),
+                     lambda: grad(f, [1.0], 1), lambda: grad_many(f, [[1.0]], 1)):
+            with pytest.raises(DimensionError, match=message):
+                call()
+
+    def test_a_nested_point_is_refused(self):
+        f = parse("x1 + x2", 2)
+        for call in (evaluate, grad):
+            with pytest.raises(DimensionError, match="a point must be flat"):
+                call(f, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_a_longer_point_is_read_up_to_the_coordinates_used(self):
+        f = parse("x1 + x2", 2)
+        assert evaluate(f, [1.0, 2.0, 5.0]) == 3.0
+        assert evaluate_many(f, [[1.0, 2.0, 5.0]]).tolist() == [3.0]
+        assert grad(f, [1.0, 2.0, 5.0]).tolist() == [1.0, 1.0, 0.0]
+        assert evaluate(parse("7", 2), []) == 7.0
+
+    def test_the_program_reads_every_coordinate_of_its_guards(self):
+        # the guard's coefficient of x2 is 0, but the program reads x[1]
+        assert _program(parse("pw[x1 <= 0: 1; x1 >= 0: 2]", 2), 0)[2] == 2
+        assert _program(parse("x3 * x1", 5), 0)[2] == 3
+        assert _program(parse("1", 5), 0)[2] == 0
 
 
 class TestEvaluateMany:

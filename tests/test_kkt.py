@@ -1,5 +1,6 @@
 """Multipliers, constraint qualification, and primed characterizations."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from qcsol import charac, expr, kkt, sets
 from qcsol.errors import (
     EvalError,
     HypothesisViolatedError,
+    InputError,
     NoMultiplierError,
     NonPolyhedralError,
     NotOpenGroundSetError,
@@ -219,8 +221,33 @@ class TestMultipliers:
         assert stationarity_residual(cp, (1.0, 1.0), MultiplierVector((0.0,))) == 1.0
 
     def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             MultiplierVector((-0.1,))
+
+    @pytest.mark.parametrize("lambdas", [(), (0.5, 0.0), (0.5, 0.5, 0.5)],
+                             ids=["short", "long", "longer"])
+    def test_a_multiplier_of_another_length_is_refused(self, surd, lambdas):
+        cp, xbar, lam = surd.problem, surd.anchor, MultiplierVector(lambdas)
+        message = rf"multipliers {re.escape(str(lambdas))} do not fit 1 constraints"
+        for call in (
+            lambda: active_set(cp, xbar, lam),
+            lambda: strict_index_set(cp, xbar, lam),
+            lambda: stationarity_residual(cp, xbar, lam),
+            lambda: member_X1(cp, xbar, lam, (0.0, 0.0)),
+            lambda: membership_constrained(cp, xbar, lam, (1.0, 1.0), V.SP1),
+            lambda: enumerate_constrained(cp, xbar, lam, V.SHATP1, 5),
+            lambda: lagrangian(cp, lam, (1.0, 1.0)),
+            lambda: lagrangian_constancy(cp, xbar, lam, [(1.0, 1.0)]),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
+
+    @pytest.mark.parametrize("name", ["ex2_1", "ex2_4"])
+    def test_a_plain_problem_takes_only_the_empty_multiplier(self, name):
+        e = get_example(name)
+        assert active_set(e.problem, e.anchor, MultiplierVector(())).strictly_positive == ()
+        with pytest.raises(InputError, match="do not fit 0 constraints"):
+            active_set(e.problem, e.anchor, MultiplierVector((0.0,)))
 
 
 _DYADIC = st.sampled_from([-2.0, -1.0, -0.75, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5])

@@ -42,6 +42,20 @@ def test_unknown_config_key():
         load_problem(doc)
 
 
+@pytest.mark.parametrize("doc", [[], "ex2_1", None, 2])
+def test_a_document_that_is_not_an_object_is_refused(doc):
+    with pytest.raises(ProblemFormatError, match="problem document must be a JSON object"):
+        load_problem(doc)
+
+
+def test_dumped_config_overrides_load_back():
+    e = get_example("ex2_1")
+    text = dumps(e.problem, known_solution=e.anchor, config={"eps_grad": 1e-6, "seed": 7})
+    assert json.loads(text)["config"] == {"eps_grad": 1e-6, "seed": 7}
+    _, _, cfg = loads(text)
+    assert cfg.eps_grad == 1e-6 and cfg.seed == 7
+
+
 def test_config_override_applies():
     doc = json.loads(dumps(get_example("ex2_1").problem))
     doc["config"] = {"eps_grad": 1e-6, "seed": 7}

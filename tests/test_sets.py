@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, NonPolyhedralError
+from qcsol.expr import _dot, _norm
 from qcsol.registry import get_example
 from qcsol.sets import (
     MAX_GRID_NODES,
@@ -67,6 +68,23 @@ class TestGrids:
         assert nodes[0] == pytest.approx([0.0, 0.0])
         assert nodes[1] == pytest.approx([0.0, 1.0])  # row-major: last axis fastest
         assert nodes[-1] == pytest.approx([1.0, 2.0])
+
+    @pytest.mark.parametrize("window, resolution", [
+        (Box((-0.0,), (2.0,)), 201),
+        (Box((0.0, -1.0), (0.3, 1.0)), 21),
+        (Box((-1e300, -0.0, 3.0), (1e300, 0.0, 3.0)), 7),
+        (Box((0.1,) * 4, (0.7,) * 4), 5),
+    ])
+    def test_grid_nodes_are_the_meshgrid_of_the_axes_bit_for_bit(self, window, resolution):
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(window.lo, window.hi)]
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        got = grid_nodes(window, resolution)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_contains_many_refuses_rows_of_the_wrong_width(self):
+        for width in (1, 3):
+            with pytest.raises(DimensionError, match=f"point has dimension {width}, set expects 2"):
+                contains_many(RECT, np.zeros((4, width)))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -217,3 +235,88 @@ def test_contains_monotone_in_atoms(a, b):
         for keep in range(len(RECT.atoms)):
             sub = ConvexSetDescriptor(2, (RECT.atoms[keep],))
             assert contains(sub, x)
+
+
+# The atom formulas as sets computed them when it told the atom kinds
+# apart by isinstance, kept here to pin each atom's own methods bit for bit.
+
+def _reference_violations(atom, X):
+    if isinstance(atom, Box):
+        below = np.max(np.asarray(atom.lo) - X, axis=-1)
+        above = np.max(X - np.asarray(atom.hi), axis=-1)
+        return np.where(above > below, above, below)
+    if isinstance(atom, (Halfspace, LinearEquality)):
+        gap = _dot(atom.a, X.T) - atom.b
+        return abs(gap) if isinstance(atom, LinearEquality) else gap
+    return _norm([c - ci for c, ci in zip(X.T, atom.center)]) - atom.radius
+
+
+def _reference_normals(atom, xv, n, eps_act):
+    gens = []
+    if isinstance(atom, Halfspace):
+        if abs(_dot(atom.a, xv) - atom.b) <= eps_act:
+            gens.append(np.asarray(atom.a, dtype=float))
+    elif isinstance(atom, LinearEquality):
+        a = np.asarray(atom.a, dtype=float)
+        gens.append(a)
+        gens.append(-a)
+    elif isinstance(atom, Box):
+        for i in range(n):
+            unit = np.zeros(n)
+            if abs(xv[i] - atom.hi[i]) <= eps_act:
+                unit[i] = 1.0
+                gens.append(unit)
+            elif abs(xv[i] - atom.lo[i]) <= eps_act:
+                unit[i] = -1.0
+                gens.append(unit)
+    return gens
+
+
+# entries drawn from a few values, so that rows often sit on a bound
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, 3.0, 0.1, -0.7, 1 / 3])
+
+
+@st.composite
+def _atoms_and_rows(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[_ENTRIES] * n)
+    bounds = [sorted(draw(st.tuples(_ENTRIES, _ENTRIES))) for _ in range(n)]
+    lo = tuple(-np.inf if draw(st.booleans()) else l for l, _ in bounds)
+    hi = tuple(np.inf if draw(st.booleans()) else h for _, h in bounds)
+    atom = draw(st.sampled_from([
+        Box(lo, hi),
+        Halfspace(draw(vec), draw(_ENTRIES)),
+        LinearEquality(draw(vec), draw(_ENTRIES)),
+        Ball(draw(vec), abs(draw(_ENTRIES))),
+    ]))
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    return atom, np.array(rows, dtype=float).reshape(len(rows), n)
+
+
+def _bits(value) -> tuple:
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+@given(_atoms_and_rows(), st.sampled_from([0.0, 1e-9, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_atom_formulas_are_the_isinstance_chains_bit_for_bit(case, eps_act):
+    atom, X = case
+    n = X.shape[1]
+    assert atom.dimension == n
+    assert _bits(atom.violations(X)) == _bits(_reference_violations(atom, X))
+    for x in X:
+        assert _bits(atom.violations(x)) == _bits(_reference_violations(atom, x))
+        if isinstance(atom, Ball):
+            continue
+        got, want = atom.normals(x, eps_act), _reference_normals(atom, x, n, eps_act)
+        assert [_bits(g) for g in got] == [_bits(g) for g in want]
+        S = ConvexSetDescriptor(n, (atom,))
+        assert [_bits(g) for g in normal_cone_generators(S, x, eps_act)] == [_bits(g) for g in want]
+
+
+def test_box_generators_keep_positive_zeros_off_the_axis():
+    box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    gens = box.normals(np.array([0.0, 0.5, 1.0]), 1e-9)
+    assert [g.tolist() for g in gens] == [[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert not any(np.signbit(g[g == 0.0]).any() for g in gens)

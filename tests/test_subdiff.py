@@ -1,6 +1,7 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from qcsol import kkt, sets, subdiff
 from qcsol.config import DEFAULT_CONFIG, Config
 from qcsol.core import Problem
-from qcsol.errors import DimensionError, EvalError
+from qcsol.errors import DimensionError, EvalError, InputError
 from qcsol.expr import _dot, _norm, evaluate, grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import MAX_GRID_NODES, Box, ConvexSetDescriptor, grid_nodes
@@ -47,6 +48,16 @@ class TestGreenbergPierskalla:
         with pytest.raises(ValueError):
             gp_member(quadrant.problem.objective, (0.0, 0.0), (1.0, 0.0),
                       quadrant.problem.domain_window, resolution=2)
+
+    def test_solution_check_refuses_a_grid_of_two_nodes_per_axis(self, quadrant):
+        with pytest.raises(InputError, match="resolution must be >= 3"):
+            gp_solution_check(quadrant.problem, quadrant.anchor, (0.0, -1.0), resolution=2)
+
+    def test_member_reads_x0_as_a_point_of_the_window(self, flat):
+        f, w = flat.problem.objective, flat.problem.domain_window
+        for x0 in ((0.5, 7.0), [[0.5]], ()):
+            with pytest.raises(DimensionError):
+                gp_member(f, x0, (1.0,), w)
 
     def test_candidates_include_units_and_gradients(self, quadrant):
         cands = default_gp_candidates(
@@ -125,6 +136,24 @@ class TestMartinezLegaz:
     def test_rejects_higher_dimensions(self, quadrant):
         with pytest.raises(DimensionError):
             ml_solution_check_1d(quadrant.problem, 0.0, 0.5)
+        p = quadrant.problem
+        with pytest.raises(DimensionError, match="n=1 only"):
+            ml_member_1d(p.objective, 0.5, MLPair(1.0, 0.4), p.domain_window)
+
+    def test_an_unknown_form_is_refused_before_any_evaluation(self, flat):
+        # no pair holds at x = 0.5, so the route once returned False here
+        with pytest.raises(InputError, match="form must be 'M1' or 'M2'"):
+            ml_solution_check_1d(flat.problem, 0.0, 0.5, [MLPair(1.0, 3.0)], form="bogus")
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 2.0), (0.0, np.inf), (-np.inf, np.inf)])
+    def test_an_infinite_window_is_refused_as_every_grid_is(self, flat, lo, hi):
+        p, window = flat.problem, Box((lo,), (hi,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy once warned on the infinite step
+            with pytest.raises(InputError, match="a grid needs a finite window"):
+                ml_member_1d(p.objective, 0.5, MLPair(1.0, 0.4), window)
+            with pytest.raises(InputError, match="a grid needs a finite window"):
+                ml_solution_check_1d(p, 0.0, 0.5, window=window)
 
 
 def _ref_halfline_inf(f, pair, window, resolution, cfg):
@@ -336,9 +365,9 @@ def test_gp_route_equals_per_point_loop(quadrant):
 
 def test_gp_rejects_directions_of_another_dimension(quadrant):
     p, xbar = quadrant.problem, quadrant.anchor
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         gp_solution_check(p, xbar, (0.0, -1.0), [(1.0, 0.0, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         gp_member(p.objective, xbar, (1.0,), p.domain_window)
     assert gp_solution_check(p, xbar, (0.0, -1.0), []) is False
 
