@@ -57,6 +57,14 @@ def classify_dichotomy(
         read = False
     if not read:
         X = np.array([as_point(x, p.dimension) for x in known_solutions])
+    # one report per problem, points and config; the points are keyed by
+    # their bytes, so 0.0 and -0.0 differ, and a failing build raises again
+    return _kept(("dichotomy", _ast_key(p), X.shape, X.tobytes(), cfg),
+                 lambda: _dichotomy(p, X, cfg), lambda report: len(X))
+
+
+def _dichotomy(p: Problem, X: np.ndarray, cfg: Config) -> DichotomyReport:
+    """classify_dichotomy of the (k, n) points X, read as given."""
     outside = ~contains_many(p.feasible_set, X, cfg.eps_feas)
     if outside.any():
         raise InputError(f"claimed solution {_at(X[outside.argmax()])} is not feasible")
@@ -310,11 +318,11 @@ def _check_kind(p, lam, variant: CharacVariant) -> None:
                          "charac.enumerate_solution_set")
 
 
-def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config):
+def _anchor(p, xbar, lam, variant: CharacVariant, cfg: Config, anchor=None):
     """Check every anchor hypothesis of the variant, in order, and return
-    the anchor's record (kkt._anchor_record), its strict-multiplier
-    indices and (i, grad g_i(xb)) for each of them."""
-    anchor = _checked(kkt._anchor_record(p, xbar, cfg), variant, cfg)
+    the anchor's record (kkt._anchor_record, unless the caller holds it),
+    its strict-multiplier indices and (i, grad g_i(xb)) for each of them."""
+    anchor = _checked(kkt._anchor_record(p, xbar, cfg) if anchor is None else anchor, variant, cfg)
     tilde = () if lam is None else anchor.active_set(lam).strictly_positive
     # a row that does not test x in S is stated for an open ground set
     if "in_feasible_set" not in _CONDITIONS[variant] and p.ground_set.atoms:
@@ -340,13 +348,20 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
 
 def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config) -> List[tuple]:
     """The rows of p's feasible grid (kkt._grid) in the variant's set, as
-    tuples in grid order.  The kind is checked before the grid is read;
-    an empty grid returns [] and checks no anchor."""
+    tuples in grid order."""
+    grid, member = _members(p, xbar, lam, variant, resolution, cfg)
+    return list(map(tuple, grid.X[member].tolist()))
+
+
+def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config, anchor=None):
+    """p's feasible grid and the mask of its rows in the variant's set.
+    The kind is checked before the grid is read; an empty grid checks no
+    anchor.  anchor is the anchor's record, if the caller holds it."""
     _check_kind(p, lam, variant)
     grid = kkt._grid(p, resolution, cfg)
     if not len(grid.X):
-        return []
-    anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
+        return grid, np.zeros(0, dtype=bool)
+    anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg, anchor)
     with np.errstate(all="ignore"):
         # the masks (every row is in S) and the base columns do not depend
         # on the variant: they are kept per grid, anchor, tilde and config
@@ -355,4 +370,4 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Confi
                                    kkt._masks(True, grid.C, tilde, cfg), active).freeze(),
                      lambda rows: len(grid.X))
         member, _ = rows.decide(variant, cfg)
-    return list(map(tuple, grid.X[member].tolist()))
+    return grid, member

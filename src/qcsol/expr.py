@@ -697,9 +697,12 @@ class _Parser:
         kind, text, off = self.advance()
         if kind == "num":
             try:
-                return Const(float(text)), 1
+                value = float(text)
             except ValueError:
                 raise ParseError(f"bad number literal {text!r}", off)
+            if math.isinf(value):  # pretty would print inf, which parse refuses
+                raise ParseError(f"number literal {text!r} overflows a float", off)
+            return Const(value), 1
         if kind == "name":
             if text in _FUNCTIONS:
                 self.expect("(")

@@ -194,7 +194,7 @@ def _feasible_rows(cp: ConstrainedProblem, resolution: int, cfg: Config):
 class _Grid:
     """One evaluation of a feasible grid, shared by every consumer: rows X,
     constraint values C (m, N) and, on first use, the objective's gradients
-    and values and the oracle's result (oracle.brute_force_solutions).
+    and values and the oracle's result and row mask (oracle.brute_force_solutions).
     Every array is read-only; a failing evaluation is not kept, so it
     raises again on the next use."""
 

@@ -2,7 +2,7 @@
 
 The oracle evaluates the objective exhaustively on the feasible grid and
 returns the eps_opt level set of the minimum; every characterization is
-validated against it by exact set comparison on the same grid.
+validated against it on the same grid, by comparing the two row masks.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .charac import _check_kind, _enumerate
+from .charac import _check_kind, _members
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem, Problem
 from .errors import HypothesisViolatedError
@@ -38,7 +38,7 @@ def brute_force_solutions(
     if grid.oracle is None or grid.oracle[0] != eps_opt:  # one result kept per grid
         vmin, solutions = grid.level_set(eps_opt)
         points = tuple(map(tuple, grid.X[solutions].tolist()))
-        grid.oracle = (eps_opt, OracleResult(vmin, points, len(grid.X)))
+        grid.oracle = (eps_opt, OracleResult(vmin, points, len(grid.X)), solutions)
     return grid.oracle[1]
 
 
@@ -66,8 +66,9 @@ def agreement(
     anchor = _anchor_record(p, xbar, cfg)
     if anchor.value > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
-    oracle_set = set(result.solution_points)
-    enumerated = set(_enumerate(p, xbar, None, variant, resolution, cfg))
-    missing = tuple(sorted(oracle_set - enumerated))
-    extra = tuple(sorted(enumerated - oracle_set))
+    grid, member = _members(p, xbar, None, variant, resolution, cfg, anchor)
+    oracle = grid.oracle[2]
+    # a window with lo == hi on some axis repeats rows: each point is listed once
+    missing, extra = (tuple(sorted(set(map(tuple, grid.X[rows].tolist()))))
+                      for rows in (oracle & ~member, member & ~oracle))
     return OracleAgreement(not missing and not extra, missing, extra, result)

@@ -106,7 +106,15 @@ Atom = Union[Box, Halfspace, Ball, LinearEquality]
 
 def atom_violation(atom: Atom, x: np.ndarray) -> float:
     """Signed violation; <= 0 means the atom is satisfied."""
-    return float(atom.violations(np.asarray(x, dtype=float)))
+    return float(atom.violations(_point(x, atom.dimension, "atom")))
+
+
+def _point(x, dimension: int, what: str) -> np.ndarray:
+    """x as a float array, refused unless it has the dimension's entries."""
+    xv = np.asarray(x, dtype=float)
+    if xv.size != dimension:
+        raise DimensionError(f"point has dimension {xv.size}, {what} expects {dimension}")
+    return xv
 
 
 @dataclass(frozen=True)
@@ -130,12 +138,8 @@ class ConvexSetDescriptor:
 
 def contains(S: ConvexSetDescriptor, x: Sequence[float],
              tol: float = DEFAULT_CONFIG.eps_feas) -> bool:
-    xv = np.asarray(x, dtype=float)
-    if xv.size != S.dimension:
-        raise DimensionError(
-            f"point has dimension {xv.size}, set expects {S.dimension}"
-        )
-    return all(atom_violation(atom, xv) <= tol for atom in S.atoms)
+    xv = _point(x, S.dimension, "set")
+    return all(float(atom.violations(xv)) <= tol for atom in S.atoms)
 
 
 # The most nodes a grid may have: a larger one is refused before any
@@ -219,5 +223,5 @@ def normal_cone_generators(
     """Generators of the normal cone of a polyhedral X at x, atom by atom."""
     if not X.polyhedral:
         raise NonPolyhedralError("cone extraction needs a polyhedral set")
-    xv = np.asarray(x, dtype=float)
+    xv = _point(x, X.dimension, "set")
     return [g for atom in X.atoms for g in atom.normals(xv, eps_act)]

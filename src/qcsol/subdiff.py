@@ -39,8 +39,8 @@ def _grid_values(f: ExprAst, window: Box, resolution: int):
         X = grid_nodes(window, resolution)
         return _frozen(X), _frozen(evaluate_many(f, X))
 
-    key = ("gp", _ast_key(f), _ast_key(window), resolution)
-    return _kept(key, build, lambda grid: len(grid[0]))
+    return _kept(("gp", _ast_key(f), _ast_key(window), resolution), build,
+                 lambda grid: len(grid[0]))
 
 
 def _directions(vs, dimension: int) -> np.ndarray:

@@ -29,7 +29,8 @@ def grid_work(monkeypatch):
     """The grids built (their resolutions), feasible or GP, and the
     gradient batches (their row counts) taken on grid records and by
     classify_dichotomy from now on, in call order, with the kept records
-    cleared first."""
+    cleared first.  A kept dichotomy report or grid record takes no batch,
+    so a batch counted twice is work done twice."""
     work = {"grids": [], "gradients": []}
     nodes, gradients = sets.grid_nodes, kkt.grad_many
 

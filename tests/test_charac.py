@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsol import charac
+from qcsol import charac, sets
 from qcsol.charac import (
     check_anchor_hypothesis,
     classify_dichotomy,
@@ -175,6 +175,43 @@ def test_dichotomy_reads_its_solutions_as_the_per_point_loop(points):
     got = outcome(lambda: classify_dichotomy(p, points))
     want = outcome(lambda: _dichotomy_per_pair(p, [as_point(x, 2) for x in points]))
     assert repr(got) == repr(want)
+
+
+def _dichotomy_records():
+    return {key: entry for key, entry in sets._KEPT.items() if key[0] == "dichotomy"}
+
+
+def test_a_dichotomy_is_kept_per_problem_points_and_config(grid_work):
+    p = get_example("ex2_1").problem
+    pts = [(x1, 0.0) for x1 in np.linspace(1.0, 2.0, 5)]
+    rep = classify_dichotomy(p, pts)
+    assert rep == _dichotomy_per_pair(p, pts)
+    # warm: the same points, in any form, read the report and take no gradients
+    assert classify_dichotomy(p, np.array(pts)) is rep
+    assert classify_dichotomy(p, [tuple(map(str, x)) for x in pts]) is rep
+    assert grid_work["gradients"] == [5]
+    # signed zeros and each config get their own record
+    minus = classify_dichotomy(p, [(x1, -0.0) for x1, _ in pts])
+    assert minus.witnesses[0][0] == (1.0, -0.0) and rep.witnesses[0][0] == (1.0, 0.0)
+    other = classify_dichotomy(p, pts, replace(DEFAULT_CONFIG, seed=1))
+    assert other == rep and other is not rep
+    assert grid_work["gradients"] == [5, 5, 5]
+    # each record counts its points as rows
+    assert [rows for _, rows in _dichotomy_records().values()] == [5, 5, 5]
+
+
+@pytest.mark.parametrize("points,error", [
+    ([(-1.0, 0.0), (0.0, 0.0)], InconsistentDichotomyError),
+    ([(0.0, 0.0), (-5.0, 0.0)], InputError),
+], ids=["mixed", "infeasible"])
+def test_a_failing_dichotomy_raises_on_every_call(grid_work, points, error):
+    p = get_example("ex2_2").problem
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            classify_dichotomy(p, points)
+        messages.add(str(info.value))
+    assert len(messages) == 1 and _dichotomy_records() == {}
 
 
 class TestAnchorHypothesis:

@@ -534,6 +534,17 @@ def test_a_non_ascii_digit_is_an_input_error_in_a_fresh_process(tmp_path):
     assert err["message"] == "objective: unexpected character '\u00b2' (offset 1)"
 
 
+def test_an_overflowing_literal_in_a_problem_file_is_an_input_error(tmp_path, capsys):
+    path = Path(_write_problem(tmp_path, 1.0))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), objective="x1^2 + 1e999*0")))
+    assert run(["oracle", "--problem", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input"
+    assert err["message"] == "objective: number literal '1e999' overflows a float (offset 7)"
+
+
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_run_example_builds_one_grid(grid_work, capsys, name):
     e = get_example(name)
@@ -547,7 +558,7 @@ def test_run_example_builds_one_grid(grid_work, capsys, name):
     plain = name != "ex2_3_constrained"
     assert grid_work["gradients"] == ([k, N] if plain else [])
     # warm: the same run, and an enumeration at the same resolution, build
-    # no grid; the run takes the dichotomy's batch alone, and the
+    # no grid; the run reads the kept dichotomy and takes no batch, and the
     # enumeration reads the kept all-rows batch, or takes it
     assert run(["run-example", name, "--check", "all"]) == 0
     enumerate_argv = (
@@ -557,7 +568,7 @@ def test_run_example_builds_one_grid(grid_work, capsys, name):
     )
     run(enumerate_argv + ["--resolution", str(e.resolution)])
     assert grid_work["grids"] == [e.resolution]
-    assert grid_work["gradients"] == ([k, N, k] if plain else [N])
+    assert grid_work["gradients"] == ([k, N] if plain else [N])
 
 
 def test_deeply_nested_problem_file_is_an_input_error(tmp_path, capsys):

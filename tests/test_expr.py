@@ -109,12 +109,20 @@ class TestParseEvaluate:
         ("x1^" + "9" * 5000, 3, "integer of 5000 digits is too long"),
         ("x" + "1" * 5000, 0, "integer of 5000 digits is too long"),
         ("2 * x" + "0" * 4999 + "1", 4, "integer of 5000 digits is too long"),
+        ("x2 / x1 + 1e999*0", 10, "number literal '1e999' overflows a float"),
     ], ids=["sqrt without parentheses", "fractional exponent", "guard without comparison",
-            "non-affine guard", "long exponent", "long variable index", "long zero-padded index"])
+            "non-affine guard", "long exponent", "long variable index", "long zero-padded index",
+            "overflowing literal"])
     def test_refusals_carry_their_offsets(self, text, offset, message):
         with pytest.raises(ParseError) as err:
             parse(text, 2)
         assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset)
+
+    def test_the_largest_float_literal_parses_and_prints_back(self):
+        # pretty writes what parse reads: a literal that overflowed to inf did not
+        f = parse("1.7976931348623157e308 * x1", 1)
+        assert f == Mul(Const(1.7976931348623157e308), Var(1))
+        assert parse(pretty(f), 1) == f
 
     def test_an_exponent_of_as_many_digits_as_python_converts_parses(self):
         assert parse("x1^" + "0" * 4299 + "7", 1) == parse("x1^7", 1)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from qcsol.config import DEFAULT_CONFIG
 from qcsol.charac import classify_dichotomy, enumerate_solution_set, membership
-from qcsol import sets
+from qcsol import charac, kkt, oracle, sets
 from qcsol.cli import _AGREEMENT_VARIANTS, run
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem
 from qcsol.errors import EmptyGridError, EvalError, HypothesisViolatedError, InputError
-from qcsol.expr import evaluate, parse
+from qcsol.expr import _at, evaluate, parse
 from qcsol.kkt import enumerate_constrained, feasible_grid
-from qcsol.oracle import OracleResult, agreement, brute_force_solutions
+from qcsol.oracle import OracleAgreement, OracleResult, agreement, brute_force_solutions
 from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace
 from test_registry import EXAMPLE_NAMES
@@ -126,6 +126,81 @@ def test_a_non_finite_window_is_refused_in_both_problem_forms():
     assert len(messages) == 1
 
 
+def _set_difference_agreement(p, xbar, variant, resolution, eps_opt=None, cfg=DEFAULT_CONFIG):
+    """agreement by the set difference of the oracle's points and the
+    enumerated points, with its checks in the same order."""
+    charac._check_kind(p, None, variant)
+    eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
+    result = brute_force_solutions(p, resolution, eps_opt, cfg)
+    anchor = kkt._anchor_record(p, xbar, cfg)
+    if anchor.value > result.min_value + eps_opt:
+        raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
+    oracle_set = set(result.solution_points)
+    enumerated = set(enumerate_solution_set(p, xbar, variant, resolution, cfg))
+    missing = tuple(sorted(oracle_set - enumerated))
+    extra = tuple(sorted(enumerated - oracle_set))
+    return OracleAgreement(not missing and not extra, missing, extra, result)
+
+
+def _answer(call):
+    """The repr of the answer, or the error's type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:  # every error must repeat exactly
+        return type(exc).__name__, str(exc)
+
+
+# every unconstrained example, and ex2_1 on a window with lo == hi on the
+# first axis, whose grid rows repeat
+_AGREEMENT_CASES = [
+    *((name, None) for name in EXAMPLE_NAMES if name != "ex2_3_constrained"),
+    ("ex2_1", Box((1.0, 0.0), (1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("name,window", _AGREEMENT_CASES,
+                         ids=[name + ("-degenerate" if w else "") for name, w in _AGREEMENT_CASES])
+def test_agreement_by_masks_equals_the_set_difference(name, window):
+    e = get_example(name)
+    p = e.problem if window is None else replace(e.problem, domain_window=window)
+    for resolution, eps_opt in itertools.product(sorted({3, 5, 9, e.resolution}), (1e-9, 1e-3)):
+        sets._KEPT.clear()
+        for v in CharacVariant:
+            got = _answer(lambda: agreement(p, e.anchor, v, resolution, eps_opt))
+            assert got == _answer(
+                lambda: _set_difference_agreement(p, e.anchor, v, resolution, eps_opt)), v
+        # the dichotomy of the oracle's solutions, cold and then kept
+        points = brute_force_solutions(p, resolution, eps_opt).solution_points
+        dichotomy = _answer(lambda: classify_dichotomy(p, points))
+        assert _answer(lambda: classify_dichotomy(p, points)) == dichotomy
+        sets._KEPT.clear()
+        assert _answer(lambda: classify_dichotomy(p, points)) == dichotomy
+
+
+def test_a_point_on_repeated_rows_is_listed_once():
+    e = get_example("ex2_1")
+    p = replace(e.problem, domain_window=Box((1.0, 0.0), (1.0, 1.0)))
+    assert brute_force_solutions(p, 3).solution_points == ((1.0, 0.0),) * 3
+    rep = agreement(p, e.anchor, CharacVariant.STILDE, 3)
+    assert (rep.equal, rep.missing, rep.extra) == (False, ((1.0, 0.0),), ())
+
+
+def test_agreement_looks_its_anchor_up_once(monkeypatch):
+    e = get_example("ex2_1")
+    agreement(e.problem, e.anchor, CharacVariant.S1, 9)
+    lookups = []
+
+    def counted(*args):
+        lookups.append(args)
+        return record(*args)
+
+    record = kkt._anchor_record
+    monkeypatch.setattr(kkt, "_anchor_record", counted)
+    monkeypatch.setattr(oracle, "_anchor_record", counted)
+    assert agreement(e.problem, e.anchor, CharacVariant.S2, 9).equal
+    assert len(lookups) == 1
+
+
 def test_agreement_builds_one_grid(grid_work):
     e = get_example("ex2_1")
     rep = agreement(e.problem, e.anchor, CharacVariant.SHAT1, 9)
@@ -149,10 +224,10 @@ def test_run_example_shares_one_grid_and_one_gradient_array(grid_work, capsys, n
     assert run(["run-example", name]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k]
-    # every check: the dichotomy's batch again, and one batch at all rows
+    # every check: the kept dichotomy, and one batch at all rows
     assert run(["run-example", name, "--check", "all"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, k, N]
+    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, N]
     dichotomy = classify_dichotomy(e.problem, res.solution_points)
     assert "agreement" not in summary and {**summary, "agreement": report["agreement"]} == report
     assert report["alternative"] == dichotomy.alternative
@@ -161,8 +236,8 @@ def test_run_example_shares_one_grid_and_one_gradient_array(grid_work, capsys, n
         v.value: agreement(e.problem, e.anchor, v, e.resolution).equal
         for v in _AGREEMENT_VARIANTS[dichotomy.alternative]
     }
-    # the questions asked here again: only the dichotomy takes a batch
-    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, k, N, k]
+    # the questions asked here again take no batch
+    assert grid_work["grids"] == [e.resolution] and grid_work["gradients"] == [k, N]
 
 
 def test_constrained_problem_is_rejected_before_any_grid(monkeypatch):

@@ -21,6 +21,17 @@ def test_round_trip_all_builtins(name):
     assert known == tuple(float(v) for v in e.anchor)
 
 
+def test_the_largest_float_literal_round_trips_and_a_larger_one_is_refused():
+    doc = json.loads(dumps(get_example("ex2_1").problem))
+    doc["objective"] = "x2 / x1 + 1.7976931348623157e308*0"
+    problem, _, _ = loads(json.dumps(doc))
+    assert loads(dumps(problem))[0] == problem
+    doc["objective"] = "x2 / x1 + 1e999*0"
+    with pytest.raises(ProblemFormatError,
+                       match=r"objective: number literal '1e999' overflows a float \(offset 10\)"):
+        loads(json.dumps(doc))
+
+
 def test_canonical_text_is_stable():
     e = get_example("ex2_1")
     text = dumps(e.problem, known_solution=e.anchor)

@@ -53,6 +53,20 @@ class TestAtoms:
         assert atom_violation(Ball((0.0, 0.0), 1.0), np.array([0.5, 0.0])) < 0
         assert atom_violation(LinearEquality((1.0,), 2.0), np.array([3.0])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("atom", [
+        Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 1.0), 1.0),
+        Ball((0.0, 0.0), 1.0), LinearEquality((1.0, 1.0), 1.0),
+    ], ids=["box", "halfspace", "ball", "equality"])
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 0.0, 0.0]], ids=["short", "long"])
+    def test_atoms_refuse_points_of_the_wrong_dimension(self, atom, x):
+        # a halfspace's dot stopped at the shorter operand and a box broadcast
+        # a short point, so both read 0.0; a box's normals raised IndexError
+        with pytest.raises(DimensionError, match=f"point has dimension {len(x)}, atom expects 2"):
+            atom_violation(atom, x)
+        if not isinstance(atom, Ball):
+            with pytest.raises(DimensionError, match=f"point has dimension {len(x)}, set expects 2"):
+                normal_cone_generators(ConvexSetDescriptor(2, (atom,)), x)
+
     def test_contains(self):
         assert contains(RECT, [1.5, 1.0])
         assert not contains(RECT, [1.5, 1.6])  # violates x2 <= x1
