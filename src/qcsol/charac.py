@@ -46,6 +46,8 @@ def classify_dichotomy(
     agree pairwise; II: every gradient is zero.  A mix raises
     InconsistentDichotomyError at the first failing pair (docs/theorems.md).
     """
+    if isinstance(p, ConstrainedProblem):
+        raise InputError("the dichotomy is stated for a plain problem, not a constrained one")
     if not len(known_solutions):
         raise InputError("need at least one known solution")
     # one conversion; where it fails, as_point reads the points one by one,
@@ -337,8 +339,10 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     _check_kind(p, lam, variant)
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     xv = as_point(x, p.dimension)
+    # no constraint is evaluated outside the ground set, as on the grid
     in_S = contains(p.ground_set, xv, cfg.eps_feas)
-    sets = kkt._masks(in_S, np.array([evaluate(g, xv) for g in p.constraints]), tilde, cfg)
+    values = np.array([evaluate(g, xv) for g in p.constraints if in_S])
+    sets = kkt._masks(in_S, values, tilde, cfg)
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
         member, entries = _Rows(xv, g, anchor, sets, active).decide(variant, cfg)

@@ -10,7 +10,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .expr import ExprAst, free_variables
+from .expr import ExprAst, _program
 from .sets import Box, ConvexSetDescriptor
 
 
@@ -27,9 +27,19 @@ def as_point(x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
     return xv
 
 
-def _check_window(window: Box, dimension: int):
-    if len(window.lo) != dimension:
+def _check(p, name: str):
+    """Refuse a problem whose set, window or expressions do not fit its
+    dimension; an expression fits when its program reads no coordinate
+    beyond it."""
+    if p.dimension < 1:
+        raise DimensionError("dimension must be >= 1")
+    if p.ground_set.dimension != p.dimension:
+        raise DimensionError(f"{name} dimension mismatch")
+    if len(p.domain_window.lo) != p.dimension:
         raise DimensionError("domain window dimension mismatch")
+    reads = max(_program(e, 0)[2] for e in (p.objective, *p.constraints))
+    if reads > p.dimension:
+        raise DimensionError(f"expression reads x{reads}, beyond dimension {p.dimension}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +59,7 @@ class Problem:
         return self.feasible_set
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DimensionError("dimension must be >= 1")
-        if self.feasible_set.dimension != self.dimension:
-            raise DimensionError("feasible set dimension mismatch")
-        _check_window(self.domain_window, self.dimension)
-        bad = [i for i in free_variables(self.objective) if i > self.dimension]
-        if bad:
-            raise DimensionError(f"objective uses variables out of range: {bad}")
+        _check(self, "feasible set")
 
 
 @dataclass(frozen=True)
@@ -70,17 +73,9 @@ class ConstrainedProblem:
     domain_window: Box
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DimensionError("dimension must be >= 1")
+        _check(self, "ground set")
         if len(self.constraints) < 1:
             raise InputError("at least one inequality constraint required")
-        if self.ground_set.dimension != self.dimension:
-            raise DimensionError("ground set dimension mismatch")
-        _check_window(self.domain_window, self.dimension)
-        for g in (self.objective,) + tuple(self.constraints):
-            bad = [i for i in free_variables(g) if i > self.dimension]
-            if bad:
-                raise DimensionError(f"expression uses variables out of range: {bad}")
 
 
 @dataclass(frozen=True)

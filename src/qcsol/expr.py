@@ -6,9 +6,10 @@ are conjunctions of linear inequalities.  Each expression is compiled
 once into straight-line Python that computes its value and, in forward
 mode, its exact gradient; the same code runs on Python floats for one
 point (``evaluate``, ``grad``) and on numpy columns for a batch
-(``evaluate_many``, ``grad_many``), so both agree bit for bit.  Each
-operator is defined once, in the operator tables after the AST nodes,
-which the parser, the printer, the compiler and free_variables all read.
+(``evaluate_many``, ``grad_many``), so both agree bit for bit, in one
+order with or without the gradient.  Each operator is defined once, in the
+operator tables after the AST nodes, which the parser, the printer and the
+compiler read; the program states which coordinates the expression reads.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ _RULES = {
     Neg: ("-{u}", "-{du}"),
     Sqrt: ("SQRT({u})", "SQRTD({v}, {du})"),
     Abs: ("abs({u})", "ABSD({u}, {du})"),
+    Div: ("DIV({u}, {w})", "({du} - {v} * {dw}) / {w}"),
 }
 
 
@@ -156,7 +158,7 @@ class _Compiler:
     operands' by the rules of dual-number arithmetic.  n = 0 gives the
     value alone.
 
-    The source defines ``_build(POW, NONZERO, SQRT, SQRTD, ABSD, PW, k0,
+    The source defines ``_build(POW, DIV, SQRT, SQRTD, ABSD, PW, k0,
     k1, ...)``, which returns ``f(x)`` -> (value, derivatives) for a
     list x of coordinates.  The helpers hold everything that depends on
     whether a coordinate is a float or a numpy column; the constants k*
@@ -221,16 +223,6 @@ class _Compiler:
         if isinstance(e, Var):
             i, self.reads = e.index - 1, max(self.reads, e.index)
             return f"x[{i}]", ["1.0" if j == i else "0.0" for j in range(n)]
-        if isinstance(e, Div):
-            if n:
-                (l, ld), (r, rd) = self.node(e.left), self.node(e.right)
-                self.lines.append(f"NONZERO({r})")
-            else:  # the value alone tests the denominator before the numerator
-                r, rd = self.node(e.right)
-                self.lines.append(f"NONZERO({r})")
-                l, ld = self.node(e.left)
-            v = self.value(f"{l} / {r}")
-            return v, self.derivs(f"({a} - {v} * {b}) / {r}" for a, b in zip(ld, rd))
         if isinstance(e, Pow):
             b, bd = self.node(e.base)
             if e.exponent == 0:
@@ -267,7 +259,7 @@ class _Compiler:
         raise TypeError(f"unknown node {e!r}")
 
 
-_HELPERS = ("POW", "NONZERO", "SQRT", "SQRTD", "ABSD", "PW")
+_HELPERS = ("POW", "DIV", "SQRT", "SQRTD", "ABSD", "PW")
 
 
 # The float helpers: one point, coordinates as Python floats.
@@ -286,9 +278,10 @@ def _pow(base: float, k: int, lower: Optional[int] = None):
         raise EvalError("power overflows") from None
 
 
-def _nonzero(v: float) -> None:
+def _div(u: float, v: float) -> float:
     if v == 0.0:
         raise EvalError("division by zero")
+    return u / v
 
 
 def _sqrt(v: float) -> float:
@@ -358,9 +351,10 @@ def _powers(base, k: int, lower: Optional[int] = None):
         raise EvalError("power overflows") from None
 
 
-def _nonzero_rows(v) -> None:
+def _div_rows(u, v):
     if np.any(v == 0.0):
         raise EvalError("division by zero")
+    return u / v
 
 
 def _sqrt_rows(v):
@@ -416,8 +410,8 @@ def _branch_rows(x, hits, branches, n):
     return value, tuple(derivs)
 
 
-_FLOATS = (_pow, _nonzero, _sqrt, _sqrt_slope, _abs_slope, _branch)
-_COLUMNS = (_powers, _nonzero_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _branch_rows)
+_FLOATS = (_pow, _div, _sqrt, _sqrt_slope, _abs_slope, _branch)
+_COLUMNS = (_powers, _div_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _branch_rows)
 
 
 _MEMO_SIZE = 512
@@ -564,21 +558,6 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     if Xv.shape[1] != n:
         raise DimensionError(f"point has dimension {Xv.shape[1]}, expected {n}")
     return _batch(f, Xv, n)[1]
-
-
-def free_variables(e: Expr) -> set:
-    """The indices of the variables e reads; a guard reads those with a
-    nonzero coefficient."""
-    if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Piecewise):
-        out = set()
-        for guard, br in e.branches:
-            for ineq in guard:
-                out |= {i + 1 for i, c in enumerate(ineq.coeffs) if c != 0.0}
-            out |= free_variables(br)
-        return out
-    return set().union(*(free_variables(getattr(e, f)) for f in _OPERANDS[type(e)]))
 
 
 # ---------------------------------------------------------------------------

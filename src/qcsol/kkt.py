@@ -312,10 +312,10 @@ def _masks(in_S, values: np.ndarray, tilde: tuple, cfg: Config) -> dict:
     """The masks of the set conditions, from the mask in_S of x in the
     ground set and the constraint values at x, (m,) at one point or
     (m, N) at the N rows of a grid: in_feasible_set (x in S),
-    constraints_feasible (every g_i(x) <= 0) and in_X1, whose
+    constraints_feasible (x in S and every g_i(x) <= 0) and in_X1, whose
     strict-multiplier indices are tilde (docs/theorems.md gives the
     formulas)."""
-    feasible, in_X1 = True, in_S
+    feasible = in_X1 = in_S
     for i, v in enumerate(values):
         feasible = feasible & (v <= cfg.eps_feas)
         in_X1 = in_X1 & (~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas))

@@ -110,11 +110,14 @@ def atom_violation(atom: Atom, x: np.ndarray) -> float:
 
 
 def _point(x, dimension: int, what: str) -> np.ndarray:
-    """x as a float array, refused unless it has the dimension's entries."""
+    """x as a flat float array, refused unless it has the dimension's
+    entries; a scalar is a point of one coordinate."""
     xv = np.asarray(x, dtype=float)
+    if xv.ndim > 1:
+        raise DimensionError(f"point has shape {xv.shape}, {what} expects a flat point")
     if xv.size != dimension:
         raise DimensionError(f"point has dimension {xv.size}, {what} expects {dimension}")
-    return xv
+    return xv.reshape(dimension)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,13 @@ class TestDichotomy:
         with pytest.raises(InconsistentDichotomyError):
             classify_dichotomy(e.problem, [(-1.0, 0.0), (0.0, 0.0)])
 
+    @pytest.mark.parametrize("points", [[(1.0, 1.0)], [], [("bad",)]], ids=["point", "none", "bad"])
+    def test_constrained_problem_refused_before_its_points(self, points):
+        # the dichotomy is stated for a plain problem; a constrained one
+        # has no feasible_set, which raised AttributeError
+        with pytest.raises(InputError, match="stated for a plain problem"):
+            classify_dichotomy(get_example("ex2_3_constrained").problem, points)
+
 
 def _dichotomy_per_pair(p, solutions, cfg=DEFAULT_CONFIG):
     """classify_dichotomy one point and one pair at a time: contains and

@@ -33,7 +33,12 @@ REFUSALS = {
     "problem window dimension": (lambda: Problem(X1, LINE, 1, Box((0.0, 0.0), (1.0, 1.0))),
                                  DimensionError, "domain window dimension mismatch"),
     "problem variables": (lambda: Problem(parse("x1 + x3", 3), LINE, 1, UNIT),
-                          DimensionError, "objective uses variables out of range: [3]"),
+                          DimensionError, "expression reads x3, beyond dimension 1"),
+    # the guards read every coordinate of the dimension they were parsed at
+    "problem guard variables": (
+        lambda: Problem(parse("pw[x1 <= 0: -x1; x1 >= 0: x1]", 3), ConvexSetDescriptor(2), 2,
+                        Box((-1.0, -1.0), (1.0, 1.0))),
+        DimensionError, "expression reads x3, beyond dimension 2"),
     "constrained dimension": (lambda: _constrained(dimension=0),
                               DimensionError, "dimension must be >= 1"),
     "constrained set dimension": (lambda: _constrained(ground=ConvexSetDescriptor(2)),
@@ -43,10 +48,10 @@ REFUSALS = {
         DimensionError, "domain window dimension mismatch"),
     "constrained objective variables": (
         lambda: _constrained(objective=parse("x2", 2)),
-        DimensionError, "expression uses variables out of range: [2]"),
+        DimensionError, "expression reads x2, beyond dimension 1"),
     "constrained constraint variables": (
         lambda: _constrained(constraints=(X1, parse("x2 + x3", 3))),
-        DimensionError, "expression uses variables out of range: [2, 3]"),
+        DimensionError, "expression reads x3, beyond dimension 1"),
     "no constraints": (lambda: _constrained(constraints=()),
                        InputError, "at least one inequality constraint required"),
     "negative multiplier": (lambda: MultiplierVector((0.5, -1.0)),

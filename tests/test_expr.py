@@ -32,7 +32,6 @@ from qcsol.expr import (
     Var,
     evaluate,
     evaluate_many,
-    free_variables,
     grad,
     grad_many,
     parse,
@@ -85,8 +84,8 @@ class TestParseEvaluate:
         with pytest.raises(EvalError):
             evaluate(f, [0.0])
 
-    def test_free_variables(self):
-        assert free_variables(parse("x1 + x3", 3)) == {1, 3}
+    def test_reads(self):
+        assert _program(parse("x1 + x3", 3), 0)[2] == 3
 
     def test_parse_error_offset(self):
         with pytest.raises(ParseError) as err:
@@ -552,48 +551,77 @@ def test_grad_many_equals_rowwise_grad(f, rows):
         assert str(info.value) == str(first_error)
 
 
-def _ref_free_variables(e):
-    """free_variables by one isinstance test per node kind."""
+# The errors only a gradient can hit: a kink reached with a nonzero slope,
+# branches whose gradients differ, and a non-finite gradient.
+_SLOPE_ERRORS = ("sqrt not differentiable", "abs not differentiable",
+                 "branch gradients differ", "non-finite gradient")
+
+
+def _failure(run, *args):
+    """The class and message of what run(*args) raises, less the branch
+    values that a value-only mismatch appends; None where it returns."""
+    try:
+        run(*args)
+    except EvalError as exc:
+        return type(exc), str(exc).split(": [")[0]
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(_ASTS, st.tuples(_COORDS, _COORDS))
+@example(Div(Sqrt(Var(1)), Var(2)), (-1.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_value_and_gradient_fail_at_the_same_node(f, x):
+    """The value alone and the gradient run one evaluation order, so where
+    a node fails both raise its error, for one point and for a batch,
+    unless a derivative failed at an earlier node."""
+    value, slope = _failure(evaluate, f, x), _failure(grad, f, x)
+    assume(value or slope)
+    assert _failure(evaluate_many, f, np.array([x])) == value
+    assert _failure(grad_many, f, np.array([x])) == slope
+    if slope is None or not slope[1].startswith(_SLOPE_ERRORS):
+        assert slope == value
+
+
+def _ref_reads(e):
+    """How many coordinates e's program reads, by one isinstance test per
+    node kind: a guard reads as many as it has coefficients."""
     if isinstance(e, Var):
-        return {e.index}
+        return e.index
     if isinstance(e, Const):
-        return set()
+        return 0
     if isinstance(e, (Add, Sub, Mul, Div)):
-        return _ref_free_variables(e.left) | _ref_free_variables(e.right)
+        return max(_ref_reads(e.left), _ref_reads(e.right))
     if isinstance(e, Pow):
-        return _ref_free_variables(e.base)
+        return _ref_reads(e.base)
     if isinstance(e, (Neg, Sqrt, Abs)):
-        return _ref_free_variables(e.operand)
-    out = set()
-    for guard, branch in e.branches:
-        for ineq in guard:
-            out |= {i + 1 for i, c in enumerate(ineq.coeffs) if c != 0.0}
-        out |= _ref_free_variables(branch)
-    return out
+        return _ref_reads(e.operand)
+    return max(max([len(ineq.coeffs) for ineq in guard] + [_ref_reads(branch)])
+               for guard, branch in e.branches)
 
 
-@given(_ASTS)
-@example(_THRICE)
+@given(_ASTS, st.integers(0, 2))
+@example(_THRICE, 0)
 @settings(max_examples=200, deadline=None)
-def test_free_variables_equals_the_reference_walk(f):
-    assert free_variables(f) == _ref_free_variables(f)
+def test_reads_equals_the_reference_walk(f, n):
+    assert _program(f, n)[2] == _ref_reads(f)
 
 
-# Each node kind with a text that parses to it: its value, gradient and
-# variables at _AT.
+# Each node kind with a text that parses to it: its value and gradient at
+# _AT, and how many coordinates its program reads.
 _AT = [0.5, 2.0]
 _KINDS = {
-    Const: ("2.5", 2.5, [0.0, 0.0], set()),
-    Var: ("x2", 2.0, [0.0, 1.0], {2}),
-    Add: ("x1 + x2", 2.5, [1.0, 1.0], {1, 2}),
-    Sub: ("x1 - x2", -1.5, [1.0, -1.0], {1, 2}),
-    Mul: ("x1 * x2", 1.0, [2.0, 0.5], {1, 2}),
-    Div: ("x1 / x2", 0.25, [0.5, -0.125], {1, 2}),
-    Pow: ("x1^3", 0.125, [0.75, 0.0], {1}),
-    Neg: ("-x2", -2.0, [0.0, -1.0], {2}),
-    Sqrt: ("sqrt(x1 * x2)", 1.0, [1.0, 0.25], {1, 2}),
-    Abs: ("abs(x1 - x2)", 1.5, [-1.0, 1.0], {1, 2}),
-    Piecewise: ("pw[x1 <= 0: -x1; x1 >= 0: x1 * x2]", 1.0, [2.0, 0.5], {1, 2}),
+    Const: ("2.5", 2.5, [0.0, 0.0], 0),
+    Var: ("x2", 2.0, [0.0, 1.0], 2),
+    Add: ("x1 + x2", 2.5, [1.0, 1.0], 2),
+    Sub: ("x1 - x2", -1.5, [1.0, -1.0], 2),
+    Mul: ("x1 * x2", 1.0, [2.0, 0.5], 2),
+    Div: ("x1 / x2", 0.25, [0.5, -0.125], 2),
+    Pow: ("x1^3", 0.125, [0.75, 0.0], 1),
+    Neg: ("-x2", -2.0, [0.0, -1.0], 2),
+    Sqrt: ("sqrt(x1 * x2)", 1.0, [1.0, 0.25], 2),
+    Abs: ("abs(x1 - x2)", 1.5, [-1.0, 1.0], 2),
+    Piecewise: ("pw[x1 <= 0: -x1; x1 >= 0: x1 * x2]", 1.0, [2.0, 0.5], 2),
 }
 
 
@@ -601,11 +629,11 @@ def test_every_node_kind_parses_prints_and_compiles():
     """A node kind added to Expr but left out of one of the operator
     tables fails here."""
     assert set(_KINDS) == set(typing.get_args(Expr))
-    for kind, (text, value, slope, variables) in _KINDS.items():
+    for kind, (text, value, slope, reads) in _KINDS.items():
         f = parse(text, 2)
         assert type(f) is kind
         assert parse(pretty(f), 2) == f
-        assert free_variables(f) == variables
+        assert _program(f, 0)[2] == reads
         assert evaluate(f, _AT) == value and grad(f, _AT).tolist() == slope
         assert evaluate_many(f, np.array([_AT])).tolist() == [value]
         assert grad_many(f, np.array([_AT])).tolist() == [slope]

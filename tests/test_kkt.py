@@ -329,6 +329,22 @@ class TestX1AndPrimedVariants:
         v = membership_constrained(surd.problem, surd.anchor, lam, (1.0, 1.0), V.SHATPP1)
         assert v.member
 
+    def test_no_constraint_is_evaluated_outside_the_ground_set(self, surd):
+        # sqrt(x1) fails at x1 < 0, where the ground set x1 >= 0 already
+        # says no: the point is in no set, and its set residuals read 1
+        cp = ConstrainedProblem(
+            surd.problem.objective, (parse("sqrt(x1) - 2", 2),),
+            ConvexSetDescriptor(2, (Halfspace((-1.0, 0.0), 0.0),)), 2,
+            surd.problem.domain_window,
+        )
+        lam, x = MultiplierVector((0.0,)), (-0.5, 0.0)
+        assert not is_feasible(cp, x) and not member_X1(cp, (0.0, 0.0), lam, x)
+        for variant in (V.SP3, V.SHATP1):
+            v = membership_constrained(cp, (0.0, 0.0), lam, x, variant)
+            assert not v.member
+            sets = ("in_X1", "in_feasible_set", "constraints_feasible")
+            assert [v.residuals[k] for k in sets] == [1.0, 1.0, 1.0]
+
     def test_double_primed_needs_open_ground_set(self, surd):
         closed = ConstrainedProblem(
             surd.problem.objective,
@@ -369,6 +385,11 @@ class TestEnumerationSharesTheAnchor:
             parse("x1^2 + x2^2", 2), (parse("x1 + x2 - 1", 2),),
             ConvexSetDescriptor(2, ()), 2, cp.domain_window,
         )
+        # the constraint fails to evaluate outside the ground set x1 >= 0
+        rooted = ConstrainedProblem(
+            cp.objective, (parse("sqrt(x1) - 2", 2),),
+            ConvexSetDescriptor(2, (Halfspace((-1.0, 0.0), 0.0),)), 2, cp.domain_window,
+        )
         return [
             (cp, surd.anchor),
             (cp, (0.0, 0.0)),
@@ -376,15 +397,18 @@ class TestEnumerationSharesTheAnchor:
             (closed, surd.anchor),  # ground set with an atom
             (closed, (1.3, 0.0)),   # anchor outside the ground set
             (flat, (0.0, 0.0)),     # zero anchor gradient
+            (rooted, (0.0, 0.0)),
         ]
 
     @pytest.mark.parametrize("variant", MULTIPLIER_VARIANTS, ids=lambda v: v.value)
     def test_enumeration_is_pointwise_membership(self, surd, cases, variant):
+        # every node of the window is asked: one outside the feasible grid
+        # is never a member, and no constraint is evaluated outside C
         lam = solve_multipliers(surd.problem, surd.anchor)
         for cp, anchor in cases:
             want = _outcome(lambda: [
                 tuple(float(c) for c in x)
-                for x in feasible_grid(cp, 13)
+                for x in grid_nodes(cp.domain_window, 13)
                 if membership_constrained(cp, anchor, lam, x, variant).member
             ])
             assert _outcome(lambda: enumerate_constrained(cp, anchor, lam, variant, 13)) == want

@@ -1,5 +1,6 @@
 """Convex set descriptors, grids, and polyhedral cones."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -57,15 +58,36 @@ class TestAtoms:
         Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 1.0), 1.0),
         Ball((0.0, 0.0), 1.0), LinearEquality((1.0, 1.0), 1.0),
     ], ids=["box", "halfspace", "ball", "equality"])
-    @pytest.mark.parametrize("x", [[1.0], [1.0, 0.0, 0.0]], ids=["short", "long"])
-    def test_atoms_refuse_points_of_the_wrong_dimension(self, atom, x):
+    @pytest.mark.parametrize("x, message", [
+        ([1.0], "point has dimension 1, {} expects 2"),
+        ([1.0, 0.0, 0.0], "point has dimension 3, {} expects 2"),
+        ([[1.0], [0.0]], "point has shape (2, 1), {} expects a flat point"),
+        ([[1.0, 0.0]], "point has shape (1, 2), {} expects a flat point"),
+    ], ids=["short", "long", "column", "row"])
+    def test_atoms_refuse_points_of_the_wrong_dimension(self, atom, x, message):
         # a halfspace's dot stopped at the shorter operand and a box broadcast
-        # a short point, so both read 0.0; a box's normals raised IndexError
-        with pytest.raises(DimensionError, match=f"point has dimension {len(x)}, atom expects 2"):
+        # a short point, so both read 0.0; a box's normals raised IndexError;
+        # a 2-D array of the right size raised a bare TypeError from float()
+        S = ConvexSetDescriptor(2, (atom,))
+        with pytest.raises(DimensionError, match=re.escape(message.format("atom"))):
             atom_violation(atom, x)
+        with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
+            contains(S, x)
         if not isinstance(atom, Ball):
-            with pytest.raises(DimensionError, match=f"point has dimension {len(x)}, set expects 2"):
-                normal_cone_generators(ConvexSetDescriptor(2, (atom,)), x)
+            with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
+                normal_cone_generators(S, x)
+
+    @pytest.mark.parametrize("atom", [
+        Box((0.0,), (1.0,)), Halfspace((1.0,), 1.0), Ball((0.0,), 1.0), LinearEquality((1.0,), 1.0),
+    ], ids=["box", "halfspace", "ball", "equality"])
+    def test_a_scalar_is_a_point_of_a_1d_set(self, atom):
+        S = ConvexSetDescriptor(1, (atom,))
+        assert atom_violation(atom, 1.0) == atom_violation(atom, [1.0])
+        assert contains(S, 1.0) and contains(S, np.float64(1.0))
+        assert not contains(S, 2.5)
+        if not isinstance(atom, Ball):
+            at = [[g.tolist() for g in normal_cone_generators(S, x)] for x in (1.0, [1.0])]
+            assert at[0] == at[1] and at[0]
 
     def test_contains(self):
         assert contains(RECT, [1.5, 1.0])
