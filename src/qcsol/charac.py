@@ -198,13 +198,13 @@ class _Rows:
     i.  One point and its gradient can be given as vectors instead: every
     column is then a scalar.  Each condition returns its (residual name,
     value, verdict, shown) entries, in order, where shown marks the points
-    whose residual is reported.
+    whose residual is reported, and decided keeps them by condition name.
     """
 
     def __init__(self, X: np.ndarray, G: np.ndarray, anchor, sets: Dict[str, object],
-                 active: Sequence = ()):
+                 cfg: Config, active: Sequence = ()):
         self.d = (X - anchor.xb).T
-        self.G, self.sets, self.active = G.T, sets, active
+        self.G, self.sets, self.cfg, self.active, self.decided = G.T, sets, cfg, active, {}
         self.gnorm, (self.g0, self.g0norm) = _norm(self.G), anchor.gradient
         anchor_dot = _dot(self.g0, self.d)   # grad f(xbar) . (x - xbar)
         point_dot = _dot(self.G, -self.d)    # grad f(x) . (xbar - x)
@@ -215,9 +215,9 @@ class _Rows:
             "gradient_norm": self.gnorm,
         }
 
-    def freeze(self) -> "_Rows":
-        """The rows, with every array they hold made read-only."""
-        for a in (self.d, *self.values.values(), *self.sets.values()):
+    def freeze(self, arrays=None) -> "_Rows":
+        """The rows, with every array they hold (or the arrays given) made read-only."""
+        for a in (self.d, *self.values.values(), *self.sets.values()) if arrays is None else arrays:
             np.asarray(a).flags.writeable = False  # a set mask may be the bool True
         return self
 
@@ -226,10 +226,15 @@ class _Rows:
         t = form(value)
         return name, value, t > limit if above else t <= limit, True
 
-    def decide(self, variant: CharacVariant, cfg: Config):
+    def decide(self, variant: CharacVariant):
         """The variant's verdict, the AND of its row's conditions, and
-        their entries in order."""
-        entries = [e for name in _CONDITIONS[variant] for e in _DECIDE[name](self, cfg)]
+        their entries in order.  A condition that raises is not kept."""
+        for name in _CONDITIONS[variant]:
+            if name not in self.decided:
+                entries = self.decided[name] = _DECIDE[name](self, self.cfg)
+                if not self.d.flags.writeable:  # frozen rows keep read-only entries
+                    self.freeze(a for _, *arrays in entries for a in arrays)
+        entries = [e for name in _CONDITIONS[variant] for e in self.decided[name]]
         return functools.reduce(operator.and_, (ok for _, _, ok, _ in entries)), entries
 
     def in_set(self, name: str) -> list:
@@ -345,7 +350,7 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     sets = kkt._masks(in_S, values, tilde, cfg)
     g = grad(p.objective, xv, p.dimension)
     with np.errstate(all="ignore"):
-        member, entries = _Rows(xv, g, anchor, sets, active).decide(variant, cfg)
+        member, entries = _Rows(xv, g, anchor, sets, cfg, active).decide(variant)
     residuals = {name: float(value) for name, value, _, shown in entries if shown}
     return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(member), residuals)
 
@@ -367,11 +372,11 @@ def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config,
         return grid, np.zeros(0, dtype=bool)
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg, anchor)
     with np.errstate(all="ignore"):
-        # the masks (every row is in S) and the base columns do not depend
-        # on the variant: they are kept per grid, anchor, tilde and config
+        # the masks (every row is in S), base columns and decided conditions
+        # do not depend on the variant: kept per grid, anchor, tilde and config
         rows = _kept(("rows", _ast_key(p), resolution, anchor.xb.tobytes(), tilde, cfg),
                      lambda: _Rows(grid.X, grid.gradients, anchor,
-                                   kkt._masks(True, grid.C, tilde, cfg), active).freeze(),
+                                   kkt._masks(True, grid.C, tilde, cfg), cfg, active).freeze(),
                      lambda rows: len(grid.X))
-        member, _ = rows.decide(variant, cfg)
+        member, _ = rows.decide(variant)
     return grid, member

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints one machine-readable JSON report on stdout.
-Exit codes: 0 completed with a positive result, 1 completed with a
-negative/violation result, 2 usage error, 3 numeric or hypothesis error.
+Exit codes: 0 positive result, 1 negative/violation result, 2 usage error,
+3 numeric or hypothesis error, 141 stdout closed early (nothing printed).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_CLOSED_STDOUT = 141  # the shell's code for a process that SIGPIPE ended
 
 
 # the Config fields that a flag sets (--seed, --eps-grad, ...)
@@ -41,10 +42,18 @@ def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
     """cfg (a problem file's config), then QCX_CONFIG, then the flags."""
     path = os.environ.get("QCX_CONFIG")
     if path:
-        with open(path) as fh:
-            cfg = config_from_json(_json_document(fh.read()), cfg)
+        cfg = config_from_json(_json_document(_text(path)), cfg)
     flags = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
     return config_from_json(flags, cfg)
+
+
+def _text(path: str) -> str:
+    """The text of the file at path; one that cannot be read is an input error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _load(args):
@@ -58,8 +67,7 @@ def _load(args):
         entry = _example(args.example)
         problem, anchor, cfg = entry.problem, entry.anchor, _base_config(args)
     elif args.problem is not None:
-        with open(args.problem) as fh:
-            problem, anchor, file_cfg = loads(fh.read())
+        problem, anchor, file_cfg = loads(_text(args.problem))
         cfg = _base_config(args, file_cfg)
     else:
         raise UsageError("either --problem PATH or --example NAME is required")
@@ -413,13 +421,16 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = _read(argv) or _build_parser().parse_args(argv)
         report, positive = args.func(args)
-        print(_dumps(report))
+        print(_dumps(report), flush=True)
         return EXIT_OK if positive else EXIT_NEGATIVE
     except SystemExit:  # --help, printed by argparse
         return EXIT_OK
+    except BrokenPipeError:  # stdout is closed: later writes to it go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except UsageError as exc:
         error, message, code = "usage", str(exc), EXIT_USAGE
-    except (InputError, OSError) as exc:
+    except InputError as exc:
         error, message, code = "input", str(exc), EXIT_USAGE
     except QcsolError as exc:
         error, message, code = type(exc).__name__, str(exc), EXIT_NUMERIC

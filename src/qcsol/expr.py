@@ -318,8 +318,7 @@ def _branch(x, hits, branches, n):
     for i in range(n or 1):
         for other, slopes in results[1:]:
             if abs(other - value) > _EPS_VAL:
-                shown = "" if n else f": {[r[0] for r in results]}"
-                raise BoundaryMismatchError(f"branch values differ at {_at(x)}{shown}")
+                raise BoundaryMismatchError(f"branch values differ at {_at(x)}: {value} vs {other}")
             if n and abs(slopes[i] - derivs[i]) > _EPS_DIR * (1.0 + abs(derivs[i])):
                 raise BoundaryMismatchError(
                     f"branch gradients differ at {_at(x)}: {derivs[i]} vs {slopes[i]}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsol import charac, sets
+from qcsol import charac, oracle, sets
 from qcsol.charac import (
     check_anchor_hypothesis,
     classify_dichotomy,
@@ -512,3 +512,80 @@ def test_enumeration_decides_near_threshold_rows_like_membership(condition, memo
             want = _outcome(lambda: _pointwise(NEAR, NEAR_ANCHOR, v, resolution, cfg))
             got = _outcome(lambda: enumerate_solution_set(NEAR, NEAR_ANCHOR, v, resolution, cfg))
             assert got == want, (v, tol, limit)
+
+
+def _kept_rows(cfg=DEFAULT_CONFIG):
+    """The kept condition-rows records under cfg."""
+    return [rows for key, (rows, _) in sets._KEPT.items() if key[0] == "rows" and key[-1] == cfg]
+
+
+def test_each_condition_is_decided_once_per_grid_anchor_and_config(monkeypatch):
+    e = get_example("ex2_3")
+    calls = {}
+
+    def counted(name, decide):
+        def run(rows, cfg):
+            calls[name] = calls.get(name, 0) + 1
+            return decide(rows, cfg)
+        return run
+
+    for name, decide in list(charac._DECIDE.items()):
+        monkeypatch.setitem(charac._DECIDE, name, counted(name, decide))
+    cfgs = (DEFAULT_CONFIG, replace(DEFAULT_CONFIG, eps_dir=1e-2))
+    rounds = [[oracle.agreement(e.problem, e.anchor, v, e.resolution, cfg=cfg)
+               for v in PLAIN_VARIANTS] for cfg in cfgs * 2]
+    assert rounds[:2] == rounds[2:]
+    used = {name for v in PLAIN_VARIANTS for name in charac._CONDITIONS[v]}
+    assert len(used) == 11 and calls == {name: len(cfgs) for name in used}
+    # one record per config, holding each condition its variants test
+    assert all(len(_kept_rows(cfg)) == 1 and set(_kept_rows(cfg)[0].decided) == used
+               for cfg in cfgs)
+
+
+def test_kept_conditions_refuse_writes():
+    e = get_example("ex2_3")
+    for v in PLAIN_VARIANTS:
+        enumerate_solution_set(e.problem, e.anchor, v, 9)
+    (rows,) = _kept_rows()
+    arrays = [a for entries in rows.decided.values() for _, *kept in entries for a in kept
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 2 * len(rows.decided)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+def test_a_condition_that_raises_is_not_kept(monkeypatch):
+    e = get_example("ex2_3")
+    decide = charac._DECIDE["dot_gap_zero"]
+
+    def fails_once(rows, cfg):
+        monkeypatch.setitem(charac._DECIDE, "dot_gap_zero", decide)
+        raise InputError("no verdict")
+
+    monkeypatch.setitem(charac._DECIDE, "dot_gap_zero", fails_once)
+    with pytest.raises(InputError, match="no verdict"):
+        enumerate_solution_set(e.problem, e.anchor, V.S3, 9)
+    assert "dot_gap_zero" not in _kept_rows()[0].decided
+    got = enumerate_solution_set(e.problem, e.anchor, V.S3, 9)
+    sets._KEPT.clear()
+    assert got == enumerate_solution_set(e.problem, e.anchor, V.S3, 9)
+
+
+def test_decided_conditions_are_kept_per_config():
+    e = get_example("ex2_3")
+    cfgs = (DEFAULT_CONFIG, replace(DEFAULT_CONFIG, eps_dir=1e-2))
+
+    def same_direction(cfgs):
+        """The same_direction verdicts of ex2_3's grid under each config,
+        asked in turn through SHAT1 and SHAT2 in one store."""
+        for cfg in cfgs:
+            for v in (V.SHAT1, V.SHAT2):
+                enumerate_solution_set(e.problem, e.anchor, v, e.resolution, cfg)
+        return [_kept_rows(cfg)[0].decided["same_direction"][0][2] for cfg in cfgs]
+
+    shared = same_direction(cfgs)
+    assert shared[0].sum() < shared[1].sum()
+    for cfg, mask in zip(cfgs, shared):
+        sets._KEPT.clear()
+        assert np.array_equal(same_direction([cfg])[0], mask)

@@ -313,10 +313,12 @@ def test_negative_sampler_size_is_a_usage_error(capsys, flag, value):
     }
 
 
-@pytest.mark.parametrize("fault", [ValueError("internal"), KeyError("internal")])
+@pytest.mark.parametrize("fault", [ValueError("internal"), KeyError("internal"),
+                                   OSError("internal")])
 def test_a_fault_inside_qcsol_is_not_an_input_error(monkeypatch, fault):
-    # only InputError (and an unreadable file) is bad input; any other
-    # ValueError or KeyError is a bug and leaves as a traceback
+    # only InputError (and an unreadable --problem or QCX_CONFIG file) is
+    # bad input; any other ValueError, KeyError or OSError is a bug and
+    # leaves as a traceback
     def fail(*args, **kwargs):
         raise fault
 
@@ -534,6 +536,18 @@ def test_a_non_ascii_digit_is_an_input_error_in_a_fresh_process(tmp_path):
     assert err["message"] == "objective: unexpected character '\u00b2' (offset 1)"
 
 
+def test_a_closed_stdout_prints_no_error():
+    """A reader that closed the pipe before the report was written is no
+    input error: the run prints nothing and exits with the SIGPIPE code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qcsol.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "qcsol", "enumerate", "--example", "ex2_1", "--variant", "S1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (cli.EXIT_CLOSED_STDOUT, b"")
+
+
 def test_an_overflowing_literal_in_a_problem_file_is_an_input_error(tmp_path, capsys):
     path = Path(_write_problem(tmp_path, 1.0))
     path.write_text(json.dumps(dict(json.loads(path.read_text()), objective="x1^2 + 1e999*0")))
@@ -588,6 +602,14 @@ def test_deeply_nested_config_file_is_an_input_error(tmp_path, capsys, monkeypat
 
 def test_unreadable_problem_path_is_an_input_error(tmp_path, capsys):
     assert run(["oracle", "--problem", str(tmp_path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
+def test_unreadable_config_path_is_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QCX_CONFIG", str(tmp_path / "missing.json"))
+    assert run(["run-example", "ex2_4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "input"
