@@ -25,10 +25,6 @@ class DimensionError(QcsolError):
     """Mismatched dimensions between a point and a problem/set."""
 
 
-class NonPolyhedralError(QcsolError):
-    """Cone extraction requested on a set with curved atoms."""
-
-
 class ZeroVectorError(QcsolError):
     """An operation that needs a nonzero vector received a (near-)zero one."""
 

@@ -227,15 +227,23 @@ class _Compiler:
             b, bd = self.node(e.base)
             if e.exponent == 0:
                 return "1.0", ["0.0"] * n
-            k = self.const(e.exponent)
-            if not n:
-                return self.value(f"POW({b}, {k})"), []
-            # b^k and b^(k-1) in one call, which reads b once
-            v, lower = f"v{self.temps}", f"w{self.temps}"
-            self.temps += 1
-            self.lines.append(f"{v}, {lower} = POW({b}, {k}, {self.const(e.exponent - 1)})")
-            slope = self.value(f"{k} * {lower}")
-            return v, self.derivs(f"{slope} * {a}" for a in bd)
+            # b^k = b^(k-1) * b, with or without derivatives.  b^(k-1) is by
+            # binary powering: the squares of b that the bits of k - 1
+            # select, multiplied in from the lowest bit up
+            lower, square, m = None, b, e.exponent - 1
+            while m:
+                if m & 1:
+                    lower = square if lower is None else self.value(f"{lower} * {square}")
+                m >>= 1
+                if m:
+                    square = self.value(f"{square} * {square}")
+            lower = lower or "1.0"
+            v = self.value(f"POW({lower} * {b}, {b})")
+            try:
+                k = float(e.exponent)
+            except OverflowError:  # past the largest float, so is the slope
+                k = math.inf
+            return v, self.derivs(f"{self.const(k)} * {lower} * {a}" for a in bd)
         if isinstance(e, Piecewise):
             hits, branches = [], []
             for guard, branch in e.branches:
@@ -270,12 +278,12 @@ def _at(x) -> tuple:
     return tuple(np.array(x, dtype=float).tolist())
 
 
-def _pow(base: float, k: int, lower: Optional[int] = None):
-    """base ** k, or the pair (base ** k, base ** lower)."""
-    try:
-        return base ** k if lower is None else (base ** k, base ** lower)
-    except OverflowError:
-        raise EvalError("power overflows") from None
+def _pow(value: float, base: float) -> float:
+    """value, a power of base, which overflows where it is infinite and
+    base is not."""
+    if math.isinf(value) and math.isfinite(base):
+        raise EvalError("power overflows")
+    return value
 
 
 def _div(u: float, v: float) -> float:
@@ -329,25 +337,10 @@ def _branch(x, hits, branches, n):
 # The column helpers: many points, each coordinate a numpy column.  A row
 # raises here iff the float helpers raise at it.
 
-def _powers(base, k: int, lower: Optional[int] = None):
-    """_pow on every entry: Python's float ** int (libm pow), once per
-    distinct bit pattern, found by one sort of the bits; np.power differs
-    from it in the last bit on some inputs."""
-    bits = np.ascontiguousarray(base).view(np.int64)
-    order = bits.argsort()
-    ranked = bits[order]
-    first = np.ones(len(bits), dtype=bool)  # where a new bit pattern starts
-    first[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty_like(order)
-    inverse[order] = first.cumsum() - 1
-    floats = ranked[first].view(np.float64).tolist()
-    try:
-        value = np.array([b ** k for b in floats])[inverse]
-        if lower is None:
-            return value
-        return value, np.array([b ** lower for b in floats])[inverse]
-    except OverflowError:
-        raise EvalError("power overflows") from None
+def _powers(value, base):
+    if np.any(np.isinf(value) & np.isfinite(base)):
+        raise EvalError("power overflows")
+    return value
 
 
 def _div_rows(u, v):

@@ -255,8 +255,9 @@ def solve_multipliers(
     """One KKT multiplier vector at xbar, by linear feasibility.
 
     Inactive multipliers are pinned to zero.  For an unconstrained ground
-    set the stationarity equation is solved exactly; for a polyhedral one
-    the residual is required to lie in the normal cone at xbar.
+    set the stationarity equation is solved exactly; otherwise the residual
+    is required to lie in the cone of the ground set's normal-cone
+    generators at xbar (sets.normal_cone_generators).
     """
     return _anchor_record(cp, xbar, cfg).multipliers
 

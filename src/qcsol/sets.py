@@ -2,8 +2,8 @@
 
 A set is the intersection of atoms (boxes, halfspaces, balls, linear
 equalities), each stating its dimension, its signed violations of a point
-(n,) or of the rows of X (N, n), <= 0 where it holds, and, but for a
-ball, its normal-cone generators at x.  grid_nodes builds every grid.
+(n,) or of the rows of X (N, n), <= 0 where it holds, and its
+normal-cone generators at x.  grid_nodes builds every grid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import DimensionError, InputError, NonPolyhedralError
+from .errors import DimensionError, InputError
 from .expr import _MEMO_SIZE, _dot, _norm
 
 
@@ -42,16 +42,15 @@ class Box:
         return np.where(above > below, above, below)  # builtin max(below, above)
 
     def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
-        """+e_i where x_i is at its upper bound, else -e_i where at its lower."""
+        """+e_i where x_i is at its upper bound and -e_i where at its lower:
+        both on an axis whose bounds are within eps_act of each other."""
         gens, n = [], len(self.lo)
         for i in range(n):
-            unit = np.zeros(n)  # set in place: the entries off the axis stay +0.0
-            if abs(x[i] - self.hi[i]) <= eps_act:
-                unit[i] = 1.0
-                gens.append(unit)
-            elif abs(x[i] - self.lo[i]) <= eps_act:
-                unit[i] = -1.0
-                gens.append(unit)
+            for bound, sign in ((self.hi[i], 1.0), (self.lo[i], -1.0)):
+                if abs(x[i] - bound) <= eps_act:
+                    unit = np.zeros(n)  # set in place: the entries off the axis stay +0.0
+                    unit[i] = sign
+                    gens.append(unit)
         return gens
 
 
@@ -81,6 +80,10 @@ class Ball:
 
     def violations(self, X: np.ndarray):
         return _norm([c - ci for c, ci in zip(X.T, self.center)]) - self.radius
+
+    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+        """The outward normal x - center where x is on the sphere."""
+        return [x - np.asarray(self.center)] if abs(self.violations(x)) <= eps_act else []
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,6 @@ class ConvexSetDescriptor:
                 raise DimensionError(
                     f"atom {atom!r} has wrong dimension for n={self.dimension}"
                 )
-
-    @property
-    def polyhedral(self) -> bool:
-        return not any(isinstance(a, Ball) for a in self.atoms)
 
 
 def contains(S: ConvexSetDescriptor, x: Sequence[float],
@@ -223,8 +222,8 @@ def sample_grid(
 def normal_cone_generators(
     X: ConvexSetDescriptor, x: Sequence[float], eps_act: float = DEFAULT_CONFIG.eps_act
 ) -> List[np.ndarray]:
-    """Generators of the normal cone of a polyhedral X at x, atom by atom."""
-    if not X.polyhedral:
-        raise NonPolyhedralError("cone extraction needs a polyhedral set")
+    """Generators of the normal cone of X at x, atom by atom: the sum of
+    the atoms' cones, which is X's cone where the atoms meet a constraint
+    qualification (always, when no atom is a ball)."""
     xv = _point(x, X.dimension, "set")
     return [g for atom in X.atoms for g in atom.normals(xv, eps_act)]

@@ -19,7 +19,7 @@ from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
 from .kkt import _anchor_record
-from .sets import Box, _frozen, _kept, grid_nodes
+from .sets import Box, _frozen, _kept, contains, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,15 @@ def gp_solution_check(
     """Existence of a shared GP subgradient orthogonal to x - xbar.
 
     True certifies membership through a finite witness; False means no
-    witness was found in the candidate family.
+    witness was found in the candidate family, or x is not feasible.
     """
     if resolution < 3:
         raise InputError("resolution must be >= 3")
     window = window or p.domain_window
     xb = as_point(xbar, p.dimension)
     xv = as_point(x, p.dimension)
+    if not contains(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
+        return False
     if candidate_vs is None:  # the anchor's gradient is read from its record
         gradients = [_anchor_record(p, xb, cfg).gradient[0], grad(p.objective, xv, p.dimension)]
         candidate_vs = _gp_candidates(gradients, p.dimension, cfg)
@@ -259,12 +261,15 @@ def ml_solution_check_1d(
 
     M2 (default): some candidate pair lies in the subdifferential at x and
     satisfies v * xbar >= t.  M1: some candidate lies in the
-    subdifferential at both x and xbar.
+    subdifferential at both x and xbar.  A point x outside the feasible
+    set is no solution, and nothing is evaluated for it.
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if form not in ("M1", "M2"):
         raise InputError("form must be 'M1' or 'M2'")
+    if not contains(p.feasible_set, x, cfg.eps_feas):
+        return False
     f = p.objective
     window = window or p.domain_window
     w = _window(f, window, resolution)

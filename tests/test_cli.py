@@ -93,6 +93,15 @@ def test_subdiff_routes(capsys):
     ]) == 1
 
 
+@pytest.mark.parametrize("example, point", [("ex2_1", "3,0"), ("ex2_4", "-1,0")])
+def test_subdiff_routes_refuse_a_point_outside_the_feasible_set(capsys, example, point):
+    assert run(["subdiff-check", "--example", example, "--route", "gp", f"--point={point}"]) == 1
+    assert _json_out(capsys)["member"] is False
+    assert run(["verify-membership", "--example", example, "--variant", "T1",
+                f"--point={point}"]) == 1
+    assert _json_out(capsys)["residuals"]["in_feasible_set"] > 0.0
+
+
 def test_run_example_all_checks(capsys):
     assert run(["run-example", "ex2_2", "--check", "all"]) == 0
     out = _json_out(capsys)
@@ -993,7 +1002,9 @@ def test_a_warm_gp_subdiff_check_builds_no_grid(grid_work, tmp_path, capsys):
     for x in nodes:
         sets._KEPT.clear()
         cold.append(check(x))
-    assert grid_work["grids"] == [21] * len(nodes)
+    # a node outside the feasible set is refused before any grid is built
+    feasible = [sets.contains(e.problem.feasible_set, x) for x in nodes]
+    assert grid_work["grids"] == [21] * sum(feasible) and not all(feasible)
     assert [check(x) for x in nodes] == cold
-    assert grid_work["grids"] == [21] * len(nodes)
+    assert grid_work["grids"] == [21] * sum(feasible)
     assert {code for code, _ in cold} == {0, 1}

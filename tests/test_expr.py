@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 import typing
 
 import numpy as np
@@ -15,7 +16,6 @@ from qcsol.expr import (
     _MAX_DEPTH,
     _extract_linear,
     _tokenize,
-    _powers,
     _program,
     Abs,
     Add,
@@ -313,8 +313,8 @@ class TestPointsThatDoNotFit:
 
 class TestEvaluateMany:
     def test_integer_power_is_libm_pow(self):
-        # np.power differs from float ** int in the last bit on some of
-        # these nodes; the batch must reproduce the scalar walker
+        # np.power and float ** int differ from the product rule in the last
+        # bit on some of these nodes; the batch must reproduce the scalar walker
         f = parse("x1^3", 1)
         X = np.linspace(0.0, 2.0, 201)[:, None]
         assert _bits(evaluate_many(f, X)) == _bits(evaluate(f, x) for x in X)
@@ -436,34 +436,119 @@ def test_evaluate_many_equals_rowwise_evaluate(f, rows):
         assert str(info.value) == str(first_error)
 
 
-# Bases for _powers: signed zeros, NaN, infinities, subnormals, values
-# whose powers overflow, and any float, drawn with repeats
+# Bases for x1^k: signed zeros, NaN, infinities, subnormals, values whose
+# powers overflow or underflow, and any float
 _BASES = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 1e-160, 1e200,
-                                   float("nan"), float("inf"), float("-inf")])
-                  | st.floats(allow_subnormal=True), min_size=1, max_size=3)
+                                   -1e-7, 1.5, float("nan"), float("inf"), float("-inf")])
+                  | st.floats(allow_subnormal=True), min_size=1, max_size=12)
 
 
-@given(_BASES.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12)),
-       st.integers(1, 6))
-@settings(max_examples=300, deadline=None)
-def test_powers_are_the_per_entry_python_powers(entries, k):
-    # _powers reads each distinct bit pattern once; every entry, repeated
-    # or not, must still get Python's own b ** k and b ** (k - 1)
-    base = np.array(entries, dtype=float)
+def _powers_in_both_modes(k, n, bases):
+    """x1^k's program for n derivatives on each base as a float and on all
+    of them as one column: (the float results, or the first error, and the
+    column's results, or its error)."""
+    run, columns, _ = _program(Pow(Var(1), k), n)
+    floats = []
     try:
-        want = [np.array([b ** j for b in entries], dtype=float) for j in (k, k - 1)]
-    except OverflowError:
-        with pytest.raises(EvalError, match="power overflows"):
-            _powers(base, k, k - 1)
-        return
-    got = _powers(base, k, k - 1)
-    assert [g.view(np.int64).tolist() for g in got] == [w.view(np.int64).tolist() for w in want]
-    assert _powers(base, k).view(np.int64).tolist() == want[0].view(np.int64).tolist()
+        for b in bases:
+            value, derivs = run([b])
+            floats.append(_bits([value, *derivs]))
+    except EvalError as exc:
+        floats = str(exc)
+    try:
+        with np.errstate(all="ignore"):
+            value, derivs = columns([np.array(bases)])
+        derivs = [np.broadcast_to(d, value.shape) for d in derivs]  # k = 1: a constant slope
+        column = [_bits([v, *d]) for v, *d in zip(value, *derivs)]
+    except EvalError as exc:
+        column = str(exc)
+    return floats, column
+
+
+@given(_BASES, st.integers(1, 64))
+@example([1e200, 2.0], 2)
+@example([-0.0, 5e-324, float("nan"), float("-inf")], 3)
+@settings(max_examples=300, deadline=None)
+def test_powers_are_the_same_products_on_floats_and_columns(bases, k):
+    # one multiplication rule in both modes: every entry, signed zeros,
+    # subnormals, NaN and infinities included, has the bits of its float
+    # power, and a power that overflows fails both; the value does not
+    # depend on whether derivatives are asked for
+    floats, column = _powers_in_both_modes(k, 1, bases)
+    assert column == floats
+    values = floats if isinstance(floats, str) else [b[:1] for b in floats]
+    assert _powers_in_both_modes(k, 0, bases) == (values, values)
 
 
 def test_powers_of_a_constant_base_and_of_no_rows():
-    assert _powers(3.0, 2, 1)[0].tolist() == [9.0] and _powers(3.0, 2, 1)[1].tolist() == [3.0]
-    assert [a.shape for a in _powers(np.empty(0), 3, 2)] == [(0,), (0,)]
+    # a constant's power is one float in both modes, broadcast to every row
+    f = parse("1.1^7 * x1 + 3^2 + x1^3", 1)
+    X = np.array([[0.5], [-2.0]])
+    assert _bits(evaluate_many(f, X)) == _bits(evaluate(f, x) for x in X)
+    assert _bits(grad_many(f, X).ravel()) == [b for x in X for b in _bits(grad(f, x))]
+    assert evaluate_many(f, np.empty((0, 1))).shape == (0,)
+    assert grad_many(f, np.empty((0, 1))).shape == (0, 1)
+
+
+@given(st.floats(-1e3, 1e3, allow_subnormal=False).filter(bool), st.integers(1, 64))
+@example(2.1102190681111885, 2)
+@settings(max_examples=300, deadline=None)
+def test_powers_are_within_highams_bound(b, k):
+    # b^k takes k - 1 roundings, so its relative error is within
+    # gamma_(k-1) = (k - 1) u / (1 - (k - 1) u) while it is a normal float
+    exact = Fraction(b) ** k
+    assume(Fraction(sys.float_info.min) <= abs(exact) <= Fraction(sys.float_info.max))
+    u = Fraction(1, 2**53)
+    got = evaluate(Pow(Var(1), k), [b])
+    assert abs(Fraction(got) - exact) <= (k - 1) * u / (1 - (k - 1) * u) * abs(exact)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(2.1102190681111885)  # where libm's pow(b, 2) is one ulp off
+@settings(max_examples=300, deadline=None)
+def test_squares_and_first_powers_are_correctly_rounded(b):
+    # b^1 is b and b^2 is the one product b * b: the exact power rounded
+    # once, never further from it than Python's float ** int
+    assert _bits([evaluate(Pow(Var(1), 1), [b])]) == _bits([b ** 1])
+    try:
+        want = float(Fraction(b) ** 2)
+    except OverflowError:
+        with pytest.raises(EvalError, match="power overflows"):
+            evaluate(Pow(Var(1), 2), [b])
+        return
+    assert _bits([evaluate(Pow(Var(1), 2), [b])]) == _bits([want])
+    assert abs(Fraction(want) - Fraction(b) ** 2) <= abs(Fraction(b ** 2) - Fraction(b) ** 2)
+
+
+class TestLongExponents:
+    def test_an_odd_exponent_keeps_its_parity(self):
+        # float ** int turns the exponent into a float, an even one
+        f = parse("x1^1000000000000000000000000000001", 1)
+        assert evaluate(f, [-1.0]) == -1.0
+        assert evaluate_many(f, [[-1.0], [1.0]]).tolist() == [-1.0, 1.0]
+        assert grad(f, [-1.0]).tolist() == [1e30]
+
+    def test_an_exponent_past_the_float_range_is_a_power(self):
+        f = parse("x1^1" + "0" * 400, 1)
+        assert evaluate(f, [0.5]) == 0.0 and evaluate(f, [1.0]) == 1.0
+        assert evaluate(parse("x1^1" + "0" * 399 + "1", 1), [-1.0]) == -1.0
+        assert evaluate_many(f, [[0.5], [-1.0], [0.0]]).tolist() == [0.0, 1.0, 0.0]
+        # its slope k * 1 is past the float range too
+        with pytest.raises(EvalError, match="non-finite gradient"):
+            grad(f, [1.0])
+        for call in (evaluate, lambda f, x: evaluate_many(f, [x])):
+            with pytest.raises(EvalError, match="power overflows"):
+                call(f, [1.5])
+
+    def test_an_overflowing_power_fails_where_its_reciprocal_would_not(self):
+        # 1 / 10^400 would be 0.0; the power overflows first, for the value
+        # and for the gradient alike
+        f = parse("1/x1^400", 1)
+        for call in (lambda: evaluate(f, [10.0]), lambda: grad(f, [10.0]),
+                     lambda: evaluate_many(f, [[1.0], [10.0]]),
+                     lambda: grad_many(f, [[1.0], [10.0]])):
+            with pytest.raises(EvalError, match="power overflows"):
+                call()
 
 
 def _grad_outcome(f, x):
@@ -504,7 +589,7 @@ class TestGradMany:
             grad_many(sharp, np.array([[1.0], [0.0]]))
 
     def test_integer_power_is_libm_pow(self):
-        # the slope 4 * x**3 of x1^4 is where np.power would differ
+        # the slope 4 * x1^3 of x1^4 is where np.power would differ
         f = parse("x1^4", 1)
         X = np.linspace(0.0, 2.0, 201)[:, None]
         assert _bits(grad_many(f, X).ravel()) == [b for x in X for b in _bits(grad(f, x))]

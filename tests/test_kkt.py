@@ -17,7 +17,6 @@ from qcsol.errors import (
     HypothesisViolatedError,
     InputError,
     NoMultiplierError,
-    NonPolyhedralError,
     NotOpenGroundSetError,
     QcsolError,
 )
@@ -163,15 +162,16 @@ class TestMultipliers:
     @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex4_1"])
     def test_a_plain_problem_has_an_empty_multiplier(self, name):
         """A plain problem has no constraints: its multiplier, where the
-        ground set's normal cone gives one, has no entries."""
+        ground set's normal cone gives one, has no entries.  On ex2_3's
+        disk the cone at (1, 1) is the ray of x - center = (1, 1)."""
         e = get_example(name)
-        if name == "ex2_3":  # a disk has no polyhedral normal cone
-            with pytest.raises(NonPolyhedralError):
-                solve_multipliers(e.problem, e.anchor)
-            return
         lam = solve_multipliers(e.problem, e.anchor)
         assert type(lam) is MultiplierVector and lam.lambdas == ()
         assert stationarity_residual(e.problem, e.anchor, lam) <= 1e-9
+        if name == "ex2_3":
+            gens = normal_cone_generators(e.problem.ground_set, e.anchor)
+            assert [g.tolist() for g in gens] == [[1.0, 1.0]]
+            assert stationarity_residual(e.problem, e.anchor, lam) == 0.0
 
     def test_complementary_slackness(self, surd):
         lam = solve_multipliers(surd.problem, surd.anchor)
@@ -219,6 +219,22 @@ class TestMultipliers:
             surd.problem.domain_window,
         )
         assert stationarity_residual(cp, (1.0, 1.0), MultiplierVector((0.0,))) == 1.0
+
+    def test_a_degenerate_box_axis_has_both_normals(self, surd):
+        # the box -1 <= x1 <= 1, 0 <= x2 <= 0 is the segment that the
+        # equality x2 = 0 cuts from the box -1 <= x1 <= 1: at (0, 0) both
+        # have the normal cone of the line x2 = 0
+        segment = (Box((-1.0, 0.0), (1.0, 0.0)),)
+        line = (Box((-1.0, -1.0), (1.0, 1.0)), LinearEquality((0.0, 1.0), 0.0))
+        for atoms in (segment, line):
+            C = ConvexSetDescriptor(2, atoms)
+            kinked = ConstrainedProblem(parse("x1 + x2", 2), (parse("-x1", 2),), C, 2,
+                                        surd.problem.domain_window)
+            assert solve_multipliers(kinked, (0.0, 0.0)).lambdas == (1.0,)
+            # no tangent direction of the segment decreases x2
+            flat = ConstrainedProblem(parse("x1", 2), (parse("x2", 2),), C, 2,
+                                      surd.problem.domain_window)
+            assert check_gmfcq(flat, (0.0, 0.0)).holds is False
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(InputError):
@@ -298,6 +314,65 @@ def test_stationarity_residual_agrees_with_highs(case):
     # mu = 0 leaves max|resid|, which the residual never exceeds
     assert got <= np.max(np.abs(resid))
     assert abs(got - ref.fun) <= DEFAULT_CONFIG.eps_lp
+
+
+# The ball's outward normal and the constraint |x - c|^2 - r^2 <= 0 are one
+# cone: -grad f = mu (x - c) on the sphere, and -grad f = lam * 2 (x - c),
+# so mu = 2 lam.  At ex2_3's (1, 1), mu = 1 and lam = 0.5.
+_COORD = st.sampled_from([-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _balls_and_anchors(draw):
+    n = draw(st.integers(1, 3))
+    c = np.array(draw(st.tuples(*[_COORD] * n)))
+    u = np.array(draw(st.tuples(*[_COORD] * n)))
+    if not u.any():
+        u[0] = 1.0
+    r = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    depth = draw(st.sampled_from([0.0, 0.0, 0.25]))  # on the sphere or inside it
+    mu = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    return c, r, c + (1.0 - depth) * r * u / np.linalg.norm(u), mu
+
+
+def _on_a_ball_and_under_its_constraint(c, r, xb, mu):
+    n = len(c)
+    window = Box(tuple(c - 2 * r), tuple(c + 2 * r))
+    f = parse(" + ".join(f"({-mu * d!r})*x{i + 1}" for i, d in enumerate((xb - c).tolist())), n)
+    g = parse(" + ".join(f"(x{i + 1} - ({ci!r}))^2" for i, ci in enumerate(c.tolist()))
+              + f" - {r * r!r}", n)
+    return (Problem(f, ConvexSetDescriptor(n, (Ball(tuple(c), r),)), n, window),
+            ConstrainedProblem(f, (g,), ConvexSetDescriptor(n, ()), n, window))
+
+
+@given(_balls_and_anchors())
+@settings(max_examples=100, deadline=None)
+def test_a_ball_normal_is_twice_the_multiplier_of_its_constraint(case):
+    c, r, xb, mu = case
+    plain, constrained = _on_a_ball_and_under_its_constraint(c, r, xb, mu)
+    gens = normal_cone_generators(plain.ground_set, xb)
+    if abs(np.linalg.norm(xb - c) - r) > DEFAULT_CONFIG.eps_act:  # inside: no cone
+        assert gens == []
+        for p in (plain, constrained):
+            with pytest.raises(NoMultiplierError):
+                solve_multipliers(p, xb)
+        return
+    assert [g.tolist() for g in gens] == [(xb - c).tolist()]
+    lam = solve_multipliers(plain, xb)
+    assert lam.lambdas == () and stationarity_residual(plain, xb, lam) <= 1e-9
+    # mu, read off the one generator, is twice the constraint's multiplier
+    slope = -expr.grad(plain.objective, xb)
+    got_mu = float(np.dot(slope, gens[0]) / np.dot(gens[0], gens[0]))
+    assert got_mu == pytest.approx(mu, rel=1e-9)
+    assert got_mu == pytest.approx(2 * solve_multipliers(constrained, xb).lambdas[0], rel=1e-9)
+
+
+def test_the_disk_normal_is_twice_the_disk_constraints_multiplier():
+    disk, constrained = get_example("ex2_3"), get_example("ex2_3_constrained")
+    (normal,) = normal_cone_generators(disk.problem.ground_set, disk.anchor)
+    slope = -expr.grad(disk.problem.objective, disk.anchor)
+    assert slope.tolist() == normal.tolist() == [1.0, 1.0]  # mu = 1
+    assert solve_multipliers(constrained.problem, constrained.anchor).lambdas == (0.5,)
 
 
 class TestConstraintQualification:

@@ -1,4 +1,4 @@
-"""Convex set descriptors, grids, and polyhedral cones."""
+"""Convex set descriptors, grids, and normal cones."""
 
 import re
 import tracemalloc
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsol.core import Problem
-from qcsol.errors import DimensionError, NonPolyhedralError
+from qcsol.errors import DimensionError
 from qcsol.expr import _dot, _norm
 from qcsol.registry import get_example
 from qcsol.sets import (
@@ -73,9 +73,8 @@ class TestAtoms:
             atom_violation(atom, x)
         with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
             contains(S, x)
-        if not isinstance(atom, Ball):
-            with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
-                normal_cone_generators(S, x)
+        with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
+            normal_cone_generators(S, x)
 
     @pytest.mark.parametrize("atom", [
         Box((0.0,), (1.0,)), Halfspace((1.0,), 1.0), Ball((0.0,), 1.0), LinearEquality((1.0,), 1.0),
@@ -85,9 +84,8 @@ class TestAtoms:
         assert atom_violation(atom, 1.0) == atom_violation(atom, [1.0])
         assert contains(S, 1.0) and contains(S, np.float64(1.0))
         assert not contains(S, 2.5)
-        if not isinstance(atom, Ball):
-            at = [[g.tolist() for g in normal_cone_generators(S, x)] for x in (1.0, [1.0])]
-            assert at[0] == at[1] and at[0]
+        at = [[g.tolist() for g in normal_cone_generators(S, x)] for x in (1.0, [1.0])]
+        assert at[0] == at[1] and at[0]
 
     def test_contains(self):
         assert contains(RECT, [1.5, 1.0])
@@ -252,11 +250,27 @@ class TestCones:
         S = ConvexSetDescriptor(2, (atom,))
         assert [g.tolist() for g in normal_cone_generators(S, x, eps_act=0.0)] == [list(a)]
 
-    def test_ball_is_not_polyhedral(self):
-        S = ConvexSetDescriptor(2, (Ball((0.0, 0.0), 1.0),))
-        assert not S.polyhedral
-        with pytest.raises(NonPolyhedralError):
-            normal_cone_generators(S, [1.0, 0.0])
+    def test_a_ball_has_its_outward_normal_on_the_sphere(self):
+        S = ConvexSetDescriptor(2, (Ball((0.5, 0.0), 1.0),))
+        assert [g.tolist() for g in normal_cone_generators(S, [1.5, 0.0])] == [[1.0, 0.0]]
+        assert [g.tolist() for g in normal_cone_generators(S, [0.5, -1.0])] == [[0.0, -1.0]]
+        assert normal_cone_generators(S, [0.5, 0.5]) == []
+        # active where abs(|x - c| - r) <= eps_act, on either side of the sphere
+        ball = Ball((0.0,), 1.0)
+        for x, normal in ((1.5, [1.5]), (0.5, [0.5])):
+            assert [g.tolist() for g in ball.normals(np.array([x]), 0.5)] == [normal]
+            assert ball.normals(np.array([x]), np.nextafter(0.5, 0.0)) == []
+
+    def test_a_degenerate_box_axis_has_both_normals(self):
+        # lo_2 = hi_2: the segment's normal cone holds all of the x2 axis
+        box = Box((-1.0, 0.0), (1.0, 0.0))
+        assert [g.tolist() for g in box.normals(np.array([0.0, 0.0]), 1e-9)] == [
+            [0.0, 1.0], [0.0, -1.0]]
+        assert [g.tolist() for g in box.normals(np.array([1.0, 0.0]), 1e-9)] == [
+            [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        # bounds within eps_act of each other count alike
+        narrow = Box((0.0,), (1e-10,))
+        assert [g.tolist() for g in narrow.normals(np.array([0.5e-10]), 1e-9)] == [[1.0], [-1.0]]
 
 
 @given(
@@ -274,7 +288,8 @@ def test_contains_monotone_in_atoms(a, b):
 
 
 # The atom formulas as sets computed them when it told the atom kinds
-# apart by isinstance, kept here to pin each atom's own methods bit for bit.
+# apart by isinstance, kept here to pin each atom's own methods bit for bit;
+# since then a box axis may give both its normals, and a ball gives one.
 
 def _reference_violations(atom, X):
     if isinstance(atom, Box):
@@ -298,13 +313,16 @@ def _reference_normals(atom, xv, n, eps_act):
         gens.append(-a)
     elif isinstance(atom, Box):
         for i in range(n):
-            unit = np.zeros(n)
             if abs(xv[i] - atom.hi[i]) <= eps_act:
+                unit = np.zeros(n)
                 unit[i] = 1.0
                 gens.append(unit)
-            elif abs(xv[i] - atom.lo[i]) <= eps_act:
+            if abs(xv[i] - atom.lo[i]) <= eps_act:
+                unit = np.zeros(n)
                 unit[i] = -1.0
                 gens.append(unit)
+    elif abs(_reference_violations(atom, xv)) <= eps_act:
+        gens.append(xv - np.asarray(atom.center, dtype=float))
     return gens
 
 
@@ -343,8 +361,6 @@ def test_atom_formulas_are_the_isinstance_chains_bit_for_bit(case, eps_act):
     assert _bits(atom.violations(X)) == _bits(_reference_violations(atom, X))
     for x in X:
         assert _bits(atom.violations(x)) == _bits(_reference_violations(atom, x))
-        if isinstance(atom, Ball):
-            continue
         got, want = atom.normals(x, eps_act), _reference_normals(atom, x, n, eps_act)
         assert [_bits(g) for g in got] == [_bits(g) for g in want]
         S = ConvexSetDescriptor(n, (atom,))

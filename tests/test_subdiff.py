@@ -326,9 +326,12 @@ def _ref_gp_member(f, x0, v, grid, eps):
 
 
 def _ref_gp_check(p, xbar, x, candidates, grid, cfg):
-    """The per-candidate GP loop."""
+    """The per-candidate GP loop; a point outside the feasible set has no
+    witness."""
     eps = cfg.eps_feas
     xb, xv = np.asarray(xbar, dtype=float), np.asarray(x, dtype=float)
+    if not sets.contains(p.feasible_set, xv, eps):
+        return False
     for v in candidates:
         v = np.asarray(v, dtype=float)
         if abs(_dot(v, xv - xb)) > eps:
@@ -361,6 +364,36 @@ def test_gp_route_equals_per_point_loop(quadrant):
                 got = gp_member(p.objective, x, v, p.domain_window, cfg=cfg)
                 assert got is _ref_gp_member(p.objective, x, np.asarray(v), grid, cfg.eps_feas)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name, x", [("ex2_1", (3.0, 0.0)), ("ex2_4", (-1.0, 0.0))])
+def test_gp_route_refuses_a_point_outside_the_feasible_set(name, x, monkeypatch):
+    e = get_example(name)
+    p = e.problem
+    # without its feasible set, the grid has a witness for the point
+    free = Problem(p.objective, ConvexSetDescriptor(2, ()), 2, p.domain_window)
+    assert gp_solution_check(free, e.anchor, x)
+    for route in ("evaluate", "evaluate_many", "grad", "_anchor_record"):
+        monkeypatch.setattr(subdiff, route, _no_call)
+    assert gp_solution_check(p, e.anchor, x) is False
+    assert gp_solution_check(p, e.anchor, x, [(1.0, 0.0)]) is False
+
+
+def test_ml_route_refuses_a_point_outside_the_feasible_set(flat, monkeypatch):
+    # f = -x1^2 < 0 at -0.5, below its infimum 0 over the window, which the
+    # halfline x1 >= -1 covers
+    p, pairs = flat.problem, [MLPair(1.0, -1.0)]
+    free = Problem(p.objective, ConvexSetDescriptor(1, ()), 1, p.domain_window)
+    assert ml_solution_check_1d(free, 0.0, -0.5, pairs)
+    for route in ("evaluate", "evaluate_many", "grad"):
+        monkeypatch.setattr(subdiff, route, _no_call)
+    for form in ("M1", "M2"):
+        assert ml_solution_check_1d(p, 0.0, -0.5, pairs, form=form) is False
+        assert ml_solution_check_1d(p, 0.0, 2.5, form=form) is False
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("nothing is evaluated for a point outside the feasible set")
 
 
 def test_gp_rejects_directions_of_another_dimension(quadrant):
