@@ -76,13 +76,20 @@ class Ball:
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        if not self.radius >= 0:  # NaN fails this too
+            raise InputError(f"ball radius must be >= 0, got {self.radius!r}")
+
     dimension = property(lambda self: len(self.center))
 
     def violations(self, X: np.ndarray):
         return _norm([c - ci for c, ci in zip(X.T, self.center)]) - self.radius
 
     def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
-        """The outward normal x - center where x is on the sphere."""
+        """The outward normal x - center where x is on the sphere.  A ball of
+        radius 0 is the point {center}, and gives what that degenerate box gives."""
+        if self.radius == 0:  # +-e_i on every axis at the center: all of R^n
+            return Box(self.center, self.center).normals(x, eps_act)
         return [x - np.asarray(self.center)] if abs(self.violations(x)) <= eps_act else []
 
 
@@ -167,8 +174,8 @@ def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     return X.reshape(-1, n)
 
 
-# (kind, ...) -> (record, its rows), least recently used first: the
-# feasible grids, GP grids and problem documents this process keeps
+# (kind, ...) -> (record, its rows), least recently used first: every
+# record this process keeps, of the kinds README's store section names
 _KEPT: "OrderedDict[tuple, tuple]" = OrderedDict()
 
 

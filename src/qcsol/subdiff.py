@@ -155,17 +155,23 @@ def _window(f: ExprAst, window: Box, resolution: int):
     window, in one batch: ys, a lookup table of the running minima of f from
     either end (min over ys[i:] at i, -inf, -inf, min over ys[:k] at
     len(ys) + 1 + k) and f at the edge-trend points lo, lo + step, hi and
-    hi - step.  Where f fails, raises what evaluate raises at the first."""
+    hi - step.  Kept in sets' store like the GP grid, with ys and the table
+    read-only; where f fails, raises what evaluate raises at the first."""
     if window.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    ys = grid_nodes(window, resolution)[:, 0]
-    lo, hi = window.lo[0], window.hi[0]
-    step = (hi - lo) / (resolution - 1)
-    values = evaluate_many(f, np.concatenate([ys, (lo, lo + step, hi, hi - step)])[:, None])
-    grid = values[:resolution]
-    return ys, np.concatenate([
-        np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
-    ]), tuple(values[resolution:].tolist())
+
+    def build():
+        ys = grid_nodes(window, resolution)[:, 0]
+        lo, hi = window.lo[0], window.hi[0]
+        step = (hi - lo) / (resolution - 1)
+        values = evaluate_many(f, np.concatenate([ys, (lo, lo + step, hi, hi - step)])[:, None])
+        grid = values[:resolution]
+        return _frozen(ys), _frozen(np.concatenate([
+            np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
+        ])), tuple(values[resolution:].tolist())
+
+    return _kept(("ml", _ast_key(f), _ast_key(window), resolution), build,
+                 lambda w: len(w[0]))
 
 
 def _halfline_infima(w: tuple, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:

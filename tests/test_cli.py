@@ -277,6 +277,20 @@ def test_overflow_is_a_numeric_error(tmp_path, capsys):
     assert "EvalError" in err and "Traceback" not in err
 
 
+def test_a_negative_ball_radius_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "objective": "x1", "known_solution": [0.0, 0.0],
+        "feasible_set": [{"type": "ball", "center": [0.0, 0.0], "radius": -1.0}],
+        "domain_window": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+    }))
+    assert run(["oracle", "--problem", str(path), "--resolution", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "input", "message": "ball radius must be >= 0, got -1.0"}
+
+
 def test_overflowing_gradient_point_is_a_numeric_error(tmp_path, capsys):
     # x1 * x1 overflows at 1e200 while its derivative 2e200 does not
     path = tmp_path / "product.json"

@@ -375,6 +375,23 @@ def test_the_disk_normal_is_twice_the_disk_constraints_multiplier():
     assert solve_multipliers(constrained.problem, constrained.anchor).lambdas == (0.5,)
 
 
+def test_a_ball_of_radius_0_answers_as_the_box_of_its_point():
+    # {(0, 0)} as a ball and as a box: every multiplier question agrees
+    window = Box((-1.0, -1.0), (1.0, 1.0))
+    f, g, origin = parse("x1", 2), parse("x2", 2), (0.0, 0.0)
+    answers = []
+    for atom in (Ball(origin, 0.0), Box(origin, origin)):
+        ground = ConvexSetDescriptor(2, (atom,))
+        cp = ConstrainedProblem(f, (g,), ground, 2, window)
+        lam = solve_multipliers(cp, origin)
+        plain = solve_multipliers(Problem(f, ground, 2, window), origin)
+        answers.append((lam, stationarity_residual(cp, origin, lam), plain))
+    assert answers[0] == answers[1]
+    lam, residual, plain = answers[0]
+    assert lam == MultiplierVector((-0.0,), rank_deficient=True) and residual == 0.0
+    assert plain.lambdas == ()
+
+
 class TestConstraintQualification:
     def test_gmfcq_on_the_disk(self, surd):
         rep = check_gmfcq(surd.problem, surd.anchor)

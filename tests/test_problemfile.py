@@ -6,7 +6,7 @@ import pytest
 
 from qcsol import problemfile, sets
 from qcsol.core import ConstrainedProblem, Problem
-from qcsol.errors import ProblemFormatError
+from qcsol.errors import InputError, ProblemFormatError
 from qcsol.problemfile import dumps, load_problem, loads
 from qcsol.registry import get_example
 from test_registry import EXAMPLE_NAMES
@@ -176,6 +176,20 @@ def test_atom_numbers_must_be_finite_reals(atom):
     doc = json.loads(dumps(get_example("ex2_1").problem))
     doc["feasible_set"] = [atom]
     with pytest.raises(ProblemFormatError, match="finite real"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize("name, where", [("ex2_1", "feasible_set"),
+                                         ("ex2_3_constrained", "ground_set")])
+@pytest.mark.parametrize("atom, message", [
+    ({"type": "ball", "center": [0.0, 0.0], "radius": -1.0}, "ball radius must be >= 0, got -1.0"),
+    ({"type": "box", "lo": [1.0, 0.0], "hi": [0.0, 1.0]}, "box has lo > hi"),
+], ids=["ball", "box"])
+def test_a_negative_ball_radius_is_refused_as_a_box_with_lo_above_hi_is(name, where, atom,
+                                                                        message):
+    doc = json.loads(dumps(get_example(name).problem))
+    doc[where] = [atom]
+    with pytest.raises(InputError, match=message):
         load_problem(doc)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsol.core import Problem
-from qcsol.errors import DimensionError
+from qcsol.errors import DimensionError, InputError
 from qcsol.expr import _dot, _norm
 from qcsol.registry import get_example
 from qcsol.sets import (
@@ -47,6 +47,13 @@ class TestAtoms:
             Box((0.0, 0.0), (1.0, float("nan")))
         box = Box((-float("inf"), 0.0), (float("inf"), 1.0))
         assert atom_violation(box, np.array([1e300, 0.5])) == -0.5
+
+    def test_ball_refuses_a_nan_or_negative_radius(self):
+        for radius in (float("nan"), -1.0, -1e-300):
+            with pytest.raises(InputError, match="ball radius must be >= 0"):
+                Ball((0.0, 0.0), radius)
+        for radius in (0.0, -0.0, float("inf")):  # a point, and all of R^2
+            assert Ball((0.0, 0.0), radius).radius == radius
 
     def test_violations(self):
         assert atom_violation(Box((0.0,), (1.0,)), np.array([1.5])) == pytest.approx(0.5)
@@ -272,6 +279,16 @@ class TestCones:
         narrow = Box((0.0,), (1e-10,))
         assert [g.tolist() for g in narrow.normals(np.array([0.5e-10]), 1e-9)] == [[1.0], [-1.0]]
 
+    def test_a_ball_of_radius_0_has_the_cone_of_its_point(self):
+        # {c} has all of R^n as its normal cone, as the degenerate box [c, c] has
+        c = (0.5, -1.0)
+        point, ball = Box(c, c), Ball(c, 0.0)
+        for x in ([0.5, -1.0], [0.5 + 1e-10, -1.0], [2.0, -1.0], [2.0, 3.0]):
+            got = [g.tolist() for g in ball.normals(np.array(x), 1e-9)]
+            assert got == [g.tolist() for g in point.normals(np.array(x), 1e-9)]
+        assert [g.tolist() for g in ball.normals(np.array(c), 0.0)] == [
+            [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
 
 @given(
     st.floats(-3, 3, allow_nan=False),
@@ -289,7 +306,8 @@ def test_contains_monotone_in_atoms(a, b):
 
 # The atom formulas as sets computed them when it told the atom kinds
 # apart by isinstance, kept here to pin each atom's own methods bit for bit;
-# since then a box axis may give both its normals, and a ball gives one.
+# since then a box axis may give both its normals, a ball gives one, and a
+# ball of radius 0, the point {center}, gives what that degenerate box gives.
 
 def _reference_violations(atom, X):
     if isinstance(atom, Box):
@@ -321,6 +339,8 @@ def _reference_normals(atom, xv, n, eps_act):
                 unit = np.zeros(n)
                 unit[i] = -1.0
                 gens.append(unit)
+    elif atom.radius == 0:
+        return _reference_normals(Box(atom.center, atom.center), xv, n, eps_act)
     elif abs(_reference_violations(atom, xv)) <= eps_act:
         gens.append(xv - np.asarray(atom.center, dtype=float))
     return gens

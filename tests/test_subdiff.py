@@ -468,6 +468,88 @@ def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
     assert subdiff._grid_values(f, w, 830) is not grid
 
 
+def test_a_kept_ml_window_is_evaluated_once(flat, monkeypatch):
+    batches = []
+    real = subdiff.evaluate_many
+
+    def counted(f, X):
+        batches.append(len(X))
+        return real(f, X)
+
+    monkeypatch.setattr(subdiff, "evaluate_many", counted)
+    p = flat.problem
+    assert ml_solution_check_1d(p, 0.0, 0.5)
+    assert batches == [201 + 4]  # the grid and the four edge-trend points
+    assert ml_solution_check_1d(p, 0.0, 0.5) and not ml_solution_check_1d(p, 0.0, 1.5, form="M1")
+    assert not ml_member_1d(p.objective, 1.5, MLPair(1.0, 0.0), p.domain_window)
+    assert batches == [205]
+    assert ml_solution_check_1d(p, 0.0, 0.5, resolution=41)  # another resolution, another window
+    assert batches == [205, 45]
+
+
+def test_ml_windows_are_kept_read_only_per_window(flat):
+    f, w = flat.problem.objective, flat.problem.domain_window
+    record = subdiff._window(f, w, 201)
+    assert subdiff._window(f, Box(tuple(w.lo), tuple(w.hi)), 201) is record
+    ys, minima, edges = record
+    assert not ys.flags.writeable and not minima.flags.writeable
+    assert isinstance(edges, tuple) and all(type(v) is float for v in edges)
+    # a -0.0 upper bound is the last node
+    up, down = (Box((-2.0,), (z,)) for z in (0.0, -0.0))
+    assert up == down
+    a, b = subdiff._window(f, up, 5), subdiff._window(f, down, 5)
+    assert a is not b and a[0].tolist() == b[0].tolist() and a[0].tobytes() != b[0].tobytes()
+    assert [key[0] for key in sets._KEPT] == ["ml"] * 3
+
+
+def test_warm_ml_verdicts_equal_cold_ones(flat):
+    p, xbar = flat.problem, flat.anchor[0]
+    pairs = default_ml_pairs(p.domain_window)
+
+    def verdicts(cold):
+        got = []
+        for x in grid_nodes(p.domain_window, flat.resolution)[:, 0].tolist():
+            for form in ("M1", "M2"):
+                if cold:
+                    sets._KEPT.clear()
+                got.append(ml_solution_check_1d(p, xbar, x, form=form))
+            for pair in pairs:
+                if cold:
+                    sets._KEPT.clear()
+                got.append(ml_member_1d(p.objective, x, pair, p.domain_window))
+        return got
+
+    warm = verdicts(cold=False)
+    assert len(sets._KEPT) == 1 and warm == verdicts(cold=True)
+    assert set(warm) == {True, False}
+
+
+def test_a_window_where_f_fails_is_not_kept():
+    f, w = parse("pw[x1 <= 1: x1]", 1), Box((0.0,), (2.0,))
+    p = Problem(f, ConvexSetDescriptor(1, ()), 1, w)
+    for _ in range(2):
+        with pytest.raises(EvalError, match=r"point \(1.01,\) outside every piecewise guard"):
+            ml_solution_check_1d(p, 0.0, 0.5)
+        with pytest.raises(EvalError, match=r"point \(1.01,\) outside every piecewise guard"):
+            ml_member_1d(f, 0.5, MLPair(1.0, 0.0), w)
+    assert not any(key[0] == "ml" for key in sets._KEPT)
+    with pytest.raises(DimensionError):  # refused before the store is read
+        subdiff._window(f, Box((0.0, 0.0), (1.0, 1.0)), 5)
+    assert len(sets._KEPT) == 0
+
+
+def test_ml_windows_count_toward_the_shared_row_bound(flat, quadrant):
+    f, w = quadrant.problem.objective, quadrant.problem.domain_window
+    grid = subdiff._grid_values(f, w, 830)
+    resolution = MAX_GRID_NODES - len(grid[0]) + 1
+    window = subdiff._window(flat.problem.objective, flat.problem.domain_window, resolution)
+    assert [rows for _, rows in sets._KEPT.values()] == [resolution]
+    # each evicts the other when it is evaluated again
+    assert subdiff._grid_values(f, w, 830) is not grid
+    assert subdiff._window(flat.problem.objective, flat.problem.domain_window,
+                           resolution) is not window
+
+
 def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
     window = Box((-1.0,), (1.5,))
     resolution = 11
