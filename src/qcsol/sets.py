@@ -61,6 +61,10 @@ class Halfspace:
     a: tuple
     b: float
 
+    def __post_init__(self):
+        if any(map(math.isnan, (*self.a, self.b))):
+            raise InputError("halfspace has a NaN entry")
+
     dimension = property(lambda self: len(self.a))
 
     def violations(self, X: np.ndarray):
@@ -79,6 +83,8 @@ class Ball:
     def __post_init__(self):
         if not self.radius >= 0:  # NaN fails this too
             raise InputError(f"ball radius must be >= 0, got {self.radius!r}")
+        if any(map(math.isnan, self.center)):
+            raise InputError("ball center has a NaN entry")
 
     dimension = property(lambda self: len(self.center))
 
@@ -99,6 +105,10 @@ class LinearEquality:
 
     a: tuple
     b: float
+
+    def __post_init__(self):
+        if any(map(math.isnan, (*self.a, self.b))):
+            raise InputError("linear equality has a NaN entry")
 
     dimension = property(lambda self: len(self.a))
 

@@ -30,6 +30,20 @@ class MLPair:
     t: float
 
 
+class _Record(tuple):
+    """A kept record's read-only parts, with one slot for what a route
+    derives from them under a tag, as _Grid.oracle keeps one result per
+    eps_opt: replaced when the tag differs, dropped with the record."""
+
+    slot = (None, None)
+
+    def derived(self, tag, build):
+        """build(), kept in the slot under tag; a failing build is not kept."""
+        if self.slot[0] != tag:
+            self.slot = (tag, build())
+        return self.slot[1]
+
+
 def _grid_values(f: ExprAst, window: Box, resolution: int):
     """The (N, n) array of grid nodes over the window, and f at each, as
     read-only arrays evaluated once per process and kept in sets' store;
@@ -37,7 +51,7 @@ def _grid_values(f: ExprAst, window: Box, resolution: int):
 
     def build():
         X = grid_nodes(window, resolution)
-        return _frozen(X), _frozen(evaluate_many(f, X))
+        return _Record((_frozen(X), _frozen(evaluate_many(f, X))))
 
     return _kept(("gp", _ast_key(f), _ast_key(window), resolution), build,
                  lambda grid: len(grid[0]))
@@ -54,12 +68,12 @@ def _directions(vs, dimension: int) -> np.ndarray:
 
 
 def _gp_members(V: np.ndarray, x0: np.ndarray, f0: float, grid, eps: float) -> np.ndarray:
-    """For each row v of V, whether no grid point x has v.(x - x0) >= -eps
-    and f(x) < f(x0) - eps."""
+    """The rows v of V for which no grid point x has v.(x - x0) >= -eps
+    and f(x) < f0 - eps."""
     X, values = grid
     steps = (X[values < f0 - eps] - x0).T
     ahead = _dot(V.T[:, :, None], steps[:, None, :]) >= -eps
-    return ~np.any(ahead, axis=1)
+    return V[~np.any(ahead, axis=1)]
 
 
 def gp_member(
@@ -81,7 +95,7 @@ def gp_member(
     f0 = evaluate(f, x0v)
     grid = _grid_values(f, window, resolution)
     V = _directions([v], grid[0].shape[1])
-    return bool(_gp_members(V, x0v, f0, grid, cfg.eps_feas)[0])
+    return bool(len(_gp_members(V, x0v, f0, grid, cfg.eps_feas)))
 
 
 def default_gp_candidates(
@@ -136,18 +150,30 @@ def gp_solution_check(
     xv = as_point(x, p.dimension)
     if not contains(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
-    if candidate_vs is None:  # the anchor's gradient is read from its record
-        gradients = [_anchor_record(p, xb, cfg).gradient[0], grad(p.objective, xv, p.dimension)]
-        candidate_vs = _gp_candidates(gradients, p.dimension, cfg)
-    grid = _grid if _grid is not None else _grid_values(p.objective, window, resolution)
-    V = _directions(candidate_vs, p.dimension)
     eps = cfg.eps_feas
-    # f(xbar) and f(x) are evaluated only once some candidate needs them
-    V = V[~(np.abs(_dot(V.T, xv - xb)) > eps)]
-    for point in (xb, xv):
+    if candidate_vs is None:  # the anchor's gradient is read from its record
+        anchor = _anchor_record(p, xb, cfg)
+        g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension)
+    grid = _grid if _grid is not None else _grid_values(p.objective, window, resolution)
+    step = xv - xb
+    if candidate_vs is None:  # the rays and xbar's unit gradient: kept, tested at xbar
+        kept = grid.derived(anchor, lambda: _frozen(_gp_members(
+            _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
+        V, nrm = _orthogonal(kept, step, eps), _norm(gx)
+        if nrm > cfg.eps_grad and not abs(_dot(gx / nrm, step)) > eps:  # x's unit row
+            V = np.vstack([V, _gp_members((gx / nrm)[None], xb, anchor.value, grid, eps)])
+    else:  # f(xbar) is evaluated only once some candidate needs it
+        V = _orthogonal(_directions(candidate_vs, p.dimension), step, eps)
         if len(V):
-            V = V[_gp_members(V, point, evaluate(p.objective, point), grid, eps)]
+            V = _gp_members(V, xb, evaluate(p.objective, xb), grid, eps)
+    if len(V):  # and f(x) likewise
+        V = _gp_members(V, xv, evaluate(p.objective, xv), grid, eps)
     return bool(len(V))
+
+
+def _orthogonal(V: np.ndarray, step: np.ndarray, eps: float) -> np.ndarray:
+    """The rows v of V with |v.step| <= eps (or NaN)."""
+    return V[~(np.abs(_dot(V.T, step)) > eps)]
 
 
 def _window(f: ExprAst, window: Box, resolution: int):
@@ -166,9 +192,9 @@ def _window(f: ExprAst, window: Box, resolution: int):
         step = (hi - lo) / (resolution - 1)
         values = evaluate_many(f, np.concatenate([ys, (lo, lo + step, hi, hi - step)])[:, None])
         grid = values[:resolution]
-        return _frozen(ys), _frozen(np.concatenate([
+        return _Record((_frozen(ys), _frozen(np.concatenate([
             np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
-        ])), tuple(values[resolution:].tolist())
+        ])), tuple(values[resolution:].tolist())))
 
     return _kept(("ml", _ast_key(f), _ast_key(window), resolution), build,
                  lambda w: len(w[0]))
@@ -282,7 +308,9 @@ def ml_solution_check_1d(
     V, T = (_ml_pairs(window.lo[0], window.hi[0]) if candidate_pairs is None
             else _slopes_thresholds(candidate_pairs))
     eps = cfg.eps_feas
-    inf = _halfline_infima(w, V, T, eps)
+    # the default pairs' infima are kept on the window, for one eps_feas at a time
+    inf = (w.derived(eps, lambda: _frozen(_halfline_infima(w, V, T, eps)))
+           if candidate_pairs is None else _halfline_infima(w, V, T, eps))
     at_x = _ml_members(f, x, V, T, inf, eps)
     if not np.count_nonzero(at_x):
         return False

@@ -55,6 +55,22 @@ class TestAtoms:
         for radius in (0.0, -0.0, float("inf")):  # a point, and all of R^2
             assert Ball((0.0, 0.0), radius).radius == radius
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda nan: Halfspace((nan, 1.0), 0.0), "halfspace has a NaN entry"),
+        (lambda nan: Halfspace((1.0, 1.0), nan), "halfspace has a NaN entry"),
+        (lambda nan: LinearEquality((1.0, nan), 0.0), "linear equality has a NaN entry"),
+        (lambda nan: LinearEquality((1.0, 1.0), nan), "linear equality has a NaN entry"),
+        (lambda nan: Ball((nan, 0.0), 1.0), "ball center has a NaN entry"),
+        (lambda nan: Ball((0.0, nan), 1.0), "ball center has a NaN entry"),
+    ], ids=["halfspace-a", "halfspace-b", "equality-a", "equality-b", "ball-center-0",
+            "ball-center-1"])
+    def test_atoms_refuse_a_nan_entry(self, build, message):
+        # such an atom once built, and then read every point as outside
+        for nan in (float("nan"), np.nan, np.float64("nan")):
+            with pytest.raises(InputError, match=message):
+                build(nan)
+        assert atom_violation(build(0.5), np.zeros(2)) <= 0.5  # a finite entry builds
+
     def test_violations(self):
         assert atom_violation(Box((0.0,), (1.0,)), np.array([1.5])) == pytest.approx(0.5)
         assert atom_violation(Halfspace((1.0, 0.0), 1.0), np.array([2.0, 0.0])) == pytest.approx(1.0)

@@ -1,7 +1,9 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -522,6 +524,88 @@ def test_warm_ml_verdicts_equal_cold_ones(flat):
     warm = verdicts(cold=False)
     assert len(sets._KEPT) == 1 and warm == verdicts(cold=True)
     assert set(warm) == {True, False}
+
+
+def test_ml_infima_are_kept_per_eps_feas(flat):
+    # the default pairs' infima on one window differ between these values
+    # (cuts fall on grid nodes), so a call must never read another's
+    p, xbar = flat.problem, flat.anchor[0]
+    cfgs = (DEFAULT_CONFIG, Config(eps_feas=0.0), Config(eps_feas=0.2))
+    xs = grid_nodes(p.domain_window, flat.resolution)[:, 0].tolist()
+    V, T = subdiff._ml_pairs(*p.domain_window.lo, *p.domain_window.hi)
+
+    def verdicts(cold):
+        got = {(cfg, form): [] for cfg in cfgs for form in ("M1", "M2")}
+        for x in xs:
+            for cfg, form in got:  # the values alternate on the one kept window
+                if cold:
+                    sets._KEPT.clear()
+                got[cfg, form].append(ml_solution_check_1d(p, xbar, x, cfg=cfg, form=form))
+                record = subdiff._window(p.objective, p.domain_window, 201)
+                eps, infima = record.slot
+                want = subdiff._halfline_infima(record, V, T, cfg.eps_feas)
+                assert eps == cfg.eps_feas and infima.tobytes() == want.tobytes()
+                assert not infima.flags.writeable
+        return got
+
+    warm = verdicts(cold=False)
+    assert len(sets._KEPT) == 1 and warm == verdicts(cold=True)
+    assert warm[cfgs[0], "M2"] != warm[cfgs[2], "M2"]
+    record = subdiff._window(p.objective, p.domain_window, 201)
+    infima = [subdiff._halfline_infima(record, V, T, cfg.eps_feas).tolist() for cfg in cfgs]
+    assert infima[0] != infima[1] != infima[2] != infima[0]
+
+
+def test_warm_gp_verdicts_equal_cold_ones(quadrant):
+    # two anchors and two configs take turns on one grid, whose kept side
+    # each must replace
+    p = quadrant.problem
+    grid = subdiff._grid_values(p.objective, p.domain_window, 21)
+    questions = [(xbar, cfg) for xbar in (quadrant.anchor, (0.3, 0.3))
+                 for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0))]
+    nodes = grid_nodes(p.domain_window, 21)
+    warm = [gp_solution_check(p, xbar, x, cfg=cfg, _grid=grid)
+            for x in nodes for xbar, cfg in questions]
+    cold = []
+    for x in nodes:
+        for xbar, cfg in questions:
+            sets._KEPT.clear()  # the grid, the anchor's record and its side go
+            cold.append(gp_solution_check(p, xbar, x, cfg=cfg))
+    assert warm == cold and set(warm) == {True, False}
+    assert warm == [gp_solution_check(p, xbar, x, cfg=cfg)
+                    for x in nodes for xbar, cfg in questions]
+
+
+def test_a_callers_grid_is_answered_from_that_grid(quadrant):
+    # at this anchor the 5-node grid misses witnesses the 21-node grid has,
+    # so a side kept for one grid answers some node wrongly for the other
+    p, xbar, cfg = quadrant.problem, (0.3, 0.3), DEFAULT_CONFIG
+    coarse = subdiff._grid_values(p.objective, p.domain_window, 5)
+    fine = subdiff._grid_values(p.objective, p.domain_window, 21)
+    differ = 0
+    for x in grid_nodes(p.domain_window, 21):
+        cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
+        want_coarse = _ref_gp_check(p, xbar, x, cands, coarse, cfg)
+        want_fine = _ref_gp_check(p, xbar, x, cands, fine, cfg)
+        # the call's own resolution (21) names the fine grid
+        assert gp_solution_check(p, xbar, x) is want_fine
+        assert gp_solution_check(p, xbar, x, _grid=coarse) is want_coarse
+        assert gp_solution_check(p, xbar, x, _grid=fine) is want_fine
+        differ += want_coarse is not want_fine
+    assert differ > 0
+
+
+def test_a_kept_gp_side_goes_with_its_grid(quadrant):
+    p, xbar = quadrant.problem, quadrant.anchor
+    assert gp_solution_check(p, xbar, (0.0, -1.0))
+    (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "gp"]
+    nodes, side = weakref.ref(grid[0]), weakref.ref(grid.slot[1])
+    del grid
+    f = parse("x1", 1)
+    for k in range(512):  # as many records as the store holds evict it by LRU
+        subdiff._window(f, Box((float(k),), (k + 1.0,)), 2)
+    gc.collect()
+    assert nodes() is None and side() is None
 
 
 def test_a_window_where_f_fails_is_not_kept():
