@@ -13,6 +13,7 @@ otherwise it reports the first violation in draw order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -42,7 +43,9 @@ def _require_count(name: str, value: int) -> None:
 def _draws(window: Box, rng: np.random.Generator, margin: float, rows: int) -> np.ndarray:
     """rows successive uniform points of the window shrunk by margin: the
     same numbers as rows calls of rng.uniform(lo, hi).  A window narrower
-    than 2 * margin on some axis is refused."""
+    than 2 * margin on some axis, or of infinite width, is refused."""
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(window.lo, window.hi)):
+        raise InputError(f"window {window!r} needs a finite width on every axis")
     lo = np.asarray(window.lo) + margin
     hi = np.asarray(window.hi) - margin
     if np.any(hi < lo):

@@ -38,7 +38,7 @@ from .errors import (
     QcsolError,
 )
 from .expr import _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
-from .sets import _frozen, _kept, contains, normal_cone_generators, sample_grid
+from .sets import _check_resolution, _frozen, _kept, contains, normal_cone_generators, sample_grid
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,7 @@ class _Grid:
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
     """The feasible grid of p, evaluated once per process and kept in
     sets' store; p is keyed by repr, as expr's programs are."""
+    _check_resolution(resolution)
     return _kept(
         ("feasible", _ast_key(p), resolution, cfg.eps_feas),
         lambda: _Grid(p, *_feasible_rows(p, resolution, cfg)),

@@ -54,6 +54,14 @@ class Box:
         return gens
 
 
+def _check_entries(what: str, vector, *scalars) -> None:
+    """Refuse a NaN anywhere, and an infinite entry of the vector."""
+    if any(map(math.isnan, (*vector, *scalars))):
+        raise InputError(f"{what} has a NaN entry")
+    if not all(map(math.isfinite, vector)):
+        raise InputError(f"{what} has an infinite entry in {tuple(vector)!r}")
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """a . x <= b"""
@@ -62,8 +70,7 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        if any(map(math.isnan, (*self.a, self.b))):
-            raise InputError("halfspace has a NaN entry")
+        _check_entries("halfspace", self.a, self.b)
 
     dimension = property(lambda self: len(self.a))
 
@@ -83,8 +90,7 @@ class Ball:
     def __post_init__(self):
         if not self.radius >= 0:  # NaN fails this too
             raise InputError(f"ball radius must be >= 0, got {self.radius!r}")
-        if any(map(math.isnan, self.center)):
-            raise InputError("ball center has a NaN entry")
+        _check_entries("ball center", self.center)
 
     dimension = property(lambda self: len(self.center))
 
@@ -107,8 +113,7 @@ class LinearEquality:
     b: float
 
     def __post_init__(self):
-        if any(map(math.isnan, (*self.a, self.b))):
-            raise InputError("linear equality has a NaN entry")
+        _check_entries("linear equality", self.a, self.b)
 
     dimension = property(lambda self: len(self.a))
 
@@ -166,16 +171,23 @@ def contains(S: ConvexSetDescriptor, x: Sequence[float],
 MAX_GRID_NODES = 10**6
 
 
+def _check_resolution(resolution, least: int = 2) -> None:
+    """Refuse a resolution that is not an integer (numpy's too) >= least."""
+    if not hasattr(resolution, "__index__"):
+        raise InputError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < least:
+        raise InputError(f"resolution must be >= {least}")
+
+
 def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     """All nodes of the regular grid over the window, as (N, n) rows in
-    row-major order.  The window must be finite, with at least 2 nodes per
-    axis and at most MAX_GRID_NODES in all."""
-    if resolution < 2:
-        raise InputError("resolution must be >= 2")
+    row-major order.  Every axis of the window must have a finite width,
+    with at least 2 nodes and at most MAX_GRID_NODES in all."""
+    _check_resolution(resolution)
     if resolution ** window.dimension > MAX_GRID_NODES:
         raise InputError(f"a grid of {resolution}^{window.dimension} nodes exceeds the "
                          f"limit of {MAX_GRID_NODES} nodes")
-    if not all(map(math.isfinite, (*window.lo, *window.hi))):
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(window.lo, window.hi)):
         raise InputError(f"a grid needs a finite window, got {window!r}")
     n = window.dimension
     X = np.empty((resolution,) * n + (n,))

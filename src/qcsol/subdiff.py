@@ -9,8 +9,9 @@ cross-check the gradient-based characterizations on the same instances.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
 from .kkt import _anchor_record
-from .sets import Box, _frozen, _kept, contains, grid_nodes
+from .sets import Box, _check_resolution, _frozen, _kept, contains, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,6 @@ def _grid_values(f: ExprAst, window: Box, resolution: int):
                  lambda grid: len(grid[0]))
 
 
-def _directions(vs, dimension: int) -> np.ndarray:
-    """The directions vs as the rows of a (k, dimension) array."""
-    V = np.asarray(vs, dtype=float)
-    if V.size == 0:
-        return V.reshape(0, dimension)
-    if V.ndim != 2 or V.shape[1] != dimension:
-        raise InputError(f"a direction must have {dimension} entries")
-    return V
-
-
 def _gp_members(V: np.ndarray, x0: np.ndarray, f0: float, grid, eps: float) -> np.ndarray:
     """The rows v of V for which no grid point x has v.(x - x0) >= -eps
     and f(x) < f0 - eps."""
@@ -89,12 +80,13 @@ def gp_member(
     False iff some grid point x has v.(x - x0) >= 0 and f(x) < f(x0),
     within tolerances.
     """
-    if resolution < 3:
-        raise InputError("resolution must be >= 3")
+    _check_resolution(resolution, 3)
     x0v = as_point(x0, window.dimension)
     f0 = evaluate(f, x0v)
     grid = _grid_values(f, window, resolution)
-    V = _directions([v], grid[0].shape[1])
+    V = np.asarray([v], dtype=float)
+    if V.shape != (1, window.dimension) or not np.isfinite(V).all():
+        raise InputError(f"a direction must have {window.dimension} finite entries")
     return bool(len(_gp_members(V, x0v, f0, grid, cfg.eps_feas)))
 
 
@@ -132,48 +124,33 @@ def gp_solution_check(
     p: Problem,
     xbar,
     x,
-    candidate_vs: Optional[Sequence] = None,
-    window: Optional[Box] = None,
     resolution: int = 21,
     cfg: Config = DEFAULT_CONFIG,
     _grid=None,
 ) -> bool:
     """Existence of a shared GP subgradient orthogonal to x - xbar.
 
-    True certifies membership through a finite witness; False means no
-    witness was found in the candidate family, or x is not feasible.
+    True certifies membership through a witness in default_gp_candidates
+    on p.domain_window's grid; False means none was found, or x is not feasible.
     """
-    if resolution < 3:
-        raise InputError("resolution must be >= 3")
-    window = window or p.domain_window
-    xb = as_point(xbar, p.dimension)
-    xv = as_point(x, p.dimension)
+    _check_resolution(resolution, 3)
+    xb, xv = as_point(xbar, p.dimension), as_point(x, p.dimension)
     if not contains(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
     eps = cfg.eps_feas
-    if candidate_vs is None:  # the anchor's gradient is read from its record
-        anchor = _anchor_record(p, xb, cfg)
-        g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension)
-    grid = _grid if _grid is not None else _grid_values(p.objective, window, resolution)
+    anchor = _anchor_record(p, xb, cfg)  # the anchor's gradient is read from its record
+    g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension)
+    grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)
     step = xv - xb
-    if candidate_vs is None:  # the rays and xbar's unit gradient: kept, tested at xbar
-        kept = grid.derived(anchor, lambda: _frozen(_gp_members(
-            _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
-        V, nrm = _orthogonal(kept, step, eps), _norm(gx)
-        if nrm > cfg.eps_grad and not abs(_dot(gx / nrm, step)) > eps:  # x's unit row
-            V = np.vstack([V, _gp_members((gx / nrm)[None], xb, anchor.value, grid, eps)])
-    else:  # f(xbar) is evaluated only once some candidate needs it
-        V = _orthogonal(_directions(candidate_vs, p.dimension), step, eps)
-        if len(V):
-            V = _gp_members(V, xb, evaluate(p.objective, xb), grid, eps)
-    if len(V):  # and f(x) likewise
+    # the rays and xbar's unit gradient: kept, tested at xbar
+    kept = grid.derived(anchor, lambda: _frozen(_gp_members(
+        _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
+    V, nrm = kept[~(np.abs(_dot(kept.T, step)) > eps)], _norm(gx)  # |v.step| <= eps, or NaN
+    if nrm > cfg.eps_grad and not abs(_dot(gx / nrm, step)) > eps:  # x's unit row
+        V = np.vstack([V, _gp_members((gx / nrm)[None], xb, anchor.value, grid, eps)])
+    if len(V):  # f(x) is evaluated only once some candidate needs it
         V = _gp_members(V, xv, evaluate(p.objective, xv), grid, eps)
     return bool(len(V))
-
-
-def _orthogonal(V: np.ndarray, step: np.ndarray, eps: float) -> np.ndarray:
-    """The rows v of V with |v.step| <= eps (or NaN)."""
-    return V[~(np.abs(_dot(V.T, step)) > eps)]
 
 
 def _window(f: ExprAst, window: Box, resolution: int):
@@ -185,6 +162,7 @@ def _window(f: ExprAst, window: Box, resolution: int):
     read-only; where f fails, raises what evaluate raises at the first."""
     if window.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
+    _check_resolution(resolution)
 
     def build():
         ys = grid_nodes(window, resolution)[:, 0]
@@ -237,9 +215,21 @@ def ml_member_1d(
     """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x:
     v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
     infimum read off the window as ml_solution_check_1d reads it."""
-    V, T = _slopes_thresholds([pair])
+    _finite(x=x)
+    V, T = np.array([[pair.v], [pair.t]], dtype=float)
     inf = _halfline_infima(_window(f, window, resolution), V, T, cfg.eps_feas)
     return bool(_ml_members(f, x, V, T, inf, cfg.eps_feas)[0])
+
+
+def _finite(**points) -> None:
+    """Refuse a point of the 1-D route that is not one finite real."""
+    for name, x in points.items():
+        try:
+            finite = math.isfinite(x)
+        except TypeError:
+            raise DimensionError(f"{name} = {x!r} is not one real") from None
+        if not finite:
+            raise InputError(f"{name} = {x!r} is not finite")
 
 
 def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float, among=True) -> np.ndarray:
@@ -252,18 +242,16 @@ def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float, among=True) -> np.n
     return paired & (inf >= evaluate(f, [x]) - eps)
 
 
-def default_ml_pairs(
-    window: Box, vs=(0.5, 1.0, 2.0), t_count: int = 21
-) -> List[MLPair]:
-    """Candidate (v, t) pairs: a few positive slopes with thresholds
-    spanning v * window (zero always included)."""
+def default_ml_pairs(window: Box) -> List[MLPair]:
+    """The route's (v, t) pairs: the slopes 0.5, 1 and 2, each with 21
+    thresholds spanning v * window, and zero."""
     lo, hi = window.lo[0], window.hi[0]
     pairs = []
-    for v in vs:
-        ts = set(np.linspace(v * lo, v * hi, t_count))
+    for v in (0.5, 1.0, 2.0):
+        ts = set(np.linspace(v * lo, v * hi, 21))
         ts.add(0.0)
         for t in sorted(ts):
-            pairs.append(MLPair(float(v), float(t)))
+            pairs.append(MLPair(v, float(t)))
     return pairs
 
 
@@ -271,46 +259,37 @@ def default_ml_pairs(
 def _ml_pairs(lo: float, hi: float) -> np.ndarray:
     """default_ml_pairs of the 1-D window [lo, hi] as one read-only array,
     built once per window: the slopes, then the thresholds."""
-    return _frozen(_slopes_thresholds(default_ml_pairs(Box((lo,), (hi,)))))
-
-
-def _slopes_thresholds(pairs: Sequence[MLPair]) -> np.ndarray:
-    """The pairs' slopes and thresholds, as the two rows of one array."""
-    return np.array([[q.v for q in pairs], [q.t for q in pairs]], dtype=float)
+    pairs = default_ml_pairs(Box((lo,), (hi,)))
+    return _frozen(np.array([[q.v for q in pairs], [q.t for q in pairs]]))
 
 
 def ml_solution_check_1d(
     p: Problem,
     xbar: float,
     x: float,
-    candidate_pairs: Optional[Sequence[MLPair]] = None,
-    window: Optional[Box] = None,
     resolution: int = 201,
     cfg: Config = DEFAULT_CONFIG,
     form: str = "M2",
 ) -> bool:
     """Solution test through the 1-D Martinez-Legaz subdifferential.
 
-    M2 (default): some candidate pair lies in the subdifferential at x and
-    satisfies v * xbar >= t.  M1: some candidate lies in the
-    subdifferential at both x and xbar.  A point x outside the feasible
-    set is no solution, and nothing is evaluated for it.
+    M2 (default): some pair of p.domain_window's default_ml_pairs lies in
+    the subdifferential at x and satisfies v * xbar >= t.  M1: some pair
+    lies in the subdifferential at both x and xbar.  A point x outside
+    the feasible set is no solution, and nothing is evaluated for it.
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if form not in ("M1", "M2"):
         raise InputError("form must be 'M1' or 'M2'")
+    _finite(xbar=xbar, x=x)
     if not contains(p.feasible_set, x, cfg.eps_feas):
         return False
-    f = p.objective
-    window = window or p.domain_window
+    f, window, eps = p.objective, p.domain_window, cfg.eps_feas
     w = _window(f, window, resolution)
-    V, T = (_ml_pairs(window.lo[0], window.hi[0]) if candidate_pairs is None
-            else _slopes_thresholds(candidate_pairs))
-    eps = cfg.eps_feas
-    # the default pairs' infima are kept on the window, for one eps_feas at a time
-    inf = (w.derived(eps, lambda: _frozen(_halfline_infima(w, V, T, eps)))
-           if candidate_pairs is None else _halfline_infima(w, V, T, eps))
+    V, T = _ml_pairs(window.lo[0], window.hi[0])
+    # the pairs' infima are kept on the window, for one eps_feas at a time
+    inf = w.derived(eps, lambda: _frozen(_halfline_infima(w, V, T, eps)))
     at_x = _ml_members(f, x, V, T, inf, eps)
     if not np.count_nonzero(at_x):
         return False

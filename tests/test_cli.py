@@ -325,6 +325,32 @@ def test_infinite_window_is_a_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_a_window_whose_width_overflows_is_an_input_error(capsys):
+    # the sampler once left with a traceback and exit code 1
+    code = run(["check-convexity", "--example", "ex2_2", "--window=-1e308,1e308,-1,1",
+                "--pairs", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "message": (
+        "window Box(lo=(-1e+308, -1.0), hi=(1e+308, 1.0)) needs a finite width on every axis")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--resolution", "5"],
+    ["enumerate", "--variant", "STILDE", "--resolution", "5"],
+    ["subdiff-check", "--route", "ml", "--point=0.5"],
+], ids=["oracle", "enumerate", "subdiff-check"])
+def test_a_problem_window_whose_width_overflows_is_an_input_error(tmp_path, capsys, argv):
+    # the grid's nodes were once NaN, and the run ended with exit code 3
+    path = _write_problem(tmp_path, 1e308)
+    assert run([argv[0], "--problem", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "message": (
+        "a grid needs a finite window, got Box(lo=(-1e+308,), hi=(1e+308,))")}
+
+
 @pytest.mark.parametrize("flag,value", [("--pairs", "-3"), ("--t-steps", "-2")])
 def test_negative_sampler_size_is_a_usage_error(capsys, flag, value):
     code = run(["check-convexity", "--example", "ex2_3", "--pairs", "5", flag, value])

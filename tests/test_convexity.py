@@ -238,6 +238,20 @@ def test_a_window_narrower_than_the_open_margin_is_refused(sampler):
     assert got is True or got.holds
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda f, w: check_quasiconvex(f, w, pairs=5),
+    lambda f, w: check_first_order_qcx(f, w, pairs=5),
+    lambda f, w: check_pseudoconvex_at(f, (0.0, 0.0), w, samples=5),
+], ids=["quasiconvex", "first-order", "pseudoconvex"])
+def test_a_window_of_infinite_width_is_refused(sampler):
+    # rng.uniform once raised a bare OverflowError on these
+    f = parse("x1^2 + x2^2", 2)
+    for lo, hi in ((-1e308, 1e308), (-np.inf, 1.0), (0.0, np.inf)):
+        window = Box((lo, -1.0), (hi, 1.0))
+        with pytest.raises(InputError, match=r"needs a finite width on every axis$"):
+            sampler(f, window)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

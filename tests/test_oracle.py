@@ -4,6 +4,7 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,14 @@ def test_a_non_finite_window_is_refused_in_both_problem_forms():
             brute_force_solutions(problem, 5)
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_a_resolution_must_be_an_integer():
+    p = get_example("ex4_1").problem
+    assert brute_force_solutions(p, np.int64(5)) == brute_force_solutions(p, 5)
+    for resolution in (2.5, 5.0):  # 5.0 also after the grid of 5 is kept
+        with pytest.raises(InputError, match="resolution must be an integer"):
+            brute_force_solutions(p, resolution)
 
 
 def _set_difference_agreement(p, xbar, variant, resolution, eps_opt=None, cfg=DEFAULT_CONFIG):

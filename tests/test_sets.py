@@ -71,6 +71,29 @@ class TestAtoms:
                 build(nan)
         assert atom_violation(build(0.5), np.zeros(2)) <= 0.5  # a finite entry builds
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda inf: Halfspace((inf, 1.0), 0.0), "halfspace has an infinite entry"),
+        (lambda inf: LinearEquality((1.0, inf), 0.0), "linear equality has an infinite entry"),
+        (lambda inf: Ball((inf, 0.0), 1.0), "ball center has an infinite entry"),
+    ], ids=["halfspace-a", "equality-a", "ball-center"])
+    def test_atoms_refuse_an_infinite_normal_or_center(self, build, message):
+        # such an atom once read a NaN violation (inf * 0), or every point as outside
+        for inf in (float("inf"), -np.inf, np.float64("-inf")):
+            with pytest.raises(InputError, match=message):
+                build(inf)
+
+    def test_an_infinite_offset_or_radius_is_the_whole_space_or_nothing(self):
+        inf, points = float("inf"), np.array([[0.0, 0.0], [1e100, -1e100], [-3.0, 7.0]])
+        whole = [Halfspace((1.0, 1.0), inf), Ball((0.0, 0.0), inf)]
+        empty = [Halfspace((1.0, 1.0), -inf), LinearEquality((1.0, 1.0), inf),
+                 LinearEquality((1.0, 1.0), -inf)]
+        for atom in whole + empty:
+            S = ConvexSetDescriptor(2, (atom,))
+            want = [atom in whole] * len(points)
+            assert contains_many(S, points).tolist() == want, atom
+            assert [contains(S, x) for x in points] == want, atom
+            assert normal_cone_generators(S, points[0]) == [] or isinstance(atom, LinearEquality)
+
     def test_violations(self):
         assert atom_violation(Box((0.0,), (1.0,)), np.array([1.5])) == pytest.approx(0.5)
         assert atom_violation(Halfspace((1.0, 0.0), 1.0), np.array([2.0, 0.0])) == pytest.approx(1.0)
@@ -146,6 +169,26 @@ class TestGrids:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             grid_nodes(Box((0.0,), (1.0,)), 1)
+
+    def test_a_resolution_must_be_an_integer(self):
+        window = Box((0.0,), (1.0,))
+        for resolution in (2.5, 5.0, np.float64(5), "5", None):
+            with pytest.raises(InputError, match="resolution must be an integer, got"):
+                grid_nodes(window, resolution)
+        for resolution in (np.int64(5), np.uint8(5)):
+            assert grid_nodes(window, resolution).tolist() == grid_nodes(window, 5).tolist()
+
+    @pytest.mark.parametrize("window", [
+        Box((-1e308,), (1e308,)),
+        Box((0.0, -1.7976931348623157e308), (1.0, 1.7976931348623157e308)),
+        Box((-np.inf, 0.0), (np.inf, 1.0)),
+        Box((0.0, 0.0), (np.inf, 1.0)),
+    ], ids=["overflow", "overflow-axis-2", "infinite", "half-infinite"])
+    def test_a_window_of_infinite_width_is_refused(self, window):
+        # linspace once made NaN nodes of a window whose width overflows
+        with pytest.raises(InputError, match="a grid needs a finite window"):
+            grid_nodes(window, 3)
+        assert grid_nodes(Box((-1e307,), (1e307,)), 3).tolist() == [[-1e307], [0.0], [1e307]]
 
     def test_grid_size_limit_is_checked_before_allocating(self):
         cube = Box((0.0,) * 3, (1.0,) * 3)

@@ -1,6 +1,7 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
 import gc
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -102,9 +103,10 @@ class TestMartinezLegaz:
         assert isinstance(pairs, list) and default_ml_pairs(w) is not pairs
         pairs.clear()
         assert len(default_ml_pairs(w)) == 63
-        assert default_ml_pairs(w, vs=[1.0], t_count=3) == [
-            MLPair(1.0, 0.0), MLPair(1.0, 1.0), MLPair(1.0, 2.0)
-        ]
+        # three slopes, 21 thresholds each spanning v * window, and zero
+        pairs = default_ml_pairs(Box((1.0,), (2.0,)))
+        assert [q.v for q in pairs] == [0.5] * 22 + [1.0] * 22 + [2.0] * 22
+        assert [q.t for q in pairs[:22]] == [0.0] + np.linspace(0.5, 1.0, 21).tolist()
 
     def test_default_pair_arrays_are_read_only_and_built_once(self, flat):
         w = flat.problem.domain_window
@@ -118,11 +120,9 @@ class TestMartinezLegaz:
     def test_solution_check_accepts_a_window_built_from_lists(self, flat):
         p = flat.problem
         w = p.domain_window
-        listed = Box(list(w.lo), list(w.hi))
+        listed = Problem(p.objective, p.feasible_set, 1, Box(list(w.lo), list(w.hi)))
         for x in (0.5, 1.0, 1.5):
-            assert ml_solution_check_1d(p, 0.0, x, window=listed) == ml_solution_check_1d(
-                p, 0.0, x, window=w
-            )
+            assert ml_solution_check_1d(listed, 0.0, x) == ml_solution_check_1d(p, 0.0, x)
 
     def test_solution_check_m2(self, flat):
         p = flat.problem
@@ -142,20 +142,27 @@ class TestMartinezLegaz:
         with pytest.raises(DimensionError, match="n=1 only"):
             ml_member_1d(p.objective, 0.5, MLPair(1.0, 0.4), p.domain_window)
 
-    def test_an_unknown_form_is_refused_before_any_evaluation(self, flat):
-        # no pair holds at x = 0.5, so the route once returned False here
-        with pytest.raises(InputError, match="form must be 'M1' or 'M2'"):
-            ml_solution_check_1d(flat.problem, 0.0, 0.5, [MLPair(1.0, 3.0)], form="bogus")
+    def test_an_unknown_form_is_refused_before_any_evaluation(self, flat, monkeypatch):
+        for route in ("evaluate", "evaluate_many", "_window"):
+            monkeypatch.setattr(subdiff, route, _no_call)
+        for x in (0.5, 1.5):  # a solution and a point that is none
+            with pytest.raises(InputError, match="form must be 'M1' or 'M2'"):
+                ml_solution_check_1d(flat.problem, 0.0, x, form="bogus")
 
     @pytest.mark.parametrize("lo, hi", [(-np.inf, 2.0), (0.0, np.inf), (-np.inf, np.inf)])
-    def test_an_infinite_window_is_refused_as_every_grid_is(self, flat, lo, hi):
+    def test_an_infinite_window_is_refused_as_every_grid_is(self, flat, quadrant, lo, hi):
         p, window = flat.problem, Box((lo,), (hi,))
+        wide = Problem(p.objective, p.feasible_set, 1, window)
+        q = quadrant.problem
+        plane = Problem(q.objective, q.feasible_set, 2, Box((lo, -1.0), (hi, 1.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy once warned on the infinite step
             with pytest.raises(InputError, match="a grid needs a finite window"):
                 ml_member_1d(p.objective, 0.5, MLPair(1.0, 0.4), window)
             with pytest.raises(InputError, match="a grid needs a finite window"):
-                ml_solution_check_1d(p, 0.0, 0.5, window=window)
+                ml_solution_check_1d(wide, 0.0, 0.5)
+            with pytest.raises(InputError, match="a grid needs a finite window"):
+                gp_solution_check(plane, quadrant.anchor, (0.0, -1.0))
 
 
 def _ref_halfline_inf(f, pair, window, resolution, cfg):
@@ -199,18 +206,18 @@ def _ref_ml_member(f, x, pair, window, resolution=201, cfg=DEFAULT_CONFIG):
     return _ref_halfline_inf(f, pair, window, resolution, cfg) >= fx - cfg.eps_feas
 
 
-def _per_pair_check(p, xbar, x, resolution, form, pairs=None, member=_ref_ml_member):
+def _per_pair_check(p, xbar, x, resolution, form, cfg=DEFAULT_CONFIG, member=_ref_ml_member):
     """ml_solution_check_1d as the loop over the per-pair definition
     without a shared grid."""
     window = p.domain_window
-    eps = DEFAULT_CONFIG.eps_feas
-    for pair in default_ml_pairs(window) if pairs is None else pairs:
-        if not member(p.objective, x, pair, window, resolution):
+    eps = cfg.eps_feas
+    for pair in default_ml_pairs(window):
+        if not member(p.objective, x, pair, window, resolution, cfg):
             continue
         if form == "M2":
             if pair.v * xbar >= pair.t - eps:
                 return True
-        elif member(p.objective, xbar, pair, window, resolution):
+        elif member(p.objective, xbar, pair, window, resolution, cfg):
             return True
     return False
 
@@ -251,17 +258,16 @@ class TestSharedWindowValues:
 
         verdicts = {}
 
-        def member_once(f, x, pair, window, resolution):
+        def member_once(f, x, pair, window, resolution, cfg):
             key = (x, pair, resolution)
             if key not in verdicts:
-                verdicts[key] = _ref_ml_member(f, x, pair, window, resolution)
+                verdicts[key] = _ref_ml_member(f, x, pair, window, resolution, cfg)
             return verdicts[key]
 
         monkeypatch.setitem(globals(), "evaluate", evaluate_once)
-        pairs = default_ml_pairs(p.domain_window)
         for resolution, form, xbar in cases:
             want = [
-                _per_pair_check(p, xbar, x, resolution, form, pairs, member_once)
+                _per_pair_check(p, xbar, x, resolution, form, member=member_once)
                 for x in xs
             ]
             assert got[resolution, form, xbar] == want, (resolution, form, xbar)
@@ -283,11 +289,10 @@ class TestSharedWindowValues:
                 for form in ("M1", "M2"):
                     for xbar in (0.0, 0.5):
                         for x in np.linspace(-1.0, 1.0, 21):
-                            for cands in (None, pairs):
-                                with pytest.raises(EvalError) as got:
-                                    ml_solution_check_1d(
-                                        q, xbar, float(x), cands, resolution=resolution, form=form)
-                                assert str(got.value) == str(want.value)
+                            with pytest.raises(EvalError) as got:
+                                ml_solution_check_1d(
+                                    q, xbar, float(x), resolution=resolution, form=form)
+                            assert str(got.value) == str(want.value)
                 for pair in pairs:
                     for x in (-0.5, 0.5, 2.0):
                         with pytest.raises(EvalError) as got:
@@ -354,13 +359,10 @@ def test_gp_route_equals_per_point_loop(quadrant):
     seen = set()
     for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
         for x in grid[0]:
-            for cands in (None, custom):
-                want_cands = cands
-                if cands is None:
-                    want_cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
-                got = gp_solution_check(p, xbar, x, cands, _grid=grid, cfg=cfg)
-                assert got is _ref_gp_check(p, xbar, x, want_cands, grid, cfg), (cfg, x, cands)
-                seen.add(got)
+            cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
+            got = gp_solution_check(p, xbar, x, _grid=grid, cfg=cfg)
+            assert got is _ref_gp_check(p, xbar, x, cands, grid, cfg), (cfg, x)
+            seen.add(got)
         for x in grid[0][::7]:
             for v in custom:
                 got = gp_member(p.objective, x, v, p.domain_window, cfg=cfg)
@@ -378,33 +380,78 @@ def test_gp_route_refuses_a_point_outside_the_feasible_set(name, x, monkeypatch)
     for route in ("evaluate", "evaluate_many", "grad", "_anchor_record"):
         monkeypatch.setattr(subdiff, route, _no_call)
     assert gp_solution_check(p, e.anchor, x) is False
-    assert gp_solution_check(p, e.anchor, x, [(1.0, 0.0)]) is False
 
 
 def test_ml_route_refuses_a_point_outside_the_feasible_set(flat, monkeypatch):
-    # f = -x1^2 < 0 at -0.5, below its infimum 0 over the window, which the
-    # halfline x1 >= -1 covers
-    p, pairs = flat.problem, [MLPair(1.0, -1.0)]
-    free = Problem(p.objective, ConvexSetDescriptor(1, ()), 1, p.domain_window)
-    assert ml_solution_check_1d(free, 0.0, -0.5, pairs)
-    for route in ("evaluate", "evaluate_many", "grad"):
+    # f = (x1 - 1)^2 is at its least over the window's part of x1 >= 1.5
+    # at 1.5, so some pair holds there once [0, 1] no longer bounds x
+    p = flat.problem
+    narrow = Problem(p.objective, ConvexSetDescriptor(1, (Box((0.0,), (1.0,)),)), 1,
+                     p.domain_window)
+    for form in ("M1", "M2"):
+        assert ml_solution_check_1d(p, 1.5, 1.5, form=form)
+    for route in ("evaluate", "evaluate_many", "grad", "_window"):
         monkeypatch.setattr(subdiff, route, _no_call)
     for form in ("M1", "M2"):
-        assert ml_solution_check_1d(p, 0.0, -0.5, pairs, form=form) is False
+        assert ml_solution_check_1d(narrow, 1.5, 1.5, form=form) is False
+        assert ml_solution_check_1d(p, 0.0, -0.5, form=form) is False
         assert ml_solution_check_1d(p, 0.0, 2.5, form=form) is False
 
 
+@pytest.mark.parametrize("xbar, x, name", [
+    (np.inf, 0.5, "xbar"), (np.nan, 0.5, "xbar"), (0.0, np.nan, "x"), (0.0, -np.inf, "x"),
+    (np.float64("nan"), np.float64(0.5), "xbar"),
+])
+def test_ml_routes_refuse_a_non_finite_point(flat, monkeypatch, xbar, x, name):
+    # an infinite anchor once certified 0.5 under M2, and a NaN x read as
+    # not feasible; the GP route refuses both through as_point
+    p = flat.problem
+    for route in ("evaluate", "evaluate_many", "_window"):
+        monkeypatch.setattr(subdiff, route, _no_call)
+    message = rf"^{name} = {re.escape(repr(dict(xbar=xbar, x=x)[name]))} is not finite$"
+    for form in ("M1", "M2"):
+        with pytest.raises(InputError, match=message):
+            ml_solution_check_1d(p, xbar, x, form=form)
+    if name == "x":
+        with pytest.raises(InputError, match=r"^x = .* is not finite$"):
+            ml_member_1d(p.objective, x, MLPair(1.0, 0.4), p.domain_window)
+
+
+def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
+    p = flat.problem
+    for xbar, x in (([0.0], 0.5), (0.0, [0.5]), (0.0, "0.5")):
+        with pytest.raises(DimensionError, match="is not one real"):
+            ml_solution_check_1d(p, xbar, x)
+    with pytest.raises(DimensionError, match=r"^x = \[0.5\] is not one real$"):
+        ml_member_1d(p.objective, [0.5], MLPair(1.0, 0.4), p.domain_window)
+
+
+def test_gp_route_tests_x_unit_gradient(monkeypatch):
+    # at these points only x's unit gradient is a shared subgradient on the
+    # 5-node grid, so a route that drops that row reads them as no solution
+    e, cfg = get_example("ex2_1"), Config(eps_feas=0.2)
+    p, xbar = e.problem, e.anchor
+    grid = subdiff._grid_values(p.objective, p.domain_window, 5)
+    needs_x_row = 0
+    for x in grid_nodes(p.domain_window, 9):
+        cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
+        want = _ref_gp_check(p, xbar, x, cands, grid, cfg)
+        assert gp_solution_check(p, xbar, x, resolution=5, cfg=cfg) is want, x
+        if len(cands) == len(subdiff._gp_rays(2)) + 2:  # both unit gradients, x's last
+            needs_x_row += want and not _ref_gp_check(p, xbar, x, cands[:-1], grid, cfg)
+    assert needs_x_row > 0
+
+
 def _no_call(*args, **kwargs):
-    raise AssertionError("nothing is evaluated for a point outside the feasible set")
+    raise AssertionError("nothing is evaluated here")
 
 
 def test_gp_rejects_directions_of_another_dimension(quadrant):
+    # a NaN direction was once certified as a subgradient where (-1, 0) is not
     p, xbar = quadrant.problem, quadrant.anchor
-    with pytest.raises(InputError):
-        gp_solution_check(p, xbar, (0.0, -1.0), [(1.0, 0.0, 0.0)])
-    with pytest.raises(InputError):
-        gp_member(p.objective, xbar, (1.0,), p.domain_window)
-    assert gp_solution_check(p, xbar, (0.0, -1.0), []) is False
+    for v in ((1.0,), (1.0, 0.0, 0.0), (), [[1.0, 0.0]], (np.nan, 0.0), (-np.inf, 0.0)):
+        with pytest.raises(InputError, match="a direction must have 2 finite entries"):
+            gp_member(p.objective, xbar, v, p.domain_window)
 
 
 def _parent_gp_candidates(f, xbar, x, dimension, cfg):
@@ -430,13 +477,14 @@ def _parent_gp_candidates(f, xbar, x, dimension, cfg):
 
 def test_default_gp_candidates_keep_the_parents_order_and_verdicts(quadrant):
     p, xbar, cfg = quadrant.problem, quadrant.anchor, DEFAULT_CONFIG
+    grid = subdiff._grid_values(p.objective, p.domain_window, 21)
     seen = set()
     for x in grid_nodes(p.domain_window, 21):
         want = _parent_gp_candidates(p.objective, xbar, x, 2, cfg)
         got = default_gp_candidates(p.objective, xbar, x, 2, cfg)
         assert got.tobytes() == np.array(want).tobytes()
         verdict = gp_solution_check(p, xbar, x)
-        assert verdict is gp_solution_check(p, xbar, x, want), x
+        assert verdict is _ref_gp_check(p, xbar, x, want, grid, cfg), x
         seen.add(verdict)
     assert seen == {True, False}
     for dim in (1, 3):  # a zero gradient adds no direction to the rays
@@ -661,24 +709,23 @@ def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
     for text in ("(x1 - 0.2)^2 - x1^3", "abs(x1 - 0.5)", "x1", "-x1"):
         p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, window)
         for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
-            eps = cfg.eps_feas
             verdicts = {}
-            for pair in pairs:
+
+            def member_once(f, y, pair, window, resolution, cfg):
+                if (pair, y) not in verdicts:
+                    verdicts[pair, y] = _ref_ml_member(f, y, pair, window, resolution, cfg)
+                return verdicts[pair, y]
+
+            for pair in pairs:  # the one-pair case on every kind of pair
                 for y in ys + [-2.0, 2.0]:
-                    verdicts[pair, y] = _ref_ml_member(p.objective, y, pair, window, resolution, cfg)
                     got = ml_member_1d(p.objective, y, pair, window, resolution, cfg)
-                    assert got is verdicts[pair, y], (text, cfg, pair, y)
-            for xbar in (-1.0, 0.2, 1.5):
+                    assert got is member_once(p.objective, y, pair, window, resolution, cfg), (
+                        text, cfg, pair, y)
+            for xbar in (-1.0, 0.2, 1.5):  # the route on its default pairs
                 for x in ys + [-2.0, 2.0]:
                     for form in ("M1", "M2"):
-                        got = ml_solution_check_1d(p, xbar, x, pairs, window, resolution, cfg, form)
-                        want = any(
-                            verdicts[pair, x]
-                            and (pair.v * xbar >= pair.t - eps if form == "M2"
-                                 else _ref_ml_member(p.objective, xbar, pair, window,
-                                                     resolution, cfg))
-                            for pair in pairs
-                        )
+                        got = ml_solution_check_1d(p, xbar, x, resolution, cfg, form)
+                        want = _per_pair_check(p, xbar, x, resolution, form, cfg, member_once)
                         assert got is want, (text, cfg, xbar, x, form)
                         seen.add(got)
     assert seen == {True, False}
@@ -772,41 +819,38 @@ def _ml_cases(draw):
 @given(_ml_cases())
 @settings(max_examples=80, deadline=None)
 def test_ml_route_equals_its_definition(case):
+    # the one-pair case against the definition on the drawn pairs, and the
+    # route against the loop of the one-pair case over its default pairs
     text, window, resolution, pairs, xs, xbar, cfg = case
     f = parse(text, 1)
     p = Problem(f, ConvexSetDescriptor(1, ()), 1, window)
-    eps = cfg.eps_feas
     V, T = np.array([[pair.v, pair.t] for pair in pairs]).T
-    infima = subdiff._halfline_infima(subdiff._window(f, window, resolution), V, T, eps)
+    infima = subdiff._halfline_infima(subdiff._window(f, window, resolution), V, T, cfg.eps_feas)
     assert infima.tolist() == [
         _ref_halfline_inf(f, pair, window, resolution, cfg) for pair in pairs
     ]
     for x in xs:
-        at_x = {}
         for pair in pairs:
-            at_x[pair] = _ref_ml_member(f, x, pair, window, resolution, cfg)
-            assert ml_member_1d(f, x, pair, window, resolution, cfg) is at_x[pair]
+            want = _ref_ml_member(f, x, pair, window, resolution, cfg)
+            assert ml_member_1d(f, x, pair, window, resolution, cfg) is want
         for form in ("M1", "M2"):
-            want = any(
-                at_x[pair]
-                and (pair.v * xbar >= pair.t - eps if form == "M2"
-                     else _ref_ml_member(f, xbar, pair, window, resolution, cfg))
-                for pair in pairs
-            )
-            got = ml_solution_check_1d(p, xbar, x, pairs, window, resolution, cfg, form)
-            assert got is want, (form, x)
+            want = _per_pair_check(p, xbar, x, resolution, form, cfg, ml_member_1d)
+            assert ml_solution_check_1d(p, xbar, x, resolution, cfg, form) is want, (form, x)
 
 
 def test_ml_routes_evaluate_f_only_once_some_pair_passes():
-    # f is undefined at x = 2; a pair with v x < t is refused without f(2)
-    f, w = parse("pw[x1 <= 1: x1]", 1), Box((0.0,), (1.0,))
+    # f is undefined outside [0, 1]; at x = -1 every default pair has
+    # v x < t, so it is refused without f(-1)
+    f, w = parse("pw[x1 >= 0 & x1 <= 1: x1]", 1), Box((0.0,), (1.0,))
     p = Problem(f, ConvexSetDescriptor(1, ()), 1, w)
-    assert not ml_member_1d(f, 2.0, MLPair(1.0, 3.0), w)
+    assert not ml_member_1d(f, -1.0, MLPair(1.0, 0.0), w)
     for form in ("M1", "M2"):
-        assert not ml_solution_check_1d(p, 0.0, 2.0, [MLPair(1.0, 3.0)], form=form)
-        # M1 tests xbar = 2 only against the pairs that hold at x = 0.5
-        assert not ml_solution_check_1d(p, 2.0, 0.5, [MLPair(1.0, 0.9)], form=form)
+        assert not ml_solution_check_1d(p, 0.0, -1.0, form=form)
+        # some pair holds at x = 0.5, and M1 tests xbar = -1 only against those
+        assert ml_solution_check_1d(p, 0.5, 0.5, form=form)
+        assert not ml_solution_check_1d(p, -1.0, 0.5, form=form)
     with pytest.raises(EvalError):
         ml_member_1d(f, 2.0, MLPair(1.0, 1.0), w)
-    with pytest.raises(EvalError):
-        ml_solution_check_1d(p, 0.0, 2.0, [MLPair(1.0, 1.0)])
+    for xbar, x, form in ((0.0, 2.0, "M2"), (0.0, 2.0, "M1"), (2.0, 0.5, "M1")):
+        with pytest.raises(EvalError, match=r"point \(2.0,\) outside every piecewise guard"):
+            ml_solution_check_1d(p, xbar, x, form=form)
