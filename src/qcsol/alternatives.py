@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import InputError, KernelError, ZeroVectorError
+from .errors import DimensionError, InputError, KernelError, ZeroVectorError
 from .expr import _dot, _norm
 
 _MAX_ITER = 10_000
@@ -113,16 +113,18 @@ def solve_lp(
 ) -> LPResult:
     """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-    cfg.eps_lp is the pivot and phase-1 feasibility tolerance.
+    cfg.eps_lp is the pivot and phase-1 feasibility tolerance; every entry must be finite.
     """
     tol = cfg.eps_lp
     c = np.asarray(c, dtype=float)
-    n = c.size
+    n, cost = c.size, c.tolist()
     rows_ub = _listed(A_ub, 2)
     rows, rhs = rows_ub + _listed(A_eq, 2), _listed(b_ub, 1) + _listed(b_eq, 1)
     m_ub, m = len(rows_ub), len(rows)
     if len(rhs) != m or any(len(a) != n for a in rows):
         raise InputError(f"constraints need rows of {n} entries, one right-hand side each")
+    if not all(map(math.isfinite, [*cost, *rhs, *(v for a in rows for v in a)])):
+        raise InputError("LP data must be finite: objective, constraint rows and right-hand sides")
 
     # Columns: x, one slack per <= row, then one artificial per row that
     # starts on one.  Each row is flipped to b_i >= 0; a slack that survived
@@ -162,7 +164,7 @@ def solve_lp(
         T = [r[:art_start] + r[-1:] for r in T]
 
     # Phase 2: maximize c.x == minimize (-c).x.
-    cost2 = [-v for v in c.tolist()] + [0.0] * (width - n)
+    cost2 = [-v for v in cost] + [0.0] * (width - n)
     try:
         _run_simplex(T, basis, cost2, art_start, tol)
     except _Unbounded:
@@ -238,10 +240,7 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
     Primal: x with A x > 0 (componentwise).  Dual: y >= 0, y != 0 with
     A^T y = 0, normalized to sum to one.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
-        raise InputError("matrix must be finite")
-    rows = A.tolist()
+    rows = np.atleast_2d(np.asarray(A, dtype=float)).tolist()
     res = _primal(rows, cfg)
     if res.point is not None:
         return GordanResult("primal", res.point, res.margin)
@@ -293,8 +292,11 @@ def collinearity_factor(
     The least-squares factor (a.b)/(a.a) is the only candidate; it is
     verified against ||b - p a|| <= eps_dir * ||b||.
     """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
+    av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if av.shape != bv.shape:
+        raise DimensionError(f"collinearity test needs one length, got {av.shape} and {bv.shape}")
+    if not np.isfinite([av, bv]).all():
+        raise InputError("collinearity test needs finite vectors")
     if _norm(av) <= cfg.eps_grad or _norm(bv) <= cfg.eps_grad:
         raise ZeroVectorError("collinearity test needs nonzero vectors")
     p, gap = _collinearity(av, bv)

@@ -373,10 +373,8 @@ def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config,
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg, anchor)
     with np.errstate(all="ignore"):
         # the masks (every row is in S), base columns and decided conditions
-        # do not depend on the variant: kept per grid, anchor, tilde and config
-        rows = _kept(("rows", _ast_key(p), resolution, anchor.xb.tobytes(), tilde, cfg),
-                     lambda: _Rows(grid.X, grid.gradients, anchor,
-                                   kkt._masks(True, grid.C, tilde, cfg), cfg, active).freeze(),
-                     lambda rows: len(grid.X))
+        # do not depend on the variant: kept on the grid per anchor record and tilde
+        rows = grid.derived((anchor, tilde), lambda: _Rows(
+            grid.X, grid.gradients, anchor, kkt._masks(True, grid.C, tilde, cfg), cfg, active).freeze())
         member, _ = rows.decide(variant)
     return grid, member

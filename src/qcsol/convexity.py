@@ -22,7 +22,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .errors import EvalError, InputError
 from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad, grad_many
-from .sets import Box, grid_nodes
+from .core import as_point
+from .sets import Box, _check_resolution, grid_nodes
 
 # Points evaluated per batch, so memory stays bounded for any sample count.
 _CHUNK_ROWS = 4096
@@ -116,8 +117,7 @@ def check_levelset_convex(
     cfg: Config = DEFAULT_CONFIG,
 ) -> bool:
     """Midpoint convexity of the lower level set {f <= alpha} on the grid."""
-    if resolution < 3:
-        raise InputError("resolution must be >= 3")
+    _check_resolution(resolution, 3)
     nodes = grid_nodes(window, resolution)
     level = nodes[evaluate_many(f, nodes) <= alpha]
     holds = True
@@ -172,7 +172,7 @@ def check_pseudoconvex_at(
     direction y - x."""
     _require_count("samples", samples)
     rng = np.random.default_rng(cfg.seed)
-    xv = np.asarray(x, dtype=float)
+    xv = as_point(x, window.dimension)
     fx = evaluate(f, xv)
     g = grad(f, xv)
     holds = True

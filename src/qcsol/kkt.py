@@ -31,14 +31,13 @@ from .core import (
     as_point,
 )
 from .errors import (
-    EmptyGridError,
     HypothesisViolatedError,
     InputError,
     NoMultiplierError,
     QcsolError,
 )
 from .expr import _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
-from .sets import _check_resolution, _frozen, _kept, contains, normal_cone_generators, sample_grid
+from .sets import _Derived, _check_resolution, _frozen, _kept, contains, normal_cone_generators, sample_grid
 
 
 @dataclass(frozen=True)
@@ -67,13 +66,13 @@ def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
     return vals if all(v <= cfg.eps_feas for v in vals) else None
 
 
-class _Anchor:
+class _Anchor(_Derived):
     """What the questions about one anchor xb of p under cfg share.  Each
     field is found on first use and kept apart, so a route reads only what
     it asks for; a failing one is not kept, so it raises again."""
 
     def __init__(self, p, xb: np.ndarray, cfg: Config):
-        self.p, self.xb, self.cfg, self.actives = p, _frozen(xb.copy()), cfg, {}
+        self.p, self.xb, self.cfg = p, _frozen(xb.copy()), cfg
 
     @functools.cached_property
     def values(self) -> tuple:
@@ -96,10 +95,8 @@ class _Anchor:
 
     def active(self, indices: tuple) -> list:
         """(i, grad g_i(xb)), read-only, for each index i."""
-        if indices not in self.actives:
-            g, n = self.p.constraints, self.p.dimension
-            self.actives[indices] = [(i, _frozen(grad(g[i], self.xb, n))) for i in indices]
-        return self.actives[indices]
+        g, n = self.p.constraints, self.p.dimension
+        return self.derived(indices, lambda: [(i, _frozen(grad(g[i], self.xb, n))) for i in indices])
 
     def active_set(self, lam: Optional[MultiplierVector] = None) -> ActiveSetReport:
         """active_set's answer, from the kept constraint values."""
@@ -191,16 +188,15 @@ def _feasible_rows(cp: ConstrainedProblem, resolution: int, cfg: Config):
     return X[keep], V[:, keep]
 
 
-class _Grid:
+class _Grid(_Derived):
     """One evaluation of a feasible grid, shared by every consumer: rows X,
-    constraint values C (m, N) and, on first use, the objective's gradients
-    and values and the oracle's result and row mask (oracle.brute_force_solutions).
+    constraint values C (m, N), on first use the objective's gradients and
+    values, and the results derived from them (oracle._oracle, charac._members).
     Every array is read-only; a failing evaluation is not kept, so it
     raises again on the next use."""
 
     def __init__(self, p, X: np.ndarray, C: np.ndarray):
         self.p, self.X, self.C = p, _frozen(X), _frozen(C)
-        self.oracle = None
 
     @functools.cached_property
     def gradients(self) -> np.ndarray:
@@ -211,14 +207,6 @@ class _Grid:
     def values(self) -> np.ndarray:
         """The objective's values at every row."""
         return _frozen(evaluate_many(self.p.objective, self.X))
-
-    def level_set(self, eps_opt: float):
-        """The least objective value and the mask of rows within eps_opt of it."""
-        if not len(self.X):
-            raise EmptyGridError("no feasible grid point in the window")
-        # the builtin min keeps the first of equal minima: a zero keeps its sign
-        vmin = min(self.values.tolist())
-        return vmin, _frozen(self.values <= vmin + eps_opt)
 
 
 def _grid(p, resolution: int, cfg: Config) -> _Grid:

@@ -10,13 +10,13 @@ round-trip decimals), so load/dump round-trips byte-identically.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import math
 from typing import Dict, Optional, Tuple
 
-from .config import DEFAULT_CONFIG, Config
+from .config import DEFAULT_CONFIG, Config, _is_finite_real
 from .core import ConstrainedProblem, Problem
-from .errors import ParseError, ProblemFormatError
+from .errors import InputError, ParseError, ProblemFormatError
 from .expr import parse, pretty
 from .sets import (
     Atom,
@@ -41,16 +41,6 @@ _TOP_KEYS = {
     "config",
 }
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(Config)}
-
-
-def _is_finite_real(value) -> bool:
-    """A JSON number (not a boolean) that is a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _real(value, name: str) -> float:
@@ -112,23 +102,17 @@ def _window_from_json(obj, dim: int) -> Box:
 
 
 def config_from_json(obj: dict, base: Config = DEFAULT_CONFIG) -> Config:
-    """base with the fields of a JSON config object replaced: seed must be
-    a nonnegative integer, every tolerance a nonnegative finite real.  The
-    CLI passes its config flags here too."""
+    """base with the fields of a JSON config object replaced, each refused
+    as Config refuses it.  The CLI passes its config flags here too."""
     if not isinstance(obj, dict):
         raise ProblemFormatError("config must be an object")
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ProblemFormatError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in obj.items():
-        if key == "seed":
-            ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        else:
-            ok = _is_finite_real(value) and value >= 0
-        if not ok:
-            kind = "a nonnegative integer" if key == "seed" else "a nonnegative finite real"
-            raise ProblemFormatError(f"config {key} must be {kind}, got {value!r}")
-    return dataclasses.replace(base, **obj)
+    try:  # key by key, in the object's order: the first bad key is the one named
+        return functools.reduce(lambda cfg, key: dataclasses.replace(cfg, **{key: obj[key]}), obj, base)
+    except InputError as exc:
+        raise ProblemFormatError(str(exc)) from None
 
 
 def load_problem(doc: dict):

@@ -196,22 +196,35 @@ def grid_nodes(window: Box, resolution: int) -> np.ndarray:
     return X.reshape(-1, n)
 
 
-# (kind, ...) -> (record, its rows), least recently used first: every
-# record this process keeps, of the kinds README's store section names
+# (kind, ...) -> (record, the function counting its rows), least recently
+# used first: every record this process keeps, of the kinds README's store section names
 _KEPT: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+class _Derived:
+    """A kept record, whose derived results are kept until it leaves the store."""
+
+    def derived(self, tag, build):
+        """build(), kept in self.results under tag; a failing build is not kept."""
+        results = vars(self).setdefault("results", {})
+        return results[tag] if tag in results else results.setdefault(tag, build())
+
+
+def _held(record, rows) -> int:
+    """The rows a kept record holds now: its own, once more per derived result."""
+    return rows(record) * (1 + len(getattr(record, "results", ())))
 
 
 def _kept(key: tuple, build, rows=lambda record: 0):
     """build(), kept for the process under key.  The store holds at most
-    _MEMO_SIZE records and MAX_GRID_NODES rows in all, and the least
-    recently used go first; a failing build is not kept, so it raises
-    again on the next call."""
+    _MEMO_SIZE records, and MAX_GRID_NODES rows (_held) as of each miss;
+    the least recently used go first.  A failing build is not kept, so it
+    raises again on the next call."""
     entry = _KEPT.pop(key, None)
     if entry is None:
-        record = build()
-        entry = (record, rows(record))
-        while _KEPT and (len(_KEPT) >= _MEMO_SIZE or entry[1] + sum(
-                n for _, n in _KEPT.values()) > MAX_GRID_NODES):
+        entry = (build(), rows)
+        while _KEPT and (len(_KEPT) >= _MEMO_SIZE or sum(
+                _held(*e) for e in (entry, *_KEPT.values())) > MAX_GRID_NODES):
             _KEPT.popitem(last=False)
     _KEPT[key] = entry
     return entry[0]

@@ -20,7 +20,7 @@ from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
 from .kkt import _anchor_record
-from .sets import Box, _check_resolution, _frozen, _kept, contains, grid_nodes
+from .sets import Box, _check_resolution, _Derived, _frozen, _kept, contains, grid_nodes
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,8 @@ class MLPair:
     t: float
 
 
-class _Record(tuple):
-    """A kept record's read-only parts, with one slot for what a route
-    derives from them under a tag, as _Grid.oracle keeps one result per
-    eps_opt: replaced when the tag differs, dropped with the record."""
-
-    slot = (None, None)
-
-    def derived(self, tag, build):
-        """build(), kept in the slot under tag; a failing build is not kept."""
-        if self.slot[0] != tag:
-            self.slot = (tag, build())
-        return self.slot[1]
+class _Record(_Derived, tuple):
+    """A kept record's read-only parts, with what a route derives from them."""
 
 
 def _grid_values(f: ExprAst, window: Box, resolution: int):
@@ -255,14 +245,6 @@ def default_ml_pairs(window: Box) -> List[MLPair]:
     return pairs
 
 
-@functools.lru_cache(maxsize=32)
-def _ml_pairs(lo: float, hi: float) -> np.ndarray:
-    """default_ml_pairs of the 1-D window [lo, hi] as one read-only array,
-    built once per window: the slopes, then the thresholds."""
-    pairs = default_ml_pairs(Box((lo,), (hi,)))
-    return _frozen(np.array([[q.v for q in pairs], [q.t for q in pairs]]))
-
-
 def ml_solution_check_1d(
     p: Problem,
     xbar: float,
@@ -287,8 +269,9 @@ def ml_solution_check_1d(
         return False
     f, window, eps = p.objective, p.domain_window, cfg.eps_feas
     w = _window(f, window, resolution)
-    V, T = _ml_pairs(window.lo[0], window.hi[0])
-    # the pairs' infima are kept on the window, for one eps_feas at a time
+    # kept on the window: the default pairs, slopes then thresholds, and their infima per eps_feas
+    V, T = w.derived("pairs", lambda: _frozen(np.array(
+        [(q.v, q.t) for q in default_ml_pairs(window)]).T.copy()))
     inf = w.derived(eps, lambda: _frozen(_halfline_infima(w, V, T, eps)))
     at_x = _ml_members(f, x, V, T, inf, eps)
     if not np.count_nonzero(at_x):

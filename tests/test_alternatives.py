@@ -14,7 +14,7 @@ from qcsol.alternatives import (
     strict_feasibility,
 )
 from qcsol.config import DEFAULT_CONFIG
-from qcsol.errors import ZeroVectorError
+from qcsol.errors import DimensionError, InputError, ZeroVectorError
 
 
 class TestSolveLP:
@@ -59,6 +59,17 @@ class TestSolveLP:
             with pytest.raises(ValueError):
                 solve_lp([1.0, 1.0], **bad)
 
+    @pytest.mark.parametrize("args", [
+        ([1.0], [[np.nan]], [1.0]),  # read as unbounded
+        ([np.inf], [[1.0]], [1.0]),  # read as optimal, with objective inf
+        ([1.0], [[1.0]], [np.nan]),
+        ([1.0], None, None, [[-np.inf]], [1.0]),
+        ([1.0], None, None, [[1.0]], [np.inf]),
+    ], ids=["nan-row", "inf-objective", "nan-rhs", "inf-equality-row", "inf-equality-rhs"])
+    def test_refuses_non_finite_data(self, args):
+        with pytest.raises(InputError, match="^LP data must be finite"):
+            solve_lp(*args)
+
     def test_lists_of_ints_solve_like_float_arrays(self):
         lists = ([1, -2, 0], [[1, 2, 0], [3, -1, 1]], [4, -1], [[1, 1, 1]], [2])
         arrays = [np.asarray(v, dtype=float) for v in lists]
@@ -84,6 +95,16 @@ class TestStrictFeasibility:
         assert res.point is not None
         y = np.asarray(res.point)
         assert y[1] <= -0.5 + 1e-9 and y[0] < 0
+
+    def test_every_caller_refuses_non_finite_data(self):
+        # each once drew a negative answer from them: no point, no certificate
+        for call in (lambda: strict_feasibility(None, None, [[np.nan]], [0.0]),
+                     lambda: strict_feasibility([[np.inf]], [0.0], [[1.0]], [0.0]),
+                     lambda: dual_certificate([[np.nan, 1.0], [1.0, 1.0]]),
+                     lambda: primal_margin([[1.0, np.inf]]),
+                     lambda: gordan_alternative([[1.0], [-np.inf]])):
+            with pytest.raises(InputError, match="^LP data must be finite"):
+                call()
 
     def test_needs_a_strict_row(self):
         for A_strict in (None, [], np.zeros((0, 2))):
@@ -220,6 +241,20 @@ class TestCollinearity:
 
     def test_not_collinear(self):
         assert collinearity_factor([1.0, 0.0], [1.0, 1.0]) is None
+
+    def test_vectors_of_different_lengths_raise(self):
+        # zipped to the shorter vector, these once read as collinear with factor 2
+        with pytest.raises(DimensionError, match="one length"):
+            collinearity_factor([1.0, 0.0], [2.0, 0.0, 5.0])
+        with pytest.raises(DimensionError, match="one length"):
+            collinearity_factor([[1.0, 0.0]], [2.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        # once a NaN factor, with a RuntimeWarning for an infinite entry
+        for a, b in (([1.0, bad], [2.0, 1.0]), ([2.0, 1.0], [1.0, bad]), ([bad, 0.0], [0.0, 0.0])):
+            with pytest.raises(InputError, match="finite vectors"):
+                collinearity_factor(a, b)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):

@@ -3,6 +3,8 @@ charac._enumerate's rows): every question about one anchor reuses them,
 and a warm answer is the cold one."""
 
 import functools
+import gc
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -19,7 +21,7 @@ from qcsol.errors import EvalError, HypothesisViolatedError, NoMultiplierError
 from qcsol.expr import parse
 from qcsol.oracle import agreement, brute_force_solutions
 from qcsol.registry import get_example
-from qcsol.sets import MAX_GRID_NODES, grid_nodes
+from qcsol.sets import MAX_GRID_NODES, Box, grid_nodes
 from test_registry import EXAMPLE_NAMES
 
 CONFIGS = (
@@ -124,7 +126,8 @@ def test_warm_answers_equal_cold_answers_over_every_case(name):
 
 
 def _rows_held():
-    return sum(rows for _, rows in sets._KEPT.values())
+    """The rows the store holds, from each record's live count."""
+    return sum(sets._held(*entry) for entry in sets._KEPT.values())
 
 
 def test_the_store_stays_bounded_over_many_anchors():
@@ -137,6 +140,51 @@ def test_the_store_stays_bounded_over_many_anchors():
         assert len(sets._KEPT) <= 512 and _rows_held() <= MAX_GRID_NODES
     assert 1681 * 600 > MAX_GRID_NODES and len(sets._KEPT) == 512
     assert charac.enumerate_solution_set(e.problem, (1.0, 0.0), V.T1, 41) == first
+
+
+def _grid_results(grid):
+    """The oracle mask and the condition rows kept on a feasible grid."""
+    (mask,) = [r[1] for tag, r in grid.results.items() if tag[0] == "oracle"]
+    (rows,) = [r for tag, r in grid.results.items() if tag[0] != "oracle"]
+    return mask, rows
+
+
+def test_a_grids_rows_and_oracle_mask_go_with_it():
+    e = get_example("ex2_3")
+    assert agreement(e.problem, e.anchor, V.S1, e.resolution).equal
+    grid = kkt._grid(e.problem, e.resolution, DEFAULT_CONFIG)
+    refs = [weakref.ref(a) for a in (grid, *_grid_results(grid))]
+    del grid
+    f = parse("x1", 1)
+    # the anchor's record, then the grid (used last), go by LRU: the grid
+    # and its results live until the 512th newer record
+    for k in range(512):
+        subdiff._window(f, Box((float(k),), (k + 1.0,)), 2)
+        if k >= 510:
+            gc.collect()
+            assert [ref() is None for ref in refs] == [k == 511] * 3
+
+
+def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
+    # 16 oracle results and one set of condition rows on 62,845 rows
+    e, eps = get_example("ex2_3"), [i / 1000 for i in range(16)]
+    grid = kkt._grid(e.problem, 301, DEFAULT_CONFIG)
+    rows = charac.enumerate_solution_set(e.problem, e.anchor, V.T1, 301)
+    warm = [brute_force_solutions(e.problem, 301, x) for x in eps]
+    assert len(grid.results) == 17 and kkt._grid(e.problem, 301, DEFAULT_CONFIG) is grid
+    assert MAX_GRID_NODES < _rows_held() == 18 * len(grid.X)
+    masks = [weakref.ref(r[1]) for tag, r in grid.results.items() if tag[0] == "oracle"]
+    del grid
+    kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)  # the next miss drops it
+    gc.collect()
+    assert [key[0] for key in sets._KEPT] == ["anchor"] and _rows_held() == 0
+    assert len(masks) == 16 and all(mask() is None for mask in masks)
+    # asked again, then of a cold store, it answers as before
+    for cold in (False, True):
+        if cold:
+            sets._KEPT.clear()
+        assert [brute_force_solutions(e.problem, 301, x) for x in eps] == warm
+        assert charac.enumerate_solution_set(e.problem, e.anchor, V.T1, 301) == rows
 
 
 def test_an_anchor_is_examined_once_across_questions(monkeypatch):
@@ -269,7 +317,8 @@ def test_kept_records_are_read_only():
     lam = kkt.solve_multipliers(e.problem, e.anchor)
     kkt.enumerate_constrained(e.problem, e.anchor, lam, V.SP1, 9)
     record = kkt._anchor_record(e.problem, e.anchor, DEFAULT_CONFIG)
-    (rows, _), = [entry for key, entry in sets._KEPT.items() if key[0] == "rows"]
+    grid = kkt._grid(e.problem, 9, DEFAULT_CONFIG)
+    (rows,) = [r for tag, r in grid.results.items() if tag[0] != "oracle"]
     arrays = [record.xb, record.gradient[0], *(g for _, g in record.active((0,))),
               rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"]]
     for a in arrays:

@@ -204,7 +204,7 @@ def test_a_dichotomy_is_kept_per_problem_points_and_config(grid_work):
     assert other == rep and other is not rep
     assert grid_work["gradients"] == [5, 5, 5]
     # each record counts its points as rows
-    assert [rows for _, rows in _dichotomy_records().values()] == [5, 5, 5]
+    assert [sets._held(*entry) for entry in _dichotomy_records().values()] == [5, 5, 5]
 
 
 @pytest.mark.parametrize("points,error", [
@@ -515,8 +515,10 @@ def test_enumeration_decides_near_threshold_rows_like_membership(condition, memo
 
 
 def _kept_rows(cfg=DEFAULT_CONFIG):
-    """The kept condition-rows records under cfg."""
-    return [rows for key, (rows, _) in sets._KEPT.items() if key[0] == "rows" and key[-1] == cfg]
+    """The condition rows kept under cfg on the kept feasible grids."""
+    return [rows for key, (grid, _) in sets._KEPT.items() if key[0] == "feasible"
+            for tag, rows in vars(grid).get("results", {}).items() if tag[0] != "oracle"
+            and tag[0].cfg == cfg]
 
 
 def test_each_condition_is_decided_once_per_grid_anchor_and_config(monkeypatch):

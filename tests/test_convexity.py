@@ -14,7 +14,7 @@ from qcsol.convexity import (
     check_pseudoconvex_at,
     check_quasiconvex,
 )
-from qcsol.errors import EvalError, InputError, QcsolError
+from qcsol.errors import DimensionError, EvalError, InputError, QcsolError
 from qcsol.expr import _dot, _norm, evaluate, grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import Box, grid_nodes
@@ -221,6 +221,18 @@ def test_the_level_set_check_refuses_a_grid_of_two_nodes_per_axis():
     with pytest.raises(InputError, match="resolution must be >= 3"):
         check_levelset_convex(f, 0.5, w, resolution=2)
     assert check_levelset_convex(f, 0.5, w, resolution=3)
+    with pytest.raises(InputError, match="resolution must be an integer, got 2.5"):
+        check_levelset_convex(f, 0.5, w, resolution=2.5)
+
+
+def test_pseudoconvexity_reads_its_point_at_the_windows_dimension():
+    # a point of three coordinates once met a 2-D window in a numpy broadcast error
+    f, w = parse("x1^2 + x2^2", 2), Box((-1.0, -1.0), (1.0, 1.0))
+    with pytest.raises(DimensionError, match="point has dimension 3, expected 2"):
+        check_pseudoconvex_at(f, (0.0, 0.0, 0.0), w)
+    with pytest.raises(InputError, match="non-finite"):
+        check_pseudoconvex_at(f, (0.0, float("nan")), w)
+    assert check_pseudoconvex_at(f, [0.5, 0.5], w, samples=20)
 
 
 @pytest.mark.parametrize("sampler", [

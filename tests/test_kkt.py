@@ -768,7 +768,8 @@ class TestGridMemo:
 
     def test_record_arrays_are_read_only(self, surd):
         grid = kkt._grid(surd.problem, 9, DEFAULT_CONFIG)
-        mask = grid.level_set(DEFAULT_CONFIG.eps_opt)[1]
+        brute_force_solutions(surd.problem, 9)
+        mask = grid.results["oracle", DEFAULT_CONFIG.eps_opt][1]
         for a in (grid.X, grid.C, grid.values, grid.gradients, mask):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -831,7 +832,7 @@ class TestGridMemo:
             cfg = replace(DEFAULT_CONFIG, eps_feas=eps)
             grid = kkt._grid(e.problem, 700, cfg)
             assert len(grid.X) > MAX_GRID_NODES // 3
-            held.append(sum(rows for _, rows in sets._KEPT.values()))
+            held.append(sum(sets._held(*entry) for entry in sets._KEPT.values()))
             assert kkt._grid(e.problem, 700, cfg) is grid
         assert max(held) <= MAX_GRID_NODES and len(sets._KEPT) < 4
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,24 @@ def test_eps_opt_defaults_to_the_config():
     assert res == brute_force_solutions(e.problem, 17, 0.5)
     rep = agreement(e.problem, e.anchor, CharacVariant.STILDE, 17, cfg=cfg)
     assert rep.oracle == res
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), "1e-9", True])
+def test_an_eps_opt_argument_is_refused_as_config_refuses_it(bad):
+    # a NaN or negative band once gave an oracle result with no solution points
+    e = get_example("ex2_1")
+    message = re.escape(f"config eps_opt must be a nonnegative finite real, got {bad!r}")
+    with pytest.raises(InputError, match=message):
+        brute_force_solutions(e.problem, 9, bad)
+    with pytest.raises(InputError, match=message):
+        agreement(e.problem, e.anchor, CharacVariant.S1, 9, bad)
+
+
+def test_the_configs_own_eps_opt_is_read_as_given():
+    e, cfg = get_example("ex2_1"), replace(DEFAULT_CONFIG, eps_opt=0.0)
+    res = brute_force_solutions(e.problem, 9, cfg=cfg)
+    assert brute_force_solutions(e.problem, 9, 0, cfg) is res
+    assert brute_force_solutions(e.problem, 9, -0.0, cfg) is res
 
 
 def test_agreement_rejects_suboptimal_anchor():

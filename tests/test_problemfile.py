@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qcsol import problemfile, sets
+from qcsol.config import Config
 from qcsol.core import ConstrainedProblem, Problem
 from qcsol.errors import InputError, ProblemFormatError
 from qcsol.problemfile import dumps, load_problem, loads
@@ -85,6 +87,34 @@ def test_bad_config_values_rejected(config):
     doc["config"] = config
     with pytest.raises(ProblemFormatError):
         load_problem(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("eps_grad", "1e-8"), ("eps_opt", -1.0),
+    ("eps_feas", float("nan")), ("eps_dir", float("inf")), ("delta_open", None),
+    ("eps_act", 10 ** 400),
+])
+def test_a_config_built_in_code_is_refused_as_its_document_is(field, value):
+    # seed -1 once reached numpy's random generator, and eps_grad "1e-8" a ufunc
+    with pytest.raises(InputError) as code:
+        Config(**{field: value})
+    with pytest.raises(ProblemFormatError) as document:
+        problemfile.config_from_json({field: value})
+    assert type(code.value) is InputError and str(code.value) == str(document.value)
+    assert str(code.value).startswith(f"config {field} must be a nonnegative ")
+
+
+def test_a_config_takes_numpy_numbers_and_any_integer_seed():
+    cfg = Config(seed=np.int64(3), eps_feas=np.float64(0.5), eps_grad=0)
+    assert cfg.seed == 3 and cfg.eps_feas == 0.5
+    assert problemfile.config_from_json({"seed": 10 ** 30}).seed == 10 ** 30
+
+
+def test_the_first_bad_key_of_a_config_object_is_named():
+    for obj, key in (({"seed": -1, "eps_grad": -1.0}, "seed"),
+                     ({"eps_grad": -1.0, "seed": -1}, "eps_grad")):
+        with pytest.raises(ProblemFormatError, match=f"^config {key} must be"):
+            problemfile.config_from_json(obj)
 
 
 def test_constrained_shape():

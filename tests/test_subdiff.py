@@ -109,13 +109,16 @@ class TestMartinezLegaz:
         assert [q.t for q in pairs[:22]] == [0.0] + np.linspace(0.5, 1.0, 21).tolist()
 
     def test_default_pair_arrays_are_read_only_and_built_once(self, flat):
-        w = flat.problem.domain_window
-        V, T = subdiff._ml_pairs(w.lo[0], w.hi[0])
+        p, w = flat.problem, flat.problem.domain_window
+        ml_solution_check_1d(p, 0.0, 0.5)
+        record = subdiff._window(p.objective, w, 201)
+        V, T = kept = record.results["pairs"]
         assert not V.flags.writeable and not T.flags.writeable
         pairs = default_ml_pairs(w)
         assert V.tobytes() == np.array([q.v for q in pairs]).tobytes()
         assert T.tobytes() == np.array([q.t for q in pairs]).tobytes()
-        assert subdiff._ml_pairs(w.lo[0], w.hi[0]) is subdiff._ml_pairs(w.lo[0], w.hi[0])
+        ml_solution_check_1d(p, 0.0, 1.5, form="M1")
+        assert record.results["pairs"] is kept
 
     def test_solution_check_accepts_a_window_built_from_lists(self, flat):
         p = flat.problem
@@ -512,7 +515,7 @@ def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
     feasible = kkt._grid(p, 700, DEFAULT_CONFIG)
     grid = subdiff._grid_values(f, w, 830)
     assert len(feasible.X) + len(grid[0]) > MAX_GRID_NODES
-    assert [rows for _, rows in sets._KEPT.values()] == [len(grid[0])]
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [len(grid[0])]
     # each evicts the other when it is evaluated again
     assert kkt._grid(p, 700, DEFAULT_CONFIG) is not feasible
     assert subdiff._grid_values(f, w, 830) is not grid
@@ -580,7 +583,8 @@ def test_ml_infima_are_kept_per_eps_feas(flat):
     p, xbar = flat.problem, flat.anchor[0]
     cfgs = (DEFAULT_CONFIG, Config(eps_feas=0.0), Config(eps_feas=0.2))
     xs = grid_nodes(p.domain_window, flat.resolution)[:, 0].tolist()
-    V, T = subdiff._ml_pairs(*p.domain_window.lo, *p.domain_window.hi)
+    pairs = default_ml_pairs(p.domain_window)
+    V, T = np.array([q.v for q in pairs]), np.array([q.t for q in pairs])
 
     def verdicts(cold):
         got = {(cfg, form): [] for cfg in cfgs for form in ("M1", "M2")}
@@ -590,10 +594,11 @@ def test_ml_infima_are_kept_per_eps_feas(flat):
                     sets._KEPT.clear()
                 got[cfg, form].append(ml_solution_check_1d(p, xbar, x, cfg=cfg, form=form))
                 record = subdiff._window(p.objective, p.domain_window, 201)
-                eps, infima = record.slot
+                infima = record.results[cfg.eps_feas]
                 want = subdiff._halfline_infima(record, V, T, cfg.eps_feas)
-                assert eps == cfg.eps_feas and infima.tobytes() == want.tobytes()
-                assert not infima.flags.writeable
+                assert infima.tobytes() == want.tobytes() and not infima.flags.writeable
+        # the pairs, and their infima under each eps_feas, kept side by side
+        assert len(record.results) == 1 + (1 if cold else len(cfgs))
         return got
 
     warm = verdicts(cold=False)
@@ -647,7 +652,9 @@ def test_a_kept_gp_side_goes_with_its_grid(quadrant):
     p, xbar = quadrant.problem, quadrant.anchor
     assert gp_solution_check(p, xbar, (0.0, -1.0))
     (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "gp"]
-    nodes, side = weakref.ref(grid[0]), weakref.ref(grid.slot[1])
+    (kept,) = grid.results.values()
+    nodes, side = weakref.ref(grid[0]), weakref.ref(kept)
+    del kept
     del grid
     f = parse("x1", 1)
     for k in range(512):  # as many records as the store holds evict it by LRU
@@ -675,7 +682,7 @@ def test_ml_windows_count_toward_the_shared_row_bound(flat, quadrant):
     grid = subdiff._grid_values(f, w, 830)
     resolution = MAX_GRID_NODES - len(grid[0]) + 1
     window = subdiff._window(flat.problem.objective, flat.problem.domain_window, resolution)
-    assert [rows for _, rows in sets._KEPT.values()] == [resolution]
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [resolution]
     # each evicts the other when it is evaluated again
     assert subdiff._grid_values(f, w, 830) is not grid
     assert subdiff._window(flat.problem.objective, flat.problem.domain_window,
