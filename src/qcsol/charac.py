@@ -352,7 +352,7 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     with np.errstate(all="ignore"):
         member, entries = _Rows(xv, g, anchor, sets, cfg, active).decide(variant)
     residuals = {name: float(value) for name, value, _, shown in entries if shown}
-    return MembershipVerdict(tuple(float(c) for c in xv), variant, bool(member), residuals)
+    return MembershipVerdict(tuple(xv), variant, bool(member), residuals)
 
 
 def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config) -> List[tuple]:

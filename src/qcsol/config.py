@@ -39,6 +39,9 @@ class Config:
             if isinstance(value, bool) or not ok or value < 0:
                 kind = "a nonnegative integer" if name == "seed" else "a nonnegative finite real"
                 raise InputError(f"config {name} must be {kind}, got {value!r}")
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))  # hashed once
+
+    __hash__ = lambda self: self._hash  # store keys hash a config on every lookup
 
 
 DEFAULT_CONFIG = Config()

@@ -7,24 +7,21 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from .errors import DimensionError, InputError
-from .expr import ExprAst, _program
+from .expr import ExprAst, _floats, _program
 from .sets import Box, ConvexSetDescriptor
 
 
-def as_point(x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
+def as_point(x: Sequence[float], dimension: Optional[int] = None) -> list:
+    """x read once (expr._floats): a flat list of finite Python floats."""
+    xs = _floats(x)
+    if type(xs) is not list:
         raise DimensionError("a point must be a flat sequence of reals")
-    if not np.isfinite(xv).all():
+    if not all(map(math.isfinite, xs)):
         raise InputError(f"point {x!r} has non-finite entries")
-    if dimension is not None and xv.size != dimension:
-        raise DimensionError(
-            f"point has dimension {xv.size}, expected {dimension}"
-        )
-    return xv
+    if dimension is not None and len(xs) != dimension:
+        raise DimensionError(f"point has dimension {len(xs)}, expected {dimension}")
+    return xs
 
 
 def _check(p, name: str):

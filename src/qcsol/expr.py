@@ -152,6 +152,11 @@ def _norm(u):
     return np.sqrt(_dot(u, u))
 
 
+def _max(u):
+    """The largest of u's floats or numpy columns (row by row); the last of equal ones, as np.max."""
+    return functools.reduce(np.maximum, u) if isinstance(u[0], np.ndarray) else max(reversed(u))
+
+
 class _Compiler:
     """Straight-line Python for an expression's value and its n partial
     derivatives, in forward mode: each node's derivatives follow from its
@@ -276,6 +281,15 @@ def _at(x) -> tuple:
     """A point (or a gradient) as error messages print it: a tuple of
     Python floats."""
     return tuple(np.array(x, dtype=float).tolist())
+
+
+def _floats(x):
+    """x read once as a point: a list of Python floats where numpy reads x
+    as flat (a list of floats is taken as it is), else the array it reads."""
+    if type(x) is list and all(type(c) is float for c in x):
+        return x
+    xv = np.asarray(x, dtype=float)
+    return xv.tolist() if xv.ndim == 1 else xv
 
 
 def _pow(value: float, base: float) -> float:
@@ -461,18 +475,18 @@ def _program(f: Expr, n: int):
     return _compiled(_ast_key(f), n)
 
 
-def _point(program, xv: np.ndarray):
-    """The float program run at the point xv, which must be flat and hold
-    every coordinate it reads: its value and derivatives, which must be
-    finite."""
+def _point(program, x):
+    """The float program run at the point x as _floats reads it, which must
+    be flat and hold every coordinate it reads: its value and derivatives,
+    which must be finite."""
     run, _, reads = program
-    if xv.ndim != 1 or xv.size < reads:
+    if type(x) is not list or len(x) < reads:
         raise DimensionError(f"a point must be flat, with at least {reads} coordinates")
-    value, derivs = run(xv.tolist())
+    value, derivs = run(x)
     if not math.isfinite(value):
-        raise EvalError(f"non-finite value {value} at {_at(xv)}")
+        raise EvalError(f"non-finite value {value} at {_at(x)}")
     if not all(map(math.isfinite, derivs)):
-        raise EvalError(f"non-finite gradient {_at(derivs)} at {_at(xv)}")
+        raise EvalError(f"non-finite gradient {_at(derivs)} at {_at(x)}")
     return value, derivs
 
 
@@ -503,7 +517,7 @@ def _batch(f: Expr, Xv: np.ndarray, n: int):
     except EvalError:
         pass
     for x in Xv:
-        _point(program, x)
+        _point(program, x.tolist())
     raise EvalError("batch evaluation failed at a point that evaluates")
 
 
@@ -513,7 +527,7 @@ def evaluate(f: Expr, x: Sequence[float]) -> float:
     Raises EvalError on domain violations, on an overflowing power and on
     a non-finite value (an overflowing product, or a non-finite x).
     """
-    return _point(_program(f, 0), np.asarray(x, dtype=float))[0]
+    return _point(_program(f, 0), _floats(x))[0]
 
 
 def evaluate_many(f: Expr, X) -> np.ndarray:
@@ -531,11 +545,12 @@ def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None) -> np.nda
     Raises EvalError where evaluation fails, and when the value or a
     gradient component is not finite.
     """
-    xv = np.asarray(x, dtype=float)
-    n = dimension if dimension is not None else xv.size
-    if xv.size != n:
-        raise DimensionError(f"point has dimension {xv.size}, expected {n}")
-    return np.array(_point(_program(f, n), xv)[1], dtype=float)
+    xs = _floats(x)
+    size = len(xs) if type(xs) is list else xs.size
+    n = dimension if dimension is not None else size
+    if size != n:
+        raise DimensionError(f"point has dimension {size}, expected {n}")
+    return np.array(_point(_program(f, n), xs)[1], dtype=float)
 
 
 def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:

@@ -71,8 +71,8 @@ class _Anchor(_Derived):
     field is found on first use and kept apart, so a route reads only what
     it asks for; a failing one is not kept, so it raises again."""
 
-    def __init__(self, p, xb: np.ndarray, cfg: Config):
-        self.p, self.xb, self.cfg = p, _frozen(xb.copy()), cfg
+    def __init__(self, p, xb: list, cfg: Config):
+        self.p, self.xb, self.cfg = p, _frozen(np.array(xb)), cfg
 
     @functools.cached_property
     def values(self) -> tuple:
@@ -159,7 +159,7 @@ def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
     """The record of the anchor xbar of p under cfg, kept in sets' store;
     the point is keyed by its bytes, so 0.0 and -0.0 differ."""
     xb = as_point(xbar, p.dimension)
-    return _kept(("anchor", _ast_key(p), xb.tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
+    return _kept(("anchor", _ast_key(p), np.array(xb).tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
 
 
 def feasible_grid(

@@ -1,9 +1,10 @@
 """Convex set descriptors: membership, grid sampling, normal cones.
 
 A set is the intersection of atoms (boxes, halfspaces, balls, linear
-equalities), each stating its dimension, its signed violations of a point
-(n,) or of the rows of X (N, n), <= 0 where it holds, and its
-normal-cone generators at x.  grid_nodes builds every grid.
+equalities), each stating its dimension, its signed violations (<= 0
+where it holds) of coordinates, a point's Python floats or the columns
+of X (N, n), and its normal-cone generators at x.  A point with a NaN or
+infinite coordinate is refused.  grid_nodes builds every grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import DimensionError, InputError
-from .expr import _MEMO_SIZE, _dot, _norm
+from .expr import _MEMO_SIZE, _at, _dot, _floats, _max, _norm
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,10 @@ class Box:
 
     dimension = property(lambda self: len(self.lo))
 
-    def violations(self, X: np.ndarray):
-        below = np.max(np.asarray(self.lo) - X, axis=-1)
-        above = np.max(X - np.asarray(self.hi), axis=-1)
-        return np.where(above > below, above, below)  # builtin max(below, above)
+    def violations(self, x):
+        return _max([*(c - h for c, h in zip(x, self.hi)), *(l - c for l, c in zip(self.lo, x))])
 
-    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+    def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """+e_i where x_i is at its upper bound and -e_i where at its lower:
         both on an axis whose bounds are within eps_act of each other."""
         gens, n = [], len(self.lo)
@@ -74,10 +73,10 @@ class Halfspace:
 
     dimension = property(lambda self: len(self.a))
 
-    def violations(self, X: np.ndarray):
-        return _dot(self.a, X.T) - self.b
+    def violations(self, x):
+        return _dot(self.a, x) - self.b
 
-    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+    def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """a where the halfspace is active."""
         return [np.asarray(self.a, dtype=float)] if abs(self.violations(x)) <= eps_act else []
 
@@ -94,15 +93,15 @@ class Ball:
 
     dimension = property(lambda self: len(self.center))
 
-    def violations(self, X: np.ndarray):
-        return _norm([c - ci for c, ci in zip(X.T, self.center)]) - self.radius
+    def violations(self, x):
+        return _norm([c - ci for c, ci in zip(x, self.center)]) - self.radius
 
-    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+    def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """The outward normal x - center where x is on the sphere.  A ball of
         radius 0 is the point {center}, and gives what that degenerate box gives."""
         if self.radius == 0:  # +-e_i on every axis at the center: all of R^n
             return Box(self.center, self.center).normals(x, eps_act)
-        return [x - np.asarray(self.center)] if abs(self.violations(x)) <= eps_act else []
+        return [np.subtract(x, self.center)] if abs(self.violations(x)) <= eps_act else []
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,10 @@ class LinearEquality:
 
     dimension = property(lambda self: len(self.a))
 
-    def violations(self, X: np.ndarray):
-        return abs(_dot(self.a, X.T) - self.b)
+    def violations(self, x):
+        return abs(_dot(self.a, x) - self.b)
 
-    def normals(self, x: np.ndarray, eps_act: float) -> List[np.ndarray]:
+    def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """a and -a: a free multiplier split into a positive pair."""
         a = np.asarray(self.a, dtype=float)
         return [a, -a]
@@ -134,15 +133,19 @@ def atom_violation(atom: Atom, x: np.ndarray) -> float:
     return float(atom.violations(_point(x, atom.dimension, "atom")))
 
 
-def _point(x, dimension: int, what: str) -> np.ndarray:
-    """x as a flat float array, refused unless it has the dimension's
-    entries; a scalar is a point of one coordinate."""
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim > 1:
-        raise DimensionError(f"point has shape {xv.shape}, {what} expects a flat point")
-    if xv.size != dimension:
-        raise DimensionError(f"point has dimension {xv.size}, {what} expects {dimension}")
-    return xv.reshape(dimension)
+def _point(x, dimension: int, what: str) -> list:
+    """x as a list of floats (expr._floats), refused unless it has the
+    dimension's entries, all finite; a scalar is a point of one coordinate."""
+    xs = _floats(x)
+    if type(xs) is not list:
+        if xs.ndim > 1:
+            raise DimensionError(f"point has shape {xs.shape}, {what} expects a flat point")
+        xs = [xs.item()]
+    if len(xs) != dimension:
+        raise DimensionError(f"point has dimension {len(xs)}, {what} expects {dimension}")
+    if not all(map(math.isfinite, xs)):
+        raise InputError(f"point {_at(xs)} has non-finite entries")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,8 @@ class ConvexSetDescriptor:
 
 def contains(S: ConvexSetDescriptor, x: Sequence[float],
              tol: float = DEFAULT_CONFIG.eps_feas) -> bool:
-    xv = _point(x, S.dimension, "set")
-    return all(float(atom.violations(xv)) <= tol for atom in S.atoms)
+    xs = _point(x, S.dimension, "set")
+    return all(atom.violations(xs) <= tol for atom in S.atoms)
 
 
 # The most nodes a grid may have: a larger one is refused before any
@@ -217,15 +220,18 @@ def _held(record, rows) -> int:
 
 def _kept(key: tuple, build, rows=lambda record: 0):
     """build(), kept for the process under key.  The store holds at most
-    _MEMO_SIZE records, and MAX_GRID_NODES rows (_held) as of each miss;
-    the least recently used go first.  A failing build is not kept, so it
-    raises again on the next call."""
+    _MEMO_SIZE records and MAX_GRID_NODES rows (_held) as of each miss: the
+    least recently used record goes first, and for rows the least recently
+    used that holds some.  A failing build is not kept, so it raises again."""
     entry = _KEPT.pop(key, None)
     if entry is None:
         entry = (build(), rows)
-        while _KEPT and (len(_KEPT) >= _MEMO_SIZE or sum(
-                _held(*e) for e in (entry, *_KEPT.values())) > MAX_GRID_NODES):
+        while len(_KEPT) >= _MEMO_SIZE:
             _KEPT.popitem(last=False)
+        for heavy in [k for k, e in _KEPT.items() if _held(*e)]:
+            if sum(_held(*e) for e in (entry, *_KEPT.values())) <= MAX_GRID_NODES:
+                break
+            del _KEPT[heavy]
     _KEPT[key] = entry
     return entry[0]
 
@@ -238,14 +244,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray,
                   tol: float = DEFAULT_CONFIG.eps_feas) -> np.ndarray:
     """contains(S, x, tol) for every row of an (N, n) array X, as a mask,
-    by the same formula on all rows at once."""
+    by the same formula on the columns of X at once.  A row with a NaN or
+    infinite coordinate is refused, as contains refuses the first one."""
     if X.shape[1] != S.dimension:
         raise DimensionError(
             f"point has dimension {X.shape[1]}, set expects {S.dimension}"
         )
+    for x in X[~np.isfinite(X).all(axis=1)][:1]:  # the first non-finite row
+        _point(x, S.dimension, "set")
     keep = np.ones(len(X), dtype=bool)
     for atom in S.atoms:
-        keep &= atom.violations(X) <= tol
+        keep &= atom.violations(X.T) <= tol
     return keep
 
 
@@ -267,5 +276,5 @@ def normal_cone_generators(
     """Generators of the normal cone of X at x, atom by atom: the sum of
     the atoms' cones, which is X's cone where the atoms meet a constraint
     qualification (always, when no atom is a ball)."""
-    xv = _point(x, X.dimension, "set")
-    return [g for atom in X.atoms for g in atom.normals(xv, eps_act)]
+    xs = _point(x, X.dimension, "set")
+    return [g for atom in X.atoms for g in atom.normals(xs, eps_act)]

@@ -86,7 +86,7 @@ def default_gp_candidates(
     """Structural candidate directions, as the rows of a (k, dimension)
     array: coordinate rays, positive-orthant samples, and the gradient
     directions at the two points when nonzero."""
-    gradients = [grad(f, np.asarray(point, dtype=float), dimension) for point in (xbar, x)]
+    gradients = [grad(f, point, dimension) for point in (xbar, x)]
     return _gp_candidates(gradients, dimension, cfg)
 
 
@@ -131,7 +131,7 @@ def gp_solution_check(
     anchor = _anchor_record(p, xb, cfg)  # the anchor's gradient is read from its record
     g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension)
     grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)
-    step = xv - xb
+    step = [c - cb for c, cb in zip(xv, xb)]
     # the rays and xbar's unit gradient: kept, tested at xbar
     kept = grid.derived(anchor, lambda: _frozen(_gp_members(
         _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
@@ -265,7 +265,7 @@ def ml_solution_check_1d(
     if form not in ("M1", "M2"):
         raise InputError("form must be 'M1' or 'M2'")
     _finite(xbar=xbar, x=x)
-    if not contains(p.feasible_set, x, cfg.eps_feas):
+    if not contains(p.feasible_set, [x], cfg.eps_feas):
         return False
     f, window, eps = p.objective, p.domain_window, cfg.eps_feas
     w = _window(f, window, resolution)

@@ -177,7 +177,8 @@ def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
     del grid
     kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)  # the next miss drops it
     gc.collect()
-    assert [key[0] for key in sets._KEPT] == ["anchor"] and _rows_held() == 0
+    # only the grid: e.anchor's record holds no rows, so it stays with the new one
+    assert [key[0] for key in sets._KEPT] == ["anchor", "anchor"] and _rows_held() == 0
     assert len(masks) == 16 and all(mask() is None for mask in masks)
     # asked again, then of a cold store, it answers as before
     for cold in (False, True):
@@ -185,6 +186,19 @@ def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
             sets._KEPT.clear()
         assert [brute_force_solutions(e.problem, 301, x) for x in eps] == warm
         assert charac.enumerate_solution_set(e.problem, e.anchor, V.T1, 301) == rows
+
+
+def test_records_that_hold_no_rows_stay_when_a_grid_passes_the_row_bound():
+    # dropping an anchor record frees no rows: past the row bound only the grid goes
+    e = get_example("ex2_3")
+    records = [kkt._anchor_record(e.problem, (1.0 + i / 1000, 1.0), DEFAULT_CONFIG)
+               for i in range(100)]
+    for x in (i / 1000 for i in range(16)):  # 16 oracle results on 62,845 rows
+        brute_force_solutions(e.problem, 301, x)
+    assert MAX_GRID_NODES < _rows_held() == 17 * 62845
+    new = kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)
+    assert [entry[0] for entry in sets._KEPT.values()] == records + [new]
+    assert _rows_held() == 0
 
 
 def test_an_anchor_is_examined_once_across_questions(monkeypatch):

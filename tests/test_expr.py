@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsol.core import Problem
-from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
+from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError, QcsolError
 from qcsol.expr import (
     _MAX_DEPTH,
     _extract_linear,
@@ -669,6 +669,29 @@ def test_value_and_gradient_fail_at_the_same_node(f, x):
     assert _failure(grad_many, f, np.array([x])) == slope
     if slope is None or not slope[1].startswith(_SLOPE_ERRORS):
         assert slope == value
+
+
+def _read_alike(run, x):
+    """The type, dtype, shape and bytes of what run(x) returns, or the
+    class and message of the error it raises."""
+    try:
+        out = run(x)
+    except QcsolError as exc:
+        return type(exc), str(exc)
+    return type(out), np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes()
+
+
+@given(_ASTS, st.lists(_COORDS, max_size=3), st.sampled_from([None, 0, 1, 2, 3]))
+@example(_THRICE, [0.5, -0.0], None)
+@settings(max_examples=300, deadline=None)
+def test_a_list_of_floats_a_tuple_and_an_array_read_alike(f, coords, dimension):
+    # a list of Python floats is taken as it is; any other form is read by numpy
+    forms = [list(coords), tuple(coords), np.array(coords, dtype=float),
+             [np.float64(c) for c in coords], [coords]]
+    for run in (lambda x: evaluate(f, x), lambda x: grad(f, x, dimension)):
+        outcomes = [_read_alike(run, x) for x in forms]
+        assert outcomes[1:4] == outcomes[:1] * 3
+        assert outcomes[4][0] is DimensionError  # a nested list is no flat point
 
 
 def _ref_reads(e):

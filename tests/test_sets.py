@@ -437,13 +437,75 @@ def test_atom_formulas_are_the_isinstance_chains_bit_for_bit(case, eps_act):
     atom, X = case
     n = X.shape[1]
     assert atom.dimension == n
-    assert _bits(atom.violations(X)) == _bits(_reference_violations(atom, X))
+    # an atom reads coordinates: the columns of X, or one point's floats
+    assert _bits(atom.violations(X.T)) == _bits(_reference_violations(atom, X))
     for x in X:
-        assert _bits(atom.violations(x)) == _bits(_reference_violations(atom, x))
+        assert _bits(atom.violations(x.tolist())) == _bits(_reference_violations(atom, x))
         got, want = atom.normals(x, eps_act), _reference_normals(atom, x, n, eps_act)
         assert [_bits(g) for g in got] == [_bits(g) for g in want]
         S = ConvexSetDescriptor(n, (atom,))
         assert [_bits(g) for g in normal_cone_generators(S, x, eps_act)] == [_bits(g) for g in want]
+
+
+_INF = float("inf")
+# offsets from a boundary: within eps_feas (1e-9) of it, on it, and just past it
+_OFFSETS = st.sampled_from([0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-300])
+
+
+@st.composite
+def _atoms_and_boundary_rows(draw):
+    """An atom of any kind, whose box bounds, offset b or radius may be
+    infinite, and rows of entries with signed zeros, each possibly moved
+    along one axis to within an offset of the atom's boundary."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[_ENTRIES] * n)
+    kind = draw(st.sampled_from(["box", "halfspace", "equality", "ball"]))
+    if kind == "box":
+        bounds = [sorted(draw(st.tuples(_ENTRIES, _ENTRIES))) for _ in range(n)]
+        atom = Box(tuple(-_INF if draw(st.booleans()) else lo for lo, _ in bounds),
+                   tuple(_INF if draw(st.booleans()) else hi for _, hi in bounds))
+    elif kind == "ball":
+        atom = Ball(draw(vec), draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1 / 3, _INF])))
+    else:
+        b = draw(st.one_of(_ENTRIES, st.sampled_from([_INF, -_INF])))
+        atom = (Halfspace if kind == "halfspace" else LinearEquality)(draw(vec), b)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, i, off = list(draw(vec)), draw(st.integers(0, n - 1)), draw(_OFFSETS)
+        if not draw(st.booleans()):
+            pass  # a row as drawn
+        elif kind == "box":
+            x[i] = draw(st.sampled_from([atom.lo[i], atom.hi[i]])) + off
+        elif kind == "ball":
+            x = list(atom.center)
+            x[i] += draw(st.sampled_from([1.0, -1.0])) * (atom.radius + off)
+        elif atom.a[i] != 0.0:
+            x[i] = (atom.b + off - sum(a * c for j, (a, c) in enumerate(zip(atom.a, x)) if j != i)) / atom.a[i]
+        rows.append(x if all(map(np.isfinite, x)) else list(draw(vec)))
+    return atom, np.array(rows, dtype=float)
+
+
+@given(_atoms_and_boundary_rows(), st.sampled_from([0.0, 1e-9, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_one_point_reads_as_its_batch_row_bit_for_bit(case, tol):
+    atom, X = case
+    S = ConvexSetDescriptor(X.shape[1], (atom,))
+    mask = contains_many(S, X, tol)
+    for x, in_S in zip(X, mask.tolist()):
+        assert contains(S, x.tolist(), tol) is in_S and contains(S, x, tol) is in_S
+        assert _bits(atom.violations(x.tolist())) == _bits(_reference_violations(atom, x))
+    # a NaN or infinite coordinate: the same InputError from every entry point
+    for bad in (float("nan"), _INF, -_INF):
+        x, Y = X[0].copy(), X.copy()
+        x[-1] = bad
+        Y[len(Y) // 2] = x  # the first row refused
+        errors = []
+        for call in (lambda: contains(S, x.tolist(), tol), lambda: contains(S, x, tol),
+                     lambda: contains_many(S, Y, tol), lambda: normal_cone_generators(S, x)):
+            with pytest.raises(InputError, match="non-finite") as error:
+                call()
+            errors.append(str(error.value))
+        assert errors == [f"point {tuple(x.tolist())} has non-finite entries"] * 4
 
 
 def test_box_generators_keep_positive_zeros_off_the_axis():
