@@ -423,39 +423,27 @@ _COLUMNS = (_powers, _div_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _
 _MEMO_SIZE = 512
 
 
-class _AstKey:
-    """An AST as a cache key, equal to another exactly when their reprs
-    are.  == on ASTs would equate Const(0.0) with Const(-0.0), whose
-    programs give zeros of different signs."""
-
-    __slots__ = ("ast", "text", "hash")
-
-    def __init__(self, ast: Expr):
-        self.ast = ast
-        self.text = repr(ast)
-        if "array(" in self.text:  # numpy prints an array's entries rounded
-            with np.printoptions(floatmode="unique"):
-                self.text = repr(ast)
-        self.hash = hash(self.text)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other) -> bool:
-        return self.text == other.text
-
-
-_ast_keys: dict = {}  # id(f) -> _AstKey(f), for the ASTs seen most recently
+class _AstKey(str):
+    """An AST as a cache key: its repr, with the AST as .ast.  == on ASTs
+    would equate Const(0.0) with Const(-0.0), whose programs give zeros of
+    different signs."""
 
 
 def _ast_key(f: Expr) -> _AstKey:
-    """f's cache key, built once per AST object: looking it up neither
-    hashes nor compares the tree."""
-    key = _ast_keys.get(id(f))
-    if key is None or key.ast is not f:
-        if len(_ast_keys) >= _MEMO_SIZE:
-            _ast_keys.clear()
-        key = _ast_keys[id(f)] = _AstKey(f)
+    """f's cache key, built once per AST object and kept on it, as Config
+    keeps its hash: looking it up neither hashes nor compares the tree."""
+    key = getattr(f, "_key", None)
+    if key is None:
+        key = repr(f)
+        if "array(" in key:  # numpy prints an array's entries rounded
+            with np.printoptions(floatmode="unique"):
+                key = repr(f)
+        key = _AstKey(key)
+        key.ast = f
+        try:
+            object.__setattr__(f, "_key", key)
+        except AttributeError:  # not a node (a str, a float): compiling it raises TypeError
+            pass
     return key
 
 

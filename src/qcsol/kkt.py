@@ -166,26 +166,9 @@ def feasible_grid(
     cp: ConstrainedProblem, resolution: int, cfg: Config = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Grid nodes of the window that is_feasible accepts, as the rows of
-    an (N, n) array in grid order.
-
-    The ground set is tested on all nodes at once (sample_grid) and each
-    constraint is evaluated once on the nodes in it; when an evaluation
-    fails, the nodes are tested one by one, so that the error is the one
-    is_feasible raises at the first failing node.
-    """
-    return _feasible_rows(cp, resolution, cfg)[0]
-
-
-def _feasible_rows(cp: ConstrainedProblem, resolution: int, cfg: Config):
-    """feasible_grid, and the (m, N) array of constraint values at its rows."""
-    X = sample_grid(cp.ground_set, cp.domain_window, resolution, cfg.eps_feas)
-    m = len(cp.constraints)
-    try:
-        V = np.array([evaluate_many(g, X) for g in cp.constraints]).reshape(m, len(X))
-    except QcsolError:
-        V = np.array([_feasible_values(cp, x, cfg) or [np.inf] * m for x in X]).T
-    keep = np.all(V <= cfg.eps_feas, axis=0)
-    return X[keep], V[:, keep]
+    an (N, n) array in grid order: a writable copy of the kept grid's
+    rows (_grid)."""
+    return _grid(cp, resolution, cfg).X.copy()
 
 
 class _Grid(_Derived):
@@ -211,13 +194,26 @@ class _Grid(_Derived):
 
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
     """The feasible grid of p, evaluated once per process and kept in
-    sets' store; p is keyed by repr, as expr's programs are."""
+    sets' store; p is keyed by repr, as expr's programs are.
+
+    The ground set is tested on all nodes at once (sample_grid) and each
+    constraint is evaluated once on the nodes in it; when an evaluation
+    fails, the nodes are tested one by one, so that the error is the one
+    is_feasible raises at the first failing node.
+    """
     _check_resolution(resolution)
-    return _kept(
-        ("feasible", _ast_key(p), resolution, cfg.eps_feas),
-        lambda: _Grid(p, *_feasible_rows(p, resolution, cfg)),
-        lambda grid: len(grid.X),
-    )
+
+    def build():
+        X = sample_grid(p.ground_set, p.domain_window, resolution, cfg.eps_feas)
+        m = len(p.constraints)
+        try:
+            V = np.array([evaluate_many(g, X) for g in p.constraints]).reshape(m, len(X))
+        except QcsolError:
+            V = np.array([_feasible_values(p, x, cfg) or [np.inf] * m for x in X]).T
+        keep = np.all(V <= cfg.eps_feas, axis=0)
+        return _Grid(p, X[keep], V[:, keep])
+
+    return _kept(("feasible", _ast_key(p), resolution, cfg.eps_feas), build, lambda grid: len(grid.X))
 
 
 def active_set(

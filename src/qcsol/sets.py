@@ -29,6 +29,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise DimensionError("box lo/hi lengths differ")
+        if not len(self.lo):
+            raise DimensionError("box dimension must be >= 1")
         # infinite bounds are allowed, NaN is not (it would pass lo > hi)
         if any(math.isnan(v) for v in (*self.lo, *self.hi)):
             raise InputError("box has a NaN bound")
@@ -54,7 +56,9 @@ class Box:
 
 
 def _check_entries(what: str, vector, *scalars) -> None:
-    """Refuse a NaN anywhere, and an infinite entry of the vector."""
+    """Refuse an empty vector, a NaN anywhere, and an infinite entry of the vector."""
+    if not len(vector):
+        raise DimensionError(f"{what} dimension must be >= 1")
     if any(map(math.isnan, (*vector, *scalars))):
         raise InputError(f"{what} has a NaN entry")
     if not all(map(math.isfinite, vector)):

@@ -8,7 +8,6 @@ cross-check the gradient-based characterizations on the same instances.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -93,21 +92,8 @@ def default_gp_candidates(
 def _gp_candidates(gradients, dimension: int, cfg: Config) -> np.ndarray:
     """default_gp_candidates from the gradients at the two points."""
     units = [g / nrm for g, nrm in zip(gradients, map(_norm, gradients)) if nrm > cfg.eps_grad]
-    rays = _gp_rays(dimension)
-    return np.vstack([rays, *units]) if units else rays
-
-
-@functools.lru_cache(maxsize=32)
-def _gp_rays(dimension: int) -> np.ndarray:
-    """The coordinate rays and positive-orthant samples of
-    default_gp_candidates, one read-only array built once per dimension."""
-    rows = list(np.eye(dimension))
-    if dimension >= 2:
-        for combo in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)):
-            vec = np.ones(dimension)
-            vec[0], vec[1] = combo
-            rows.append(vec)
-    return _frozen(np.array(rows))
+    samples = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)) if dimension >= 2 else ()
+    return np.array([*np.eye(dimension), *([*s, *[1.0] * (dimension - 2)] for s in samples), *units])
 
 
 def gp_solution_check(

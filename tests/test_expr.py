@@ -10,10 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qcsol import expr
 from qcsol.core import Problem
 from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, ParseError, QcsolError
 from qcsol.expr import (
     _MAX_DEPTH,
+    _ast_key,
     _extract_linear,
     _tokenize,
     _program,
@@ -900,6 +902,25 @@ class TestCompileMemo:
             for f, sign in ((plus, 1.0), (minus, -1.0)):
                 assert math.copysign(1.0, evaluate(f, [1.0])) == sign
                 assert math.copysign(1.0, evaluate_many(f, np.array([[1.0]]))[0]) == sign
+        assert _ast_key(plus) != _ast_key(minus)
+        assert _program(plus, 1) is not _program(minus, 1)
+
+    def test_the_key_is_the_repr_kept_on_the_ast(self):
+        f = parse("sqrt(x1^2 + x2^2) + x1 * x2", 2)
+        key = _ast_key(f)
+        assert _ast_key(f) is key and key == repr(f) and key.ast is f
+        # no module-level map of keys beside the objects
+        assert not [name for name, value in vars(expr).items() if type(value) is dict
+                    and any(type(k) is expr._AstKey for k in value.values())]
+        for f in ("x1", 3.0, None):  # no key can be kept on these
+            with pytest.raises(TypeError, match="unknown node"):
+                evaluate(f, [1.0])
+
+    def test_two_parses_of_one_text_share_one_program(self):
+        a, b = parse("x1 * (x2 - 3)", 2), parse("x1 * (x2 - 3)", 2)
+        assert a is not b and _ast_key(a) is not _ast_key(b)
+        for n in (0, 2):
+            assert _program(a, n) is _program(b, n)
 
     def test_a_call_does_not_hash_the_tree(self, monkeypatch):
         f = parse("sqrt(x1^2 + x2^2) + x1 * x2", 2)

@@ -642,10 +642,21 @@ def test_feasible_grid_is_a_float_array_of_rows(surd, monkeypatch):
         raise EvalError("refused")
 
     monkeypatch.setattr(kkt, "evaluate_many", refuse)
+    sets._KEPT.clear()  # else both grids are read from the store, not built again
     Y = feasible_grid(cp, 13)
     assert Y.dtype == float and Y.shape == X.shape and Y.tobytes() == X.tobytes()
     empty = feasible_grid(never, 13)
     assert empty.dtype == float and empty.shape == (0, 2)
+
+
+def test_feasible_grid_builds_one_grid_and_returns_copies(surd, monkeypatch):
+    built = []
+    monkeypatch.setattr(sets, "grid_nodes", lambda *args: built.append(args) or grid_nodes(*args))
+    X, Y = feasible_grid(surd.problem, 13), feasible_grid(surd.problem, 13)
+    assert len(built) == 1
+    assert X is not Y and X.flags.writeable and Y.flags.writeable and X.tobytes() == Y.tobytes()
+    X[...] = 0.0
+    assert feasible_grid(surd.problem, 13).tobytes() == Y.tobytes()
 
 
 @pytest.fixture()

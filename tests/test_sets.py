@@ -72,6 +72,19 @@ class TestAtoms:
         assert atom_violation(build(0.5), np.zeros(2)) <= 0.5  # a finite entry builds
 
     @pytest.mark.parametrize("build, message", [
+        (lambda empty: Box(empty, empty), "box dimension must be >= 1"),
+        (lambda empty: Halfspace(empty, 0.0), "halfspace dimension must be >= 1"),
+        (lambda empty: LinearEquality(empty, 0.0), "linear equality dimension must be >= 1"),
+        (lambda empty: Ball(empty, 1.0), "ball center dimension must be >= 1"),
+    ], ids=["box", "halfspace", "equality", "ball"])
+    def test_atoms_refuse_zero_length_entries(self, build, message):
+        # as ConvexSetDescriptor(0) is: such an atom once read 0.0 or -1.0
+        # at the empty point, and a box's violation raised a bare IndexError
+        for empty in ((), [], np.array([])):
+            with pytest.raises(DimensionError, match=message):
+                build(empty)
+
+    @pytest.mark.parametrize("build, message", [
         (lambda inf: Halfspace((inf, 1.0), 0.0), "halfspace has an infinite entry"),
         (lambda inf: LinearEquality((1.0, inf), 0.0), "linear equality has an infinite entry"),
         (lambda inf: Ball((inf, 0.0), 1.0), "ball center has an infinite entry"),

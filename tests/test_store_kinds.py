@@ -45,7 +45,6 @@ def test_every_kept_kind_is_named_in_the_readme():
 CACHES = {
     ("expr", "_compiled"): "each expression's compiled program, which every "
                            "record's evaluation runs",
-    ("subdiff", "_gp_rays"): "a constant array per dimension, read by every GP grid",
     ("registry", "_table"): "the builtin examples, loaded once per process",
     ("cli", "_build_parser"): "the one argument parser of the process",
 }

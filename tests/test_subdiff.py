@@ -435,12 +435,13 @@ def test_gp_route_tests_x_unit_gradient(monkeypatch):
     e, cfg = get_example("ex2_1"), Config(eps_feas=0.2)
     p, xbar = e.problem, e.anchor
     grid = subdiff._grid_values(p.objective, p.domain_window, 5)
+    rays = len(_parent_gp_candidates(parse("0", 2), xbar, xbar, 2, cfg))  # no unit gradient
     needs_x_row = 0
     for x in grid_nodes(p.domain_window, 9):
         cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
         want = _ref_gp_check(p, xbar, x, cands, grid, cfg)
         assert gp_solution_check(p, xbar, x, resolution=5, cfg=cfg) is want, x
-        if len(cands) == len(subdiff._gp_rays(2)) + 2:  # both unit gradients, x's last
+        if len(cands) == rays + 2:  # both unit gradients, x's last
             needs_x_row += want and not _ref_gp_check(p, xbar, x, cands[:-1], grid, cfg)
     assert needs_x_row > 0
 
@@ -458,8 +459,8 @@ def test_gp_rejects_directions_of_another_dimension(quadrant):
 
 
 def _parent_gp_candidates(f, xbar, x, dimension, cfg):
-    """default_gp_candidates as a list built afresh on every call: the
-    reference for the rays kept once per dimension."""
+    """default_gp_candidates as a list, row by row: the reference for the
+    one array the route builds."""
     cands = []
     for i in range(dimension):
         unit = np.zeros(dimension)
@@ -494,7 +495,11 @@ def test_default_gp_candidates_keep_the_parents_order_and_verdicts(quadrant):
         f, zero = parse("0", dim), np.zeros(dim)
         rays = default_gp_candidates(f, zero, zero, dim)
         assert rays.tobytes() == np.array(_parent_gp_candidates(f, zero, zero, dim, cfg)).tobytes()
-        assert not rays.flags.writeable and default_gp_candidates(f, zero, zero, dim) is rays
+        # each call builds its own array: writing into one leaves the next alone
+        again = default_gp_candidates(f, zero, zero, dim)
+        assert again is not rays and again.tobytes() == rays.tobytes()
+        rays[...] = 7.0
+        assert default_gp_candidates(f, zero, zero, dim).tobytes() == again.tobytes()
 
 
 def test_gp_grids_are_kept_read_only_per_window(quadrant):
