@@ -434,11 +434,11 @@ def _ast_key(f: Expr) -> _AstKey:
     keeps its hash: looking it up neither hashes nor compares the tree."""
     key = getattr(f, "_key", None)
     if key is None:
-        key = repr(f)
-        if "array(" in key:  # numpy prints an array's entries rounded
+        text = repr(f)
+        if "array(" in text:  # numpy prints an array's entries rounded
             with np.printoptions(floatmode="unique"):
-                key = repr(f)
-        key = _AstKey(key)
+                text = repr(f)
+        key = _AstKey(text)
         key.ast = f
         try:
             object.__setattr__(f, "_key", key)

@@ -98,7 +98,7 @@ class Record:
         self.sha.update(f"{label}\n{text}\n".encode())
 
 
-def _entries(rng, n: int, count: int):
+def _entries(rng, count: int):
     """count float entries: mostly uniform, with signed zeros and 1e-300."""
     pool = np.concatenate([rng.uniform(-2.0, 2.0, 6), [0.0, -0.0, 1e-300, -1e-300, 1.0]])
     return tuple(float(v) for v in rng.choice(pool, count))
@@ -111,8 +111,8 @@ def _atoms(rng, count: int):
         n = 1 + i % 3
         kind = i % 4
         if kind == 0:
-            lo = _entries(rng, n, n)
-            hi = tuple(l + abs(w) for l, w in zip(lo, _entries(rng, n, n)))
+            lo = _entries(rng, n)
+            hi = tuple(l + abs(w) for l, w in zip(lo, _entries(rng, n)))
             if i % 7 == 0:
                 lo = (-inf,) + lo[1:]
             if i % 11 == 0:
@@ -120,12 +120,12 @@ def _atoms(rng, count: int):
             yield Box(lo, hi)
         elif kind == 1:
             b = (inf, -inf)[i % 2] if i % 13 == 1 else float(rng.uniform(-1.0, 1.0))
-            yield Halfspace(_entries(rng, n, n), b)
+            yield Halfspace(_entries(rng, n), b)
         elif kind == 2:
             radius = inf if i % 17 == 2 else (0.0 if i % 19 == 2 else float(rng.uniform(0.1, 2.0)))
-            yield Ball(_entries(rng, n, n), radius)
+            yield Ball(_entries(rng, n), radius)
         else:
-            yield LinearEquality(_entries(rng, n, n), float(rng.uniform(-1.0, 1.0)))
+            yield LinearEquality(_entries(rng, n), float(rng.uniform(-1.0, 1.0)))
 
 
 def _near(rng, atom, n: int):
