@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import DimensionError, InputError, KernelError, ZeroVectorError
-from .expr import _dot, _norm
+from .expr import _dot, _norm, _ratio
 
 _MAX_ITER = 10_000
 
@@ -280,7 +280,7 @@ def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
 def _collinearity(a, b):
     """The least-squares factor p = (a.b)/(a.a) of b on a and the distance
     ||b - p a||; the entries of b may be floats or numpy columns."""
-    p = _dot(a, b) / _dot(a, a)
+    p = _ratio(_dot(a, b), _dot(a, a))
     return p, _norm([bi - p * ai for ai, bi in zip(a, b)])
 
 

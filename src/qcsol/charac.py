@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import _ast_key, _at, _dot, _norm, evaluate, grad, grad_many
+from .expr import _ast_key, _at, _dot, _norm, _not, _point, _program, _ratio, _where, evaluate, grad_many
 from .sets import _kept, contains, contains_many
 
 
@@ -185,29 +185,31 @@ _NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_grad
 def _cosine_distance(G, gnorm, g0, g0norm):
     """1 - cos of the angle between g0 and each gradient, the columns of G
     (or one vector), given the norms of both."""
-    return 1.0 - _dot(G, g0) / (gnorm * g0norm)
+    return 1.0 - _ratio(_dot(G, g0), gnorm * g0norm)
 
 
 class _Rows:
     """The conditions of the characterizations, decided at N points at once.
 
-    X holds the points as rows and G their gradients; the anchor's record
-    (kkt._anchor_record) gives the anchor xb and its gradient g0.  sets
-    maps each set condition to the mask of the points in its set, and
-    active lists (i, grad g_i(xb)) for the strict-multiplier constraints
-    i.  One point and its gradient can be given as vectors instead: every
-    column is then a scalar.  Each condition returns its (residual name,
-    value, verdict, shown) entries, in order, where shown marks the points
-    whose residual is reported, and decided keeps them by condition name.
+    X and G hold the points' coordinates and gradients: the n columns of N
+    points, or one point's n floats, on which every condition is then
+    decided.  The anchor's record (kkt._anchor_record) gives xb and g0, sets
+    maps each set condition to the mask of the points in its set, and active
+    lists (i, grad g_i(xb)) for the strict-multiplier constraints i.  Each
+    condition returns its (residual name, value, verdict, shown) entries, in
+    order (shown marks the points whose residual is reported); decided keeps them.
     """
 
-    def __init__(self, X: np.ndarray, G: np.ndarray, anchor, sets: Dict[str, object],
-                 cfg: Config, active: Sequence = ()):
-        self.d = (X - anchor.xb).T
-        self.G, self.sets, self.cfg, self.active, self.decided = G.T, sets, cfg, active, {}
-        self.gnorm, (self.g0, self.g0norm) = _norm(self.G), anchor.gradient
-        anchor_dot = _dot(self.g0, self.d)   # grad f(xbar) . (x - xbar)
-        point_dot = _dot(self.G, -self.d)    # grad f(x) . (xbar - x)
+    frozen = False
+
+    def __init__(self, X, G, anchor, sets: Dict[str, object], cfg: Config, active: Sequence = ()):
+        g0, g0norm = anchor.gradient
+        self.d = tuple(x - b for x, b in zip(X, anchor.xb.tolist()))
+        self.G, self.sets, self.cfg, self.decided = G, sets, cfg, {}
+        self.active = tuple((i, tuple(gi.tolist())) for i, gi in active)
+        self.gnorm, self.g0, self.g0norm = _norm(G), tuple(g0.tolist()), float(g0norm)
+        anchor_dot = _dot(self.g0, self.d)            # grad f(xbar) . (x - xbar)
+        point_dot = _dot(G, [-c for c in self.d])     # grad f(x) . (xbar - x), with -0 as on a grid
         self.values = {
             "anchor_gradient_dot": anchor_dot,
             "point_gradient_dot": point_dot,
@@ -216,8 +218,9 @@ class _Rows:
         }
 
     def freeze(self, arrays=None) -> "_Rows":
-        """The rows, with every array they hold (or the arrays given) made read-only."""
-        for a in (self.d, *self.values.values(), *self.sets.values()) if arrays is None else arrays:
+        """The rows, with every array they hold (or those given) and each later entry read-only."""
+        self.frozen = True
+        for a in (*self.d, *self.values.values(), *self.sets.values()) if arrays is None else arrays:
             np.asarray(a).flags.writeable = False  # a set mask may be the bool True
         return self
 
@@ -232,7 +235,7 @@ class _Rows:
         for name in _CONDITIONS[variant]:
             if name not in self.decided:
                 entries = self.decided[name] = _DECIDE[name](self, self.cfg)
-                if not self.d.flags.writeable:  # frozen rows keep read-only entries
+                if self.frozen:
                     self.freeze(a for _, *arrays in entries for a in arrays)
         entries = [e for name in _CONDITIONS[variant] for e in self.decided[name]]
         return functools.reduce(operator.and_, (ok for _, _, ok, _ in entries)), entries
@@ -240,15 +243,15 @@ class _Rows:
     def in_set(self, name: str) -> list:
         """The caller's mask of the points in the set; reads 0 in it, 1 out."""
         mask = self.sets[name]
-        return [(name, np.where(mask, 0.0, 1.0), mask, True)]
+        return [(name, _where(mask, 0.0, 1.0), mask, True)]
 
     def same_direction(self, cfg: Config) -> list:
         """Nonzero gradients at the point and at the anchor, at cosine
         distance at most eps_dir; the distance reads 2 where a gradient
         is zero."""
         small = (self.gnorm <= cfg.eps_grad) | (self.g0norm <= cfg.eps_grad)
-        cd = np.where(small, 2.0, _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm))
-        return [("cosine_distance", cd, ~small & (cd <= cfg.eps_dir), True)]
+        cd = _where(small, 2.0, _cosine_distance(self.G, self.gnorm, self.g0, self.g0norm))
+        return [("cosine_distance", cd, _not(small) & (cd <= cfg.eps_dir), True)]
 
     def same_unit_gradient(self, cfg: Config) -> list:
         """Cosine distance at most eps_dir from the anchor gradient,
@@ -261,9 +264,9 @@ class _Rows:
         (collinearity_factor's test)."""
         zero, zero0 = self.gnorm <= cfg.eps_grad, self.g0norm <= cfg.eps_grad
         factor, gap = _collinearity(self.g0, self.G)
-        found = ~zero & ~zero0 & ~(factor <= 0.0) & ~(gap > cfg.eps_dir * self.gnorm)
+        found = _not(zero | zero0 | (factor <= 0.0) | (gap > cfg.eps_dir * self.gnorm))
         holds = (zero & zero0) | found
-        return [("collinearity_gap", np.where(holds, 0.0, np.inf), holds, True),
+        return [("collinearity_gap", _where(holds, 0.0, np.inf), holds, True),
                 ("collinearity_factor", factor, True, found)]
 
     def active_dots(self, form, cfg: Config) -> list:
@@ -346,11 +349,9 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     xv = as_point(x, p.dimension)
     # no constraint is evaluated outside the ground set, as on the grid
     in_S = contains(p.ground_set, xv, cfg.eps_feas)
-    values = np.array([evaluate(g, xv) for g in p.constraints if in_S])
-    sets = kkt._masks(in_S, values, tilde, cfg)
-    g = grad(p.objective, xv, p.dimension)
-    with np.errstate(all="ignore"):
-        member, entries = _Rows(xv, g, anchor, sets, cfg, active).decide(variant)
+    sets = kkt._masks(in_S, [evaluate(g, xv) for g in p.constraints if in_S], tilde, cfg)
+    g = tuple(map(float, _point(_program(p.objective, p.dimension), xv)[1]))  # numpy constants too
+    member, entries = _Rows(xv, g, anchor, sets, cfg, active).decide(variant)
     residuals = {name: float(value) for name, value, _, shown in entries if shown}
     return MembershipVerdict(tuple(xv), variant, bool(member), residuals)
 
@@ -375,6 +376,6 @@ def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config,
         # the masks (every row is in S), base columns and decided conditions
         # do not depend on the variant: kept on the grid per anchor record and tilde
         rows = grid.derived((anchor, tilde), lambda: _Rows(
-            grid.X, grid.gradients, anchor, kkt._masks(True, grid.C, tilde, cfg), cfg, active).freeze())
+            grid.X.T, grid.gradients.T, anchor, kkt._masks(True, grid.C, tilde, cfg), cfg, active).freeze())
         member, _ = rows.decide(variant)
     return grid, member

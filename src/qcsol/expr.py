@@ -149,12 +149,32 @@ def _dot(u, v):
 
 
 def _norm(u):
-    return np.sqrt(_dot(u, u))
+    s = _dot(u, u)
+    return math.sqrt(s) if type(s) is float else np.sqrt(s)
 
 
 def _max(u):
     """The largest of u's floats or numpy columns (row by row); the last of equal ones, as np.max."""
     return functools.reduce(np.maximum, u) if isinstance(u[0], np.ndarray) else max(reversed(u))
+
+
+def _ratio(u, v):
+    """u / v on floats or numpy columns; a float v of 0 gives numpy's inf or NaN, not an error."""
+    try:
+        return u / v
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(u, v))
+
+
+def _where(mask, u, v):
+    """u where mask holds, else v: a bool picks one, a numpy mask row by row."""
+    return np.where(mask, u, v) if isinstance(mask, np.ndarray) else u if mask else v
+
+
+def _not(mask):
+    """The negation of a bool or of a numpy mask (~ on a bool is an int)."""
+    return mask ^ True
 
 
 class _Compiler:

@@ -8,7 +8,8 @@ feasible set.  Every multiplier question refuses an anchor that
 is_feasible refuses (_Anchor.values).  The questions about one anchor
 share its kept record (_anchor_record), which keeps the multiplier, the
 GMFCQ report and the normal cone once found; stationarity_residual takes
-its multiplier from the caller, so its LP runs on every call.
+its multiplier from the caller, so its LP runs on every call, except at
+the record's own multiplier, whose residual is kept beside it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _ast_key, _at, _norm, evaluate, evaluate_many, grad, grad_many
+from .expr import _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad, grad_many
 from .sets import _Derived, _check_resolution, _frozen, _kept, contains, normal_cone_generators, sample_grid
 
 
@@ -132,6 +133,23 @@ class _Anchor(_Derived):
             lambdas[i] = float(res.x[idx])
         rank = int(np.linalg.matrix_rank(A_eq))
         return MultiplierVector(tuple(lambdas), rank_deficient=rank < len(cols))
+
+    def residual_at(self, lambdas) -> float:
+        """stationarity_residual's answer at the multipliers lambdas."""
+        resid = self.gradient[0].copy()
+        for i, g in self.active(tuple(i for i in range(len(self.p.constraints)) if lambdas[i])):
+            resid += lambdas[i] * g
+        N = np.reshape(self.normals, (len(self.normals), self.p.dimension)).T
+        # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t
+        t = -np.ones((self.p.dimension, 1))
+        A_ub, b_ub = np.block([[N, t], [-N, t]]), np.concatenate([-resid, resid])
+        mu = solve_lp(np.append(np.zeros(len(self.normals)), -1.0), A_ub, b_ub, cfg=self.cfg).x[:-1]
+        return float(min(np.max(np.abs(resid + N @ mu)), np.max(np.abs(resid))))
+
+    @functools.cached_property
+    def residual(self) -> float:
+        """The residual at the kept multipliers: the one the CLI asks for."""
+        return self.residual_at(self.multipliers.lambdas)
 
     @functools.cached_property
     def gmfcq(self) -> CQReport:
@@ -257,16 +275,8 @@ def stationarity_residual(
     _fitted(cp, lam)
     anchor = _anchor_record(cp, xbar, cfg)
     anchor.values  # refuses an anchor that is not feasible
-    resid = anchor.gradient[0].copy()
-    for i, g in anchor.active(tuple(i for i in range(len(cp.constraints)) if lam.lambdas[i])):
-        resid += lam.lambdas[i] * g
-    normals = anchor.normals
-    N = np.reshape(normals, (len(normals), cp.dimension)).T
-    # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t
-    t = -np.ones((cp.dimension, 1))
-    A_ub, b_ub = np.block([[N, t], [-N, t]]), np.concatenate([-resid, resid])
-    mu = solve_lp(np.append(np.zeros(len(normals)), -1.0), A_ub, b_ub, cfg=cfg).x[:-1]
-    return float(min(np.max(np.abs(resid + N @ mu)), np.max(np.abs(resid))))
+    kept = getattr(vars(anchor).get("multipliers"), "lambdas", None)  # solved already
+    return anchor.residual if kept == tuple(lam.lambdas) else anchor.residual_at(lam.lambdas)
 
 
 def strict_index_set(
@@ -290,13 +300,12 @@ def member_X1(
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
     tilde = strict_index_set(cp, xbar, lam, cfg)
-    values = np.array([evaluate(g, xv) for g in cp.constraints])
-    return bool(_masks(True, values, tilde, cfg)["in_X1"])
+    return bool(_masks(True, [evaluate(g, xv) for g in cp.constraints], tilde, cfg)["in_X1"])
 
 
-def _masks(in_S, values: np.ndarray, tilde: tuple, cfg: Config) -> dict:
+def _masks(in_S, values, tilde: tuple, cfg: Config) -> dict:
     """The masks of the set conditions, from the mask in_S of x in the
-    ground set and the constraint values at x, (m,) at one point or
+    ground set and the constraint values at x, m floats at one point or
     (m, N) at the N rows of a grid: in_feasible_set (x in S),
     constraints_feasible (x in S and every g_i(x) <= 0) and in_X1, whose
     strict-multiplier indices are tilde (docs/theorems.md gives the
@@ -304,7 +313,7 @@ def _masks(in_S, values: np.ndarray, tilde: tuple, cfg: Config) -> dict:
     feasible = in_X1 = in_S
     for i, v in enumerate(values):
         feasible = feasible & (v <= cfg.eps_feas)
-        in_X1 = in_X1 & (~(np.abs(v) > cfg.eps_act) if i in tilde else ~(v > cfg.eps_feas))
+        in_X1 = in_X1 & _not(abs(v) > cfg.eps_act if i in tilde else v > cfg.eps_feas)
     return {"in_feasible_set": in_S, "constraints_feasible": feasible, "in_X1": in_X1}
 
 

@@ -1,13 +1,13 @@
-"""Equivalence hash: one sha256 over the outcomes of a fixed family of calls.
+"""Equivalence hashes: one sha256 over the outcomes of each fixed family of calls.
 
 Run from a checkout's root, ``python tests/equivalence.py``; it imports
 qcsol from that checkout's ``src``.  Two trees whose printed sha256 agree
-answered every call alike: the same value (arrays by dtype, shape and
-bytes, floats by their hex form) or the same error class and message.
-Tier-1 does not collect this file; it needs only the standard library and
-numpy.
+answered every call of the family alike: the same value (arrays by dtype,
+shape and bytes, floats by their hex form) or the same error class and
+message.  Tier-1 does not collect this file; it needs only the standard
+library and numpy.
 
-The family:
+The committed family:
 
 * atoms: seeded atoms of every kind (dimensions 1-3, entries with signed
   zeros and 1e-300, infinite box bounds, infinite b and radius), alone and
@@ -26,6 +26,18 @@ The family:
   ``ml_member_1d``), warm and cold (the store cleared before each call);
 * the CLI's exit code, stdout and stderr for ``verify-membership``,
   ``subdiff-check``, ``enumerate``, ``oracle`` and ``run-example``.
+
+The extended family, hashed apart so that the committed family's hash
+stays comparable with older trees:
+
+* ``kkt-solve`` and ``check-cq`` on ex2_3_constrained (anchors on and off
+  its grid, refused ones, three configs), warm and cold, and through
+  problem files of constrained problems;
+* ``verify-membership`` through ``--problem`` files of the plain examples,
+  with and without a config object in the file and flags over it;
+* config refusals: bad config flags, and ``QCX_CONFIG`` files and
+  problem-file config objects with bad keys in several orders, under
+  ``verify-membership`` and ``kkt-solve``.
 """
 
 from __future__ import annotations
@@ -33,10 +45,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -48,6 +63,7 @@ from qcsol import charac, cli, kkt, sets, subdiff  # noqa: E402
 from qcsol.config import Config  # noqa: E402
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector  # noqa: E402
 from qcsol.expr import parse  # noqa: E402
+from qcsol.problemfile import dumps  # noqa: E402
 from qcsol.registry import get_example  # noqa: E402
 from qcsol.sets import Ball, Box, ConvexSetDescriptor, Halfspace, LinearEquality, grid_nodes  # noqa: E402
 
@@ -331,13 +347,145 @@ def cli_runs(record: Record):
             record(" ".join(argv), lambda: _cli(argv))
 
 
+def _point_text(x) -> str:
+    return ",".join(map(repr, x))
+
+
+def _file(folder: str, name: str, text: str) -> str:
+    """The path of a new file in folder holding text."""
+    path = os.path.join(folder, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+@contextlib.contextmanager
+def _environ(name: str, value):
+    """os.environ[name] set to value (unset if None) for the block."""
+    old = os.environ.pop(name, None)
+    if value is not None:
+        os.environ[name] = value
+    try:
+        yield
+    finally:
+        os.environ.pop(name, None)
+        if old is not None:
+            os.environ[name] = old
+
+
+_KKT_FLAGS = ([], ["--eps-feas", "0.2"], ["--eps-act", "0.05", "--eps-grad", "1e-3"])
+
+
+def kkt_cli(record: Record, folder: str):
+    e = get_example("ex2_3_constrained")
+    anchors = [None, _point_text(e.anchor)]
+    anchors += [_point_text(x) for x in kkt.feasible_grid(e.problem, 5).tolist()]
+    anchors += ["9,9", "1", "nan,0", "0,-0.0"]
+    for command in ("kkt-solve", "check-cq"):
+        for flags in _KKT_FLAGS:
+            for anchor in anchors:
+                argv = [command, "--example", "ex2_3_constrained", *flags]
+                argv += [f"--anchor={anchor}"] if anchor is not None else []
+                record(" ".join(argv), lambda: _cli(argv))
+                record(" ".join(argv) + " again", lambda: _cli(argv))
+                record(" ".join(argv) + " cold", _cold(lambda: _cli(argv)))
+    for name, p in _feasible_problems():
+        if not isinstance(p, ConstrainedProblem):
+            continue
+        for a, anchor in enumerate(((0.0, 0.0), (1.0, 0.0), (0.5, -0.5))):
+            label = f"kkt file {name} anchor {a}"
+            try:
+                path = _file(folder, f"kkt-{name}-{a}.json", dumps(p, known_solution=anchor))
+            except Exception as exc:  # a problem the file format cannot hold
+                record(f"{label} dumps", lambda: repr(exc))
+                continue
+            for command in ("kkt-solve", "check-cq"):
+                for flags in _KKT_FLAGS:
+                    argv = [command, "--problem", path, *flags]
+                    record(f"{label} {command} {flags}", lambda: _cli(argv))
+
+
+def problem_files(record: Record, folder: str):
+    configs = (None, {"eps_feas": 0.2, "eps_dir": 1e-3}, {"seed": 3, "eps_grad": 0.5})
+    for name in PLAIN:
+        e = get_example(name)
+        p = e.problem
+        points = [_point_text(x) for x in grid_nodes(p.domain_window, 5).tolist()]
+        points += [_point_text(e.anchor), ",".join(["-0.0"] * p.dimension)]
+        other = _point_text(_anchors(e)[1])
+        for c, config in enumerate(configs):
+            path = _file(folder, f"{name}-{c}.json", dumps(p, known_solution=e.anchor, config=config))
+            for flags in ([], ["--eps-feas", "1e-6"], [f"--anchor={other}"]):
+                for v in PLAIN_VARIANTS + (CharacVariant.SP1,):
+                    for point in points:
+                        argv = ["verify-membership", "--problem", path, *flags,
+                                "--variant", v.value, f"--point={point}"]
+                        record(f"{name} file {c} {flags} {v.value} {point}", lambda: _cli(argv))
+
+
+# config documents, each with its bad keys in several orders
+_BAD_CONFIGS = (
+    {"seed": -1, "eps_grad": -1.0}, {"eps_grad": -1.0, "seed": -1},
+    {"eps_opt": "x", "eps_feas": 0.1, "delta_open": None},
+    {"delta_open": None, "eps_feas": 0.1, "eps_opt": "x"},
+    {"eps_feas": 0.1, "eps_act": True, "seed": 1.5}, {"seed": 1.5, "eps_act": True},
+    {"eps_lp": 10 ** 400, "eps_dir": -0.0}, {"eps_dir": -1e-9, "eps_lp": 10 ** 400},
+    {"bogus": 1, "seed": -1}, {"seed": 10 ** 30, "eps_feas": 0.2}, {}, [], "text",
+)
+_BAD_FLAGS = (["--eps-feas", "-1"], ["--eps-grad", "nan"], ["--eps-dir", "inf"],
+              ["--seed", "-3"], ["--eps-act", "-1", "--eps-grad", "-1"],
+              ["--eps-grad", "-1", "--eps-act", "-1"], ["--seed", "-1", "--eps-feas", "nan"],
+              ["--eps-feas", "nan", "--seed", "-1"], ["--eps-feas=-0.0"])
+_QUERIES = (["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1.5,0"],
+            ["kkt-solve", "--example", "ex2_3_constrained"])
+
+
+def config_refusals(record: Record, folder: str):
+    for flags in _BAD_FLAGS:
+        for query in _QUERIES:
+            argv = [*query, *flags]
+            record(" ".join(argv), lambda: _cli(argv))
+    texts = [json.dumps(c) for c in _BAD_CONFIGS] + ['{"seed": 1, "seed": -1}', "{", '{"eps_feas": 1e400}']
+    e = get_example("ex2_1")
+    for t, text in enumerate(texts):
+        path = _file(folder, f"config-{t}.json", text)
+        with _environ("QCX_CONFIG", path):
+            for query in _QUERIES:
+                for flags in ([], ["--eps-feas", "0.2"], ["--seed", "-1"]):
+                    argv = [*query, *flags]
+                    record(f"QCX_CONFIG {text} {' '.join(argv)}", lambda: _cli(argv))
+        if not isinstance(_json_value(text), dict):
+            continue
+        doc = json.loads(dumps(e.problem, known_solution=e.anchor))
+        doc["config"] = json.loads(text)
+        problem = _file(folder, f"problem-config-{t}.json", json.dumps(doc))
+        for env in (None, _file(folder, f"env-{t}.json", '{"eps_feas": 0.3}')):
+            with _environ("QCX_CONFIG", env):
+                argv = ["verify-membership", "--problem", problem, "--variant", "S1", "--point", "1.5,0"]
+                record(f"problem config {text} env {env is not None}", lambda: _cli(argv))
+
+
+def _json_value(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
 def main():
-    record = Record()
-    for section in (atoms, variants, feasible, gp, ml, cli_runs):
-        sets._KEPT.clear()
-        section(record)
-    print(json.dumps({"sha256": record.sha.hexdigest(), "outcomes": sum(record.kinds.values()),
-                      "by_kind": dict(sorted(record.kinds.items()))}, indent=1))
+    out = {}
+    with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None):
+        extended = [functools.partial(section, folder=folder)
+                    for section in (kkt_cli, problem_files, config_refusals)]
+        families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended}
+        for family, sections in families.items():
+            record = Record()
+            for section in sections:
+                sets._KEPT.clear()
+                section(record)
+            out[family] = {"sha256": record.sha.hexdigest(), "outcomes": sum(record.kinds.values()),
+                           "by_kind": dict(sorted(record.kinds.items()))}
+    print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":

@@ -245,8 +245,27 @@ def test_kkt_questions_read_the_anchor_record(monkeypatch):
         kkt.active_set(p, anchor, lam)
     # one constraint value, one objective gradient, one constraint gradient
     assert evaluated == [anchor, p.objective, p.constraints[0]]
-    # one LP for lambda and one per residual, which takes lambda from the caller
-    assert calls == {"solve_lp": 1 + 3, "strict_feasibility": 1, "normal_cone_generators": 1}
+    # one LP for lambda and one for the residual at lambda
+    assert calls == {"solve_lp": 1 + 1, "strict_feasibility": 1, "normal_cone_generators": 1}
+
+
+def test_only_the_residual_at_the_kept_multiplier_is_kept(monkeypatch):
+    e = get_example("ex2_3_constrained")
+    p, anchor = e.problem, e.anchor
+    calls = _counted(monkeypatch, kkt, ("solve_lp",))
+    record = kkt._anchor_record(p, anchor, DEFAULT_CONFIG)
+    lams = [MultiplierVector((0.0,)), MultiplierVector((0.5,)), MultiplierVector((2.0,))]
+    first = [kkt.stationarity_residual(p, anchor, lam) for lam in lams]
+    assert [kkt.stationarity_residual(p, anchor, lam) for lam in lams] == first
+    assert calls["solve_lp"] == 6 and all(type(r) is float for r in first)
+    own = kkt.solve_multipliers(p, anchor)  # one LP
+    assert own.lambdas == (0.5,)
+    resid = [kkt.stationarity_residual(p, anchor, lam) for lam in (*lams, *lams, own)]
+    # one LP for the residual at own, which lams[1] equals; the others are not kept
+    assert calls["solve_lp"] == 6 + 1 + 1 + 4 and resid == first + first + first[1:2]
+    assert list(record.results) == [(), (0,)]  # constraint gradients per index set, none per lambda
+    sets._KEPT.clear()
+    assert [kkt.stationarity_residual(p, anchor, lam) for lam in lams] == first
 
 
 def test_a_failing_multiplier_solve_is_not_kept(monkeypatch):
@@ -334,10 +353,11 @@ def test_kept_records_are_read_only():
     grid = kkt._grid(e.problem, 9, DEFAULT_CONFIG)
     (rows,) = [r for tag, r in grid.results.items() if tag[0] != "oracle"]
     arrays = [record.xb, record.gradient[0], *(g for _, g in record.active((0,))),
-              rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"]]
+              *rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+    assert all(type(t) is tuple for t in (rows.d, rows.g0, rows.active, *(g for _, g in rows.active)))
     anchor = np.array(e.anchor)
     kkt._anchor_record(e.problem, anchor, DEFAULT_CONFIG)
     assert anchor.flags.writeable  # the record keeps a copy

@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcsol import charac, oracle, sets
+from qcsol import charac, kkt, oracle, sets
 from qcsol.charac import (
     check_anchor_hypothesis,
     classify_dichotomy,
@@ -383,21 +383,6 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-@pytest.fixture()
-def memo_grad(monkeypatch):
-    """charac.grad memoized per (expression, point): the pointwise reference
-    below asks for each grid point's gradient once per variant."""
-    seen = {}
-
-    def grad(f, x, dimension=None):
-        key = (id(f), np.asarray(x, dtype=float).tobytes(), dimension)
-        if key not in seen:
-            seen[key] = charac_grad(f, x, dimension)
-        return seen[key]
-
-    monkeypatch.setattr(charac, "grad", grad)
-
-
 def _pointwise(p, anchor, variant, resolution, cfg=DEFAULT_CONFIG):
     return [
         tuple(float(c) for c in x)
@@ -407,7 +392,7 @@ def _pointwise(p, anchor, variant, resolution, cfg=DEFAULT_CONFIG):
 
 
 @pytest.mark.parametrize("name", UNCONSTRAINED)
-def test_enumeration_is_pointwise_membership_at_canonical_resolution(name, memo_grad):
+def test_enumeration_is_pointwise_membership_at_canonical_resolution(name):
     e = get_example(name)
     for v in V:
         want = _outcome(lambda: _pointwise(e.problem, e.anchor, v, e.resolution))
@@ -415,16 +400,15 @@ def test_enumeration_is_pointwise_membership_at_canonical_resolution(name, memo_
         assert got == want, v
 
 
-def count_scalar_grad(monkeypatch, *modules):
-    """Count the calls of scalar grad through each listed module's name."""
+def count_scalar_grad(monkeypatch, *targets):
+    """Count the calls of a scalar gradient through each listed (module, name)."""
     calls = []
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return charac_grad(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, "grad", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -437,7 +421,7 @@ def test_enumeration_takes_the_batch_path(name, monkeypatch):
 
     e = get_example(name)
     for v in V:
-        calls = count_scalar_grad(monkeypatch, expr, charac)
+        calls = count_scalar_grad(monkeypatch, (expr, "grad"), (charac, "_point"))
         _outcome(lambda: enumerate_solution_set(e.problem, e.anchor, v, e.resolution))
         assert len(calls) <= 2, v
 
@@ -491,7 +475,7 @@ NEAR_CONDITIONS = {
 
 
 @pytest.mark.parametrize("condition", sorted(NEAR_CONDITIONS))
-def test_enumeration_decides_near_threshold_rows_like_membership(condition, memo_grad):
+def test_enumeration_decides_near_threshold_rows_like_membership(condition):
     # The tolerance is set to a condition's threshold value at a node, and
     # to the floats next to it, at the first nodes where one of its dot
     # products rounds differently in numpy's row sums than in np.dot.
@@ -591,3 +575,74 @@ def test_decided_conditions_are_kept_per_config():
     for cfg, mask in zip(cfgs, shared):
         sets._KEPT.clear()
         assert np.array_equal(same_direction([cfg])[0], mask)
+
+
+# One point's conditions are decided on floats, a grid's on numpy columns,
+# by the same _Rows: the entries must agree bit for bit.
+_ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e-300, 1e200, -1e200))
+_COORDS = st.lists(_ENTRY | st.floats(-10.0, 10.0), min_size=2, max_size=2)
+_LOOSE = replace(DEFAULT_CONFIG, eps_grad=0.5, eps_dir=1e-3, eps_feas=0.2, eps_act=0.05)
+
+
+def _anchor_of(xb, g0):
+    """What _Rows reads of an anchor record (kkt._Anchor): xb, its gradient and its norm."""
+    g0 = np.array(g0)
+    with np.errstate(over="ignore"):  # the anchor record's norm, on numpy floats
+        return mock.Mock(xb=np.array(xb), gradient=(g0, _norm(g0)))
+
+
+def _entries_hex(entries, point: bool):
+    """Each entry as (name, value's float.hex, verdict, shown); at one point
+    every value is a float and every verdict a bool, in a 1-row array the
+    row's own."""
+    out = []
+    for name, value, ok, shown in entries:
+        if point:
+            assert (type(value), type(ok), type(shown)) == (float, bool, bool), name
+        else:
+            value, ok, shown = (np.asarray(a).reshape(-1)[0] for a in (value, ok, shown))
+        out.append((name, float(value).hex(), bool(ok), bool(shown)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COORDS, _COORDS, _COORDS, _COORDS, _COORDS,
+       st.lists(_ENTRY | st.floats(-1.0, 1.0), min_size=2, max_size=2), st.booleans(),
+       st.sampled_from(((), (0,), (1,), (0, 1))), st.sampled_from((DEFAULT_CONFIG, _LOOSE)))
+@example(x=[1.0, 2.0], xb=[0.0, 1.0], g=[0.0, 0.0], g0=[1.0, 1.0], gi=[1.0, 0.0],
+         values=[0.0, -1.0], in_S=True, tilde=(0,), cfg=DEFAULT_CONFIG)   # zero gradient at x
+@example(x=[1.0, 2.0], xb=[0.0, 1.0], g=[1.0, 3.0], g0=[0.0, -0.0], gi=[1.0, 0.0],
+         values=[0.0, -1.0], in_S=True, tilde=(0,), cfg=DEFAULT_CONFIG)   # zero anchor gradient
+@example(x=[0.5, -1.0], xb=[0.5, -1.0], g=[-2.0, 3.0], g0=[1.0, -1.0], gi=[0.0, -1.0],
+         values=[-0.0, 0.0], in_S=True, tilde=(0, 1), cfg=DEFAULT_CONFIG)  # x = xbar
+@example(x=[-0.0, 0.0], xb=[0.0, -0.0], g=[-0.0, 1.0], g0=[0.0, -1.0], gi=[-0.0, 0.0],
+         values=[-0.0, 0.0], in_S=False, tilde=(1,), cfg=_LOOSE)          # signed zeros
+@example(x=[1e200, -1e200], xb=[-1e200, 1e200], g=[1e200, 1e200], g0=[1e200, -1e200],
+         gi=[1e200, 1e200], values=[1e200, -1e200], in_S=True, tilde=(0,),
+         cfg=DEFAULT_CONFIG)                                               # products overflow
+def test_a_point_decides_on_floats_what_a_row_decides_on_columns(x, xb, g, g0, gi, values,
+                                                                  in_S, tilde, cfg):
+    anchor = _anchor_of(xb, g0)
+    active = [(i, np.array(gi)) for i in tilde]
+    point = charac._Rows(x, g, anchor, kkt._masks(in_S, values, tilde, cfg), cfg, active)
+    with np.errstate(all="ignore"):
+        rows = charac._Rows(np.array([x]).T, np.array([g]).T, anchor, kkt._masks(
+            np.array([in_S]), np.array([values]).T, tilde, cfg), cfg, active)
+        columns = {name: _entries_hex(decide(rows, cfg), False) for name, decide in charac._DECIDE.items()}
+    for name, decide in charac._DECIDE.items():
+        assert _entries_hex(decide(point, cfg), True) == columns[name], name
+
+
+def test_numpy_constants_decide_one_point_as_float_constants():
+    # an AST built through the API may hold numpy floats, whose derivatives
+    # are numpy floats: 0/0 at a zero gradient must read NaN silently
+    from qcsol.expr import Const, Mul, Pow, Var
+    box = Box((-10.0, -10.0), (10.0, 10.0))
+    problems = [Problem(Mul(Const(c), Pow(Var(1), 2)), ConvexSetDescriptor(2, ()), 2, box)
+                for c in (1.0, np.float64(1.0))]
+    for v in CharacVariant:
+        if not v.requires_multiplier and v is not CharacVariant.STILDE:
+            for x in ((0.0, 0.0), (-0.0, 3.0), (2.0, 1.0)):
+                got = [_outcome(lambda: membership(p, (1.0, 0.0), x, v)) for p in problems]
+                assert got[0] == got[1], (v, x)
+                assert all(type(r) is float for r in getattr(got[1], "residuals", {}).values())

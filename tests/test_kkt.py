@@ -693,17 +693,17 @@ def test_enumeration_is_pointwise_membership_at_canonical_resolution(surd, memo_
 
 def test_enumeration_takes_the_batch_path(surd, monkeypatch):
     """Enumeration at canonical resolution asks scalar grad only for the
-    anchor's and the tilde constraints' gradients, not once per node."""
+    anchor's and the tilde constraints' gradients, not once per node
+    (one point's objective gradient is charac._point's)."""
     cp, r = surd.problem, surd.resolution
     lam = solve_multipliers(cp, surd.anchor)
-    calls, original = [], expr.grad
+    calls = []
+    for module, name in ((expr, "grad"), (kkt, "grad"), (charac, "_point")):
+        def counted(*args, original=getattr(module, name), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (expr, charac, kkt):
-        monkeypatch.setattr(module, "grad", counted)
+        monkeypatch.setattr(module, name, counted)
     for v in V:
         calls.clear()
         _result(lambda: enumerate_constrained(cp, surd.anchor, lam, v, r))
