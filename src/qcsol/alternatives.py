@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import DimensionError, InputError, KernelError, ZeroVectorError
-from .expr import _dot, _norm, _ratio
+from .expr import _any, _dot, _norm, _ratio, _scaled, _where
 
 _MAX_ITER = 10_000
 
@@ -279,8 +279,17 @@ def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
 
 def _collinearity(a, b):
     """The least-squares factor p = (a.b)/(a.a) of b on a and the distance
-    ||b - p a||; the entries of b may be floats or numpy columns."""
-    p = _ratio(_dot(a, b), _dot(a, a))
+    ||b - p a||; the entries of b may be floats or numpy columns.  For a
+    nonzero a where a.b overflows, or a.a overflows or underflows to 0, p
+    is taken of a and b scaled by their largest |entry| (expr._scaled), so
+    that every other factor keeps its bits."""
+    ab, aa = _dot(a, b), _dot(a, a)
+    p = _ratio(ab, aa)
+    scale = any(a) & ((abs(ab) == math.inf) | (aa == 0.0) | (aa == math.inf))
+    if _any(scale):
+        with np.errstate(all="ignore"):
+            (ma, sa), (mb, sb) = _scaled(a), _scaled(b)
+            p = _where(scale, _ratio(_dot(sa, sb), _dot(sa, sa)) * (mb / ma), p)
     return p, _norm([bi - p * ai for ai, bi in zip(a, b)])
 
 
@@ -299,7 +308,7 @@ def collinearity_factor(
         raise InputError("collinearity test needs finite vectors")
     if _norm(av) <= cfg.eps_grad or _norm(bv) <= cfg.eps_grad:
         raise ZeroVectorError("collinearity test needs nonzero vectors")
-    p, gap = _collinearity(av, bv)
+    p, gap = _collinearity(av.tolist(), bv.tolist())  # numpy scalars warn where a product overflows
     if p <= 0.0 or gap > cfg.eps_dir * _norm(bv):
         return None
     return float(p)

@@ -11,6 +11,7 @@ it too.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Dict, List, Sequence
 
@@ -30,7 +31,8 @@ from .core import (
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import _ast_key, _at, _dot, _norm, _not, _point, _program, _ratio, _where, evaluate, grad_many
+from .expr import (_any, _ast_key, _at, _dot, _norm, _not, _point, _program, _ratio, _scaled, _where,
+                   evaluate, grad_many)
 from .sets import _kept, contains, contains_many
 
 
@@ -88,7 +90,8 @@ def _dichotomy(p: Problem, X: np.ndarray, cfg: Config) -> DichotomyReport:
     rows = max(1, _PAIRS // k)
     for lo in range(0, k - 1, rows):
         i = np.arange(lo, min(lo + rows, k - 1))
-        cd = _cosine_distance(G.T[:, None, :], norms, G[i].T[:, :, None], norms[i, None])
+        with np.errstate(all="ignore"):  # where a dot product overflows, the cosine is scaled
+            cd = _cosine_distance(G.T[:, None, :], norms, G[i].T[:, :, None], norms[i, None])
         far = (cd > cfg.eps_dir) & (np.arange(k) > i[:, None])
         if far.any():
             first, j = np.argwhere(far)[0]
@@ -184,8 +187,19 @@ _NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_grad
 
 def _cosine_distance(G, gnorm, g0, g0norm):
     """1 - cos of the angle between g0 and each gradient, the columns of G
-    (or one vector), given the norms of both."""
-    return 1.0 - _ratio(_dot(G, g0), gnorm * g0norm)
+    (or one vector), given the norms of both.  Between nonzero vectors
+    whose dot product overflows, or whose norms' product overflows or
+    underflows to 0, it is taken of both scaled by their largest |entry|
+    (expr._scaled), so that every other distance keeps its bits."""
+    dot, both = _dot(G, g0), gnorm * g0norm
+    cd = 1.0 - _ratio(dot, both)
+    off = (abs(dot) == math.inf) | (both == 0.0) | (both == math.inf)
+    scale = (gnorm > 0.0) & (g0norm > 0.0) & off
+    if not _any(scale):
+        return cd
+    with np.errstate(all="ignore"):
+        (_, G), (_, g0) = _scaled(G), _scaled(g0)
+        return _where(scale, 1.0 - _ratio(_dot(G, g0), _norm(G) * _norm(g0)), cd)
 
 
 class _Rows:
@@ -363,12 +377,14 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Confi
     return list(map(tuple, grid.X[member].tolist()))
 
 
-def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config, anchor=None):
+def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config, anchor=None,
+             grid=None):
     """p's feasible grid and the mask of its rows in the variant's set.
     The kind is checked before the grid is read; an empty grid checks no
-    anchor.  anchor is the anchor's record, if the caller holds it."""
+    anchor.  anchor is the anchor's record and grid p's feasible grid
+    (kkt._grid), if the caller holds them."""
     _check_kind(p, lam, variant)
-    grid = kkt._grid(p, resolution, cfg)
+    grid = kkt._grid(p, resolution, cfg) if grid is None else grid
     if not len(grid.X):
         return grid, np.zeros(0, dtype=bool)
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg, anchor)

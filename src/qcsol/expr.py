@@ -149,8 +149,33 @@ def _dot(u, v):
 
 
 def _norm(u):
-    s = _dot(u, u)
-    return math.sqrt(s) if type(s) is float else np.sqrt(s)
+    """sqrt(u . u) of floats or numpy columns (then one norm per row); a
+    1-D array is read as its floats.  Where the sum overflows, it is
+    m |u / m| for u's largest finite |entry| m, so that every finite norm
+    keeps its bits (one that underflows to 0 stays 0)."""
+    if isinstance(u, np.ndarray) and u.ndim == 1:
+        u = u.tolist()  # numpy scalars warn where a square overflows
+    if not isinstance(u[0], np.ndarray):
+        s = _dot(u, u)
+        if s == math.inf:
+            m, v = _scaled(u)
+            if m < math.inf:
+                return m * math.sqrt(_dot(v, v))
+        return math.sqrt(s)
+    with np.errstate(all="ignore"):  # numpy columns warn there too
+        s = _dot(u, u)
+        if not np.count_nonzero(s == np.inf):
+            return np.sqrt(s)
+        m, v = _scaled(u)
+        return np.where((s == np.inf) & (m < np.inf), m * np.sqrt(_dot(v, v)), np.sqrt(s))
+
+
+def _scaled(u) -> tuple:
+    """u's largest |entry| m, of its floats or row by row of its numpy
+    columns, and u / m; a zero u stays zero."""
+    m = _max([abs(c) for c in u])
+    divisor = _where(m > 0.0, m, 1.0)
+    return m, [c / divisor for c in u]
 
 
 def _max(u):
@@ -175,6 +200,11 @@ def _where(mask, u, v):
 def _not(mask):
     """The negation of a bool or of a numpy mask (~ on a bool is an int)."""
     return mask ^ True
+
+
+def _any(mask) -> bool:
+    """Whether a bool holds, or a numpy mask anywhere, without numpy's cost on a bool."""
+    return mask if type(mask) is bool else bool(np.count_nonzero(mask))
 
 
 class _Compiler:

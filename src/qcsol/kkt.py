@@ -37,8 +37,8 @@ from .errors import (
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad, grad_many
-from .sets import _Derived, _check_resolution, _frozen, _kept, contains, normal_cone_generators, sample_grid
+from .expr import _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad
+from .sets import _Derived, _frozen, _Grid, _kept, _window, contains, contains_many, normal_cone_generators
 
 
 @dataclass(frozen=True)
@@ -189,49 +189,26 @@ def feasible_grid(
     return _grid(cp, resolution, cfg).X.copy()
 
 
-class _Grid(_Derived):
-    """One evaluation of a feasible grid, shared by every consumer: rows X,
-    constraint values C (m, N), on first use the objective's gradients and
-    values, and the results derived from them (oracle._oracle, charac._members).
-    Every array is read-only; a failing evaluation is not kept, so it
-    raises again on the next use."""
-
-    def __init__(self, p, X: np.ndarray, C: np.ndarray):
-        self.p, self.X, self.C = p, _frozen(X), _frozen(C)
-
-    @functools.cached_property
-    def gradients(self) -> np.ndarray:
-        """The gradients at every row."""
-        return _frozen(grad_many(self.p.objective, self.X, self.p.dimension))
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The objective's values at every row."""
-        return _frozen(evaluate_many(self.p.objective, self.X))
-
-
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
-    """The feasible grid of p, evaluated once per process and kept in
-    sets' store; p is keyed by repr, as expr's programs are.
-
-    The ground set is tested on all nodes at once (sample_grid) and each
-    constraint is evaluated once on the nodes in it; when an evaluation
+    """The feasible grid of p: the rows of its window's record (sets._window)
+    that is_feasible accepts, with their constraint values C, derived from
+    it once per p and eps_feas; f is evaluated on no other row.  Each
+    constraint is evaluated once on the nodes in the ground set; when one
     fails, the nodes are tested one by one, so that the error is the one
-    is_feasible raises at the first failing node.
-    """
-    _check_resolution(resolution)
+    is_feasible raises at the first failing node."""
+    nodes = _window(p.objective, p.domain_window, resolution)
 
     def build():
-        X = sample_grid(p.ground_set, p.domain_window, resolution, cfg.eps_feas)
+        X = nodes.X[contains_many(p.ground_set, nodes.X, cfg.eps_feas)]
         m = len(p.constraints)
         try:
             V = np.array([evaluate_many(g, X) for g in p.constraints]).reshape(m, len(X))
         except QcsolError:
             V = np.array([_feasible_values(p, x, cfg) or [np.inf] * m for x in X]).T
         keep = np.all(V <= cfg.eps_feas, axis=0)
-        return _Grid(p, X[keep], V[:, keep])
+        return _Grid(p.objective, X[keep], _frozen(V[:, keep]))
 
-    return _kept(("feasible", _ast_key(p), resolution, cfg.eps_feas), build, lambda grid: len(grid.X))
+    return nodes.derived(("feasible", _ast_key(p), cfg.eps_feas), build)
 
 
 def active_set(

@@ -9,6 +9,7 @@ infinite coordinate is refused.  grid_nodes builds every grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import DimensionError, InputError
-from .expr import _MEMO_SIZE, _at, _dot, _floats, _max, _norm
+from .expr import _MEMO_SIZE, _ast_key, _at, _dot, _floats, _max, _norm, evaluate_many, grad_many
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,10 @@ class _Derived:
 
 
 def _held(record, rows) -> int:
-    """The rows a kept record holds now: its own, once more per derived result."""
-    return rows(record) * (1 + len(getattr(record, "results", ())))
+    """The rows a kept record holds now: its own, once more per derived
+    result, and in place of a derived record what that one holds."""
+    return rows(record) + sum(_held(r, rows) if isinstance(r, _Derived) else rows(record)
+                              for r in getattr(record, "results", {}).values())
 
 
 def _kept(key: tuple, build, rows=lambda record: 0):
@@ -243,6 +246,35 @@ def _kept(key: tuple, build, rows=lambda record: 0):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class _Grid(_Derived):
+    """f evaluated once on the rows X (N, n) of a grid, shared by every
+    consumer: constraint values C (m, N) if given, f's values and gradients
+    on first use and the results derived from them, all read-only.  A
+    failing evaluation is not kept, so it raises again on the next use."""
+
+    def __init__(self, f, X: np.ndarray, C=None):
+        self.f, self.X, self.C = f, _frozen(X), C
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """f at every row."""
+        return _frozen(evaluate_many(self.f, self.X))
+
+    @functools.cached_property
+    def gradients(self) -> np.ndarray:
+        """The gradients of f at every row."""
+        return _frozen(grad_many(self.f, self.X, self.X.shape[1]))
+
+
+def _window(f, window: Box, resolution: int) -> _Grid:
+    """The window's grid_nodes as a _Grid of f, kept once per process: each
+    grid question derives its answer from it under a tag led by its kind.
+    f and the window are keyed by repr, so 0.0 and -0.0 bounds differ."""
+    _check_resolution(resolution)
+    return _kept(("window", _ast_key(f), _ast_key(window), resolution),
+                 lambda: _Grid(f, grid_nodes(window, resolution)), lambda grid: len(grid.X))
 
 
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray,

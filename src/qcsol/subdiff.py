@@ -17,9 +17,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError, InputError
-from .expr import ExprAst, _ast_key, _dot, _norm, evaluate, evaluate_many, grad
+from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad
 from .kkt import _anchor_record
-from .sets import Box, _check_resolution, _Derived, _frozen, _kept, contains, grid_nodes
+from .sets import Box, _check_resolution, _frozen, _window, contains
 
 
 @dataclass(frozen=True)
@@ -30,28 +30,19 @@ class MLPair:
     t: float
 
 
-class _Record(_Derived, tuple):
-    """A kept record's read-only parts, with what a route derives from them."""
-
-
 def _grid_values(f: ExprAst, window: Box, resolution: int):
-    """The (N, n) array of grid nodes over the window, and f at each, as
-    read-only arrays evaluated once per process and kept in sets' store;
-    f and the window are keyed by repr, so 0.0 and -0.0 bounds differ."""
-
-    def build():
-        X = grid_nodes(window, resolution)
-        return _Record((_frozen(X), _frozen(evaluate_many(f, X))))
-
-    return _kept(("gp", _ast_key(f), _ast_key(window), resolution), build,
-                 lambda grid: len(grid[0]))
+    """The window's record (sets._window) with f found at every node, so
+    that the first node where f fails raises: its rows X and values are
+    read-only arrays, evaluated once per process."""
+    grid = _window(f, window, resolution)
+    grid.values
+    return grid
 
 
 def _gp_members(V: np.ndarray, x0: np.ndarray, f0: float, grid, eps: float) -> np.ndarray:
     """The rows v of V for which no grid point x has v.(x - x0) >= -eps
     and f(x) < f0 - eps."""
-    X, values = grid
-    steps = (X[values < f0 - eps] - x0).T
+    steps = (grid.X[grid.values < f0 - eps] - x0).T
     ahead = _dot(V.T[:, :, None], steps[:, None, :]) >= -eps
     return V[~np.any(ahead, axis=1)]
 
@@ -119,7 +110,7 @@ def gp_solution_check(
     grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)
     step = [c - cb for c, cb in zip(xv, xb)]
     # the rays and xbar's unit gradient: kept, tested at xbar
-    kept = grid.derived(anchor, lambda: _frozen(_gp_members(
+    kept = grid.derived(("gp", anchor), lambda: _frozen(_gp_members(
         _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
     V, nrm = kept[~(np.abs(_dot(kept.T, step)) > eps)], _norm(gx)  # |v.step| <= eps, or NaN
     if nrm > cfg.eps_grad and not abs(_dot(gx / nrm, step)) > eps:  # x's unit row
@@ -129,29 +120,27 @@ def gp_solution_check(
     return bool(len(V))
 
 
-def _window(f: ExprAst, window: Box, resolution: int):
-    """What every halfline infimum reads of f on the grid_nodes ys of a 1-D
-    window, in one batch: ys, a lookup table of the running minima of f from
-    either end (min over ys[i:] at i, -inf, -inf, min over ys[:k] at
-    len(ys) + 1 + k) and f at the edge-trend points lo, lo + step, hi and
-    hi - step.  Kept in sets' store like the GP grid, with ys and the table
-    read-only; where f fails, raises what evaluate raises at the first."""
+def _ml_window(f: ExprAst, window: Box, resolution: int) -> tuple:
+    """The 1-D window's record (_grid_values) and what every halfline
+    infimum reads of it, derived from it once: its nodes ys, a lookup table
+    of the running minima of f from either end (min over ys[i:] at i, -inf,
+    -inf, min over ys[:k] at len(ys) + 1 + k) and f at the edge-trend points
+    lo, lo + step, hi and hi - step.  ys and the table are read-only; where
+    f fails, raises what evaluate raises at the first node, then edge point."""
     if window.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
-    _check_resolution(resolution)
+    grid = _grid_values(f, window, resolution)
 
     def build():
-        ys = grid_nodes(window, resolution)[:, 0]
         lo, hi = window.lo[0], window.hi[0]
         step = (hi - lo) / (resolution - 1)
-        values = evaluate_many(f, np.concatenate([ys, (lo, lo + step, hi, hi - step)])[:, None])
-        grid = values[:resolution]
-        return _Record((_frozen(ys), _frozen(np.concatenate([
-            np.minimum.accumulate(grid[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(grid)
-        ])), tuple(values[resolution:].tolist())))
+        edges = evaluate_many(f, np.array([lo, lo + step, hi, hi - step])[:, None])
+        values = grid.values
+        return grid.X[:, 0], _frozen(np.concatenate([
+            np.minimum.accumulate(values[::-1])[::-1], (-np.inf, -np.inf), np.minimum.accumulate(values)
+        ])), tuple(edges.tolist())
 
-    return _kept(("ml", _ast_key(f), _ast_key(window), resolution), build,
-                 lambda w: len(w[0]))
+    return grid, grid.derived(("ml", "table"), build)
 
 
 def _halfline_infima(w: tuple, V: np.ndarray, T: np.ndarray, eps: float) -> np.ndarray:
@@ -193,7 +182,7 @@ def ml_member_1d(
     infimum read off the window as ml_solution_check_1d reads it."""
     _finite(x=x)
     V, T = np.array([[pair.v], [pair.t]], dtype=float)
-    inf = _halfline_infima(_window(f, window, resolution), V, T, cfg.eps_feas)
+    inf = _halfline_infima(_ml_window(f, window, resolution)[1], V, T, cfg.eps_feas)
     return bool(_ml_members(f, x, V, T, inf, cfg.eps_feas)[0])
 
 
@@ -254,11 +243,11 @@ def ml_solution_check_1d(
     if not contains(p.feasible_set, [x], cfg.eps_feas):
         return False
     f, window, eps = p.objective, p.domain_window, cfg.eps_feas
-    w = _window(f, window, resolution)
+    grid, w = _ml_window(f, window, resolution)
     # kept on the window: the default pairs, slopes then thresholds, and their infima per eps_feas
-    V, T = w.derived("pairs", lambda: _frozen(np.array(
+    V, T = grid.derived(("ml", "pairs"), lambda: _frozen(np.array(
         [(q.v, q.t) for q in default_ml_pairs(window)]).T.copy()))
-    inf = w.derived(eps, lambda: _frozen(_halfline_infima(w, V, T, eps)))
+    inf = grid.derived(("ml", eps), lambda: _frozen(_halfline_infima(w, V, T, eps)))
     at_x = _ml_members(f, x, V, T, inf, eps)
     if not np.count_nonzero(at_x):
         return False

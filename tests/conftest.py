@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from qcsol import charac, kkt, sets, subdiff
+from qcsol import charac, sets
 
 # Tier-1 draws the same hypothesis examples on every run, so that it
 # passes or fails on the code alone.  QCSOL_HYPOTHESIS_PROFILE=explore
@@ -17,22 +17,22 @@ settings.load_profile(os.environ.get("QCSOL_HYPOTHESIS_PROFILE", "tier1"))
 
 @pytest.fixture(autouse=True)
 def _cold_records():
-    """Every test starts with no kept record (feasible grid, anchor, GP
-    grid, ML window, dichotomy report or problem document, with what is
-    derived from it), so that no result, grid count or evaluation count
-    depends on the tests that ran before it."""
+    """Every test starts with no kept record (window, anchor, dichotomy
+    report or problem document, with what is derived from it: the feasible
+    grids, GP values and ML tables of a window), so that no result, grid
+    count or evaluation count depends on the tests that ran before it."""
     sets._KEPT.clear()
 
 
 @pytest.fixture()
 def grid_work(monkeypatch):
-    """The grids built (their resolutions), feasible or GP, and the
-    gradient batches (their row counts) taken on grid records and by
-    classify_dichotomy from now on, in call order, with the kept records
-    cleared first.  A kept dichotomy report or grid record takes no batch,
-    so a batch counted twice is work done twice."""
+    """The grids built (their resolutions), for a window record or by
+    sample_grid, and the gradient batches (their row counts) taken on grid
+    records and by classify_dichotomy from now on, in call order, with the
+    kept records cleared first.  A kept dichotomy report or grid record
+    takes no batch, so a batch counted twice is work done twice."""
     work = {"grids": [], "gradients": []}
-    nodes, gradients = sets.grid_nodes, kkt.grad_many
+    nodes, gradients = sets.grid_nodes, sets.grad_many
 
     def counted_nodes(window, resolution):
         work["grids"].append(resolution)
@@ -43,8 +43,7 @@ def grid_work(monkeypatch):
         return gradients(f, X, n)
 
     monkeypatch.setattr(sets, "grid_nodes", counted_nodes)
-    monkeypatch.setattr(subdiff, "grid_nodes", counted_nodes)
-    monkeypatch.setattr(kkt, "grad_many", counted_gradients)
+    monkeypatch.setattr(sets, "grad_many", counted_gradients)
     monkeypatch.setattr(charac, "grad_many", counted_gradients)
     sets._KEPT.clear()
     return work

@@ -38,6 +38,16 @@ stays comparable with older trees:
 * config refusals: bad config flags, and ``QCX_CONFIG`` files and
   problem-file config objects with bad keys in several orders, under
   ``verify-membership`` and ``kkt-solve``.
+
+The call-order family, hashed apart too: every order of five of the
+grid questions (``brute_force_solutions``, ``enumerate_solution_set``,
+``feasible_grid``, ``gp_solution_check``, ``gp_member`` and, on a 1-D
+window, ``ml_solution_check_1d`` and ``ml_member_1d``) at resolution 5,
+each order on an empty store and then again, on three objectives over
+a window that reaches past x1 >= 0: ``sqrt(x1) + x1``, which fails off
+the feasible set, ``sqrt(x1) + x2``, whose GP grid fails, and
+``(x1 - 0.5)^2``, which fails nowhere.  Whichever question reads a
+window first, each answers as it would alone.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ import enum
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -59,9 +70,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcsol import charac, cli, kkt, sets, subdiff  # noqa: E402
+from qcsol import charac, cli, kkt, oracle, sets, subdiff  # noqa: E402
 from qcsol.config import Config  # noqa: E402
-from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector  # noqa: E402
+from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem  # noqa: E402
 from qcsol.expr import parse  # noqa: E402
 from qcsol.problemfile import dumps  # noqa: E402
 from qcsol.registry import get_example  # noqa: E402
@@ -347,6 +358,38 @@ def cli_runs(record: Record):
             record(" ".join(argv), lambda: _cli(argv))
 
 
+def _call_order_problems():
+    """(name, problem, anchor, point) of each call-order objective, over
+    [-1, 1]^n with the feasible set x1 >= 0."""
+    for n, text, xbar, x in ((1, "sqrt(x1) + x1", (0.0,), (0.5,)),
+                             (2, "sqrt(x1) + x2", (0.0, -1.0), (0.5, -1.0)),
+                             (1, "(x1 - 0.5)^2", (0.5,), (0.5,))):
+        half = ConvexSetDescriptor(n, (Halfspace((-1.0,) + (0.0,) * (n - 1), 0.0),))
+        yield text, Problem(parse(text, n), half, n, Box((-1.0,) * n, (1.0,) * n)), xbar, x
+
+
+def call_orders(record: Record):
+    for name, p, xbar, x in _call_order_problems():
+        f, window, v = p.objective, p.domain_window, (1.0,) + (0.0,) * (p.dimension - 1)
+        calls = {
+            "brute_force_solutions": lambda: oracle.brute_force_solutions(p, 5),
+            "enumerate_solution_set": lambda: charac.enumerate_solution_set(
+                p, xbar, CharacVariant.T1, 5),
+            "feasible_grid": lambda: kkt.feasible_grid(p, 5),
+            "gp_solution_check": lambda: subdiff.gp_solution_check(p, xbar, x, 5),
+            "gp_member": lambda: subdiff.gp_member(f, x, v, window, 5),
+        }
+        if p.dimension == 1:
+            calls["ml_solution_check_1d"] = lambda: subdiff.ml_solution_check_1d(p, xbar[0], x[0], 5)
+            calls["ml_member_1d"] = lambda: subdiff.ml_member_1d(
+                f, x[0], subdiff.MLPair(1.0, 0.0), window, 5)
+        for order in itertools.permutations(calls, 5):
+            sets._KEPT.clear()
+            for state in ("cold", "warm"):
+                for call in order:
+                    record(f"order {name} {' '.join(order)} {state} {call}", calls[call])
+
+
 def _point_text(x) -> str:
     return ",".join(map(repr, x))
 
@@ -477,7 +520,8 @@ def main():
     with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None):
         extended = [functools.partial(section, folder=folder)
                     for section in (kkt_cli, problem_files, config_refusals)]
-        families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended}
+        families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended,
+                    "call_order": (call_orders,)}
         for family, sections in families.items():
             record = Record()
             for section in sections:

@@ -260,6 +260,16 @@ class TestCollinearity:
         with pytest.raises(ZeroVectorError):
             collinearity_factor([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+    def test_vectors_whose_dot_products_overflow_keep_their_verdict(self, scale):
+        # a.a and a.b overflow above about 1e154 per entry; the factor is
+        # then taken of the scaled vectors, and no numpy warning is raised
+        a = [scale, scale]
+        assert collinearity_factor(a, [3.0 * scale, 3.0 * scale]) == pytest.approx(3.0, rel=1e-15)
+        assert collinearity_factor(np.array(a), np.array([0.5 * scale] * 2)) == pytest.approx(0.5)
+        assert collinearity_factor(a, [-scale, -scale]) is None
+        assert collinearity_factor([scale, 0.0], a) is None
+
     @given(
         st.floats(-5, 5, allow_nan=False),
         st.floats(-5, 5, allow_nan=False),

@@ -156,28 +156,29 @@ def test_a_grids_rows_and_oracle_mask_go_with_it():
     refs = [weakref.ref(a) for a in (grid, *_grid_results(grid))]
     del grid
     f = parse("x1", 1)
-    # the anchor's record, then the grid (used last), go by LRU: the grid
-    # and its results live until the 512th newer record
+    # the anchor's record, then the window that holds the grid (used
+    # last), go by LRU: the grid and its results live until the 512th newer record
     for k in range(512):
-        subdiff._window(f, Box((float(k),), (k + 1.0,)), 2)
+        sets._window(f, Box((float(k),), (k + 1.0,)), 2)
         if k >= 510:
             gc.collect()
             assert [ref() is None for ref in refs] == [k == 511] * 3
 
 
 def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
-    # 16 oracle results and one set of condition rows on 62,845 rows
+    # 16 oracle results and one set of condition rows on 62,845 feasible
+    # rows, derived from the window's record of 301^2 nodes
     e, eps = get_example("ex2_3"), [i / 1000 for i in range(16)]
     grid = kkt._grid(e.problem, 301, DEFAULT_CONFIG)
     rows = charac.enumerate_solution_set(e.problem, e.anchor, V.T1, 301)
     warm = [brute_force_solutions(e.problem, 301, x) for x in eps]
     assert len(grid.results) == 17 and kkt._grid(e.problem, 301, DEFAULT_CONFIG) is grid
-    assert MAX_GRID_NODES < _rows_held() == 18 * len(grid.X)
+    assert MAX_GRID_NODES < _rows_held() == 301 ** 2 + 18 * len(grid.X)
     masks = [weakref.ref(r[1]) for tag, r in grid.results.items() if tag[0] == "oracle"]
     del grid
     kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)  # the next miss drops it
     gc.collect()
-    # only the grid: e.anchor's record holds no rows, so it stays with the new one
+    # only the window with its grid: e.anchor's record holds no rows, so it stays with the new one
     assert [key[0] for key in sets._KEPT] == ["anchor", "anchor"] and _rows_held() == 0
     assert len(masks) == 16 and all(mask() is None for mask in masks)
     # asked again, then of a cold store, it answers as before
@@ -195,7 +196,7 @@ def test_records_that_hold_no_rows_stay_when_a_grid_passes_the_row_bound():
                for i in range(100)]
     for x in (i / 1000 for i in range(16)):  # 16 oracle results on 62,845 rows
         brute_force_solutions(e.problem, 301, x)
-    assert MAX_GRID_NODES < _rows_held() == 17 * 62845
+    assert MAX_GRID_NODES < _rows_held() == 301 ** 2 + 17 * 62845
     new = kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)
     assert [entry[0] for entry in sets._KEPT.values()] == records + [new]
     assert _rows_held() == 0
@@ -352,8 +353,9 @@ def test_kept_records_are_read_only():
     record = kkt._anchor_record(e.problem, e.anchor, DEFAULT_CONFIG)
     grid = kkt._grid(e.problem, 9, DEFAULT_CONFIG)
     (rows,) = [r for tag, r in grid.results.items() if tag[0] != "oracle"]
+    window = sets._window(e.problem.objective, e.problem.domain_window, 9)
     arrays = [record.xb, record.gradient[0], *(g for _, g in record.active((0,))),
-              *rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"]]
+              *rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"], grid.X, grid.C, window.X]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcsol import charac, kkt, oracle, sets
@@ -210,7 +210,8 @@ def test_a_dichotomy_is_kept_per_problem_points_and_config(grid_work):
 @pytest.mark.parametrize("points,error", [
     ([(-1.0, 0.0), (0.0, 0.0)], InconsistentDichotomyError),
     ([(0.0, 0.0), (-5.0, 0.0)], InputError),
-], ids=["mixed", "infeasible"])
+    ([], InputError),
+], ids=["mixed", "infeasible", "none"])
 def test_a_failing_dichotomy_raises_on_every_call(grid_work, points, error):
     p = get_example("ex2_2").problem
     messages = set()
@@ -499,10 +500,12 @@ def test_enumeration_decides_near_threshold_rows_like_membership(condition):
 
 
 def _kept_rows(cfg=DEFAULT_CONFIG):
-    """The condition rows kept under cfg on the kept feasible grids."""
-    return [rows for key, (grid, _) in sets._KEPT.items() if key[0] == "feasible"
-            for tag, rows in vars(grid).get("results", {}).items() if tag[0] != "oracle"
-            and tag[0].cfg == cfg]
+    """The condition rows kept under cfg on the feasible grids derived
+    from the kept window records."""
+    grids = [grid for key, (window, _) in sets._KEPT.items() if key[0] == "window"
+             for tag, grid in vars(window).get("results", {}).items() if tag[0] == "feasible"]
+    return [rows for grid in grids for tag, rows in vars(grid).get("results", {}).items()
+            if tag[0] != "oracle" and tag[0].cfg == cfg]
 
 
 def test_each_condition_is_decided_once_per_grid_anchor_and_config(monkeypatch):
@@ -646,3 +649,42 @@ def test_numpy_constants_decide_one_point_as_float_constants():
                 got = [_outcome(lambda: membership(p, (1.0, 0.0), x, v)) for p in problems]
                 assert got[0] == got[1], (v, x)
                 assert all(type(r) is float for r in getattr(got[1], "residuals", {}).values())
+
+
+def _scaled_plane(c: str) -> Problem:
+    """c*x1 + c*x2 on the open plane, over the window [0, 1]^2."""
+    return Problem(parse(f"{c}*x1 + {c}*x2", 2), ConvexSetDescriptor(2, ()), 2,
+                   Box((0.0, 0.0), (1.0, 1.0)))
+
+
+def test_a_gradient_whose_square_overflows_keeps_every_verdict():
+    # at 1e200 the sums of squares and the dot products overflow: the norm,
+    # the cosine and the collinearity factor are then taken of scaled
+    # vectors, so every plain variant reads what it reads at 1e100, with
+    # finite residuals (and no numpy warning, which fails the suite)
+    small, large, xb = _scaled_plane("1e100"), _scaled_plane("1e200"), (0.5, 0.5)
+    for x in ((0.75, 0.25), (0.5, 0.5), (0.9, 0.3)):
+        for v in PLAIN_VARIANTS:
+            want, got = membership(small, xb, x, v), membership(large, xb, x, v)
+            assert got.member is want.member and set(got.residuals) == set(want.residuals), (x, v)
+            assert all(np.isfinite(list(got.residuals.values()))), (x, v)
+    for v in PLAIN_VARIANTS:  # a grid's columns decide as the points do
+        assert enumerate_solution_set(large, xb, v, 5) == enumerate_solution_set(small, xb, v, 5), v
+    pts = [(0.5, 0.5), (0.25, 0.75), (0.0, 1.0)]
+    assert classify_dichotomy(large, pts).common_unit_gradient == \
+        classify_dichotomy(small, pts).common_unit_gradient
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=3),
+       st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_cosine_of_finite_sums_keeps_its_bits(g, g0):
+    # the scaled form is taken only where the plain one overflows or underflows
+    n = min(len(g), len(g0))
+    g, g0 = g[:n], g0[:n]
+    gn, g0n = _norm(g), _norm(g0)
+    assume(gn * g0n > 0.0)
+    want = 1.0 - _dot(g, g0) / (gn * g0n)
+    assert charac._cosine_distance(g, gn, g0, g0n).hex() == want.hex()
+    columns = charac._cosine_distance(np.array([g]).T, np.array([gn]), g0, g0n)
+    assert columns.tolist() == [want]

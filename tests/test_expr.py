@@ -16,6 +16,8 @@ from qcsol.errors import BoundaryMismatchError, DimensionError, EvalError, Parse
 from qcsol.expr import (
     _MAX_DEPTH,
     _ast_key,
+    _dot,
+    _norm,
     _extract_linear,
     _tokenize,
     _program,
@@ -1063,3 +1065,27 @@ def test_parse_raises_only_parse_errors(text):
         parse(text, 2)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("u", [[1e200, 1e200], [3e200, -4e200], [1e308, 1e308, 1e-300], [-1e155, 2e154]])
+def test_a_norm_whose_sum_overflows_is_taken_of_the_scaled_vector(u):
+    m = max(map(abs, u))
+    want = m * math.sqrt(_dot([c / m for c in u], [c / m for c in u]))
+    assert math.isinf(_dot(u, u)) and math.isfinite(want)
+    # floats, a 1-D array (without numpy's overflow warning) and a column
+    # beside a small one read the same bits
+    columns = _norm(np.array([u, [1.0] * len(u)]).T)
+    assert [_norm(u).hex(), float(_norm(np.array(u))).hex()] == [want.hex()] * 2
+    assert columns.tolist() == [want, math.sqrt(len(u))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4))
+def test_a_norm_of_a_finite_sum_keeps_its_bits(u):
+    # an infinite entry or a finite sum reads sqrt(u . u); a sum that
+    # underflows to 0 stays 0, as a ball of radius 0 reads it
+    s = _dot(u, u)
+    if math.isinf(s) and all(map(math.isfinite, u)):
+        return
+    assert _norm(u).hex() == math.sqrt(s).hex()
+    assert _norm(np.array([u]).T).tolist() == [math.sqrt(s)]

@@ -4,6 +4,7 @@ as test_raises walks it for raises; and every functools cache beside the
 store is on a short list, each with its reason."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -36,8 +37,20 @@ def test_every_kept_kind_is_named_in_the_readme():
     section = _store_section()
     undocumented = sorted({kind for _, kind, _ in found if f"kind `{kind}`" not in section})
     assert undocumented == []
-    # the walk sees every caller of the store
-    assert {module for module, _, _ in found} >= {"kkt", "charac", "subdiff", "problemfile"}
+    # the walk sees every caller of the store, and the README names the kinds it finds
+    assert {module for module, _, _ in found} >= {"kkt", "charac", "sets", "problemfile"}
+    kinds = sorted({kind for _, kind, _ in found})
+    assert kinds == ["anchor", "dichotomy", "document", "window"]
+    assert "Four kinds of result are kept" in (ROOT / "README.md").read_text()
+    assert sorted(re.findall(r"kind `(\w+)`", section)) == kinds
+
+
+def test_grid_routes_derive_from_the_window_record_only():
+    """The feasible grid and both subdifferential routes keep nothing in
+    the store themselves: kkt keeps anchors only, and subdiff nothing."""
+    found = {(module, kind) for module, kind, _ in _kinds()}
+    assert {kind for module, kind in found if module == "kkt"} == {"anchor"}
+    assert not any(module == "subdiff" for module, _ in found)
 
 
 # (module, function) -> why it is a functools cache and not kept in the

@@ -1,6 +1,7 @@
 """Greenberg-Pierskalla and Martinez-Legaz subdifferential routes."""
 
 import gc
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from qcsol.config import DEFAULT_CONFIG, Config
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, EvalError, InputError
 from qcsol.expr import _dot, _norm, evaluate, grad, parse
+from qcsol.oracle import brute_force_solutions
 from qcsol.registry import get_example
 from qcsol.sets import MAX_GRID_NODES, Box, ConvexSetDescriptor, grid_nodes
 from qcsol.subdiff import (
@@ -111,14 +113,14 @@ class TestMartinezLegaz:
     def test_default_pair_arrays_are_read_only_and_built_once(self, flat):
         p, w = flat.problem, flat.problem.domain_window
         ml_solution_check_1d(p, 0.0, 0.5)
-        record = subdiff._window(p.objective, w, 201)
-        V, T = kept = record.results["pairs"]
+        record = sets._window(p.objective, w, 201)
+        V, T = kept = record.results["ml", "pairs"]
         assert not V.flags.writeable and not T.flags.writeable
         pairs = default_ml_pairs(w)
         assert V.tobytes() == np.array([q.v for q in pairs]).tobytes()
         assert T.tobytes() == np.array([q.t for q in pairs]).tobytes()
         ml_solution_check_1d(p, 0.0, 1.5, form="M1")
-        assert record.results["pairs"] is kept
+        assert record.results["ml", "pairs"] is kept
 
     def test_solution_check_accepts_a_window_built_from_lists(self, flat):
         p = flat.problem
@@ -308,7 +310,7 @@ class TestSharedWindowValues:
 
     def test_gp_grid_values_are_the_scalar_values(self, quadrant):
         f, w = quadrant.problem.objective, quadrant.problem.domain_window
-        pts, vals = subdiff._grid_values(f, w, 21)
+        vals = subdiff._grid_values(f, w, 21).values
         assert [v.hex() for v in vals.tolist()] == [
             evaluate(f, x).hex() for x in grid_nodes(w, 21)
         ]
@@ -327,7 +329,7 @@ class TestSharedWindowValues:
 
 def _ref_gp_member(f, x0, v, grid, eps):
     """The per-point GP loop."""
-    X, values = grid
+    X, values = grid.X, grid.values
     f0 = evaluate(f, x0)
     for x, fx in zip(X, values):
         if _dot(v, x - x0) >= -eps and fx < f0 - eps:
@@ -356,17 +358,17 @@ def _ref_gp_check(p, xbar, x, candidates, grid, cfg):
 def test_gp_route_equals_per_point_loop(quadrant):
     p, xbar = quadrant.problem, quadrant.anchor
     grid = subdiff._grid_values(p.objective, p.domain_window, 21)
-    assert grid[0].shape == (441, 2)
+    assert grid.X.shape == (441, 2)
     # equal components make exact ties with the left-to-right dot product
     custom = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.6), (0.3, -0.3), (0.7, 0.1), (-0.6, 0.8)]
     seen = set()
     for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
-        for x in grid[0]:
+        for x in grid.X:
             cands = default_gp_candidates(p.objective, xbar, x, 2, cfg)
             got = gp_solution_check(p, xbar, x, _grid=grid, cfg=cfg)
             assert got is _ref_gp_check(p, xbar, x, cands, grid, cfg), (cfg, x)
             seen.add(got)
-        for x in grid[0][::7]:
+        for x in grid.X[::7]:
             for v in custom:
                 got = gp_member(p.objective, x, v, p.domain_window, cfg=cfg)
                 assert got is _ref_gp_member(p.objective, x, np.asarray(v), grid, cfg.eps_feas)
@@ -506,12 +508,12 @@ def test_gp_grids_are_kept_read_only_per_window(quadrant):
     f, w = quadrant.problem.objective, quadrant.problem.domain_window
     grid = subdiff._grid_values(f, w, 21)
     assert subdiff._grid_values(f, Box(tuple(w.lo), tuple(w.hi)), 21) is grid
-    assert not grid[0].flags.writeable and not grid[1].flags.writeable
+    assert not grid.X.flags.writeable and not grid.values.flags.writeable
     # a -0.0 upper bound is the last node on its axis
     up, down = (Box(w.lo, (2.0, z)) for z in (0.0, -0.0))
     assert up == down
     a, b = subdiff._grid_values(f, up, 5), subdiff._grid_values(f, down, 5)
-    assert a is not b and a[0].tolist() == b[0].tolist() and a[0].tobytes() != b[0].tobytes()
+    assert a is not b and a.X.tolist() == b.X.tolist() and a.X.tobytes() != b.X.tobytes()
 
 
 def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
@@ -519,14 +521,14 @@ def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
     p = get_example("ex2_3").problem
     feasible = kkt._grid(p, 700, DEFAULT_CONFIG)
     grid = subdiff._grid_values(f, w, 830)
-    assert len(feasible.X) + len(grid[0]) > MAX_GRID_NODES
-    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [len(grid[0])]
+    assert len(feasible.X) + len(grid.X) > MAX_GRID_NODES
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [len(grid.X)]
     # each evicts the other when it is evaluated again
     assert kkt._grid(p, 700, DEFAULT_CONFIG) is not feasible
     assert subdiff._grid_values(f, w, 830) is not grid
 
 
-def test_a_kept_ml_window_is_evaluated_once(flat, monkeypatch):
+def test_a_kept_ml_window_is_evaluated_once(flat, grid_work, monkeypatch):
     batches = []
     real = subdiff.evaluate_many
 
@@ -535,29 +537,48 @@ def test_a_kept_ml_window_is_evaluated_once(flat, monkeypatch):
         return real(f, X)
 
     monkeypatch.setattr(subdiff, "evaluate_many", counted)
+    monkeypatch.setattr(sets, "evaluate_many", counted)
     p = flat.problem
     assert ml_solution_check_1d(p, 0.0, 0.5)
-    assert batches == [201 + 4]  # the grid and the four edge-trend points
+    assert batches == [201, 4]  # the window record's nodes, then the four edge-trend points
     assert ml_solution_check_1d(p, 0.0, 0.5) and not ml_solution_check_1d(p, 0.0, 1.5, form="M1")
     assert not ml_member_1d(p.objective, 1.5, MLPair(1.0, 0.0), p.domain_window)
-    assert batches == [205]
+    # the GP route reads the record's values, and the feasible grid its
+    # nodes, with f found on the feasible rows alone
+    gp_member(p.objective, (0.5,), (1.0,), p.domain_window, 201)
+    feasible = brute_force_solutions(p, 201).grid_size
+    assert batches == [201, 4, feasible] and grid_work["grids"] == [201]
     assert ml_solution_check_1d(p, 0.0, 0.5, resolution=41)  # another resolution, another window
-    assert batches == [205, 45]
+    assert batches == [201, 4, feasible, 41, 4] and grid_work["grids"] == [201, 41]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("feasible", "gp", "ml"))))
+def test_a_window_builds_its_nodes_once_whichever_question_comes_first(flat, grid_work, order):
+    p = flat.problem
+    ask = {"feasible": lambda: kkt.feasible_grid(p, 201).tolist(),
+           "gp": lambda: gp_member(p.objective, (1.5,), (-1.0,), p.domain_window, 201),
+           "ml": lambda: ml_solution_check_1d(p, 0.0, 0.5)}
+    answers = [ask[name]() for name in order]
+    assert grid_work["grids"] == [201] and [key[0] for key in sets._KEPT] == ["window"]
+    for name, answer in zip(order, answers):
+        sets._KEPT.clear()
+        assert ask[name]() == answer, name
 
 
 def test_ml_windows_are_kept_read_only_per_window(flat):
     f, w = flat.problem.objective, flat.problem.domain_window
-    record = subdiff._window(f, w, 201)
-    assert subdiff._window(f, Box(tuple(w.lo), tuple(w.hi)), 201) is record
+    window, record = subdiff._ml_window(f, w, 201)
+    assert subdiff._ml_window(f, Box(tuple(w.lo), tuple(w.hi)), 201) == (window, record)
+    assert window.results["ml", "table"] is record
     ys, minima, edges = record
     assert not ys.flags.writeable and not minima.flags.writeable
     assert isinstance(edges, tuple) and all(type(v) is float for v in edges)
     # a -0.0 upper bound is the last node
     up, down = (Box((-2.0,), (z,)) for z in (0.0, -0.0))
     assert up == down
-    a, b = subdiff._window(f, up, 5), subdiff._window(f, down, 5)
+    a, b = subdiff._ml_window(f, up, 5)[1], subdiff._ml_window(f, down, 5)[1]
     assert a is not b and a[0].tolist() == b[0].tolist() and a[0].tobytes() != b[0].tobytes()
-    assert [key[0] for key in sets._KEPT] == ["ml"] * 3
+    assert [key[0] for key in sets._KEPT] == ["window"] * 3
 
 
 def test_warm_ml_verdicts_equal_cold_ones(flat):
@@ -598,19 +619,19 @@ def test_ml_infima_are_kept_per_eps_feas(flat):
                 if cold:
                     sets._KEPT.clear()
                 got[cfg, form].append(ml_solution_check_1d(p, xbar, x, cfg=cfg, form=form))
-                record = subdiff._window(p.objective, p.domain_window, 201)
-                infima = record.results[cfg.eps_feas]
-                want = subdiff._halfline_infima(record, V, T, cfg.eps_feas)
+                window, table = subdiff._ml_window(p.objective, p.domain_window, 201)
+                infima = window.results["ml", cfg.eps_feas]
+                want = subdiff._halfline_infima(table, V, T, cfg.eps_feas)
                 assert infima.tobytes() == want.tobytes() and not infima.flags.writeable
-        # the pairs, and their infima under each eps_feas, kept side by side
-        assert len(record.results) == 1 + (1 if cold else len(cfgs))
+        # the table, the pairs, and their infima under each eps_feas, kept side by side
+        assert len(window.results) == 2 + (1 if cold else len(cfgs))
         return got
 
     warm = verdicts(cold=False)
     assert len(sets._KEPT) == 1 and warm == verdicts(cold=True)
     assert warm[cfgs[0], "M2"] != warm[cfgs[2], "M2"]
-    record = subdiff._window(p.objective, p.domain_window, 201)
-    infima = [subdiff._halfline_infima(record, V, T, cfg.eps_feas).tolist() for cfg in cfgs]
+    table = subdiff._ml_window(p.objective, p.domain_window, 201)[1]
+    infima = [subdiff._halfline_infima(table, V, T, cfg.eps_feas).tolist() for cfg in cfgs]
     assert infima[0] != infima[1] != infima[2] != infima[0]
 
 
@@ -656,19 +677,20 @@ def test_a_callers_grid_is_answered_from_that_grid(quadrant):
 def test_a_kept_gp_side_goes_with_its_grid(quadrant):
     p, xbar = quadrant.problem, quadrant.anchor
     assert gp_solution_check(p, xbar, (0.0, -1.0))
-    (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "gp"]
-    (kept,) = grid.results.values()
-    nodes, side = weakref.ref(grid[0]), weakref.ref(kept)
+    (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "window"]
+    (tag, kept), = grid.results.items()
+    assert tag[0] == "gp" and tag[1] is kkt._anchor_record(p, xbar, DEFAULT_CONFIG)
+    nodes, side = weakref.ref(grid.X), weakref.ref(kept)
     del kept
     del grid
     f = parse("x1", 1)
     for k in range(512):  # as many records as the store holds evict it by LRU
-        subdiff._window(f, Box((float(k),), (k + 1.0,)), 2)
+        sets._window(f, Box((float(k),), (k + 1.0,)), 2)
     gc.collect()
     assert nodes() is None and side() is None
 
 
-def test_a_window_where_f_fails_is_not_kept():
+def test_a_window_where_f_fails_keeps_no_values():
     f, w = parse("pw[x1 <= 1: x1]", 1), Box((0.0,), (2.0,))
     p = Problem(f, ConvexSetDescriptor(1, ()), 1, w)
     for _ in range(2):
@@ -676,22 +698,37 @@ def test_a_window_where_f_fails_is_not_kept():
             ml_solution_check_1d(p, 0.0, 0.5)
         with pytest.raises(EvalError, match=r"point \(1.01,\) outside every piecewise guard"):
             ml_member_1d(f, 0.5, MLPair(1.0, 0.0), w)
-    assert not any(key[0] == "ml" for key in sets._KEPT)
+    # the window's nodes are kept, and nothing found from f
+    (window,) = [record for record, _ in sets._KEPT.values()]
+    assert "values" not in vars(window) and not getattr(window, "results", {})
     with pytest.raises(DimensionError):  # refused before the store is read
-        subdiff._window(f, Box((0.0, 0.0), (1.0, 1.0)), 5)
-    assert len(sets._KEPT) == 0
+        subdiff._ml_window(f, Box((0.0, 0.0), (1.0, 1.0)), 5)
+    assert len(sets._KEPT) == 1
+
+
+def test_a_failing_edge_point_keeps_no_table():
+    # f fails at the edge-trend point hi - step = 1 - 1/3, which rounds
+    # above the grid node 2/3, and at no node
+    f, w = parse("1 / (x1 - 0.6666666666666667)", 1), Box((0.0,), (1.0,))
+    assert 1.0 - 1.0 / 3.0 != grid_nodes(w, 4)[2, 0]
+    for _ in range(2):
+        with pytest.raises(EvalError, match="division by zero"):
+            ml_member_1d(f, 0.5, MLPair(1.0, 0.0), w, 4)
+    (window,) = [record for record, _ in sets._KEPT.values()]
+    assert "values" in vars(window) and not getattr(window, "results", {})
 
 
 def test_ml_windows_count_toward_the_shared_row_bound(flat, quadrant):
     f, w = quadrant.problem.objective, quadrant.problem.domain_window
     grid = subdiff._grid_values(f, w, 830)
-    resolution = MAX_GRID_NODES - len(grid[0]) + 1
-    window = subdiff._window(flat.problem.objective, flat.problem.domain_window, resolution)
-    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [resolution]
+    resolution = MAX_GRID_NODES - len(grid.X) + 1
+    window, _ = subdiff._ml_window(flat.problem.objective, flat.problem.domain_window, resolution)
+    # the GP grid went at the ML window's miss; the table counts its nodes once more
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [2 * resolution]
     # each evicts the other when it is evaluated again
     assert subdiff._grid_values(f, w, 830) is not grid
-    assert subdiff._window(flat.problem.objective, flat.problem.domain_window,
-                           resolution) is not window
+    assert subdiff._ml_window(flat.problem.objective, flat.problem.domain_window,
+                              resolution)[0] is not window
 
 
 def test_ml_route_equals_per_pair_loop_on_custom_pairs(monkeypatch):
@@ -757,10 +794,10 @@ def test_ml_region_outside_the_window_certifies_nothing():
     assert not ml_member_1d(g, -1.0, MLPair(-2.0, 1.0), w)
     # a region that meets the window reads its grid minimum
     assert _ref_halfline_inf(f, MLPair(1.0, 0.5), w, 201, cfg) == 0.5
-    window = subdiff._window(f, w, 201)
+    table = subdiff._ml_window(f, w, 201)[1]
     V, T = np.array([-1.0, 1.0, -2.0, 1.0]), np.array([0.5, 1.5, 3.0, 0.5])
     want = [_ref_halfline_inf(f, MLPair(v, t), w, 201, cfg) for v, t in zip(V, T)]
-    assert subdiff._halfline_infima(window, V, T, cfg.eps_feas).tolist() == want
+    assert subdiff._halfline_infima(table, V, T, cfg.eps_feas).tolist() == want
 
 
 def test_ml_member_refuses_a_window_of_fewer_than_two_nodes(flat):
@@ -837,7 +874,8 @@ def test_ml_route_equals_its_definition(case):
     f = parse(text, 1)
     p = Problem(f, ConvexSetDescriptor(1, ()), 1, window)
     V, T = np.array([[pair.v, pair.t] for pair in pairs]).T
-    infima = subdiff._halfline_infima(subdiff._window(f, window, resolution), V, T, cfg.eps_feas)
+    table = subdiff._ml_window(f, window, resolution)[1]
+    infima = subdiff._halfline_infima(table, V, T, cfg.eps_feas)
     assert infima.tolist() == [
         _ref_halfline_inf(f, pair, window, resolution, cfg) for pair in pairs
     ]
