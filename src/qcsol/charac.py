@@ -377,14 +377,12 @@ def _enumerate(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Confi
     return list(map(tuple, grid.X[member].tolist()))
 
 
-def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config, anchor=None,
-             grid=None):
+def _members(p, xbar, lam, variant: CharacVariant, resolution: int, cfg: Config, anchor=None):
     """p's feasible grid and the mask of its rows in the variant's set.
     The kind is checked before the grid is read; an empty grid checks no
-    anchor.  anchor is the anchor's record and grid p's feasible grid
-    (kkt._grid), if the caller holds them."""
+    anchor.  anchor is the anchor's record, if the caller holds it."""
     _check_kind(p, lam, variant)
-    grid = kkt._grid(p, resolution, cfg) if grid is None else grid
+    grid = kkt._grid(p, resolution, cfg)
     if not len(grid.X):
         return grid, np.zeros(0, dtype=bool)
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg, anchor)

@@ -155,7 +155,7 @@ def _norm(u):
     keeps its bits (one that underflows to 0 stays 0)."""
     if isinstance(u, np.ndarray) and u.ndim == 1:
         u = u.tolist()  # numpy scalars warn where a square overflows
-    if not isinstance(u[0], np.ndarray):
+    if not len(u) or not isinstance(u[0], np.ndarray):
         s = _dot(u, u)
         if s == math.inf:
             m, v = _scaled(u)

@@ -38,7 +38,8 @@ from .errors import (
     QcsolError,
 )
 from .expr import _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad
-from .sets import _Derived, _frozen, _Grid, _kept, _window, contains, contains_many, normal_cone_generators
+from .sets import (_Derived, _check_resolution, _frozen, _Grid, _kept, _window, contains, contains_many,
+                   normal_cone_generators)
 
 
 @dataclass(frozen=True)
@@ -191,15 +192,16 @@ def feasible_grid(
 
 def _grid(p, resolution: int, cfg: Config) -> _Grid:
     """The feasible grid of p: the rows of its window's record (sets._window)
-    that is_feasible accepts, with their constraint values C, derived from
-    it once per p and eps_feas; f is evaluated on no other row.  Each
-    constraint is evaluated once on the nodes in the ground set; when one
-    fails, the nodes are tested one by one, so that the error is the one
-    is_feasible raises at the first failing node."""
-    nodes = _window(p.objective, p.domain_window, resolution)
+    that is_feasible accepts, with their constraint values C, kept beside
+    that record per p (keyed by repr) and eps_feas; f is evaluated on no
+    other row.  Each constraint is evaluated once on the nodes in the
+    ground set; when one fails, the nodes are tested one by one, so that
+    the error is the one is_feasible raises at the first failing node."""
+    _check_resolution(resolution)
 
     def build():
-        X = nodes.X[contains_many(p.ground_set, nodes.X, cfg.eps_feas)]
+        nodes = _window(p.objective, p.domain_window, resolution).X
+        X = nodes[contains_many(p.ground_set, nodes, cfg.eps_feas)]
         m = len(p.constraints)
         try:
             V = np.array([evaluate_many(g, X) for g in p.constraints]).reshape(m, len(X))
@@ -208,7 +210,8 @@ def _grid(p, resolution: int, cfg: Config) -> _Grid:
         keep = np.all(V <= cfg.eps_feas, axis=0)
         return _Grid(p.objective, X[keep], _frozen(V[:, keep]))
 
-    return nodes.derived(("feasible", _ast_key(p), cfg.eps_feas), build)
+    return _kept(("window", _ast_key(p), resolution, "feasible", cfg.eps_feas), build,
+                 lambda grid: len(grid.X))
 
 
 def active_set(

@@ -34,15 +34,9 @@ def brute_force_solutions(
 ) -> OracleResult:
     """Exhaustive minimization over the feasible grid; eps_opt defaults
     to cfg.eps_opt, and must be what Config accepts for it."""
-    return _solved(p, resolution, eps_opt, cfg)[1]
-
-
-def _solved(p, resolution: int, eps_opt: Optional[float], cfg: Config) -> tuple:
-    """p's feasible grid and brute_force_solutions' result on it."""
     if eps_opt is not None and eps_opt != cfg.eps_opt:
         cfg = replace(cfg, eps_opt=eps_opt)  # refused as Config refuses it
-    grid = _grid(p, resolution, cfg)
-    return grid, _oracle(grid, cfg.eps_opt)[0]
+    return _oracle(_grid(p, resolution, cfg), cfg.eps_opt)[0]
 
 
 def _oracle(grid, eps_opt: float) -> tuple:
@@ -79,11 +73,11 @@ def agreement(
     one grid; eps_opt defaults to cfg.eps_opt."""
     _check_kind(p, None, variant)
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
-    grid, result = _solved(p, resolution, eps_opt, cfg)
+    result = brute_force_solutions(p, resolution, eps_opt, cfg)
     anchor = _anchor_record(p, xbar, cfg)
     if anchor.value > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
-    member = _members(p, xbar, None, variant, resolution, cfg, anchor, grid)[1]
+    grid, member = _members(p, xbar, None, variant, resolution, cfg, anchor)
     oracle = _oracle(grid, eps_opt)[1]
     # a window with lo == hi on some axis repeats rows: each point is listed once
     missing, extra = (tuple(sorted(set(map(tuple, grid.X[rows].tolist()))))

@@ -219,10 +219,8 @@ class _Derived:
 
 
 def _held(record, rows) -> int:
-    """The rows a kept record holds now: its own, once more per derived
-    result, and in place of a derived record what that one holds."""
-    return rows(record) + sum(_held(r, rows) if isinstance(r, _Derived) else rows(record)
-                              for r in getattr(record, "results", {}).values())
+    """The rows a kept record holds now: its own, once more per derived result."""
+    return rows(record) * (1 + len(getattr(record, "results", ())))
 
 
 def _kept(key: tuple, build, rows=lambda record: 0):

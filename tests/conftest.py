@@ -17,10 +17,10 @@ settings.load_profile(os.environ.get("QCSOL_HYPOTHESIS_PROFILE", "tier1"))
 
 @pytest.fixture(autouse=True)
 def _cold_records():
-    """Every test starts with no kept record (window, anchor, dichotomy
-    report or problem document, with what is derived from it: the feasible
-    grids, GP values and ML tables of a window), so that no result, grid
-    count or evaluation count depends on the tests that ran before it."""
+    """Every test starts with no kept record (window or feasible grid,
+    anchor, dichotomy report or problem document, with what is derived
+    from it: the GP values and ML tables of a window), so that no result,
+    grid count or evaluation count depends on the tests that ran before it."""
     sets._KEPT.clear()
 
 

@@ -259,6 +259,8 @@ class TestCollinearity:
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
             collinearity_factor([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ZeroVectorError):  # an empty vector's norm is 0
+            collinearity_factor([], [])
 
     @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
     def test_vectors_whose_dot_products_overflow_keep_their_verdict(self, scale):

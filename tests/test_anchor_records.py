@@ -156,8 +156,8 @@ def test_a_grids_rows_and_oracle_mask_go_with_it():
     refs = [weakref.ref(a) for a in (grid, *_grid_results(grid))]
     del grid
     f = parse("x1", 1)
-    # the anchor's record, then the window that holds the grid (used
-    # last), go by LRU: the grid and its results live until the 512th newer record
+    # the anchor's record, the window's nodes, then the grid (used last)
+    # go by LRU: the grid and its results live until the 512th newer record
     for k in range(512):
         sets._window(f, Box((float(k),), (k + 1.0,)), 2)
         if k >= 510:
@@ -167,7 +167,7 @@ def test_a_grids_rows_and_oracle_mask_go_with_it():
 
 def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
     # 16 oracle results and one set of condition rows on 62,845 feasible
-    # rows, derived from the window's record of 301^2 nodes
+    # rows, kept beside the window's record of 301^2 nodes
     e, eps = get_example("ex2_3"), [i / 1000 for i in range(16)]
     grid = kkt._grid(e.problem, 301, DEFAULT_CONFIG)
     rows = charac.enumerate_solution_set(e.problem, e.anchor, V.T1, 301)
@@ -178,7 +178,7 @@ def test_a_grid_past_the_row_bound_by_its_own_results_is_dropped_with_them():
     del grid
     kkt._anchor_record(e.problem, (0.5, 0.5), DEFAULT_CONFIG)  # the next miss drops it
     gc.collect()
-    # only the window with its grid: e.anchor's record holds no rows, so it stays with the new one
+    # only the window and the grid: e.anchor's record holds no rows, so it stays with the new one
     assert [key[0] for key in sets._KEPT] == ["anchor", "anchor"] and _rows_held() == 0
     assert len(masks) == 16 and all(mask() is None for mask in masks)
     # asked again, then of a cold store, it answers as before

@@ -500,12 +500,11 @@ def test_enumeration_decides_near_threshold_rows_like_membership(condition):
 
 
 def _kept_rows(cfg=DEFAULT_CONFIG):
-    """The condition rows kept under cfg on the feasible grids derived
-    from the kept window records."""
-    grids = [grid for key, (window, _) in sets._KEPT.items() if key[0] == "window"
-             for tag, grid in vars(window).get("results", {}).items() if tag[0] == "feasible"]
-    return [rows for grid in grids for tag, rows in vars(grid).get("results", {}).items()
-            if tag[0] != "oracle" and tag[0].cfg == cfg]
+    """The condition rows kept under cfg on the kept feasible grids, each
+    kept under the window kind as (window, p, resolution, feasible, eps_feas)."""
+    return [rows for key, (grid, _) in sets._KEPT.items() if key[3:4] == ("feasible",)
+            for tag, rows in vars(grid).get("results", {}).items() if tag[0] != "oracle"
+            and tag[0].cfg == cfg]
 
 
 def test_each_condition_is_decided_once_per_grid_anchor_and_config(monkeypatch):

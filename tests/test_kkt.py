@@ -837,30 +837,40 @@ class TestGridMemo:
         assert a is not b and b.X.tolist() == feasible_grid(far, 5).tolist()
 
     def test_records_hold_at_most_max_grid_nodes_rows(self):
-        # each resolution is a new window record, whose feasible grid counts
-        # toward its rows: past the row bound, the older window goes with it
         e = get_example("ex2_3")
         held = []
-        for resolution in (700, 701, 702, 703):
-            grid = kkt._grid(e.problem, resolution, DEFAULT_CONFIG)
+        for eps in (1e-9, 1e-8, 1e-7, 1e-6):
+            cfg = replace(DEFAULT_CONFIG, eps_feas=eps)
+            grid = kkt._grid(e.problem, 700, cfg)
             assert len(grid.X) > MAX_GRID_NODES // 3
             held.append(sum(sets._held(*entry) for entry in sets._KEPT.values()))
-            assert held[-1] == resolution ** 2 + len(grid.X)
+            assert kkt._grid(e.problem, 700, cfg) is grid
+        assert max(held) <= MAX_GRID_NODES and len(sets._KEPT) < 4
+
+    def test_a_new_window_past_the_row_bound_evicts_the_older_one(self):
+        # the window's nodes and its feasible grid are two records: past
+        # the row bound, the older window and grid go
+        e = get_example("ex2_3")
+        for resolution in (700, 701, 702):
+            grid = kkt._grid(e.problem, resolution, DEFAULT_CONFIG)
+            held = sum(sets._held(*entry) for entry in sets._KEPT.values())
+            assert held == resolution ** 2 + len(grid.X) <= MAX_GRID_NODES
             assert kkt._grid(e.problem, resolution, DEFAULT_CONFIG) is grid
-        assert max(held) <= MAX_GRID_NODES and len(sets._KEPT) == 1
+        assert len(sets._KEPT) == 2
 
     def test_feasible_grids_of_one_window_share_its_nodes(self, grid_work):
-        # a grid per eps_feas, each derived from the one record of the window
+        # a grid record per eps_feas, each filtered from the one window record
         e = get_example("ex2_3")
         grids = [kkt._grid(e.problem, 101, replace(DEFAULT_CONFIG, eps_feas=eps))
                  for eps in (1e-9, 1e-2, 1e-1)]
         assert grid_work["grids"] == [101] and len({id(grid) for grid in grids}) == 3
         assert [len(grid.X) for grid in grids] == sorted(len(grid.X) for grid in grids)
-        (window,) = [record for record, _ in sets._KEPT.values()]
+        assert [key[0] for key in sets._KEPT] == ["window"] * 4
         assert [grid.X.tolist() for grid in grids] == [
             feasible_grid(e.problem, 101, replace(DEFAULT_CONFIG, eps_feas=eps)).tolist()
             for eps in (1e-9, 1e-2, 1e-1)]
-        assert sets._held(window, lambda grid: len(grid.X)) == 101 ** 2 + sum(len(g.X) for g in grids)
+        held = [sets._held(*entry) for entry in sets._KEPT.values()]
+        assert held == [101 ** 2] + [len(grid.X) for grid in grids]
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_a_warm_grid_gives_the_cold_answers(self, name):

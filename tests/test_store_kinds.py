@@ -46,10 +46,11 @@ def test_every_kept_kind_is_named_in_the_readme():
 
 
 def test_grid_routes_derive_from_the_window_record_only():
-    """The feasible grid and both subdifferential routes keep nothing in
-    the store themselves: kkt keeps anchors only, and subdiff nothing."""
+    """Both subdifferential routes keep nothing in the store themselves,
+    and kkt keeps anchors and its feasible grids, each under the window
+    kind beside the window's record."""
     found = {(module, kind) for module, kind, _ in _kinds()}
-    assert {kind for module, kind in found if module == "kkt"} == {"anchor"}
+    assert {kind for module, kind in found if module == "kkt"} == {"anchor", "window"}
     assert not any(module == "subdiff" for module, _ in found)
 
 

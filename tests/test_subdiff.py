@@ -559,7 +559,8 @@ def test_a_window_builds_its_nodes_once_whichever_question_comes_first(flat, gri
            "gp": lambda: gp_member(p.objective, (1.5,), (-1.0,), p.domain_window, 201),
            "ml": lambda: ml_solution_check_1d(p, 0.0, 0.5)}
     answers = [ask[name]() for name in order]
-    assert grid_work["grids"] == [201] and [key[0] for key in sets._KEPT] == ["window"]
+    # the window's record, and the feasible grid kept beside it
+    assert grid_work["grids"] == [201] and [key[0] for key in sets._KEPT] == ["window", "window"]
     for name, answer in zip(order, answers):
         sets._KEPT.clear()
         assert ask[name]() == answer, name
