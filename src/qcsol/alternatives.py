@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import DimensionError, InputError, KernelError, ZeroVectorError
-from .expr import _any, _dot, _norm, _ratio, _scaled, _where
+from .expr import _dot, _lost, _norm, _ratio, _rescaled, _sum
 
 _MAX_ITER = 10_000
 
@@ -39,14 +39,6 @@ def _listed(A, depth: int) -> list:
     if type(A) is list and (depth == 1 or all(type(a) is list for a in A)):
         return A
     return np.array(A, dtype=float, ndmin=depth).tolist()
-
-
-def _sum(values) -> float:
-    """Left-to-right sum from 0.0: numpy's result on fewer than 8 entries."""
-    s = 0.0
-    for v in values:
-        s += v
-    return s
 
 
 def _pivot(T, basis, row, col):
@@ -279,17 +271,12 @@ def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
 
 def _collinearity(a, b):
     """The least-squares factor p = (a.b)/(a.a) of b on a and the distance
-    ||b - p a||; the entries of b may be floats or numpy columns.  For a
-    nonzero a where a.b overflows, or a.a overflows or underflows to 0, p
-    is taken of a and b scaled by their largest |entry| (expr._scaled), so
-    that every other factor keeps its bits."""
+    ||b - p a||; the entries of b may be floats or numpy columns.  Where
+    a.a overflows or underflows to 0, or a.b overflows, p is taken of a
+    and b scaled (expr._rescaled), times their scales' ratio."""
     ab, aa = _dot(a, b), _dot(a, a)
-    p = _ratio(ab, aa)
-    scale = any(a) & ((abs(ab) == math.inf) | (aa == 0.0) | (aa == math.inf))
-    if _any(scale):
-        with np.errstate(all="ignore"):
-            (ma, sa), (mb, sb) = _scaled(a), _scaled(b)
-            p = _where(scale, _ratio(_dot(sa, sb), _dot(sa, sa)) * (mb / ma), p)
+    p = _rescaled(_ratio(ab, aa), _lost(aa, ab),
+                  lambda a, b, ma, mb: _ratio(_dot(a, b), _dot(a, a)) * (mb / ma), a, b)
     return p, _norm([bi - p * ai for ai, bi in zip(a, b)])
 
 

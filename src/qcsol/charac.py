@@ -11,7 +11,6 @@ it too.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from typing import Dict, List, Sequence
 
@@ -31,7 +30,7 @@ from .core import (
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import (_any, _ast_key, _at, _dot, _norm, _not, _point, _program, _ratio, _scaled, _where,
+from .expr import (_ast_key, _at, _dot, _lost, _norm, _not, _point, _program, _ratio, _rescaled, _where,
                    evaluate, grad_many)
 from .sets import _kept, contains, contains_many
 
@@ -187,19 +186,12 @@ _NEEDS_ANCHOR_GRADIENT = {v for v, names in _CONDITIONS.items() if "nonzero_grad
 
 def _cosine_distance(G, gnorm, g0, g0norm):
     """1 - cos of the angle between g0 and each gradient, the columns of G
-    (or one vector), given the norms of both.  Between nonzero vectors
-    whose dot product overflows, or whose norms' product overflows or
-    underflows to 0, it is taken of both scaled by their largest |entry|
-    (expr._scaled), so that every other distance keeps its bits."""
+    (or one vector), given the norms of both.  Where the norms' product
+    overflows or underflows to 0, or the dot product overflows, it is
+    taken of both vectors scaled (expr._rescaled)."""
     dot, both = _dot(G, g0), gnorm * g0norm
-    cd = 1.0 - _ratio(dot, both)
-    off = (abs(dot) == math.inf) | (both == 0.0) | (both == math.inf)
-    scale = (gnorm > 0.0) & (g0norm > 0.0) & off
-    if not _any(scale):
-        return cd
-    with np.errstate(all="ignore"):
-        (_, G), (_, g0) = _scaled(G), _scaled(g0)
-        return _where(scale, 1.0 - _ratio(_dot(G, g0), _norm(G) * _norm(g0)), cd)
+    return _rescaled(1.0 - _ratio(dot, both), _lost(both, dot),
+                     lambda G, g0, *_: 1.0 - _ratio(_dot(G, g0), _norm(G) * _norm(g0)), G, g0)
 
 
 class _Rows:

@@ -3,6 +3,10 @@
 All comparisons against "exact" statements (zero gradients, equal
 normalized gradients, active constraints, set membership) go through one
 Config record so the CLI can override every threshold in one place.
+Each field's comment gives its unit: [f] is the objective's, [x] a
+coordinate's and [g] a constraint's.  A tolerance in units of f makes a
+verdict change when f is scaled: eps_grad, eps_opt, eps_feas on the dot
+conditions and the samplers' values, and eps_lp on KKT's multipliers.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ def _is_finite_real(value) -> bool:
 
 @dataclass(frozen=True)
 class Config:
-    eps_grad: float = 1e-8    # a gradient with norm <= eps_grad counts as zero
-    eps_dir: float = 1e-8     # cosine-distance tolerance for equal unit gradients
-    eps_act: float = 1e-9     # |residual| <= eps_act marks a constraint active
-    eps_feas: float = 1e-9    # slack tolerance for set membership / inequalities
-    eps_lp: float = 1e-9      # pivot / certificate tolerance of the LP kernel
-    eps_opt: float = 1e-9     # f-value band defining the discrete solution set
-    delta_open: float = 1e-9  # interior margin approximating open domains
+    eps_grad: float = 1e-8    # [f]/[x]: a gradient with norm <= eps_grad counts as zero
+    eps_dir: float = 1e-8     # no unit: cosine distance of equal unit gradients; collinearity gap / |b|
+    eps_act: float = 1e-9     # [g], or [x] for an atom: |residual| <= eps_act marks a constraint active
+    eps_feas: float = 1e-9    # slack: [x] on set atoms, [g] on constraints, [f] on f and grad f . (x - xbar)
+    eps_lp: float = 1e-9      # LP kernel tolerance; [f]/[x] and [f]/[g] on KKT's grad f and lambda
+    eps_opt: float = 1e-9     # [f]: f-value band defining the discrete solution set
+    delta_open: float = 1e-9  # [x]: interior margin approximating open domains
     seed: int = 42            # default seed for all sampled checks
 
     def __post_init__(self):

@@ -141,41 +141,56 @@ _EPS_VAL = 1e-9
 _EPS_DIR = 1e-8
 
 
+def _sum(values):
+    """The values summed left to right from 0.0, 0 + v1 + v2 + ... (so an
+    all-zero sum is +0, as in BLAS, and fewer than 8 floats sum as numpy
+    sums them); the values may be floats or numpy columns."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _dot(u, v):
-    """u . v summed left to right, 0 + u1 v1 + u2 v2 + ... (so an all-zero
-    sum is +0, as in BLAS); the entries may be floats or numpy columns
-    (then one dot product per row)."""
-    return functools.reduce(operator.add, map(operator.mul, u, v), 0.0)
+    """u . v, the _sum of u1 v1, u2 v2, ...; the entries may be floats or
+    numpy columns (then one dot product per row)."""
+    return _sum(map(operator.mul, u, v))
 
 
 def _norm(u):
     """sqrt(u . u) of floats or numpy columns (then one norm per row); a
-    1-D array is read as its floats.  Where the sum overflows, it is
-    m |u / m| for u's largest finite |entry| m, so that every finite norm
-    keeps its bits (one that underflows to 0 stays 0)."""
+    1-D array is read as its floats.  Where the sum overflows or
+    underflows to 0, it is m |u / m| (_rescaled)."""
     if isinstance(u, np.ndarray) and u.ndim == 1:
         u = u.tolist()  # numpy scalars warn where a square overflows
     if not len(u) or not isinstance(u[0], np.ndarray):
         s = _dot(u, u)
-        if s == math.inf:
-            m, v = _scaled(u)
-            if m < math.inf:
-                return m * math.sqrt(_dot(v, v))
-        return math.sqrt(s)
-    with np.errstate(all="ignore"):  # numpy columns warn there too
-        s = _dot(u, u)
-        if not np.count_nonzero(s == np.inf):
-            return np.sqrt(s)
-        m, v = _scaled(u)
-        return np.where((s == np.inf) & (m < np.inf), m * np.sqrt(_dot(v, v)), np.sqrt(s))
+        root = math.sqrt(s)
+    else:
+        with np.errstate(all="ignore"):  # numpy columns warn there too
+            s = _dot(u, u)
+            root = np.sqrt(s)
+    return _rescaled(root, _lost(s), lambda v, m: m * _norm(v), u)
 
 
-def _scaled(u) -> tuple:
-    """u's largest |entry| m, of its floats or row by row of its numpy
-    columns, and u / m; a zero u stays zero."""
-    m = _max([abs(c) for c in u])
-    divisor = _where(m > 0.0, m, 1.0)
-    return m, [c / divisor for c in u]
+def _lost(s, dot=0.0):
+    """The trigger of _rescaled: where a sum of squares s (or a product of
+    norms) overflowed or underflowed to 0, or a dot product overflowed.
+    A dot product of 0 does not count: it may be exact."""
+    return (s == 0.0) | (s == math.inf) | (abs(dot) == math.inf)
+
+
+def _rescaled(value, off, redo, *vectors):
+    """value, a formula's plain result in the vectors (floats or numpy
+    columns), except where off holds and every vector is nonzero and
+    finite: there it is redo(*scaled, *m), of each vector u scaled by its
+    largest |entry| m, row by row.  off is a bool or a numpy mask; every
+    other result keeps its bits."""
+    if not _any(off):
+        return value
+    with np.errstate(all="ignore"):  # rows that keep value may divide 0 by 0
+        ms = [_max([abs(c) for c in u] or [0.0]) for u in vectors]
+        on = functools.reduce(operator.and_, [(m > 0.0) & (m < math.inf) for m in ms], off)
+        if not _any(on):
+            return value
+        return _where(on, redo(*[[c / m for c in u] for u, m in zip(vectors, ms)], *ms), value)
 
 
 def _max(u):

@@ -1,11 +1,13 @@
 """Equivalence hashes: one sha256 over the outcomes of each fixed family of calls.
 
-Run from a checkout's root, ``python tests/equivalence.py``; it imports
-qcsol from that checkout's ``src``.  Two trees whose printed sha256 agree
-answered every call of the family alike: the same value (arrays by dtype,
-shape and bytes, floats by their hex form) or the same error class and
-message.  Tier-1 does not collect this file; it needs only the standard
-library and numpy.
+Run from a checkout's root, ``python tests/equivalence.py [LISTING]``; it
+imports qcsol from that checkout's ``src``.  Two trees whose printed sha256
+agree answered every call of the family alike: the same value (arrays by
+dtype, shape and bytes, floats by their hex form) or the same error class
+and message.  Given a LISTING path, it also writes there one
+``family label<TAB>outcome`` line per outcome, in call order, so that
+``diff`` of two trees' listings names the outcomes that moved.  Tier-1
+does not collect this file; it needs only the standard library and numpy.
 
 The committed family:
 
@@ -105,11 +107,12 @@ def canon(value):
 
 
 class Record:
-    """The running hash and the count of outcomes by kind."""
+    """The running hash, the count of outcomes by kind and the listing (a text file)."""
 
-    def __init__(self):
+    def __init__(self, family: str, listing):
         self.sha = hashlib.sha256()
         self.kinds: Counter = Counter()
+        self.family, self.listing = family, listing
 
     def __call__(self, label: str, call):
         """Run call() and hash its outcome under label: True, False, another
@@ -123,6 +126,7 @@ class Record:
             text = canon(value)
         self.kinds[kind] += 1
         self.sha.update(f"{label}\n{text}\n".encode())
+        self.listing.write(f"{self.family} {label}\t{text}\n")
 
 
 def _entries(rng, count: int):
@@ -515,15 +519,16 @@ def _json_value(text: str):
         return None
 
 
-def main():
+def main(listing_path=None):
     out = {}
-    with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None):
+    with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None), \
+            open(listing_path or os.devnull, "w") as listing:
         extended = [functools.partial(section, folder=folder)
                     for section in (kkt_cli, problem_files, config_refusals)]
         families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended,
                     "call_order": (call_orders,)}
         for family, sections in families.items():
-            record = Record()
+            record = Record(family, listing)
             for section in sections:
                 sets._KEPT.clear()
                 section(record)
@@ -533,4 +538,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

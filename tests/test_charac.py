@@ -19,7 +19,7 @@ from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant, DichotomyReport, Problem, as_point
 from qcsol.errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                           QcsolError)
-from qcsol.expr import _dot, _norm, grad as charac_grad, parse
+from qcsol.expr import Const, Mul, _dot, _norm, grad as charac_grad, parse
 from qcsol.registry import get_example
 from qcsol.sets import Box, ConvexSetDescriptor, Halfspace, contains, sample_grid
 from test_registry import EXAMPLE_NAMES
@@ -672,6 +672,66 @@ def test_a_gradient_whose_square_overflows_keeps_every_verdict():
     pts = [(0.5, 0.5), (0.25, 0.75), (0.0, 1.0)]
     assert classify_dichotomy(large, pts).common_unit_gradient == \
         classify_dichotomy(small, pts).common_unit_gradient
+
+
+# What 2^k * f moves against f at the canonical resolution: the oracle's
+# size, the dichotomy and each plain enumeration's size, or the error
+# class raised instead.  Values and derivatives scale exactly, so an
+# outcome moves only through an absolute tolerance.  At 2^-40 every
+# gradient counts as zero and every value lies within eps_opt of f*; at
+# 2^-20 ex4_1's oracle takes three nodes whose gradients are not zero.
+# From 2^20 up nothing moves; from 2^520 every gradient entry above 1e-2
+# exceeds 1.3e154, so the grid's norms, cosines and collinearity factors
+# are rescaled (expr._rescaled).
+_S_VARIANTS = ("SHAT1", "SHAT2", "S1", "S2", "S3", "S4", "S5")
+_T_VARIANTS = ("STILDE", "THAT1", "THAT2", "T1", "T2", "T3", "T4", "T5")
+_SCALE_MOVES = {
+    **{(name, -40): {"oracle": size, "dichotomy": "II", **dict.fromkeys(_T_VARIANTS, size),
+                     **dict.fromkeys(_S_VARIANTS, "HypothesisViolatedError")}
+       for name, size in (("ex2_1", 1261), ("ex2_2", 169), ("ex2_3", 2521))},
+    **{(name, -40): {"oracle": size, **dict.fromkeys(_T_VARIANTS, size)}
+       for name, size in (("ex2_4", 153), ("ex4_1", 201))},
+    ("ex4_1", -20): {"oracle": 104, "dichotomy": "InconsistentDichotomyError"},
+}
+
+
+def _scale_outcomes(e, k: int) -> dict:
+    """The oracle's points, the dichotomy's alternative and each plain
+    enumeration (or the error class raised) for 2^k times e's objective,
+    and the membership verdicts at the anchor and a few grid nodes."""
+    p = replace(e.problem, objective=Mul(Const(2.0 ** k), e.problem.objective))
+    solutions = oracle.brute_force_solutions(p, e.resolution).solution_points
+    out = {"oracle": solutions,
+           "dichotomy": _class_or(lambda: classify_dichotomy(p, solutions).alternative)}
+    for v in PLAIN_VARIANTS:
+        out[v.value] = _class_or(lambda: enumerate_solution_set(p, e.anchor, v, e.resolution))
+    nodes = sets.grid_nodes(p.domain_window, e.resolution).tolist()
+    for x in [e.anchor, *nodes[::len(nodes) // 5]]:
+        for v in PLAIN_VARIANTS:  # the float path decides as the grid's columns do
+            enumerated = out[v.value]
+            want = enumerated if isinstance(enumerated, str) else tuple(x) in enumerated
+            assert _class_or(lambda: membership(p, e.anchor, x, v).member) == want, (k, x, v)
+    return out
+
+
+def _class_or(call):
+    try:
+        return call()
+    except QcsolError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", UNCONSTRAINED)
+def test_scaling_the_objective_by_a_power_of_two_moves_only_the_pinned_outcomes(name):
+    e = get_example(name)
+    base = _scale_outcomes(e, 0)
+    for k in (-40, -20, 20, 40, 520, 600):
+        got, moves = _scale_outcomes(e, k), _SCALE_MOVES.get((name, k), {})
+        for key, outcome in got.items():
+            if key in moves:
+                assert (outcome if isinstance(outcome, str) else len(outcome)) == moves[key], (k, key)
+            else:
+                assert outcome == base[key], (k, key)
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=3),

@@ -1067,11 +1067,18 @@ def test_parse_raises_only_parse_errors(text):
         pass
 
 
-@pytest.mark.parametrize("u", [[1e200, 1e200], [3e200, -4e200], [1e308, 1e308, 1e-300], [-1e155, 2e154]])
-def test_a_norm_whose_sum_overflows_is_taken_of_the_scaled_vector(u):
+def _scaled_norm(u) -> float:
+    """m |u / m| for u's largest |entry| m."""
     m = max(map(abs, u))
-    want = m * math.sqrt(_dot([c / m for c in u], [c / m for c in u]))
-    assert math.isinf(_dot(u, u)) and math.isfinite(want)
+    return m * math.sqrt(_dot([c / m for c in u], [c / m for c in u]))
+
+
+@pytest.mark.parametrize("u", [[1e200, 1e200], [3e200, -4e200], [1e308, 1e308, 1e-300], [-1e155, 2e154],
+                               [1e-200, 1e-200], [3e-320, 0.0]])
+def test_a_norm_whose_sum_overflows_is_taken_of_the_scaled_vector(u):
+    # or underflows to 0
+    want = _scaled_norm(u)
+    assert _dot(u, u) in (0.0, math.inf) and 0.0 < want < math.inf
     # floats, a 1-D array (without numpy's overflow warning) and a column
     # beside a small one read the same bits
     columns = _norm(np.array([u, [1.0] * len(u)]).T)
@@ -1083,9 +1090,15 @@ def test_a_norm_whose_sum_overflows_is_taken_of_the_scaled_vector(u):
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4))
 def test_a_norm_of_a_finite_sum_keeps_its_bits(u):
     # an infinite entry or a finite sum reads sqrt(u . u); a sum that
-    # underflows to 0 stays 0, as a ball of radius 0 reads it
+    # underflows to 0 from a nonzero u is taken of the scaled vector, so
+    # that a ball of radius 0 reads the distance as nonzero
     s = _dot(u, u)
     if math.isinf(s) and all(map(math.isfinite, u)):
+        return
+    if s == 0.0 and any(u):
+        want = _scaled_norm(u)
+        assert want > 0.0 and _norm(u).hex() == want.hex()
+        assert _norm(np.array([u]).T).tolist() == [want]
         return
     assert _norm(u).hex() == math.sqrt(s).hex()
     assert _norm(np.array([u]).T).tolist() == [math.sqrt(s)]

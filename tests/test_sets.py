@@ -1,5 +1,6 @@
 """Convex set descriptors, grids, and normal cones."""
 
+import math
 import re
 import tracemalloc
 
@@ -112,6 +113,20 @@ class TestAtoms:
         assert atom_violation(Halfspace((1.0, 0.0), 1.0), np.array([2.0, 0.0])) == pytest.approx(1.0)
         assert atom_violation(Ball((0.0, 0.0), 1.0), np.array([0.5, 0.0])) < 0
         assert atom_violation(LinearEquality((1.0,), 2.0), np.array([3.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("ball, x", [
+        (Ball((0.0, 1e-300, -1e-300), 0.0), [0.0, 0.0, 0.0]),
+        (Ball((0.0, 1e-300, -1e-300), 0.0), [-0.0, -0.0, -0.0]),
+        (Ball((0.0,), 1e-300), [2e-300]),
+    ], ids=["radius-0", "radius-0-negative-zeros", "1-D"])
+    def test_a_ball_reads_a_distance_whose_square_underflows_as_nonzero(self, ball, x):
+        # the squares of 1e-300 underflow to 0, so the distance is taken of
+        # the scaled difference: the point lies outside, even at tol 0
+        S = ConvexSetDescriptor(ball.dimension, (ball,))
+        want = math.dist(x, ball.center) - ball.radius
+        assert want > 0.0 and atom_violation(ball, x) == pytest.approx(want, rel=1e-15)
+        assert not any(contains(S, form, 0.0) for form in (x, tuple(x), np.array(x)))
+        assert contains_many(S, np.array([x, ball.center]), 0.0).tolist() == [False, True]
 
     @pytest.mark.parametrize("atom", [
         Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 1.0), 1.0),
