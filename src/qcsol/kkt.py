@@ -175,9 +175,13 @@ def _fitted(cp, lam: MultiplierVector) -> MultiplierVector:
 
 
 def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
-    """The record of the anchor xbar of p under cfg, kept in sets' store;
-    the point is keyed by its bytes, so 0.0 and -0.0 differ."""
-    xb = as_point(xbar, p.dimension)
+    """The record of the anchor xbar of p under cfg (_anchor_at)."""
+    return _anchor_at(p, as_point(xbar, p.dimension), cfg)
+
+
+def _anchor_at(p, xb: list, cfg: Config) -> _Anchor:
+    """The record of the anchor xb of p under cfg, as as_point reads it,
+    kept in sets' store; xb is keyed by its bytes, so 0.0 and -0.0 differ."""
     return _kept(("anchor", _ast_key(p), np.array(xb).tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
 
 

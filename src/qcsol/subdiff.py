@@ -18,7 +18,7 @@ from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad
-from .kkt import _anchor_record
+from .kkt import _anchor_at
 from .sets import Box, _check_resolution, _frozen, _window, contains
 
 
@@ -39,12 +39,22 @@ def _grid_values(f: ExprAst, window: Box, resolution: int):
     return grid
 
 
-def _gp_members(V: np.ndarray, x0: np.ndarray, f0: float, grid, eps: float) -> np.ndarray:
+def _gp_members(V: np.ndarray, x0: list, f0: float, grid, eps: float) -> np.ndarray:
     """The rows v of V for which no grid point x has v.(x - x0) >= -eps
-    and f(x) < f0 - eps."""
-    steps = (grid.X[grid.values < f0 - eps] - x0).T
-    ahead = _dot(V.T[:, :, None], steps[:, None, :]) >= -eps
-    return V[~np.any(ahead, axis=1)]
+    and f(x) < f0 - eps: the points of a prefix of the grid's value order."""
+    values, cols = grid.derived(("gp", "order"), lambda: _value_order(grid))
+    below = values.searchsorted(f0 - eps, side="left")  # values are finite
+    if not below:
+        return V
+    steps = cols[:, :below] - np.array(x0)[:, None]
+    return V[~(_dot(V.T[:, :, None], steps[:, None, :]) >= -eps).any(axis=1)]
+
+
+def _value_order(grid) -> tuple:
+    """The grid's values sorted ascending (stable), and its coordinate
+    columns (n, N) in that order, read-only."""
+    order = np.argsort(grid.values, kind="stable")
+    return _frozen(grid.values[order]), _frozen(grid.X[order].T.copy())
 
 
 def gp_member(
@@ -105,19 +115,19 @@ def gp_solution_check(
     if not contains(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
     eps = cfg.eps_feas
-    anchor = _anchor_record(p, xb, cfg)  # the anchor's gradient is read from its record
-    g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension)
+    anchor = _anchor_at(p, xb, cfg)  # the anchor's gradient is read from its record
+    g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension).tolist()
     grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)
     step = [c - cb for c, cb in zip(xv, xb)]
-    # the rays and xbar's unit gradient: kept, tested at xbar
-    kept = grid.derived(("gp", anchor), lambda: _frozen(_gp_members(
-        _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps)))
-    V, nrm = kept[~(np.abs(_dot(kept.T, step)) > eps)], _norm(gx)  # |v.step| <= eps, or NaN
-    if nrm > cfg.eps_grad and not abs(_dot(gx / nrm, step)) > eps:  # x's unit row
-        V = np.vstack([V, _gp_members((gx / nrm)[None], xb, anchor.value, grid, eps)])
-    if len(V):  # f(x) is evaluated only once some candidate needs it
-        V = _gp_members(V, xv, evaluate(p.objective, xv), grid, eps)
-    return bool(len(V))
+    # the rays and xbar's unit gradient that are kept, tested at xbar: float rows
+    kept = grid.derived(("gp", anchor), lambda: tuple(map(tuple, _gp_members(
+        _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps).tolist())))
+    V, nrm = [v for v in kept if not abs(_dot(v, step)) > eps], _norm(gx)  # |v.step| <= eps, or NaN
+    unit = [g / nrm for g in gx] if nrm > cfg.eps_grad else None  # x's unit row
+    if unit and not abs(_dot(unit, step)) > eps:
+        V += _gp_members(np.array([unit]), xb, anchor.value, grid, eps).tolist()
+    # f(x) is evaluated only once some candidate needs it
+    return bool(V) and bool(len(_gp_members(np.array(V), xv, evaluate(p.objective, xv), grid, eps)))
 
 
 def _ml_window(f: ExprAst, window: Box, resolution: int) -> tuple:

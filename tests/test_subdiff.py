@@ -382,7 +382,7 @@ def test_gp_route_refuses_a_point_outside_the_feasible_set(name, x, monkeypatch)
     # without its feasible set, the grid has a witness for the point
     free = Problem(p.objective, ConvexSetDescriptor(2, ()), 2, p.domain_window)
     assert gp_solution_check(free, e.anchor, x)
-    for route in ("evaluate", "evaluate_many", "grad", "_anchor_record"):
+    for route in ("evaluate", "evaluate_many", "grad", "_anchor_at"):
         monkeypatch.setattr(subdiff, route, _no_call)
     assert gp_solution_check(p, e.anchor, x) is False
 
@@ -429,6 +429,52 @@ def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
             ml_solution_check_1d(p, xbar, x)
     with pytest.raises(DimensionError, match=r"^x = \[0.5\] is not one real$"):
         ml_member_1d(p.objective, [0.5], MLPair(1.0, 0.4), p.domain_window)
+
+
+def test_gp_routes_refuse_a_bad_point_in_order(quadrant, monkeypatch):
+    # the resolution first, then xbar, then x, each before anything is evaluated
+    p, f, w = quadrant.problem, quadrant.problem.objective, quadrant.problem.domain_window
+    for route in ("evaluate", "evaluate_many", "grad", "_anchor_at", "_window", "contains"):
+        monkeypatch.setattr(subdiff, route, _no_call)
+    nan, short, good = (np.nan, 0.0), (1.0,), (0.0, 0.0)
+    non_finite = (InputError, r"^point \(nan, 0.0\) has non-finite entries$")
+    wrong_size = (DimensionError, r"^point has dimension 1, expected 2$")
+    for xbar, x, resolution, (error, message) in [
+        (nan, short, 2, (InputError, r"^resolution must be >= 3$")),
+        (nan, short, 21, non_finite), (short, nan, 21, wrong_size),
+        (good, nan, 21, non_finite), (good, short, 21, wrong_size),
+    ]:
+        with pytest.raises(error, match=message):
+            gp_solution_check(p, xbar, x, resolution=resolution)
+        if xbar is not good:  # gp_member reads its one point the same way
+            with pytest.raises(error, match=message):
+                gp_member(f, xbar, (1.0, 0.0), w, resolution=resolution)
+    monkeypatch.setattr(subdiff, "contains", sets.contains)
+    assert gp_solution_check(p, good, (-1.0, 0.0)) is False  # outside x1 >= 0
+
+
+@pytest.mark.parametrize("scale", ["1", "1e-9"])
+def test_gp_route_ties_on_the_value_side(scale):
+    # integer nodes and a flat bottom: values repeat, and f(x) - eps lands
+    # exactly on some (f(x) itself at eps_feas 0, 1e-9 - 1e-9 at the default)
+    f = parse(f"pw[x1 + x2 <= 0: 0; x1 + x2 >= 0: {scale} * (x1 + x2)^2]", 2)
+    w = Box((-4.0, -4.0), (4.0, 4.0))
+    p, xbar = Problem(f, ConvexSetDescriptor(2, ()), 2, w), (-4.0, -4.0)
+    nodes = grid_nodes(w, 9)
+    ties = 0
+    for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
+        grid = subdiff._grid_values(f, w, 9)
+        for x in nodes:
+            ties += np.count_nonzero(grid.values == evaluate(f, x) - cfg.eps_feas) > 1
+            cands = default_gp_candidates(f, xbar, x, 2, cfg)
+            want = _ref_gp_check(p, xbar, x, cands, grid, cfg)
+            members = [_ref_gp_member(f, x, v, grid, cfg.eps_feas) for v in cands]
+            for cold in (True, False):
+                if cold:
+                    sets._KEPT.clear()
+                assert gp_solution_check(p, xbar, x, resolution=9, cfg=cfg) is want, (cfg, x)
+                assert [gp_member(f, x, v, w, 9, cfg) for v in cands] == members, (cfg, x)
+    assert ties > 0
 
 
 def test_gp_route_tests_x_unit_gradient(monkeypatch):
@@ -525,7 +571,17 @@ def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
     assert [sets._held(*entry) for entry in sets._KEPT.values()] == [len(grid.X)]
     # each evicts the other when it is evaluated again
     assert kkt._grid(p, 700, DEFAULT_CONFIG) is not feasible
-    assert subdiff._grid_values(f, w, 830) is not grid
+    again = subdiff._grid_values(f, w, 830)
+    assert again is not grid
+    grid = again
+    # the value order counts the grid's rows once more: past the bound
+    # together, the grid goes at the next miss, however few rows that holds
+    assert gp_member(f, quadrant.anchor, (1.0, 0.0), w, 830)
+    assert set(grid.results) == {("gp", "order")}
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [2 * len(grid.X)]
+    assert 2 * len(grid.X) > MAX_GRID_NODES
+    small = subdiff._grid_values(f, w, 5)
+    assert [record for record, _ in sets._KEPT.values()] == [small]
 
 
 def test_a_kept_ml_window_is_evaluated_once(flat, grid_work, monkeypatch):
@@ -679,16 +735,25 @@ def test_a_kept_gp_side_goes_with_its_grid(quadrant):
     p, xbar = quadrant.problem, quadrant.anchor
     assert gp_solution_check(p, xbar, (0.0, -1.0))
     (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "window"]
-    (tag, kept), = grid.results.items()
-    assert tag[0] == "gp" and tag[1] is kkt._anchor_record(p, xbar, DEFAULT_CONFIG)
-    nodes, side = weakref.ref(grid.X), weakref.ref(kept)
-    del kept
-    del grid
+    anchor = kkt._anchor_record(p, xbar, DEFAULT_CONFIG)
+    assert set(grid.results) == {("gp", "order"), ("gp", anchor)}
+    # the value order: the values ascending (stable), the columns in that order
+    values, cols = grid.results["gp", "order"]
+    order = np.argsort(grid.values, kind="stable")
+    assert values.tobytes() == grid.values[order].tobytes()
+    assert cols.tobytes() == grid.X[order].T.tobytes()
+    assert not values.flags.writeable and not cols.flags.writeable
+    # the anchor side: float rows, at most the 8 candidates at xbar
+    kept = grid.results["gp", anchor]
+    assert 0 < len(kept) <= 8 and {type(c) for row in kept for c in row} == {float}
+    refs = [weakref.ref(a) for a in (grid, grid.X, values, cols, anchor)]
+    del grid, values, cols, anchor, kept
     f = parse("x1", 1)
     for k in range(512):  # as many records as the store holds evict it by LRU
         sets._window(f, Box((float(k),), (k + 1.0,)), 2)
     gc.collect()
-    assert nodes() is None and side() is None
+    # the grid went with its order and with the tag (its anchor record) of its side
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def test_a_window_where_f_fails_keeps_no_values():
