@@ -170,7 +170,11 @@ class ConvexSetDescriptor:
 
 def contains(S: ConvexSetDescriptor, x: Sequence[float],
              tol: float = DEFAULT_CONFIG.eps_feas) -> bool:
-    xs = _point(x, S.dimension, "set")
+    return _holds(S, _point(x, S.dimension, "set"), tol)
+
+
+def _holds(S: ConvexSetDescriptor, xs: list, tol: float) -> bool:
+    """contains for a point already read (_point, core.as_point): n finite floats."""
     return all(atom.violations(xs) <= tol for atom in S.atoms)
 
 
@@ -212,15 +216,19 @@ _KEPT: "OrderedDict[tuple, tuple]" = OrderedDict()
 class _Derived:
     """A kept record, whose derived results are kept until it leaves the store."""
 
-    def derived(self, tag, build):
-        """build(), kept in self.results under tag; a failing build is not kept."""
+    def derived(self, tag, build, rows=None):
+        """build(), kept in self.results under tag with rows(result) its rows; a failing build is not kept."""
         results = vars(self).setdefault("results", {})
-        return results[tag] if tag in results else results.setdefault(tag, build())
+        if tag not in results:
+            result = results.setdefault(tag, build())
+            vars(self).setdefault("counts", {})[tag] = rows(result) if rows else None
+        return results[tag]
 
 
 def _held(record, rows) -> int:
-    """The rows a kept record holds now: its own, once more per derived result."""
-    return rows(record) * (1 + len(getattr(record, "results", ())))
+    """The rows a kept record holds now: its own, and each derived result's (by default as many)."""
+    own = rows(record)
+    return own + sum(own if n is None else n for n in getattr(record, "counts", {}).values())
 
 
 def _kept(key: tuple, build, rows=lambda record: 0):

@@ -9,6 +9,7 @@ cross-check the gradient-based characterizations on the same instances.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List
 
@@ -17,9 +18,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .core import Problem, as_point
 from .errors import DimensionError, InputError
-from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad
+from .expr import ExprAst, _dot, _norm, _point, _program, evaluate, evaluate_many, grad
 from .kkt import _anchor_at
-from .sets import Box, _check_resolution, _frozen, _window, contains
+from .sets import Box, _check_resolution, _frozen, _holds, _window
 
 
 @dataclass(frozen=True)
@@ -112,31 +113,31 @@ def gp_solution_check(
     """
     _check_resolution(resolution, 3)
     xb, xv = as_point(xbar, p.dimension), as_point(x, p.dimension)
-    if not contains(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
+    if not _holds(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
     eps = cfg.eps_feas
     anchor = _anchor_at(p, xb, cfg)  # the anchor's gradient is read from its record
-    g0, gx = anchor.gradient[0], grad(p.objective, xv, p.dimension).tolist()
+    fx, gx = _point(_program(p.objective, p.dimension), xv)  # f(x) and grad f(x), as grad finds them
+    g0, gx = anchor.gradient[0], [float(g) for g in gx]
     grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)
     step = [c - cb for c, cb in zip(xv, xb)]
     # the rays and xbar's unit gradient that are kept, tested at xbar: float rows
     kept = grid.derived(("gp", anchor), lambda: tuple(map(tuple, _gp_members(
-        _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps).tolist())))
+        _gp_candidates([g0], p.dimension, cfg), xb, anchor.value, grid, eps).tolist())), len)
     V, nrm = [v for v in kept if not abs(_dot(v, step)) > eps], _norm(gx)  # |v.step| <= eps, or NaN
     unit = [g / nrm for g in gx] if nrm > cfg.eps_grad else None  # x's unit row
     if unit and not abs(_dot(unit, step)) > eps:
         V += _gp_members(np.array([unit]), xb, anchor.value, grid, eps).tolist()
-    # f(x) is evaluated only once some candidate needs it
-    return bool(V) and bool(len(_gp_members(np.array(V), xv, evaluate(p.objective, xv), grid, eps)))
+    return bool(V) and bool(len(_gp_members(np.array(V), xv, fx, grid, eps)))
 
 
 def _ml_window(f: ExprAst, window: Box, resolution: int) -> tuple:
-    """The 1-D window's record (_grid_values) and what every halfline
-    infimum reads of it, derived from it once: its nodes ys, a lookup table
-    of the running minima of f from either end (min over ys[i:] at i, -inf,
-    -inf, min over ys[:k] at len(ys) + 1 + k) and f at the edge-trend points
-    lo, lo + step, hi and hi - step.  ys and the table are read-only; where
-    f fails, raises what evaluate raises at the first node, then edge point."""
+    """The 1-D window's record (_grid_values) and what _halfline_infima reads
+    of it (and so _ml_slopes), derived once: its nodes ys, a lookup table of
+    the running minima of f from either end (min over ys[i:] at i, -inf, -inf,
+    min over ys[:k] at len(ys) + 1 + k) and f at the edge-trend points lo,
+    lo + step, hi and hi - step.  ys and the table are read-only; where f
+    fails, raises what evaluate raises at the first node, then edge point."""
     if window.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     grid = _grid_values(f, window, resolution)
@@ -190,14 +191,14 @@ def ml_member_1d(
     """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x:
     v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
     infimum read off the window as ml_solution_check_1d reads it."""
-    _finite(x=x)
+    (x,) = _finite(x=x)
     V, T = np.array([[pair.v], [pair.t]], dtype=float)
     inf = _halfline_infima(_ml_window(f, window, resolution)[1], V, T, cfg.eps_feas)
     return bool(_ml_members(f, x, V, T, inf, cfg.eps_feas)[0])
 
 
-def _finite(**points) -> None:
-    """Refuse a point of the 1-D route that is not one finite real."""
+def _finite(**points) -> list:
+    """The 1-D route's points, each read once as a float; refuses one that is not one finite real."""
     for name, x in points.items():
         try:
             finite = math.isfinite(x)
@@ -205,16 +206,24 @@ def _finite(**points) -> None:
             raise DimensionError(f"{name} = {x!r} is not one real") from None
         if not finite:
             raise InputError(f"{name} = {x!r} is not finite")
+    return [float(x) for x in points.values()]
 
 
-def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float, among=True) -> np.ndarray:
-    """The mask of the pairs (V, T) in the mask among that lie in the ML
-    subdifferential at x: v x >= t and f(x) <= inf (their regions' infima),
-    within eps.  f(x) is evaluated only when some pair passes v x >= t."""
-    paired = among & ~(V * x < T - eps)
-    if not np.count_nonzero(paired):
-        return paired
-    return paired & (inf >= evaluate(f, [x]) - eps)
+def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float) -> np.ndarray:
+    """The mask of the pairs (V, T) that lie in the ML subdifferential at x:
+    v x >= t and f(x) <= inf (their regions' infima), within eps.  f(x) is
+    evaluated only when some pair passes v x >= t."""
+    paired = ~(V * x < T - eps)
+    return paired & (inf >= evaluate(f, [x]) - eps) if paired.any() else paired
+
+
+def _ml_slopes(w: tuple, window: Box, eps: float) -> tuple:
+    """Per slope v of default_ml_pairs: v, its floats t - eps (t ascends, so v x >= t - eps on the
+    first bisect_right(t - eps, v x)) and the running maximum of their infima from -inf."""
+    V, T = np.array([(q.v, q.t) for q in default_ml_pairs(window)]).T
+    inf = _halfline_infima(w, V, T, eps)
+    return tuple((v, tuple((T[V == v] - eps).tolist()),
+                  (-math.inf, *np.maximum.accumulate(inf[V == v]).tolist())) for v in (0.5, 1.0, 2.0))
 
 
 def default_ml_pairs(window: Box) -> List[MLPair]:
@@ -242,25 +251,23 @@ def ml_solution_check_1d(
 
     M2 (default): some pair of p.domain_window's default_ml_pairs lies in
     the subdifferential at x and satisfies v * xbar >= t.  M1: some pair
-    lies in the subdifferential at both x and xbar.  A point x outside
-    the feasible set is no solution, and nothing is evaluated for it.
+    lies in the subdifferential at both x and xbar, read off the _ml_slopes kept per eps_feas.
+    An x outside the feasible set is no solution; f(x), f(xbar) are evaluated once a pair needs them.
     """
     if p.dimension != 1:
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if form not in ("M1", "M2"):
         raise InputError("form must be 'M1' or 'M2'")
-    _finite(xbar=xbar, x=x)
-    if not contains(p.feasible_set, [x], cfg.eps_feas):
+    xbar, x = _finite(xbar=xbar, x=x)
+    if not _holds(p.feasible_set, [x], cfg.eps_feas):
         return False
     f, window, eps = p.objective, p.domain_window, cfg.eps_feas
     grid, w = _ml_window(f, window, resolution)
-    # kept on the window: the default pairs, slopes then thresholds, and their infima per eps_feas
-    V, T = grid.derived(("ml", "pairs"), lambda: _frozen(np.array(
-        [(q.v, q.t) for q in default_ml_pairs(window)]).T.copy()))
-    inf = grid.derived(("ml", eps), lambda: _frozen(_halfline_infima(w, V, T, eps)))
-    at_x = _ml_members(f, x, V, T, inf, eps)
-    if not np.count_nonzero(at_x):
+    slopes = grid.derived(("ml", eps), lambda: _ml_slopes(w, window, eps), len)
+    ks = [(bisect_right(ts, v * x), bisect_right(ts, v * xbar), top) for v, ts, top in slopes]
+    if not any(k for k, *_ in ks):  # no pair passes at x
         return False
-    if form == "M2":
-        return bool(np.count_nonzero(at_x & (V * xbar >= T - eps)))
-    return bool(_ml_members(f, xbar, V, T, inf, eps, at_x).any())
+    top, level = max(top[min(k, kb)] for k, kb, top in ks), evaluate(f, [x]) - eps
+    if form == "M1" and top >= level:  # a pair of the subdifferential at x passes at xbar: f(xbar) decides
+        level = evaluate(f, [xbar]) - eps
+    return bool(top >= level)

@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 import re
 import tracemalloc
 import warnings
@@ -111,16 +113,19 @@ class TestMartinezLegaz:
         assert [q.t for q in pairs[:22]] == [0.0] + np.linspace(0.5, 1.0, 21).tolist()
 
     def test_default_pair_arrays_are_read_only_and_built_once(self, flat):
-        p, w = flat.problem, flat.problem.domain_window
+        # the route keeps one per-slope table of the default pairs, immutable
+        p, w, eps = flat.problem, flat.problem.domain_window, DEFAULT_CONFIG.eps_feas
         ml_solution_check_1d(p, 0.0, 0.5)
         record = sets._window(p.objective, w, 201)
-        V, T = kept = record.results["ml", "pairs"]
-        assert not V.flags.writeable and not T.flags.writeable
-        pairs = default_ml_pairs(w)
-        assert V.tobytes() == np.array([q.v for q in pairs]).tobytes()
-        assert T.tobytes() == np.array([q.t for q in pairs]).tobytes()
-        ml_solution_check_1d(p, 0.0, 1.5, form="M1")
-        assert record.results["ml", "pairs"] is kept
+        kept = record.results["ml", eps]
+        assert set(record.results) == {("ml", "table"), ("ml", eps)}
+        assert kept == _ref_ml_slopes(p.objective, w, 201, eps)
+        assert type(kept) is tuple and all(type(row) is tuple for entry in kept for row in entry[1:])
+        assert {type(c) for _, ts, top in kept for c in (*ts, *top)} == {float}
+        for x in (0.0, 1.5, 2.0):
+            for form in ("M1", "M2"):
+                ml_solution_check_1d(p, 0.0, x, form=form)
+        assert record.results["ml", eps] is kept and len(record.results) == 2
 
     def test_solution_check_accepts_a_window_built_from_lists(self, flat):
         p = flat.problem
@@ -209,6 +214,24 @@ def _ref_ml_member(f, x, pair, window, resolution=201, cfg=DEFAULT_CONFIG):
         return False
     fx = evaluate(f, [x])
     return _ref_halfline_inf(f, pair, window, resolution, cfg) >= fx - cfg.eps_feas
+
+
+def _ref_ml_slopes(f, window, resolution, eps):
+    """The route's per-slope table from its definition: for each slope of
+    default_ml_pairs, in order, its thresholds t - eps and the running
+    maximum of their halfline infima, -inf first, as float tuples."""
+    pairs = default_ml_pairs(window)
+    table = subdiff._ml_window(f, window, resolution)[1]
+    V, T = np.array([q.v for q in pairs]), np.array([q.t for q in pairs])
+    infima = subdiff._halfline_infima(table, V, T, eps).tolist()
+    slopes = []
+    for v in (0.5, 1.0, 2.0):
+        top = [-np.inf]
+        for q, inf in zip(pairs, infima):
+            if q.v == v:
+                top.append(max(top[-1], inf))
+        slopes.append((v, tuple(q.t - eps for q in pairs if q.v == v), tuple(top)))
+    return tuple(slopes)
 
 
 def _per_pair_check(p, xbar, x, resolution, form, cfg=DEFAULT_CONFIG, member=_ref_ml_member):
@@ -382,7 +405,7 @@ def test_gp_route_refuses_a_point_outside_the_feasible_set(name, x, monkeypatch)
     # without its feasible set, the grid has a witness for the point
     free = Problem(p.objective, ConvexSetDescriptor(2, ()), 2, p.domain_window)
     assert gp_solution_check(free, e.anchor, x)
-    for route in ("evaluate", "evaluate_many", "grad", "_anchor_at"):
+    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_at"):
         monkeypatch.setattr(subdiff, route, _no_call)
     assert gp_solution_check(p, e.anchor, x) is False
 
@@ -422,6 +445,19 @@ def test_ml_routes_refuse_a_non_finite_point(flat, monkeypatch, xbar, x, name):
             ml_member_1d(p.objective, x, MLPair(1.0, 0.4), p.domain_window)
 
 
+def test_ml_routes_read_a_real_as_the_float_it_names(flat):
+    # each point is read once into a float: a Decimal once raised numpy's
+    # TypeError in the pairing test
+    p, w, pair = flat.problem, flat.problem.domain_window, MLPair(1.0, 0.4)
+    for real in (Decimal("0.5"), Fraction(3, 2), np.float32(0.5), np.array(1.0), True):
+        for form in ("M1", "M2"):
+            assert ml_solution_check_1d(p, real, real, form=form) is ml_solution_check_1d(
+                p, float(real), float(real), form=form)
+            assert ml_solution_check_1d(p, real, 0.5, form=form) is ml_solution_check_1d(
+                p, float(real), 0.5, form=form)
+        assert ml_member_1d(p.objective, real, pair, w) is ml_member_1d(p.objective, float(real), pair, w)
+
+
 def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
     p = flat.problem
     for xbar, x in (([0.0], 0.5), (0.0, [0.5]), (0.0, "0.5")):
@@ -434,7 +470,7 @@ def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
 def test_gp_routes_refuse_a_bad_point_in_order(quadrant, monkeypatch):
     # the resolution first, then xbar, then x, each before anything is evaluated
     p, f, w = quadrant.problem, quadrant.problem.objective, quadrant.problem.domain_window
-    for route in ("evaluate", "evaluate_many", "grad", "_anchor_at", "_window", "contains"):
+    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_at", "_window", "_holds"):
         monkeypatch.setattr(subdiff, route, _no_call)
     nan, short, good = (np.nan, 0.0), (1.0,), (0.0, 0.0)
     non_finite = (InputError, r"^point \(nan, 0.0\) has non-finite entries$")
@@ -449,7 +485,7 @@ def test_gp_routes_refuse_a_bad_point_in_order(quadrant, monkeypatch):
         if xbar is not good:  # gp_member reads its one point the same way
             with pytest.raises(error, match=message):
                 gp_member(f, xbar, (1.0, 0.0), w, resolution=resolution)
-    monkeypatch.setattr(subdiff, "contains", sets.contains)
+    monkeypatch.setattr(subdiff, "_holds", sets._holds)
     assert gp_solution_check(p, good, (-1.0, 0.0)) is False  # outside x1 >= 0
 
 
@@ -574,14 +610,36 @@ def test_gp_grids_count_toward_the_shared_row_bound(quadrant):
     again = subdiff._grid_values(f, w, 830)
     assert again is not grid
     grid = again
-    # the value order counts the grid's rows once more: past the bound
-    # together, the grid goes at the next miss, however few rows that holds
-    assert gp_member(f, quadrant.anchor, (1.0, 0.0), w, 830)
-    assert set(grid.results) == {("gp", "order")}
-    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [2 * len(grid.X)]
-    assert 2 * len(grid.X) > MAX_GRID_NODES
+    # each derived result counts the rows it holds: the value order the
+    # grid's, the anchor side its few float rows; past the bound together,
+    # the grid goes at the next miss, however few rows that holds
+    assert not gp_solution_check(quadrant.problem, quadrant.anchor, (1.0, 1.0), 830)
+    anchor = kkt._anchor_record(quadrant.problem, quadrant.anchor, DEFAULT_CONFIG)
+    assert set(grid.results) == {("gp", "order"), ("gp", anchor)}
+    side = len(grid.results["gp", anchor])
+    assert 0 < side <= 8 and 2 * len(grid.X) > MAX_GRID_NODES
+    assert [sets._held(*entry) for entry in sets._KEPT.values()] == [2 * len(grid.X) + side, 0]
     small = subdiff._grid_values(f, w, 5)
-    assert [record for record, _ in sets._KEPT.values()] == [small]
+    assert [record for record, _ in sets._KEPT.values()] == [anchor, small]
+
+
+def test_a_gp_side_counts_its_own_rows(quadrant):
+    # on ex2_4's 21-grid: the nodes, the value order and the side's 7 rows
+    p, xbar = quadrant.problem, quadrant.anchor
+    assert gp_solution_check(p, xbar, (0.0, -1.0))
+    (grid,) = [record for key, (record, _) in sets._KEPT.items() if key[0] == "window"]
+    anchor = kkt._anchor_record(p, xbar, DEFAULT_CONFIG)
+    assert len(grid.X) == 441 and len(grid.results["gp", anchor]) == 7
+    assert sum(sets._held(*entry) for entry in sets._KEPT.values()) == 441 + 441 + 7
+    # a window of 633^2 nodes that has answered a GP check holds 801,378
+    # rows and its side's: within the bound, it outlives the next miss
+    big = subdiff._grid_values(p.objective, p.domain_window, 633)
+    assert not gp_solution_check(p, xbar, (1.0, 1.0), 633)
+    held = sets._held(big, lambda record: len(record.X))
+    assert 2 * 633 ** 2 < held <= 2 * 633 ** 2 + 8 < MAX_GRID_NODES
+    subdiff._grid_values(p.objective, p.domain_window, 5)
+    assert any(record is big for record, _ in sets._KEPT.values())
+    assert sum(sets._held(*entry) for entry in sets._KEPT.values()) == held + 889 + 25
 
 
 def test_a_kept_ml_window_is_evaluated_once(flat, grid_work, monkeypatch):
@@ -662,34 +720,34 @@ def test_warm_ml_verdicts_equal_cold_ones(flat):
 
 def test_ml_infima_are_kept_per_eps_feas(flat):
     # the default pairs' infima on one window differ between these values
-    # (cuts fall on grid nodes), so a call must never read another's
+    # (cuts fall on grid nodes), so a call must never read another's table
     p, xbar = flat.problem, flat.anchor[0]
     cfgs = (DEFAULT_CONFIG, Config(eps_feas=0.0), Config(eps_feas=0.2))
     xs = grid_nodes(p.domain_window, flat.resolution)[:, 0].tolist()
-    pairs = default_ml_pairs(p.domain_window)
-    V, T = np.array([q.v for q in pairs]), np.array([q.t for q in pairs])
+    want = {cfg: _ref_ml_slopes(p.objective, p.domain_window, 201, cfg.eps_feas) for cfg in cfgs}
 
     def verdicts(cold):
         got = {(cfg, form): [] for cfg in cfgs for form in ("M1", "M2")}
+        kept = {}
         for x in xs:
             for cfg, form in got:  # the values alternate on the one kept window
                 if cold:
                     sets._KEPT.clear()
                 got[cfg, form].append(ml_solution_check_1d(p, xbar, x, cfg=cfg, form=form))
-                window, table = subdiff._ml_window(p.objective, p.domain_window, 201)
-                infima = window.results["ml", cfg.eps_feas]
-                want = subdiff._halfline_infima(table, V, T, cfg.eps_feas)
-                assert infima.tobytes() == want.tobytes() and not infima.flags.writeable
-        # the table, the pairs, and their infima under each eps_feas, kept side by side
-        assert len(window.results) == 2 + (1 if cold else len(cfgs))
+                window = subdiff._ml_window(p.objective, p.domain_window, 201)[0]
+                slopes = window.results["ml", cfg.eps_feas]
+                assert slopes == want[cfg]
+                if not cold:  # built once per eps_feas, then read
+                    assert kept.setdefault(cfg, slopes) is slopes
+        # the window's table and one per-slope table per eps_feas, kept side by side
+        assert len(window.results) == 1 + (1 if cold else len(cfgs))
         return got
 
     warm = verdicts(cold=False)
     assert len(sets._KEPT) == 1 and warm == verdicts(cold=True)
     assert warm[cfgs[0], "M2"] != warm[cfgs[2], "M2"]
-    table = subdiff._ml_window(p.objective, p.domain_window, 201)[1]
-    infima = [subdiff._halfline_infima(table, V, T, cfg.eps_feas).tolist() for cfg in cfgs]
-    assert infima[0] != infima[1] != infima[2] != infima[0]
+    tops = [[top for _, _, top in want[cfg]] for cfg in cfgs]
+    assert tops[0] != tops[1] != tops[2] != tops[0]
 
 
 def test_warm_gp_verdicts_equal_cold_ones(quadrant):
@@ -952,6 +1010,105 @@ def test_ml_route_equals_its_definition(case):
         for form in ("M1", "M2"):
             want = _per_pair_check(p, xbar, x, resolution, form, cfg, ml_member_1d)
             assert ml_solution_check_1d(p, xbar, x, resolution, cfg, form) is want, (form, x)
+
+
+def _parent_ml_check(p, xbar, x, resolution, form, cfg, evaluate):
+    """ml_solution_check_1d as masks over all the default pairs: evaluate(f,
+    [y]) is called at x once some pair has v x >= t - eps, and at xbar (M1)
+    once some pair in the subdifferential at x has v xbar >= t - eps."""
+    eps = cfg.eps_feas
+    if not sets.contains(p.feasible_set, [x], eps):
+        return False
+    pairs = default_ml_pairs(p.domain_window)
+    V, T = np.array([q.v for q in pairs]), np.array([q.t for q in pairs])
+    table = subdiff._ml_window(p.objective, p.domain_window, resolution)[1]
+    inf = subdiff._halfline_infima(table, V, T, eps)
+    member = V * x >= T - eps
+    if not member.any():
+        return False
+    paired = member & (inf >= evaluate(p.objective, [x]) - eps) & (V * xbar >= T - eps)
+    if form == "M2" or not paired.any():
+        return bool(paired.any())
+    return bool((paired & (inf >= evaluate(p.objective, [xbar]) - eps)).any())
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("(x1 - 0.25)^2 - x1^3 / 4", -1.0, 1.5),  # lo < 0 < hi
+    ("abs(x1 - 1.75) + x1 / 8", 0.5, 3.0),  # lo > 0: every threshold but 0 is positive
+    ("pw[x1 <= 0: -x1; x1 >= 0: x1^2]", -2.0, 0.75),
+])
+def test_the_table_route_equals_the_masks_and_the_definition(text, lo, hi, monkeypatch):
+    # x on every threshold node (v is a power of two, so t - eps == v x
+    # exactly), signed zeros and subnormals; anchors whose f lies above and
+    # below f(x), so that M1 reads either level; cold and warm, with f
+    # evaluated where, and in the order, the masks evaluated it
+    window, resolution = Box((lo,), (hi,)), 41
+    p = Problem(parse(text, 1), ConvexSetDescriptor(1, ()), 1, window)
+    real, calls = subdiff.evaluate, []
+
+    def counted(f, y):
+        calls.append(y[0])
+        return real(f, y)
+
+    values = {}
+
+    def evaluate_once(f, y):  # the definition repeats the same few calls
+        return values[y[0]] if y[0] in values else values.setdefault(y[0], real(f, y))
+
+    monkeypatch.setattr(subdiff, "evaluate", counted)
+    monkeypatch.setitem(globals(), "evaluate", evaluate_once)
+    seen, levels = set(), set()
+    for cfg in (DEFAULT_CONFIG, Config(eps_feas=0.0)):
+        eps, pairs, verdicts = cfg.eps_feas, default_ml_pairs(window), {}
+
+        def member_once(f, y, pair, window, resolution, cfg):
+            key = (y, pair)
+            if key not in verdicts:
+                verdicts[key] = _ref_ml_member(f, y, pair, window, resolution, cfg)
+            return verdicts[key]
+
+        nodes = sorted({(q.t - eps) / q.v for q in pairs})
+        assert all(any(q.v * x == q.t - eps for q in pairs) for x in nodes)
+        xs = nodes[::2] + [-0.0, 0.0, 5e-324, -5e-324, 2.5e-308 / 3]
+        for xbar in (lo, -0.0, 0.5 * (lo + hi), hi, 5e-324):
+            for x in xs:
+                for form in ("M1", "M2"):
+                    want = _per_pair_check(p, xbar, x, resolution, form, cfg, member_once)
+                    calls.clear()
+                    assert _parent_ml_check(p, xbar, x, resolution, form, cfg, counted) is want
+                    evaluated = calls[:]
+                    for cold in (True, False):
+                        if cold:
+                            sets._KEPT.clear()
+                        calls.clear()
+                        got = ml_solution_check_1d(p, xbar, x, resolution, cfg, form)
+                        assert (got, calls) == (want, evaluated), (cfg, xbar, x, form, cold)
+                    seen.add(want)
+                    if form == "M1" and len(evaluated) == 2:
+                        levels.add(real(p.objective, [xbar]) > real(p.objective, [x]))
+    assert seen == {True, False} and levels == {True, False}
+
+
+def test_ml_route_evaluates_f_only_where_the_masks_did(monkeypatch):
+    # f fails outside [0, 1]; at xbar = -1 no pair passes v xbar >= t, so
+    # neither form evaluates f there, and both answer False
+    f, w = parse("pw[x1 >= 0 & x1 <= 1: x1]", 1), Box((0.0,), (1.0,))
+    p = Problem(f, ConvexSetDescriptor(1, ()), 1, w)
+    real, calls = subdiff.evaluate, []
+
+    def counted(f, y):
+        calls.append(y[0])
+        return real(f, y)
+
+    monkeypatch.setattr(subdiff, "evaluate", counted)
+    for xbar, x, form, want, evaluated in [
+        (-1.0, 0.5, "M1", False, [0.5]), (-1.0, 0.5, "M2", False, [0.5]),
+        (0.5, 0.5, "M1", True, [0.5, 0.5]), (1.0, 0.5, "M2", True, [0.5]),
+        (0.5, -1.0, "M1", False, []), (0.5, -1.0, "M2", False, []),
+    ]:
+        calls.clear()
+        assert ml_solution_check_1d(p, xbar, x, form=form) is want
+        assert calls == evaluated, (xbar, x, form)
 
 
 def test_ml_routes_evaluate_f_only_once_some_pair_passes():
