@@ -4,8 +4,8 @@ Gordan's alternative rests on a self-contained two-phase simplex kernel
 with Bland's anti-cycling rule.  Its systems are tiny (a handful of rows
 and columns), so the tableau is a list of rows of Python floats: per-entry
 numpy indexing would cost more than the arithmetic.  The public functions
-take numpy arrays or sequences and convert them once; nested lists of
-floats are taken as they are.
+read their vectors and matrices once through expr's reader (_as_point,
+_as_rows); lists of lists of floats are taken as they are.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import DimensionError, InputError, KernelError, ZeroVectorError
-from .expr import _dot, _lost, _norm, _ratio, _rescaled, _sum
+from .errors import InputError, KernelError, ZeroVectorError
+from .expr import _as_point, _as_rows, _dot, _lost, _norm, _ratio, _rescaled, _sum
 
 _MAX_ITER = 10_000
 
@@ -30,15 +30,16 @@ class LPResult:
     objective: float
 
 
-def _listed(A, depth: int) -> list:
-    """A as lists nested depth deep (a list of rows at depth 2): lists are
-    taken as they are, anything else is read once by numpy as a float
-    array; None is empty."""
+def _listed(A, name: str, depth: int = 2) -> list:
+    """A at depth 2 as rows (expr._as_rows; a list of lists of one length is taken as it is),
+    at depth 1 as a vector (expr._as_point), None as empty; entries may be infinite or NaN."""
     if A is None:
         return []
-    if type(A) is list and (depth == 1 or all(type(a) is list for a in A)):
+    if depth == 1:
+        return _as_point(A, None, name, finite=False)
+    if type(A) is list and all(type(a) is list and len(a) == len(A[0]) for a in A):
         return A
-    return np.array(A, dtype=float, ndmin=depth).tolist()
+    return _as_rows(A, None, name, finite=False).tolist()
 
 
 def _pivot(T, basis, row, col):
@@ -108,10 +109,9 @@ def solve_lp(
     cfg.eps_lp is the pivot and phase-1 feasibility tolerance; every entry must be finite.
     """
     tol = cfg.eps_lp
-    c = np.asarray(c, dtype=float)
-    n, cost = c.size, c.tolist()
-    rows_ub = _listed(A_ub, 2)
-    rows, rhs = rows_ub + _listed(A_eq, 2), _listed(b_ub, 1) + _listed(b_eq, 1)
+    cost = _as_point(c, None, "c", finite=False)
+    n, rows_ub = len(cost), _listed(A_ub, "A_ub")
+    rows, rhs = rows_ub + _listed(A_eq, "A_eq"), _listed(b_ub, "b_ub", 1) + _listed(b_eq, "b_eq", 1)
     m_ub, m = len(rows_ub), len(rows)
     if len(rhs) != m or any(len(a) != n for a in rows):
         raise InputError(f"constraints need rows of {n} entries, one right-hand side each")
@@ -163,7 +163,7 @@ def solve_lp(
         return LPResult("unbounded", None, math.inf)
     x = np.zeros(width)
     x[basis] = [r[-1] for r in T]
-    return LPResult("optimal", x[:n], float(c @ x[:n]))
+    return LPResult("optimal", x[:n], float(np.array(cost) @ x[:n]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +192,10 @@ def strict_feasibility(
     """
     if A_strict is None or len(A_strict) == 0:
         raise InputError("strict feasibility needs at least one strict row")
-    strict, b_strict = _listed(A_strict, 2), _listed(b_strict, 1)
+    strict, b_strict = _listed(A_strict, "A_strict"), _listed(b_strict, "b_strict", 1)
     n = len(strict[0])
-    weak = [] if A_le is None or len(A_le) == 0 else _listed(A_le, 2)
-    A, b = weak + strict, (_listed(b_le, 1) if weak else []) + b_strict
+    weak = [] if A_le is None or len(A_le) == 0 else _listed(A_le, "A_le")
+    A, b = weak + strict, (_listed(b_le, "b_le", 1) if weak else []) + b_strict
 
     # Variables: z = y + 1 in [0,2]^n, plus eps >= 0; maximize eps.  A row
     # a . y <= b becomes a . z <= b + a . 1.  eps is bounded by the strict
@@ -232,7 +232,7 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
     Primal: x with A x > 0 (componentwise).  Dual: y >= 0, y != 0 with
     A^T y = 0, normalized to sum to one.
     """
-    rows = np.atleast_2d(np.asarray(A, dtype=float)).tolist()
+    rows = _listed(A, "A")
     res = _primal(rows, cfg)
     if res.point is not None:
         return GordanResult("primal", res.point, res.margin)
@@ -250,7 +250,7 @@ def _primal(rows: List[list], cfg: Config) -> FeasibilityResult:
 
 def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
     """y >= 0 with A^T y = 0 and sum(y) = 1, or None if infeasible."""
-    rows = _listed(A, 2)
+    rows = _listed(A, "A")
     m = len(rows)
     A_eq = [list(col) for col in zip(*rows)] + [[1.0] * m]
     b_eq = [0.0] * (len(A_eq) - 1) + [1.0]
@@ -262,7 +262,7 @@ def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
 
 def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:
     """Best strict margin of A x > 0 over the unit box (<= eps_lp: infeasible)."""
-    return _primal(_listed(A, 2), cfg).margin
+    return _primal(_listed(A, "A"), cfg).margin
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +288,11 @@ def collinearity_factor(
     The least-squares factor (a.b)/(a.a) is the only candidate; it is
     verified against ||b - p a|| <= eps_dir * ||b||.
     """
-    av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise DimensionError(f"collinearity test needs one length, got {av.shape} and {bv.shape}")
-    if not np.isfinite([av, bv]).all():
-        raise InputError("collinearity test needs finite vectors")
+    av = _as_point(a, None, "a")
+    bv = _as_point(b, len(av), "b")
     if _norm(av) <= cfg.eps_grad or _norm(bv) <= cfg.eps_grad:
         raise ZeroVectorError("collinearity test needs nonzero vectors")
-    p, gap = _collinearity(av.tolist(), bv.tolist())  # numpy scalars warn where a product overflows
+    p, gap = _collinearity(av, bv)  # floats: numpy scalars warn where a product overflows
     if p <= 0.0 or gap > cfg.eps_dir * _norm(bv):
         return None
     return float(p)

@@ -26,12 +26,11 @@ from .core import (
     DichotomyReport,
     MembershipVerdict,
     Problem,
-    as_point,
 )
 from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputError,
                      NotOpenGroundSetError)
-from .expr import (_ast_key, _at, _dot, _lost, _norm, _not, _point, _program, _ratio, _rescaled, _where,
-                   evaluate, grad_many)
+from .expr import (_as_point, _as_rows, _ast_key, _at, _dot, _lost, _norm, _not, _point, _program, _ratio,
+                   _rescaled, _where, evaluate, grad_many)
 from .sets import _kept, contains, contains_many
 
 
@@ -49,17 +48,9 @@ def classify_dichotomy(
     """
     if isinstance(p, ConstrainedProblem):
         raise InputError("the dichotomy is stated for a plain problem, not a constrained one")
-    if not len(known_solutions):
+    if hasattr(known_solutions, "__len__") and not len(known_solutions):
         raise InputError("need at least one known solution")
-    # one conversion; where it fails, as_point reads the points one by one,
-    # so that the first bad point raises its own error
-    try:
-        X = np.asarray(known_solutions, dtype=float)
-        read = X.ndim == 2 and X.shape[1] == p.dimension and np.isfinite(X).all()
-    except (ValueError, TypeError, OverflowError):
-        read = False
-    if not read:
-        X = np.array([as_point(x, p.dimension) for x in known_solutions])
+    X = _as_rows(known_solutions, p.dimension, "known_solutions")
     # one report per problem, points and config; the points are keyed by
     # their bytes, so 0.0 and -0.0 differ, and a failing build raises again
     return _kept(("dichotomy", _ast_key(p), X.shape, X.tobytes(), cfg),
@@ -352,7 +343,7 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     """The verdict and residuals of one point."""
     _check_kind(p, lam, variant)
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
-    xv = as_point(x, p.dimension)
+    xv = _as_point(x, p.dimension)
     # no constraint is evaluated outside the ground set, as on the grid
     in_S = contains(p.ground_set, xv, cfg.eps_feas)
     sets = kkt._masks(in_S, [evaluate(g, xv) for g in p.constraints if in_S], tilde, cfg)

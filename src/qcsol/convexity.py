@@ -21,8 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import EvalError, InputError
-from .expr import ExprAst, _dot, _norm, evaluate, evaluate_many, grad, grad_many
-from .core import as_point
+from .expr import ExprAst, _as_point, _dot, _norm, evaluate, evaluate_many, grad, grad_many
 from .sets import Box, _check_resolution, grid_nodes
 
 # Points evaluated per batch, so memory stays bounded for any sample count.
@@ -172,7 +171,7 @@ def check_pseudoconvex_at(
     direction y - x."""
     _require_count("samples", samples)
     rng = np.random.default_rng(cfg.seed)
-    xv = as_point(x, window.dimension)
+    xv = _as_point(x, window.dimension)
     fx = evaluate(f, xv)
     g = grad(f, xv)
     holds = True

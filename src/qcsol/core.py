@@ -2,26 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
+from .config import _is_finite_real
 from .errors import DimensionError, InputError
-from .expr import ExprAst, _floats, _program
+from .expr import ExprAst, _program, _as_point as as_point  # noqa: F401  (as_point: the point reader)
 from .sets import Box, ConvexSetDescriptor
-
-
-def as_point(x: Sequence[float], dimension: Optional[int] = None) -> list:
-    """x read once (expr._floats): a flat list of finite Python floats."""
-    xs = _floats(x)
-    if type(xs) is not list:
-        raise DimensionError("a point must be a flat sequence of reals")
-    if not all(map(math.isfinite, xs)):
-        raise InputError(f"point {x!r} has non-finite entries")
-    if dimension is not None and len(xs) != dimension:
-        raise DimensionError(f"point has dimension {len(xs)}, expected {dimension}")
-    return xs
 
 
 def _check(p, name: str):
@@ -81,7 +69,9 @@ class MultiplierVector:
     rank_deficient: bool = False
 
     def __post_init__(self):
-        if not all(0.0 <= l < math.inf for l in self.lambdas):
+        """Refuse all but a sequence of nonnegative finite reals (as Config reads a real)."""
+        ok = hasattr(self.lambdas, "__iter__") and all(_is_finite_real(l) and l >= 0 for l in self.lambdas)
+        if not ok:
             raise InputError("multipliers must be nonnegative finite reals")
 
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BoundaryMismatchError, DimensionError, EvalError, ParseError
+from .errors import BoundaryMismatchError, DimensionError, EvalError, InputError, ParseError
 
 GUARD_TOL = 1e-12  # absolute slack when deciding whether a guard holds
 
@@ -348,13 +348,53 @@ def _at(x) -> tuple:
     return tuple(np.array(x, dtype=float).tolist())
 
 
-def _floats(x):
-    """x read once as a point: a list of Python floats where numpy reads x
-    as flat (a list of floats is taken as it is), else the array it reads."""
-    if type(x) is list and all(type(c) is float for c in x):
+def _floats(x, name: str = "point"):
+    """The one conversion of caller data: x read as reals by numpy (a float
+    or a list of floats taken as it is), as one float, a list of floats if
+    flat, else an array.  What numpy cannot read is an InputError naming x."""
+    if type(x) is float or type(x) is list and all(type(c) is float for c in x):
         return x
-    xv = np.asarray(x, dtype=float)
-    return xv.tolist() if xv.ndim == 1 else xv
+    try:
+        xv = np.asarray(x, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"{name} is not readable as reals: {exc}") from None
+    return xv.tolist() if xv.ndim < 2 else xv
+
+
+def _as_point(x, dimension: Optional[int] = None, name: str = "point", finite: bool = True) -> list:
+    """The point form: x (_floats) as a flat list of floats, a scalar read
+    as a point of one coordinate.  Refused unless it has dimension entries
+    (when given), all finite (unless finite is False)."""
+    xs = _floats(x, name)
+    if type(xs) is float:
+        xs = [xs]
+    elif type(xs) is not list:
+        raise DimensionError(f"{name} has shape {xs.shape}, expected a flat sequence")
+    if dimension is not None and len(xs) != dimension:
+        raise DimensionError(f"{name} has dimension {len(xs)}, expected {dimension}")
+    if finite and not all(map(math.isfinite, xs)):
+        raise InputError(f"{name} {_at(xs)} has non-finite entries")
+    return xs
+
+
+def _as_rows(X, dimension: Optional[int] = None, name: str = "X", finite: bool = True) -> np.ndarray:
+    """The rows form: X read at once by numpy, as _floats reads it, into an
+    (N, n) array of finite points (unless finite is False); else each row is
+    read by _as_point, so the first bad row raises there, or X is refused."""
+    try:
+        Xv = np.asarray(X, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        Xv, unread = None, exc
+    else:
+        if Xv.ndim == 2 and dimension in (None, Xv.shape[1]):
+            if not finite or np.isfinite(Xv).all():
+                return Xv
+            X = Xv[~np.isfinite(Xv).all(axis=1)][:1]  # the first non-finite row
+    for x in X if hasattr(X, "__iter__") and (Xv is None or Xv.ndim) else ():
+        _as_point(x, dimension, finite=finite)
+    if Xv is None:
+        raise InputError(f"{name} is not readable as reals: {unread}")
+    raise DimensionError(f"{name} has shape {Xv.shape}, expected (N, {dimension or 'n'})")
 
 
 def _pow(value: float, base: float) -> float:
@@ -528,13 +568,13 @@ def _program(f: Expr, n: int):
     return _compiled(_ast_key(f), n)
 
 
-def _point(program, x):
-    """The float program run at the point x as _floats reads it, which must
-    be flat and hold every coordinate it reads: its value and derivatives,
-    which must be finite."""
+def _point(program, x: list):
+    """The float program run at the point x (_as_point), which must hold
+    every coordinate it reads: its value and derivatives, which must be
+    finite."""
     run, _, reads = program
-    if type(x) is not list or len(x) < reads:
-        raise DimensionError(f"a point must be flat, with at least {reads} coordinates")
+    if len(x) < reads:
+        raise DimensionError(f"point has dimension {len(x)}, expected at least {reads}")
     value, derivs = run(x)
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value} at {_at(x)}")
@@ -543,20 +583,13 @@ def _point(program, x):
     return value, derivs
 
 
-def _as_rows(X) -> np.ndarray:
-    Xv = np.ascontiguousarray(X, dtype=float)
-    if Xv.ndim != 2:
-        raise DimensionError("a batch of points must be an (N, n) array")
-    return Xv
-
-
 def _batch(f: Expr, Xv: np.ndarray, n: int):
     """f's program for n derivatives on the rows of Xv at once, as
     (values, derivatives), each broadcast to full columns.  Where some row
     fails, raises what _point raises at the first such row."""
     program = _, columns, reads = _program(f, n)
     if Xv.shape[1] < reads:
-        raise DimensionError(f"a point must be flat, with at least {reads} coordinates")
+        raise DimensionError(f"point has dimension {Xv.shape[1]}, expected at least {reads}")
     try:
         with np.errstate(all="ignore"):
             value, derivs = columns(list(np.ascontiguousarray(Xv.T)))
@@ -580,7 +613,7 @@ def evaluate(f: Expr, x: Sequence[float]) -> float:
     Raises EvalError on domain violations, on an overflowing power and on
     a non-finite value (an overflowing product, or a non-finite x).
     """
-    return _point(_program(f, 0), _floats(x))[0]
+    return _point(_program(f, 0), _as_point(x, finite=False))[0]
 
 
 def evaluate_many(f: Expr, X) -> np.ndarray:
@@ -589,7 +622,7 @@ def evaluate_many(f: Expr, X) -> np.ndarray:
     Entry i equals evaluate(f, X[i]) bit for bit.  When evaluate raises at
     some row, this raises what it raises at the first such row.
     """
-    return _batch(f, _as_rows(X), 0)[0]
+    return _batch(f, _as_rows(X, finite=False), 0)[0]
 
 
 def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None) -> np.ndarray:
@@ -598,12 +631,8 @@ def grad(f: Expr, x: Sequence[float], dimension: Optional[int] = None) -> np.nda
     Raises EvalError where evaluation fails, and when the value or a
     gradient component is not finite.
     """
-    xs = _floats(x)
-    size = len(xs) if type(xs) is list else xs.size
-    n = dimension if dimension is not None else size
-    if size != n:
-        raise DimensionError(f"point has dimension {size}, expected {n}")
-    return np.array(_point(_program(f, n), xs)[1], dtype=float)
+    xs = _as_point(x, dimension, finite=False)
+    return np.array(_point(_program(f, len(xs)), xs)[1], dtype=float)
 
 
 def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
@@ -613,11 +642,8 @@ def grad_many(f: Expr, X, dimension: Optional[int] = None) -> np.ndarray:
     When grad raises at some row, this raises what it raises at the first
     such row.
     """
-    Xv = _as_rows(X)
-    n = dimension if dimension is not None else Xv.shape[1]
-    if Xv.shape[1] != n:
-        raise DimensionError(f"point has dimension {Xv.shape[1]}, expected {n}")
-    return _batch(f, Xv, n)[1]
+    Xv = _as_rows(X, dimension, finite=False)
+    return _batch(f, Xv, Xv.shape[1])[1]
 
 
 # ---------------------------------------------------------------------------

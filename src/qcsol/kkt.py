@@ -29,7 +29,6 @@ from .core import (
     ConstrainedProblem,
     MembershipVerdict,
     MultiplierVector,
-    as_point,
 )
 from .errors import (
     HypothesisViolatedError,
@@ -37,7 +36,7 @@ from .errors import (
     NoMultiplierError,
     QcsolError,
 )
-from .expr import _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad
+from .expr import _as_point, _ast_key, _at, _norm, _not, evaluate, evaluate_many, grad
 from .sets import (_Derived, _check_resolution, _frozen, _Grid, _kept, _window, contains, contains_many,
                    normal_cone_generators)
 
@@ -55,7 +54,7 @@ class CQReport:
 
 
 def is_feasible(cp: ConstrainedProblem, x, cfg: Config = DEFAULT_CONFIG) -> bool:
-    return _feasible_values(cp, as_point(x, cp.dimension), cfg) is not None
+    return _feasible_values(cp, _as_point(x, cp.dimension), cfg) is not None
 
 
 def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
@@ -176,11 +175,11 @@ def _fitted(cp, lam: MultiplierVector) -> MultiplierVector:
 
 def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
     """The record of the anchor xbar of p under cfg (_anchor_at)."""
-    return _anchor_at(p, as_point(xbar, p.dimension), cfg)
+    return _anchor_at(p, _as_point(xbar, p.dimension), cfg)
 
 
 def _anchor_at(p, xb: list, cfg: Config) -> _Anchor:
-    """The record of the anchor xb of p under cfg, as as_point reads it,
+    """The record of the anchor xb of p under cfg, as _as_point reads it,
     kept in sets' store; xb is keyed by its bytes, so 0.0 and -0.0 differ."""
     return _kept(("anchor", _ast_key(p), np.array(xb).tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
 
@@ -279,7 +278,7 @@ def member_X1(
 ) -> bool:
     """x in X1(lambda): strict-multiplier constraints hold with equality,
     the rest with inequality, and x is in the ground set."""
-    xv = as_point(x, cp.dimension)
+    xv = _as_point(x, cp.dimension)
     # a point outside the ground set is no member, whatever the anchor
     if not contains(cp.ground_set, xv, cfg.eps_feas):
         return False
@@ -326,7 +325,7 @@ def enumerate_constrained(
 
 
 def lagrangian(cp: ConstrainedProblem, lam: MultiplierVector, x) -> float:
-    xv = as_point(x, cp.dimension)
+    xv = _as_point(x, cp.dimension)
     val = evaluate(cp.objective, xv)
     for coeff, g in zip(_fitted(cp, lam).lambdas, cp.constraints):
         if coeff != 0.0:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import DimensionError, InputError
-from .expr import _MEMO_SIZE, _ast_key, _at, _dot, _floats, _max, _norm, evaluate_many, grad_many
+from .expr import (_MEMO_SIZE, _as_point, _as_rows, _ast_key, _dot, _floats, _max, _norm, evaluate_many,
+                   grad_many)
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,15 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi):
+        lo, hi = _field("box lo", self.lo), _field("box hi", self.hi)
+        if len(lo) != len(hi):
             raise DimensionError("box lo/hi lengths differ")
-        if not len(self.lo):
+        if not lo:
             raise DimensionError("box dimension must be >= 1")
         # infinite bounds are allowed, NaN is not (it would pass lo > hi)
-        if any(math.isnan(v) for v in (*self.lo, *self.hi)):
+        if any(map(math.isnan, lo + hi)):
             raise InputError("box has a NaN bound")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
+        if any(l > h for l, h in zip(lo, hi)):
             raise InputError("box has lo > hi")
 
     dimension = property(lambda self: len(self.lo))
@@ -56,13 +58,25 @@ class Box:
         return gens
 
 
+def _field(what: str, value, flat: bool = True) -> list:
+    """An atom's field read as reals (expr._floats): the floats of a flat
+    sequence if flat, else of one real.  The atom keeps the field as given."""
+    xs = _floats(value, what)
+    if type(xs) is not (list if flat else float):
+        want = "a flat sequence" if flat else "one real"
+        raise DimensionError(f"{what} has shape {np.shape(xs)}, expected {want}")
+    return xs if flat else [xs]
+
+
 def _check_entries(what: str, vector, *scalars) -> None:
-    """Refuse an empty vector, a NaN anywhere, and an infinite entry of the vector."""
-    if not len(vector):
+    """Refuse fields that are not reals (_field), an empty vector, a NaN
+    anywhere, and an infinite entry of the vector."""
+    xs = _field(what, vector)
+    if not xs:
         raise DimensionError(f"{what} dimension must be >= 1")
-    if any(map(math.isnan, (*vector, *scalars))):
+    if any(map(math.isnan, xs + [c for v in scalars for c in _field(what, v, False)])):
         raise InputError(f"{what} has a NaN entry")
-    if not all(map(math.isfinite, vector)):
+    if not all(map(math.isfinite, xs)):
         raise InputError(f"{what} has an infinite entry in {tuple(vector)!r}")
 
 
@@ -92,7 +106,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius >= 0:  # NaN fails this too
+        if not _field("ball radius", self.radius, False)[0] >= 0:  # NaN fails this too
             raise InputError(f"ball radius must be >= 0, got {self.radius!r}")
         _check_entries("ball center", self.center)
 
@@ -135,22 +149,7 @@ Atom = Union[Box, Halfspace, Ball, LinearEquality]
 
 def atom_violation(atom: Atom, x: np.ndarray) -> float:
     """Signed violation; <= 0 means the atom is satisfied."""
-    return float(atom.violations(_point(x, atom.dimension, "atom")))
-
-
-def _point(x, dimension: int, what: str) -> list:
-    """x as a list of floats (expr._floats), refused unless it has the
-    dimension's entries, all finite; a scalar is a point of one coordinate."""
-    xs = _floats(x)
-    if type(xs) is not list:
-        if xs.ndim > 1:
-            raise DimensionError(f"point has shape {xs.shape}, {what} expects a flat point")
-        xs = [xs.item()]
-    if len(xs) != dimension:
-        raise DimensionError(f"point has dimension {len(xs)}, {what} expects {dimension}")
-    if not all(map(math.isfinite, xs)):
-        raise InputError(f"point {_at(xs)} has non-finite entries")
-    return xs
+    return float(atom.violations(_as_point(x, atom.dimension)))
 
 
 @dataclass(frozen=True)
@@ -170,11 +169,11 @@ class ConvexSetDescriptor:
 
 def contains(S: ConvexSetDescriptor, x: Sequence[float],
              tol: float = DEFAULT_CONFIG.eps_feas) -> bool:
-    return _holds(S, _point(x, S.dimension, "set"), tol)
+    return _holds(S, _as_point(x, S.dimension), tol)
 
 
 def _holds(S: ConvexSetDescriptor, xs: list, tol: float) -> bool:
-    """contains for a point already read (_point, core.as_point): n finite floats."""
+    """contains for a point already read (expr._as_point): n finite floats."""
     return all(atom.violations(xs) <= tol for atom in S.atoms)
 
 
@@ -286,14 +285,9 @@ def _window(f, window: Box, resolution: int) -> _Grid:
 def contains_many(S: ConvexSetDescriptor, X: np.ndarray,
                   tol: float = DEFAULT_CONFIG.eps_feas) -> np.ndarray:
     """contains(S, x, tol) for every row of an (N, n) array X, as a mask,
-    by the same formula on the columns of X at once.  A row with a NaN or
-    infinite coordinate is refused, as contains refuses the first one."""
-    if X.shape[1] != S.dimension:
-        raise DimensionError(
-            f"point has dimension {X.shape[1]}, set expects {S.dimension}"
-        )
-    for x in X[~np.isfinite(X).all(axis=1)][:1]:  # the first non-finite row
-        _point(x, S.dimension, "set")
+    by the same formula on the columns of X at once (expr._as_rows: the
+    first bad row is refused as contains refuses it)."""
+    X = _as_rows(X, S.dimension)
     keep = np.ones(len(X), dtype=bool)
     for atom in S.atoms:
         keep &= atom.violations(X.T) <= tol
@@ -318,5 +312,5 @@ def normal_cone_generators(
     """Generators of the normal cone of X at x, atom by atom: the sum of
     the atoms' cones, which is X's cone where the atoms meet a constraint
     qualification (always, when no atom is a ball)."""
-    xs = _point(x, X.dimension, "set")
+    xs = _as_point(x, X.dimension)
     return [g for atom in X.atoms for g in atom.normals(xs, eps_act)]

@@ -16,9 +16,9 @@ from typing import List
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import Problem, as_point
+from .core import Problem
 from .errors import DimensionError, InputError
-from .expr import ExprAst, _dot, _norm, _point, _program, evaluate, evaluate_many, grad
+from .expr import ExprAst, _as_point, _dot, _floats, _norm, _point, _program, evaluate, evaluate_many, grad
 from .kkt import _anchor_at
 from .sets import Box, _check_resolution, _frozen, _holds, _window
 
@@ -72,13 +72,13 @@ def gp_member(
     within tolerances.
     """
     _check_resolution(resolution, 3)
-    x0v = as_point(x0, window.dimension)
+    x0v = _as_point(x0, window.dimension)
     f0 = evaluate(f, x0v)
     grid = _grid_values(f, window, resolution)
-    V = np.asarray([v], dtype=float)
-    if V.shape != (1, window.dimension) or not np.isfinite(V).all():
+    V = _floats([v], "direction")  # its own refusal: callers catch a direction of another size as InputError
+    if np.shape(V) != (1, window.dimension) or not np.isfinite(V).all():
         raise InputError(f"a direction must have {window.dimension} finite entries")
-    return bool(len(_gp_members(V, x0v, f0, grid, cfg.eps_feas)))
+    return bool(len(_gp_members(np.asarray(V), x0v, f0, grid, cfg.eps_feas)))
 
 
 def default_gp_candidates(
@@ -112,7 +112,7 @@ def gp_solution_check(
     on p.domain_window's grid; False means none was found, or x is not feasible.
     """
     _check_resolution(resolution, 3)
-    xb, xv = as_point(xbar, p.dimension), as_point(x, p.dimension)
+    xb, xv = _as_point(xbar, p.dimension), _as_point(x, p.dimension)
     if not _holds(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
     eps = cfg.eps_feas
@@ -190,31 +190,12 @@ def ml_member_1d(
 ) -> bool:
     """(v, t) in the Martinez-Legaz subdifferential of a 1-D function at x:
     v x >= t and f(x) <= inf {f(y) : v y >= t}, within eps_feas, with the
-    infimum read off the window as ml_solution_check_1d reads it."""
-    (x,) = _finite(x=x)
-    V, T = np.array([[pair.v], [pair.t]], dtype=float)
-    inf = _halfline_infima(_ml_window(f, window, resolution)[1], V, T, cfg.eps_feas)
-    return bool(_ml_members(f, x, V, T, inf, cfg.eps_feas)[0])
-
-
-def _finite(**points) -> list:
-    """The 1-D route's points, each read once as a float; refuses one that is not one finite real."""
-    for name, x in points.items():
-        try:
-            finite = math.isfinite(x)
-        except TypeError:
-            raise DimensionError(f"{name} = {x!r} is not one real") from None
-        if not finite:
-            raise InputError(f"{name} = {x!r} is not finite")
-    return [float(x) for x in points.values()]
-
-
-def _ml_members(f: ExprAst, x: float, V, T, inf, eps: float) -> np.ndarray:
-    """The mask of the pairs (V, T) that lie in the ML subdifferential at x:
-    v x >= t and f(x) <= inf (their regions' infima), within eps.  f(x) is
-    evaluated only when some pair passes v x >= t."""
-    paired = ~(V * x < T - eps)
-    return paired & (inf >= evaluate(f, [x]) - eps) if paired.any() else paired
+    infimum read off the window as ml_solution_check_1d reads it; f(x) is
+    evaluated only when v x >= t - eps_feas."""
+    (x,), eps = _as_point(x, 1, "x"), cfg.eps_feas
+    v, t = _as_point((pair.v, pair.t), 2, "pair", finite=False)
+    inf = _halfline_infima(_ml_window(f, window, resolution)[1], np.array([v]), np.array([t]), eps)[0]
+    return not v * x < t - eps and bool(inf >= evaluate(f, [x]) - eps)
 
 
 def _ml_slopes(w: tuple, window: Box, eps: float) -> tuple:
@@ -228,10 +209,13 @@ def _ml_slopes(w: tuple, window: Box, eps: float) -> tuple:
 
 def default_ml_pairs(window: Box) -> List[MLPair]:
     """The route's (v, t) pairs: the slopes 0.5, 1 and 2, each with 21
-    thresholds spanning v * window, and zero."""
-    lo, hi = window.lo[0], window.hi[0]
+    thresholds spanning v * window, and zero.  A window whose thresholds
+    are not all finite is refused."""
+    lo, hi = float(window.lo[0]), float(window.hi[0])
     pairs = []
     for v in (0.5, 1.0, 2.0):
+        if not math.isfinite(v * hi - v * lo):  # then linspace makes NaN thresholds
+            raise InputError(f"window {window!r} has non-finite thresholds at slope {v}")
         ts = set(np.linspace(v * lo, v * hi, 21))
         ts.add(0.0)
         for t in sorted(ts):
@@ -258,7 +242,7 @@ def ml_solution_check_1d(
         raise DimensionError("Martinez-Legaz route is implemented for n=1 only")
     if form not in ("M1", "M2"):
         raise InputError("form must be 'M1' or 'M2'")
-    xbar, x = _finite(xbar=xbar, x=x)
+    (xbar,), (x,) = _as_point(xbar, 1, "xbar"), _as_point(x, 1, "x")
     if not _holds(p.feasible_set, [x], cfg.eps_feas):
         return False
     f, window, eps = p.objective, p.domain_window, cfg.eps_feas

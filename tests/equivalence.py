@@ -50,6 +50,14 @@ a window that reaches past x1 >= 0: ``sqrt(x1) + x1``, which fails off
 the feasible set, ``sqrt(x1) + x2``, whose GP grid fails, and
 ``(x1 - 0.5)^2``, which fails nowhere.  Whichever question reads a
 window first, each answers as it would alone.
+
+The boundary family, hashed apart too: each public entry that reads a
+point, rows or a vector from its caller (the atoms and MultiplierVector
+among them), handed inputs that are not reals ("ab", a string entry, a
+ragged list, an int beyond the floats, a complex number, an object of a
+class of its own, whose repr names no address), a
+NaN entry, numeric strings, a bare scalar, a nested point and, where
+rows are expected, a 1-D array, each on an empty store.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from qcsol import charac, cli, kkt, oracle, sets, subdiff  # noqa: E402
+from qcsol import alternatives, charac, cli, convexity, expr, kkt, oracle, sets, subdiff  # noqa: E402
 from qcsol.config import Config  # noqa: E402
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem  # noqa: E402
 from qcsol.expr import parse  # noqa: E402
@@ -519,6 +527,80 @@ def _json_value(text: str):
         return None
 
 
+class _Opaque:
+    """An object that is no real, whose repr (unlike object()'s) names no address."""
+
+    def __repr__(self):
+        return "<opaque>"
+
+
+# the bad inputs of the boundary family, and the forms every entry reads as reals
+_BOUNDARY_INPUTS = {"string": "ab", "string entry": [1.0, "a"], "ragged": [[1.0], [1.0, 2.0]],
+                    "huge int": 10 ** 400, "huge int entry": [10 ** 400, 0.0], "complex": 1 + 2j,
+                    "object": _Opaque(), "nan entry": [float("nan"), 0.0],
+                    "numeric strings": ["1.5", "0.5"], "bare scalar": 0.5, "nested": [[1.5, 0.5]]}
+_FLAT_ROWS = np.array([1.5, 0.5])
+
+
+def _boundary_entries():
+    """(name, reads rows, call of an input) of each public entry that reads
+    a point, rows or a vector from its caller."""
+    e, e1, ec = get_example("ex2_1"), get_example("ex4_1"), get_example("ex2_3_constrained")
+    p, p1, cp = e.problem, e1.problem, ec.problem
+    f, S, w, xb, xc = p.objective, p.feasible_set, p.domain_window, e.anchor, ec.anchor
+    lam, pair, T1 = MultiplierVector((0.5,)), subdiff.MLPair(1.0, 0.4), CharacVariant.T1
+    f1, w1 = p1.objective, p1.domain_window
+    return [
+        ("membership x", False, lambda b: charac.membership(p, xb, b, T1)),
+        ("membership xbar", False, lambda b: charac.membership(p, b, xb, T1)),
+        ("contains", False, lambda b: sets.contains(S, b)),
+        ("contains_many", True, lambda b: sets.contains_many(S, b)),
+        ("atom_violation", False, lambda b: sets.atom_violation(S.atoms[0], b)),
+        ("normal_cone_generators", False, lambda b: sets.normal_cone_generators(S, b)),
+        ("evaluate", False, lambda b: expr.evaluate(f, b)),
+        ("evaluate_many", True, lambda b: expr.evaluate_many(f, b)),
+        ("grad", False, lambda b: expr.grad(f, b)),
+        ("grad_many", True, lambda b: expr.grad_many(f, b)),
+        ("classify_dichotomy", True, lambda b: charac.classify_dichotomy(p, b)),
+        ("is_feasible", False, lambda b: kkt.is_feasible(cp, b)),
+        ("member_X1 x", False, lambda b: kkt.member_X1(cp, xc, lam, b)),
+        ("member_X1 xbar", False, lambda b: kkt.member_X1(cp, b, lam, xc)),
+        ("lagrangian", False, lambda b: kkt.lagrangian(cp, lam, b)),
+        ("gp_solution_check x", False, lambda b: subdiff.gp_solution_check(p, xb, b, 5)),
+        ("gp_solution_check xbar", False, lambda b: subdiff.gp_solution_check(p, b, xb, 5)),
+        ("gp_member x0", False, lambda b: subdiff.gp_member(f, b, (1.0, 0.0), w, 5)),
+        ("gp_member v", False, lambda b: subdiff.gp_member(f, xb, b, w, 5)),
+        ("ml_solution_check_1d x", False, lambda b: subdiff.ml_solution_check_1d(p1, 0.5, b, 41)),
+        ("ml_solution_check_1d xbar", False, lambda b: subdiff.ml_solution_check_1d(p1, b, 0.5, 41)),
+        ("ml_member_1d", False, lambda b: subdiff.ml_member_1d(f1, b, pair, w1, 41)),
+        ("check_pseudoconvex_at", False, lambda b: convexity.check_pseudoconvex_at(f, b, w, 20)),
+        ("collinearity_factor a", False, lambda b: alternatives.collinearity_factor(b, [1.0, 2.0])),
+        ("collinearity_factor b", False, lambda b: alternatives.collinearity_factor([1.0, 2.0], b)),
+        ("solve_lp c", False, lambda b: alternatives.solve_lp(b, [[1.0, 1.0]], [1.0])),
+        ("solve_lp A_ub", True, lambda b: alternatives.solve_lp([1.0, 1.0], b, [1.0])),
+        ("solve_lp b_ub", False, lambda b: alternatives.solve_lp([1.0, 1.0], [[1.0, 1.0]], b)),
+        ("gordan_alternative", True, lambda b: alternatives.gordan_alternative(b)),
+        ("dual_certificate", True, lambda b: alternatives.dual_certificate(b)),
+        ("Box lo", False, lambda b: Box(b, (2.0, 2.0))),
+        ("Box hi", False, lambda b: Box((0.0, 0.0), b)),
+        ("Halfspace a", False, lambda b: Halfspace(b, 0.0)),
+        ("Halfspace b", False, lambda b: Halfspace((1.0, 0.0), b)),
+        ("Ball center", False, lambda b: Ball(b, 1.0)),
+        ("Ball radius", False, lambda b: Ball((0.0, 0.0), b)),
+        ("LinearEquality a", False, lambda b: LinearEquality(b, 0.0)),
+        ("LinearEquality b", False, lambda b: LinearEquality((1.0, 0.0), b)),
+        ("MultiplierVector", False, lambda b: MultiplierVector(b)),
+    ]
+
+
+def boundary(record: Record):
+    for name, rows, call in _boundary_entries():
+        inputs = dict(_BOUNDARY_INPUTS, **({"1-D rows": _FLAT_ROWS} if rows else {}))
+        for label, value in inputs.items():
+            sets._KEPT.clear()
+            record(f"boundary {name} {label}", lambda: call(value))
+
+
 def main(listing_path=None):
     out = {}
     with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None), \
@@ -526,7 +608,7 @@ def main(listing_path=None):
         extended = [functools.partial(section, folder=folder)
                     for section in (kkt_cli, problem_files, config_refusals)]
         families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended,
-                    "call_order": (call_orders,)}
+                    "call_order": (call_orders,), "boundary": (boundary,)}
         for family, sections in families.items():
             record = Record(family, listing)
             for section in sections:

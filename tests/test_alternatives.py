@@ -244,16 +244,16 @@ class TestCollinearity:
 
     def test_vectors_of_different_lengths_raise(self):
         # zipped to the shorter vector, these once read as collinear with factor 2
-        with pytest.raises(DimensionError, match="one length"):
+        with pytest.raises(DimensionError, match="^b has dimension 3, expected 2$"):
             collinearity_factor([1.0, 0.0], [2.0, 0.0, 5.0])
-        with pytest.raises(DimensionError, match="one length"):
+        with pytest.raises(DimensionError, match=r"^a has shape \(1, 2\), expected a flat sequence$"):
             collinearity_factor([[1.0, 0.0]], [2.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise(self, bad):
         # once a NaN factor, with a RuntimeWarning for an infinite entry
         for a, b in (([1.0, bad], [2.0, 1.0]), ([2.0, 1.0], [1.0, bad]), ([bad, 0.0], [0.0, 0.0])):
-            with pytest.raises(InputError, match="finite vectors"):
+            with pytest.raises(InputError, match="has non-finite entries"):
                 collinearity_factor(a, b)
 
     def test_zero_vector_raises(self):

@@ -5,7 +5,7 @@ import pytest
 from qcsol.core import ConstrainedProblem, MultiplierVector, Problem, as_point
 from qcsol.errors import DimensionError, InputError
 from qcsol.expr import parse
-from qcsol.sets import Box, ConvexSetDescriptor
+from qcsol.sets import Ball, Box, ConvexSetDescriptor, Halfspace
 
 NAN = float("nan")
 UNIT = Box((0.0,), (1.0,))
@@ -60,8 +60,28 @@ REFUSALS = {
                        InputError, "multipliers must be nonnegative finite reals"),
     "infinite multiplier": (lambda: MultiplierVector((0.0, float("inf"))),
                             InputError, "multipliers must be nonnegative finite reals"),
+    # the entries Config refuses in its fields: a string, a bool, an int beyond the floats
+    "string multiplier": (lambda: MultiplierVector(("a",)),
+                          InputError, "multipliers must be nonnegative finite reals"),
+    "bool multiplier": (lambda: MultiplierVector((True,)),
+                        InputError, "multipliers must be nonnegative finite reals"),
+    "huge multiplier": (lambda: MultiplierVector((10**400,)),
+                        InputError, "multipliers must be nonnegative finite reals"),
+    "scalar multipliers": (lambda: MultiplierVector(0.5),
+                           InputError, "multipliers must be nonnegative finite reals"),
+    # an atom's field is read as reals (expr._floats) to be checked
+    "box string bound": (lambda: Box(("a",), (1.0,)), InputError,
+                         "box lo is not readable as reals: could not convert string to float: 'a'"),
+    "box scalar bound": (lambda: Box(0.0, (1.0,)), DimensionError,
+                         "box lo has shape (), expected a flat sequence"),
+    "halfspace huge entry": (lambda: Halfspace((10**400, 1.0), 0.0), InputError,
+                             "halfspace is not readable as reals: int too large to convert to float"),
+    "ball huge radius": (lambda: Ball((0.0, 0.0), 10**400), InputError,
+                         "ball radius is not readable as reals: int too large to convert to float"),
+    "ball radius sequence": (lambda: Ball((0.0, 0.0), (1.0,)), DimensionError,
+                             "ball radius has shape (1,), expected one real"),
     "point not flat": (lambda: as_point([[1.0, 2.0]]),
-                       DimensionError, "a point must be a flat sequence of reals"),
+                       DimensionError, "point has shape (1, 2), expected a flat sequence"),
     "point not finite": (lambda: as_point((1.0, NAN)),
                          InputError, "point (1.0, nan) has non-finite entries"),
     "point dimension": (lambda: as_point((1.0, 2.0), 3),

@@ -133,10 +133,10 @@ class TestAtoms:
         Ball((0.0, 0.0), 1.0), LinearEquality((1.0, 1.0), 1.0),
     ], ids=["box", "halfspace", "ball", "equality"])
     @pytest.mark.parametrize("x, message", [
-        ([1.0], "point has dimension 1, {} expects 2"),
-        ([1.0, 0.0, 0.0], "point has dimension 3, {} expects 2"),
-        ([[1.0], [0.0]], "point has shape (2, 1), {} expects a flat point"),
-        ([[1.0, 0.0]], "point has shape (1, 2), {} expects a flat point"),
+        ([1.0], "point has dimension 1, expected 2"),
+        ([1.0, 0.0, 0.0], "point has dimension 3, expected 2"),
+        ([[1.0], [0.0]], "point has shape (2, 1), expected a flat sequence"),
+        ([[1.0, 0.0]], "point has shape (1, 2), expected a flat sequence"),
     ], ids=["short", "long", "column", "row"])
     def test_atoms_refuse_points_of_the_wrong_dimension(self, atom, x, message):
         # a halfspace's dot stopped at the shorter operand and a box broadcast
@@ -149,6 +149,16 @@ class TestAtoms:
             contains(S, x)
         with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
             normal_cone_generators(S, x)
+
+    def test_atoms_keep_their_fields_as_given(self):
+        # each field is read as reals to be checked, and kept as given, so
+        # reprs, problem documents and store keys do not move; infinite box
+        # bounds, b and radius stay allowed
+        a, lo, hi = (1, 0), (0, -math.inf), [1, 2]
+        atoms = [Box(lo, hi), Halfspace(a, math.inf), Ball(lo[:1], math.inf), LinearEquality(a, 3)]
+        assert repr(atoms) == ("[Box(lo=(0, -inf), hi=[1, 2]), Halfspace(a=(1, 0), b=inf), "
+                               "Ball(center=(0,), radius=inf), LinearEquality(a=(1, 0), b=3)]")
+        assert atoms[0].lo is lo and atoms[0].hi is hi and atoms[1].a is a
 
     @pytest.mark.parametrize("atom", [
         Box((0.0,), (1.0,)), Halfspace((1.0,), 1.0), Ball((0.0,), 1.0), LinearEquality((1.0,), 1.0),
@@ -191,7 +201,7 @@ class TestGrids:
 
     def test_contains_many_refuses_rows_of_the_wrong_width(self):
         for width in (1, 3):
-            with pytest.raises(DimensionError, match=f"point has dimension {width}, set expects 2"):
+            with pytest.raises(DimensionError, match=f"point has dimension {width}, expected 2"):
                 contains_many(RECT, np.zeros((4, width)))
 
     def test_resolution_validation(self):

@@ -436,12 +436,12 @@ def test_ml_routes_refuse_a_non_finite_point(flat, monkeypatch, xbar, x, name):
     p = flat.problem
     for route in ("evaluate", "evaluate_many", "_window"):
         monkeypatch.setattr(subdiff, route, _no_call)
-    message = rf"^{name} = {re.escape(repr(dict(xbar=xbar, x=x)[name]))} is not finite$"
+    message = rf"^{name} \({re.escape(repr(float(dict(xbar=xbar, x=x)[name])))},\) has non-finite entries$"
     for form in ("M1", "M2"):
         with pytest.raises(InputError, match=message):
             ml_solution_check_1d(p, xbar, x, form=form)
     if name == "x":
-        with pytest.raises(InputError, match=r"^x = .* is not finite$"):
+        with pytest.raises(InputError, match=r"^x \(.*,\) has non-finite entries$"):
             ml_member_1d(p.objective, x, MLPair(1.0, 0.4), p.domain_window)
 
 
@@ -458,13 +458,37 @@ def test_ml_routes_read_a_real_as_the_float_it_names(flat):
         assert ml_member_1d(p.objective, real, pair, w) is ml_member_1d(p.objective, float(real), pair, w)
 
 
+def test_ml_route_refuses_a_window_whose_thresholds_are_not_finite():
+    # 2 * 1.7e308 overflows: linspace once made 20 NaN thresholds of the 66,
+    # with numpy's RuntimeWarning, and the per-slope table's bisection
+    # assumes that they ascend
+    w = Box((1e308,), (1.7e308,))
+    p = Problem(parse("x1", 1), ConvexSetDescriptor(1), 1, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="non-finite thresholds at slope 2.0$"):
+            default_ml_pairs(w)
+        for form in ("M1", "M2"):
+            with pytest.raises(InputError, match="non-finite thresholds at slope 2.0$"):
+                ml_solution_check_1d(p, 1.2e308, 1.5e308, form=form)
+        # a single pair reads no default pairs, so it still answers there
+        assert ml_member_1d(p.objective, 1.5e308, MLPair(1.0, 1.2e308), w) is False
+
+
 def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
-    p = flat.problem
-    for xbar, x in (([0.0], 0.5), (0.0, [0.5]), (0.0, "0.5")):
-        with pytest.raises(DimensionError, match="is not one real"):
+    # x and xbar are points of one coordinate, read as every entry reads a
+    # point: a one-entry sequence or a numeric string is the real it holds
+    p, w, pair = flat.problem, flat.problem.domain_window, MLPair(1.0, 0.4)
+    for xbar, x, message in (([0.0, 0.0], 0.5, "^xbar has dimension 2, expected 1$"),
+                             (0.0, [[0.5]], r"^x has shape \(1, 1\), expected a flat sequence$")):
+        with pytest.raises(DimensionError, match=message):
             ml_solution_check_1d(p, xbar, x)
-    with pytest.raises(DimensionError, match=r"^x = \[0.5\] is not one real$"):
-        ml_member_1d(p.objective, [0.5], MLPair(1.0, 0.4), p.domain_window)
+    with pytest.raises(DimensionError, match=r"^x has dimension 2, expected 1$"):
+        ml_member_1d(p.objective, [0.5, 0.5], pair, w)
+    for form in ("M1", "M2"):
+        want = ml_solution_check_1d(p, 0.0, 0.5, form=form)
+        assert ml_solution_check_1d(p, [0.0], "0.5", form=form) is want
+    assert ml_member_1d(p.objective, ["0.5"], pair, w) is ml_member_1d(p.objective, 0.5, pair, w)
 
 
 def test_gp_routes_refuse_a_bad_point_in_order(quadrant, monkeypatch):
