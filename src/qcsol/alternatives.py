@@ -5,7 +5,7 @@ with Bland's anti-cycling rule.  Its systems are tiny (a handful of rows
 and columns), so the tableau is a list of rows of Python floats: per-entry
 numpy indexing would cost more than the arithmetic.  The public functions
 read their vectors and matrices once through expr's reader (_as_point,
-_as_rows); lists of lists of floats are taken as they are.
+_as_rows) and hand the lists it gives to private ones, which call each other.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ class LPResult:
 
 
 def _listed(A, name: str, depth: int = 2) -> list:
-    """A at depth 2 as rows (expr._as_rows; a list of lists of one length is taken as it is),
-    at depth 1 as a vector (expr._as_point), None as empty; entries may be infinite or NaN."""
-    if A is None:
+    """A at depth 2 as rows (expr._as_rows), at depth 1 as a vector (expr._as_point),
+    None or an empty list or tuple as empty: lists of floats, which may be infinite or NaN."""
+    if A is None or type(A) in (list, tuple) and not A:
         return []
     if depth == 1:
         return _as_point(A, None, name, finite=False)
-    if type(A) is list and all(type(a) is list and len(a) == len(A[0]) for a in A):
-        return A
     return _as_rows(A, None, name, finite=False).tolist()
 
 
@@ -108,11 +106,14 @@ def solve_lp(
 
     cfg.eps_lp is the pivot and phase-1 feasibility tolerance; every entry must be finite.
     """
-    tol = cfg.eps_lp
-    cost = _as_point(c, None, "c", finite=False)
-    n, rows_ub = len(cost), _listed(A_ub, "A_ub")
+    cost, rows_ub = _as_point(c, None, "c", finite=False), _listed(A_ub, "A_ub")
     rows, rhs = rows_ub + _listed(A_eq, "A_eq"), _listed(b_ub, "b_ub", 1) + _listed(b_eq, "b_eq", 1)
-    m_ub, m = len(rows_ub), len(rows)
+    return _solve_lp(cost, rows, rhs, len(rows_ub), cfg)
+
+
+def _solve_lp(cost: list, rows: List[list], rhs: list, m_ub: int, cfg: Config) -> LPResult:
+    """solve_lp on its data read into lists of floats: the first m_ub rows are the <= ones."""
+    tol, n, m = cfg.eps_lp, len(cost), len(rows)
     if len(rhs) != m or any(len(a) != n for a in rows):
         raise InputError(f"constraints need rows of {n} entries, one right-hand side each")
     if not all(map(math.isfinite, [*cost, *rhs, *(v for a in rows for v in a)])):
@@ -190,12 +191,16 @@ def strict_feasibility(
     margin eps subject to A_strict y <= b_strict - eps; the result is a
     witness when the optimal margin exceeds eps_lp, otherwise point is None.
     """
-    if A_strict is None or len(A_strict) == 0:
-        raise InputError("strict feasibility needs at least one strict row")
     strict, b_strict = _listed(A_strict, "A_strict"), _listed(b_strict, "b_strict", 1)
-    n = len(strict[0])
-    weak = [] if A_le is None or len(A_le) == 0 else _listed(A_le, "A_le")
-    A, b = weak + strict, (_listed(b_le, "b_le", 1) if weak else []) + b_strict
+    weak = _listed(A_le, "A_le")
+    return _strict(weak, _listed(b_le, "b_le", 1) if weak else [], strict, b_strict, cfg)
+
+
+def _strict(weak: list, b_weak: list, strict: list, b_strict: list, cfg: Config) -> FeasibilityResult:
+    """strict_feasibility on its rows and right-hand sides read into lists of floats."""
+    if not strict or len(b_strict) != len(strict):
+        raise InputError("strict feasibility needs at least one strict row, with one right-hand side each")
+    n, A, b = len(strict[0]), weak + strict, b_weak + b_strict
 
     # Variables: z = y + 1 in [0,2]^n, plus eps >= 0; maximize eps.  A row
     # a . y <= b becomes a . z <= b + a . 1.  eps is bounded by the strict
@@ -206,7 +211,7 @@ def strict_feasibility(
     rows += [[0.0] * i + [1.0] + [0.0] * (n - i) for i in range(n + 1)]
     bound = 1.0 + max(abs(bi) + _sum(abs(v) for v in a) for a, bi in zip(strict, b_strict))
     rhs = [bi + _sum(a) for a, bi in zip(A, b)] + [2.0] * n + [bound]
-    res = solve_lp([0.0] * n + [1.0], rows, rhs, cfg=cfg)
+    res = _solve_lp([0.0] * n + [1.0], rows, rhs, len(rows), cfg)
     if res.status != "optimal":
         return FeasibilityResult(None, -math.inf)
     margin = res.objective
@@ -236,7 +241,7 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
     res = _primal(rows, cfg)
     if res.point is not None:
         return GordanResult("primal", res.point, res.margin)
-    dual = dual_certificate(rows, cfg)
+    dual = _dual(rows, cfg)
     if dual is None:
         raise KernelError("neither Gordan branch is certifiable at tolerance")
     return GordanResult("dual", dual, res.margin)
@@ -245,19 +250,20 @@ def gordan_alternative(A, cfg: Config = DEFAULT_CONFIG) -> GordanResult:
 def _primal(rows: List[list], cfg: Config) -> FeasibilityResult:
     """Strict feasibility of A x > 0, posed as -A x < 0."""
     negated = [[-v for v in a] for a in rows]
-    return strict_feasibility(None, None, negated, [0.0] * len(rows), cfg)
+    return _strict([], [], negated, [0.0] * len(rows), cfg)
 
 
 def dual_certificate(A, cfg: Config = DEFAULT_CONFIG) -> Optional[np.ndarray]:
     """y >= 0 with A^T y = 0 and sum(y) = 1, or None if infeasible."""
-    rows = _listed(A, "A")
+    return _dual(_listed(A, "A"), cfg)
+
+
+def _dual(rows: List[list], cfg: Config) -> Optional[np.ndarray]:
+    """dual_certificate of the rows of A, read into lists of floats."""
     m = len(rows)
     A_eq = [list(col) for col in zip(*rows)] + [[1.0] * m]
-    b_eq = [0.0] * (len(A_eq) - 1) + [1.0]
-    res = solve_lp([0.0] * m, A_eq=A_eq, b_eq=b_eq, cfg=cfg)
-    if res.status != "optimal":
-        return None
-    return res.x
+    res = _solve_lp([0.0] * m, A_eq, [0.0] * (len(A_eq) - 1) + [1.0], 0, cfg)
+    return res.x if res.status == "optimal" else None
 
 
 def primal_margin(A, cfg: Config = DEFAULT_CONFIG) -> float:

@@ -99,7 +99,7 @@ def check_anchor_hypothesis(
 ) -> np.ndarray:
     """Validate the anchor point and return its gradient.  p may be a
     ConstrainedProblem: the anchor must then meet its constraints too."""
-    return _checked(kkt._anchor_record(p, xbar, cfg), variant, cfg).gradient[0].copy()
+    return np.array(_checked(kkt._anchor_record(p, xbar, cfg), variant, cfg).gradient[0])
 
 
 def _checked(anchor, variant: CharacVariant, cfg: Config):
@@ -200,11 +200,9 @@ class _Rows:
     frozen = False
 
     def __init__(self, X, G, anchor, sets: Dict[str, object], cfg: Config, active: Sequence = ()):
-        g0, g0norm = anchor.gradient
-        self.d = tuple(x - b for x, b in zip(X, anchor.xb.tolist()))
+        self.d = tuple(x - b for x, b in zip(X, anchor.xb))
         self.G, self.sets, self.cfg, self.decided = G, sets, cfg, {}
-        self.active = tuple((i, tuple(gi.tolist())) for i, gi in active)
-        self.gnorm, self.g0, self.g0norm = _norm(G), tuple(g0.tolist()), float(g0norm)
+        self.active, (self.g0, self.g0norm), self.gnorm = active, anchor.gradient, _norm(G)
         anchor_dot = _dot(self.g0, self.d)            # grad f(xbar) . (x - xbar)
         point_dot = _dot(G, [-c for c in self.d])     # grad f(x) . (xbar - x), with -0 as on a grid
         self.values = {

@@ -35,11 +35,6 @@ class ConvexityReport:
     counterexample: Optional[tuple] = None  # (x, y, t) or (x, y)
 
 
-def _require_count(name: str, value: int) -> None:
-    if value < 0:
-        raise InputError(f"{name} must be >= 0")
-
-
 def _draws(window: Box, rng: np.random.Generator, margin: float, rows: int) -> np.ndarray:
     """rows successive uniform points of the window shrunk by margin: the
     same numbers as rows calls of rng.uniform(lo, hi).  A window narrower
@@ -86,8 +81,8 @@ def check_quasiconvex(
     cfg: Config = DEFAULT_CONFIG,
 ) -> ConvexityReport:
     """Sample segments and test f(x + t(y-x)) <= max(f(x), f(y))."""
-    _require_count("pairs", pairs)
-    _require_count("t_steps", t_steps)
+    _check_resolution(pairs, 0, "pairs")
+    _check_resolution(t_steps, 0, "t_steps")
     rng = np.random.default_rng(cfg.seed)
     ts = np.linspace(0.0, 1.0, t_steps + 1)
     found = None
@@ -134,7 +129,7 @@ def check_first_order_qcx(
     cfg: Config = DEFAULT_CONFIG,
 ) -> ConvexityReport:
     """Test the implication f(y) <= f(x)  =>  grad f(x) . (y - x) <= 0."""
-    _require_count("pairs", pairs)
+    _check_resolution(pairs, 0, "pairs")
     rng = np.random.default_rng(cfg.seed)
     found = None
     for k in _chunks(pairs, 2):
@@ -169,7 +164,7 @@ def check_pseudoconvex_at(
 ) -> bool:
     """Pointwise pseudoconvexity at x: f(y) < f(x) forces a strict descent
     direction y - x."""
-    _require_count("samples", samples)
+    _check_resolution(samples, 0, "samples")
     rng = np.random.default_rng(cfg.seed)
     xv = _as_point(x, window.dimension)
     fx = evaluate(f, xv)

@@ -348,14 +348,21 @@ def _at(x) -> tuple:
     return tuple(np.array(x, dtype=float).tolist())
 
 
+def _real_array(x) -> np.ndarray:
+    """np.asarray(x, dtype=float), refusing a complex array (numpy would read its real part)."""
+    if getattr(getattr(x, "dtype", None), "kind", None) == "c":
+        raise TypeError(f"an array of dtype {x.dtype} is not real")
+    return np.asarray(x, dtype=float)
+
+
 def _floats(x, name: str = "point"):
-    """The one conversion of caller data: x read as reals by numpy (a float
-    or a list of floats taken as it is), as one float, a list of floats if
-    flat, else an array.  What numpy cannot read is an InputError naming x."""
-    if type(x) is float or type(x) is list and all(type(c) is float for c in x):
-        return x
+    """The one conversion of caller data: x read as reals (_real_array; a float
+    or a list or tuple of floats taken as it is), as one float, a list of floats
+    if flat, else an array.  What it cannot read is an InputError naming x."""
+    if type(x) is float or type(x) in (list, tuple) and all(type(c) is float for c in x):
+        return list(x) if type(x) is tuple else x
     try:
-        xv = np.asarray(x, dtype=float)
+        xv = _real_array(x)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{name} is not readable as reals: {exc}") from None
     return xv.tolist() if xv.ndim < 2 else xv
@@ -382,7 +389,7 @@ def _as_rows(X, dimension: Optional[int] = None, name: str = "X", finite: bool =
     (N, n) array of finite points (unless finite is False); else each row is
     read by _as_point, so the first bad row raises there, or X is refused."""
     try:
-        Xv = np.asarray(X, dtype=float)
+        Xv = _real_array(X)
     except (ValueError, TypeError, OverflowError) as exc:
         Xv, unread = None, exc
     else:
@@ -539,11 +546,7 @@ def _ast_key(f: Expr) -> _AstKey:
     keeps its hash: looking it up neither hashes nor compares the tree."""
     key = getattr(f, "_key", None)
     if key is None:
-        text = repr(f)
-        if "array(" in text:  # numpy prints an array's entries rounded
-            with np.printoptions(floatmode="unique"):
-                text = repr(f)
-        key = _AstKey(text)
+        key = _AstKey(repr(f))
         key.ast = f
         try:
             object.__setattr__(f, "_key", key)

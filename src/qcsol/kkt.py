@@ -15,6 +15,7 @@ the record's own multiplier, whose residual is kept beside it.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -68,12 +69,12 @@ def _feasible_values(cp: ConstrainedProblem, xv, cfg: Config) -> Optional[list]:
 
 
 class _Anchor(_Derived):
-    """What the questions about one anchor xb of p under cfg share.  Each
-    field is found on first use and kept apart, so a route reads only what
-    it asks for; a failing one is not kept, so it raises again."""
+    """What the questions about one anchor xb of p under cfg share, vectors
+    as tuples of floats.  Each field is found on first use and kept apart, so
+    a route reads only what it asks for; a failing one is not kept, so it raises again."""
 
-    def __init__(self, p, xb: list, cfg: Config):
-        self.p, self.xb, self.cfg = p, _frozen(np.array(xb)), cfg
+    def __init__(self, p, xb: tuple, cfg: Config):
+        self.p, self.xb, self.cfg = p, xb, cfg
 
     @functools.cached_property
     def values(self) -> tuple:
@@ -90,14 +91,14 @@ class _Anchor(_Derived):
 
     @functools.cached_property
     def gradient(self) -> tuple:
-        """grad f(xb), read-only, and its norm."""
-        g0 = _frozen(grad(self.p.objective, self.xb, self.p.dimension))
+        """grad f(xb) and its norm."""
+        g0 = tuple(grad(self.p.objective, self.xb, self.p.dimension).tolist())
         return g0, _norm(g0)
 
-    def active(self, indices: tuple) -> list:
-        """(i, grad g_i(xb)), read-only, for each index i."""
-        g, n = self.p.constraints, self.p.dimension
-        return self.derived(indices, lambda: [(i, _frozen(grad(g[i], self.xb, n))) for i in indices])
+    def active(self, indices: tuple) -> tuple:
+        """(i, grad g_i(xb)) for each index i."""
+        g, n, xb = self.p.constraints, self.p.dimension, self.xb
+        return self.derived(indices, lambda: tuple((i, tuple(grad(g[i], xb, n).tolist())) for i in indices))
 
     def active_set(self, lam: Optional[MultiplierVector] = None) -> ActiveSetReport:
         """active_set's answer, from the kept constraint values."""
@@ -109,9 +110,9 @@ class _Anchor(_Derived):
 
     @functools.cached_property
     def normals(self) -> tuple:
-        """The generators of the ground set's normal cone at xb, read-only."""
+        """The generators of the ground set's normal cone at xb."""
         gens = normal_cone_generators(self.p.ground_set, self.xb, self.cfg.eps_act)
-        return tuple(_frozen(np.array(a)) for a in gens)
+        return tuple(tuple(a.tolist()) for a in gens)
 
     @functools.cached_property
     def multipliers(self) -> MultiplierVector:
@@ -125,7 +126,7 @@ class _Anchor(_Derived):
             return MultiplierVector((0.0,) * len(self.p.constraints))
         # Solve sum_i mu_i col_i = -grad f(xbar), mu >= 0.
         A_eq = np.column_stack(cols)
-        res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=-gf, cfg=self.cfg)
+        res = solve_lp(np.zeros(len(cols)), A_eq=A_eq, b_eq=[-v for v in gf], cfg=self.cfg)
         if res.status != "optimal":
             raise NoMultiplierError(f"no multiplier exists at {_at(self.xb)} within tolerance")
         lambdas = [0.0] * len(self.p.constraints)
@@ -136,9 +137,9 @@ class _Anchor(_Derived):
 
     def residual_at(self, lambdas) -> float:
         """stationarity_residual's answer at the multipliers lambdas."""
-        resid = self.gradient[0].copy()
+        resid = np.array(self.gradient[0])
         for i, g in self.active(tuple(i for i in range(len(self.p.constraints)) if lambdas[i])):
-            resid += lambdas[i] * g
+            resid += lambdas[i] * np.array(g)
         N = np.reshape(self.normals, (len(self.normals), self.p.dimension)).T
         # variables (mu, t): maximize -t subject to +-(resid + N mu) <= t
         t = -np.ones((self.p.dimension, 1))
@@ -174,14 +175,10 @@ def _fitted(cp, lam: MultiplierVector) -> MultiplierVector:
 
 
 def _anchor_record(p, xbar, cfg: Config) -> _Anchor:
-    """The record of the anchor xbar of p under cfg (_anchor_at)."""
-    return _anchor_at(p, _as_point(xbar, p.dimension), cfg)
-
-
-def _anchor_at(p, xb: list, cfg: Config) -> _Anchor:
-    """The record of the anchor xb of p under cfg, as _as_point reads it,
-    kept in sets' store; xb is keyed by its bytes, so 0.0 and -0.0 differ."""
-    return _kept(("anchor", _ast_key(p), np.array(xb).tobytes(), cfg), lambda: _Anchor(p, xb, cfg))
+    """The record of the anchor xbar of p under cfg, as _as_point reads it,
+    kept in sets' store; xbar is keyed by its bytes, so 0.0 and -0.0 differ."""
+    xb = tuple(_as_point(xbar, p.dimension))
+    return _kept(("anchor", _ast_key(p), struct.pack(f"{len(xb)}d", *xb), cfg), lambda: _Anchor(p, xb, cfg))
 
 
 def feasible_grid(

@@ -29,7 +29,7 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        lo, hi = _field("box lo", self.lo), _field("box hi", self.hi)
+        lo, hi = _field(self, "lo", "box lo"), _field(self, "hi", "box hi")
         if len(lo) != len(hi):
             raise DimensionError("box lo/hi lengths differ")
         if not lo:
@@ -58,26 +58,27 @@ class Box:
         return gens
 
 
-def _field(what: str, value, flat: bool = True) -> list:
-    """An atom's field read as reals (expr._floats): the floats of a flat
-    sequence if flat, else of one real.  The atom keeps the field as given."""
-    xs = _floats(value, what)
+def _field(atom, field: str, what: str, flat: bool = True):
+    """The atom's field read as reals (expr._floats) and stored as read: a
+    tuple of floats if flat, else one float."""
+    xs = _floats(getattr(atom, field), what)
     if type(xs) is not (list if flat else float):
         want = "a flat sequence" if flat else "one real"
         raise DimensionError(f"{what} has shape {np.shape(xs)}, expected {want}")
-    return xs if flat else [xs]
+    object.__setattr__(atom, field, tuple(xs) if flat else xs)
+    return getattr(atom, field)
 
 
-def _check_entries(what: str, vector, *scalars) -> None:
-    """Refuse fields that are not reals (_field), an empty vector, a NaN
-    anywhere, and an infinite entry of the vector."""
-    xs = _field(what, vector)
+def _check_entries(atom, what: str, vector: str, *scalars: str) -> None:
+    """Store the atom's fields as read (_field), refusing an empty vector, a
+    NaN anywhere, and an infinite entry of the vector."""
+    xs = _field(atom, vector, what)
     if not xs:
         raise DimensionError(f"{what} dimension must be >= 1")
-    if any(map(math.isnan, xs + [c for v in scalars for c in _field(what, v, False)])):
+    if any(map(math.isnan, xs + tuple(_field(atom, v, what, False) for v in scalars))):
         raise InputError(f"{what} has a NaN entry")
     if not all(map(math.isfinite, xs)):
-        raise InputError(f"{what} has an infinite entry in {tuple(vector)!r}")
+        raise InputError(f"{what} has an infinite entry in {xs!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        _check_entries("halfspace", self.a, self.b)
+        _check_entries(self, "halfspace", "a", "b")
 
     dimension = property(lambda self: len(self.a))
 
@@ -97,7 +98,7 @@ class Halfspace:
 
     def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """a where the halfspace is active."""
-        return [np.asarray(self.a, dtype=float)] if abs(self.violations(x)) <= eps_act else []
+        return [np.array(self.a)] if abs(self.violations(x)) <= eps_act else []
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not _field("ball radius", self.radius, False)[0] >= 0:  # NaN fails this too
+        if not _field(self, "radius", "ball radius", False) >= 0:  # NaN fails this too
             raise InputError(f"ball radius must be >= 0, got {self.radius!r}")
-        _check_entries("ball center", self.center)
+        _check_entries(self, "ball center", "center")
 
     dimension = property(lambda self: len(self.center))
 
@@ -131,7 +132,7 @@ class LinearEquality:
     b: float
 
     def __post_init__(self):
-        _check_entries("linear equality", self.a, self.b)
+        _check_entries(self, "linear equality", "a", "b")
 
     dimension = property(lambda self: len(self.a))
 
@@ -140,8 +141,7 @@ class LinearEquality:
 
     def normals(self, x, eps_act: float) -> List[np.ndarray]:
         """a and -a: a free multiplier split into a positive pair."""
-        a = np.asarray(self.a, dtype=float)
-        return [a, -a]
+        return [np.array(self.a), -np.array(self.a)]
 
 
 Atom = Union[Box, Halfspace, Ball, LinearEquality]
@@ -182,12 +182,12 @@ def _holds(S: ConvexSetDescriptor, xs: list, tol: float) -> bool:
 MAX_GRID_NODES = 10**6
 
 
-def _check_resolution(resolution, least: int = 2) -> None:
-    """Refuse a resolution that is not an integer (numpy's too) >= least."""
-    if not hasattr(resolution, "__index__"):
-        raise InputError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < least:
-        raise InputError(f"resolution must be >= {least}")
+def _check_resolution(value, least: int = 2, name: str = "resolution") -> None:
+    """Refuse a resolution or count, named name, that is not an integer >= least (numpy's too, no bool)."""
+    if not hasattr(value, "__index__") or type(value) is bool:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}")
 
 
 def grid_nodes(window: Box, resolution: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .config import DEFAULT_CONFIG, Config
 from .core import Problem
 from .errors import DimensionError, InputError
 from .expr import ExprAst, _as_point, _dot, _floats, _norm, _point, _program, evaluate, evaluate_many, grad
-from .kkt import _anchor_at
+from .kkt import _anchor_record
 from .sets import Box, _check_resolution, _frozen, _holds, _window
 
 
@@ -75,10 +75,10 @@ def gp_member(
     x0v = _as_point(x0, window.dimension)
     f0 = evaluate(f, x0v)
     grid = _grid_values(f, window, resolution)
-    V = _floats([v], "direction")  # its own refusal: callers catch a direction of another size as InputError
-    if np.shape(V) != (1, window.dimension) or not np.isfinite(V).all():
+    v = _floats(v, "direction")  # its own refusal: callers catch a direction of another size as InputError
+    if type(v) is not list or len(v) != window.dimension or not all(map(math.isfinite, v)):
         raise InputError(f"a direction must have {window.dimension} finite entries")
-    return bool(len(_gp_members(np.asarray(V), x0v, f0, grid, cfg.eps_feas)))
+    return bool(len(_gp_members(np.array([v]), x0v, f0, grid, cfg.eps_feas)))
 
 
 def default_gp_candidates(
@@ -93,7 +93,7 @@ def default_gp_candidates(
 
 def _gp_candidates(gradients, dimension: int, cfg: Config) -> np.ndarray:
     """default_gp_candidates from the gradients at the two points."""
-    units = [g / nrm for g, nrm in zip(gradients, map(_norm, gradients)) if nrm > cfg.eps_grad]
+    units = [[c / nrm for c in g] for g, nrm in zip(gradients, map(_norm, gradients)) if nrm > cfg.eps_grad]
     samples = ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 3.0), (3.0, 1.0)) if dimension >= 2 else ()
     return np.array([*np.eye(dimension), *([*s, *[1.0] * (dimension - 2)] for s in samples), *units])
 
@@ -116,7 +116,7 @@ def gp_solution_check(
     if not _holds(p.feasible_set, xv, cfg.eps_feas):  # no solution, and nothing evaluated
         return False
     eps = cfg.eps_feas
-    anchor = _anchor_at(p, xb, cfg)  # the anchor's gradient is read from its record
+    anchor = _anchor_record(p, xb, cfg)  # the anchor's gradient is read from its record
     fx, gx = _point(_program(p.objective, p.dimension), xv)  # f(x) and grad f(x), as grad finds them
     g0, gx = anchor.gradient[0], [float(g) for g in gx]
     grid = _grid if _grid is not None else _grid_values(p.objective, p.domain_window, resolution)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcsol import alternatives, expr
 from qcsol.alternatives import (
     collinearity_factor,
     dual_certificate,
@@ -141,6 +142,21 @@ class TestGordan:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             gordan_alternative([[np.nan, 1.0]])
+
+    def test_each_entry_reads_each_matrix_once(self, monkeypatch):
+        # the public entries read their rows once and hand the lists on: a
+        # dual-branch Gordan op runs the primal LP and the dual one on them
+        reads = []
+        monkeypatch.setattr(alternatives, "_as_rows",
+                            lambda A, *args, **kw: reads.append(A) or expr._as_rows(A, *args, **kw))
+        A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        b = [1.0, 1.0]
+        for call, count in [(lambda: gordan_alternative(A), 1), (lambda: dual_certificate(A), 1),
+                            (lambda: primal_margin(A), 1), (lambda: strict_feasibility(A, b, A, b), 2),
+                            (lambda: solve_lp([1.0, 1.0], A, b, A, [0.0, 0.0]), 2)]:
+            reads.clear()
+            call()
+            assert len(reads) == count and all(r is A for r in reads)
 
 
 @given(st.integers(0, 10_000))

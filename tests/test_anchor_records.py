@@ -4,6 +4,7 @@ and a warm answer is the cold one."""
 
 import functools
 import gc
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import replace
@@ -341,12 +342,13 @@ def test_signed_zero_anchors_get_separate_records():
     e = get_example("ex2_4")
     plus = kkt._anchor_record(e.problem, (0.0, 0.0), DEFAULT_CONFIG)
     minus = kkt._anchor_record(e.problem, (-0.0, 0.0), DEFAULT_CONFIG)
-    assert plus is not minus and plus.xb.tobytes() != minus.xb.tobytes()
+    assert plus is not minus and plus.xb == minus.xb == (0.0, 0.0)
+    assert [math.copysign(1.0, c) for c in plus.xb + minus.xb] == [1.0, 1.0, -1.0, 1.0]
     assert kkt._anchor_record(e.problem, np.zeros(2), DEFAULT_CONFIG) is plus
     assert kkt._anchor_record(e.problem, (0.0, 0.0), replace(DEFAULT_CONFIG, seed=1)) is not plus
 
 
-def test_kept_records_are_read_only():
+def test_kept_records_are_immutable():
     e = get_example("ex2_3_constrained")
     lam = kkt.solve_multipliers(e.problem, e.anchor)
     kkt.enumerate_constrained(e.problem, e.anchor, lam, V.SP1, 9)
@@ -354,15 +356,22 @@ def test_kept_records_are_read_only():
     grid = kkt._grid(e.problem, 9, DEFAULT_CONFIG)
     (rows,) = [r for tag, r in grid.results.items() if tag[0] != "oracle"]
     window = sets._window(e.problem.objective, e.problem.domain_window, 9)
-    arrays = [record.xb, record.gradient[0], *(g for _, g in record.active((0,))),
-              *rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"], grid.X, grid.C, window.X]
+    arrays = [*rows.d, rows.G, *rows.values.values(), rows.sets["in_X1"], grid.X, grid.C, window.X]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+    # the anchor record's points and vectors are tuples of floats, which the rows share
+    active = record.active((0,))
+    vectors = (record.xb, record.gradient[0], *(g for _, g in active), *record.normals)
+    assert all(type(t) is tuple for t in (active, record.normals, *active, *vectors))
+    assert all(type(c) is float for t in vectors for c in t) and type(record.gradient[1]) is float
+    assert rows.g0 is record.gradient[0] and rows.active is active
     assert all(type(t) is tuple for t in (rows.d, rows.g0, rows.active, *(g for _, g in rows.active)))
-    anchor = np.array(e.anchor)
-    kkt._anchor_record(e.problem, anchor, DEFAULT_CONFIG)
-    assert anchor.flags.writeable  # the record keeps a copy
+    for anchor in (np.array(e.anchor), list(e.anchor)):  # the record keeps a copy
+        sets._KEPT.clear()
+        kept = kkt._anchor_record(e.problem, anchor, DEFAULT_CONFIG)
+        anchor[0] = 9.0
+        assert kept.xb == tuple(e.anchor)
 
 
 def test_the_oracle_result_is_kept_per_grid_and_eps_opt():

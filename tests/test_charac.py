@@ -587,10 +587,9 @@ _LOOSE = replace(DEFAULT_CONFIG, eps_grad=0.5, eps_dir=1e-3, eps_feas=0.2, eps_a
 
 
 def _anchor_of(xb, g0):
-    """What _Rows reads of an anchor record (kkt._Anchor): xb, its gradient and its norm."""
-    g0 = np.array(g0)
-    with np.errstate(over="ignore"):  # the anchor record's norm, on numpy floats
-        return mock.Mock(xb=np.array(xb), gradient=(g0, _norm(g0)))
+    """What _Rows reads of an anchor record (kkt._Anchor): xb, its gradient
+    and the gradient's norm, as the record keeps them, tuples of floats."""
+    return mock.Mock(xb=tuple(xb), gradient=(tuple(g0), _norm(g0)))
 
 
 def _entries_hex(entries, point: bool):
@@ -625,7 +624,7 @@ def _entries_hex(entries, point: bool):
 def test_a_point_decides_on_floats_what_a_row_decides_on_columns(x, xb, g, g0, gi, values,
                                                                   in_S, tilde, cfg):
     anchor = _anchor_of(xb, g0)
-    active = [(i, np.array(gi)) for i in tilde]
+    active = tuple((i, tuple(gi)) for i in tilde)
     point = charac._Rows(x, g, anchor, kkt._masks(in_S, values, tilde, cfg), cfg, active)
     with np.errstate(all="ignore"):
         rows = charac._Rows(np.array([x]).T, np.array([g]).T, anchor, kkt._masks(

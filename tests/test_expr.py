@@ -689,7 +689,7 @@ def _read_alike(run, x):
 @example(_THRICE, [0.5, -0.0], None)
 @settings(max_examples=300, deadline=None)
 def test_a_list_of_floats_a_tuple_and_an_array_read_alike(f, coords, dimension):
-    # a list of Python floats is taken as it is; any other form is read by numpy
+    # a list or tuple of Python floats is taken as it is; any other form is read by numpy
     forms = [list(coords), tuple(coords), np.array(coords, dtype=float),
              [np.float64(c) for c in coords], [coords]]
     for run in (lambda x: evaluate(f, x), lambda x: grad(f, x, dimension)):

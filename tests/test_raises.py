@@ -5,6 +5,7 @@ refused with errors.InputError or errors.DimensionError and that any other
 ValueError is a fault."""
 
 import ast
+import functools
 import inspect
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 from qcsol import alternatives, charac, convexity, errors, expr, kkt, sets, subdiff
 from qcsol.core import CharacVariant, MultiplierVector
+from qcsol.expr import parse
 from qcsol.registry import get_example
 from qcsol.sets import Ball, Box, Halfspace, LinearEquality
 
@@ -51,7 +53,8 @@ def test_every_raise_names_a_qcsol_error_or_an_allowed_exception():
 # vector from its caller refuses each bad input with a QcsolError (expr's
 # reader: _floats, _as_point, _as_rows), and keeps no record for it.
 BAD = {"string": "ab", "string entry": [1.0, "a"], "ragged": [[1.0], [1.0, 2.0]],
-       "huge int": 10**400, "huge int entry": [10**400, 0.0], "complex": 1 + 2j, "object": object()}
+       "huge int": 10**400, "huge int entry": [10**400, 0.0], "complex": 1 + 2j, "object": object(),
+       "complex array": np.array([1.5 + 1j, 1.0])}
 FLAT = np.array([1.0, 0.0])  # a 1-D array where rows are expected
 
 
@@ -115,4 +118,31 @@ def test_each_entry_refuses_a_bad_input_with_a_qcsol_error_and_keeps_nothing(nam
     kept = dict(sets._KEPT)
     with pytest.raises(errors.QcsolError):
         call(FLAT if bad == "1-D rows" else BAD[bad])
+    assert dict(sets._KEPT) == kept
+
+
+# Arguments other than points that the library reads from its caller: the
+# samplers' counts (integers, a bool not among them) and the LP kernel's
+# rows and right-hand sides, each read once by its public entry.
+_f, _w = parse("x1^2 + x2^2", 2), Box((-1.0, -1.0), (1.0, 1.0))
+_SAMPLERS = [(convexity.check_quasiconvex, "pairs", (_f, _w)),
+             (convexity.check_quasiconvex, "t_steps", (_f, _w)),
+             (convexity.check_first_order_qcx, "pairs", (_f, _w)),
+             (convexity.check_pseudoconvex_at, "samples", (_f, (0.0, 0.0), _w))]
+OTHERS = {
+    **{f"{f.__name__} {name}={bad!r}": functools.partial(f, *args, **{name: bad})
+       for f, name, args in _SAMPLERS for bad in (2.5, "a", True)},
+    "solve_lp string row entry": lambda: alternatives.solve_lp([1.0], [["a"]], [1.0]),
+    "strict_feasibility string row entry":
+        lambda: alternatives.strict_feasibility(None, None, [["a"]], [0.0]),
+    "strict_feasibility no right-hand side":
+        lambda: alternatives.strict_feasibility(None, None, [[1.0]], None),
+}
+
+
+@pytest.mark.parametrize("name", OTHERS)
+def test_each_count_and_lp_input_is_refused_with_a_qcsol_error(name):
+    kept = dict(sets._KEPT)
+    with pytest.raises(errors.QcsolError):
+        OTHERS[name]()
     assert dict(sets._KEPT) == kept

@@ -1,17 +1,20 @@
 """Convex set descriptors, grids, and normal cones."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcsol import sets
 from qcsol.core import Problem
 from qcsol.errors import DimensionError, InputError
-from qcsol.expr import _dot, _norm
+from qcsol.expr import _dot, _norm, parse
 from qcsol.registry import get_example
 from qcsol.sets import (
     MAX_GRID_NODES,
@@ -150,15 +153,36 @@ class TestAtoms:
         with pytest.raises(DimensionError, match=re.escape(message.format("set"))):
             normal_cone_generators(S, x)
 
-    def test_atoms_keep_their_fields_as_given(self):
-        # each field is read as reals to be checked, and kept as given, so
-        # reprs, problem documents and store keys do not move; infinite box
-        # bounds, b and radius stay allowed
+    def test_atoms_store_their_fields_as_floats(self):
+        # each field is stored as the reader reads it: a tuple of floats, or
+        # one float; infinite box bounds, b and radius stay allowed
         a, lo, hi = (1, 0), (0, -math.inf), [1, 2]
         atoms = [Box(lo, hi), Halfspace(a, math.inf), Ball(lo[:1], math.inf), LinearEquality(a, 3)]
-        assert repr(atoms) == ("[Box(lo=(0, -inf), hi=[1, 2]), Halfspace(a=(1, 0), b=inf), "
-                               "Ball(center=(0,), radius=inf), LinearEquality(a=(1, 0), b=3)]")
-        assert atoms[0].lo is lo and atoms[0].hi is hi and atoms[1].a is a
+        assert repr(atoms) == ("[Box(lo=(0.0, -inf), hi=(1.0, 2.0)), Halfspace(a=(1.0, 0.0), b=inf), "
+                               "Ball(center=(0.0,), radius=inf), LinearEquality(a=(1.0, 0.0), b=3.0)]")
+        fields = [getattr(atom, f.name) for atom in atoms for f in dataclasses.fields(atom)]
+        assert [type(v) for v in fields] == [tuple, tuple, tuple, float, tuple, float, tuple, float]
+        assert all(type(c) is float for v in fields if type(v) is tuple for c in v)
+
+    @pytest.mark.parametrize("real", [int, Decimal, str, np.float32],
+                             ids=["int", "Decimal", "str", "float32"])
+    def test_an_atom_of_other_reals_is_the_atom_of_their_floats(self, real):
+        # ints, Decimals and numeric strings read to the same floats: the
+        # atoms are equal, print alike, answer alike and share a window record
+        def atoms(r):
+            return (Box((r(0), r(-1)), (r(2), r(2))), Halfspace((r(1), r(-1)), r(1)),
+                    Ball((r(1), r(0)), r(2)), LinearEquality((r(1), r(1)), r(2)))
+        X = grid_nodes(Box((-1.0, -1.0), (3.0, 3.0)), 9)
+        for floats, others in zip(atoms(float), atoms(real)):
+            assert others == floats and repr(others) == repr(floats)
+            S, T = ConvexSetDescriptor(2, (floats,)), ConvexSetDescriptor(2, (others,))
+            assert [contains(T, x) for x in X] == [contains(S, x) for x in X]
+            assert np.array_equal(contains_many(T, X), contains_many(S, X))
+            for x in X[::5]:
+                got, want = (normal_cone_generators(A, x, 0.5) for A in (T, S))
+                assert [g.tolist() for g in got] == [g.tolist() for g in want]
+        f = parse("x1^2 + x2", 2)
+        assert sets._window(f, atoms(real)[0], 5) is sets._window(f, atoms(float)[0], 5)
 
     @pytest.mark.parametrize("atom", [
         Box((0.0,), (1.0,)), Halfspace((1.0,), 1.0), Ball((0.0,), 1.0), LinearEquality((1.0,), 1.0),

@@ -405,7 +405,7 @@ def test_gp_route_refuses_a_point_outside_the_feasible_set(name, x, monkeypatch)
     # without its feasible set, the grid has a witness for the point
     free = Problem(p.objective, ConvexSetDescriptor(2, ()), 2, p.domain_window)
     assert gp_solution_check(free, e.anchor, x)
-    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_at"):
+    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_record"):
         monkeypatch.setattr(subdiff, route, _no_call)
     assert gp_solution_check(p, e.anchor, x) is False
 
@@ -494,7 +494,7 @@ def test_ml_routes_refuse_a_point_that_is_not_one_real(flat):
 def test_gp_routes_refuse_a_bad_point_in_order(quadrant, monkeypatch):
     # the resolution first, then xbar, then x, each before anything is evaluated
     p, f, w = quadrant.problem, quadrant.problem.objective, quadrant.problem.domain_window
-    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_at", "_window", "_holds"):
+    for route in ("evaluate", "evaluate_many", "grad", "_point", "_anchor_record", "_window", "_holds"):
         monkeypatch.setattr(subdiff, route, _no_call)
     nan, short, good = (np.nan, 0.0), (1.0,), (0.0, 0.0)
     non_finite = (InputError, r"^point \(nan, 0.0\) has non-finite entries$")
