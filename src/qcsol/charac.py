@@ -31,7 +31,7 @@ from .errors import (HypothesisViolatedError, InconsistentDichotomyError, InputE
                      NotOpenGroundSetError)
 from .expr import (_as_point, _as_rows, _ast_key, _at, _dot, _lost, _norm, _not, _point, _program, _ratio,
                    _rescaled, _where, evaluate, grad_many)
-from .sets import _kept, contains, contains_many
+from .sets import _holds, _kept, contains_many
 
 
 _PAIRS = 1 << 16  # the most solution pairs classify_dichotomy compares at once
@@ -343,7 +343,7 @@ def _decide(p, xbar, lam, x, variant: CharacVariant, cfg: Config) -> MembershipV
     anchor, tilde, active = _anchor(p, xbar, lam, variant, cfg)
     xv = _as_point(x, p.dimension)
     # no constraint is evaluated outside the ground set, as on the grid
-    in_S = contains(p.ground_set, xv, cfg.eps_feas)
+    in_S = _holds(p.ground_set, xv, cfg.eps_feas)
     sets = kkt._masks(in_S, [evaluate(g, xv) for g in p.constraints if in_S], tilde, cfg)
     g = tuple(map(float, _point(_program(p.objective, p.dimension), xv)[1]))  # numpy constants too
     member, entries = _Rows(xv, g, anchor, sets, cfg, active).decide(variant)

@@ -19,6 +19,7 @@ from . import charac, convexity, kkt, oracle, subdiff
 from .config import DEFAULT_CONFIG, Config
 from .core import CharacVariant, ConstrainedProblem
 from .errors import InputError, QcsolError
+from .expr import _MEMO_SIZE
 from .problemfile import _json_document, config_from_json, loads
 from .registry import get_example
 from .sets import Box
@@ -39,12 +40,21 @@ class UsageError(Exception):
 
 
 def _base_config(args, cfg: Config = DEFAULT_CONFIG) -> Config:
-    """cfg (a problem file's config), then QCX_CONFIG, then the flags."""
+    """cfg (a problem file's config), then QCX_CONFIG, then the flags.  The
+    file is read on every call; one Config is kept per set of sources (_config)."""
     path = os.environ.get("QCX_CONFIG")
-    if path:
-        cfg = config_from_json(_json_document(_text(path)), cfg)
-    flags = {k: getattr(args, k) for k in _CONFIG_FLAGS if getattr(args, k) is not None}
-    return config_from_json(flags, cfg)
+    flags = tuple((k, v) for k in _CONFIG_FLAGS if (v := getattr(args, k)) is not None)
+    return _config(cfg, _text(path) if path else None, flags)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _config(cfg: Config, text: Optional[str], flags: tuple) -> Config:
+    """cfg with the QCX_CONFIG text's fields, then the flags' (name, value)
+    pairs, replaced; the same object for equal sources, as store keys match
+    by identity first.  A refused config raises again."""
+    if text is not None:
+        cfg = config_from_json(_json_document(text), cfg)
+    return config_from_json(dict(flags), cfg)
 
 
 def _text(path: str) -> str:
@@ -342,34 +352,48 @@ _COMMANDS = {
 }
 
 
+def _reader_table(flags: dict, defaults: dict) -> tuple:
+    """_read's table of a subcommand without a positional: each long flag's
+    (dest, type, choices), the Namespace's fields before any flag is given,
+    and the dests of the required flags."""
+    dest = {name: name[2:].replace("-", "_") for name in flags}
+    return ({name: (dest[name], kw.get("type", str), kw.get("choices")) for name, kw in flags.items()},
+            {**defaults, **{dest[name]: kw.get("default") for name, kw in flags.items()}},
+            {dest[name] for name, kw in flags.items() if kw.get("required")})
+
+
+# subcommand -> _read's table; one with a positional is left to argparse
+_READER = {command: _reader_table(flags, {"command": command, **defaults})
+           for command, (_, flags, defaults) in _COMMANDS.items()
+           if all(name.startswith("--") for name in flags)}
+
+
 def _read(argv) -> Optional[argparse.Namespace]:
     """argparse's Namespace for an argv of the common form: a subcommand with no
     positional, then exact long flags, each once, as --flag=value or --flag value
     (a value not starting with "-"), all required ones given, each value passing
     its type and choices.  None for any other argv: argparse reads that one."""
-    if not argv or argv[0] not in _COMMANDS:
+    table = _READER.get(argv[0]) if argv else None
+    if table is None:
         return None
-    _, flags, defaults = _COMMANDS[argv[0]]
+    flags, fields, required = table
     given, tokens = {}, iter(argv[1:])
     for token in tokens:
         name, eq, value = token.partition("=")
         if not eq:
             value = next(tokens, "-")  # a missing value defers too
-        kw = flags.get(name) if name.startswith("--") else None
-        if kw is None or name in given or not eq and value.startswith("-"):
+        dest, kind, choices = flags.get(name, (None, None, None))
+        if dest is None or dest in given or not eq and value.startswith("-"):
             return None
         try:
-            given[name] = value = kw["type"](value) if "type" in kw else value
+            given[dest] = value = kind(value)
         except ValueError:
             return None
-        if value not in kw.get("choices", (value,)):
+        if choices is not None and value not in choices:
             return None
-    args = argparse.Namespace(command=argv[0], **defaults)
-    for name, kw in flags.items():
-        if name not in given and kw.get("required", not name.startswith("--")):
-            return None  # a positional is never given here
-        setattr(args, name[2:].replace("-", "_"), given.get(name, kw.get("default")))
-    return args
+    args = argparse.Namespace()
+    vars(args).update(fields, **given)  # Namespace(**fields) would setattr each field
+    return args if required <= given.keys() else None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -398,7 +398,7 @@ def _as_rows(X, dimension: Optional[int] = None, name: str = "X", finite: bool =
                 return Xv
             X = Xv[~np.isfinite(Xv).all(axis=1)][:1]  # the first non-finite row
     for x in X if hasattr(X, "__iter__") and (Xv is None or Xv.ndim) else ():
-        _as_point(x, dimension, finite=finite)
+        _as_point(x, dimension, f"{name} row", finite)
     if Xv is None:
         raise InputError(f"{name} is not readable as reals: {unread}")
     raise DimensionError(f"{name} has shape {Xv.shape}, expected (N, {dimension or 'n'})")

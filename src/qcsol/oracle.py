@@ -70,13 +70,17 @@ def agreement(
     cfg: Config = DEFAULT_CONFIG,
 ) -> OracleAgreement:
     """Symmetric difference of the oracle set and one enumerated variant on
-    one grid; eps_opt defaults to cfg.eps_opt."""
+    one grid; eps_opt defaults to cfg.eps_opt.  Refused unless the anchor's
+    value is within eps_opt of the grid's minimum, both ways."""
     _check_kind(p, None, variant)
     eps_opt = cfg.eps_opt if eps_opt is None else eps_opt
     result = brute_force_solutions(p, resolution, eps_opt, cfg)
     anchor = _anchor_record(p, xbar, cfg)
     if anchor.value > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
+    if result.min_value > anchor.value + eps_opt:
+        raise HypothesisViolatedError(f"the grid's minimum {result.min_value!r} is above f(anchor) "
+                                      f"+ eps_opt = {anchor.value!r} + {eps_opt!r}: no node is a solution")
     grid, member = _members(p, xbar, None, variant, resolution, cfg, anchor)
     oracle = _oracle(grid, eps_opt)[1]
     # a window with lo == hi on some axis repeats rows: each point is listed once

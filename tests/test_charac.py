@@ -170,7 +170,7 @@ _NAN, _INF = float("nan"), float("inf")
 )
 def test_dichotomy_reads_its_solutions_as_the_per_point_loop(points):
     # the one-array read falls back to as_point on each point, so the first
-    # bad point raises what as_point raises at it
+    # bad point raises what as_point raises at it, under the argument's name
     p = get_example("ex2_1").problem
 
     def outcome(fn):
@@ -180,7 +180,7 @@ def test_dichotomy_reads_its_solutions_as_the_per_point_loop(points):
             return type(exc), str(exc)
 
     got = outcome(lambda: classify_dichotomy(p, points))
-    want = outcome(lambda: _dichotomy_per_pair(p, [as_point(x, 2) for x in points]))
+    want = outcome(lambda: _dichotomy_per_pair(p, [as_point(x, 2, "known_solutions row") for x in points]))
     assert repr(got) == repr(want)
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import qcsol
 from qcsol import cli, sets
+from qcsol.config import DEFAULT_CONFIG
 from qcsol.core import CharacVariant
 from qcsol.cli import run
 from qcsol.errors import InputError
@@ -662,6 +663,46 @@ def test_unreadable_config_path_is_an_input_error(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "input"
+
+
+# ex2_1's S1 at a point 1e-3 off S: grad f(x) . (xbar - x) reads -4.4e-4
+_NEAR_S = ["verify-membership", "--example", "ex2_1", "--variant", "S1", "--point", "1.5,0.001"]
+
+
+def test_a_rewritten_config_file_moves_the_next_verdict(tmp_path, capsys, monkeypatch):
+    # the file is read on every run, so a warm process sees each edit
+    path = tmp_path / "cfg.json"
+    monkeypatch.setenv("QCX_CONFIG", str(path))
+    for eps_feas, code in ((1e-9, 1), (0.01, 0), (1e-9, 1)):
+        path.write_text(json.dumps({"eps_feas": eps_feas}))
+        assert run(_NEAR_S) == code
+        assert _json_out(capsys)["member"] is (code == 0)
+
+
+def test_a_refused_flag_is_refused_on_every_run(capsys):
+    for _ in range(2):
+        assert run([*_NEAR_S, "--eps-feas=-1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "input", "message": "config eps_feas must be a nonnegative finite real, got -1.0"}
+
+
+def test_runs_from_the_same_sources_share_one_config(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_base_config", lambda *a, f=cli._base_config: built.append(f(*a)) or built[-1])
+    problem = _write_problem(tmp_path, 1.0, {"eps_grad": 1e-6})
+    argvs = [_NEAR_S, [*_NEAR_S, "--eps-feas", "0.01"], [*_NEAR_S, "--eps-feas=0.01"],
+             ["verify-membership", "--problem", problem, "--variant", "STILDE", "--point", "0.5"]]
+    for argv in argvs + argvs:
+        run(argv)
+    capsys.readouterr()
+    assert [c is d for c, d in zip(built[:4], built[4:])] == [True] * 4
+    assert built[0] is DEFAULT_CONFIG and built[1] is built[2] and built[1].eps_feas == 0.01
+    assert built[3].eps_grad == 1e-6
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 7}))
+    monkeypatch.setenv("QCX_CONFIG", str(path))
+    run(_NEAR_S), run(_NEAR_S)
+    assert built[-1] is built[-2] and built[-1].seed == 7
 
 
 def _parser_argvs(tmp_path):

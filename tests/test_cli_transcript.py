@@ -94,19 +94,26 @@ def _argvs():
     return argvs
 
 
+def _entry(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def _transcript() -> str:
-    entries = []
-    for argv in _argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(list(argv))
-        entries.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
-                        "stderr": err.getvalue()})
-    return json.dumps(entries, indent=1) + "\n"
+    return json.dumps([_entry(argv) for argv in _argvs()], indent=1) + "\n"
 
 
 def test_cli_transcript_is_unchanged():
     assert _transcript() == TRANSCRIPT.read_text()
+
+
+def test_the_transcript_run_backwards_in_one_process_repeats_it():
+    # nothing a run keeps (configs, problems, grids, anchors) answers for
+    # another: run-example under each tolerance flag comes before its plain run
+    for entry in reversed(json.loads(TRANSCRIPT.read_text())):
+        assert _entry(entry["argv"]) == entry
 
 
 def test_transcript_covers_every_subcommand():

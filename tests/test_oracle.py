@@ -90,6 +90,22 @@ def test_agreement_rejects_suboptimal_anchor():
         agreement(e.problem, (1.0, 1.0), CharacVariant.SHAT1, 9)
 
 
+# f = x2 on C = [-1, 1] x [0, 2] over the window [-1, 1] x [-1, 2]: S is the
+# edge x2 = 0, a row of nodes at resolution 31 and none at 21, whose least
+# feasible row is x2 = 0.05
+_EDGE = Problem(parse("x2", 2), ConvexSetDescriptor(2, (Box((-1.0, 0.0), (1.0, 2.0)),)), 2,
+                Box((-1.0, -1.0), (1.0, 2.0)))
+
+
+def test_agreement_refuses_a_grid_that_holds_no_solution():
+    with pytest.raises(HypothesisViolatedError, match=re.escape(
+            "the grid's minimum 0.050000000000000044 is above f(anchor) + eps_opt = 0.0 + 1e-09")):
+        agreement(_EDGE, (0.0, 0.0), CharacVariant.S1, 21)
+    rep = agreement(_EDGE, (0.0, 0.0), CharacVariant.S1, 31)
+    assert rep.equal and len(rep.oracle.solution_points) == 31
+    assert {x[1] for x in rep.oracle.solution_points} == {0.0}
+
+
 def test_empty_grid():
     p = Problem(
         parse("x1", 1),
@@ -163,6 +179,9 @@ def _set_difference_agreement(p, xbar, variant, resolution, eps_opt=None, cfg=DE
     anchor = kkt._anchor_record(p, xbar, cfg)
     if anchor.value > result.min_value + eps_opt:
         raise HypothesisViolatedError(f"anchor {_at(anchor.xb)} is not in the oracle solution set")
+    if result.min_value > anchor.value + eps_opt:
+        raise HypothesisViolatedError(f"the grid's minimum {result.min_value!r} is above f(anchor) "
+                                      f"+ eps_opt = {anchor.value!r} + {eps_opt!r}: no node is a solution")
     oracle_set = set(result.solution_points)
     enumerated = set(enumerate_solution_set(p, xbar, variant, resolution, cfg))
     missing = tuple(sorted(oracle_set - enumerated))

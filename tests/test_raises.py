@@ -146,3 +146,29 @@ def test_each_count_and_lp_input_is_refused_with_a_qcsol_error(name):
     with pytest.raises(errors.QcsolError):
         OTHERS[name]()
     assert dict(sets._KEPT) == kept
+
+
+_S = get_example("ex2_1").problem.feasible_set
+# a bad row is refused under the name of the argument that holds it
+ROW_MESSAGES = {
+    "A_ub row is not readable as reals: could not convert string to float: 'a'":
+        lambda: alternatives.solve_lp([1.0], [["a"]], [1.0]),
+    "A_strict row is not readable as reals: could not convert string to float: 'a'":
+        lambda: alternatives.strict_feasibility(None, None, [["a"]], [0.0]),
+    "A row is not readable as reals: could not convert string to float: 'a'":
+        lambda: alternatives.gordan_alternative([[1.0, "a"]]),
+    "X row is not readable as reals: could not convert string to float: 'a'":
+        lambda: sets.contains_many(_S, [[1.0, "a"]]),
+    "X row is not readable as reals: could not convert string to float: 'b'":
+        lambda: expr.evaluate_many(_f, [[1.0, "b"]]),
+    "X row has dimension 1, expected 2": lambda: sets.contains_many(_S, [[1.0], [1.0, 2.0]]),
+    "X row (1.0, nan) has non-finite entries":
+        lambda: sets.contains_many(_S, [[0.0, 0.0], [1.0, float("nan")]]),
+}
+
+
+@pytest.mark.parametrize("message", ROW_MESSAGES)
+def test_a_bad_row_is_refused_under_its_arguments_name(message):
+    with pytest.raises(errors.QcsolError) as info:
+        ROW_MESSAGES[message]()
+    assert str(info.value) == message

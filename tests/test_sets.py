@@ -225,7 +225,7 @@ class TestGrids:
 
     def test_contains_many_refuses_rows_of_the_wrong_width(self):
         for width in (1, 3):
-            with pytest.raises(DimensionError, match=f"point has dimension {width}, expected 2"):
+            with pytest.raises(DimensionError, match=f"^X row has dimension {width}, expected 2$"):
                 contains_many(RECT, np.zeros((4, width)))
 
     def test_resolution_validation(self):
@@ -556,7 +556,8 @@ def test_one_point_reads_as_its_batch_row_bit_for_bit(case, tol):
     for x, in_S in zip(X, mask.tolist()):
         assert contains(S, x.tolist(), tol) is in_S and contains(S, x, tol) is in_S
         assert _bits(atom.violations(x.tolist())) == _bits(_reference_violations(atom, x))
-    # a NaN or infinite coordinate: the same InputError from every entry point
+    # a NaN or infinite coordinate: the same InputError from every entry point,
+    # which names the batch's row as such
     for bad in (float("nan"), _INF, -_INF):
         x, Y = X[0].copy(), X.copy()
         x[-1] = bad
@@ -567,7 +568,9 @@ def test_one_point_reads_as_its_batch_row_bit_for_bit(case, tol):
             with pytest.raises(InputError, match="non-finite") as error:
                 call()
             errors.append(str(error.value))
-        assert errors == [f"point {tuple(x.tolist())} has non-finite entries"] * 4
+        at = tuple(x.tolist())
+        assert errors == [f"point {at} has non-finite entries"] * 2 + [
+            f"X row {at} has non-finite entries", f"point {at} has non-finite entries"]
 
 
 def test_box_generators_keep_positive_zeros_off_the_axis():

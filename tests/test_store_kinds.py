@@ -61,6 +61,8 @@ CACHES = {
                            "record's evaluation runs",
     ("registry", "_table"): "the builtin examples, loaded once per process",
     ("cli", "_build_parser"): "the one argument parser of the process",
+    ("cli", "_config"): "one Config per config source (base config, QCX_CONFIG "
+                        "text, flags), so store keys that hold it match by identity",
 }
 
 
