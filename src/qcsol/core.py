@@ -22,7 +22,7 @@ def _check(p, name: str):
         raise DimensionError(f"{name} dimension mismatch")
     if len(p.domain_window.lo) != p.dimension:
         raise DimensionError("domain window dimension mismatch")
-    reads = max(_program(e, 0)[2] for e in (p.objective, *p.constraints))
+    reads = max(_program(e, 0)[1] for e in (p.objective, *p.constraints))
     if reads > p.dimension:
         raise DimensionError(f"expression reads x{reads}, beyond dimension {p.dimension}")
 

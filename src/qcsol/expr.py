@@ -7,9 +7,11 @@ once into straight-line Python that computes its value and, in forward
 mode, its exact gradient; the same code runs on Python floats for one
 point (``evaluate``, ``grad``) and on numpy columns for a batch
 (``evaluate_many``, ``grad_many``), so both agree bit for bit, in one
-order with or without the gradient.  Each operator is defined once, in the
-operator tables after the AST nodes, which the parser, the printer and the
-compiler read; the program states which coordinates the expression reads.
+order with or without the gradient: each operator that can fail is one
+helper for both modes, and a constant stays a float among columns.  Each
+operator is defined once, in the operator tables after the AST nodes,
+which the parser, the printer and the compiler read; the program states
+which coordinates the expression reads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
@@ -230,10 +233,11 @@ class _Compiler:
 
     The source defines ``_build(POW, DIV, SQRT, SQRTD, ABSD, PW, k0,
     k1, ...)``, which returns ``f(x)`` -> (value, derivatives) for a
-    list x of coordinates.  The helpers hold everything that depends on
-    whether a coordinate is a float or a numpy column; the constants k*
-    are passed in by reference.  Each piecewise branch is a function of
-    its own, called by PW with the point or rows it applies to.
+    list x of coordinates, Python floats at a point or numpy columns for
+    a batch.  Each helper (_HELPERS) is written once for both modes, and
+    a constant k*, passed in by reference, stays a float among columns.
+    Each piecewise branch is a function of its own, called by PW with the
+    point or rows it applies to.
     """
 
     def __init__(self, n: int):
@@ -246,7 +250,7 @@ class _Compiler:
 
     def source(self, e: Expr) -> str:
         top = self.function(e)
-        params = ", ".join(_HELPERS + tuple(f"k{i}" for i in range(len(self.consts))))
+        params = ", ".join([*_HELPERS, *(f"k{i}" for i in range(len(self.consts)))])
         body = "\n".join("    " + line for fn in self.functions for line in fn.splitlines())
         return f"def _build({params}):\n{body}\n    return {top}\n"
 
@@ -337,10 +341,7 @@ class _Compiler:
         raise TypeError(f"unknown node {e!r}")
 
 
-_HELPERS = ("POW", "DIV", "SQRT", "SQRTD", "ABSD", "PW")
-
-
-# The float helpers: one point, coordinates as Python floats.
+# The readers of caller data: a point, a vector or a batch of rows.
 
 def _at(x) -> tuple:
     """A point (or a gradient) as error messages print it: a tuple of
@@ -349,10 +350,17 @@ def _at(x) -> tuple:
 
 
 def _real_array(x) -> np.ndarray:
-    """np.asarray(x, dtype=float), refusing a complex array (numpy would read its real part)."""
-    if getattr(getattr(x, "dtype", None), "kind", None) == "c":
-        raise TypeError(f"an array of dtype {x.dtype} is not real")
-    return np.asarray(x, dtype=float)
+    """x as np.asarray(x, dtype=float) reads (or refuses) it, but refusing a
+    complex entry, of a numpy array or scalar, whose real part numpy reads."""
+    xv = np.asarray(x)
+    if xv.dtype.kind in "biuf":
+        return xv.astype(float, copy=False)
+    if xv.dtype.kind != "c":  # strings, None, huge ints, objects: numpy's own reading
+        return np.asarray(x, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        np.asarray(x, dtype=float)  # a Python complex: numpy's own TypeError
+    raise TypeError(f"an entry of dtype {xv.dtype} is not real")
 
 
 def _floats(x, name: str = "point"):
@@ -404,42 +412,48 @@ def _as_rows(X, dimension: Optional[int] = None, name: str = "X", finite: bool =
     raise DimensionError(f"{name} has shape {Xv.shape}, expected (N, {dimension or 'n'})")
 
 
-def _pow(value: float, base: float) -> float:
+# The operators that can fail, each written once for both modes: a point's
+# coordinates are Python floats, a batch's numpy columns, and a constant
+# operand stays a float in either.  A row raises iff its point raises.
+
+def _pow(value, base):
     """value, a power of base, which overflows where it is infinite and
     base is not."""
-    if math.isinf(value) and math.isfinite(base):
+    if _any((abs(value) == math.inf) & (abs(base) < math.inf)):
         raise EvalError("power overflows")
     return value
 
 
-def _div(u: float, v: float) -> float:
-    if v == 0.0:
+def _div(u, v):
+    if _any(v == 0.0):
         raise EvalError("division by zero")
     return u / v
 
 
-def _sqrt(v: float) -> float:
-    if v < 0.0:
+def _sqrt(v):
+    if _any(v < 0.0):
         raise EvalError("sqrt of negative value")
-    return math.sqrt(v)
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
-def _sqrt_slope(r: float, d: float) -> float:
-    if d == 0.0:
-        return 0.0
-    if r == 0.0:
+def _sqrt_slope(r, d):
+    flat = d == 0.0
+    if _any(_not(flat) & (r == 0.0)):
         raise EvalError("sqrt not differentiable at zero")
-    return d / (2.0 * r)
+    return _where(flat, 0.0, _ratio(d, 2.0 * r))
 
 
-def _abs_slope(v: float, d: float) -> float:
-    if v > 0.0:
-        return d
-    if v < 0.0:
-        return -d
-    if d == 0.0:  # also where v is NaN
-        return 0.0
-    raise EvalError("abs not differentiable at zero")
+def _abs_slope(v, d):
+    pos, neg = v > 0.0, v < 0.0
+    if _any(_not(pos | neg) & (d != 0.0)):  # also where v is NaN
+        raise EvalError("abs not differentiable at zero")
+    return _where(pos, d, _where(neg, -d, 0.0))
+
+
+def _piecewise(x, hits, branches, n):
+    """_branch at a point, _branch_rows on numpy columns; a point of no
+    coordinates is a point."""
+    return (_branch_rows if x and isinstance(x[0], np.ndarray) else _branch)(x, hits, branches, n)
 
 
 def _branch(x, hits, branches, n):
@@ -458,41 +472,6 @@ def _branch(x, hits, branches, n):
                     f"branch gradients differ at {_at(x)}: {derivs[i]} vs {slopes[i]}"
                 )
     return value, derivs
-
-
-# The column helpers: many points, each coordinate a numpy column.  A row
-# raises here iff the float helpers raise at it.
-
-def _powers(value, base):
-    if np.any(np.isinf(value) & np.isfinite(base)):
-        raise EvalError("power overflows")
-    return value
-
-
-def _div_rows(u, v):
-    if np.any(v == 0.0):
-        raise EvalError("division by zero")
-    return u / v
-
-
-def _sqrt_rows(v):
-    if np.any(v < 0.0):
-        raise EvalError("sqrt of negative value")
-    return np.sqrt(v)
-
-
-def _sqrt_slope_rows(r, d):
-    flat = d == 0.0
-    if np.any(np.logical_not(flat) & (r == 0.0)):
-        raise EvalError("sqrt not differentiable at zero")
-    return np.where(flat, 0.0, d / (2.0 * r))
-
-
-def _abs_slope_rows(v, d):
-    pos, neg = v > 0.0, v < 0.0
-    if np.any(np.logical_not(pos | neg) & (d != 0.0)):
-        raise EvalError("abs not differentiable at zero")
-    return np.where(pos, d, np.where(neg, -d, 0.0))
 
 
 def _branch_rows(x, hits, branches, n):
@@ -528,8 +507,8 @@ def _branch_rows(x, hits, branches, n):
     return value, tuple(derivs)
 
 
-_FLOATS = (_pow, _div, _sqrt, _sqrt_slope, _abs_slope, _branch)
-_COLUMNS = (_powers, _div_rows, _sqrt_rows, _sqrt_slope_rows, _abs_slope_rows, _branch_rows)
+_HELPERS = {"POW": _pow, "DIV": _div, "SQRT": _sqrt, "SQRTD": _sqrt_slope, "ABSD": _abs_slope,
+            "PW": _piecewise}
 
 
 _MEMO_SIZE = 512
@@ -560,22 +539,20 @@ def _compiled(key: _AstKey, n: int):
     scope: dict = {}
     compiler = _Compiler(n)
     exec(compile(compiler.source(key.ast), "<qcsol expression>", "exec"), scope)
-    build = scope["_build"]
-    return build(*_FLOATS, *compiler.consts), build(*_COLUMNS, *compiler.consts), compiler.reads
+    return scope["_build"](*_HELPERS.values(), *compiler.consts), compiler.reads
 
 
 def _program(f: Expr, n: int):
-    """f compiled for n derivatives: (the float function, the column
-    function, how many coordinates they read).  ASTs with equal reprs
-    share their program."""
+    """f compiled for n derivatives: (the function, which runs on a point's
+    floats and on a batch's numpy columns alike, how many coordinates it
+    reads).  ASTs with equal reprs share their program."""
     return _compiled(_ast_key(f), n)
 
 
 def _point(program, x: list):
-    """The float program run at the point x (_as_point), which must hold
-    every coordinate it reads: its value and derivatives, which must be
-    finite."""
-    run, _, reads = program
+    """The program run at the point x (_as_point), which must hold every
+    coordinate it reads: its value and derivatives, which must be finite."""
+    run, reads = program
     if len(x) < reads:
         raise DimensionError(f"point has dimension {len(x)}, expected at least {reads}")
     value, derivs = run(x)
@@ -590,12 +567,12 @@ def _batch(f: Expr, Xv: np.ndarray, n: int):
     """f's program for n derivatives on the rows of Xv at once, as
     (values, derivatives), each broadcast to full columns.  Where some row
     fails, raises what _point raises at the first such row."""
-    program = _, columns, reads = _program(f, n)
+    program = run, reads = _program(f, n)
     if Xv.shape[1] < reads:
         raise DimensionError(f"point has dimension {Xv.shape[1]}, expected at least {reads}")
     try:
         with np.errstate(all="ignore"):
-            value, derivs = columns(list(np.ascontiguousarray(Xv.T)))
+            value, derivs = run(list(np.ascontiguousarray(Xv.T)))
         values = np.empty(len(Xv))
         values[:] = value
         G = np.empty((len(Xv), n))

@@ -58,6 +58,13 @@ ragged list, an int beyond the floats, a complex number, an object of a
 class of its own, whose repr names no address), a
 NaN entry, numeric strings, a bare scalar, a nested point and, where
 rows are expected, a 1-D array, each on an empty store.
+
+The evaluator family, hashed apart too: seeded random ASTs in two
+variables over every node kind (``Pow`` exponents 0-4, piecewise ASTs
+with empty and overlapping guards), each on a batch of 1-8 rows drawn
+from signed zeros, subnormals, infinities, NaN, 1e200, 1e-300 and small
+reals, asked ``evaluate`` and ``grad`` at each row and ``evaluate_many``
+and ``grad_many`` on the batch.
 """
 
 from __future__ import annotations
@@ -83,7 +90,8 @@ import numpy as np  # noqa: E402
 from qcsol import alternatives, charac, cli, convexity, expr, kkt, oracle, sets, subdiff  # noqa: E402
 from qcsol.config import Config  # noqa: E402
 from qcsol.core import CharacVariant, ConstrainedProblem, MultiplierVector, Problem  # noqa: E402
-from qcsol.expr import parse  # noqa: E402
+from qcsol.expr import (Abs, Add, Const, Div, LinearIneq, Mul, Neg, Piecewise, Pow, Sqrt,  # noqa: E402
+                        Sub, Var, parse)
 from qcsol.problemfile import dumps  # noqa: E402
 from qcsol.registry import get_example  # noqa: E402
 from qcsol.sets import Ball, Box, ConvexSetDescriptor, Halfspace, LinearEquality, grid_nodes  # noqa: E402
@@ -538,7 +546,8 @@ class _Opaque:
 _BOUNDARY_INPUTS = {"string": "ab", "string entry": [1.0, "a"], "ragged": [[1.0], [1.0, 2.0]],
                     "huge int": 10 ** 400, "huge int entry": [10 ** 400, 0.0], "complex": 1 + 2j,
                     "object": _Opaque(), "nan entry": [float("nan"), 0.0],
-                    "numeric strings": ["1.5", "0.5"], "bare scalar": 0.5, "nested": [[1.5, 0.5]]}
+                    "numeric strings": ["1.5", "0.5"], "bare scalar": 0.5, "nested": [[1.5, 0.5]],
+                    "complex scalar entry": [np.complex128(1.5 + 1j), 0.5]}
 _FLAT_ROWS = np.array([1.5, 0.5])
 
 
@@ -601,6 +610,48 @@ def boundary(record: Record):
             record(f"boundary {name} {label}", lambda: call(value))
 
 
+# the coordinates of the evaluator family's rows, and the constants of its ASTs
+_COORDS = (0.0, -0.0, 5e-324, -2.5e-310, float("inf"), float("-inf"), float("nan"),
+           1e200, -1e200, 1e-300, 0.5, -1.5, 2.0, 1.0, -1.0)
+_CONSTS = (0.0, -0.0, 1.0, -2.0, 0.5, 3.0, 1e-300, 1e200)
+
+
+def _ast(rng, depth: int):
+    """A seeded random AST in x1, x2 of at most depth levels below it."""
+    kind = int(rng.integers(2 if depth else 0, 11 if depth else 2))
+    if kind == 0:
+        return Const(float(rng.choice(_CONSTS)))
+    if kind == 1:
+        return Var(int(rng.integers(1, 3)))
+    if kind <= 5:
+        return (Add, Sub, Mul, Div)[kind - 2](_ast(rng, depth - 1), _ast(rng, depth - 1))
+    if kind == 6:
+        return Pow(_ast(rng, depth - 1), int(rng.integers(0, 5)))
+    if kind <= 9:
+        return (Neg, Sqrt, Abs)[kind - 7](_ast(rng, depth - 1))
+    branches = []
+    for _ in range(int(rng.integers(1, 4))):  # guards of 0-2 inequalities, which may overlap
+        guard = []
+        for _ in range(int(rng.integers(0, 3))):
+            coeffs = rng.choice((-1.0, 0.0, 0.5, 1.0), int(rng.integers(1, 3)))
+            guard.append(LinearIneq(tuple(coeffs.tolist()), float(rng.choice((-0.5, 0.0, 0.5)))))
+        branches.append((tuple(guard), _ast(rng, depth - 1)))
+    return Piecewise(tuple(branches))
+
+
+def evaluator(record: Record):
+    rng = np.random.default_rng(4807)
+    for k in range(400):
+        f = _ast(rng, int(rng.integers(1, 4)))
+        X = rng.choice(_COORDS, (int(rng.integers(1, 9)), 2))
+        label = f"ast {k} {f!r}"
+        for i, x in enumerate(X.tolist()):
+            record(f"{label} evaluate {i}", lambda: expr.evaluate(f, x))
+            record(f"{label} grad {i}", lambda: expr.grad(f, x))
+        record(f"{label} evaluate_many", lambda: expr.evaluate_many(f, X))
+        record(f"{label} grad_many", lambda: expr.grad_many(f, X))
+
+
 def main(listing_path=None):
     out = {}
     with tempfile.TemporaryDirectory() as folder, _environ("QCX_CONFIG", None), \
@@ -608,7 +659,7 @@ def main(listing_path=None):
         extended = [functools.partial(section, folder=folder)
                     for section in (kkt_cli, problem_files, config_refusals)]
         families = {"committed": (atoms, variants, feasible, gp, ml, cli_runs), "extended": extended,
-                    "call_order": (call_orders,), "boundary": (boundary,)}
+                    "call_order": (call_orders,), "boundary": (boundary,), "evaluator": (evaluator,)}
         for family, sections in families.items():
             record = Record(family, listing)
             for section in sections:

@@ -89,7 +89,7 @@ class TestParseEvaluate:
             evaluate(f, [0.0])
 
     def test_reads(self):
-        assert _program(parse("x1 + x3", 3), 0)[2] == 3
+        assert _program(parse("x1 + x3", 3), 0)[1] == 3
 
     def test_parse_error_offset(self):
         with pytest.raises(ParseError) as err:
@@ -310,9 +310,9 @@ class TestPointsThatDoNotFit:
 
     def test_the_program_reads_every_coordinate_of_its_guards(self):
         # the guard's coefficient of x2 is 0, but the program reads x[1]
-        assert _program(parse("pw[x1 <= 0: 1; x1 >= 0: 2]", 2), 0)[2] == 2
-        assert _program(parse("x3 * x1", 5), 0)[2] == 3
-        assert _program(parse("1", 5), 0)[2] == 0
+        assert _program(parse("pw[x1 <= 0: 1; x1 >= 0: 2]", 2), 0)[1] == 2
+        assert _program(parse("x3 * x1", 5), 0)[1] == 3
+        assert _program(parse("1", 5), 0)[1] == 0
 
 
 class TestEvaluateMany:
@@ -322,6 +322,14 @@ class TestEvaluateMany:
         f = parse("x1^3", 1)
         X = np.linspace(0.0, 2.0, 201)[:, None]
         assert _bits(evaluate_many(f, X)) == _bits(evaluate(f, x) for x in X)
+
+    def test_rows_of_no_coordinates_are_points_of_none(self):
+        # a guard of no inequalities reads no coordinate, so each row of
+        # an (N, 0) batch is the empty point
+        f = Piecewise((((), Const(0.0)),))
+        assert evaluate(f, []) == 0.0 and grad(f, []).shape == (0,)
+        assert evaluate_many(f, np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+        assert grad_many(f, np.empty((3, 0))).shape == (3, 0)
 
     def test_piecewise_rows(self):
         f = parse(QUADRANT, 2)
@@ -447,41 +455,56 @@ _BASES = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310, 1e-1
                   | st.floats(allow_subnormal=True), min_size=1, max_size=12)
 
 
-def _powers_in_both_modes(k, n, bases):
-    """x1^k's program for n derivatives on each base as a float and on all
-    of them as one column: (the float results, or the first error, and the
-    column's results, or its error)."""
-    run, columns, _ = _program(Pow(Var(1), k), n)
-    floats = []
-    try:
-        for b in bases:
-            value, derivs = run([b])
-            floats.append(_bits([value, *derivs]))
-    except EvalError as exc:
-        floats = str(exc)
+def _outcome(call):
+    """call()'s value and derivatives as bits, one list per point or row,
+    or its EvalError's class and message."""
     try:
         with np.errstate(all="ignore"):
-            value, derivs = columns([np.array(bases)])
-        derivs = [np.broadcast_to(d, value.shape) for d in derivs]  # k = 1: a constant slope
-        column = [_bits([v, *d]) for v, *d in zip(value, *derivs)]
+            value, derivs = call()
     except EvalError as exc:
-        column = str(exc)
-    return floats, column
+        return f"{type(exc).__name__}: {exc}"
+    # a constant value or slope is one float among columns, as at a point
+    parts = [np.atleast_1d(r) for r in (value, *derivs)]
+    size = max(len(r) for r in parts)
+    return [_bits(row) for row in zip(*(np.broadcast_to(r, (size,)) for r in parts))]
 
 
-@given(_BASES, st.integers(1, 64))
-@example([1e200, 2.0], 2)
-@example([-0.0, 5e-324, float("nan"), float("-inf")], 3)
-@settings(max_examples=300, deadline=None)
-def test_powers_are_the_same_products_on_floats_and_columns(bases, k):
-    # one multiplication rule in both modes: every entry, signed zeros,
-    # subnormals, NaN and infinities included, has the bits of its float
-    # power, and a power that overflows fails both; the value does not
-    # depend on whether derivatives are asked for
-    floats, column = _powers_in_both_modes(k, 1, bases)
-    assert column == floats
-    values = floats if isinstance(floats, str) else [b[:1] for b in floats]
-    assert _powers_in_both_modes(k, 0, bases) == (values, values)
+# Each helper that can fail, on its own operand and where it meets a
+# constant operand among columns: sqrt(0), abs(0) and 2^k are floats there.
+_HELPER_PROGRAMS = ["x1^{k}", "sqrt(x1)", "abs(x1)", "1/x1", "x2/x1", "sqrt(x1 - x1)",
+                    "abs(x1 - x1)", "sqrt(0) * x1", "abs(0) * x1", "x1 / 2^{k}"]
+
+
+@pytest.mark.parametrize("text", _HELPER_PROGRAMS)
+@given(bases=_BASES, k=st.integers(1, 64))
+@example(bases=[1e200, 2.0], k=2)
+@example(bases=[-0.0, 5e-324, float("nan"), float("-inf")], k=3)
+@settings(max_examples=100, deadline=None)
+def test_each_helper_gives_the_float_bits_on_columns(text, bases, k):
+    # one rule per helper in both modes, at the points (x1, x2) of the
+    # bases and the bases reversed: the columns give every point's bits,
+    # signed zeros, subnormals, NaN and infinities included, or fail where
+    # some point fails, with its error (the operator that fails first may
+    # fail at a later row); the value does not depend on whether
+    # derivatives are asked for
+    f = parse(text.format(k=k), 2)
+    X = np.array(list(zip(bases, reversed(bases))))
+    outcomes = []
+    for n in (0, 2):
+        run, reads = _program(f, n)
+        assert callable(run) and type(reads) is int  # one function for both modes
+        at_points = [_outcome(lambda: run(x)) for x in X.tolist()]
+        failures = [o for o in at_points if type(o) is str]
+        columns = _outcome(lambda: run(list(X.T)))
+        assert columns in failures if failures else columns == [b for (b,) in at_points]
+        outcomes.append(at_points)
+    for value, full in zip(*outcomes):
+        assert type(full) is str or value == [full[0][:1]]
+    # and a batch gives each point's bits, or raises the first failing point's error
+    for one, many in ((evaluate, evaluate_many), (grad, grad_many)):
+        rows = [_outcome(lambda: (one(f, x), ())) for x in X]
+        first = next((r for r in rows if type(r) is str), None)
+        assert _outcome(lambda: (many(f, X).ravel(), ())) == (first or [b for r in rows for b in r])
 
 
 def test_powers_of_a_constant_base_and_of_no_rows():
@@ -719,7 +742,7 @@ def _ref_reads(e):
 @example(_THRICE, 0)
 @settings(max_examples=200, deadline=None)
 def test_reads_equals_the_reference_walk(f, n):
-    assert _program(f, n)[2] == _ref_reads(f)
+    assert _program(f, n)[1] == _ref_reads(f)
 
 
 # Each node kind with a text that parses to it: its value and gradient at
@@ -748,7 +771,7 @@ def test_every_node_kind_parses_prints_and_compiles():
         f = parse(text, 2)
         assert type(f) is kind
         assert parse(pretty(f), 2) == f
-        assert _program(f, 0)[2] == reads
+        assert _program(f, 0)[1] == reads
         assert evaluate(f, _AT) == value and grad(f, _AT).tolist() == slope
         assert evaluate_many(f, np.array([_AT])).tolist() == [value]
         assert grad_many(f, np.array([_AT])).tolist() == [slope]

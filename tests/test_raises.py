@@ -54,7 +54,7 @@ def test_every_raise_names_a_qcsol_error_or_an_allowed_exception():
 # reader: _floats, _as_point, _as_rows), and keeps no record for it.
 BAD = {"string": "ab", "string entry": [1.0, "a"], "ragged": [[1.0], [1.0, 2.0]],
        "huge int": 10**400, "huge int entry": [10**400, 0.0], "complex": 1 + 2j, "object": object(),
-       "complex array": np.array([1.5 + 1j, 1.0])}
+       "complex array": np.array([1.5 + 1j, 1.0]), "complex scalar entry": [np.complex128(1.5 + 1j), 1.0]}
 FLAT = np.array([1.0, 0.0])  # a 1-D array where rows are expected
 
 
@@ -171,4 +171,25 @@ ROW_MESSAGES = {
 def test_a_bad_row_is_refused_under_its_arguments_name(message):
     with pytest.raises(errors.QcsolError) as info:
         ROW_MESSAGES[message]()
+    assert str(info.value) == message
+
+
+# numpy reads a numpy complex number's real part, with a ComplexWarning
+# only; the reader refuses it, in an array or as an entry of a list, and a
+# Python complex number keeps numpy's own message
+COMPLEX_MESSAGES = {
+    "point is not readable as reals: an entry of dtype complex128 is not real":
+        [np.complex128(1.5 + 1j), 1.0],
+    "point is not readable as reals: an entry of dtype complex64 is not real":
+        np.array([1.5, 1.0], dtype=np.complex64),
+    "point is not readable as reals: float() argument must be a string or a real number, not 'complex'":
+        [1.5 + 1j, 1.0],
+}
+
+
+@pytest.mark.parametrize("message", COMPLEX_MESSAGES)
+@pytest.mark.filterwarnings("error")
+def test_a_complex_entry_is_refused_without_a_warning(message):
+    with pytest.raises(errors.InputError) as info:
+        sets.contains(_S, COMPLEX_MESSAGES[message])
     assert str(info.value) == message
